@@ -73,6 +73,11 @@ def _pick_kappa(g, sign):
     raise CliError(f"no sign class labeled {sign}", 2)
 
 
+def _check_vertex(g, vertex):
+    if vertex not in g.colors:
+        raise CliError(f"unknown vertex {vertex}", 2)
+
+
 def _fmt(v):
     if isinstance(v, Fraction):
         return str(v)
@@ -179,6 +184,9 @@ def cmd_move(args):
             if parts[0] != "move" or len(parts) < 2:
                 raise CliError(f"script line {no}: expected 'move ...'", 2)
             kind = parts[1]
+            bad = [p for p in parts[2:] if "=" not in p]
+            if bad:
+                raise CliError(f"script line {no}: expected key=value, got {bad[0]!r}", 2)
             opts = dict(p.split("=", 1) for p in parts[2:])
             if kind == "square":
                 g, wt, rec = square_move(g, wt, opts["f"])
@@ -226,6 +234,7 @@ def cmd_charpoly(args):
 def cmd_divisor(args):
     g, weights, _ = _load_validated(args.graph)
     wt, mode = _need_weights(weights, g, args.mode)
+    _check_vertex(g, args.vertex)
     kappa = _pick_kappa(g, args.sign)
     try:
         D = divisor_of_vertex(g, wt, kappa, args.vertex, mode=mode,
@@ -248,6 +257,9 @@ def cmd_verify_ising(args):
             raise CliError(str(exc), 2)
     else:
         raise CliError("verify-ising needs --gadget-map", 2)
+    _check_vertex(g, args.vertex)
+    if args.vertex not in gm.partners:
+        raise CliError(f"vertex {args.vertex} has no partner in the gadget map", 2)
     kappa = _pick_kappa(g, args.sign)
     try:
         weight_ok, wrep = ising_locus_check(g, wt, gm,
@@ -281,19 +293,21 @@ def cmd_abel(args):
 def cmd_amoeba(args):
     g, weights, _ = _load_validated(args.graph)
     wt, mode = _need_weights(weights, g, args.mode)
+    if args.vertex:
+        _check_vertex(g, args.vertex)
     kappa = _pick_kappa(g, args.sign)
     P = lm_determinant(kasteleyn_matrix(g, wt, kappa))
     r = args.range
+    marks = []
     try:
         rows = amoeba_sample(P, grid=args.grid, region=(-r, r, -r, r), tol=args.tol)
+        if args.vertex:
+            import math
+            D = divisor_of_vertex(g, wt, kappa, args.vertex, mode=mode)
+            for z, w, _m in D.points:
+                marks.append((math.log(abs(complex(z))), math.log(abs(complex(w)))))
     except SpectralError as exc:
         raise CliError(str(exc), 1)
-    marks = []
-    if args.vertex:
-        import math
-        D = divisor_of_vertex(g, wt, kappa, args.vertex, mode=mode)
-        for z, w, _m in D.points:
-            marks.append((math.log(abs(complex(z))), math.log(abs(complex(w)))))
     _emit(amoeba_csv(rows), args.out)
     if args.svg:
         with open(args.svg, "w") as fh:

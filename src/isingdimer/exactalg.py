@@ -7,7 +7,6 @@ mixing modes in a binary operation raises `ModeError`.
 """
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 
 NUMERIC_ZERO_TOL = 1e-10
@@ -18,7 +17,7 @@ class ModeError(TypeError):
 
 
 class DimensionError(ValueError):
-    """Raised for non-square matrices or exceeded size bounds."""
+    """Raised for non-square matrices or mismatched labels."""
 
 
 def is_exact_scalar(c):
@@ -349,40 +348,13 @@ class LaurentMatrix:
                 and all(self.entries[rc] == other.entries[rc] for rc in self.entries))
 
 
-def _det_cofactor(m, row_labels, col_labels, entries, memo):
-    n = len(row_labels)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return entries[(row_labels[0], col_labels[0])]
-    key = (row_labels, col_labels)
-    if key in memo:
-        return memo[key]
-    # expand along the sparsest row
-    best_i = min(range(n), key=lambda i: sum(bool(entries[(row_labels[i], c)]) for c in col_labels))
-    r = row_labels[best_i]
-    rest_rows = row_labels[:best_i] + row_labels[best_i + 1:]
-    acc = LaurentPoly2.zero()
-    for k, c in enumerate(col_labels):
-        a = entries[(r, c)]
-        if not a:
-            continue
-        rest_cols = col_labels[:k] + col_labels[k + 1:]
-        minor = _det_cofactor(m, rest_rows, rest_cols, entries, memo)
-        term = a * minor
-        sign = (-1) ** (best_i + k)
-        acc = acc + (term if sign > 0 else -term)
-    memo[key] = acc
-    return acc
-
-
 def lp_divexact(p, d):
     """Exact division p / d in the Laurent ring; raises if not divisible."""
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero():
         return LaurentPoly2.zero()
-    lead = max(d.terms, key=_lex_key)
+    lead = max(d.terms)
     dlead = d.terms[lead]
     rem = p
     qterms = {}
@@ -391,7 +363,7 @@ def lp_divexact(p, d):
         guard -= 1
         if guard < 0:
             raise ArithmeticError("exact division did not terminate")
-        rl = max(rem.terms, key=_lex_key)
+        rl = max(rem.terms)
         c = rem.terms[rl]
         qc = c / dlead
         qij = (rl[0] - lead[0], rl[1] - lead[1])
@@ -400,27 +372,26 @@ def lp_divexact(p, d):
     return LaurentPoly2(qterms)
 
 
-def _lex_key(ij):
-    return ij
+def lm_determinant(m):
+    """Determinant of a square Laurent matrix, of any size.
 
-
-def lm_determinant(m, bound=16):
-    """Determinant of a square Laurent matrix.
-
-    Cofactor expansion with minor memoization for n <= 8, fraction-free
-    Bareiss elimination for larger matrices (up to `bound`).
+    Exact entries: fraction-free Bareiss elimination over the Laurent ring.
+    Numeric entries: det lies in the exponent box summed from each row's
+    exponent range, so it is evaluated on a grid of roots of unity covering
+    that box (batched LU) and its coefficients are read off by a 2-D FFT.
     """
     if not m.is_square():
         raise DimensionError("determinant of a non-square matrix")
-    n = len(m.rows)
-    if n > bound:
-        raise DimensionError(f"matrix dimension {n} exceeds bound {bound}")
-    if n == 0:
-        return ONE
-    if n <= 8:
-        return _det_cofactor(m, tuple(m.rows), tuple(m.cols), m.entries, {})
-    # Bareiss on a dense copy
     a = [[m.entries[(r, c)] for c in m.cols] for r in m.rows]
+    if not a:
+        return ONE
+    if all(e.exact for row in a for e in row):
+        return _det_bareiss(a)
+    return _det_fft(a)
+
+
+def _det_bareiss(a):
+    n = len(a)
     sign = 1
     prev = ONE
     for k in range(n - 1):
@@ -439,28 +410,62 @@ def lm_determinant(m, bound=16):
     return det if sign > 0 else -det
 
 
-def lm_adjugate(m, bound=16):
-    """Adjugate (transposed cofactor matrix): m @ adj(m) == det(m) * I."""
+def _det_fft(a):
+    """Interpolate det from its values at roots of unity. Each row is
+    shifted to nonnegative exponents first; terms at or below
+    NUMERIC_ZERO_TOL times the largest coefficient are dropped, and the
+    result is real when every input coefficient is a float."""
+    import numpy as np
+    n = len(a)
+    lows, spans = [], []
+    for row in a:
+        support = [ij for e in row for ij in e.terms]
+        if not support:
+            return LaurentPoly2.zero()
+        lo = [min(ij[k] for ij in support) for k in (0, 1)]
+        lows.append(lo)
+        spans.append([max(ij[k] for ij in support) - lo[k] for k in (0, 1)])
+    nz, nw = (sum(s[k] for s in spans) + 1 for k in (0, 1))
+    roots_z = np.exp(2j * np.pi * np.arange(nz) / nz)
+    roots_w = np.exp(2j * np.pi * np.arange(nw) / nw)
+    az, bw = np.arange(nz)[:, None], np.arange(nw)[None, :]
+    grid = np.zeros((nz, nw, n, n), dtype=complex)
+    for r, (row, (zlo, wlo)) in enumerate(zip(a, lows)):
+        for c, e in enumerate(row):
+            for (i, j), coef in e.terms.items():
+                grid[:, :, r, c] += (complex(coef) * roots_z[az * (i - zlo) % nz]
+                                     * roots_w[bw * (j - wlo) % nw])
+    coeffs = np.fft.fft2(np.linalg.det(grid)) / (nz * nw)
+    cut = NUMERIC_ZERO_TOL * np.abs(coeffs).max()
+    real = all(isinstance(c, float) for row in a for e in row for c in e.terms.values())
+    z0, w0 = (sum(lo[k] for lo in lows) for k in (0, 1))
+    return LaurentPoly2({(k + z0, l + w0): float(c.real) if real else complex(c)
+                         for (k, l), c in np.ndenumerate(coeffs) if abs(c) > cut})
+
+
+def lm_adjugate_column(m, row):
+    """Column `row` of adj(m), as {column label of m: signed (n-1)-minor}:
+    m @ column == det(m) * e_row. The minors are taken with lm_determinant,
+    so the column is right for singular m too."""
     if not m.is_square():
         raise DimensionError("adjugate of a non-square matrix")
-    n = len(m.rows)
-    if n == 0:
-        return LaurentMatrix([], [], {})
-    if n == 1:
-        return LaurentMatrix(m.cols, m.rows, {(m.cols[0], m.rows[0]): ONE})
-    memo = {}
+    i = m.rows.index(row)
+    rest = m.rows[:i] + m.rows[i + 1:]
     out = {}
-    rows = tuple(m.rows)
-    cols = tuple(m.cols)
-    for i, r in enumerate(rows):
-        rest_rows = rows[:i] + rows[i + 1:]
-        for j, c in enumerate(cols):
-            rest_cols = cols[:j] + cols[j + 1:]
-            minor = _det_cofactor(m, rest_rows, rest_cols, m.entries, memo)
-            if (i + j) % 2:
-                minor = -minor
-            out[(c, r)] = minor
-    return LaurentMatrix(m.cols, m.rows, out)
+    for j, c in enumerate(m.cols):
+        minor = lm_determinant(LaurentMatrix(rest, m.cols[:j] + m.cols[j + 1:], m.entries))
+        out[c] = -minor if (i + j) % 2 else minor
+    return out
+
+
+def lm_adjugate(m):
+    """Adjugate (transposed cofactor matrix), one lm_adjugate_column per row
+    label of m: m @ adj(m) == det(m) * I, singular m included."""
+    if not m.is_square():
+        raise DimensionError("adjugate of a non-square matrix")
+    cols = {r: lm_adjugate_column(m, r) for r in m.rows}
+    return LaurentMatrix(m.cols, m.rows,
+                         {(c, r): v for r, col in cols.items() for c, v in col.items()})
 
 
 class NewtonPolygon:
@@ -579,7 +584,9 @@ def resultant_eliminate(p, q, var):
     Both inputs are cleared of their minimal `var` exponent first; the
     cleared monomial exponents are reported. Returns
     (resultant: LaurentPoly2 in the other variable, (cleared_p, cleared_q)).
-    Sign convention: Sylvester determinant with the p-coefficient rows first.
+    Sign convention: Sylvester determinant with the p-coefficient rows first,
+    taken by lm_determinant at any size (Bareiss for exact inputs, FFT
+    interpolation for numeric ones).
     """
     if var not in ("z", "w"):
         raise ValueError("var must be 'z' or 'w'")
@@ -590,9 +597,7 @@ def resultant_eliminate(p, q, var):
     m, n = len(pc) - 1, len(qc) - 1
     if m == 0 and n == 0:
         raise ValueError(f"both inputs constant in {var}")
-    size = m + n
-    labels_r = list(range(size))
-    labels_c = list(range(size))
+    labels = list(range(m + n))
     entries = {}
     # n shifted copies of p's coefficients (descending), then m of q's
     for s in range(n):
@@ -601,5 +606,4 @@ def resultant_eliminate(p, q, var):
     for s in range(m):
         for k, c in enumerate(reversed(qc)):
             entries[(n + s, s + k)] = c
-    mat = LaurentMatrix(labels_r, labels_c, entries)
-    return lm_determinant(mat, bound=max(16, size)), (plo, qlo)
+    return lm_determinant(LaurentMatrix(labels, labels, entries)), (plo, qlo)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from .exactalg import (
     LaurentMatrix,
     LaurentPoly2,
-    lm_adjugate,
+    lm_adjugate_column,
     lm_determinant,
     lp_sigma,
     newton_polygon,
@@ -262,19 +262,26 @@ class Divisor:
         return sorted(out, key=lambda p: (repr(p[0]), repr(p[1])))
 
     def matches(self, other, tol=None):
+        """Equal multisets: exactly, or with coordinates within tol (default
+        1e-8) relative to their size, floored at 1, since a point far out on
+        a tentacle carries the relative error of the inverse of a small one."""
         a, b = self.as_multiset(), other.as_multiset()
         if len(a) != len(b):
             return False
         if self.exact and other.exact and tol is None:
             return sorted(a) == sorted(b)
+
+        def close(x, y):
+            x, y = complex(x), complex(y)
+            return abs(x - y) <= (tol or 1e-8) * max(1.0, abs(x), abs(y))
+
         used = [False] * len(b)
         for p in a:
             hit = None
             for i, q in enumerate(b):
                 if used[i]:
                     continue
-                if abs(complex(p[0]) - complex(q[0])) <= (tol or 1e-8) and \
-                   abs(complex(p[1]) - complex(q[1])) <= (tol or 1e-8):
+                if close(p[0], q[0]) and close(p[1], q[1]):
                     hit = i
                     break
             if hit is None:
@@ -327,11 +334,6 @@ def _rational_roots(poly1d):
     return roots
 
 
-def _poly_in_var(p, var):
-    coeffs, lo = p.coeffs_in(var)
-    return coeffs, lo
-
-
 def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-10):
     """The divisor of a vertex: common zeros on the open curve of the
     adjugate column (white vertex) or row (black vertex).
@@ -340,19 +342,15 @@ def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-10):
     refines companion-matrix roots by Newton iteration and verifies all
     entries vanish within tol."""
     K = kasteleyn_matrix(g, wt, kappa)
-    P = lm_determinant(K)
-    Q = lm_adjugate(K)
-    poly = newton_polygon(P)
-    genus = poly.genus
-    if g.colors[vertex] == "w":
-        entries = [Q.entries[(b, vertex)] for b in Q.rows]
-    elif g.colors[vertex] == "b":
-        entries = [Q.entries[(vertex, w)] for w in Q.cols]
-    else:
+    if g.colors[vertex] not in ("w", "b"):
         raise SpectralError(f"vertex {vertex} is uncolored")
-    entries = [e for e in entries if not e.is_zero()]
+    P = lm_determinant(K)
+    genus = newton_polygon(P).genus
     if genus == 0:
         return Divisor([], exact=(mode == "exact"))
+    # a row of adj(K) is the matching column of adj(K^T)
+    col = lm_adjugate_column(K if g.colors[vertex] == "w" else K.transpose(), vertex)
+    entries = [e for e in col.values() if not e.is_zero()]
     if len(entries) < 2:
         raise SpectralError("not enough nonzero adjugate entries")
     if mode == "exact":
@@ -409,22 +407,82 @@ def _divisor_exact(P, entries, genus):
 
 
 def _newton_refine(P, Q1, z, w, steps=40):
-    for _ in range(steps):
-        f1 = P.eval(z, w)
-        f2 = Q1.eval(z, w)
-        if abs(f1) + abs(f2) < 1e-15:
+    """Finite-difference Newton iteration on P = Q1 = 0 from (z, w).
+
+    Returns the last iterate at which P and Q1 evaluate finitely: an
+    evaluation that overflows or turns non-finite ends the iteration, and
+    the caller's residual test rejects the point."""
+    h = 1e-7
+    last = z, w
+    for k in range(steps + 1):
+        try:
+            f1 = P.eval(z, w)
+            f2 = Q1.eval(z, w)
+            if not (cmath.isfinite(f1) and cmath.isfinite(f2)):
+                break
+            last = z, w
+            if k == steps or abs(f1) + abs(f2) < 1e-15:
+                break
+            a = (P.eval(z + h, w) - f1) / h
+            b = (P.eval(z, w + h) - f1) / h
+            c = (Q1.eval(z + h, w) - f2) / h
+            d = (Q1.eval(z, w + h) - f2) / h
+            det = a * d - b * c
+            if abs(det) < 1e-300:
+                break
+            dz = (-f1 * d + f2 * b) / det
+            dw = (-f2 * a + f1 * c) / det
+        except (OverflowError, ZeroDivisionError):
             break
-        h = 1e-7
-        a = (P.eval(z + h, w) - f1) / h
-        b = (P.eval(z, w + h) - f1) / h
-        c = (Q1.eval(z + h, w) - f2) / h
-        d = (Q1.eval(z, w + h) - f2) / h
-        det = a * d - b * c
-        if abs(det) < 1e-300:
-            break
-        dz = (-f1 * d + f2 * b) / det
-        dw = (-f2 * a + f1 * c) / det
         z, w = z + dz, w + dw
+    return last
+
+
+# absolute error of a numeric coefficient of P or of an adjugate entry, as a
+# fraction of the polynomial's largest one: FFT interpolation spreads rounding
+# evenly over the coefficients (about 1e-15 measured at 24 whites)
+COEFF_EPS = 1e-13
+
+
+def _vanishes(p, z, w, tol):
+    """|p(z, w)| within tol times the sum of |term| at (z, w) (at least tol),
+    plus the spread of COEFF_EPS-sized coefficient errors over the support.
+    Far out on a tentacle the terms with the smallest coefficients dominate,
+    and their relative error is far above tol."""
+    az, aw = abs(z), abs(w)
+    size = spread = 0.0
+    for (i, j), c in p.terms.items():
+        m = az ** i * aw ** j
+        size += abs(c) * m
+        spread += m
+    cmax = max(abs(c) for c in p.terms.values())
+    return abs(p.eval(z, w)) <= tol * max(1.0, size) + COEFF_EPS * cmax * spread
+
+
+def _polish(polys, z, w, steps=4):
+    """Gauss-Newton steps on all of polys = 0 from (z, w), each equation
+    divided by the size of its terms. Newton on P and one entry loses digits
+    where their other common zeros come close to a divisor point; the other
+    entries do not share those zeros and restore them. Returns the start if
+    a step turns non-finite."""
+    import numpy as np
+    start = z, w
+    for _ in range(steps):
+        rows, rhs = [], []
+        try:
+            for p in polys:
+                val = dz = dw = size = 0
+                for (i, j), c in p.terms.items():
+                    t = c * z ** i * w ** j
+                    val, dz, dw, size = val + t, dz + i * t / z, dw + j * t / w, size + abs(t)
+                rows.append([dz / size, dw / size])
+                rhs.append(-val / size)
+        except (OverflowError, ZeroDivisionError):
+            return start
+        step = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)[0]
+        if not np.all(np.isfinite(step)):
+            return start
+        z, w = z + complex(step[0]), w + complex(step[1])
     return z, w
 
 
@@ -441,8 +499,7 @@ def _divisor_numeric(P, entries, genus, tol):
     if len(arr) < 2:
         raise SpectralError("resultant is constant; no isolated roots")
     zroots = np.roots(arr)
-    points = []
-    seen = []
+    cands = []
     for z0 in zroots:
         if abs(z0) < 1e-12:
             continue
@@ -454,14 +511,21 @@ def _divisor_numeric(P, entries, genus, tol):
         for w0 in np.roots(wpoly):
             if abs(w0) < 1e-12:
                 continue
-            z1, w1 = _newton_refine(Pn, e1.to_numeric(), complex(z0), complex(w0))
-            if abs(Pn.eval(z1, w1)) > tol:
+            cands.append(_newton_refine(Pn, e1.to_numeric(), complex(z0), complex(w0)))
+    polys = [Pn] + entries
+    points = []
+    # the second pass polishes every candidate on all entries; it runs only
+    # when the first falls short of the genus
+    for polish in (False, True):
+        if polish and len(points) >= genus:
+            break
+        for z1, w1 in cands:
+            if polish:
+                z1, w1 = _polish(polys, z1, w1)
+            if not all(_vanishes(q, z1, w1, tol) for q in polys):
                 continue
-            if any(abs(q.to_numeric().eval(z1, w1)) > tol for q in entries):
+            if any(abs(z1 - zs) < 1e-6 and abs(w1 - ws) < 1e-6 for zs, ws, _ in points):
                 continue
-            if any(abs(z1 - zs) < 1e-6 and abs(w1 - ws) < 1e-6 for zs, ws in seen):
-                continue
-            seen.append((z1, w1))
             points.append((z1, w1, 1))
     if len(points) != genus:
         sing = detect_singularities(P)

@@ -3,9 +3,13 @@ import sys
 
 import pytest
 
+from fractions import Fraction
+
 from isingdimer.cli import main
+from isingdimer.torusgraph import serialize_torus_graph
 
 from conftest import DIMER_FIXTURE, ISING_FIXTURE
+from test_ising import honeycomb_model
 
 
 GADGET_MAP = """gadget-map v1
@@ -62,6 +66,26 @@ class TestExitCodes:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["inspect", "/nonexistent/file.tg"]) == 2
+
+    @pytest.mark.parametrize("verb", ["divisor", "amoeba", "verify-ising"])
+    def test_unknown_vertex_exits_2(self, files, verb, capsys):
+        _, gp, _, gm = files
+        extra = ["--gadget-map", gm] if verb == "verify-ising" else []
+        assert main([verb, gp, "--vertex", "nope"] + extra) == 2
+        assert capsys.readouterr().err == "error: unknown vertex nope\n"
+
+    def test_vertex_without_partner_exits_2(self, files, capsys):
+        _, gp, _, gm = files
+        assert main(["verify-ising", gp, "--vertex", "b3", "--gadget-map", gm]) == 2
+        assert capsys.readouterr().err.startswith("error: vertex b3 ")
+
+    def test_script_token_without_equals_exits_2(self, files, tmp_path, capsys):
+        _, gp, _, _ = files
+        script = tmp_path / "bad.txt"
+        script.write_text("move square f\n")
+        assert main(["move", gp, "--script", str(script)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: script line 1: ") and err.count("\n") == 1
 
 
 class TestDeterminism:
@@ -185,6 +209,21 @@ class TestPipelines:
         assert body[0] == "x,y,is_real"
         assert len(body) > 10
         assert svg.read_text().startswith("<svg")
+
+    def test_numeric_verify_on_honeycomb_gadget(self, tmp_path, capsys):
+        # 12 whites: beyond the old float-Bareiss and size-bound limits
+        model = honeycomb_model([Fraction(1, 2), Fraction(1, 3), Fraction(2, 5),
+                                 Fraction(3, 7), Fraction(1, 4), Fraction(3, 5)], n=2, m=1)
+        coup = {e: {"s": c.s, "c": c.c} for e, c in model.couplings.items()}
+        ip = tmp_path / "hc.tg"
+        ip.write_text(serialize_torus_graph(model.graph, couplings=coup))
+        dim, gm = str(tmp_path / "hc.dimer"), str(tmp_path / "hc.gm")
+        assert main(["todimer", str(ip), "--out", dim, "--gadget-map", gm]) == 0
+        assert main(["verify-ising", dim, "--vertex", "W_u00_0", "--gadget-map", gm,
+                     "--mode", "numeric"]) == 0
+        out = capsys.readouterr().out
+        assert sum(line.startswith("condition ") and line.endswith(" pass")
+                   for line in out.splitlines()) == 4
 
     def test_inspect_dual(self, files, capsys):
         _, _, ip, _ = files

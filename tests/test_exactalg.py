@@ -9,6 +9,7 @@ from isingdimer.exactalg import (
     LaurentPoly2,
     ModeError,
     lm_adjugate,
+    lm_adjugate_column,
     lm_determinant,
     lp_divexact,
     lp_mul,
@@ -17,6 +18,11 @@ from isingdimer.exactalg import (
     newton_polygon,
     resultant_eliminate,
 )
+from isingdimer.ising import to_dimer
+from isingdimer.spectral import kasteleyn_matrix, solve_kasteleyn_signs
+
+from test_dimer import square22_dimer
+from test_ising import honeycomb_model
 
 Z = LaurentPoly2.var_z()
 W = LaurentPoly2.var_w()
@@ -80,6 +86,21 @@ class TestSigma:
         assert lp_sigma(p * q) == lp_sigma(p) * lp_sigma(q)
 
 
+def gadget_kasteleyn(n):
+    """Exact and float Kasteleyn matrices of a gadget dimer graph with n
+    whites: honeycomb 2x1 (n = 12) or square 2x2 (n = 16)."""
+    if n == 12:
+        x = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7),
+             Fraction(1, 4), Fraction(3, 5)]
+        g, wt, _ = to_dimer(honeycomb_model(x, n=2, m=1))
+    else:
+        g, wt, _ = square22_dimer(seed=3)
+    _, kappa = solve_kasteleyn_signs(g)[0]
+    K = kasteleyn_matrix(g, wt, kappa)
+    assert len(K.rows) == n
+    return K, kasteleyn_matrix(g, {e: float(v) for e, v in wt.items()}, kappa)
+
+
 def _matrix(rows, cols, grid):
     entries = {}
     for r, row in zip(rows, grid):
@@ -103,11 +124,14 @@ class TestDeterminant:
         with pytest.raises(DimensionError):
             lm_determinant(m)
 
-    def test_bound(self):
-        n = 4
-        m = _matrix(range(n), range(n), [[int(i == j) for j in range(n)] for i in range(n)])
-        with pytest.raises(DimensionError):
-            lm_determinant(m, bound=3)
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_exact_and_numeric_agree_on_gadget_graphs(self, n):
+        K, Kn = gadget_kasteleyn(n)
+        P, Pn = lm_determinant(K), lm_determinant(Kn)
+        assert set(Pn.terms) == set(P.terms)
+        assert all(isinstance(c, float) for c in Pn.terms.values())
+        for ij, c in P.terms.items():
+            assert abs(Pn.terms[ij] - float(c)) <= 1e-9 * abs(float(c))
 
     def test_paper_kasteleyn_matrix(self):
         s1, c1 = Fraction(4, 5), Fraction(3, 5)
@@ -151,6 +175,26 @@ class TestDeterminant:
 
 
 class TestAdjugate:
+    def test_column_identity_on_gadget_graph(self):
+        K, _ = gadget_kasteleyn(12)
+        det = lm_determinant(K)
+        r = K.rows[5]
+        col = lm_adjugate_column(K, r)
+        for rr in K.rows:
+            acc = LaurentPoly2.zero()
+            for c in K.cols:
+                acc = acc + K[(rr, c)] * col[c]
+            assert acc == (det if rr == r else LaurentPoly2.zero())
+
+    def test_singular_matrix(self):
+        # rank 2: the adjugate is nonzero although det is zero
+        m = _matrix("abc", "xyz", [[1, 2, 3], [2, 4, 6], [Z, W, 1]])
+        assert lm_determinant(m).is_zero()
+        adj = lm_adjugate(m)
+        assert adj.entries[("x", "a")] == LaurentPoly2.const(4) - 6 * W
+        prod = m.matmul(adj)
+        assert all(v.is_zero() for v in prod.entries.values())
+
     def test_1x1(self):
         m = _matrix("r", "c", [[Z + W]])
         adj = lm_adjugate(m)

@@ -172,6 +172,35 @@ class TestDivisors:
         D = divisor_of_vertex(g, wt, kappa, "W")
         assert len(D) == 0
 
+    def test_residual_test_scales_with_terms(self):
+        from isingdimer.spectral import _vanishes
+        p = LaurentPoly2({(0, 0): -1e6, (1, 0): 1.0})
+        # an absolute 1e-5 miss is rounding at a point of size 1e6
+        assert _vanishes(p, 1e6 + 1e-5, 1.0, 1e-10)
+        assert not _vanishes(p, 1e6 + 1.0, 1.0, 1e-10)
+        # below size 1 the test is absolute
+        assert not _vanishes(LaurentPoly2({(1, 0): 1.0}), 1e-9, 1.0, 1e-10)
+        # root w = 1e6 of -1e4 + 1e-8 w^2, with a 1e-14 * max|c| error in the
+        # small coefficient: it dominates the residual there, not far off
+        q = LaurentPoly2({(0, 0): -1e4, (0, 2): 1e-8 + 1e-10})
+        assert _vanishes(q, 1.0, 1e6, 1e-10)
+        assert not _vanishes(q, 1.0, 2e6, 1e-10)
+
+    def test_polish_on_all_equations(self):
+        from isingdimer.spectral import _polish
+        polys = [LaurentPoly2({(1, 0): 1.0, (0, 1): 1.0, (0, 0): -3.0}),
+                 LaurentPoly2({(1, 0): 1.0, (0, 1): -1.0, (0, 0): 1.0}),
+                 LaurentPoly2({(1, 1): 1.0, (0, 0): -2.0})]
+        z, w = _polish(polys, 1.001 + 0j, 1.999 + 0j)
+        assert abs(z - 1) < 1e-12 and abs(w - 2) < 1e-12
+
+    def test_matches_is_relative_far_out(self):
+        from isingdimer.spectral import Divisor
+        far = Divisor([(100 + 0j, 70 + 0j, 1)], exact=False)
+        assert far.matches(Divisor([(100 + 0j, 70 + 5e-8j, 1)], exact=False))
+        near = Divisor([(0.5 + 0j, 0.7 + 0j, 1)], exact=False)
+        assert not near.matches(Divisor([(0.5 + 0j, 0.7 + 5e-8j, 1)], exact=False))
+
 
 class TestNuMap:
     def test_fixture_singleton_sides(self, dimer_fixture):
@@ -380,6 +409,20 @@ class TestHarnackAndSingularities:
         P = lm_determinant(kasteleyn_matrix(g, wt, FIXTURE_KAPPA))
         assert detect_singularities(P) == []
 
+    def test_newton_refine_stops_before_overflow(self, dimer_fixture):
+        # from this start the critical-system iteration runs off to infinity
+        import cmath
+        import numpy as np
+        from isingdimer.spectral import _newton_refine, derivative
+        g, wt = dimer_fixture
+        P = lm_determinant(kasteleyn_matrix(g, wt, FIXTURE_KAPPA))
+        Pn, Pw, Pz = (p.to_numeric() for p in (P, derivative(P, "w"), derivative(P, "z")))
+        z0 = 4.5 + 7.34546972e-17j
+        cw, _ = Pn.coeffs_in("w")
+        for w0 in np.roots([complex(c.eval(z0, 1.0)) for c in cw][::-1]):
+            z1, w1 = _newton_refine(Pw, Pz, z0, complex(w0))
+            assert cmath.isfinite(Pw.eval(z1, w1)) and cmath.isfinite(Pz.eval(z1, w1))
+
     def test_nodal_curve_detected(self):
         from isingdimer.spectral import detect_singularities
         # (z + 1/z + w + 1/w): node at (z, w) = (1, -1) and (-1, 1)
@@ -408,3 +451,19 @@ class TestToDimerSpectralPath:
         white = gd.whites()[0]
         ok, rep = verify_ising_spectral(gd, wt, kappa, gm, white)
         assert ok
+
+    # honeycomb 2x2 gadget graph, 24 whites, genus 7. With these couplings
+    # the first has a divisor point next to another common zero of P and the
+    # Newton entry (it needs the polish on every entry), the second one at
+    # |w| ~ 1e4 (it needs the coefficient-error term of the residual test).
+    @pytest.mark.parametrize("tenths", ["999322272294", "174719488946"])
+    def test_numeric_divisor_at_24_whites(self, tenths):
+        from test_ising import honeycomb_model
+        model = honeycomb_model([Fraction(int(k), 10) for k in tenths], n=2, m=2)
+        gd, wt, gm = to_dimer(model)
+        wtf = {e: float(v) for e, v in wt.items()}
+        _, kappa = solve_kasteleyn_signs(gd)[0]
+        Dw = divisor_of_vertex(gd, wtf, kappa, "W_u00_0", mode="numeric")
+        Db = divisor_of_vertex(gd, wtf, kappa, gm.partners["W_u00_0"], mode="numeric")
+        assert len(Dw) == len(Db) == 7
+        assert Dw.matches(Db.sigma())
