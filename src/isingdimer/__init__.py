@@ -4,8 +4,6 @@ from .exactalg import (
     LaurentPoly2,
     LaurentMatrix,
     NewtonPolygon,
-    lp_mul,
-    lp_sigma,
     lm_determinant,
     lm_adjugate,
     newton_polygon,
@@ -17,8 +15,6 @@ __all__ = [
     "LaurentPoly2",
     "LaurentMatrix",
     "NewtonPolygon",
-    "lp_mul",
-    "lp_sigma",
     "lm_determinant",
     "lm_adjugate",
     "newton_polygon",

@@ -74,38 +74,10 @@ def gauge_canonicalize(g, wt):
     """Gauge so that a deterministic spanning tree (lowest edge ids) has
     weight 1 everywhere. Two cochains are gauge equivalent iff their
     canonical forms are equal."""
-    parent = {v: v for v in g.vertex_ids()}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree = []
-    adj = {v: [] for v in g.vertex_ids()}
-    for e in g.edges():
-        v1, v2, _, _ = g.edge_ends[e]
-        r1, r2 = find(v1), find(v2)
-        if r1 != r2:
-            parent[r1] = r2
-            tree.append(e)
-            adj[v1].append((e, v2))
-            adj[v2].append((e, v1))
     pot = {g.vertex_ids()[0]: _one_like(wt)}
-    stack = [g.vertex_ids()[0]]
-    while stack:
-        v = stack.pop()
-        for e, u in adj[v]:
-            if u in pot:
-                continue
-            b, w = (v, u) if g.colors[v] == "b" else (u, v)
-            # want pot[b]^-1 * wt * pot[w] == 1
-            if b == v:
-                pot[u] = pot[v] / wt[e]
-            else:
-                pot[u] = pot[v] * wt[e]
-            stack.append(u)
+    for v, e, u in g.spanning_tree():
+        # want pot[b]^-1 * wt * pot[w] == 1
+        pot[u] = pot[v] / wt[e] if g.colors[v] == "b" else pot[v] * wt[e]
     if len(pot) != len(g.vertex_ids()):
         raise GraphError("graph is disconnected")
     out = {}

@@ -292,16 +292,6 @@ class LaurentPoly2:
         return f"LaurentPoly2({self.canonical_str()})"
 
 
-def lp_mul(p, q):
-    """Exact product of two Laurent polynomials (same mode)."""
-    return p * q
-
-
-def lp_sigma(p):
-    """Apply the involution sigma: (z, w) -> (z^-1, w^-1)."""
-    return p.sigma()
-
-
 ONE = LaurentPoly2.const(Fraction(1))
 
 

@@ -13,7 +13,6 @@ from .exactalg import (
     LaurentPoly2,
     lm_adjugate_column,
     lm_determinant,
-    lp_sigma,
     newton_polygon,
     format_coeff,
 )
@@ -133,30 +132,9 @@ def solve_kasteleyn_signs(g):
 def kappa_tree_normalize(g, kappa):
     """Canonical representative of a sign class: +1 on the deterministic
     spanning tree (lowest edge ids)."""
-    parent = {v: v for v in g.vertex_ids()}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    adj = {v: [] for v in g.vertex_ids()}
-    for e in g.edges():
-        v1, v2, _, _ = g.edge_ends[e]
-        r1, r2 = find(v1), find(v2)
-        if r1 != r2:
-            parent[r1] = r2
-            adj[v1].append((e, v2))
-            adj[v2].append((e, v1))
     sign = {g.vertex_ids()[0]: 1}
-    stack = [g.vertex_ids()[0]]
-    while stack:
-        v = stack.pop()
-        for e, u in adj[v]:
-            if u not in sign:
-                sign[u] = sign[v] * kappa[e]
-                stack.append(u)
+    for v, e, u in g.spanning_tree():
+        sign[u] = sign[v] * kappa[e]
     out = {}
     for e in g.edges():
         v1, v2, _, _ = g.edge_ends[e]
@@ -239,6 +217,184 @@ def characteristic_polynomial(g, wt, kappa, check_polygon=True):
     return SpectralCurveData(P, poly, poly.genus)
 
 
+# -- roots: the numeric kernel and exact rational roots ----------------------------
+
+
+def _roots(coeffs):
+    """The root kernel: roots of a batch of polynomials, one per row of
+    `coeffs` (highest degree first). The stacked companion matrices are
+    built as numpy's `roots` builds them and go to one eigvals call.
+    Returns (roots, ok): roots[k] are the roots of row k where ok[k]; a row
+    whose leading coefficient vanishes (a root at infinity) is skipped, its
+    roots are nan."""
+    import numpy as np
+    c = np.asarray(coeffs, dtype=complex)
+    d = c.shape[1] - 1
+    ok = np.abs(c[:, 0]) >= 1e-300
+    comp = np.zeros((int(ok.sum()), d, d), dtype=complex)
+    comp[:, 0, :] = -c[ok, 1:] / c[ok, :1]
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1
+    roots = np.full((len(c), d), np.nan, dtype=complex)
+    roots[ok] = np.linalg.eigvals(comp)
+    return roots, ok
+
+
+def _pow(x, k):
+    """x**k as LaurentPoly2.eval takes it, for arrays x."""
+    return x ** k if k >= 0 else 1 / x ** -k
+
+
+def _fibres(P, z):
+    """Rows for _roots: the coefficients of P in w (lowest exponent
+    cleared, highest first) at each z of an array."""
+    import numpy as np
+    lo, hi = P.degree_range("w")
+    out = np.zeros((len(z), hi - lo + 1), dtype=complex)
+    for (i, j), c in P.terms.items():
+        out[:, hi - j] += complex(c) * _pow(z, i)
+    return out
+
+
+def _fibre_roots(Pn, res, eps):
+    """Candidate points (z, w) as arrays: z a root of the resultant res in
+    z, w a root of Pn(z, .) (the curve always depends on w), both of
+    modulus at least eps."""
+    import numpy as np
+    coeffs, _ = res.coeffs_in("z")
+    zroots = _roots([[complex(c.coeff(0, 0)) for c in reversed(coeffs)]])[0][0]
+    zroots = zroots[np.abs(zroots) >= eps]
+    wroots, ok = _roots(_fibres(Pn, zroots))
+    keep = ok[:, None] & (np.abs(wroots) >= eps)
+    return np.broadcast_to(zroots[:, None], wroots.shape)[keep], wroots[keep]
+
+
+def _terms(p, z, w):
+    """Value, logarithmic partial derivatives (z dp/dz and w dp/dw) and the
+    sum of |term| of p at arrays z, w."""
+    import numpy as np
+    val, zdz, wdw = (np.zeros(np.shape(z), dtype=complex) for _ in range(3))
+    size = np.zeros(np.shape(z))
+    for (i, j), c in p.terms.items():
+        t = complex(c) * _pow(z, i) * _pow(w, j)
+        val += t
+        zdz += i * t
+        wdw += j * t
+        size += abs(t)
+    return val, zdz, wdw, size
+
+
+def _polish(polys, z, w, steps=4, move_z=True):
+    """Newton steps with exact derivatives on all of polys = 0 from a batch
+    of points z, w (arrays or scalars; with move_z false only w moves),
+    least squares by the normal equations when there are more equations
+    than unknowns. Each equation is divided by the size of its terms and
+    the unknowns are log z and log w. Newton on P and one entry loses
+    digits where their other common zeros come close to a divisor point;
+    the other entries do not share those zeros and restore them. A point
+    stops when its residuals reach rounding level, or when an evaluation or
+    a step turns non-finite: it keeps its last iterate at which every poly
+    evaluates finitely."""
+    import numpy as np
+    shape = np.shape(z)
+    z = np.array(z, dtype=complex).ravel()
+    w = np.array(w, dtype=complex).ravel()
+    prev_z, prev_w = z.copy(), w.copy()
+    live = np.ones(len(z), dtype=bool)
+    with np.errstate(all="ignore"):
+        for k in range(steps + 1):
+            idx = np.flatnonzero(live)
+            if not len(idx):
+                break
+            ev = [_terms(p, z[idx], w[idx]) for p in polys]
+            res, jz, jw = (np.stack([e[m] / e[3] for e in ev]) for m in range(3))
+            bad = ~np.isfinite(np.stack([res, jz, jw])).all((0, 1))
+            z[idx[bad]], w[idx[bad]] = prev_z[idx[bad]], prev_w[idx[bad]]
+            done = bad | (np.abs(res).max(0) <= 1e-15) | (k == steps)
+            live[idx[done]] = False
+            idx, res, jz, jw = idx[~done], res[:, ~done], jz[:, ~done], jw[:, ~done]
+            a11, a12, a22 = (abs(jz) ** 2).sum(0), (jz.conj() * jw).sum(0), (abs(jw) ** 2).sum(0)
+            b1, b2 = -(jz.conj() * res).sum(0), -(jw.conj() * res).sum(0)
+            if move_z:
+                det = a11 * a22 - abs(a12) ** 2
+                sz, sw = (a22 * b1 - a12 * b2) / det, (a11 * b2 - a12.conj() * b1) / det
+            else:
+                sz, sw = np.zeros(len(idx)), b2 / a22
+            ok = np.isfinite(sz) & np.isfinite(sw)
+            live[idx[~ok]] = False
+            idx, sz, sw = idx[ok], sz[ok], sw[ok]
+            prev_z[idx], prev_w[idx] = z[idx], w[idx]
+            z[idx] += z[idx] * sz
+            w[idx] += w[idx] * sw
+    return z.reshape(shape), w.reshape(shape)
+
+
+def _divmod(a, b):
+    """Quotient and remainder of polynomials with rational coefficients,
+    highest degree first; the remainder has no leading zeros."""
+    a, q = list(a), []
+    while len(a) >= len(b):
+        q.append(a[0] / b[0])
+        a = [x - q[-1] * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+    while a and a[0] == 0:
+        a.pop(0)
+    return q, a
+
+
+def _rational_zeros(coeffs):
+    """Nonzero rational roots, ascending and without repeats, of a
+    polynomial with rational coefficients (lowest degree first).
+
+    f is the squarefree part, f / gcd(f, f') by Euclid over Q, as a
+    primitive integer polynomial. A rational root p/q in lowest terms has
+    p | a_0 and q | a_n, so it is N/a_n with |N| <= |a_0 a_n|. The roots of
+    f modulo a small prime p (one dividing neither a_n nor f' at any of
+    them) are lifted by Newton steps to roots modulo M > 2 |a_0 a_n|; N is
+    the residue of a_n r closest to 0, and N/a_n is kept if f vanishes there
+    exactly. All of it is exact arithmetic, with no bound on sizes."""
+    a = [Fraction(c) for c in reversed(coeffs)]
+    while a and a[0] == 0:
+        a.pop(0)
+    while a and a[-1] == 0:
+        a.pop()
+    if len(a) < 2:
+        return []
+    g, b = a, [k * c for k, c in zip(range(len(a) - 1, 0, -1), a)]
+    while b:
+        g, b = b, _divmod(g, b)[1]
+    q = _divmod(a, g)[0]
+    den = math.lcm(*(c.denominator for c in q))
+    f = [int(c * den) for c in reversed(q)]
+    content = math.gcd(*f)
+    f = [c // content for c in f]
+    df = [k * c for k, c in enumerate(f)][1:]
+
+    def value(x, coeffs, m=0):
+        v = 0
+        for c in reversed(coeffs):
+            v = (v * x + c) % m if m else v * x + c
+        return v
+
+    p = 1000
+    while True:
+        p += 1
+        if f[-1] % p == 0 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+            continue
+        roots = [r for r in range(p) if value(r, f, p) == 0]
+        if all(value(r, df, p) for r in roots):
+            break
+    out = []
+    for r in roots:
+        m = p
+        while m <= 2 * abs(f[0] * f[-1]):
+            m *= m
+            r = (r - value(r, f, m) * pow(value(r, df, m), -1, m)) % m
+        n = f[-1] * r % m
+        root = Fraction(n - m if 2 * n > m else n, f[-1])
+        if value(root, f) == 0:
+            out.append(root)
+    return sorted(out)
+
+
 # -- divisors ------------------------------------------------------------------
 
 
@@ -293,54 +449,18 @@ class Divisor:
         return f"Divisor({self.points})"
 
 
-def _rational_roots(poly1d):
-    """Rational roots of a one-variable Laurent polynomial with Fraction
-    coefficients (list indexed from the cleared minimum)."""
-    raw, _ = poly1d
-    coeffs = [c if isinstance(c, Fraction) else c.coeff(0, 0) for c in raw]
-    # clear denominators -> integer polynomial
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-    if not ints:
-        return []
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(n):
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return out
-
-    cands = set()
-    for p in divisors(a0):
-        for q in divisors(an):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    roots = []
-    for r in sorted(cands):
-        val = Fraction(0)
-        for c in reversed(ints):
-            val = val * r + c
-        if val == 0:
-            roots.append(r)
-    return roots
-
-
 def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-10):
     """The divisor of a vertex: common zeros on the open curve of the
     adjugate column (white vertex) or row (black vertex).
 
-    Exact mode confirms rational candidates by substitution; numeric mode
-    refines companion-matrix roots by Newton iteration and verifies all
-    entries vanish within tol."""
+    Both modes eliminate w from the two smallest adjugate entries and take
+    the roots of the resultant in z, then the roots of P in w on each of
+    those fibres. Exact mode takes the rational roots (_rational_zeros,
+    p-adic and exact) and confirms each point by exact substitution into P
+    and every adjugate entry; it raises SpectralError when it finds other
+    than genus rational points. Numeric mode takes the roots from the root
+    kernel, refines the candidates by Newton steps with exact derivatives
+    and keeps the points at which P and all entries vanish within tol."""
     K = kasteleyn_matrix(g, wt, kappa)
     if g.colors[vertex] not in ("w", "b"):
         raise SpectralError(f"vertex {vertex} is uncolored")
@@ -354,24 +474,7 @@ def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-10):
     if len(entries) < 2:
         raise SpectralError("not enough nonzero adjugate entries")
     if mode == "exact":
-        try:
-            return _divisor_exact(P, entries, genus)
-        except SpectralError:
-            # refine numerically, then lift back to rationals and verify by
-            # exact substitution (continued-fraction reconstruction)
-            num = _divisor_numeric(P.to_numeric(), [e.to_numeric() for e in entries],
-                                   genus, 1e-10)
-            points = []
-            for z, w, m in num.points:
-                if abs(z.imag) > 1e-9 or abs(w.imag) > 1e-9:
-                    raise
-                zq = Fraction(z.real).limit_denominator(10 ** 6)
-                wq = Fraction(w.real).limit_denominator(10 ** 6)
-                if P.eval_exact(zq, wq) != 0 or \
-                        any(q.eval_exact(zq, wq) != 0 for q in entries):
-                    raise
-                points.append((zq, wq, m))
-            return Divisor(points, exact=True)
+        return _divisor_exact(P, entries, genus)
     return _divisor_numeric(P, entries, genus, tol)
 
 
@@ -383,59 +486,18 @@ def _divisor_exact(P, entries, genus):
     res, _ = resultant_eliminate(e1, e2, "w")
     if res.is_zero():
         raise SpectralError("adjugate entries share a component; exact divisor ambiguous")
-    zcands = _rational_roots(res.coeffs_in("z"))
+    cw, _ = P.coeffs_in("w")
     points = []
-    for z0 in zcands:
-        if z0 == 0:
-            continue
+    for z0 in _rational_zeros([c.coeff(0, 0) for c in res.coeffs_in("z")[0]]):
         # w-candidates: rational roots of P(z0, w), which always depends on w
-        c1, lo = P.coeffs_in("w")
-        vals = [c.eval_exact(z0, 1) for c in c1]
-        wcands = _rational_roots((vals, lo))
-        for w0 in wcands:
-            if w0 == 0:
-                continue
-            if P.eval_exact(z0, w0) != 0:
-                continue
-            if all(q.eval_exact(z0, w0) == 0 for q in entries):
+        for w0 in _rational_zeros([c.eval_exact(z0, 1) for c in cw]):
+            if P.eval_exact(z0, w0) == 0 and all(q.eval_exact(z0, w0) == 0 for q in entries):
                 points.append((z0, w0, 1))
-    if sum(m for _, _, m in points) != genus:
+    if len(points) != genus:
         raise SpectralError(
             f"exact divisor found {len(points)} rational points, genus is {genus};"
             " use numeric mode")
     return Divisor(points, exact=True)
-
-
-def _newton_refine(P, Q1, z, w, steps=40):
-    """Finite-difference Newton iteration on P = Q1 = 0 from (z, w).
-
-    Returns the last iterate at which P and Q1 evaluate finitely: an
-    evaluation that overflows or turns non-finite ends the iteration, and
-    the caller's residual test rejects the point."""
-    h = 1e-7
-    last = z, w
-    for k in range(steps + 1):
-        try:
-            f1 = P.eval(z, w)
-            f2 = Q1.eval(z, w)
-            if not (cmath.isfinite(f1) and cmath.isfinite(f2)):
-                break
-            last = z, w
-            if k == steps or abs(f1) + abs(f2) < 1e-15:
-                break
-            a = (P.eval(z + h, w) - f1) / h
-            b = (P.eval(z, w + h) - f1) / h
-            c = (Q1.eval(z + h, w) - f2) / h
-            d = (Q1.eval(z, w + h) - f2) / h
-            det = a * d - b * c
-            if abs(det) < 1e-300:
-                break
-            dz = (-f1 * d + f2 * b) / det
-            dw = (-f2 * a + f1 * c) / det
-        except (OverflowError, ZeroDivisionError):
-            break
-        z, w = z + dz, w + dw
-    return last
 
 
 # absolute error of a numeric coefficient of P or of an adjugate entry, as a
@@ -459,74 +521,31 @@ def _vanishes(p, z, w, tol):
     return abs(p.eval(z, w)) <= tol * max(1.0, size) + COEFF_EPS * cmax * spread
 
 
-def _polish(polys, z, w, steps=4):
-    """Gauss-Newton steps on all of polys = 0 from (z, w), each equation
-    divided by the size of its terms. Newton on P and one entry loses digits
-    where their other common zeros come close to a divisor point; the other
-    entries do not share those zeros and restore them. Returns the start if
-    a step turns non-finite."""
-    import numpy as np
-    start = z, w
-    for _ in range(steps):
-        rows, rhs = [], []
-        try:
-            for p in polys:
-                val = dz = dw = size = 0
-                for (i, j), c in p.terms.items():
-                    t = c * z ** i * w ** j
-                    val, dz, dw, size = val + t, dz + i * t / z, dw + j * t / w, size + abs(t)
-                rows.append([dz / size, dw / size])
-                rhs.append(-val / size)
-        except (OverflowError, ZeroDivisionError):
-            return start
-        step = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)[0]
-        if not np.all(np.isfinite(step)):
-            return start
-        z, w = z + complex(step[0]), w + complex(step[1])
-    return z, w
-
-
 def _divisor_numeric(P, entries, genus, tol):
-    import numpy as np
     from .exactalg import resultant_eliminate
     e1 = min(entries, key=lambda p: len(p.terms))
     rest = [p for p in entries if p is not e1]
     e2 = min(rest, key=lambda p: len(p.terms))
     Pn = P.to_numeric()
     res, _ = resultant_eliminate(e1.to_numeric(), e2.to_numeric(), "w")
-    coeffs, _ = res.coeffs_in("z")
-    arr = np.array([complex(c.coeff(0, 0)) for c in coeffs][::-1])
-    if len(arr) < 2:
+    if len(res.coeffs_in("z")[0]) < 2:
         raise SpectralError("resultant is constant; no isolated roots")
-    zroots = np.roots(arr)
-    cands = []
-    for z0 in zroots:
-        if abs(z0) < 1e-12:
-            continue
-        # w-candidates from the curve itself, which always depends on w
-        cw, lo = Pn.coeffs_in("w")
-        wpoly = np.array([complex(c.eval(z0, 1.0)) for c in cw][::-1])
-        if len(wpoly) < 2:
-            continue
-        for w0 in np.roots(wpoly):
-            if abs(w0) < 1e-12:
-                continue
-            cands.append(_newton_refine(Pn, e1.to_numeric(), complex(z0), complex(w0)))
+    z1, w1 = _polish([Pn, e1.to_numeric()], *_fibre_roots(Pn, res, 1e-12), steps=40)
     polys = [Pn] + entries
     points = []
     # the second pass polishes every candidate on all entries; it runs only
     # when the first falls short of the genus
     for polish in (False, True):
-        if polish and len(points) >= genus:
-            break
-        for z1, w1 in cands:
-            if polish:
-                z1, w1 = _polish(polys, z1, w1)
-            if not all(_vanishes(q, z1, w1, tol) for q in polys):
+        if polish:
+            if len(points) >= genus:
+                break
+            z1, w1 = _polish(polys, z1, w1)
+        for z, w in zip(z1.tolist(), w1.tolist()):
+            if not all(_vanishes(q, z, w, tol) for q in polys):
                 continue
-            if any(abs(z1 - zs) < 1e-6 and abs(w1 - ws) < 1e-6 for zs, ws, _ in points):
+            if any(abs(z - zs) < 1e-6 and abs(w - ws) < 1e-6 for zs, ws, _ in points):
                 continue
-            points.append((z1, w1, 1))
+            points.append((z, w, 1))
     if len(points) != genus:
         sing = detect_singularities(P)
         if sing:
@@ -690,8 +709,8 @@ def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-
     from .dimer import x_of_cycle
     K = kasteleyn_matrix(g, wt, kappa)
     P = lm_determinant(K)
-    cond1 = lp_sigma(P) == P if all(isinstance(v, Fraction) for v in wt.values()) \
-        else lp_sigma(P).isclose(P, tol)
+    cond1 = P.sigma() == P if all(isinstance(v, Fraction) for v in wt.values()) \
+        else P.sigma().isclose(P, tol)
     black = gadget_map.partners[white]
     Dw = divisor_of_vertex(g, wt, kappa, white, mode=mode, tol=min(tol, 1e-10))
     Db = divisor_of_vertex(g, wt, kappa, black, mode=mode, tol=min(tol, 1e-10))
@@ -743,41 +762,35 @@ def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-
 
 def amoeba_sample(P, grid=100, region=(-3.0, 3.0, -3.0, 3.0), tol=1e-8):
     """Sample the amoeba: for z on a log-modulus x phase grid, solve
-    P(z, .) = 0 by companion-matrix roots, refine, keep |P| < tol.
+    P(z, .) = 0 for the whole grid in one batched root-kernel call, polish
+    every root by Newton steps in w with the exact derivative (vectorised
+    over the batch), keep |P| < tol.
 
-    Returns a list of rows (x, y, is_real) with x = log|z|, y = log|w|.
+    Returns a list of rows (x, y, is_real, z, w) with x = log|z|, y = log|w|.
     """
     import numpy as np
-    Pn = P.to_numeric()
     rng = P.degree_range("w")
     if rng is None or rng[0] == rng[1]:
         raise SpectralError("polynomial is constant in w; amoeba degenerate")
+    Pn = P.to_numeric()
     x0, x1, _, _ = region
-    rows = []
+    zs = []
     for ix in range(grid):
-        x = x0 + (x1 - x0) * (ix + 0.5) / grid
-        r = math.exp(x)
+        r = math.exp(x0 + (x1 - x0) * (ix + 0.5) / grid)
         for ip in range(grid):
             theta = math.pi * ip / (grid - 1) if grid > 1 else 0.0
-            z = r * cmath.exp(1j * theta)
-            cw, lo = Pn.coeffs_in("w")
-            poly = np.array([complex(c.eval(z, 1.0)) for c in cw][::-1])
-            if abs(poly[0]) < 1e-300:
-                continue
-            for w in np.roots(poly):
-                if abs(w) < 1e-300:
-                    continue
-                # one Newton step in w to polish
-                for _ in range(3):
-                    f = Pn.eval(z, w)
-                    h = 1e-7 * max(1.0, abs(w))
-                    df = (Pn.eval(z, w + h) - f) / h
-                    if abs(df) < 1e-300:
-                        break
-                    w = w - f / df
-                if abs(Pn.eval(z, w)) < tol:
-                    is_real = abs(z.imag) < 1e-12 and abs(w.imag) < 1e-9
-                    rows.append((math.log(abs(z)), math.log(abs(w)), is_real, z, complex(w)))
+            zs.append(r * cmath.exp(1j * theta))
+    z = np.array(zs, dtype=complex)
+    roots, ok = _roots(_fibres(Pn, z))
+    keep = ok[:, None] & (np.abs(roots) >= 1e-300)
+    fibre = np.nonzero(keep)[0]
+    _, w = _polish([Pn], z[fibre], roots[keep], steps=3, move_z=False)
+    hit = np.abs(_terms(Pn, z[fibre], w)[0]) < tol
+    rows = []
+    for k, wk in zip(fibre[hit].tolist(), w[hit].tolist()):
+        zk = zs[k]
+        is_real = abs(zk.imag) < 1e-12 and abs(wk.imag) < 1e-9
+        rows.append((math.log(abs(zk)), math.log(abs(wk)), is_real, zk, wk))
     return rows
 
 
@@ -816,18 +829,6 @@ def amoeba_svg(rows, marks=(), size=480):
     return "\n".join(parts)
 
 
-def _log_w_levels(Pn, r, theta):
-    """Sorted log|w| values of the roots of P(r e^{i theta}, .) = 0."""
-    import numpy as np
-    z = r * cmath.exp(1j * theta)
-    cw, _ = Pn.coeffs_in("w")
-    poly = np.array([complex(c.eval(z, 1.0)) for c in cw][::-1])
-    if abs(poly[0]) < 1e-300:
-        return None
-    vals = [math.log(abs(w)) for w in np.roots(poly) if abs(w) > 1e-300]
-    return sorted(vals)
-
-
 def harnack_diagnostic(P, probes=None, theta_steps=720):
     """Count Log-preimages of probe points; report 'consistent with 2:1' or
     list violations. A diagnostic, not a certificate.
@@ -836,7 +837,10 @@ def harnack_diagnostic(P, probes=None, theta_steps=720):
     log|w|(theta) over theta in [0, pi]; level-crossing counts double for
     theta in (0, pi) (complex-conjugate partners) and count once at the real
     fibers theta = 0, pi. Harnack means every interior probe has exactly 2.
+    The roots at all theta_steps + 1 angles of a probe come from one
+    root-kernel call.
     """
+    import numpy as np
     Pn = P.to_numeric()
     if probes is None:
         # non-real samples are strictly interior (the amoeba boundary is the
@@ -851,14 +855,15 @@ def harnack_diagnostic(P, probes=None, theta_steps=720):
     violations = []
     for x, y in probes:
         r = math.exp(x)
-        thetas = [math.pi * k / theta_steps for k in range(theta_steps + 1)]
+        z = np.array([r * cmath.exp(1j * math.pi * k / theta_steps)
+                      for k in range(theta_steps + 1)])
         count = 0
         prev = None
-        for th in thetas:
-            levels = _log_w_levels(Pn, r, th)
-            if levels is None:
+        for roots, ok in zip(*_roots(_fibres(Pn, z))):
+            if not ok:
                 prev = None
                 continue
+            levels = sorted(math.log(abs(w)) for w in roots.tolist() if abs(w) > 1e-300)
             signs = tuple(v - y > 0 for v in levels)
             if prev is not None and len(prev) == len(signs):
                 for a, b in zip(prev, signs):
@@ -888,7 +893,6 @@ def detect_singularities(P, tol=1e-8):
     """Probe for singular points of the open curve: common zeros of
     (P, dP/dw, dP/dz). Returns a list of approximate singular points; used to
     report isolated real nodes as unsupported rather than desingularizing."""
-    import numpy as np
     from .exactalg import resultant_eliminate
     Pw = derivative(P, "w")
     if Pw.is_zero():
@@ -896,28 +900,16 @@ def detect_singularities(P, tol=1e-8):
     Pn, Pwn = P.to_numeric(), Pw.to_numeric()
     Pzn = derivative(P, "z").to_numeric()
     res, _ = resultant_eliminate(Pn, Pwn, "w")
-    coeffs, _ = res.coeffs_in("z")
-    arr = np.array([complex(c.coeff(0, 0)) for c in coeffs][::-1])
-    if len(arr) < 2:
+    if len(res.coeffs_in("z")[0]) < 2:
         return []
+    # polish on the critical system before the residual test; double roots
+    # of the resultant are only located to sqrt precision
+    z1, w1 = _polish([Pwn, Pzn], *_fibre_roots(Pn, res, 1e-10), steps=40)
     hits = []
-    for z0 in np.roots(arr):
-        if abs(z0) < 1e-10:
-            continue
-        cw, _ = Pn.coeffs_in("w")
-        poly = np.array([complex(c.eval(z0, 1.0)) for c in cw][::-1])
-        if abs(poly[0]) < 1e-300:
-            continue
-        for w0 in np.roots(poly):
-            if abs(w0) < 1e-10:
-                continue
-            # polish on the critical system before the residual test; double
-            # roots of the resultant are only located to sqrt precision
-            z1, w1 = _newton_refine(Pwn, Pzn, complex(z0), complex(w0))
-            if abs(Pn.eval(z1, w1)) < tol and abs(Pwn.eval(z1, w1)) < tol \
-                    and abs(Pzn.eval(z1, w1)) < tol:
-                if not any(abs(z1 - a) < 1e-6 and abs(w1 - b) < 1e-6 for a, b in hits):
-                    hits.append((complex(z1), complex(w1)))
+    for z, w in zip(z1.tolist(), w1.tolist()):
+        if all(abs(q.eval(z, w)) < tol for q in (Pn, Pwn, Pzn)) \
+                and not any(abs(z - a) < 1e-6 and abs(w - b) < 1e-6 for a, b in hits):
+            hits.append((z, w))
     return hits
 
 

@@ -294,6 +294,37 @@ class TorusGraph:
         dy = sum(self.disp(d)[1] for d in dart_seq)
         return (dx, dy)
 
+    def spanning_tree(self):
+        """The spanning tree on the lowest edge ids (union-find over the
+        edges in order), as steps (v, e, u) of a walk from the first vertex
+        in which v is reached before u. Deterministic."""
+        parent = {v: v for v in self.vertex_ids()}
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        adj = {v: [] for v in self.vertex_ids()}
+        for e in self.edges():
+            v1, v2, _, _ = self.edge_ends[e]
+            r1, r2 = find(v1), find(v2)
+            if r1 != r2:
+                parent[r1] = r2
+                adj[v1].append((e, v2))
+                adj[v2].append((e, v1))
+        root = self.vertex_ids()[0]
+        seen, stack, steps = {root}, [root], []
+        while stack:
+            v = stack.pop()
+            for e, u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    steps.append((v, e, u))
+                    stack.append(u)
+        return steps
+
     def homology_basis_cycles(self):
         """Two closed walks with classes (1,0) and (0,1), found by BFS in the
         Z^2-cover from the smallest vertex. Deterministic."""

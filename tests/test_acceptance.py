@@ -17,7 +17,7 @@ from isingdimer.dimer import (
     square_move,
     x_of_cycle,
 )
-from isingdimer.exactalg import lm_determinant, lp_sigma
+from isingdimer.exactalg import lm_determinant
 from isingdimer.ising import (
     GadgetMap,
     IsingModel,
@@ -86,11 +86,11 @@ def test_02_divisors_exact(fixture):
 def test_03_sigma_invariance(fixture):
     g, wt = fixture
     P = characteristic_polynomial(g, wt, FIXTURE_KAPPA).poly
-    assert lp_sigma(P) == P
+    assert P.sigma() == P
     wtp = dict(wt)
     wtp["e5"] = wtp["e5"] * 2
     P2 = characteristic_polynomial(g, wtp, FIXTURE_KAPPA).poly
-    assert lp_sigma(P2) != P2
+    assert P2.sigma() != P2
     report("3 sigma-invariance", "(exact; doubled edge fails)")
 
 
@@ -228,7 +228,7 @@ def test_09_color_change(fixture):
     Kb = kasteleyn_matrix(gb, wtb, FIXTURE_KAPPA)
     for w in K.rows:
         for b in K.cols:
-            assert Kb.entries[(b, w)] == lp_sigma(K.entries[(w, b)])
+            assert Kb.entries[(b, w)] == K.entries[(w, b)].sigma()
     assert sorted((-p, -q) for p, q in (z["class"] for z in gb.zigzag_paths())) == \
         sorted(z["class"] for z in g.zigzag_paths())
     report("9 color change", "(K-bar = K(1/z,1/w)^T entrywise exact; classes negate)")

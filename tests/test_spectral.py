@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from isingdimer.exactalg import LaurentPoly2, lm_determinant, lp_sigma
+from isingdimer.exactalg import LaurentPoly2, lm_determinant
 from isingdimer.dimer import color_change, gauge_transform, square_move, x_of_cycle
 from isingdimer.ising import (GadgetMap, IsingModel, couplings_from_file_data,
                               make_coupling, to_dimer)
@@ -72,11 +72,11 @@ class TestCharacteristicPolynomial:
     def test_sigma_invariance_and_perturbation(self, dimer_fixture):
         g, wt = dimer_fixture
         P = characteristic_polynomial(g, wt, FIXTURE_KAPPA).poly
-        assert lp_sigma(P) == P
+        assert P.sigma() == P
         wtp = dict(wt)
         wtp["e5"] = wtp["e5"] * 2
         P2 = characteristic_polynomial(g, wtp, FIXTURE_KAPPA).poly
-        assert lp_sigma(P2) != P2
+        assert P2.sigma() != P2
 
     def test_numeric_figure_parameters(self, dimer_fixture):
         # c1 = 1/sqrt(2), c2 = sqrt(3)/2: coefficient of z is -c1*s2 = -1/(2 sqrt 2)
@@ -90,7 +90,7 @@ class TestCharacteristicPolynomial:
         P = characteristic_polynomial(g, wt, FIXTURE_KAPPA).poly
         assert abs(P.coeff(1, 0) - (-c1 * s2)) < 1e-12
         assert abs(P.coeff(1, 0) - (-1 / (2 * math.sqrt(2)))) < 1e-12
-        assert P.isclose(lp_sigma(P), 1e-12)
+        assert P.isclose(P.sigma(), 1e-12)
 
     def test_move_preserves_curve_at_ising_locus(self, dimer_fixture):
         g, wt = dimer_fixture
@@ -202,6 +202,96 @@ class TestDivisors:
         assert not near.matches(Divisor([(0.5 + 0j, 0.7 + 5e-8j, 1)], exact=False))
 
 
+def _one_vertex_dimer(sc1, sc2):
+    """The gadget dimer graph of the one-vertex Ising model with couplings
+    sc=(s, c) on its two edges: (graph, weights, kappa, white)."""
+    text = ISING_FIXTURE.replace("sc=4/5,3/5", "sc=%s,%s" % sc1).replace(
+        "sc=12/13,5/13", "sc=%s,%s" % sc2)
+    gi, _, raw = parse_torus_graph(text)
+    gd, wt, _ = to_dimer(IsingModel(gi, couplings_from_file_data(raw)))
+    return gd, wt, solve_kasteleyn_signs(gd)[0][1], gd.whites()[0]
+
+
+def _honeycomb_dimer(scs):
+    from test_torusgraph import honeycomb
+    g = honeycomb(1, 1)
+    model = IsingModel(g, {e: make_coupling(sc=(Fraction(s), Fraction(c)))
+                           for e, (s, c) in zip(g.edges(), scs)})
+    gd, wt, _ = to_dimer(model)
+    return gd, wt, solve_kasteleyn_signs(gd)[0][1], gd.whites()[0]
+
+
+def _worked_dimer():
+    g, wt, _ = parse_torus_graph(DIMER_FIXTURE)
+    return g, wt, FIXTURE_KAPPA, "w2"
+
+
+class TestRoots:
+    def test_matches_np_roots_per_fibre(self, dimer_fixture):
+        # reference: the per-fibre loop the kernel replaced, np.roots on the
+        # coefficients of P in w at one z, skipping a vanishing leading one.
+        # The fibre rows are built with numpy's complex power and division,
+        # so they agree with LaurentPoly2.eval to rounding; the roots of a
+        # row are bit-identical.
+        import numpy as np
+        from isingdimer.spectral import _fibres, _roots
+        g, wt = dimer_fixture
+        P = lm_determinant(kasteleyn_matrix(g, wt, FIXTURE_KAPPA))
+        # plus (z - 1) w^2: the leading coefficient in w vanishes at z = 1
+        Q = P + LaurentPoly2({(1, 2): Fraction(1), (0, 2): Fraction(-1)})
+        zs = [1.0 + 0j] + [math.exp(x / 7) * complex(math.cos(t / 5), math.sin(t / 5))
+                           for x in range(-10, 11) for t in range(16)]
+        for poly in (P.to_numeric(), Q.to_numeric()):
+            rows = _fibres(poly, np.array(zs))
+            roots, ok = _roots(rows)
+            cw, _ = poly.coeffs_in("w")
+            for k, z in enumerate(zs):
+                ref = np.array([complex(c.eval(z, 1.0)) for c in cw][::-1])
+                assert np.abs(rows[k] - ref).max() <= 1e-15 * (abs(z) + 1 / abs(z) + 2)
+                if abs(rows[k][0]) < 1e-300:
+                    assert not ok[k]
+                    continue
+                assert ok[k] and np.array_equal(roots[k], np.roots(rows[k]))
+        assert not _roots(_fibres(Q.to_numeric(), np.array([1.0 + 0j])))[1][0]
+
+    @pytest.mark.parametrize("case", ["double root", "irreducible quadratic", "above 2^80"])
+    def test_rational_zeros_against_sympy(self, case):
+        sympy = pytest.importorskip("sympy")
+        import numpy as np
+        from isingdimer.spectral import _rational_zeros
+        x = sympy.symbols("x")
+        big1, big2 = 2 ** 81 + 1, 3 ** 52
+        f = {"double root": x * (3 * x - 2) ** 2 * (x + 5) * (x ** 2 + 1) / 6,
+             "irreducible quadratic": (x ** 2 - 2) * (7 * x + 3) * (4 * x - 1),
+             "above 2^80": (big1 * x - (big1 - 2)) * (big2 * x + big2 + 2) * (x ** 2 + x + 1),
+             }[case]
+        poly = sympy.Poly(sympy.expand(f), x)
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+        want = sorted(Fraction(int(r.p), int(r.q)) for r in poly.ground_roots() if r != 0)
+        assert _rational_zeros(coeffs) == want
+        if case == "above 2^80":
+            # rounding the float roots to N / a_n misses both rational roots
+            an = int(poly.LC())
+            naive = {Fraction(round(Fraction(r.real) * an), an)
+                     for r in np.roots([float(c) for c in poly.all_coeffs()])}
+            assert not naive & set(want)
+
+    @pytest.mark.parametrize("model", [
+        _worked_dimer,
+        lambda: _one_vertex_dimer(("3/5", "4/5"), ("56/65", "33/65")),
+        lambda: _one_vertex_dimer(("12/13", "5/13"), ("11/61", "60/61")),
+        lambda: _honeycomb_dimer([("3/5", "4/5"), ("24/25", "7/25"), ("3/5", "4/5")]),
+    ], ids=["worked", "one-vertex 3-4-5/33-56-65", "one-vertex 5-12-13/11-60-61",
+            "honeycomb 1x1"])
+    def test_exact_and_numeric_divisors_agree(self, model):
+        g, wt, kappa, white = model()
+        De = divisor_of_vertex(g, wt, kappa, white)
+        Dn = divisor_of_vertex(g, {e: float(v) for e, v in wt.items()}, kappa, white,
+                               mode="numeric")
+        assert De.exact and len(De) >= 1
+        assert Dn.matches(De, tol=1e-8)
+
+
 class TestNuMap:
     def test_fixture_singleton_sides(self, dimer_fixture):
         g, wt = dimer_fixture
@@ -241,14 +331,14 @@ class TestColorChangeIdentities:
         assert Kb.rows == K.cols and Kb.cols == K.rows
         for w in K.rows:
             for b in K.cols:
-                assert Kb.entries[(b, w)] == lp_sigma(K.entries[(w, b)])
+                assert Kb.entries[(b, w)] == K.entries[(w, b)].sigma()
 
     def test_p_and_divisor_symmetry(self, dimer_fixture):
         g, wt = dimer_fixture
         gb, wtb = color_change(g, wt)
         P = lm_determinant(kasteleyn_matrix(g, wt, FIXTURE_KAPPA))
         Pb = lm_determinant(kasteleyn_matrix(gb, wtb, FIXTURE_KAPPA))
-        assert canonical_sign(Pb) == canonical_sign(lp_sigma(P))
+        assert canonical_sign(Pb) == canonical_sign(P.sigma())
         Dv = divisor_of_vertex(g, wt, FIXTURE_KAPPA, "w2")
         Dvb = divisor_of_vertex(gb, wtb, FIXTURE_KAPPA, "w2")
         assert Dvb.matches(Dv.sigma())
@@ -413,14 +503,14 @@ class TestHarnackAndSingularities:
         # from this start the critical-system iteration runs off to infinity
         import cmath
         import numpy as np
-        from isingdimer.spectral import _newton_refine, derivative
+        from isingdimer.spectral import _polish, derivative
         g, wt = dimer_fixture
         P = lm_determinant(kasteleyn_matrix(g, wt, FIXTURE_KAPPA))
         Pn, Pw, Pz = (p.to_numeric() for p in (P, derivative(P, "w"), derivative(P, "z")))
         z0 = 4.5 + 7.34546972e-17j
         cw, _ = Pn.coeffs_in("w")
         for w0 in np.roots([complex(c.eval(z0, 1.0)) for c in cw][::-1]):
-            z1, w1 = _newton_refine(Pw, Pz, z0, complex(w0))
+            z1, w1 = (complex(v) for v in _polish([Pw, Pz], z0, complex(w0), steps=40))
             assert cmath.isfinite(Pw.eval(z1, w1)) and cmath.isfinite(Pz.eval(z1, w1))
 
     def test_nodal_curve_detected(self):
