@@ -241,8 +241,7 @@ def cmd_divisor(args):
                               tol=args.tol)
     except (SpectralError, GraphError) as exc:
         raise CliError(str(exc), 1)
-    pts = " ".join(f"({_fmt(z)},{_fmt(w)})x{m}" for z, w, m in D.points) or "(empty)"
-    _emit(f"divisor {args.vertex} {pts}\n", args.out)
+    _emit(f"divisor {args.vertex} {D.format_points()}\n", args.out)
     return 0
 
 

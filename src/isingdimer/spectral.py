@@ -411,6 +411,12 @@ class Divisor:
     def sigma(self):
         return Divisor([(1 / z, 1 / w, m) for z, w, m in self.points], self.exact)
 
+    def format_points(self):
+        """`(z,w)xm` per point, 12 significant digits; a numeric coordinate
+        with |imag| < 1e-10 prints as its real part."""
+        return " ".join(f"({_fmt_val(z)},{_fmt_val(w)})x{m}"
+                        for z, w, m in self.points) or "(empty)"
+
     def as_multiset(self):
         out = []
         for z, w, m in self.points:
@@ -944,9 +950,7 @@ def spectral_report(g, wt, kappa, gadget_map=None, white=None, mode="exact"):
         lines.append(f"condition divisor-sigma {'pass' if rep['divisor_condition'] else 'FAIL'}")
         lines.append(f"condition nu-involution {'pass' if rep['nu_condition'] else 'FAIL'}")
         for name, D in (("D_w", rep["divisor_white"]), ("D_b", rep["divisor_black"])):
-            pts = " ".join(
-                f"({_fmt_val(z)},{_fmt_val(w)})x{m}" for z, w, m in D.points) or "(empty)"
-            lines.append(f"divisor {name} {pts}")
+            lines.append(f"divisor {name} {D.format_points()}")
         if not ok:
             bad = []
             for side, rs in rep["nu_residuals"].items():

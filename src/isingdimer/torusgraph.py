@@ -69,6 +69,7 @@ class TorusGraph:
         self._prev = {}
         self._faces = None
         self._face_of = None
+        self._face_orbit = None
         self._zigzags = None
         self._cycle_a = None
         self._cycle_b = None
@@ -114,6 +115,7 @@ class TorusGraph:
                 self._prev[nxt] = d
         self._faces = None
         self._face_of = None
+        self._face_orbit = None
         self._zigzags = None
         self._cycle_a = None
         self._cycle_b = None
@@ -204,16 +206,17 @@ class TorusGraph:
                 out.append((fid, orbit))
             self._faces = out
             self._face_of = face_of
+            self._face_orbit = dict(out)
         return self._faces
 
     def face_ids(self):
         return [fid for fid, _ in self.faces()]
 
     def face_darts(self, fid):
-        for f, orbit in self.faces():
-            if f == fid:
-                return list(orbit)
-        raise GraphError(f"unknown face {fid}")
+        self.faces()
+        if fid not in self._face_orbit:
+            raise GraphError(f"unknown face {fid}")
+        return list(self._face_orbit[fid])
 
     def face_of_dart(self, d):
         self.faces()
@@ -423,13 +426,6 @@ class TorusGraph:
         ]
         return self._zigzags
 
-    def zigzag_of_dart(self, d):
-        """Id of the zig-zag containing dart d (bipartite graphs)."""
-        for zz in self.zigzag_paths():
-            if d in zz["darts"]:
-                return zz["id"]
-        raise GraphError(f"dart {d} not on any zig-zag")
-
     # -- Newton polygon ----------------------------------------------------------
 
     def newton_polygon(self):
@@ -470,8 +466,21 @@ class TorusGraph:
     def check_minimal(self):
         """Minimality via lifts to a finite window of the Z^2-cover.
 
+        Every zig-zag is lifted over 2L + 3 periods (L = longest zig-zag + 1)
+        and the checks run in order: a zero-homology zig-zag; a lift that
+        uses one edge-lift on two passes (self-intersection); two lifts that
+        traverse two distinct edge-lifts in the same direction and order
+        (parallel bigon), with shifts up to L in each coordinate. The bigon
+        search indexes each path's dart-lifts by dart and reads every shift
+        from matching occurrences, so two paths that share no dart cost
+        nothing. A bipartite graph that passes must also satisfy
+        F = 2 Area(N) (Goncharov-Kenyon), which catches the digon faces of
+        doubled edges: distinct bipartite zig-zags never share a dart.
+
         Returns (bool, certificate). The certificate names the offending
-        zig-zags and dart lifts for each violation.
+        zig-zags and dart lifts for each violation; for a bipartite graph a
+        face-count failure gives the face count and twice the polygon area,
+        which a pass records too.
         """
         zzs = self.zigzag_paths()
         for zz in zzs:
@@ -510,23 +519,47 @@ class TorusGraph:
                     edge_seen[key] = idx
         # parallel bigons: two lifts traversing two distinct edge-lifts in the
         # same direction and the same order.
+        by_dart = {}
+        for zz in zzs:
+            index = {}
+            for idx, (d, t) in enumerate(lifted[zz["id"]]):
+                index.setdefault(d, {}).setdefault(t, idx)
+            by_dart[zz["id"]] = index
         for za in zzs:
             for zb in zzs:
-                if za["id"] > zb["id"]:
+                if za["id"] > zb["id"] or by_dart[zb["id"]].keys().isdisjoint(za["darts"]):
                     continue
-                hit = self._bigon_between(lifted[za["id"]], lifted[zb["id"]],
+                hit = self._bigon_between(lifted[za["id"]], by_dart[zb["id"]],
                                           za, zb, L)
                 if hit:
                     return False, hit
-        return True, {"kind": "minimal"}
+        if not self.is_bipartite_colored():
+            return True, {"kind": "minimal"}
+        pts = self.newton_polygon()[0].vertices
+        twice_area = abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+                             in zip(pts, pts[1:] + pts[:1])))
+        faces = len(self.faces())
+        kind = "minimal" if faces == twice_area else "face-count"
+        return kind == "minimal", {"kind": kind, "faces": faces, "twice_area": twice_area}
 
-    def _bigon_between(self, path_a, path_b, za, zb, window):
-        """Detect a parallel bigon between two lifted paths (including a path
-        against its own translates)."""
-        pos_b = {}
-        for idx, (d, t) in enumerate(path_b):
-            pos_b.setdefault((d, t), idx)
-        cls = za["class"]
+    def _bigon_between(self, path_a, index_b, za, zb, window):
+        """Detect a parallel bigon between lifted path a and path b (including
+        a path against its own translates). index_b maps each dart of b to
+        {translate: index of its first lift in b}.
+
+        Each dart-lift (d, t) of a meets the lifts (d, t_b) of b at shift
+        t_b - t; the shared lifts are grouped by shift and the groups tested
+        in sorted shift order, each in the order of path a."""
+        (cx, cy), same = za["class"], za["id"] == zb["id"]
+        groups = {}
+        for idx, (d, t) in enumerate(path_a):
+            for (bx, by), ib in index_b.get(d, {}).items():
+                sx, sy = bx - t[0], by - t[1]
+                if not (-window <= sx <= window and -window <= sy <= window):
+                    continue
+                if same and cx * sy == cy * sx:
+                    continue  # own translate along the class is the same lift
+                groups.setdefault((sx, sy), []).append((idx, ib, d, t))
 
         def edge_lift(d, t):
             if d.endswith("+"):
@@ -534,25 +567,15 @@ class TorusGraph:
             dd = self.disp(d)
             return (self.darts[d].edge, (t[0] + dd[0], t[1] + dd[1]))
 
-        for shift_x in range(-window, window + 1):
-            for shift_y in range(-window, window + 1):
-                if za["id"] == zb["id"] and cls[0] * shift_y == cls[1] * shift_x:
-                    continue  # own translate along the class is the same lift
-                shared = []
-                for idx, (d, t) in enumerate(path_a):
-                    key = (d, (t[0] + shift_x, t[1] + shift_y))
-                    if key in pos_b:
-                        shared.append((idx, pos_b[key], d, t))
-                if len(shared) < 2:
-                    continue
-                shared.sort()
-                for i in range(len(shared)):
-                    for j in range(i + 1, len(shared)):
-                        ia, ib, da, ta = shared[i]
-                        ja, jb, db, tb = shared[j]
-                        if ia < ja and ib < jb and edge_lift(da, ta) != edge_lift(db, tb):
-                            return {"kind": "parallel-bigon", "zigzags": (za["id"], zb["id"]),
-                                    "darts": (da, db)}
+        for shift in sorted(groups):
+            shared = groups[shift]
+            for i in range(len(shared)):
+                for j in range(i + 1, len(shared)):
+                    ia, ib, da, ta = shared[i]
+                    ja, jb, db, tb = shared[j]
+                    if ia < ja and ib < jb and edge_lift(da, ta) != edge_lift(db, tb):
+                        return {"kind": "parallel-bigon", "zigzags": (za["id"], zb["id"]),
+                                "darts": (da, db)}
         return None
 
     # -- duality ---------------------------------------------------------------
@@ -564,7 +587,7 @@ class TorusGraph:
         the lifted orbit.
         """
         fid = self.face_of_dart(d)
-        orbit = self.face_darts(fid)
+        orbit = self._face_orbit[fid]
         k = orbit.index(d)
         # walk backward to the orbit start accumulating displacement
         tx, ty = t

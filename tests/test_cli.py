@@ -110,6 +110,15 @@ class TestDeterminism:
         assert main(["divisor", gp, "--vertex", "w2"]) == 0
         assert "(13/20,52/25)x1" in capsys.readouterr().out
 
+    def test_numeric_divisor_drops_roundoff_imaginary_parts(self, files, capsys):
+        # the numeric points carry imaginary parts ~1e-17; they print as
+        # verify-ising prints them, real part only
+        _, gp, _, _ = files
+        assert main(["divisor", gp, "--vertex", "w2", "--mode", "numeric"]) == 0
+        out = capsys.readouterr().out
+        assert out == "divisor w2 (0.65,2.08)x1\n"
+        assert "j" not in out
+
 
 class TestPipelines:
     def test_todimer_writes_sidecar(self, files, tmp_path, capsys):

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from isingdimer.ising import IsingModel, couplings_from_file_data, make_coupling, to_dimer
 from isingdimer.torusgraph import (
     GraphError,
     ParseError,
@@ -29,6 +31,111 @@ def honeycomb(n=1, m=1):
             g.set_rotation(f"u{i}{j}", [f"a{i}{j}+", f"b{i}{j}+", f"c{i}{j}+"])
             g.set_rotation(f"v{i}{j}", [f"a{i}{j}-", f"b{(i - 1) % n}{j}-", f"c{i}{(j - 1) % m}-"])
     return g.freeze()
+
+
+
+def square(n=1, m=1):
+    """Uncolored square lattice, n x m vertices per fundamental domain."""
+    g = TorusGraph()
+    for i in range(n):
+        for j in range(m):
+            g.add_vertex(f"p{i}{j}", "n")
+    for i in range(n):
+        for j in range(m):
+            g.add_edge(f"h{i}{j}", f"p{i}{j}", f"p{(i + 1) % n}{j}", 1 if i + 1 == n else 0, 0)
+            g.add_edge(f"v{i}{j}", f"p{i}{j}", f"p{i}{(j + 1) % m}", 0, 1 if j + 1 == m else 0)
+    for i in range(n):
+        for j in range(m):
+            g.set_rotation(f"p{i}{j}", [f"h{i}{j}+", f"v{i}{j}+",
+                                        f"h{(i - 1) % n}{j}-", f"v{i}{(j - 1) % m}-"])
+    return g.freeze()
+
+
+def doubled(g, e, after=True):
+    """Copy of g with a parallel edge e + 'd' beside e, bounding a digon face
+    with it: e'+ goes just after e+ at the tail (before it if not after) and
+    e'- just before e- at the head (after it)."""
+    h = TorusGraph()
+    for v in g.vertex_ids():
+        h.add_vertex(v, g.colors[v])
+    for x in g.edges():
+        h.add_edge(x, *g.edge_ends[x])
+    h.add_edge(e + "d", *g.edge_ends[e])
+    for v in g.vertex_ids():
+        rot = list(g.rotation[v])
+        if e + "+" in rot:
+            i = rot.index(e + "+")
+            rot.insert(i + 1 if after else i, e + "d+")
+        if e + "-" in rot:
+            i = rot.index(e + "-")
+            rot.insert(i if after else i + 1, e + "d-")
+        h.set_rotation(v, rot)
+    h.freeze()
+    h.validate()
+    return h
+
+
+def reference_check_minimal(g):
+    """The (2L+1)^2 shift scan: every shift in the window, one dict probe
+    per dart-lift of path a. Kept as the reference for check_minimal's
+    indexed bigon search; it has no face-count step."""
+    zzs = g.zigzag_paths()
+    for zz in zzs:
+        if zz["class"] == (0, 0):
+            return False, {"kind": "zero-homology", "zigzag": zz["id"]}
+    L = max(len(zz["darts"]) for zz in zzs) + 1
+
+    def lift(zz):
+        out, t = [], (0, 0)
+        for _ in range(2 * L + 3):
+            for d in zz["darts"]:
+                out.append((d, t))
+                dd = g.disp(d)
+                t = (t[0] + dd[0], t[1] + dd[1])
+        return out
+
+    lifted = {zz["id"]: lift(zz) for zz in zzs}
+    for zz in zzs:
+        path, period, edge_seen = lifted[zz["id"]], len(zz["darts"]), {}
+        for idx, (d, t) in enumerate(path):
+            key = (g.darts[d].edge, t)
+            if key in edge_seen:
+                prev_idx = edge_seen[key]
+                if (idx - prev_idx) % period != 0 or path[prev_idx][0] != d:
+                    return False, {"kind": "self-intersection", "zigzag": zz["id"],
+                                   "darts": (path[prev_idx][0], d)}
+            else:
+                edge_seen[key] = idx
+
+    def edge_lift(d, t):
+        if d.endswith("+"):
+            return (g.darts[d].edge, t)
+        dd = g.disp(d)
+        return (g.darts[d].edge, (t[0] + dd[0], t[1] + dd[1]))
+
+    for za in zzs:
+        for zb in zzs:
+            if za["id"] > zb["id"]:
+                continue
+            path_a, pos_b, cls = lifted[za["id"]], {}, za["class"]
+            for idx, key in enumerate(lifted[zb["id"]]):
+                pos_b.setdefault(key, idx)
+            for sx in range(-L, L + 1):
+                for sy in range(-L, L + 1):
+                    if za["id"] == zb["id"] and cls[0] * sy == cls[1] * sx:
+                        continue
+                    shared = [(idx, pos_b[(d, (t[0] + sx, t[1] + sy))], d, t)
+                              for idx, (d, t) in enumerate(path_a)
+                              if (d, (t[0] + sx, t[1] + sy)) in pos_b]
+                    for i in range(len(shared)):
+                        for j in range(i + 1, len(shared)):
+                            ia, ib, da, ta = shared[i]
+                            ja, jb, db, tb = shared[j]
+                            if ia < ja and ib < jb and edge_lift(da, ta) != edge_lift(db, tb):
+                                return False, {"kind": "parallel-bigon",
+                                               "zigzags": (za["id"], zb["id"]),
+                                               "darts": (da, db)}
+    return True, {"kind": "minimal"}
 
 
 class TestValidate:
@@ -172,7 +279,8 @@ class TestMinimal:
         ok, _ = honeycomb(2, 2).check_minimal()
         assert ok
 
-    def test_zero_homology_detected(self):
+    @staticmethod
+    def _zero_homology_graph():
         g = TorusGraph()
         g.add_vertex("u")
         g.add_vertex("v")
@@ -182,10 +290,70 @@ class TestMinimal:
         g.add_edge("e4", "u", "v", 0, 1)
         g.set_rotation("u", ["e1+", "e2+", "e3+", "e4+"])
         g.set_rotation("v", ["e1-", "e2-", "e4-", "e3-"])
-        g.freeze()
+        return g.freeze()
+
+    def test_zero_homology_detected(self):
+        g = self._zero_homology_graph()
         ok, cert = g.check_minimal()
         assert not ok
         assert cert["kind"] in ("zero-homology", "self-intersection", "parallel-bigon")
+
+    def test_zero_homology_certificate(self):
+        g = self._zero_homology_graph()
+        assert g.check_minimal() == (False, {"kind": "zero-homology", "zigzag": "zz0"})
+        assert g.check_minimal() == reference_check_minimal(g)
+
+    def test_self_intersection_certificate(self):
+        g = doubled(honeycomb(1, 1), "b00")
+        assert g.check_minimal() == (False, {"kind": "self-intersection", "zigzag": "zz0",
+                                             "darts": ("b00d+", "b00d-")})
+        assert g.check_minimal() == reference_check_minimal(g)
+
+    def test_parallel_bigon_certificate(self):
+        g = doubled(honeycomb(1, 1), "a00")
+        assert g.check_minimal() == (False, {"kind": "parallel-bigon",
+                                             "zigzags": ("zz0", "zz3"),
+                                             "darts": ("b00-", "c00+")})
+        assert g.check_minimal() == reference_check_minimal(g)
+
+    def test_digon_face_fails_face_count(self):
+        # distinct bipartite zig-zags share no dart, so the bigon search
+        # cannot see the digon of a doubled edge; F = 2 Area(N) does
+        g, _, raw = parse_torus_graph(ISING_FIXTURE)
+        gd, _, _ = to_dimer(IsingModel(g, couplings_from_file_data(raw)))
+        assert gd.check_minimal() == (True, {"kind": "minimal", "faces": 4, "twice_area": 4})
+        bad = doubled(gd, next(e for e in gd.edges() if e.startswith("s_")))
+        assert reference_check_minimal(bad)[0]
+        assert bad.check_minimal() == (False, {"kind": "face-count", "faces": 5,
+                                               "twice_area": 2})
+
+    @pytest.mark.parametrize("make", [
+        lambda: square(1, 1), lambda: honeycomb(1, 1), lambda: square(2, 1),
+        lambda: honeycomb(2, 1), lambda: square(2, 2), lambda: honeycomb(2, 2),
+    ], ids=["square 1x1", "honeycomb 1x1", "square 2x1", "honeycomb 2x1",
+            "square 2x2", "honeycomb 2x2"])
+    def test_matches_reference_on_lattices(self, make):
+        g = make()
+        assert g.check_minimal() == reference_check_minimal(g)
+
+    @pytest.mark.parametrize("make", [
+        lambda: square(1, 1), lambda: honeycomb(1, 1), lambda: square(2, 1),
+    ], ids=["4 whites", "6 whites", "8 whites"])
+    def test_matches_reference_on_gadget_graphs(self, make):
+        g = make()
+        gd, _, _ = to_dimer(IsingModel(g, {e: make_coupling(sc=(Fraction(4, 5), Fraction(3, 5)))
+                                           for e in g.edges()}))
+        F = len(gd.faces())
+        ok, cert = reference_check_minimal(gd)
+        assert ok
+        assert gd.check_minimal() == (True, {**cert, "faces": F, "twice_area": F})
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_reference_on_doubled_edges(self, seed):
+        rng = random.Random(seed)
+        g = rng.choice([square(1, 1), honeycomb(1, 1), square(2, 1), honeycomb(2, 1)])
+        g = doubled(g, rng.choice(g.edges()), after=rng.random() < 0.5)
+        assert g.check_minimal() == reference_check_minimal(g)
 
     def test_relabeling_invariance(self, dimer_fixture):
         g, _ = dimer_fixture
