@@ -12,15 +12,15 @@ import sys
 from fractions import Fraction
 
 from .torusgraph import parse_torus_graph, serialize_torus_graph, ParseError, GraphError
-from .ising import (IsingModel, couplings_from_file_data, dual_ising, y_delta,
-                    to_dimer, parse_gadget_map)
+from .ising import (IsingModel, CouplingError, couplings_from_file_data, dual_ising,
+                    y_delta, to_dimer, parse_gadget_map)
 from .dimer import (basis_x_values, square_move, contraction_move, color_change,
                     ising_locus_check, MoveError)
 from .spectral import (SpectralError, solve_kasteleyn_signs, kappa_gauge_equivalent,
                        characteristic_polynomial, divisor_of_vertex, discrete_abel,
                        verify_ising_spectral, spectral_report, amoeba_sample,
                        amoeba_csv, amoeba_svg, kasteleyn_matrix)
-from .exactalg import lm_determinant
+from .exactalg import lm_determinant, format_coeff
 
 
 class CliError(Exception):
@@ -46,6 +46,13 @@ def _load_validated(path):
     except GraphError as exc:
         raise CliError(str(exc), 2)
     return g, weights, couplings
+
+
+def _load_model(g, couplings):
+    try:
+        return IsingModel(g, couplings_from_file_data(couplings))
+    except (CouplingError, GraphError) as exc:
+        raise CliError(str(exc), 2)
 
 
 def _need_weights(weights, g, mode):
@@ -76,14 +83,6 @@ def _pick_kappa(g, sign):
 def _check_vertex(g, vertex):
     if vertex not in g.colors:
         raise CliError(f"unknown vertex {vertex}", 2)
-
-
-def _fmt(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, complex):
-        return f"{v.real:.12g}{v.imag:+.12g}j"
-    return f"{float(v):.12g}"
 
 
 def _emit(text, out):
@@ -120,7 +119,7 @@ def cmd_todimer(args):
     g, weights, couplings = _load_validated(args.graph)
     if not couplings:
         raise CliError("input has no coupling lines", 2)
-    model = IsingModel(g, couplings_from_file_data(couplings))
+    model = _load_model(g, couplings)
     gd, wt, gm = to_dimer(model)
     _emit(serialize_torus_graph(gd, weights=wt), args.out)
     if args.gadget_map:
@@ -132,8 +131,7 @@ def cmd_todimer(args):
 def cmd_dual(args):
     g, weights, couplings = _load_validated(args.graph)
     if couplings:
-        model = IsingModel(g, couplings_from_file_data(couplings))
-        dm = dual_ising(model)
+        dm = dual_ising(_load_model(g, couplings))
         coup = {e: {"s": c.s, "c": c.c} if c.exact else {"J": c.J}
                 for e, c in dm.couplings.items()}
         _emit(serialize_torus_graph(dm.graph, couplings=coup), args.out)
@@ -146,7 +144,7 @@ def cmd_ydelta(args):
     g, weights, couplings = _load_validated(args.graph)
     if not couplings:
         raise CliError("ydelta needs coupling lines", 2)
-    model = IsingModel(g, couplings_from_file_data(couplings))
+    model = _load_model(g, couplings)
     try:
         out = y_delta(model, args.site)
     except (GraphError, MoveError) as exc:
@@ -169,7 +167,7 @@ def cmd_move(args):
     before, _ = basis_x_values(g, wt)
     lines_out = ["# X basis before"]
     for k in sorted(before):
-        lines_out.append(f"# X[{k}] = {_fmt(before[k])}")
+        lines_out.append(f"# X[{k}] = {format_coeff(before[k])}")
     # track the initial basis through the move ledger so the after-values
     # refer to the same cycles
     face_map = {fid: fid for fid in g.face_ids()}
@@ -207,9 +205,10 @@ def cmd_move(args):
     lines_out.append("# X basis after (transported)")
     faces_before = sorted(k for k in before if k not in ("a", "b"))
     for k in faces_before:
-        lines_out.append(f"# X[{k}] = {_fmt(x_of_cycle(g, wt, g.face_darts(face_map[k])))}")
-    lines_out.append(f"# X[a] = {_fmt(x_of_cycle(g, wt, ca))}")
-    lines_out.append(f"# X[b] = {_fmt(x_of_cycle(g, wt, cb))}")
+        x = x_of_cycle(g, wt, g.face_darts(face_map[k]))
+        lines_out.append(f"# X[{k}] = {format_coeff(x)}")
+    lines_out.append(f"# X[a] = {format_coeff(x_of_cycle(g, wt, ca))}")
+    lines_out.append(f"# X[b] = {format_coeff(x_of_cycle(g, wt, cb))}")
     text = serialize_torus_graph(g, weights=wt)
     _emit(text + "".join(s + "\n" for s in lines_out), args.out)
     return 0
@@ -270,7 +269,7 @@ def cmd_verify_ising(args):
              f"condition weight-mutation {'pass' if weight_ok else 'FAIL'}"]
     if not weight_ok:
         for k in sorted(wrep["residuals"], key=str):
-            lines.append(f"residual {k} {_fmt(wrep['residuals'][k])}")
+            lines.append(f"residual {k} {format_coeff(wrep['residuals'][k])}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if (weight_ok and spec_ok) else 1
 

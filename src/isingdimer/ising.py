@@ -165,167 +165,26 @@ def ydelta_weights(a, b, c):
     return (math.sqrt(ra), math.sqrt(rb), math.sqrt(rc))
 
 
-def deltay_weights(A, B, C, tol=1e-13):
-    """Inverse star-triangle: legs (a, b, c) with ydelta_weights(a,b,c) = (A,B,C).
-
-    Reduction: AB = (1+abc)/(c+ab) fixes ab as a function of c, and the two
-    remaining relations are linear in (b, ab/b); the consistency equation is
-    solved for c by scanning and bisection. Of the two positive solutions
-    (a triple and its reciprocal) the abc <= 1 branch is returned, exactly
-    when a rational reconstruction verifies exactly.
-    """
-    A_, B_, C_ = map(float, (A, B, C))
-    ab_pair, bc_pair, ca_pair = A_ * B_, B_ * C_, C_ * A_
-
-    def partial(c):
-        den = ab_pair - c
-        if abs(den) < 1e-300:
-            return None
-        m = (1.0 - ab_pair * c) / den          # m = a*b
-        p = 1.0 + m * c
-        alpha = p / bc_pair                     # a + b c
-        beta = p / ca_pair                      # b + a c
-        det = c * c - 1.0
-        if abs(det) < 1e-300:
-            return None
-        b = (c * alpha - beta) / det
-        a = (c * beta - alpha) / det
-        return a, b, m
-
-    def fval(c):
-        got = partial(c)
-        if got is None:
-            return None
-        a, b, m = got
-        return a * b - m
-
-    sols = []
-    grid = [math.exp(-16.0 + 32.0 * k / 800) for k in range(801)]
-    prev_c, prev_f = None, None
-    for c in grid:
-        f = fval(c)
-        if f is None:
-            prev_c, prev_f = None, None
-            continue
-        if prev_f is not None and (f == 0.0 or (f > 0) != (prev_f > 0)):
-            lo, hi, flo = prev_c, c, prev_f
-            for _ in range(200):
-                mid = math.sqrt(lo * hi)
-                fm = fval(mid)
-                if fm is None:
-                    break
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0) == (flo > 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            croot = math.sqrt(lo * hi)
-            got = partial(croot)
-            if got is not None:
-                a, b, _ = got
-                cand = _newton3(_deltay_residual(ab_pair, bc_pair, ca_pair),
-                                (a, b, croot))
-                if cand is not None and all(v > 0 for v in cand):
-                    sols.append(cand)
-        prev_c, prev_f = c, f
-    best = None
-    for a, b, c in sols:
-        forward = ydelta_weights(a, b, c)
-        err = max(abs(float(x) - y) for x, y in zip(forward, (A_, B_, C_)))
-        if err < 1e-8 and (best is None or a * b * c < best[0] * best[1] * best[2]):
-            best = (a, b, c)
-    if best is None:
-        raise CouplingError("star-triangle inversion did not converge")
-    a, b, c = best
-    if a * b * c > 1.0 + 1e-9:
-        a, b, c = 1 / a, 1 / b, 1 / c   # take the abc <= 1 branch
-    if all(isinstance(v, Fraction) for v in (A, B, C)):
-        fr = [Fraction(v).limit_denominator(10 ** 6) for v in (a, b, c)]
-        if ydelta_weights(*fr) == (Fraction(A), Fraction(B), Fraction(C)):
-            return tuple(fr)
-    return a, b, c
-
-
-def _deltay_residual(ab_pair, bc_pair, ca_pair):
-    def residual(v):
-        a, b, c = v
-        p = 1 + a * b * c
-        return (p / (c + a * b) - ab_pair,
-                p / (a + b * c) - bc_pair,
-                p / (b + a * c) - ca_pair)
-    return residual
-
-
-def _newton3(residual, seed):
-    v = list(seed)
-    fv = residual(v)
-    norm = sum(abs(x) for x in fv)
-    for _ in range(120):
-        if norm < 1e-14:
-            return tuple(v)
-        h = 1e-7
-        cols = []
-        for k in range(3):
-            vp = list(v)
-            vp[k] += h
-            fp = residual(vp)
-            cols.append(tuple((fp[i] - fv[i]) / h for i in range(3)))
-        m = [[cols[j][i] for j in range(3)] for i in range(3)]
-        dx = _solve3(m, tuple(-x for x in fv))
-        if dx is None:
-            return None
-        step = 1.0
-        while step > 1e-6:
-            vn = [v[k] + step * dx[k] for k in range(3)]
-            if all(x > 0 for x in vn):
-                fn = residual(vn)
-                nn = sum(abs(x) for x in fn)
-                if nn < norm:
-                    v, fv, norm = vn, fn, nn
-                    break
-            step /= 2
-        else:
-            break
-    return tuple(v) if norm < 1e-11 else None
-
-
-def _solve3(m, rhs):
-    d = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    if abs(d) < 1e-300:
-        return None
-    out = []
-    for k in range(3):
-        mm = [row[:] for row in m]
-        for i in range(3):
-            mm[i][k] = rhs[i]
-        dk = (mm[0][0] * (mm[1][1] * mm[2][2] - mm[1][2] * mm[2][1])
-              - mm[0][1] * (mm[1][0] * mm[2][2] - mm[1][2] * mm[2][0])
-              + mm[0][2] * (mm[1][0] * mm[2][1] - mm[1][1] * mm[2][0]))
-        out.append(dk / d)
-    return out
-
-
-def _reciprocal(x):
-    if isinstance(x, Fraction):
-        return 1 / x
-    return 1.0 / x
-
-
 def ydelta_x_map(a, b, c):
     """Model-level Y->triangle map on x = exp(-2J) weights: the triangle
     x-weights are the reciprocals of the printed radicals (the J-level move
     is the same; the radicals live in the exp(+2J) convention)."""
-    return tuple(_reciprocal(v) for v in ydelta_weights(a, b, c))
+    return tuple(1 / v for v in ydelta_weights(a, b, c))
 
 
 def deltay_x_map(A, B, C):
-    """Model-level triangle->Y map on x = exp(-2J) weights."""
-    sols = deltay_weights(_reciprocal(A), _reciprocal(B), _reciprocal(C))
-    return tuple(sols)
+    """Model-level triangle->Y map on x = exp(-2J) weights, in closed form.
+
+    Kramers-Wannier duality turns a triangle into a star, so the inverse
+    move is the star-triangle map conjugated by x -> (1-x)/(1+x) (Baxter,
+    Exactly Solved Models in Statistical Mechanics, 1982). For legs in
+    (0, 1), (1+abc)(a+bc) - (b+ac)(c+ab) = a(1-b^2)(1-c^2) > 0, so
+    star-triangle maps (0, 1)^3 into itself and this map is its two-sided
+    inverse there, with no error path. Leg i sits at the vertex opposite
+    triangle edge i. Rational triangle weights with rational legs give the
+    legs back as exact Fractions, whatever their height.
+    """
+    return tuple(dual_x(v) for v in ydelta_x_map(*map(dual_x, (A, B, C))))
 
 
 def y_delta(model, site):
@@ -576,7 +435,7 @@ def to_dimer(model):
                                 one_edge[(u, i)] + "-"])
     gn.freeze()
     gn.validate()
-    gn = _orient_marking(gn)
+    gn = _orient_marking(gn, g.check_minimal()[0])
     squares = {}
     for e in g.edges():
         fid = gn.face_of_dart(s_edge[e + "+"] + "+")
@@ -613,37 +472,56 @@ def _apply_lattice_map(g, S):
     return out.freeze()
 
 
-def _orient_marking(gn):
+def _orient_marking(gn, minimal):
     """Make the gadget marking orientation-compatible.
 
-    The raw gadget displacements preserve the zig-zag class multiset but can
-    identify H1 of the torus with the reversed orientation, which the
-    discrete Abel translation rule detects. In that case the multiset admits
-    a determinant -1 lattice symmetry; compose the marking with the smallest
-    such reflection (preferring coordinate reflections). The output is
-    canonical up to lattice symmetries of the Newton polygon.
+    `minimal` is the verdict of `check_minimal` on the Ising graph, which
+    equals the gadget graph's. The raw gadget displacements preserve the
+    zig-zag class multiset but can identify H1 of the torus with the
+    reversed orientation, which the discrete Abel translation rule detects.
+    In that case the multiset admits a determinant -1 lattice symmetry;
+    compose the marking with the first one of `_reflections` that passes
+    the Abel check. The output is canonical up to lattice symmetries of
+    the Newton polygon.
     """
-    minimal, _ = gn.check_minimal()
-    if not minimal:
+    if not minimal or _abel_orientation_ok(gn):
         return gn
-    if _abel_orientation_ok(gn):
-        return gn
-    classes = sorted(z["class"] for z in gn.zigzag_paths())
-    span = max(max(abs(p), abs(q)) for p, q in classes) + 1
-    cands = []
-    rng = range(-span, span + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    if a * d - b * c != -1:
-                        continue
-                    mapped = sorted((a * p + b * q, c * p + d * q) for p, q in classes)
-                    if mapped == classes:
-                        cands.append(((abs(b) + abs(c), abs(a - 1) + abs(d - 1),
-                                       a, b, c, d), ((a, b), (c, d))))
-    for _, S in sorted(cands):
+    for S in _reflections(sorted(z["class"] for z in gn.zigzag_paths())):
         flipped = _apply_lattice_map(gn, S)
         if _abel_orientation_ok(flipped):
             return flipped
     raise GraphError("could not orient the gadget marking")
+
+
+def _reflections(classes):
+    """The determinant -1 lattice maps ((a, b), (c, d)) that permute the
+    sorted class multiset, with entries bounded by the largest class
+    coordinate + 1, smallest first (coordinate reflections preferred).
+
+    A map is fixed by the images of two independent classes, so the
+    candidates come from pairs of classes, O(k^2) of them. The classes of a
+    minimal graph span the plane (F = 2 Area(N) > 0).
+    """
+    span = max(max(abs(p), abs(q)) for p, q in classes) + 1
+    u = classes[0]
+    v = next(c for c in classes if u[0] * c[1] - u[1] * c[0])
+    m = u[0] * v[1] - u[1] * v[0]
+    cands = []
+    images = set(classes)
+    for pu, qu in images:
+        for pv, qv in images:
+            if pu * qv - qu * pv != -m:
+                continue
+            # S = [S u, S v] [u, v]^-1
+            num = (pu * v[1] - pv * u[1], pv * u[0] - pu * v[0],
+                   qu * v[1] - qv * u[1], qv * u[0] - qu * v[0])
+            if any(x % m for x in num):
+                continue
+            a, b, c, d = (x // m for x in num)
+            if max(abs(a), abs(b), abs(c), abs(d)) > span:
+                continue
+            mapped = sorted((a * p + b * q, c * p + d * q) for p, q in classes)
+            if mapped == classes:
+                cands.append(((abs(b) + abs(c), abs(a - 1) + abs(d - 1),
+                               a, b, c, d), ((a, b), (c, d))))
+    return [S for _, S in sorted(cands)]

@@ -473,14 +473,17 @@ class TorusGraph:
         (parallel bigon), with shifts up to L in each coordinate. The bigon
         search indexes each path's dart-lifts by dart and reads every shift
         from matching occurrences, so two paths that share no dart cost
-        nothing. A bipartite graph that passes must also satisfy
-        F = 2 Area(N) (Goncharov-Kenyon), which catches the digon faces of
-        doubled edges: distinct bipartite zig-zags never share a dart.
+        nothing. A graph that passes must also satisfy F = 2 Area(N)
+        (Goncharov-Kenyon), which catches the digon faces of doubled edges:
+        distinct bipartite zig-zags never share a dart. An uncolored (Ising)
+        graph is held to the face count of its gadget graph (`to_dimer`),
+        which has the same zig-zag classes and one face per vertex, face and
+        edge: 2E faces, as V - E + F = 0. Both give the same verdict.
 
         Returns (bool, certificate). The certificate names the offending
-        zig-zags and dart lifts for each violation; for a bipartite graph a
-        face-count failure gives the face count and twice the polygon area,
-        which a pass records too.
+        zig-zags and dart lifts for each violation; a face-count failure
+        gives the face count and twice the polygon area, which a pass
+        records too.
         """
         zzs = self.zigzag_paths()
         for zz in zzs:
@@ -533,12 +536,10 @@ class TorusGraph:
                                           za, zb, L)
                 if hit:
                     return False, hit
-        if not self.is_bipartite_colored():
-            return True, {"kind": "minimal"}
         pts = self.newton_polygon()[0].vertices
         twice_area = abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
                              in zip(pts, pts[1:] + pts[:1])))
-        faces = len(self.faces())
+        faces = len(self.faces()) if self.is_bipartite_colored() else 2 * len(self.edges())
         kind = "minimal" if faces == twice_area else "face-count"
         return kind == "minimal", {"kind": kind, "faces": faces, "twice_area": twice_area}
 

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -6,10 +7,12 @@ import pytest
 from fractions import Fraction
 
 from isingdimer.cli import main
+from isingdimer.ising import IsingModel, make_coupling, y_delta
 from isingdimer.torusgraph import serialize_torus_graph
 
 from conftest import DIMER_FIXTURE, ISING_FIXTURE
 from test_ising import honeycomb_model
+from test_torusgraph import honeycomb
 
 
 GADGET_MAP = """gadget-map v1
@@ -86,6 +89,19 @@ class TestExitCodes:
         assert main(["move", gp, "--script", str(script)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: script line 1: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("verb", [["todimer"], ["dual"], ["ydelta", "--site", "n"]],
+                             ids=["todimer", "dual", "ydelta"])
+    @pytest.mark.parametrize("bad,message", [
+        ("coupling 1 sc=1/2,1/2", "error: s^2 + c^2 = 1/2 != 1\n"),
+        ("coupling 1 J=-1", "error: J must be positive\n"),
+        ("", "error: edges without couplings: ['1']\n"),
+    ], ids=["sc", "J", "missing"])
+    def test_bad_coupling_exits_2(self, tmp_path, verb, bad, message, capsys):
+        ip = tmp_path / "bad.tg"
+        ip.write_text(ISING_FIXTURE.replace("coupling 1 sc=4/5,3/5", bad))
+        assert main([verb[0], str(ip)] + verb[1:]) == 2
+        assert capsys.readouterr().err == message
 
 
 class TestDeterminism:
@@ -201,6 +217,40 @@ class TestPipelines:
         out = tmp_path / "tri.tg"
         assert main(["ydelta", str(hc), "--site", "u", "--out", str(out)]) == 0
         assert "vertex v" in out.read_text()
+
+    @staticmethod
+    def _triangle_file(tmp_path, legs):
+        """Honeycomb 2x2 with star legs a00, b00, c00 at u00 (x = 1/2
+        elsewhere) after the star-triangle move there; returns the file and
+        the triangle face."""
+        g = honeycomb(2, 2)
+        xs = {e: legs.get(e, Fraction(1, 2)) for e in g.edges()}
+        m = y_delta(IsingModel(g, {e: make_coupling(x=x) for e, x in xs.items()}), "u00")
+        tri = [f for f in m.graph.face_ids() if len(m.graph.face_darts(f)) == 3]
+        coup = {e: {"s": c.s, "c": c.c} if c.exact else {"J": c.J}
+                for e, c in m.couplings.items()}
+        ip = tmp_path / "tri.tg"
+        ip.write_text(serialize_torus_graph(m.graph, couplings=coup))
+        return str(ip), tri[0]
+
+    def test_ydelta_triangle_with_leg_near_one(self, tmp_path, capsys):
+        ip, f = self._triangle_file(tmp_path, {"a00": 0.969, "b00": 0.424, "c00": 0.131})
+        assert main(["ydelta", ip, "--site", "f:" + f]) == 0
+        out = capsys.readouterr().out
+        J = sorted(float(line.split("J=")[1]) for line in out.splitlines()
+                   if line.startswith("coupling dyleg_"))
+        expect = sorted(-0.5 * math.log(x) for x in (0.969, 0.424, 0.131))
+        assert max(abs(p - q) for p, q in zip(J, expect)) < 1e-9
+
+    def test_ydelta_triangle_exact_legs(self, tmp_path, capsys):
+        b = Fraction(1234, 2345)
+        a = Fraction(11600885418600409, 12244033579929900)
+        ip, f = self._triangle_file(tmp_path, {"a00": a, "b00": b, "c00": b})
+        assert main(["ydelta", ip, "--site", "f:" + f]) == 0
+        legs = [line.split()[2] for line in capsys.readouterr().out.splitlines()
+                if line.startswith("coupling dyleg_")]
+        expect = [make_coupling(x=x) for x in (a, b, b)]
+        assert sorted(legs) == sorted(f"sc={c.s},{c.c}" for c in expect)
 
     def test_abel_cli(self, files, capsys):
         _, gp, _, _ = files

@@ -9,7 +9,6 @@ from isingdimer.ising import (
     CouplingError,
     IsingModel,
     couplings_from_file_data,
-    deltay_weights,
     deltay_x_map,
     dual_ising,
     dual_x,
@@ -18,12 +17,13 @@ from isingdimer.ising import (
     y_delta,
     ydelta_weights,
     ydelta_x_map,
+    _reflections,
 )
 from isingdimer.torusgraph import parse_torus_graph
 from isingdimer.dimer import face_x_values
 
 from conftest import DIMER_FIXTURE, ISING_FIXTURE, S1, C1, S2, C2
-from test_torusgraph import honeycomb
+from test_torusgraph import honeycomb, square
 
 
 def fixture_model():
@@ -99,7 +99,7 @@ class TestYDelta:
         for _ in range(25):
             a, b, c = (Fraction(rng.randint(1, 30), rng.randint(31, 60)) for _ in range(3))
             A, B, C = ydelta_weights(a, b, c)
-            a2, b2, c2 = deltay_weights(A, B, C)
+            a2, b2, c2 = deltay_x_map(1 / A, 1 / B, 1 / C)
             assert abs(float(a2) - float(a)) < 1e-12
             assert abs(float(b2) - float(b)) < 1e-12
             assert abs(float(c2) - float(c)) < 1e-12
@@ -111,6 +111,22 @@ class TestYDelta:
             got = deltay_x_map(*ydelta_x_map(a, b, c))
             for x, y in zip(got, (a, b, c)):
                 assert abs(float(x) - float(y)) < 1e-12
+
+    def test_x_map_roundtrip_exact_at_any_height(self):
+        # rational legs with an exact triangle: c = b and (a, y) on the conic
+        # y^2 = b^2 a^2 + (1 + b^4) a + b^2; the denominators exceed 10^6
+        b = Fraction(1234, 2345)
+        a = Fraction(11600885418600409, 12244033579929900)
+        tri = ydelta_x_map(a, b, b)
+        assert all(isinstance(v, Fraction) for v in tri)
+        assert deltay_x_map(*tri) == (a, b, b)
+
+    def test_x_map_roundtrip_near_one(self):
+        rng = random.Random(5)
+        for _ in range(1000):
+            legs = [rng.uniform(0.01, 0.99) for _ in range(3)]
+            got = deltay_x_map(*ydelta_x_map(*legs))
+            assert max(abs(x - y) for x, y in zip(got, legs)) < 1e-12
 
     def test_graph_roundtrip(self):
         vals = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5),
@@ -232,6 +248,33 @@ class TestToDimer:
                       honeycomb_model([Fraction(1, 2)] * 12)):
             gd, _, _ = to_dimer(model)
             discrete_abel(gd, window=1)   # raises if inconsistent
+
+    def test_reflections_match_box_scan(self):
+        # reference: every det -1 map in the (2 span + 1)^4 box, same order
+        def box(classes):
+            span = max(max(abs(p), abs(q)) for p, q in classes) + 1
+            r = range(-span, span + 1)
+            return [((a, b), (c, d)) for _, _, a, b, c, d in sorted(
+                (abs(b) + abs(c), abs(a - 1) + abs(d - 1), a, b, c, d)
+                for a in r for b in r for c in r for d in r
+                if a * d - b * c == -1
+                and sorted((a * p + b * q, c * p + d * q) for p, q in classes) == classes)]
+
+        multisets = [sorted(z["class"] for z in make(n, m).zigzag_paths())
+                     for make in (square, honeycomb) for n, m in ((1, 1), (2, 1), (2, 2))]
+        # swapping (1, 0) and (3, 1) needs an entry -8, outside the span bound
+        multisets.append(sorted([(1, 0), (-1, 0), (3, 1), (-3, -1)]))
+        rng = random.Random(4)
+        flips = [((1, 0), (0, -1)), ((0, 1), (1, 0)), ((1, 1), (0, -1))]
+        while len(multisets) < 40:
+            vs = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
+            (a, b), (c, d) = rng.choice(flips)
+            ms = vs + [(a * p + b * q, c * p + d * q) for p, q in vs]
+            ms = sorted(ms + [(-p, -q) for p, q in ms])
+            if (0, 0) not in ms and any(ms[0][0] * q - ms[0][1] * p for p, q in ms):
+                multisets.append(ms)
+        for classes in multisets:
+            assert _reflections(classes) == box(classes)
 
     def test_oriented_output_matches_fixture_classes(self):
         # a weight-compatible isomorphism onto the worked fixture exists that
