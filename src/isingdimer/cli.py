@@ -186,6 +186,9 @@ def cmd_move(args):
             if bad:
                 raise CliError(f"script line {no}: expected key=value, got {bad[0]!r}", 2)
             opts = dict(p.split("=", 1) for p in parts[2:])
+            need = {"square": "f=<face>", "contract": "v=<vertex>"}.get(kind)
+            if need and need.split("=")[0] not in opts:
+                raise CliError(f"script line {no}: move {kind} needs {need}", 2)
             if kind == "square":
                 g, wt, rec = square_move(g, wt, opts["f"])
                 lines_out.append(f"# move square f={opts['f']} -> f'={rec.data['new_face']}")
@@ -294,14 +297,15 @@ def cmd_amoeba(args):
     if args.vertex:
         _check_vertex(g, args.vertex)
     kappa = _pick_kappa(g, args.sign)
-    P = lm_determinant(kasteleyn_matrix(g, wt, kappa))
+    K = kasteleyn_matrix(g, wt, kappa)
+    P = lm_determinant(K)
     r = args.range
     marks = []
     try:
         rows = amoeba_sample(P, grid=args.grid, region=(-r, r, -r, r), tol=args.tol)
         if args.vertex:
             import math
-            D = divisor_of_vertex(g, wt, kappa, args.vertex, mode=mode)
+            D = divisor_of_vertex(g, wt, kappa, args.vertex, mode=mode, K=K, P=P)
             for z, w, _m in D.points:
                 marks.append((math.log(abs(complex(z))), math.log(abs(complex(w)))))
     except SpectralError as exc:

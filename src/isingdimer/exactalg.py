@@ -50,11 +50,6 @@ def format_coeff(c):
     return f"{c:.12g}"
 
 
-def parse_rational(text):
-    """Parse 'p/q' or an integer string into a Fraction."""
-    return Fraction(text)
-
-
 def _mono_str(i, j):
     parts = []
     if i == 1:
@@ -318,9 +313,6 @@ class LaurentMatrix:
     def transpose(self):
         return LaurentMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
 
-    def map_entries(self, f):
-        return LaurentMatrix(self.rows, self.cols, {rc: f(v) for rc, v in self.entries.items()})
-
     def matmul(self, other):
         if self.cols != other.rows:
             raise DimensionError("inner labels disagree")
@@ -332,10 +324,6 @@ class LaurentMatrix:
                     acc = acc + self.entries[(r, k)] * other.entries[(k, c)]
                 out[(r, c)] = acc
         return LaurentMatrix(self.rows, other.cols, out)
-
-    def equals(self, other):
-        return (self.rows == other.rows and self.cols == other.cols
-                and all(self.entries[rc] == other.entries[rc] for rc in self.entries))
 
 
 def lp_divexact(p, d):
@@ -368,7 +356,8 @@ def lm_determinant(m):
     Exact entries: fraction-free Bareiss elimination over the Laurent ring.
     Numeric entries: det lies in the exponent box summed from each row's
     exponent range, so it is evaluated on a grid of roots of unity covering
-    that box (batched LU) and its coefficients are read off by a 2-D FFT.
+    that box (_sample_grid, batched LU) and its coefficients are read off
+    by a 2-D FFT (_interpolate).
     """
     if not m.is_square():
         raise DimensionError("determinant of a non-square matrix")
@@ -377,7 +366,12 @@ def lm_determinant(m):
         return ONE
     if all(e.exact for row in a for e in row):
         return _det_bareiss(a)
-    return _det_fft(a)
+    import numpy as np
+    sampled = _sample_grid(a)
+    if sampled is None:
+        return LaurentPoly2.zero()
+    grid, shift, real = sampled
+    return _interpolate(np.linalg.det(grid)[..., None], shift, real)[0]
 
 
 def _det_bareiss(a):
@@ -400,18 +394,18 @@ def _det_bareiss(a):
     return det if sign > 0 else -det
 
 
-def _det_fft(a):
-    """Interpolate det from its values at roots of unity. Each row is
-    shifted to nonnegative exponents first; terms at or below
-    NUMERIC_ZERO_TOL times the largest coefficient are dropped, and the
-    result is real when every input coefficient is a float."""
+def _sample_grid(a):
+    """a on the grid of pairs of roots of unity that covers the exponent box
+    of det a, each row shifted to nonnegative exponents first. Returns the
+    (nz, nw, n, n) samples, the summed shift and whether every coefficient
+    is a float, or None when a row is zero."""
     import numpy as np
     n = len(a)
     lows, spans = [], []
     for row in a:
         support = [ij for e in row for ij in e.terms]
         if not support:
-            return LaurentPoly2.zero()
+            return None
         lo = [min(ij[k] for ij in support) for k in (0, 1)]
         lows.append(lo)
         spans.append([max(ij[k] for ij in support) - lo[k] for k in (0, 1)])
@@ -425,21 +419,67 @@ def _det_fft(a):
             for (i, j), coef in e.terms.items():
                 grid[:, :, r, c] += (complex(coef) * roots_z[az * (i - zlo) % nz]
                                      * roots_w[bw * (j - wlo) % nw])
-    coeffs = np.fft.fft2(np.linalg.det(grid)) / (nz * nw)
-    cut = NUMERIC_ZERO_TOL * np.abs(coeffs).max()
+    shift = tuple(sum(lo[k] for lo in lows) for k in (0, 1))
     real = all(isinstance(c, float) for row in a for e in row for c in e.terms.values())
-    z0, w0 = (sum(lo[k] for lo in lows) for k in (0, 1))
-    return LaurentPoly2({(k + z0, l + w0): float(c.real) if real else complex(c)
-                         for (k, l), c in np.ndenumerate(coeffs) if abs(c) > cut})
+    return grid, shift, real
+
+
+def _interpolate(values, shift, real):
+    """One Laurent polynomial per index of the last axis of `values`, its
+    samples on the grid of _sample_grid, read out by one batched 2-D FFT.
+    Terms at or below NUMERIC_ZERO_TOL times the polynomial's largest
+    coefficient are dropped; coefficients are floats when `real`."""
+    import numpy as np
+    nz, nw, k = values.shape
+    coeffs = np.fft.fft2(values, axes=(0, 1)) / (nz * nw)
+    mags = np.abs(coeffs)
+    keep = mags > NUMERIC_ZERO_TOL * mags.max(axis=(0, 1))
+    return [LaurentPoly2({(x + shift[0], y + shift[1]): float(coeffs[x, y, t].real) if real
+                          else complex(coeffs[x, y, t]) for x, y in zip(*np.nonzero(keep[..., t]))})
+            for t in range(k)]
+
+
+def _adjugate_column_svd(a, i):
+    """Column i of adj(a), numeric entries. Each sample A = U S Vh gives
+    adj(A) = det(U) det(Vh) V adj(S) U^H, adj(S) holding the products of all
+    singular values but one. Nothing is divided, so singular samples need
+    no care (Stewart, "On the adjugate matrix", LAA 1998). An entry whose
+    minor has a zero row is zero."""
+    import numpy as np
+    # column i does not depend on row i; a row of ones adds nothing to the
+    # exponent box, the shift or the coefficient type
+    sampled = _sample_grid(a[:i] + [[LaurentPoly2.const(1.0)] * len(a)] + a[i + 1:])
+    if sampled is None:
+        return [LaurentPoly2.zero()] * len(a)
+    grid, shift, real = sampled
+    col = np.empty(grid.shape[:3], dtype=complex)
+    for t, samples in enumerate(grid):
+        # one z-slice at a time, so that U and Vh stay the size of a slice
+        u, s, vh = np.linalg.svd(samples)
+        adj_s = np.where(np.eye(len(a), dtype=bool), 1.0, s[:, None, :]).prod(axis=-1)
+        # V adj(S) U^H e_i = conj(Vh^T adj(S) U[i, :]), adj(S) being real
+        vec = np.einsum("skc,sk->sc", vh, adj_s * u[:, i, :]).conj()
+        col[t] = (np.linalg.det(u) * np.linalg.det(vh))[:, None] * vec
+    out = _interpolate(col, shift, real)
+    for row in a[:i] + a[i + 1:]:
+        hit = [c for c, e in enumerate(row) if e.terms]
+        if len(hit) == 1:
+            out[hit[0]] = LaurentPoly2.zero()
+    return out
 
 
 def lm_adjugate_column(m, row):
     """Column `row` of adj(m), as {column label of m: signed (n-1)-minor}:
-    m @ column == det(m) * e_row. The minors are taken with lm_determinant,
-    so the column is right for singular m too."""
+    m @ column == det(m) * e_row, singular m included. Exact entries: each
+    minor by Bareiss elimination. Numeric entries: the whole column from
+    one sample grid of m (_adjugate_column_svd), read out as
+    lm_determinant reads det."""
     if not m.is_square():
         raise DimensionError("adjugate of a non-square matrix")
     i = m.rows.index(row)
+    if not all(e.exact for e in m.entries.values()):
+        a = [[m.entries[(r, c)] for c in m.cols] for r in m.rows]
+        return dict(zip(m.cols, _adjugate_column_svd(a, i)))
     rest = m.rows[:i] + m.rows[i + 1:]
     out = {}
     for j, c in enumerate(m.cols):
@@ -506,9 +546,6 @@ class NewtonPolygon:
         """Translate so the lexicographically smallest vertex is the origin."""
         x0, y0 = min(self.vertices)
         return self.translate(-x0, -y0)
-
-    def reflect(self):
-        return NewtonPolygon([(-x, -y) for x, y in self.vertices])
 
     def is_centrally_symmetric(self):
         s = set(self.vertices)

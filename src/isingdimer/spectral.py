@@ -195,14 +195,16 @@ def kasteleyn_matrix(g, wt, kappa):
 
 
 class SpectralCurveData:
-    def __init__(self, poly, polygon, genus):
+    def __init__(self, poly, polygon, genus, matrix):
         self.poly = poly
         self.polygon = polygon
         self.genus = genus
+        self.matrix = matrix
 
 
 def characteristic_polynomial(g, wt, kappa, check_polygon=True):
-    """P = det K with its Newton polygon and genus (interior lattice points)."""
+    """P = det K with its Newton polygon, genus (interior lattice points)
+    and the Kasteleyn matrix K it came from."""
     K = kasteleyn_matrix(g, wt, kappa)
     if len(K.rows) != len(K.cols):
         raise SpectralError(f"#white={len(K.rows)} != #black={len(K.cols)}")
@@ -214,7 +216,7 @@ def characteristic_polynomial(g, wt, kappa, check_polygon=True):
         gp, anchored = g.newton_polygon()
         if poly.normalized().vertices != gp.normalized().vertices:
             raise SpectralError("Newton polygon of P differs from the graph polygon")
-    return SpectralCurveData(P, poly, poly.genus)
+    return SpectralCurveData(P, poly, poly.genus, K)
 
 
 # -- roots: the numeric kernel and exact rational roots ----------------------------
@@ -455,7 +457,7 @@ class Divisor:
         return f"Divisor({self.points})"
 
 
-def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-10):
+def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-10, K=None, P=None):
     """The divisor of a vertex: common zeros on the open curve of the
     adjugate column (white vertex) or row (black vertex).
 
@@ -466,11 +468,12 @@ def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-10):
     and every adjugate entry; it raises SpectralError when it finds other
     than genus rational points. Numeric mode takes the roots from the root
     kernel, refines the candidates by Newton steps with exact derivatives
-    and keeps the points at which P and all entries vanish within tol."""
-    K = kasteleyn_matrix(g, wt, kappa)
+    and keeps the points at which P and all entries vanish within tol.
+    K and P = det K are built here unless the caller passes them."""
     if g.colors[vertex] not in ("w", "b"):
         raise SpectralError(f"vertex {vertex} is uncolored")
-    P = lm_determinant(K)
+    K = kasteleyn_matrix(g, wt, kappa) if K is None else K
+    P = lm_determinant(K) if P is None else P
     genus = newton_polygon(P).genus
     if genus == 0:
         return Divisor([], exact=(mode == "exact"))
@@ -626,9 +629,6 @@ class AbelLabel:
             c[z] = c.get(z, 0) - 1
         return AbelLabel(c, self.offset)
 
-    def translated(self, di, dj):
-        return AbelLabel(self.counts, (self.offset[0] + di, self.offset[1] + dj))
-
     def reduced(self, zz_classes):
         """Resolve the monomial offset through div(z^i w^j) =
         sum_alpha (j p_alpha - i q_alpha) nu(alpha)."""
@@ -709,17 +709,19 @@ def discrete_abel(g, window=1):
 # -- the three Ising conditions -----------------------------------------------------
 
 
-def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-8):
+def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-8,
+                          K=None, P=None):
     """Check (1) sigma-invariance of P, (2') D_white = sigma(D_partner_black),
-    (3) X_alphabar * X_alpha = 1 for every zig-zag. Returns (ok, report)."""
+    (3) X_alphabar * X_alpha = 1 for every zig-zag. Returns (ok, report).
+    Both divisors use the one K and P = det K, passed in or built here."""
     from .dimer import x_of_cycle
-    K = kasteleyn_matrix(g, wt, kappa)
-    P = lm_determinant(K)
+    K = kasteleyn_matrix(g, wt, kappa) if K is None else K
+    P = lm_determinant(K) if P is None else P
     cond1 = P.sigma() == P if all(isinstance(v, Fraction) for v in wt.values()) \
         else P.sigma().isclose(P, tol)
     black = gadget_map.partners[white]
-    Dw = divisor_of_vertex(g, wt, kappa, white, mode=mode, tol=min(tol, 1e-10))
-    Db = divisor_of_vertex(g, wt, kappa, black, mode=mode, tol=min(tol, 1e-10))
+    Dw = divisor_of_vertex(g, wt, kappa, white, mode=mode, tol=min(tol, 1e-10), K=K, P=P)
+    Db = divisor_of_vertex(g, wt, kappa, black, mode=mode, tol=min(tol, 1e-10), K=K, P=P)
     cond2 = Dw.matches(Db.sigma(), None if mode == "exact" else tol)
     # condition (3): sigma maps the points at infinity of side S to those of
     # side -S, i.e. opposite sides carry equal X-value multisets (positive
@@ -945,7 +947,8 @@ def spectral_report(g, wt, kappa, gadget_map=None, white=None, mode="exact"):
              f"genus {data.genus}"]
     ok = None
     if gadget_map is not None and white is not None:
-        ok, rep = verify_ising_spectral(g, wt, kappa, gadget_map, white, mode=mode)
+        ok, rep = verify_ising_spectral(g, wt, kappa, gadget_map, white, mode=mode,
+                                        K=data.matrix, P=data.poly)
         lines.append(f"condition sigma-invariance {'pass' if rep['sigma_invariant'] else 'FAIL'}")
         lines.append(f"condition divisor-sigma {'pass' if rep['divisor_condition'] else 'FAIL'}")
         lines.append(f"condition nu-involution {'pass' if rep['nu_condition'] else 'FAIL'}")

@@ -629,35 +629,46 @@ class TorusGraph:
 
     # -- isomorphism (rotation system + colors) ---------------------------------
 
-    def canonical_form(self):
-        """Canonical string of the rotation system with colors, for isomorphism
-        tests. Tries every dart as the seed of a relabeling BFS."""
-        best = None
-        for seed in sorted(self.darts):
-            label = {}
-            order = []
-            stack = [seed]
-            while stack:
-                d = stack.pop()
-                if d in label:
-                    continue
-                label[d] = len(label)
-                order.append(d)
-                stack.append(self.twin(d))
-                stack.append(self.next_ccw(d))
-            if len(label) != len(self.darts):
-                continue  # disconnected; seed covers one component
-            desc = []
-            for d in order:
-                desc.append((label[self.twin(d)], label[self.next_ccw(d)],
-                             self.colors[self.tail(d)]))
-            s = repr(desc)
-            if best is None or s < best:
-                best = s
-        return best
-
     def isomorphic(self, other):
-        return self.canonical_form() == other.canonical_form()
+        """True when a bijection of darts carries twin, next_ccw and the tail
+        colors of self onto those of other (displacements are not compared).
+        Each component of self is matched in turn: a trial sends a dart d0 to
+        a candidate e0 of other and walks pairs of darts from there."""
+        if len(self.darts) != len(other.darts):
+            return False
+        done, used = set(), set()
+        for d0 in sorted(self.darts):
+            if d0 in done:
+                continue
+            for e0 in sorted(set(other.darts) - used):
+                trial = self._dart_walk(other, d0, e0, used)
+                if trial is not None:
+                    done.update(trial)
+                    used.update(trial.values())
+                    break
+            else:
+                return False
+        return True
+
+    def _dart_walk(self, other, d0, e0, used):
+        """The map of the component of d0 that sends d0 to e0 and commutes
+        with twin and next_ccw. None at the first conflict: a dart mapped
+        twice, an image used twice or a tail color that differs."""
+        trial, hit = {}, set()
+        stack = [(d0, e0)]
+        while stack:
+            d, e = stack.pop()
+            if d in trial:
+                if trial[d] != e:
+                    return None
+                continue
+            if e in hit or e in used or self.colors[self.tail(d)] != other.colors[other.tail(e)]:
+                return None
+            trial[d] = e
+            hit.add(e)
+            stack.append((self.twin(d), other.twin(e)))
+            stack.append((self.next_ccw(d), other.next_ccw(e)))
+        return trial
 
 
 # -- text format ----------------------------------------------------------------

@@ -90,6 +90,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: script line 1: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("line,message", [
+        ("move square", "move square needs f=<face>"),
+        ("move square v=f2", "move square needs f=<face>"),
+        ("move contract", "move contract needs v=<vertex>"),
+    ])
+    def test_move_without_its_option_exits_2(self, files, tmp_path, capsys, line, message):
+        _, gp, _, _ = files
+        script = tmp_path / "bad.txt"
+        script.write_text(line + "\n")
+        assert main(["move", gp, "--script", str(script)]) == 2
+        assert capsys.readouterr().err == f"error: script line 1: {message}\n"
+
     @pytest.mark.parametrize("verb", [["todimer"], ["dual"], ["ydelta", "--site", "n"]],
                              ids=["todimer", "dual", "ydelta"])
     @pytest.mark.parametrize("bad,message", [
@@ -283,6 +295,28 @@ class TestPipelines:
         out = capsys.readouterr().out
         assert sum(line.startswith("condition ") and line.endswith(" pass")
                    for line in out.splitlines()) == 4
+
+    @pytest.mark.parametrize("mode", ["exact", "numeric"])
+    def test_one_kasteleyn_matrix_and_determinant(self, files, monkeypatch, capsys, mode):
+        # verify-ising and amoeba --vertex build K once and take det K once;
+        # the divisors reuse both
+        import isingdimer.cli as cli
+        import isingdimer.spectral as spectral
+        calls = {"kasteleyn_matrix": 0, "lm_determinant": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(spectral, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(spectral, name, counted)
+            monkeypatch.setattr(cli, name, counted)
+        tmp, gp, _, gm = files
+        assert main(["verify-ising", gp, "--vertex", "w2", "--gadget-map", gm,
+                     "--mode", mode]) == 0
+        assert calls == {"kasteleyn_matrix": 1, "lm_determinant": 1}
+        calls.update(kasteleyn_matrix=0, lm_determinant=0)
+        assert main(["amoeba", gp, "--grid", "8", "--vertex", "w2", "--mode", mode,
+                     "--out", str(tmp / "am.csv")]) == 0
+        assert calls == {"kasteleyn_matrix": 1, "lm_determinant": 1}
 
     def test_inspect_dual(self, files, capsys):
         _, _, ip, _ = files

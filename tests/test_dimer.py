@@ -29,6 +29,7 @@ from conftest import (
     ISING_FIXTURE,
     S1, C1, S2, C2,
 )
+from test_torusgraph import reference_canonical_form
 
 
 def fixture_gm():
@@ -332,6 +333,16 @@ class TestIsingLocus:
         assert ok
         assert all(r == 0 for r in report["residuals"].values())
         assert report["isomorphic"]
+
+    def test_missing_square_move_not_isomorphic(self, fixture):
+        # one of the two gadget squares left unmoved: the graph is not the
+        # color change, and isomorphic says so with the reference
+        g, wt = fixture
+        gm = GadgetMap({"1": "f2"}, fixture_gm().partners, {}, {})
+        ok, report = ising_locus_check(g, wt, gm)
+        assert not ok and report["isomorphic"] is False
+        assert (reference_canonical_form(report["mu_graph"])
+                != reference_canonical_form(color_change(g, wt)[0]))
 
     def test_two_cell_passes(self):
         g, wt, gm = two_cell_dimer(seed=4)

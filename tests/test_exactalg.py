@@ -107,6 +107,23 @@ def _matrix(rows, cols, grid):
     return LaurentMatrix(rows, cols, entries)
 
 
+def _assert_column_close(m, r):
+    """lm_adjugate_column of the float matrix m against Bareiss minors of m
+    with its entries made exact Fractions: the same support, and each
+    coefficient within 1e-12 of the entry's largest one. Returns the column."""
+    exact = LaurentMatrix(m.rows, m.cols, {
+        rc: LaurentPoly2({ij: Fraction(c) for ij, c in e.terms.items()})
+        for rc, e in m.entries.items()})
+    got, want = lm_adjugate_column(m, r), lm_adjugate_column(exact, r)
+    for c in m.cols:
+        assert set(got[c].terms) == set(want[c].terms)
+        assert all(isinstance(v, float) for v in got[c].terms.values())
+        scale = max((abs(v) for v in want[c].terms.values()), default=0)
+        for ij, v in want[c].terms.items():
+            assert abs(got[c].terms[ij] - float(v)) <= 1e-12 * float(scale)
+    return got
+
+
 class TestDeterminant:
     def test_2x2(self):
         a, b, c, d = (Fraction(k) for k in (2, 3, 5, 7))
@@ -220,6 +237,64 @@ class TestAdjugate:
                                                         (1, 0): -s2})
         assert Q.entries[("b2", "w2")] == LaurentPoly2({(0, 0): -(c1 * c1 * c2 + c2 * s1 * s1),
                                                         (0, -1): s1})
+
+    @pytest.mark.parametrize("which", ["gadget 12", "fixture"])
+    def test_numeric_column_matches_bareiss_minors(self, which):
+        # every row: the SVD column against Bareiss minors of the same float
+        # matrix with its entries made exact Fractions
+        if which == "fixture":
+            s1, c1, s2, c2 = 0.8, 0.6, 12 / 13, 5 / 13
+            m = _matrix("1234", "abcd", [
+                [c2, s2, 0.0, LaurentPoly2.monomial(1, -1, 1.0)],
+                [s2, -c2, 1.0, 0.0],
+                [0.0, LaurentPoly2.monomial(0, 1, 1.0), -s1, c1],
+                [LaurentPoly2.monomial(-1, 0, 1.0), 0.0, c1, s1],
+            ])
+        else:
+            _, m = gadget_kasteleyn(12)
+        for r in m.rows:
+            _assert_column_close(m, r)
+
+    def test_numeric_singular_matrix(self):
+        m = _matrix("abc", "xyz", [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0],
+                                   [LaurentPoly2.monomial(1, 0, 1.0),
+                                    LaurentPoly2.monomial(0, 1, 1.0), 1.0]])
+        for r in m.rows:
+            col = lm_adjugate_column(m, r)
+            for rr in m.rows:
+                acc = LaurentPoly2.zero()
+                for c in m.cols:
+                    acc = acc + m[(rr, c)] * col[c]
+                assert all(abs(v) <= 1e-12 for v in acc.terms.values())
+        col = lm_adjugate_column(m, "a")
+        assert set(col["x"].terms) == {(0, 0), (0, 1)}
+        assert abs(col["x"].terms[(0, 0)] - 4) <= 1e-12
+        assert abs(col["x"].terms[(0, 1)] + 6) <= 1e-12
+
+    def test_numeric_zero_row(self):
+        m = _matrix("abc", "xyz", [[1.0, LaurentPoly2.monomial(1, 0, 2.0), 3.0],
+                                   [0, 0, 0],
+                                   [LaurentPoly2.monomial(0, 1, 1.0), 5.0, 7.0]])
+        own = _assert_column_close(m, "b")
+        assert own["x"].isclose(LaurentPoly2({(1, 0): -14.0, (0, 0): 15.0}), 1e-12)
+        for r in "ac":
+            col = lm_adjugate_column(m, r)
+            assert all(abs(v) <= 1e-12 for c in "xyz" for v in col[c].terms.values())
+
+    def test_numeric_one_entry_row(self):
+        # row b meets column y only: every minor without column y has a zero
+        # row, so those entries of the other columns are zero, as in Bareiss
+        m = _matrix("abc", "xyz", [[1.0, LaurentPoly2.monomial(1, 0, 2.0), 3.0],
+                                   [0, 4.0, 0],
+                                   [LaurentPoly2.monomial(0, 1, 1.0), 5.0, 7.0]])
+        for r in m.rows:
+            col = _assert_column_close(m, r)
+            if r != "b":
+                assert col["y"].is_zero()
+
+    def test_numeric_1x1(self):
+        m = _matrix("r", "c", [[LaurentPoly2({(1, 0): 2.0, (0, 1): 3.0})]])
+        assert lm_adjugate_column(m, "r") == {"c": LaurentPoly2.const(1.0)}
 
     @given(st.lists(rationals(4, 4), min_size=9, max_size=9))
     @settings(max_examples=20, deadline=None)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from isingdimer.dimer import color_change, square_move
 from isingdimer.ising import IsingModel, couplings_from_file_data, make_coupling, to_dimer
 from isingdimer.torusgraph import (
     GraphError,
@@ -136,6 +137,91 @@ def reference_check_minimal(g):
                                                "zigzags": (za["id"], zb["id"]),
                                                "darts": (da, db)}
     return True, {"kind": "minimal"}
+
+
+def reference_canonical_form(g):
+    """Canonical string of the rotation system with colors: a relabeling
+    walk from every seed dart, the least repr kept; None for a disconnected
+    graph. Kept as the reference for TorusGraph.isomorphic."""
+    best = None
+    for seed in sorted(g.darts):
+        label, order, stack = {}, [], [seed]
+        while stack:
+            d = stack.pop()
+            if d in label:
+                continue
+            label[d] = len(label)
+            order.append(d)
+            stack.append(g.twin(d))
+            stack.append(g.next_ccw(d))
+        if len(label) != len(g.darts):
+            continue
+        s = repr([(label[g.twin(d)], label[g.next_ccw(d)], g.colors[g.tail(d)])
+                  for d in order])
+        if best is None or s < best:
+            best = s
+    return best
+
+
+def relabeled(g, seed, prefix=""):
+    """g with fresh vertex and edge names, a random half of the edges
+    reversed, each rotation started at a random dart."""
+    rng = random.Random(seed)
+    vname = {v: f"{prefix}V{rng.randrange(10**6)}_{i}" for i, v in enumerate(g.vertex_ids())}
+    ename = {e: f"{prefix}E{rng.randrange(10**6)}_{i}" for i, e in enumerate(g.edges())}
+    flip = {e: rng.random() < 0.5 for e in g.edges()}
+
+    def dart(d):
+        sign = {"+": "-", "-": "+"}[d[-1]] if flip[d[:-1]] else d[-1]
+        return ename[d[:-1]] + sign
+
+    h = TorusGraph()
+    for v in g.vertex_ids():
+        h.add_vertex(vname[v], g.colors[v])
+    for e in g.edges():
+        v1, v2, dx, dy = g.edge_ends[e]
+        if flip[e]:
+            h.add_edge(ename[e], vname[v2], vname[v1], -dx, -dy)
+        else:
+            h.add_edge(ename[e], vname[v1], vname[v2], dx, dy)
+    for v in g.vertex_ids():
+        rot = [dart(d) for d in g.rotation[v]]
+        k = rng.randrange(len(rot))
+        h.set_rotation(vname[v], rot[k:] + rot[:k])
+    return h.freeze()
+
+
+def disjoint_union(*graphs):
+    h = TorusGraph()
+    parts = [relabeled(g, k, prefix=f"c{k}") for k, g in enumerate(graphs)]
+    for g in parts:
+        for v in g.vertex_ids():
+            h.add_vertex(v, g.colors[v])
+        for e in g.edges():
+            h.add_edge(e, *g.edge_ends[e])
+        for v in g.vertex_ids():
+            h.set_rotation(v, g.rotation[v])
+    return h.freeze()
+
+
+def gadget_moved(make):
+    """(gadget graph of make(), the same after its gadget square moves, its
+    color change)."""
+    g = make()
+    gd, wt, gm = to_dimer(IsingModel(g, {e: make_coupling(sc=(Fraction(4, 5), Fraction(3, 5)))
+                                         for e in g.edges()}))
+    moved, moved_wt = gd, wt
+    face_map = {f: f for f in gd.face_ids()}
+    for fid in sorted(set(gm.squares.values())):
+        moved, moved_wt, rec = square_move(moved, moved_wt, face_map[fid])
+        face_map = {old: rec.map_face(nf) for old, nf in face_map.items()}
+    return gd, moved, color_change(gd, wt)[0]
+
+
+LATTICES = [lambda: square(1, 1), lambda: honeycomb(1, 1), lambda: square(2, 1),
+            lambda: honeycomb(2, 1), lambda: square(2, 2), lambda: honeycomb(2, 2)]
+LATTICE_IDS = ["square 1x1", "honeycomb 1x1", "square 2x1", "honeycomb 2x1",
+               "square 2x2", "honeycomb 2x2"]
 
 
 class TestValidate:
@@ -414,6 +500,75 @@ class TestDual:
         g = honeycomb(2, 2)
         d = g.dual_graph()
         assert d.validate()["euler"] == 0
+
+
+class TestIsomorphic:
+    """isomorphic against reference_canonical_form on positive pairs and on
+    mutants that keep the dart count."""
+
+    @staticmethod
+    def agree(a, b):
+        iso = a.isomorphic(b)
+        assert iso == b.isomorphic(a) == (reference_canonical_form(a)
+                                          == reference_canonical_form(b))
+        return iso
+
+    @pytest.mark.parametrize("make", LATTICES + [
+        lambda: parse_torus_graph(DIMER_FIXTURE)[0], lambda: parse_torus_graph(ISING_FIXTURE)[0],
+        lambda: gadget_moved(lambda: honeycomb(2, 1))[0]],
+        ids=LATTICE_IDS + ["dimer fixture", "ising fixture", "gadget honeycomb 2x1"])
+    def test_relabeled_copies(self, make):
+        g = make()
+        for seed in range(3):
+            assert self.agree(g, relabeled(g, seed))
+
+    @pytest.mark.parametrize("make", LATTICES[:4], ids=LATTICE_IDS[:4])
+    def test_gadget_square_moves_give_color_change(self, make):
+        gd, moved, cc = gadget_moved(make)
+        assert self.agree(moved, cc)
+        assert self.agree(moved, relabeled(cc, 7))
+        self.agree(gd, cc)
+        self.agree(gd, moved)
+
+    @pytest.mark.parametrize("make", LATTICES[:4], ids=LATTICE_IDS[:4])
+    def test_rotation_transposed(self, make):
+        # every vertex of the gadget graph in turn: two darts of its rotation swapped
+        gd = gadget_moved(make)[0]
+        for v in gd.vertex_ids():
+            h = gd.copy()
+            rot = h.rotation[v]
+            rot[0], rot[1] = rot[1], rot[0]
+            h.freeze()
+            assert not self.agree(gd, h)
+
+    @pytest.mark.parametrize("make", LATTICES[:4], ids=LATTICE_IDS[:4])
+    def test_color_flipped(self, make):
+        gd = gadget_moved(make)[0]
+        for v in gd.vertex_ids():
+            h = gd.copy()
+            h.colors[v] = "w" if h.colors[v] == "b" else "b"
+            assert not self.agree(gd, h)
+
+    @pytest.mark.parametrize("a,b", [
+        (lambda: square(2, 2), lambda: square(4, 1)),
+        (lambda: honeycomb(2, 1), lambda: square(3, 1)),
+        (lambda: honeycomb(2, 2), lambda: square(3, 2)),
+    ], ids=["square 2x2 / 4x1", "honeycomb 2x1 / square 3x1", "honeycomb 2x2 / square 3x2"])
+    def test_lattices_with_equal_dart_counts(self, a, b):
+        g, h = a(), b()
+        assert len(g.darts) == len(h.darts)
+        assert not self.agree(g, h)
+
+    def test_disconnected(self):
+        # the reference gives None for every disconnected graph, so it calls
+        # any two of them equal; isomorphic matches components
+        g = disjoint_union(square(1, 1), honeycomb(2, 1))
+        assert g.isomorphic(relabeled(g, 5))
+        assert g.isomorphic(disjoint_union(honeycomb(2, 1), square(1, 1)))
+        h = disjoint_union(square(1, 1), square(3, 1))
+        assert len(g.darts) == len(h.darts)
+        assert reference_canonical_form(g) is None and reference_canonical_form(h) is None
+        assert not g.isomorphic(h) and not h.isomorphic(g)
 
 
 class TestFormat:
