@@ -8,6 +8,7 @@ p/q, numeric values with 12 significant digits, no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -182,10 +183,14 @@ def cmd_move(args):
             if parts[0] != "move" or len(parts) < 2:
                 raise CliError(f"script line {no}: expected 'move ...'", 2)
             kind = parts[1]
-            bad = [p for p in parts[2:] if "=" not in p]
-            if bad:
-                raise CliError(f"script line {no}: expected key=value, got {bad[0]!r}", 2)
-            opts = dict(p.split("=", 1) for p in parts[2:])
+            opts = {}
+            for p in parts[2:]:
+                if "=" not in p:
+                    raise CliError(f"script line {no}: expected key=value, got {p!r}", 2)
+                key, value = p.split("=", 1)
+                if key in opts:
+                    raise CliError(f"script line {no}: repeated key {key!r}", 2)
+                opts[key] = value
             need = {"square": "f=<face>", "contract": "v=<vertex>"}.get(kind)
             if need and need.split("=")[0] not in opts:
                 raise CliError(f"script line {no}: move {kind} needs {need}", 2)
@@ -317,6 +322,7 @@ def cmd_amoeba(args):
     return 0
 
 
+@functools.cache
 def build_parser():
     top = argparse.ArgumentParser(prog="isingdimer",
                                   description="Spectral transform tools for Ising and dimer models on a torus")

@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 from .exactalg import ModeError
-from .torusgraph import TorusGraph, GraphError
+from .torusgraph import GraphError
 from .ising import _fraction_sqrt, make_coupling
 
 
@@ -29,8 +29,7 @@ def x_of_cycle(g, wt, cycle):
     """
     items = [(d, 1) if not isinstance(d, tuple) else d for d in cycle]
     g.cycle_displacement(items)  # raises unless it is a cycle
-    num = _one_like(wt)
-    den = _one_like(wt)
+    num = den = _one_like(wt)
     for d, m in items:
         dart = g.darts[d]
         wv = wt[dart.edge]
@@ -210,6 +209,7 @@ def square_move(g, wt, fid):
     corners carrying pendant (third) edges; to_dimer output always qualifies.
     Returns (new graph, new weights, MoveRecord).
     """
+    g.ensure_valid()
     orbit = g.face_darts(fid)
     if len(orbit) != 4:
         raise MoveError(f"face {fid} has {len(orbit)} sides, need 4")
@@ -239,40 +239,30 @@ def square_move(g, wt, fid):
 
     removed_edges = {g.darts[x].edge for x in (d0, d1, d2, d3, p1, p2)}
 
-    def fresh(base, taken):
+    def fresh(base, *taken):
         name = base
         k = 0
-        while name in taken:
+        while any(name in t for t in taken):
             k += 1
             name = f"{base}.{k}"
         return name
 
-    nb1 = fresh(f"{B1}'", set(g.colors))
-    nb2 = fresh(f"{B2}'", set(g.colors) | {nb1})
-    gn = TorusGraph()
-    for v in g.vertex_ids():
-        if v not in (B1, B2):
-            gn.add_vertex(v, g.colors[v], g.positions.get(v))
-    gn.add_vertex(nb1, "b", g.positions.get(B1))
-    gn.add_vertex(nb2, "b", g.positions.get(B2))
+    nb1 = fresh(f"{B1}'", g.colors)
+    nb2 = fresh(f"{B2}'", g.colors, (nb1,))
     new_wt = {e: x for e, x in wt.items() if e not in removed_edges}
-    for e in g.edges():
-        if e in removed_edges:
-            continue
-        v1, v2, dx, dy = g.edge_ends[e]
-        gn.add_edge(e, v1, v2, dx, dy)
+    edges = []
 
     def D(x):
         return g.disp(x)
 
     def add(name, black, white, disp, weight):
-        gn.add_edge(name, black, white, disp[0], disp[1])
+        edges.append((name, black, white, disp[0], disp[1]))
         new_wt[name] = weight
 
     neg = lambda t: (-t[0], -t[1])
     plus = lambda s, t: (s[0] + t[0], s[1] + t[1])
-    one = _one_like(wt)
-    taken = set(g.edge_ends)
+    one = wt[g.darts[p1].edge]        # gauged to 1 in the weights' number type
+    taken = g.edge_ends
     pA1 = fresh(f"{fid}_pA", taken)   # B_A' - m1 pendant
     pB3 = fresh(f"{fid}_pB", taken)   # B_B' - m3 pendant
     eA2 = fresh(f"{fid}_a2", taken)   # B_A' - m2, weight d/delta
@@ -286,50 +276,18 @@ def square_move(g, wt, fid):
     add(eB2, nb2, m2, plus(plus(neg(D(d1)), neg(D(d0))), D(p1)), c / delta)
     add(eB4, nb2, m4, D(p2), b / delta)
 
-    gn.set_rotation(nb1, [pA1 + "+", eA2 + "+", eA4 + "+"])
-    gn.set_rotation(nb2, [pB3 + "+", eB4 + "+", eB2 + "+"])
-    for v in g.vertex_ids():
-        if v in (B1, B2):
-            continue
-        rot = []
-        i = 0
-        old = g.rotation[v]
-        while i < len(old):
-            d = old[i]
-            if d == d1 and i + 1 < len(old) + 1 and old[(i + 1) % len(old)] == g.twin(d0):
-                rot.append(pB3 + "-")
-                i += 2 if i + 1 < len(old) else 1
-                continue
-            if d == d3 and old[(i + 1) % len(old)] == g.twin(d2):
-                rot.append(pA1 + "-")
-                i += 2 if i + 1 < len(old) else 1
-                continue
-            if d == g.twin(p1):
-                rot.append(eB2 + "-")
-                rot.append(eA2 + "-")
-                i += 1
-                continue
-            if d == g.twin(p2):
-                rot.append(eA4 + "-")
-                rot.append(eB4 + "-")
-                i += 1
-                continue
-            if d in (g.twin(d0), g.twin(d2)):
-                # wrap-around partner of the pair replacement
-                i += 1
-                continue
-            rot.append(d)
-            i += 1
-        gn.set_rotation(v, rot)
-    gn.freeze()
-    gn.validate()
-
-    # face mapping via surviving darts
-    face_map = {}
-    for old_fid, old_orbit in g.faces():
-        survivor = next((x for x in old_orbit if g.darts[x].edge not in removed_edges), None)
-        if survivor is not None:
-            face_map[old_fid] = gn.face_of_dart(survivor)
+    # at the corners the square's darts give way to the new pendants and
+    # the pendant darts to the pairs of new diagonals
+    swap = {d1: [pB3 + "-"], g.twin(d0): [], d3: [pA1 + "-"], g.twin(d2): [],
+            g.twin(p1): [eB2 + "-", eA2 + "-"], g.twin(p2): [eA4 + "-", eB4 + "-"]}
+    rotations = {nb1: [pA1 + "+", eA2 + "+", eA4 + "+"],
+                 nb2: [pB3 + "+", eB4 + "+", eB2 + "+"]}
+    for v in (m1, m2, m3, m4):
+        rotations[v] = [x for d in g.rotation[v] for x in swap.get(d, (d,))]
+    gn = g.edit(drop_vertices=(B1, B2), drop_edges=sorted(removed_edges),
+                vertices=[(nb1, "b", g.positions.get(B1)), (nb2, "b", g.positions.get(B2))],
+                edges=edges, rotations=rotations)
+    face_map = _match_faces(g, gn)
     face_map[fid] = gn.face_of_dart(eA2 + "+")
 
     # transit table: old corner->black->corner hops mapped to new dart paths.
@@ -388,6 +346,9 @@ def square_move(g, wt, fid):
 
 def contraction_move(g, wt, v):
     """Contract a degree-2 vertex into a single vertex of its neighbors' color."""
+    g.ensure_valid()
+    if v not in g.colors:
+        raise MoveError(f"unknown vertex {v}")
     if g.degree(v) != 2:
         raise MoveError(f"vertex {v} has degree {g.degree(v)}, need 2")
     dA, dB = g.rotation[v]
@@ -409,39 +370,25 @@ def contraction_move(g, wt, v):
     # with nB now reached by the path nA -> v -> nB, displacement
     # -disp(dA) + disp(dB)
     off = (-g.disp(dA)[0] + g.disp(dB)[0], -g.disp(dA)[1] + g.disp(dB)[1])
-    gn = TorusGraph()
-    for u in g.vertex_ids():
-        if u not in (v, nB):
-            gn.add_vertex(u, g.colors[u], g.positions.get(u))
-    if nA not in gn.colors:
-        raise MoveError("unexpected vertex bookkeeping")
-    new_wt = {}
-    for e in g.edges():
-        if e in (eA, eB):
-            continue
+    moved = {}
+    for d in g.rotation[nB]:
+        e = g.darts[d].edge
         v1, v2, dx, dy = g.edge_ends[e]
         if v1 == nB:
             v1, dx, dy = nA, dx + off[0], dy + off[1]
         if v2 == nB:
             # dart e- is based at nB and gains off; the stored dart loses it
             v2, dx, dy = nA, dx - off[0], dy - off[1]
-        gn.add_edge(e, v1, v2, dx, dy)
-        new_wt[e] = wt[e]
-    rotA = list(g.rotation[nA])
-    rotB = list(g.rotation[nB])
+        moved[e] = (e, v1, v2, dx, dy)
+    del moved[eB]
+    rotA = g.rotation[nA]
+    rotB = g.rotation[nB]
     ia = rotA.index(g.twin(dA))
     ib = rotB.index(g.twin(dB))
-    spliced = rotA[:ia] + rotB[ib + 1:] + rotB[:ib] + rotA[ia + 1:]
-    gn_rot = []
-    for d in spliced:
-        gn_rot.append(d)
-    for u in g.vertex_ids():
-        if u in (v, nA, nB):
-            continue
-        gn.set_rotation(u, list(g.rotation[u]))
-    gn.set_rotation(nA, gn_rot)
-    gn.freeze()
-    gn.validate()
+    gn = g.edit(drop_vertices=(v, nB), drop_edges=[eA, eB, *moved],
+                edges=moved.values(),
+                rotations={nA: rotA[:ia] + rotB[ib + 1:] + rotB[:ib] + rotA[ia + 1:]})
+    new_wt = {e: x for e, x in wt.items() if e not in (eA, eB)}
 
     def reroute(cycle):
         out = []
@@ -454,16 +401,18 @@ def contraction_move(g, wt, v):
 
     record = MoveRecord("contract", {
         "vertex": v, "merged": nA, "gone": nB,
-        "face_map": _match_faces(g, gn, {eA, eB}),
+        "face_map": _match_faces(g, gn),
         "reroute": reroute,
     })
     return gn, new_wt, record
 
 
-def _match_faces(g, gn, removed_edges):
+def _match_faces(g, gn):
+    """Old face id -> the new face through its first surviving dart, for
+    the faces that keep one (for a face the move left alone, its first)."""
     out = {}
     for fid, orbit in g.faces():
-        survivor = next((x for x in orbit if g.darts[x].edge not in removed_edges), None)
+        survivor = next((x for x in orbit if x in gn.darts), None)
         if survivor is not None:
             out[fid] = gn.face_of_dart(survivor)
     return out
@@ -473,7 +422,8 @@ def uncontraction_move(g, wt, v, arc_start, arc_len, tag="u"):
     """Split vertex v: darts arc_start..arc_start+arc_len-1 (ccw) stay on a
     new copy v1; the rest go to v2; a degree-2 vertex of the opposite color
     joins them with two weight-1 edges."""
-    rot = list(g.rotation[v])
+    g.ensure_valid()
+    rot = g.rotation[v]
     k = len(rot)
     if not (0 < arc_len < k):
         raise MoveError("arc must be a proper nonempty subset")
@@ -482,49 +432,26 @@ def uncontraction_move(g, wt, v, arc_start, arc_len, tag="u"):
     col = g.colors[v]
     mid_col = "w" if col == "b" else "b"
     v1, v2, mid = f"{v}_{tag}1", f"{v}_{tag}2", f"{v}_{tag}m"
-    gn = TorusGraph()
-    for u in g.vertex_ids():
-        if u != v:
-            gn.add_vertex(u, g.colors[u], g.positions.get(u))
-    gn.add_vertex(v1, col, g.positions.get(v))
-    gn.add_vertex(v2, col)
-    gn.add_vertex(mid, mid_col)
-    new_wt = {}
-    where = {}
-    for d in arc:
-        where[d] = v1
-    for d in rest:
-        where[d] = v2
-    for e in g.edges():
+    where = {d: v1 for d in arc}
+    where.update((d, v2) for d in rest)
+    moved = {}
+    for d in rot:
+        e = g.darts[d].edge
         va, vb, dx, dy = g.edge_ends[e]
-        if va == v:
-            va = where[e + "+"]
-        if vb == v:
-            vb = where[e + "-"]
-        gn.add_edge(e, va, vb, dx, dy)
-        new_wt[e] = wt[e]
+        moved[e] = (e, where.get(e + "+", va), where.get(e + "-", vb), dx, dy)
     e1, e2 = f"{v}_{tag}e1", f"{v}_{tag}e2"
+    ends = [(v1, mid), (v2, mid)] if col == "b" else [(mid, v1), (mid, v2)]
+    plus, minus = ("+", "-") if col == "b" else ("-", "+")
+    gn = g.edit(drop_vertices=(v,), drop_edges=list(moved),
+                vertices=[(v1, col, g.positions.get(v)), (v2, col, None), (mid, mid_col, None)],
+                edges=[*moved.values(), (e1, *ends[0], 0, 0), (e2, *ends[1], 0, 0)],
+                rotations={v1: arc + [e1 + plus], v2: rest + [e2 + plus],
+                           mid: [e1 + minus, e2 + minus]})
     one = _one_like(wt)
-    if col == "b":
-        gn.add_edge(e1, v1, mid, 0, 0)
-        gn.add_edge(e2, v2, mid, 0, 0)
-    else:
-        gn.add_edge(e1, mid, v1, 0, 0)
-        gn.add_edge(e2, mid, v2, 0, 0)
-    new_wt[e1] = one
-    new_wt[e2] = one
-    gn.set_rotation(v1, arc + [e1 + "+" if col == "b" else e1 + "-"])
-    gn.set_rotation(v2, rest + [e2 + "+" if col == "b" else e2 + "-"])
-    gn.set_rotation(mid, [e1 + "-" if col == "b" else e1 + "+",
-                          e2 + "-" if col == "b" else e2 + "+"])
-    for u in g.vertex_ids():
-        if u != v:
-            gn.set_rotation(u, list(g.rotation[u]))
-    gn.freeze()
-    gn.validate()
+    new_wt = {**wt, e1: one, e2: one}
     record = MoveRecord("uncontract", {
         "vertex": v, "parts": (v1, v2, mid),
-        "face_map": _match_faces(g, gn, set()),
+        "face_map": _match_faces(g, gn),
         "reroute": lambda cycle: list(cycle),
     })
     return gn, new_wt, record
@@ -532,10 +459,7 @@ def uncontraction_move(g, wt, v, arc_start, arc_len, tag="u"):
 
 def color_change(g, wt):
     """Flip every vertex color, keeping edges, rotations and weights."""
-    gn = g.copy()
-    gn.colors = {v: ("w" if c == "b" else "b" if c == "w" else "n")
-                 for v, c in g.colors.items()}
-    return gn, dict(wt)
+    return g.color_swapped(), dict(wt)
 
 
 # -- the Ising locus ------------------------------------------------------------

@@ -75,21 +75,16 @@ class LaurentPoly2:
 
     def __init__(self, terms=None):
         clean = {}
-        exact = True
         for ij, c in (terms or {}).items():
             c = as_coeff(c)
-            if not is_exact_scalar(c):
-                exact = False
-            if coeff_is_zero(c, 0.0 if is_exact_scalar(c) else 0.0):
-                continue
             if c != 0:
                 clean[(int(ij[0]), int(ij[1]))] = c
-        if not all(is_exact_scalar(c) for c in clean.values()):
-            if any(is_exact_scalar(c) for c in clean.values()):
-                clean = {ij: complex(c) if is_exact_scalar(c) else c for ij, c in clean.items()}
-            exact = False
+        # the mode follows the coefficients that are kept
+        exact = all(is_exact_scalar(c) for c in clean.values())
+        if not exact:
+            clean = {ij: complex(c) if is_exact_scalar(c) else c for ij, c in clean.items()}
         self.terms = clean
-        self.exact = exact if clean else True
+        self.exact = exact
 
     # -- constructors ------------------------------------------------------
 

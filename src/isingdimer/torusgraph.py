@@ -67,12 +67,18 @@ class TorusGraph:
         self.rotation = {}            # vertex -> list of dart ids, ccw
         self._next = {}
         self._prev = {}
+        self._clear_caches()
+
+    def _clear_caches(self):
+        self._orbit = None            # smallest dart of a face -> its orbit from there
+        self._root = None             # dart -> smallest dart of its face
         self._faces = None
-        self._face_of = None
         self._face_orbit = None
+        self._face_id = None          # smallest dart of a face -> face id
         self._zigzags = None
         self._cycle_a = None
         self._cycle_b = None
+        self._valid = False           # a validate() or a checked edit passed
 
     # -- construction -------------------------------------------------------
 
@@ -103,39 +109,52 @@ class TorusGraph:
     def freeze(self):
         """Resolve rotations into successor maps; clears caches."""
         self._next, self._prev = {}, {}
-        for v, ds in self.rotation.items():
-            for d in ds:
-                if d not in self.darts:
-                    raise GraphError(f"rotation at {v} names unknown dart {d}")
-                if self.darts[d].vertex != v:
-                    raise GraphError(f"dart {d} is not based at {v}")
-            for i, d in enumerate(ds):
-                nxt = ds[(i + 1) % len(ds)]
-                self._next[d] = nxt
-                self._prev[nxt] = d
-        self._faces = None
-        self._face_of = None
-        self._face_orbit = None
-        self._zigzags = None
-        self._cycle_a = None
-        self._cycle_b = None
+        for v in self.rotation:
+            self._link(v)
+        self._clear_caches()
         return self
 
-    def copy(self):
+    def _link(self, v):
+        """Successor maps around v from its rotation."""
+        ds = self.rotation[v]
+        for d in ds:
+            if d not in self.darts:
+                raise GraphError(f"rotation at {v} names unknown dart {d}")
+            if self.darts[d].vertex != v:
+                raise GraphError(f"dart {d} is not based at {v}")
+        for d, nxt in zip(ds, ds[1:] + ds[:1]):
+            self._next[d] = nxt
+            self._prev[nxt] = d
+
+    def _shared(self):
+        """A graph with dicts of its own that shares the Dart objects and
+        rotation lists of self, and none of its caches."""
         g = TorusGraph()
-        g.colors = dict(self.colors)
-        g.positions = dict(self.positions)
-        for e, (v1, v2, dx, dy) in self.edge_ends.items():
-            g.edge_ends[e] = (v1, v2, dx, dy)
-            g.darts[e + "+"] = Dart(e + "+", e, v1, v2, (dx, dy))
-            g.darts[e + "-"] = Dart(e + "-", e, v2, v1, (-dx, -dy))
+        g.colors, g.positions = dict(self.colors), dict(self.positions)
+        g.darts, g.edge_ends = dict(self.darts), dict(self.edge_ends)
+        g.rotation, g._next, g._prev = dict(self.rotation), dict(self._next), dict(self._prev)
+        return g
+
+    def copy(self):
+        g = self._shared()
         g.rotation = {v: list(ds) for v, ds in self.rotation.items()}
         return g.freeze()
+
+    def color_swapped(self):
+        """The graph with black and white exchanged. Faces, homology cycles
+        and the validity verdict do not depend on color and are kept; the
+        zig-zag paths are not."""
+        g = self._shared()
+        g.colors = {v: {"b": "w", "w": "b"}.get(c, c) for v, c in self.colors.items()}
+        g._orbit, g._root, g._faces = self._orbit, self._root, self._faces
+        g._face_orbit, g._face_id = self._face_orbit, self._face_id
+        g._cycle_a, g._cycle_b, g._valid = self._cycle_a, self._cycle_b, self._valid
+        return g
 
     # -- elementary queries --------------------------------------------------
 
     def twin(self, d):
-        return d[:-1] + ("-" if d.endswith("+") else "+")
+        return d[:-1] + ("-" if d[-1] == "+" else "+")
 
     def next_ccw(self, d):
         return self._next[d]
@@ -179,35 +198,42 @@ class TorusGraph:
         return self.prev_ccw(self.twin(d))
 
     def faces(self):
-        """List of faces; each is a list of dart ids in ccw boundary order.
+        """List of faces (id, darts in ccw boundary order).
 
-        Deterministic: faces discovered scanning darts in sorted id order.
+        Face k is named f{k} in the order of the faces' smallest dart ids,
+        and each orbit starts at its smallest dart, as a scan of the darts
+        in sorted id order finds them.
         """
         if self._faces is None:
-            seen = set()
-            out = []
-            face_of = {}
-            for d0 in sorted(self.darts):
-                if d0 in seen:
-                    continue
-                orbit = []
-                d = d0
-                while True:
-                    orbit.append(d)
-                    seen.add(d)
-                    d = self.face_next(d)
-                    if d == d0:
-                        break
-                    if len(orbit) > 2 * len(self.darts):
-                        raise GraphError(f"face trace from {d0} does not close")
-                fid = f"f{len(out)}"
-                for d in orbit:
-                    face_of[d] = fid
-                out.append((fid, orbit))
-            self._faces = out
-            self._face_of = face_of
-            self._face_orbit = dict(out)
+            if self._orbit is None:
+                self._orbit, self._root = {}, {}
+                self._trace(sorted(self.darts))
+            self._faces = [(f"f{k}", self._orbit[r]) for k, r in enumerate(sorted(self._orbit))]
+            self._face_orbit = dict(self._faces)
+            self._face_id = {orbit[0]: fid for fid, orbit in self._faces}
         return self._faces
+
+    def _trace(self, starts):
+        """Trace the face orbit of every dart of `starts` that has none yet;
+        returns the smallest darts of the new orbits."""
+        roots, face_next, limit = [], self.face_next, 2 * len(self.darts)
+        for d0 in starts:
+            if d0 in self._root:
+                continue
+            orbit = [d0]
+            d = face_next(d0)
+            while d != d0:
+                orbit.append(d)
+                if len(orbit) > limit:
+                    raise GraphError(f"face trace from {d0} does not close")
+                d = face_next(d)
+            k = orbit.index(min(orbit))
+            orbit = orbit[k:] + orbit[:k]
+            for d in orbit:
+                self._root[d] = orbit[0]
+            self._orbit[orbit[0]] = orbit
+            roots.append(orbit[0])
+        return roots
 
     def face_ids(self):
         return [fid for fid, _ in self.faces()]
@@ -220,56 +246,146 @@ class TorusGraph:
 
     def face_of_dart(self, d):
         self.faces()
-        return self._face_of[d]
+        return self._face_id[self._root[d]]
 
     # -- validation ----------------------------------------------------------
 
+    def _twin_problems(self, d):
+        dart, tw = self.darts[d], self.darts.get(self.twin(d))
+        if tw is None:
+            return [f"dart {d} has no twin"]
+        out = []
+        if tw.vertex != dart.head or tw.head != dart.vertex:
+            out.append(f"twin of {d} has inconsistent endpoints")
+        if tw.disp != (-dart.disp[0], -dart.disp[1]):
+            out.append(f"twin of {d} has inconsistent displacement")
+        return out
+
+    def _check_faces(self, fids, edges):
+        """Raise GraphError for the first face of `fids` with nonzero total
+        displacement, for a nonzero Euler characteristic, and on a colored
+        graph for the first edge of `edges` that joins two same-colored
+        vertices."""
+        for fid in fids:
+            dx, dy = self.walk_displacement(self._face_orbit[fid])
+            if (dx, dy) != (0, 0):
+                raise GraphError(f"face {fid} has nonzero total displacement ({dx},{dy})")
+        V, E, F = len(self.colors), len(self.edge_ends), len(self._orbit)
+        if V - E + F != 0:
+            raise GraphError(f"Euler characteristic {V - E + F} != 0 (V={V} E={E} F={F})")
+        if "n" not in self.colors.values():
+            for e in edges:
+                v1, v2, _, _ = self.edge_ends[e]
+                if self.colors[v1] == self.colors[v2]:
+                    raise GraphError(f"edge {e} joins two {self.colors[v1]}-vertices")
+
     def validate(self):
         """Check all invariants; returns a report dict, raises GraphError on failure."""
-        problems = []
+        problems = [p for d in self.darts for p in self._twin_problems(d)]
+        at = {}
         for d, dart in self.darts.items():
-            t = self.twin(d)
-            if t not in self.darts:
-                problems.append(f"dart {d} has no twin")
-                continue
-            tw = self.darts[t]
-            if tw.vertex != dart.head or tw.head != dart.vertex:
-                problems.append(f"twin of {d} has inconsistent endpoints")
-            if tw.disp != (-dart.disp[0], -dart.disp[1]):
-                problems.append(f"twin of {d} has inconsistent displacement")
+            at.setdefault(dart.vertex, []).append(d)
         for v in self.colors:
             ds = self.rotation.get(v)
             if not ds:
                 problems.append(f"vertex {v} has no rotation")
-                continue
-            at_v = sorted(d for d, dart in self.darts.items() if dart.vertex == v)
-            if sorted(ds) != at_v:
+            elif sorted(ds) != sorted(at.get(v, ())):
                 problems.append(f"rotation at {v} does not list exactly its darts")
         if problems:
             raise GraphError("; ".join(problems))
 
         faces = self.faces()
-        for fid, orbit in faces:
-            dx = sum(self.disp(d)[0] for d in orbit)
-            dy = sum(self.disp(d)[1] for d in orbit)
-            if (dx, dy) != (0, 0):
-                raise GraphError(f"face {fid} has nonzero total displacement ({dx},{dy})")
-        V = len(self.colors)
-        E = len(self.edge_ends)
-        F = len(faces)
-        euler = V - E + F
-        if euler != 0:
-            raise GraphError(f"Euler characteristic {euler} != 0 (V={V} E={E} F={F})")
-        colored = all(c in "bw" for c in self.colors.values())
-        if colored:
-            for e, (v1, v2, _, _) in self.edge_ends.items():
-                if self.colors[v1] == self.colors[v2]:
-                    raise GraphError(f"edge {e} joins two {self.colors[v1]}-vertices")
+        self._check_faces(self._face_orbit, self.edge_ends)
+        self._valid = True
+        V, E, F = len(self.colors), len(self.edge_ends), len(faces)
         return {
-            "V": V, "E": E, "F": F, "euler": euler,
+            "V": V, "E": E, "F": F, "euler": V - E + F,
             "faces": {fid: len(orbit) for fid, orbit in faces},
-            "bipartite": colored,
+            "bipartite": "n" not in self.colors.values(),
         }
+
+    def ensure_valid(self):
+        """Run validate() unless a validate() or a checked edit passed
+        since the last freeze()."""
+        if not self._valid:
+            self.validate()
+
+    # -- local edits -----------------------------------------------------------
+
+    def edit(self, drop_vertices=(), drop_edges=(), vertices=(), edges=(), rotations=None):
+        """A new graph: self without `drop_vertices` and `drop_edges`, plus
+        `vertices` (id, color, pos) and `edges` (id, v1, v2, dx, dy), with
+        `rotations` (vertex -> ccw dart ids) at the touched vertices. An
+        edge may be dropped and added again under its id with new ends.
+
+        self is not changed; the new graph shares its other Dart objects and
+        rotation lists. Successor maps are patched at the touched vertices,
+        and only the faces through darts whose face successor changed are
+        traced again; face ids follow the rule of `faces()`. The invariants
+        of `validate()` are checked on what changed, and the rest inherits
+        them from self, which is validated first unless it already was.
+        Raises GraphError.
+        """
+        self.ensure_valid()
+        edges, rotations = list(edges), rotations or {}
+        g = self._shared()
+        g._orbit, g._root = dict(self._orbit), dict(self._root)
+        gone = [d for e in drop_edges for d in (e + "+", e + "-")]
+        for e in drop_edges:
+            del g.edge_ends[e]
+        for d in gone:
+            del g.darts[d]
+        for v in drop_vertices:
+            del g.colors[v], g.rotation[v]
+            g.positions.pop(v, None)
+        for v, color, pos in vertices:
+            g.add_vertex(v, color, pos)
+        for e, v1, v2, dx, dy in edges:
+            g.add_edge(e, v1, v2, dx, dy)
+        new = [d for e, *_ in edges for d in (e + "+", e + "-")]
+        for d in gone:
+            if d not in g.darts:
+                del g._next[d], g._prev[d]
+        for v, ds in rotations.items():
+            g.set_rotation(v, ds)
+            g._link(v)
+
+        # the darts at a vertex change only at touched vertices
+        touched = set(rotations) | set(drop_vertices) | {v for v, _, _ in vertices}
+        problems = [p for d in new for p in g._twin_problems(d)]
+        was = {d: self.darts[d].vertex for d in gone}
+        now = {d: g.darts[d].vertex for d in new}
+        moved = {t for d, t in was.items() if now.get(d) != t}
+        moved.update(t for d, t in now.items() if was.get(d) != t)
+        problems += [f"rotation at {v} does not list exactly its darts"
+                     for v in sorted(moved - touched)]
+        for v in sorted(touched):
+            at_v = {d for d in self.rotation.get(v, ()) if d not in was}
+            at_v.update(d for d, t in now.items() if t == v)
+            ds = g.rotation.get(v, [])
+            if v in g.colors and not ds:
+                problems.append(f"vertex {v} has no rotation")
+            elif sorted(ds) != sorted(at_v):
+                problems.append(f"rotation at {v} does not list exactly its darts")
+        if problems:
+            raise GraphError("; ".join(problems))
+
+        # re-trace the faces through darts whose face successor changed:
+        # the new darts and the twins of darts with a new predecessor
+        changed = set(new)
+        for v in rotations:
+            changed.update(g.twin(d) for d in g.rotation[v] if g._prev[d] != self._prev.get(d))
+        for root in {self._root[d] for d in changed.union(gone) if d in self._root}:
+            for d in g._orbit.pop(root):
+                del g._root[d]
+        roots = g._trace(sorted(changed))
+        g.faces()
+        # old edges were checked for color only if self was colored
+        uncolored = any(self.colors[v] == "n" for v in drop_vertices)
+        g._check_faces([g._face_id[r] for r in roots],
+                       g.edge_ends if uncolored else [e for e, *_ in edges])
+        g._valid = True
+        return g
 
     # -- homology -------------------------------------------------------------
 
@@ -293,8 +409,10 @@ class TorusGraph:
         return (total[0], total[1])
 
     def walk_displacement(self, dart_seq):
-        dx = sum(self.disp(d)[0] for d in dart_seq)
-        dy = sum(self.disp(d)[1] for d in dart_seq)
+        dx = dy = 0
+        for d in dart_seq:
+            x, y = self.darts[d].disp
+            dx, dy = dx + x, dy + y
         return (dx, dy)
 
     def spanning_tree(self):

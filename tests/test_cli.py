@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 
 from fractions import Fraction
 
+import isingdimer
 from isingdimer.cli import main
 from isingdimer.ising import IsingModel, make_coupling, y_delta
 from isingdimer.torusgraph import serialize_torus_graph
@@ -101,6 +103,17 @@ class TestExitCodes:
         script.write_text(line + "\n")
         assert main(["move", gp, "--script", str(script)]) == 2
         assert capsys.readouterr().err == f"error: script line 1: {message}\n"
+
+    @pytest.mark.parametrize("script,message", [
+        ("move color\nmove contract v=nope\n", "script line 2: unknown vertex nope"),
+        ("move square f=f2 f=f3\n", "script line 1: repeated key 'f'"),
+    ], ids=["unknown vertex", "repeated key"])
+    def test_bad_move_script_exits_2(self, files, tmp_path, capsys, script, message):
+        _, gp, _, _ = files
+        path = tmp_path / "bad.txt"
+        path.write_text(script)
+        assert main(["move", gp, "--script", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("verb", [["todimer"], ["dual"], ["ydelta", "--site", "n"]],
                              ids=["todimer", "dual", "ydelta"])
@@ -327,8 +340,11 @@ class TestPipelines:
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self, files):
+        # the child process imports the package from where this one found it
         _, gp, _, _ = files
+        src = os.path.dirname(os.path.dirname(isingdimer.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         r = subprocess.run([sys.executable, "-m", "isingdimer.cli", "inspect", gp],
-                           capture_output=True, text=True)
+                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert r.returncode == 0
         assert "vertices 8" in r.stdout

@@ -20,7 +20,7 @@ from isingdimer.dimer import (
     x_of_cycle,
 )
 from isingdimer.ising import GadgetMap, IsingModel, couplings_from_file_data, make_coupling, to_dimer
-from isingdimer.torusgraph import TorusGraph, parse_torus_graph
+from isingdimer.torusgraph import GraphError, TorusGraph, parse_torus_graph
 
 from conftest import (
     DIMER_FIXTURE,
@@ -29,7 +29,7 @@ from conftest import (
     ISING_FIXTURE,
     S1, C1, S2, C2,
 )
-from test_torusgraph import reference_canonical_form
+from test_torusgraph import assert_same_faces, honeycomb, reference_canonical_form, retraced
 
 
 def fixture_gm():
@@ -303,6 +303,85 @@ class TestContraction:
         g, wt = fixture
         with pytest.raises(MoveError):
             contraction_move(g, wt, "b1")
+
+
+def assert_local_move(g, gn, rec):
+    """gn, made from g by a local move, passes a full validate() and equals
+    its copy re-traced from scratch in faces, face ids, serialization and
+    the face map of the move record."""
+    gn.validate()
+    h = retraced(gn)
+    assert_same_faces(gn, h)
+    expect = {}
+    for fid, orbit in retraced(g).faces():
+        survivor = next((d for d in orbit if d in h.darts), None)
+        if survivor is not None:
+            expect[fid] = h.face_of_dart(survivor)
+    if rec.kind == "square":
+        new = rec.data["new_face"]
+        assert {h.tail(d) for d in h.face_darts(new)} >= set(rec.data["new_blacks"])
+        expect[rec.data["face"]] = new
+    assert rec.data["face_map"] == expect
+
+
+def honeycomb22_dimer():
+    g = honeycomb(2, 2)
+    return to_dimer(IsingModel(g, {e: make_coupling(sc=(Fraction(4, 5), Fraction(3, 5)))
+                                   for e in g.edges()}))
+
+
+class TestLocalMoves:
+    @pytest.mark.parametrize("make,seed", [(lambda: square22_dimer(3), 11),
+                                           (lambda: square22_dimer(5), 12),
+                                           (honeycomb22_dimer, 13)],
+                             ids=["square 2x2 a", "square 2x2 b", "honeycomb 2x2"])
+    def test_move_scripts_match_retrace(self, make, seed):
+        g, wt, _ = make()
+        rng = random.Random(seed)
+        squares = 0
+        for _ in range(30):
+            if rng.random() < 0.2:
+                gn, wt = color_change(g, wt)
+                assert_same_faces(gn, retraced(gn))
+                g = gn
+                continue
+            quads = [f for f, orbit in g.faces() if len(orbit) == 4]
+            rng.shuffle(quads)
+            for f in quads:
+                try:
+                    gn, wtn, rec = square_move(g, wt, f)
+                except MoveError:
+                    continue
+                assert_local_move(g, gn, rec)
+                g, wt = gn, wtn
+                squares += 1
+                break
+        assert squares > 15
+
+    @pytest.mark.parametrize("v,start,length", [("b1", 0, 2), ("b1", 1, 1), ("w2", 2, 2)])
+    def test_contraction_after_uncontraction_matches_retrace(self, fixture, v, start, length):
+        g, wt = fixture
+        g1, wt1, rec1 = uncontraction_move(g, wt, v, start, length)
+        assert_local_move(g, g1, rec1)
+        for u in rec1.data["parts"]:
+            if g1.degree(u) == 2:
+                g2, _, rec2 = contraction_move(g1, wt1, u)
+                assert_local_move(g1, g2, rec2)
+
+    def test_broken_unvalidated_input_raises(self, fixture):
+        g, wt = fixture
+        h = g.copy()
+        h.rotation["b1"] = h.rotation["b1"][:-1]
+        h.freeze()
+        with pytest.raises(GraphError, match="rotation at b1"):
+            square_move(h, wt, "f2")
+        with pytest.raises(GraphError, match="rotation at b1"):
+            contraction_move(h, wt, "w1")
+
+    def test_unknown_vertex_rejected(self, fixture):
+        g, wt = fixture
+        with pytest.raises(MoveError, match="unknown vertex nope"):
+            contraction_move(g, wt, "nope")
 
 
 class TestColorChange:

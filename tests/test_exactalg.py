@@ -64,6 +64,15 @@ class TestMul:
         with pytest.raises(ModeError):
             fixture_P() * LaurentPoly2.const(0.5)
 
+    def test_dropped_float_zero_leaves_exact(self):
+        # the mode follows the kept coefficients: a float zero is dropped
+        p = LaurentPoly2({(0, 0): 0.0, (1, 0): Fraction(1, 3)})
+        assert p.terms == {(1, 0): Fraction(1, 3)} and p.exact
+        m = LaurentMatrix("rs", "cd", {("r", "c"): p, ("r", "d"): ONE,
+                                       ("s", "c"): ONE, ("s", "d"): ONE})
+        assert lm_determinant(m) == Z * Fraction(1, 3) - ONE
+        assert all(isinstance(c, Fraction) for c in lm_determinant(m).terms.values())
+
 
 class TestSigma:
     def test_monomial(self):

@@ -6,6 +6,7 @@ import pytest
 from isingdimer.dimer import color_change, square_move
 from isingdimer.ising import IsingModel, couplings_from_file_data, make_coupling, to_dimer
 from isingdimer.torusgraph import (
+    Dart,
     GraphError,
     ParseError,
     TorusGraph,
@@ -268,6 +269,133 @@ class TestValidate:
         g.freeze()
         with pytest.raises(GraphError, match="joins two"):
             g.validate()
+
+
+def retraced(g):
+    """g's copy with faces traced from scratch, after a full validate()."""
+    h = g.copy()
+    h.validate()
+    return h
+
+
+def assert_same_faces(g, h):
+    assert g.faces() == h.faces()
+    assert all(g.face_of_dart(d) == h.face_of_dart(d) for d in h.darts)
+    assert serialize_torus_graph(g) == serialize_torus_graph(h)
+
+
+def fixture_graph():
+    g, _, _ = parse_torus_graph(DIMER_FIXTURE)
+    return g
+
+
+class TestEdit:
+    """TorusGraph.edit on the dimer fixture: b1 has darts e9+ e8+ e7+ (to w2,
+    w4, w3, displacement 0); w2 has e1- e9- e12-."""
+
+    def subdivided(self, c1="w", c2="b"):
+        # e9 replaced by the path b1 - m1 - m2 - w2
+        return dict(drop_edges=["e9"], vertices=[("m1", c1, None), ("m2", c2, None)],
+                    edges=[("y1", "b1", "m1", 0, 0), ("y2", "m1", "m2", 0, 0),
+                           ("y3", "m2", "w2", 0, 0)],
+                    rotations={"b1": ["y1+", "e8+", "e7+"], "m1": ["y1-", "y2+"],
+                               "m2": ["y2-", "y3+"], "w2": ["e1-", "y3-", "e12-"]})
+
+    @pytest.mark.parametrize("rb,rw", [(["e9+", "x+", "e8+", "e7+"], ["e1-", "x-", "e9-", "e12-"]),
+                                       (["x+", "e9+", "e8+", "e7+"], ["e1-", "e9-", "x-", "e12-"])],
+                             ids=["after", "before"])
+    def test_digon_matches_retrace(self, rb, rw):
+        g = fixture_graph()
+        before = serialize_torus_graph(g)
+        h = g.edit(edges=[("x", "b1", "w2", 0, 0)], rotations={"b1": rb, "w2": rw})
+        assert len(h.faces()) == 5
+        assert_same_faces(h, retraced(h))
+        assert serialize_torus_graph(g) == before     # the input is left as it was
+        assert_same_faces(g, retraced(g))
+
+    def test_subdivision_matches_retrace(self):
+        g = fixture_graph()
+        h = g.edit(**self.subdivided())
+        assert_same_faces(h, retraced(h))
+        k = h.edit(drop_vertices=["m1", "m2"], drop_edges=["y1", "y2", "y3"],
+                   edges=[("e9", "b1", "w2", 0, 0)],
+                   rotations={"b1": ["e9+", "e8+", "e7+"], "w2": ["e1-", "e9-", "e12-"]})
+        assert_same_faces(k, retraced(g))
+
+    def test_new_edge_joining_two_blacks(self):
+        with pytest.raises(GraphError, match="edge y1 joins two b-vertices"):
+            fixture_graph().edit(**self.subdivided("b", "w"))
+
+    def test_old_edges_checked_when_the_last_uncolored_vertex_goes(self):
+        # b1 uncolored and w1 black: valid as an uncolored graph; replacing b1
+        # by a black vertex colors it, and the old edge e3 joins two blacks
+        g = fixture_graph()
+        g.colors["b1"], g.colors["w1"] = "n", "b"
+        g.validate()
+        with pytest.raises(GraphError, match="joins two b-vertices"):
+            g.edit(drop_vertices=["b1"], drop_edges=["e7", "e8", "e9"], vertices=[("c", "b", None)],
+                   edges=[("x7", "c", "w3", 0, 0), ("x8", "c", "w4", 0, 0), ("x9", "c", "w2", 0, 0)],
+                   rotations={"c": ["x9+", "x8+", "x7+"], "w2": ["e1-", "x9-", "e12-"],
+                              "w3": ["e10-", "x7-", "e5-"], "w4": ["e6-", "e2-", "x8-"]})
+
+    def test_face_displacement(self):
+        with pytest.raises(GraphError, match="nonzero total displacement"):
+            fixture_graph().edit(drop_edges=["e9"], edges=[("e9", "b1", "w2", 1, 0)])
+
+    def test_euler_characteristic(self):
+        with pytest.raises(GraphError, match="Euler characteristic -2"):
+            fixture_graph().edit(edges=[("x", "b1", "w2", 0, 0)],
+                                 rotations={"b1": ["e9+", "x+", "e8+", "e7+"],
+                                            "w2": ["e1-", "e9-", "x-", "e12-"]})
+
+    @pytest.mark.parametrize("change,message", [
+        (dict(rotations={"b1": ["e9+", "e8+"]}), "rotation at b1 does not list exactly its darts"),
+        (dict(edges=[("x", "b1", "w2", 0, 0)], rotations={"b1": ["e9+", "x+", "e8+", "e7+"]}),
+         "rotation at w2 does not list exactly its darts"),
+        (dict(drop_edges=["e9"], rotations={"b1": ["e8+", "e7+"]}),
+         "rotation at w2 does not list exactly its darts"),
+        (dict(drop_vertices=["b1"]), "rotation at b1 does not list exactly its darts"),
+        (dict(vertices=[("m", "w", None)]), "vertex m has no rotation"),
+    ], ids=["touched", "gains", "loses", "dropped", "new"])
+    def test_rotation_lists_exactly_its_darts(self, change, message):
+        with pytest.raises(GraphError, match=message):
+            fixture_graph().edit(**change)
+
+    def test_new_dart_twins(self, monkeypatch):
+        add_edge = TorusGraph.add_edge
+
+        def skewed(self, e, v1, v2, dx=0, dy=0):
+            add_edge(self, e, v1, v2, dx, dy)
+            d = self.darts[e + "-"]
+            self.darts[d.id] = Dart(d.id, e, d.vertex, d.head, (d.disp[0] + 1, d.disp[1]))
+
+        g = fixture_graph()
+        g.validate()
+        monkeypatch.setattr(TorusGraph, "add_edge", skewed)
+        with pytest.raises(GraphError, match="twin of x[+-] has inconsistent displacement"):
+            g.edit(edges=[("x", "b1", "w2", 0, 0)],
+                   rotations={"b1": ["e9+", "x+", "e8+", "e7+"], "w2": ["e1-", "x-", "e9-", "e12-"]})
+
+    def test_verdict_is_kept_and_freeze_clears_it(self, monkeypatch):
+        calls = []
+        validate = TorusGraph.validate
+        monkeypatch.setattr(TorusGraph, "validate", lambda g: calls.append(g) or validate(g))
+        g = fixture_graph()
+        change = self.subdivided()
+        h = g.edit(**change)
+        assert calls == [g]
+        h.edit(drop_edges=["y1"], edges=[("y1", "b1", "m1", 0, 0)])
+        h.color_swapped().edit(drop_edges=["y1"], edges=[("y1", "b1", "m1", 0, 0)])
+        assert calls == [g]
+        g.freeze().edit(**change)
+        assert calls == [g, g]
+
+    def test_unvalidated_broken_input(self):
+        g = fixture_graph()
+        g.rotation["b1"] = ["e9+", "e8+"]
+        g.freeze()
+        with pytest.raises(GraphError, match="rotation at b1"):
+            g.edit(**self.subdivided())
 
 
 class TestZigzags:
