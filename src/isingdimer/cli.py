@@ -18,9 +18,10 @@ from .ising import (IsingModel, CouplingError, couplings_from_file_data, dual_is
 from .dimer import (basis_x_values, square_move, contraction_move, color_change,
                     ising_locus_check, MoveError)
 from .spectral import (SpectralError, solve_kasteleyn_signs, kappa_gauge_equivalent,
-                       characteristic_polynomial, divisor_of_vertex, discrete_abel,
+                       characteristic_polynomial, divisor_of_vertex,
                        verify_ising_spectral, spectral_report, amoeba_sample,
                        amoeba_csv, amoeba_svg, kasteleyn_matrix)
+from .abel import discrete_abel
 from .exactalg import lm_determinant, format_coeff
 
 
@@ -283,10 +284,14 @@ def cmd_verify_ising(args):
 
 
 def cmd_abel(args):
+    if args.window < 0:
+        raise CliError(f"--window must be at least 0, got {args.window}", 2)
     g, weights, _ = _load_validated(args.graph)
     try:
         labels = discrete_abel(g, window=args.window)
-    except (SpectralError, GraphError) as exc:
+    except GraphError as exc:
+        raise CliError(str(exc), 2)
+    except SpectralError as exc:
         raise CliError(str(exc), 1)
     lines = []
     for (v, t), lab in sorted(labels.items(), key=lambda kv: (kv[0][1], kv[0][0])):
@@ -297,6 +302,8 @@ def cmd_abel(args):
 
 
 def cmd_amoeba(args):
+    if args.grid < 1:
+        raise CliError(f"--grid must be at least 1, got {args.grid}", 2)
     g, weights, _ = _load_validated(args.graph)
     wt, mode = _need_weights(weights, g, args.mode)
     if args.vertex:

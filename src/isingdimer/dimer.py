@@ -16,8 +16,8 @@ class MoveError(ValueError):
     pass
 
 
-def _one_like(wt):
-    return Fraction(1) if all(isinstance(v, Fraction) for v in wt.values()) else 1.0
+def _one_like(weights):
+    return Fraction(1) if all(isinstance(v, Fraction) for v in weights) else 1.0
 
 
 def x_of_cycle(g, wt, cycle):
@@ -26,10 +26,11 @@ def x_of_cycle(g, wt, cycle):
     `cycle` is a dart-id walk (closed, alternating) or a list of
     (dart, multiplicity) pairs with zero boundary. Darts traversed
     black->white multiply the numerator, white->black the denominator.
+    The value is a Fraction when the cycle's own weights all are.
     """
     items = [(d, 1) if not isinstance(d, tuple) else d for d in cycle]
     g.cycle_displacement(items)  # raises unless it is a cycle
-    num = den = _one_like(wt)
+    num = den = _one_like(wt[g.darts[d].edge] for d, _ in items)
     for d, m in items:
         dart = g.darts[d]
         wv = wt[dart.edge]
@@ -62,7 +63,7 @@ def basis_x_values(g, wt, cycle_a=None, cycle_b=None, omit_face=None):
     out = {fid: x for fid, x in faces.items() if fid != omit_face}
     out["a"] = x_of_cycle(g, wt, cycle_a)
     out["b"] = x_of_cycle(g, wt, cycle_b)
-    prod = _one_like(wt)
+    prod = _one_like(wt.values())
     for x in faces.values():
         prod *= x
     return out, {"omitted_face": omit_face, "omitted_x": faces[omit_face],
@@ -73,7 +74,7 @@ def gauge_canonicalize(g, wt):
     """Gauge so that a deterministic spanning tree (lowest edge ids) has
     weight 1 everywhere. Two cochains are gauge equivalent iff their
     canonical forms are equal."""
-    pot = {g.vertex_ids()[0]: _one_like(wt)}
+    pot = {g.vertex_ids()[0]: _one_like(wt.values())}
     for v, e, u in g.spanning_tree():
         # want pot[b]^-1 * wt * pot[w] == 1
         pot[u] = pot[v] / wt[e] if g.colors[v] == "b" else pot[v] * wt[e]
@@ -447,7 +448,7 @@ def uncontraction_move(g, wt, v, arc_start, arc_len, tag="u"):
                 edges=[*moved.values(), (e1, *ends[0], 0, 0), (e2, *ends[1], 0, 0)],
                 rotations={v1: arc + [e1 + plus], v2: rest + [e2 + plus],
                            mid: [e1 + minus, e2 + minus]})
-    one = _one_like(wt)
+    one = _one_like(wt.values())
     new_wt = {**wt, e1: one, e2: one}
     record = MoveRecord("uncontract", {
         "vertex": v, "parts": (v1, v2, mid),

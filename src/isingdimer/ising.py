@@ -451,9 +451,9 @@ def to_dimer(model):
 
 
 def _abel_orientation_ok(g):
-    from .spectral import discrete_abel, SpectralError
+    from .abel import abel_tree, SpectralError
     try:
-        discrete_abel(g, window=1)
+        abel_tree(g)
         return True
     except SpectralError:
         return False

@@ -29,10 +29,10 @@ from isingdimer.ising import (
     y_delta,
     ydelta_weights,
 )
+from isingdimer.abel import AbelLabel, discrete_abel
 from isingdimer.spectral import (
     amoeba_sample,
     characteristic_polynomial,
-    discrete_abel,
     divisor_of_vertex,
     kappa_gauge_equivalent,
     kappa_is_valid,
@@ -264,7 +264,6 @@ def test_11_discrete_abel(fixture):
     g, _ = fixture
     labels = discrete_abel(g, window=1)   # 3x3 window; inconsistency raises
     zzc = {zz["id"]: zz["class"] for zz in g.zigzag_paths()}
-    from isingdimer.spectral import AbelLabel
     for t in ((1, 0), (0, 1), (-1, 1), (2, -1)):
         red = AbelLabel({}, t).reduced(zzc)
         assert red.degree() == 0

@@ -79,6 +79,37 @@ class TestExitCodes:
         assert main([verb, gp, "--vertex", "nope"] + extra) == 2
         assert capsys.readouterr().err == "error: unknown vertex nope\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["abel", "--window", "-1"], "--window must be at least 0, got -1"),
+        (["amoeba", "--grid", "0"], "--grid must be at least 1, got 0"),
+        (["amoeba", "--grid", "-3"], "--grid must be at least 1, got -3"),
+    ], ids=["window", "grid 0", "grid negative"])
+    def test_out_of_range_size_exits_2(self, files, argv, message, capsys):
+        _, gp, _, _ = files
+        assert main([argv[0], gp] + argv[1:]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+    def test_abel_of_uncolored_graph_exits_2(self, files, capsys):
+        _, _, ip, _ = files
+        assert main(["abel", ip]) == 2
+        assert capsys.readouterr().err == \
+            "error: the discrete Abel map needs a bipartite graph\n"
+
+    def test_abel_of_reflected_marking_exits_1(self, tmp_path, capsys):
+        # the swap of x and y reverses the orientation of the marking; the
+        # check sees it whatever the window
+        from isingdimer.ising import _apply_lattice_map
+        from isingdimer.torusgraph import parse_torus_graph
+        g, wt, _ = parse_torus_graph(DIMER_FIXTURE)
+        bad = tmp_path / "swapped.tg"
+        bad.write_text(serialize_torus_graph(_apply_lattice_map(g, ((0, 1), (1, 0))), wt))
+        for window in ("0", "2"):
+            assert main(["abel", str(bad), "--window", window]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: Abel labels inconsistent across edge e")
+            assert err.count("\n") == 1
+
     def test_vertex_without_partner_exits_2(self, files, capsys):
         _, gp, _, gm = files
         assert main(["verify-ising", gp, "--vertex", "b3", "--gadget-map", gm]) == 2
@@ -348,3 +379,25 @@ class TestConsoleEntryPoint:
                            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert r.returncode == 0
         assert "vertices 8" in r.stdout
+
+    def test_exact_todimer_and_move_leave_numpy_unloaded(self, files):
+        # the exact write side needs no numpy; importing it would raise
+        # the memory of every exact todimer and move run
+        d, _, ip, _ = files
+        dim, gm, script = d / "d.tg", d / "d.gm", d / "moves.txt"
+        child = f"""
+import sys
+from isingdimer.cli import main
+assert main(["todimer", {ip!r}, "--out", {str(dim)!r}, "--gadget-map", {str(gm)!r}]) == 0
+face = open({str(gm)!r}).read().split("square 1 ")[1].split()[0]
+open({str(script)!r}, "w").write(f"move square f={{face}}\\nmove color\\n")
+assert main(["move", {str(dim)!r}, "--script", {str(script)!r}, "--out", {str(d / "m.tg")!r}]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+        src = os.path.dirname(os.path.dirname(isingdimer.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        r = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": path})
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "[]\n"
+        assert "# move square" in (d / "m.tg").read_text()

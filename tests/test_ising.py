@@ -242,7 +242,7 @@ class TestToDimer:
         # the discrete Abel translation rule detects orientation-reversed
         # markings; to_dimer output must satisfy it (regression: the raw
         # gadget displacements identify H1 with the reversed orientation)
-        from isingdimer.spectral import discrete_abel
+        from isingdimer.abel import discrete_abel
         for model in (fixture_model(),
                       honeycomb_model([Fraction(1, 2)] * 3, 1, 1),
                       honeycomb_model([Fraction(1, 2)] * 12)):

@@ -9,12 +9,12 @@ from isingdimer.exactalg import LaurentPoly2, lm_determinant
 from isingdimer.dimer import color_change, gauge_transform, square_move, x_of_cycle
 from isingdimer.ising import (GadgetMap, IsingModel, couplings_from_file_data,
                               make_coupling, to_dimer)
+from isingdimer.abel import AbelLabel, discrete_abel
 from isingdimer.spectral import (
     SpectralError,
     amoeba_sample,
     canonical_sign,
     characteristic_polynomial,
-    discrete_abel,
     divisor_of_vertex,
     kappa_gauge_equivalent,
     kappa_is_valid,
@@ -176,15 +176,19 @@ class TestDivisors:
         from isingdimer.spectral import _vanishes
         p = LaurentPoly2({(0, 0): -1e6, (1, 0): 1.0})
         # an absolute 1e-5 miss is rounding at a point of size 1e6
-        assert _vanishes(p, 1e6 + 1e-5, 1.0, 1e-10)
-        assert not _vanishes(p, 1e6 + 1.0, 1.0, 1e-10)
+        assert _vanishes([p], 1e6 + 1e-5, 1.0, 1e-10)[0]
+        assert not _vanishes([p], 1e6 + 1.0, 1.0, 1e-10)[0]
         # below size 1 the test is absolute
-        assert not _vanishes(LaurentPoly2({(1, 0): 1.0}), 1e-9, 1.0, 1e-10)
+        assert not _vanishes([LaurentPoly2({(1, 0): 1.0})], 1e-9, 1.0, 1e-10)[0]
         # root w = 1e6 of -1e4 + 1e-8 w^2, with a 1e-14 * max|c| error in the
         # small coefficient: it dominates the residual there, not far off
         q = LaurentPoly2({(0, 0): -1e4, (0, 2): 1e-8 + 1e-10})
-        assert _vanishes(q, 1.0, 1e6, 1e-10)
-        assert not _vanishes(q, 1.0, 2e6, 1e-10)
+        assert _vanishes([q], 1.0, 1e6, 1e-10)[0]
+        assert not _vanishes([q], 1.0, 2e6, 1e-10)[0]
+        # one row per polynomial, each on its own scale (max|c| of p is 100
+        # times that of q, and would pass q at w = 2e6)
+        assert _vanishes([p, q], [1e6 + 1e-5, 1.0, 1.0], [1.0, 1e6, 2e6], 1e-10).tolist() == \
+            [[True, False, False], [False, True, False]]
 
     def test_polish_on_all_equations(self):
         from isingdimer.spectral import _polish
@@ -290,6 +294,99 @@ class TestRoots:
                                mode="numeric")
         assert De.exact and len(De) >= 1
         assert Dn.matches(De, tol=1e-8)
+
+
+def reference_terms(p, z, w):
+    """Reference for _terms: one numpy pass per term."""
+    import numpy as np
+    val, zdz, wdw = (np.zeros(np.shape(z), dtype=complex) for _ in range(3))
+    size, spread = np.zeros(np.shape(z)), np.zeros(np.shape(z))
+    for (i, j), c in p.terms.items():
+        m = (z ** i if i >= 0 else 1 / z ** -i) * (w ** j if j >= 0 else 1 / w ** -j)
+        t = complex(c) * m
+        val += t
+        zdz += i * t
+        wdw += j * t
+        size += abs(t)
+        spread += abs(m)
+    return val, zdz, wdw, size, spread
+
+
+def reference_vanishes(p, z, w, tol):
+    """Reference for _vanishes: one scalar point, one term at a time."""
+    from isingdimer.spectral import COEFF_EPS
+    az, aw = abs(z), abs(w)
+    size = spread = 0.0
+    for (i, j), c in p.terms.items():
+        m = az ** i * aw ** j
+        size += abs(c) * m
+        spread += m
+    cmax = max(abs(c) for c in p.terms.values())
+    return abs(p.eval(z, w)) <= tol * max(1.0, size) + COEFF_EPS * cmax * spread
+
+
+def ladder_dimer(lattice, seed):
+    """A gadget-ladder rung: the gadget graph of a lattice with seeded real
+    couplings, numeric weights, a sign class and its first white."""
+    from test_torusgraph import honeycomb, square
+    kind, size = lattice.split()
+    g = (square if kind == "square" else honeycomb)(*map(int, size.split("x")))
+    rng = random.Random(seed)
+    gd, wt, gm = to_dimer(IsingModel(g, {e: make_coupling(J=rng.uniform(0.2, 1.2))
+                                         for e in g.edges()}))
+    return gd, wt, gm, solve_kasteleyn_signs(gd)[0][1], gd.whites()[0]
+
+
+class TestTermKernel:
+    def test_matches_per_term_reference_at_24_whites(self):
+        # P and the adjugate column of the honeycomb 2x2 gadget graph have
+        # negative exponents in z and w; |z|, |w| run from e^-12 to e^12,
+        # over more points than one pass of the kernel takes
+        import numpy as np
+        from isingdimer.exactalg import lm_adjugate_column
+        from isingdimer.spectral import TERMS_BLOCK, _grid, _terms
+        g, wt, _, kappa, white = ladder_dimer("honeycomb 2x2", 5)
+        K = kasteleyn_matrix(g, wt, kappa)
+        assert len(K.rows) == 24
+        P = lm_determinant(K)
+        entries = [e for e in lm_adjugate_column(K, white).values() if not e.is_zero()]
+        assert len(entries) == 24 and P.degree_range("z")[0] < 0
+        n = 2 * TERMS_BLOCK + 100
+        rng = np.random.default_rng(5)
+        z, w = (np.exp(rng.uniform(-12, 12, n) + 1j * rng.uniform(0, 2 * np.pi, n))
+                for _ in range(2))
+        polys = [P] + entries
+        batch = _terms(_grid(polys), z, w)
+        for k, p in enumerate(polys):
+            want = reference_terms(p, z, w)
+            for got in ([a[k] for a in batch], [a[0] for a in _terms(_grid([p]), z, w)]):
+                for a, b in zip(got[:4], want[:4]):
+                    assert (abs(a - b) <= 1e-14 * want[3]).all()
+                assert (abs(got[4] - want[4]) <= 1e-14 * want[4]).all()
+        # one row per polynomial, then the shape of z
+        assert np.shape(_terms(_grid(polys), 1.5 + 0j, 0.5j)[0]) == (25,)
+
+    @pytest.mark.parametrize("lattice", ["honeycomb 1x1", "square 2x1", "honeycomb 2x1",
+                                         "square 2x2", "honeycomb 2x2"])
+    def test_batched_vanishes_matches_scalar_verdict(self, lattice, monkeypatch):
+        # every divisor candidate of both divisors of verify-ising
+        import numpy as np
+        from isingdimer import spectral
+        g, wt, gm, kappa, white = ladder_dimer(lattice, 11)
+        calls, batched = [], spectral._vanishes
+
+        def spy(polys, z, w, tol):
+            out = batched(polys, z, w, tol)
+            calls.append((polys, z.copy(), w.copy(), tol, out))
+            return out
+
+        monkeypatch.setattr(spectral, "_vanishes", spy)
+        ok, _ = verify_ising_spectral(g, wt, kappa, gm, white, mode="numeric")
+        assert ok and calls
+        for polys, z, w, tol, out in calls:
+            want = [[reference_vanishes(p, a, b, tol) for a, b in zip(z.tolist(), w.tolist())]
+                    for p in polys]
+            assert np.array_equal(out, want)
 
 
 class TestNuMap:
@@ -418,11 +515,132 @@ class TestDiscreteAbel:
     def test_monomial_divisor_degree_zero(self, dimer_fixture):
         g, _ = dimer_fixture
         zzc = {zz["id"]: zz["class"] for zz in g.zigzag_paths()}
-        from isingdimer.spectral import AbelLabel
         for t in ((1, 0), (0, 1), (1, 1)):
             red = AbelLabel({}, t).reduced(zzc)
             assert red.degree() == 0
             assert red.offset == (0, 0)
+
+
+def reference_discrete_abel(g, window=1):
+    """Reference for discrete_abel: labels by a walk over the lifted block,
+    with label arithmetic on every edge of every translate in it, then the
+    monomial rule at every translate of the base white. It sees only the
+    cycles that fit in the block."""
+    zz_of_dart = {d: zz["id"] for zz in g.zigzag_paths() for d in zz["darts"]}
+    zz_classes = {zz["id"]: zz["class"] for zz in g.zigzag_paths()}
+    base = g.whites()[0]
+    labels = {(base, (0, 0)): {}}
+    rng = range(-window, window + 1)
+    frontier = [(base, (0, 0))]
+    while frontier:
+        v, t = frontier.pop()
+        for d in g.rotation[v]:
+            dd = g.disp(d)
+            key = (g.head(d), (t[0] + dd[0], t[1] + dd[1]))
+            if not (key[1][0] in rng and key[1][1] in rng):
+                continue
+            lab = dict(labels[(v, t)])
+            for z in (zz_of_dart[d], zz_of_dart[g.twin(d)]):
+                lab[z] = lab.get(z, 0) + (1 if g.colors[v] == "w" else -1)
+            lab = {z: c for z, c in lab.items() if c}
+            if key not in labels:
+                labels[key] = lab
+                frontier.append(key)
+            elif labels[key] != lab:
+                raise SpectralError(f"Abel labels inconsistent across edge "
+                                    f"{g.darts[d].edge} at {key}")
+    for (v, t), lab in labels.items():
+        if v == base and lab != AbelLabel({}, t).reduced(zz_classes).counts:
+            raise SpectralError(f"translate {t} violates the monomial rule")
+    return {key: AbelLabel(lab) for key, lab in labels.items()}
+
+
+def gadget_markings(model, monkeypatch):
+    """The raw gadget marking that to_dimer starts from, and its output."""
+    from isingdimer import ising
+    raw, orient = [], ising._orient_marking
+    with monkeypatch.context() as mp:
+        mp.setattr(ising, "_orient_marking",
+                   lambda gn, minimal: raw.append(gn) or orient(gn, minimal))
+        final = to_dimer(model)[0]
+    return raw[0], final
+
+
+def unimodular_maps(rng, count, bound=2):
+    """`count` seeded integer 2x2 maps of determinant +-1, entries <= bound."""
+    out = []
+    while len(out) < count:
+        a, b, c, d = 1, 0, 0, 1
+        for _ in range(rng.randrange(1, 5)):
+            k = rng.randrange(4)
+            if k == 0:
+                a, b = a + rng.choice((-1, 1)) * c, b + rng.choice((-1, 1)) * d
+            elif k == 1:
+                c, d = c + rng.choice((-1, 1)) * a, d + rng.choice((-1, 1)) * b
+            elif k == 2:
+                a, b, c, d = c, d, a, b
+            else:
+                a, b = -a, -b
+        if max(abs(a), abs(b), abs(c), abs(d)) <= bound:
+            out.append(((a, b), (c, d)))
+    return out
+
+
+def _verdict(check, g):
+    try:
+        check(g)
+        return True
+    except SpectralError:
+        return False
+
+
+class TestAbelTree:
+    @pytest.mark.parametrize("lattice", ["square 1x1", "square 2x2", "square 3x3",
+                                         "honeycomb 1x1", "honeycomb 2x2"])
+    def test_verdict_matches_window_reference(self, lattice, monkeypatch):
+        from isingdimer.ising import _apply_lattice_map
+        from isingdimer.abel import abel_tree
+        from test_torusgraph import honeycomb, square
+        kind, size = lattice.split()
+        g = (square if kind == "square" else honeycomb)(*map(int, size.split("x")))
+        model = IsingModel(g, {e: make_coupling(x=Fraction(1, 3)) for e in g.edges()})
+        raw, final = gadget_markings(model, monkeypatch)
+        assert not _verdict(abel_tree, raw) and _verdict(abel_tree, final)
+        rng = random.Random(lattice)
+        seen = set()
+        for marking in (raw, final):
+            for S in unimodular_maps(rng, 40):
+                h = _apply_lattice_map(marking, S)
+                verdict = _verdict(abel_tree, h)
+                if verdict != _verdict(reference_discrete_abel, h):
+                    # the window sees only the cycles that fit in it; the
+                    # tree check sees all, and a larger window agrees
+                    assert not verdict, S
+                    assert not _verdict(lambda x: reference_discrete_abel(x, 2), h), S
+                seen.add(verdict)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("graph", ["fixture", "honeycomb 2x2"])
+    def test_labels_match_window_reference(self, graph, dimer_fixture):
+        from test_dimer import honeycomb22_dimer
+        g = dimer_fixture[0] if graph == "fixture" else honeycomb22_dimer()[0]
+        for window in (0, 1, 2):
+            got, want = discrete_abel(g, window), reference_discrete_abel(g, window)
+            assert list(got) == list(want)
+            assert all(got[k].counts == want[k].counts for k in want)
+
+    def test_inconsistent_marking_names_the_edge(self, monkeypatch):
+        from isingdimer.ising import _apply_lattice_map
+        from isingdimer.abel import abel_tree
+        from test_ising import fixture_model
+        raw, final = gadget_markings(fixture_model(), monkeypatch)
+        for g in (raw, _apply_lattice_map(final, ((0, 1), (1, 0)))):
+            with pytest.raises(SpectralError, match="inconsistent across edge") as exc:
+                abel_tree(g)
+            named = str(exc.value).split("edge ")[1].split()[0]
+            assert named in g.edges()
+            with pytest.raises(SpectralError):
+                discrete_abel(g, window=0)
 
 
 class TestAmoeba:
