@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from fractions import Fraction
 
@@ -304,6 +305,10 @@ def cmd_abel(args):
 def cmd_amoeba(args):
     if args.grid < 1:
         raise CliError(f"--grid must be at least 1, got {args.grid}", 2)
+    # exp(range) must be a finite float; nan fails the comparison
+    top = math.log(sys.float_info.max)
+    if not 0 < args.range <= top:
+        raise CliError(f"--range must be in (0, {top}], got {args.range}", 2)
     g, weights, _ = _load_validated(args.graph)
     wt, mode = _need_weights(weights, g, args.mode)
     if args.vertex:
@@ -316,7 +321,6 @@ def cmd_amoeba(args):
     try:
         rows = amoeba_sample(P, grid=args.grid, region=(-r, r, -r, r), tol=args.tol)
         if args.vertex:
-            import math
             D = divisor_of_vertex(g, wt, kappa, args.vertex, mode=mode, K=K, P=P)
             for z, w, _m in D.points:
                 marks.append((math.log(abs(complex(z))), math.log(abs(complex(w)))))

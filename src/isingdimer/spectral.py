@@ -729,7 +729,9 @@ def amoeba_sample(P, grid=100, region=(-3.0, 3.0, -3.0, 3.0), tol=1e-8):
     every root by Newton steps in w with the exact derivative (vectorised
     over the batch), keep |P| < tol.
 
-    Returns a list of rows (x, y, is_real, z, w) with x = log|z|, y = log|w|.
+    Returns a list of rows (x, y, is_real, z, w) with x = log|z|, y = log|w|,
+    taken by math.log and abs of Python complex numbers: numpy's log and abs
+    can differ from them in the last bit.
     """
     import numpy as np
     rng = P.degree_range("w")
@@ -737,59 +739,53 @@ def amoeba_sample(P, grid=100, region=(-3.0, 3.0, -3.0, 3.0), tol=1e-8):
         raise SpectralError("polynomial is constant in w; amoeba degenerate")
     Pn = P.to_numeric()
     x0, x1, _, _ = region
-    zs = []
-    for ix in range(grid):
-        r = math.exp(x0 + (x1 - x0) * (ix + 0.5) / grid)
-        for ip in range(grid):
-            theta = math.pi * ip / (grid - 1) if grid > 1 else 0.0
-            zs.append(r * cmath.exp(1j * theta))
-    z = np.array(zs, dtype=complex)
+    z = np.outer([math.exp(x0 + (x1 - x0) * (ix + 0.5) / grid) for ix in range(grid)],
+                 [cmath.exp(1j * (math.pi * ip / (grid - 1) if grid > 1 else 0.0))
+                  for ip in range(grid)]).ravel()
     roots, ok = _roots(_fibres(Pn, z))
     keep = ok[:, None] & (np.abs(roots) >= 1e-300)
     fibre = np.nonzero(keep)[0]
     _, w = _polish([Pn], z[fibre], roots[keep], steps=3, move_z=False)
     hit = np.abs(_terms(_grid([Pn]), z[fibre], w)[0][0]) < tol
-    rows = []
-    for k, wk in zip(fibre[hit].tolist(), w[hit].tolist()):
-        zk = zs[k]
-        is_real = abs(zk.imag) < 1e-12 and abs(wk.imag) < 1e-9
-        rows.append((math.log(abs(zk)), math.log(abs(wk)), is_real, zk, wk))
-    return rows
+    z, w = z[fibre[hit]], w[hit]
+    is_real = ((abs(z.imag) < 1e-12) & (abs(w.imag) < 1e-9)).tolist()
+    z, w = z.tolist(), w.tolist()
+    return list(zip(map(math.log, map(abs, z)), map(math.log, map(abs, w)), is_real, z, w))
+
+
+def _format(template, *cols):
+    """template % row for every row of the equally long columns, joined."""
+    flat = [None] * (len(cols) * len(cols[0]))
+    for k, col in enumerate(cols):
+        flat[k::len(cols)] = col
+    return template * len(cols[0]) % tuple(flat)
 
 
 def amoeba_csv(rows):
-    out = ["x,y,is_real"]
-    for x, y, is_real, *_ in rows:
-        out.append(f"{x:.12g},{y:.12g},{int(is_real)}")
-    return "\n".join(out) + "\n"
+    x, y, is_real, *_ = zip(*rows) if rows else ((), (), ())
+    return "x,y,is_real\n" + _format("%.12g,%.12g,%d\n", x, y, is_real)
 
 
 def amoeba_svg(rows, marks=(), size=480):
     """Minimal deterministic SVG scatter with optional marked points."""
+    import numpy as np
     if not rows:
         return "<svg xmlns='http://www.w3.org/2000/svg'/>"
-    xs = [r[0] for r in rows]
-    ys = [r[1] for r in rows]
-    lo = min(min(xs), min(ys)) - 0.3
-    hi = max(max(xs), max(ys)) + 0.3
+    x, y, is_real, *_ = zip(*rows)
+    lo = min(min(x), min(y)) - 0.3
+    hi = max(max(x), max(y)) + 0.3
 
-    def sx(x):
-        return (x - lo) / (hi - lo) * size
+    def scaled(x, y):
+        x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+        return ((x - lo) / (hi - lo) * size).tolist(), (size - (y - lo) / (hi - lo) * size).tolist()
 
-    def sy(y):
-        return size - (y - lo) / (hi - lo) * size
-
-    parts = [f"<svg xmlns='http://www.w3.org/2000/svg' width='{size}' height='{size}' "
-             f"viewBox='0 0 {size} {size}'>",
-             f"<rect width='{size}' height='{size}' fill='white'/>"]
-    for x, y, is_real, *_ in rows:
-        color = "#d62728" if is_real else "#1f77b4"
-        parts.append(f"<circle cx='{sx(x):.2f}' cy='{sy(y):.2f}' r='1' fill='{color}'/>")
-    for x, y in marks:
-        parts.append(f"<circle cx='{sx(x):.2f}' cy='{sy(y):.2f}' r='5' fill='none' "
-                     f"stroke='black' stroke-width='2'/>")
-    parts.append("</svg>")
-    return "\n".join(parts)
+    return (f"<svg xmlns='http://www.w3.org/2000/svg' width='{size}' height='{size}' "
+            f"viewBox='0 0 {size} {size}'>\n<rect width='{size}' height='{size}' fill='white'/>\n"
+            + _format("<circle cx='%.2f' cy='%.2f' r='1' fill='%s'/>\n", *scaled(x, y),
+                      np.where(is_real, "#d62728", "#1f77b4").tolist())
+            + _format("<circle cx='%.2f' cy='%.2f' r='5' fill='none' stroke='black' "
+                      "stroke-width='2'/>\n", *scaled([m[0] for m in marks], [m[1] for m in marks]))
+            + "</svg>")
 
 
 def harnack_diagnostic(P, probes=None, theta_steps=720):
@@ -797,45 +793,44 @@ def harnack_diagnostic(P, probes=None, theta_steps=720):
     list violations. A diagnostic, not a certificate.
 
     For a probe (x, y): with |z| = e^x fixed, each root branch traces
-    log|w|(theta) over theta in [0, pi]; level-crossing counts double for
-    theta in (0, pi) (complex-conjugate partners) and count once at the real
-    fibers theta = 0, pi. Harnack means every interior probe has exactly 2.
-    The roots at all theta_steps + 1 angles of a probe come from one
-    root-kernel call.
+    log|w|(theta) over theta_steps + 1 angles in [0, pi]; the fibres of all
+    probes come from one root-kernel call. Sorted, the levels log|w| of a
+    fibre lie below y up to k = #{levels <= y}, so between consecutive
+    fibres with as many levels the branches cross y |k - k'| times. Each
+    crossing counts twice, for its complex-conjugate partner at -theta.
+    Harnack means every interior probe has exactly 2. A preimage on a real
+    fibre, theta = 0 or pi, sits on an end of the scan, where the count
+    depends on the last bit of the roots; so the automatic probes are
+    samples with non-real z.
     """
     import numpy as np
     Pn = P.to_numeric()
     if probes is None:
-        # non-real samples are strictly interior (the amoeba boundary is the
-        # image of the real locus)
+        # samples with non-real z are strictly interior (the amoeba boundary
+        # is the image of the real locus)
         rows = amoeba_sample(P, grid=24, region=(-1.2, 1.2, -1.2, 1.2))
-        inner = [(x, y) for x, y, is_real, *_ in rows if not is_real]
-        if not inner:
-            return {"consistent": True, "probes": [], "violations": []}
+        inner = [(x, y) for x, y, _, z, _ in rows if abs(z.imag) >= 1e-12]
         probes = [inner[len(inner) // 3], inner[len(inner) // 2],
-                  inner[(2 * len(inner)) // 3]]
-    out = []
-    violations = []
-    for x, y in probes:
-        r = math.exp(x)
-        z = np.array([r * cmath.exp(1j * math.pi * k / theta_steps)
-                      for k in range(theta_steps + 1)])
-        count = 0
-        prev = None
-        for roots, ok in zip(*_roots(_fibres(Pn, z))):
-            if not ok:
-                prev = None
-                continue
-            levels = sorted(math.log(abs(w)) for w in roots.tolist() if abs(w) > 1e-300)
-            signs = tuple(v - y > 0 for v in levels)
-            if prev is not None and len(prev) == len(signs):
-                for a, b in zip(prev, signs):
-                    if a != b:
-                        count += 2   # conjugate fibers come in pairs
-            prev = signs
-        out.append({"probe": (x, y), "preimages": count})
-        if count != 2:
-            violations.append({"probe": (x, y), "preimages": count})
+                  inner[(2 * len(inner)) // 3]] if inner else []
+    if not probes:
+        return {"consistent": True, "probes": [], "violations": []}
+    z = np.outer([math.exp(x) for x, _ in probes],
+                 [cmath.exp(1j * math.pi * k / theta_steps) for k in range(theta_steps + 1)])
+    roots, _ = _roots(_fibres(Pn, z.ravel()))
+    # levels log|w| by math.log and abs of Python complex numbers; roots of
+    # modulus <= 1e-300 and the nan roots of a fibre skipped for a root at
+    # infinity are no levels, so only steps between fibres with as many
+    # levels count
+    mod = np.array(list(map(abs, roots.ravel().tolist()))).reshape(z.shape + (-1,))
+    seen = mod > 1e-300
+    level = np.full(mod.shape, np.inf)
+    level[seen] = list(map(math.log, mod[seen].tolist()))
+    k = (level <= np.array([y for _, y in probes])[:, None, None]).sum(2)
+    n = seen.sum(2)
+    step = n[:, 1:] == n[:, :-1]
+    out = [{"probe": (x, y), "preimages": c}
+           for (x, y), c in zip(probes, (2 * (abs(np.diff(k)) * step).sum(1)).tolist())]
+    violations = [p for p in out if p["preimages"] != 2]
     return {"consistent": not violations, "probes": out, "violations": violations}
 
 

@@ -83,7 +83,13 @@ class TestExitCodes:
         (["abel", "--window", "-1"], "--window must be at least 0, got -1"),
         (["amoeba", "--grid", "0"], "--grid must be at least 1, got 0"),
         (["amoeba", "--grid", "-3"], "--grid must be at least 1, got -3"),
-    ], ids=["window", "grid 0", "grid negative"])
+        (["amoeba", "--range", "nan"], "--range must be in (0, 709.782712893384], got nan"),
+        (["amoeba", "--range", "inf"], "--range must be in (0, 709.782712893384], got inf"),
+        (["amoeba", "--range", "1e6"], "--range must be in (0, 709.782712893384], got 1000000.0"),
+        (["amoeba", "--range", "0"], "--range must be in (0, 709.782712893384], got 0.0"),
+        (["amoeba", "--range=-1"], "--range must be in (0, 709.782712893384], got -1.0"),
+    ], ids=["window", "grid 0", "grid negative", "range nan", "range inf", "range overflow",
+            "range 0", "range negative"])
     def test_out_of_range_size_exits_2(self, files, argv, message, capsys):
         _, gp, _, _ = files
         assert main([argv[0], gp] + argv[1:]) == 2

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -12,7 +13,9 @@ from isingdimer.ising import (GadgetMap, IsingModel, couplings_from_file_data,
 from isingdimer.abel import AbelLabel, discrete_abel
 from isingdimer.spectral import (
     SpectralError,
+    amoeba_csv,
     amoeba_sample,
+    amoeba_svg,
     canonical_sign,
     characteristic_polynomial,
     divisor_of_vertex,
@@ -667,6 +670,186 @@ class TestAmoeba:
     def test_degenerate_rejected(self):
         with pytest.raises(SpectralError):
             amoeba_sample(LaurentPoly2({(1, 0): Fraction(1), (0, 0): Fraction(2)}))
+
+
+def reference_amoeba_sample(P, grid, region, tol=1e-8):
+    """Reference for amoeba_sample: the grid point by point, one row at a time."""
+    import cmath
+    import numpy as np
+    from isingdimer.spectral import _fibres, _grid, _polish, _roots, _terms
+    Pn = P.to_numeric()
+    x0, x1, _, _ = region
+    zs = []
+    for ix in range(grid):
+        r = math.exp(x0 + (x1 - x0) * (ix + 0.5) / grid)
+        for ip in range(grid):
+            theta = math.pi * ip / (grid - 1) if grid > 1 else 0.0
+            zs.append(r * cmath.exp(1j * theta))
+    z = np.array(zs, dtype=complex)
+    roots, ok = _roots(_fibres(Pn, z))
+    keep = ok[:, None] & (np.abs(roots) >= 1e-300)
+    fibre = np.nonzero(keep)[0]
+    _, w = _polish([Pn], z[fibre], roots[keep], steps=3, move_z=False)
+    hit = np.abs(_terms(_grid([Pn]), z[fibre], w)[0][0]) < tol
+    rows = []
+    for k, wk in zip(fibre[hit].tolist(), w[hit].tolist()):
+        zk = zs[k]
+        is_real = abs(zk.imag) < 1e-12 and abs(wk.imag) < 1e-9
+        rows.append((math.log(abs(zk)), math.log(abs(wk)), is_real, zk, wk))
+    return rows
+
+
+def reference_amoeba_csv(rows):
+    """Reference for amoeba_csv: one f-string per row."""
+    out = ["x,y,is_real"]
+    for x, y, is_real, *_ in rows:
+        out.append(f"{x:.12g},{y:.12g},{int(is_real)}")
+    return "\n".join(out) + "\n"
+
+
+def reference_amoeba_svg(rows, marks=(), size=480):
+    """Reference for amoeba_svg: one f-string per circle."""
+    if not rows:
+        return "<svg xmlns='http://www.w3.org/2000/svg'/>"
+    xs = [r[0] for r in rows]
+    ys = [r[1] for r in rows]
+    lo = min(min(xs), min(ys)) - 0.3
+    hi = max(max(xs), max(ys)) + 0.3
+
+    def sx(x):
+        return (x - lo) / (hi - lo) * size
+
+    def sy(y):
+        return size - (y - lo) / (hi - lo) * size
+
+    parts = [f"<svg xmlns='http://www.w3.org/2000/svg' width='{size}' height='{size}' "
+             f"viewBox='0 0 {size} {size}'>",
+             f"<rect width='{size}' height='{size}' fill='white'/>"]
+    for x, y, is_real, *_ in rows:
+        color = "#d62728" if is_real else "#1f77b4"
+        parts.append(f"<circle cx='{sx(x):.2f}' cy='{sy(y):.2f}' r='1' fill='{color}'/>")
+    for x, y in marks:
+        parts.append(f"<circle cx='{sx(x):.2f}' cy='{sy(y):.2f}' r='5' fill='none' "
+                     f"stroke='black' stroke-width='2'/>")
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+def reference_harnack(P, probes, theta_steps=720):
+    """Reference for harnack_diagnostic at given probes: one root-kernel
+    call per probe, the sorted levels and their signs angle by angle."""
+    import cmath
+    import numpy as np
+    from isingdimer.spectral import _fibres, _roots
+    Pn = P.to_numeric()
+    out = []
+    violations = []
+    for x, y in probes:
+        r = math.exp(x)
+        z = np.array([r * cmath.exp(1j * math.pi * k / theta_steps)
+                      for k in range(theta_steps + 1)])
+        count = 0
+        prev = None
+        for roots, ok in zip(*_roots(_fibres(Pn, z))):
+            if not ok:
+                prev = None
+                continue
+            levels = sorted(math.log(abs(w)) for w in roots.tolist() if abs(w) > 1e-300)
+            signs = tuple(v - y > 0 for v in levels)
+            if prev is not None and len(prev) == len(signs):
+                for a, b in zip(prev, signs):
+                    if a != b:
+                        count += 2
+            prev = signs
+        out.append({"probe": (x, y), "preimages": count})
+        if count != 2:
+            violations.append({"probe": (x, y), "preimages": count})
+    return {"consistent": not violations, "probes": out, "violations": violations}
+
+
+CURVES = ["fixture", "square 1x1", "square 2x1", "square 2x2", "honeycomb 1x1",
+          "honeycomb 2x1", "honeycomb 2x2"]
+
+
+@functools.cache
+def curve(name):
+    """P of the worked example (exact), or of a gadget-ladder rung (floats)."""
+    if name == "fixture":
+        g, wt, _ = parse_torus_graph(DIMER_FIXTURE)
+        return lm_determinant(kasteleyn_matrix(g, wt, FIXTURE_KAPPA))
+    g, wt, _, kappa, _ = ladder_dimer(name, 7)
+    return lm_determinant(kasteleyn_matrix(g, wt, kappa))
+
+
+class TestAmoebaArrays:
+    @pytest.mark.parametrize("grid", [1, 2, 40])
+    @pytest.mark.parametrize("name", CURVES)
+    def test_rows_csv_and_svg_match_per_row_reference(self, name, grid):
+        P = curve(name)
+        region = (-2.5, 2.5, -2.5, 2.5)
+        rows = amoeba_sample(P, grid=grid, region=region)
+        assert rows == reference_amoeba_sample(P, grid, region)
+        assert rows or grid == 1
+        assert all(type(r[2]) is bool for r in rows)
+        marks = [(x + 0.01, y - 0.02) for x, y, *_ in rows[:3]]
+        assert amoeba_csv(rows) == reference_amoeba_csv(rows)
+        for m in (marks, ()):
+            assert amoeba_svg(rows, m) == reference_amoeba_svg(rows, m)
+        if grid == 40:
+            # both colours and both csv flags occur
+            assert {r[2] for r in rows} == {True, False}
+
+    def test_no_hit_rows(self):
+        P = curve("square 1x1")
+        rows = amoeba_sample(P, grid=6, region=(-1, 1, -1, 1), tol=0.0)
+        assert rows == reference_amoeba_sample(P, 6, (-1, 1, -1, 1), tol=0.0) == []
+        assert amoeba_csv(rows) == reference_amoeba_csv(rows) == "x,y,is_real\n"
+        assert amoeba_svg(rows, [(0.0, 0.0)]) == reference_amoeba_svg(rows, [(0.0, 0.0)])
+
+
+class TestHarnackArrays:
+    @pytest.mark.parametrize("name", CURVES)
+    def test_report_matches_per_angle_reference(self, name):
+        # probes on real and non-real samples, inside and outside the
+        # amoeba, and none at all
+        from isingdimer.spectral import harnack_diagnostic
+        P = curve(name)
+        rows = amoeba_sample(P, grid=24, region=(-1.2, 1.2, -1.2, 1.2))
+        real = [(x, y) for x, y, _, z, _ in rows if abs(z.imag) < 1e-12]
+        inner = [(x, y) for x, y, _, z, _ in rows if abs(z.imag) >= 1e-12]
+        assert real and inner
+        for probes in ([], real[:2] + inner[::len(inner) // 4], [(0.1, 30.0), (-0.2, -30.0)]):
+            for steps in (720, 45):
+                want = reference_harnack(P, probes, steps)
+                assert harnack_diagnostic(P, probes=probes, theta_steps=steps) == want
+        auto = harnack_diagnostic(P)
+        assert auto == reference_harnack(P, [p["probe"] for p in auto["probes"]])
+        assert all(p["probe"] in inner for p in auto["probes"])
+
+    def test_fibre_with_a_root_at_infinity(self):
+        # the leading coefficient z - 1 in w vanishes at theta = 0 on |z| = 1:
+        # the root kernel skips that fibre, and the steps next to it count
+        # no crossing
+        from isingdimer.spectral import harnack_diagnostic
+        P = LaurentPoly2({(1, 2): 1.0, (0, 2): -1.0, (0, 1): 0.5, (0, 0): 2.0, (1, 0): 1.0})
+        probes = [(0.0, y) for y in (30.0, -30.0, 0.2, 1.0, -1.0, 0.0)]
+        rep = harnack_diagnostic(P, probes=probes)
+        assert rep == reference_harnack(P, probes)
+        assert [p["preimages"] for p in rep["probes"]] == [0, 0, 4, 4, 0, 4]
+
+    @pytest.mark.parametrize("terms", [
+        {(1, 0): 0.2767183997632788, (-1, 0): 0.27671839976327933, (0, 1): 0.7216637898262106,
+         (0, -1): 0.721663789826211, (0, 0): -2.000000000000817},
+        {(0, 0): 2.0, (0, 1): -0.721663789826, (0, -1): -0.721663789826,
+         (1, 0): -0.276718399763, (-1, 0): -0.276718399763},
+    ], ids=["determinant", "printed"])
+    def test_no_probe_on_a_real_fibre(self, terms):
+        # a one-vertex square-lattice P whose samples at theta = 0 have
+        # log|w| within an ulp of 0: taken as a probe, such a sample put its
+        # preimages on the end of the scan and gave a false violation
+        from isingdimer.spectral import harnack_diagnostic
+        rep = harnack_diagnostic(LaurentPoly2(terms))
+        assert rep["consistent"] and len(rep["probes"]) == 3
 
 
 class TestSecondFixturePolygon:
