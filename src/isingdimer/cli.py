@@ -18,9 +18,8 @@ from .ising import (IsingModel, CouplingError, couplings_from_file_data, dual_is
                     y_delta, to_dimer, parse_gadget_map)
 from .dimer import (basis_x_values, square_move, contraction_move, color_change,
                     ising_locus_check, MoveError)
-from .spectral import (SpectralError, solve_kasteleyn_signs, kappa_gauge_equivalent,
-                       characteristic_polynomial, divisor_of_vertex,
-                       verify_ising_spectral, spectral_report, amoeba_sample,
+from .spectral import (SpectralError, solve_kasteleyn_signs, characteristic_polynomial,
+                       divisor_of_vertex, spectral_report, amoeba_sample,
                        amoeba_csv, amoeba_svg, kasteleyn_matrix)
 from .abel import discrete_abel
 from .exactalg import lm_determinant, format_coeff
@@ -75,12 +74,9 @@ def _need_weights(weights, g, mode):
 def _pick_kappa(g, sign):
     label = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}[sign]
     try:
-        for lab, kappa in solve_kasteleyn_signs(g):
-            if lab == label:
-                return kappa
+        return dict(solve_kasteleyn_signs(g))[label]
     except SpectralError as exc:
         raise CliError(str(exc), 2)
-    raise CliError(f"no sign class labeled {sign}", 2)
 
 
 def _check_vertex(g, vertex):

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactalg import ModeError
 from .torusgraph import GraphError
 from .ising import _fraction_sqrt, make_coupling
 

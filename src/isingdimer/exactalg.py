@@ -195,16 +195,9 @@ class LaurentPoly2:
             n >>= 1
         return out
 
-    def scale(self, c):
-        c = as_coeff(c)
-        return LaurentPoly2({ij: v * c for ij, v in self.terms.items()})
-
     def sigma(self):
         """(z, w) -> (1/z, 1/w): negate every exponent pair."""
         return LaurentPoly2({(-i, -j): c for (i, j), c in self.terms.items()})
-
-    def shift(self, di, dj):
-        return LaurentPoly2({(i + di, j + dj): c for (i, j), c in self.terms.items()})
 
     def eval(self, z, w):
         total = 0

@@ -211,6 +211,7 @@ def y_delta(model, site):
 
 
 def _y_to_delta(model, v):
+    """Y -> triangle at the degree-3 vertex v, as one local edit."""
     g = model.graph
     if g.degree(v) != 3:
         raise GraphError(f"vertex {v} has degree {g.degree(v)}, need 3")
@@ -218,51 +219,26 @@ def _y_to_delta(model, v):
     ends = [g.head(d) for d in legs]
     if v in ends:
         raise GraphError("star-triangle with a leg looping back to the center is unsupported")
-    a, b, c = (model.couplings[g.darts[d].edge].x for d in legs)
-    A, B, C = ydelta_x_map(a, b, c)
-    # new edge opposite leg i joins ends[i+1], ends[i+2]
-    new = TorusGraph()
-    for u in g.vertex_ids():
-        if u != v:
-            new.add_vertex(u, g.colors[u], g.positions.get(u))
-    kept = [e for e in g.edges() if v not in (g.edge_ends[e][0], g.edge_ends[e][1])]
-    for e in kept:
-        v1, v2, dx, dy = g.edge_ends[e]
-        new.add_edge(e, v1, v2, dx, dy)
-    tri_names = []
-    weights = {}
-    leg_disp = [g.disp(d) for d in legs]
-    for i in range(3):
-        u1, u2 = ends[(i + 1) % 3], ends[(i + 2) % 3]
-        d1, d2 = leg_disp[(i + 1) % 3], leg_disp[(i + 2) % 3]
-        name = f"yd_{v}_{i}"
-        # path u1 -> v -> u2
-        new.add_edge(name, u1, u2, d2[0] - d1[0], d2[1] - d1[1])
-        tri_names.append(name)
-        weights[name] = (A, B, C)[i]
-    for u in g.vertex_ids():
-        if u == v:
-            continue
-        rot = []
-        for d in g.rotation[u]:
-            if g.head(d) != v:
-                rot.append(d)
-                continue
-            i = legs.index(g.twin(d))
-            # replace the leg toward v by darts toward ends[i+1], ends[i+2]
-            e_next = tri_names[(i + 2) % 3]   # edge {ends[i], ends[i+1]}, u1-end here
-            e_prev = tri_names[(i + 1) % 3]   # edge {ends[i+2], ends[i]}, u2-end here
-            rot.append(e_next + "+")
-            rot.append(e_prev + "-")
-        new.set_rotation(u, rot)
-    new.freeze()
-    couplings = {e: model.couplings[e] for e in kept}
-    for name, x in weights.items():
-        couplings[name] = make_coupling(x=x if isinstance(x, Fraction) else float(x))
-    return IsingModel(new, couplings)
+    xs = ydelta_x_map(*(model.couplings[g.darts[d].edge].x for d in legs))
+    # new edge i is opposite leg i: the path ends[i+1] -> v -> ends[i+2]
+    names = [f"yd_{v}_{i}" for i in range(3)]
+    edges = []
+    for i, name in enumerate(names):
+        (dx1, dy1), (dx2, dy2) = g.disp(legs[(i + 1) % 3]), g.disp(legs[(i + 2) % 3])
+        edges.append((name, ends[(i + 1) % 3], ends[(i + 2) % 3], dx2 - dx1, dy2 - dy1))
+    # at ends[i] the dart toward v gives way to the new edges to ends[i+1]
+    # and ends[i+2], in that ccw order
+    swap = {g.twin(d): [names[(i + 2) % 3] + "+", names[(i + 1) % 3] + "-"]
+            for i, d in enumerate(legs)}
+    dropped = [g.darts[d].edge for d in legs]
+    new = g.edit(drop_vertices=(v,), drop_edges=dropped, edges=edges,
+                 rotations={u: [x for d in g.rotation[u] for x in swap.get(d, (d,))]
+                            for u in ends})
+    return _moved_model(model, new, dropped, names, xs)
 
 
 def _delta_to_y(model, fid):
+    """Triangle -> Y at the triangular face fid, as one local edit."""
     g = model.graph
     orbit = g.face_darts(fid)
     if len(orbit) != 3:
@@ -270,64 +246,37 @@ def _delta_to_y(model, fid):
     verts = [g.tail(d) for d in orbit]
     if len(set(verts)) != 3:
         raise GraphError("triangle face with repeated vertices is unsupported")
-    # orbit darts: d_i from verts[i] to verts[i+1]; triangle edge opposite
-    # verts[i] is edge(orbit[i+1]).
-    A = {verts[i]: model.couplings[g.darts[orbit[(i + 1) % 3]].edge].x for i in range(3)}
-    xa, xb, xc = (A[verts[0]], A[verts[1]], A[verts[2]])
-    a, b, c = deltay_x_map(xa, xb, xc)
-    legs_x = {verts[0]: a, verts[1]: b, verts[2]: c}
+    # orbit dart i runs from verts[i] to verts[i+1]; the triangle edge
+    # opposite verts[i] is the edge of orbit[i+1]
+    xs = deltay_x_map(*(model.couplings[g.darts[orbit[(i + 1) % 3]].edge].x
+                        for i in range(3)))
     center = f"dy_{fid}"
-    tri_edges = {g.darts[d].edge for d in orbit}
-    new = TorusGraph()
-    for u in g.vertex_ids():
-        new.add_vertex(u, g.colors[u], g.positions.get(u))
-    new.add_vertex(center, "n")
-    kept = [e for e in g.edges() if e not in tri_edges]
-    for e in kept:
-        v1, v2, dx, dy = g.edge_ends[e]
-        new.add_edge(e, v1, v2, dx, dy)
-    # legs: center -> verts[i]; displacements chosen so that leg_i - leg_j
-    # matches the old triangle edge from verts[j] to verts[i]
-    leg_disp = {verts[0]: (0, 0)}
-    leg_disp[verts[1]] = g.disp(orbit[0])
-    d1 = g.disp(orbit[1])
-    leg_disp[verts[2]] = (leg_disp[verts[1]][0] + d1[0], leg_disp[verts[1]][1] + d1[1])
-    leg_names = {}
-    for i, u in enumerate(verts):
-        name = f"dyleg_{fid}_{i}"
-        new.add_edge(name, center, u, *leg_disp[u])
-        leg_names[u] = name
-    for u in g.vertex_ids():
-        rot = []
-        for d in g.rotation[u]:
-            if g.darts[d].edge in tri_edges:
-                # both triangle darts at u are consecutive around the corner;
-                # replace the pair with the single leg dart (once)
-                if rot and rot[-1] == leg_names[u] + "-":
-                    continue
-                rot.append(leg_names[u] + "-")
-            else:
-                rot.append(d)
-        # collapse a wrap-around duplicate
-        if len(rot) > 1 and rot[0] == rot[-1] == leg_names[u] + "-":
-            rot.pop()
-        new.set_rotation(u, rot)
-    new.set_rotation(center, [leg_names[v] + "+" for v in _ccw_center_order(g, orbit)])
-    new.freeze()
-    couplings = {e: model.couplings[e] for e in kept}
-    for u, name in leg_names.items():
-        x = legs_x[u]
+    triangle = [g.darts[d].edge for d in orbit]
+    # leg i runs from the center to verts[i]; leg_i - leg_j is the old
+    # triangle walk from verts[j] to verts[i]. The center sits inside the
+    # ccw triangle, so its rotation lists the legs in the order of verts.
+    (dx0, dy0), (dx1, dy1) = g.disp(orbit[0]), g.disp(orbit[1])
+    disps = [(0, 0), (dx0, dy0), (dx0 + dx1, dy0 + dy1)]
+    names = [f"dyleg_{fid}_{i}" for i in range(3)]
+    edges = [(name, center, u, dx, dy) for name, u, (dx, dy) in zip(names, verts, disps)]
+    # the two triangle darts at a corner are neighbours in its rotation; the
+    # leg takes the place of the first one listed
+    rotations = {center: [name + "+" for name in names]}
+    for u, name in zip(verts, names):
+        rotations[u] = list(dict.fromkeys(name + "-" if g.darts[d].edge in triangle else d
+                                          for d in g.rotation[u]))
+    new = g.edit(drop_edges=triangle, vertices=[(center, "n", None)], edges=edges,
+                 rotations=rotations)
+    return _moved_model(model, new, triangle, names, xs)
+
+
+def _moved_model(model, graph, dropped, names, xs):
+    """The model on `graph`: the couplings of model less the `dropped` edges,
+    and new edges `names` with x-values `xs`."""
+    couplings = {e: model.couplings[e] for e in model.graph.edges() if e not in dropped}
+    for name, x in zip(names, xs):
         couplings[name] = make_coupling(x=x if isinstance(x, Fraction) else float(x))
-    return IsingModel(new, couplings)
-
-
-def _ccw_center_order(g, orbit):
-    """Vertex order around the new center so its rotation is ccw.
-
-    The triangle face's ccw boundary visits verts[0], verts[1], verts[2];
-    legs from an interior point inherit that ccw order.
-    """
-    return [g.tail(d) for d in orbit]
+    return IsingModel(graph, couplings)
 
 
 # -- the Ising -> dimer gadget map -------------------------------------------

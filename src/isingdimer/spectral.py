@@ -27,8 +27,8 @@ class SpectralError(ValueError):
 
 
 def _gf2_solve(rows, rhs, nvars):
-    """Solve A x = b over GF(2). Returns (particular solution, kernel basis)
-    or raises SpectralError if inconsistent. Rows are int bitmasks."""
+    """One solution x of A x = b over GF(2), as an int bitmask; raises
+    SpectralError if there is none. Rows are int bitmasks."""
     rows = [r | (b << nvars) for r, b in zip(rows, rhs)]
     pivots = []
     for col in range(nvars):
@@ -40,31 +40,24 @@ def _gf2_solve(rows, rhs, nvars):
             if i != len(pivots) and rows[i] >> col & 1:
                 rows[i] ^= rows[len(pivots)]
         pivots.append(col)
-    for i in range(len(pivots), len(rows)):
-        if rows[i]:
-            raise SpectralError("Kasteleyn sign system is inconsistent (parity obstruction)")
-    x = 0
-    for i, col in enumerate(pivots):
-        if rows[i] >> nvars & 1:
-            x |= 1 << col
-    free = [c for c in range(nvars) if c not in pivots]
-    kernel = []
-    for f in free:
-        v = 1 << f
-        for i, col in enumerate(pivots):
-            if rows[i] >> f & 1:
-                v |= 1 << col
-        kernel.append(v)
-    return x, kernel
+    if any(rows[len(pivots):]):
+        raise SpectralError("Kasteleyn sign system is inconsistent (parity obstruction)")
+    return sum(1 << col for i, col in enumerate(pivots) if rows[i] >> nvars & 1)
 
 
 def solve_kasteleyn_signs(g):
     """All four sign classes on a bipartite torus graph.
 
-    Solves the mod-2 system (face sign products = (-1)^(len/2+1)), then
-    quotients the solution space by the vertex sign gauge. Returns a list of
-    four dicts edge -> +-1, labeled by the sign of the kappa-product along
-    the graph's stored a and b cycles: [( (sa, sb), kappa ), ...].
+    Solves the mod-2 system (face sign products = (-1)^(len/2+1)) once. The
+    four classes are that solution twisted by s^dx t^dy on each edge of
+    stored displacement (dx, dy), for (s, t) in {1, -1}^2: every face has
+    zero total displacement, so its product is kept, while the product along
+    the stored a (b) cycle flips with s (t). So, up to gauge, the class
+    labeled (s, t) has the Kasteleyn matrix of class (1, 1) at (s z, t w).
+    Returns a list of four dicts edge -> +-1, tree-normalized and labeled
+    by the sign of the kappa-product along the graph's stored a and b
+    cycles: [((sa, sb), kappa), ...], labels in the order (1,1), (1,-1),
+    (-1,1), (-1,-1).
     """
     if not g.is_bipartite_colored():
         raise GraphError("Kasteleyn signs need a bipartite graph")
@@ -77,55 +70,16 @@ def solve_kasteleyn_signs(g):
             mask ^= 1 << eidx[g.darts[d].edge]
         rows.append(mask)
         rhs.append(((len(orbit) // 2) + 1) % 2)
-    x0, kernel = _gf2_solve(rows, rhs, len(edges))
-
-    # gauge subspace: one generator per vertex (all edges at the vertex)
-    gauge = []
-    for v in g.vertex_ids():
-        mask = 0
-        for d in g.rotation[v]:
-            mask ^= 1 << eidx[g.darts[d].edge]
-        gauge.append(mask)
-
-    cycle_a, cycle_b = g.homology_basis_cycles()
-
-    def label(mask):
-        sa = sb = 1
-        for d in cycle_a:
-            if mask >> eidx[g.darts[d].edge] & 1:
-                sa = -sa
-        for d in cycle_b:
-            if mask >> eidx[g.darts[d].edge] & 1:
-                sb = -sb
-        return (sa, sb)
-
-    # the label map is linear over the kernel; find representatives of the
-    # four classes by combining kernel elements
-    base_label = label(x0)
-    reps = {base_label: x0}
-    basis_effects = []
-    for k in kernel:
-        la = label(x0 ^ k)
-        basis_effects.append((k, (la[0] * base_label[0], la[1] * base_label[1])))
-    for k1, eff1 in basis_effects:
-        if len(reps) == 4:
-            break
-        cand = {(eff1[0] * base_label[0], eff1[1] * base_label[1]): x0 ^ k1}
-        for lab, m in cand.items():
-            if lab not in reps:
-                reps[lab] = m
-        for k2, eff2 in basis_effects:
-            lab = (base_label[0] * eff1[0] * eff2[0], base_label[1] * eff1[1] * eff2[1])
-            if lab not in reps:
-                reps[lab] = x0 ^ k1 ^ k2
-    if len(reps) != 4:
-        raise SpectralError("sign classes do not span all four labels")
-
+    x = _gf2_solve(rows, rhs, len(edges))
+    kappa = {e: (-1 if x >> i & 1 else 1) for e, i in eidx.items()}
+    sa, sb = (math.prod(kappa[g.darts[d].edge] for d in cycle)
+              for cycle in g.homology_basis_cycles())
     out = []
-    for lab in sorted(reps, reverse=True):
-        mask = reps[lab]
-        kappa = {e: (-1 if mask >> i & 1 else 1) for e, i in eidx.items()}
-        out.append((lab, kappa_tree_normalize(g, kappa)))
+    for lab in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        s, t = lab[0] * sa, lab[1] * sb
+        twisted = {e: k * s ** (g.edge_ends[e][2] % 2) * t ** (g.edge_ends[e][3] % 2)
+                   for e, k in kappa.items()}
+        out.append((lab, kappa_tree_normalize(g, twisted)))
     return out
 
 
@@ -202,7 +156,7 @@ class SpectralCurveData:
         self.matrix = matrix
 
 
-def characteristic_polynomial(g, wt, kappa, check_polygon=True):
+def characteristic_polynomial(g, wt, kappa):
     """P = det K with its Newton polygon, genus (interior lattice points)
     and the Kasteleyn matrix K it came from."""
     K = kasteleyn_matrix(g, wt, kappa)
@@ -212,10 +166,9 @@ def characteristic_polynomial(g, wt, kappa, check_polygon=True):
     if P.is_zero():
         raise SpectralError("characteristic polynomial vanishes identically")
     poly = newton_polygon(P)
-    if check_polygon:
-        gp, anchored = g.newton_polygon()
-        if poly.normalized().vertices != gp.normalized().vertices:
-            raise SpectralError("Newton polygon of P differs from the graph polygon")
+    gp, _ = g.newton_polygon()
+    if poly.normalized().vertices != gp.normalized().vertices:
+        raise SpectralError("Newton polygon of P differs from the graph polygon")
     return SpectralCurveData(P, poly, poly.genus, K)
 
 

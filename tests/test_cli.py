@@ -96,6 +96,15 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
 
+    def test_parity_obstruction_exits_2(self, tmp_path, capsys):
+        from test_spectral import PARITY_OBSTRUCTED
+        path = tmp_path / "octagon.tg"
+        path.write_text(PARITY_OBSTRUCTED)
+        assert main(["charpoly", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: Kasteleyn sign system is inconsistent (parity obstruction)\n"
+
     def test_abel_of_uncolored_graph_exits_2(self, files, capsys):
         _, _, ip, _ = files
         assert main(["abel", ip]) == 2

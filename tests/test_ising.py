@@ -19,7 +19,7 @@ from isingdimer.ising import (
     ydelta_x_map,
     _reflections,
 )
-from isingdimer.torusgraph import parse_torus_graph
+from isingdimer.torusgraph import GraphError, TorusGraph, parse_torus_graph, serialize_torus_graph
 from isingdimer.dimer import face_x_values
 
 from conftest import DIMER_FIXTURE, ISING_FIXTURE, S1, C1, S2, C2
@@ -166,6 +166,192 @@ class TestYDelta:
             worst = max(worst, max(abs(p - q) for p, q in zip(x1, x2)))
             assert route1.graph.isomorphic(route2.graph)
         assert worst < 1e-12
+
+
+def reference_y_to_delta(model, v):
+    """Y -> triangle by rebuilding every vertex, edge and rotation."""
+    g = model.graph
+    if g.degree(v) != 3:
+        raise GraphError(f"vertex {v} has degree {g.degree(v)}, need 3")
+    legs = list(g.rotation[v])
+    ends = [g.head(d) for d in legs]
+    if v in ends:
+        raise GraphError("star-triangle with a leg looping back to the center is unsupported")
+    a, b, c = (model.couplings[g.darts[d].edge].x for d in legs)
+    A, B, C = ydelta_x_map(a, b, c)
+    new = TorusGraph()
+    for u in g.vertex_ids():
+        if u != v:
+            new.add_vertex(u, g.colors[u], g.positions.get(u))
+    kept = [e for e in g.edges() if v not in (g.edge_ends[e][0], g.edge_ends[e][1])]
+    for e in kept:
+        v1, v2, dx, dy = g.edge_ends[e]
+        new.add_edge(e, v1, v2, dx, dy)
+    tri_names = []
+    weights = {}
+    leg_disp = [g.disp(d) for d in legs]
+    for i in range(3):
+        u1, u2 = ends[(i + 1) % 3], ends[(i + 2) % 3]
+        d1, d2 = leg_disp[(i + 1) % 3], leg_disp[(i + 2) % 3]
+        name = f"yd_{v}_{i}"
+        new.add_edge(name, u1, u2, d2[0] - d1[0], d2[1] - d1[1])
+        tri_names.append(name)
+        weights[name] = (A, B, C)[i]
+    for u in g.vertex_ids():
+        if u == v:
+            continue
+        rot = []
+        for d in g.rotation[u]:
+            if g.head(d) != v:
+                rot.append(d)
+                continue
+            i = legs.index(g.twin(d))
+            rot.append(tri_names[(i + 2) % 3] + "+")
+            rot.append(tri_names[(i + 1) % 3] + "-")
+        new.set_rotation(u, rot)
+    new.freeze()
+    couplings = {e: model.couplings[e] for e in kept}
+    for name, x in weights.items():
+        couplings[name] = make_coupling(x=x if isinstance(x, Fraction) else float(x))
+    return IsingModel(new, couplings)
+
+
+def reference_delta_to_y(model, fid):
+    """Triangle -> Y by rebuilding every vertex, edge and rotation."""
+    g = model.graph
+    orbit = g.face_darts(fid)
+    if len(orbit) != 3:
+        raise GraphError(f"face {fid} has {len(orbit)} sides, need 3")
+    verts = [g.tail(d) for d in orbit]
+    if len(set(verts)) != 3:
+        raise GraphError("triangle face with repeated vertices is unsupported")
+    A = {verts[i]: model.couplings[g.darts[orbit[(i + 1) % 3]].edge].x for i in range(3)}
+    a, b, c = deltay_x_map(A[verts[0]], A[verts[1]], A[verts[2]])
+    legs_x = {verts[0]: a, verts[1]: b, verts[2]: c}
+    center = f"dy_{fid}"
+    tri_edges = {g.darts[d].edge for d in orbit}
+    new = TorusGraph()
+    for u in g.vertex_ids():
+        new.add_vertex(u, g.colors[u], g.positions.get(u))
+    new.add_vertex(center, "n")
+    kept = [e for e in g.edges() if e not in tri_edges]
+    for e in kept:
+        v1, v2, dx, dy = g.edge_ends[e]
+        new.add_edge(e, v1, v2, dx, dy)
+    leg_disp = {verts[0]: (0, 0)}
+    leg_disp[verts[1]] = g.disp(orbit[0])
+    d1 = g.disp(orbit[1])
+    leg_disp[verts[2]] = (leg_disp[verts[1]][0] + d1[0], leg_disp[verts[1]][1] + d1[1])
+    leg_names = {}
+    for i, u in enumerate(verts):
+        name = f"dyleg_{fid}_{i}"
+        new.add_edge(name, center, u, *leg_disp[u])
+        leg_names[u] = name
+    for u in g.vertex_ids():
+        rot = []
+        for d in g.rotation[u]:
+            if g.darts[d].edge in tri_edges:
+                if rot and rot[-1] == leg_names[u] + "-":
+                    continue
+                rot.append(leg_names[u] + "-")
+            else:
+                rot.append(d)
+        if len(rot) > 1 and rot[0] == rot[-1] == leg_names[u] + "-":
+            rot.pop()
+        new.set_rotation(u, rot)
+    new.set_rotation(center, [leg_names[u] + "+" for u in verts])
+    new.freeze()
+    couplings = {e: model.couplings[e] for e in kept}
+    for u, name in leg_names.items():
+        x = legs_x[u]
+        couplings[name] = make_coupling(x=x if isinstance(x, Fraction) else float(x))
+    return IsingModel(new, couplings)
+
+
+def _ydelta_outcome(move, model, site):
+    """What the CLI would print for a move: the serialized model with its
+    face orbits, or the error message."""
+    try:
+        out = move(model, site)
+    except GraphError as exc:
+        return "error: " + str(exc)
+    coup = {e: {"s": c.s, "c": c.c} if c.exact else {"J": c.J}
+            for e, c in out.couplings.items()}
+    return serialize_torus_graph(out.graph, couplings=coup) + repr(out.graph.faces())
+
+
+def _ydelta_models():
+    rng = random.Random(31)
+    for make in (lambda: honeycomb(1, 1), lambda: honeycomb(2, 1), lambda: honeycomb(2, 2),
+                 lambda: honeycomb(3, 2), lambda: square(2, 2)):
+        g = make()
+        yield IsingModel(g, {e: make_coupling(x=Fraction(rng.randint(1, 30), rng.randint(31, 60)))
+                             for e in g.edges()})
+        g = make()
+        yield IsingModel(g, {e: make_coupling(x=rng.uniform(0.05, 0.95)) for e in g.edges()})
+
+
+def _ydelta_cases():
+    """(model, site) for every vertex of each model, every triangle of each
+    Y -> triangle result and every triangle of each dual."""
+    def triangles(m):
+        return [f for f in m.graph.face_ids() if len(m.graph.face_darts(f)) == 3]
+    for model in _ydelta_models():
+        for v in model.graph.vertex_ids():
+            yield model, "v:" + v
+            try:
+                result = y_delta(model, "v:" + v)
+            except GraphError:
+                continue
+            yield from ((result, "f:" + f) for f in triangles(result))
+        dual = dual_ising(model)
+        yield from ((dual, "f:" + f) for f in triangles(dual))
+
+
+class TestYDeltaEdit:
+    def test_matches_rebuilding_reference(self):
+        count = errors = wrapped = 0
+        for model, site in _ydelta_cases():
+            ref = reference_y_to_delta if site.startswith("v:") else reference_delta_to_y
+            want = _ydelta_outcome(ref, model, site[2:])
+            assert _ydelta_outcome(y_delta, model, site) == want, site
+            count += 1
+            errors += want.startswith("error: ")
+            if site.startswith("f:"):
+                # corners whose two triangle darts are the first and last of
+                # their rotation: the leg takes the first one's place
+                g = model.graph
+                tri = {g.darts[d].edge for d in g.face_darts(site[2:])}
+                wrapped += any(g.darts[rot[0]].edge in tri and g.darts[rot[-1]].edge in tri
+                               for rot in (g.rotation[g.tail(d)] for d in g.face_darts(site[2:])))
+        assert count == 168 and 0 < errors < count and wrapped > 0
+
+    def test_one_edit_no_rebuild(self, monkeypatch):
+        # each move is one edit, and the only graph built is the one the
+        # edit returns; nothing is frozen, so no rotation is relinked
+        calls = {"edit": 0, "init": 0, "freeze": 0}
+        edit, init = TorusGraph.edit, TorusGraph.__init__
+
+        def counting_edit(self, *args, **kwargs):
+            calls["edit"] += 1
+            return edit(self, *args, **kwargs)
+
+        def counting_init(self):
+            calls["init"] += 1
+            init(self)
+
+        def counting_freeze(self):
+            calls["freeze"] += 1
+
+        model = honeycomb_model([Fraction(k, 2 * k + 3) for k in range(1, 13)])
+        result = y_delta(model, "v:u00")
+        tri = [f for f in result.graph.face_ids() if len(result.graph.face_darts(f)) == 3]
+        monkeypatch.setattr(TorusGraph, "edit", counting_edit)
+        monkeypatch.setattr(TorusGraph, "__init__", counting_init)
+        monkeypatch.setattr(TorusGraph, "freeze", counting_freeze)
+        y_delta(model, "v:u00")
+        y_delta(result, "f:" + tri[0])
+        assert calls == {"edit": 2, "init": 2, "freeze": 0}
 
 
 class TestToDimer:

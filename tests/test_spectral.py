@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from isingdimer.exactalg import LaurentPoly2, lm_determinant
-from isingdimer.dimer import color_change, gauge_transform, square_move, x_of_cycle
+from isingdimer.dimer import MoveError, color_change, gauge_transform, square_move, x_of_cycle
 from isingdimer.ising import (GadgetMap, IsingModel, couplings_from_file_data,
                               make_coupling, to_dimer)
 from isingdimer.abel import AbelLabel, discrete_abel
@@ -21,6 +21,7 @@ from isingdimer.spectral import (
     divisor_of_vertex,
     kappa_gauge_equivalent,
     kappa_is_valid,
+    kappa_tree_normalize,
     kasteleyn_matrix,
     nu_map,
     solve_kasteleyn_signs,
@@ -134,6 +135,187 @@ class TestKasteleynSigns:
         hits = [lab for lab, k in solve_kasteleyn_signs(g)
                 if kappa_gauge_equivalent(g, k, FIXTURE_KAPPA)]
         assert len(hits) == 1
+
+
+def reference_gf2_solve(rows, rhs, nvars):
+    """Particular solution and kernel basis of A x = b over GF(2)."""
+    rows = [r | (b << nvars) for r, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(nvars):
+        piv = next((i for i in range(len(pivots), len(rows)) if rows[i] >> col & 1), None)
+        if piv is None:
+            continue
+        rows[len(pivots)], rows[piv] = rows[piv], rows[len(pivots)]
+        for i in range(len(rows)):
+            if i != len(pivots) and rows[i] >> col & 1:
+                rows[i] ^= rows[len(pivots)]
+        pivots.append(col)
+    for i in range(len(pivots), len(rows)):
+        if rows[i]:
+            raise SpectralError("Kasteleyn sign system is inconsistent (parity obstruction)")
+    x = 0
+    for i, col in enumerate(pivots):
+        if rows[i] >> nvars & 1:
+            x |= 1 << col
+    kernel = []
+    for f in (c for c in range(nvars) if c not in pivots):
+        v = 1 << f
+        for i, col in enumerate(pivots):
+            if rows[i] >> f & 1:
+                v |= 1 << col
+        kernel.append(v)
+    return x, kernel
+
+
+def reference_solve_kasteleyn_signs(g):
+    """The four sign classes from the kernel of the face system: a search
+    over pairs of kernel vectors for the four labels."""
+    edges = g.edges()
+    eidx = {e: i for i, e in enumerate(edges)}
+    rows, rhs = [], []
+    for fid, orbit in g.faces():
+        mask = 0
+        for d in orbit:
+            mask ^= 1 << eidx[g.darts[d].edge]
+        rows.append(mask)
+        rhs.append(((len(orbit) // 2) + 1) % 2)
+    x0, kernel = reference_gf2_solve(rows, rhs, len(edges))
+    cycle_a, cycle_b = g.homology_basis_cycles()
+
+    def label(mask):
+        sa = sb = 1
+        for d in cycle_a:
+            if mask >> eidx[g.darts[d].edge] & 1:
+                sa = -sa
+        for d in cycle_b:
+            if mask >> eidx[g.darts[d].edge] & 1:
+                sb = -sb
+        return (sa, sb)
+
+    base_label = label(x0)
+    reps = {base_label: x0}
+    effects = []
+    for k in kernel:
+        la = label(x0 ^ k)
+        effects.append((k, (la[0] * base_label[0], la[1] * base_label[1])))
+    for k1, eff1 in effects:
+        if len(reps) == 4:
+            break
+        lab = (eff1[0] * base_label[0], eff1[1] * base_label[1])
+        reps.setdefault(lab, x0 ^ k1)
+        for k2, eff2 in effects:
+            lab = (base_label[0] * eff1[0] * eff2[0], base_label[1] * eff1[1] * eff2[1])
+            reps.setdefault(lab, x0 ^ k1 ^ k2)
+    assert len(reps) == 4
+    out = []
+    for lab in sorted(reps, reverse=True):
+        kappa = {e: (-1 if reps[lab] >> i & 1 else 1) for e, i in eidx.items()}
+        out.append((lab, kappa_tree_normalize(g, kappa)))
+    return out
+
+
+PYTHAGOREAN = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
+               (Fraction(8, 17), Fraction(15, 17)), (Fraction(7, 25), Fraction(24, 25))]
+
+
+def pythagorean_dimer(make, n, m, seed):
+    """Gadget graph and exact weights of make(n, m) with seeded couplings
+    from the first Pythagorean triples, in either order."""
+    g = make(n, m)
+    rng = random.Random(seed)
+    couplings = {e: make_coupling(sc=rng.choice(PYTHAGOREAN)[::rng.choice((1, -1))])
+                 for e in g.edges()}
+    gd, wt, _ = to_dimer(IsingModel(g, couplings))
+    return gd, wt
+
+
+def sign_graphs():
+    """The gadget graphs of square and honeycomb 1x1, 2x1, 2x2 and 3x3, each
+    followed by six seeded square-move descendants: 56 graphs."""
+    from test_torusgraph import honeycomb, square
+    for make in (square, honeycomb):
+        for n, m in ((1, 1), (2, 1), (2, 2), (3, 3)):
+            rng = random.Random(f"{make.__name__} {n}x{m}")
+            g, wt = pythagorean_dimer(make, n, m, rng.random())
+            yield g
+            for _ in range(6):
+                quads = [f for f, orbit in g.faces() if len(orbit) == 4]
+                rng.shuffle(quads)
+                for fid in quads:
+                    try:
+                        g, wt, _ = square_move(g, wt, fid)
+                        break
+                    except MoveError:
+                        continue
+                else:
+                    raise AssertionError("no square face admits a move")
+                yield g
+
+
+def twisted(P, s, t):
+    """P(s z, t w) for s, t = +-1."""
+    return LaurentPoly2({(i, j): c * s ** (i % 2) * t ** (j % 2) for (i, j), c in P.terms.items()})
+
+
+# one black b and two whites: b-w1 by edges of displacement (0,0) and
+# (1,0), b-w2 by (0,0) and (0,1); the one face is an octagon through both
+# darts of every edge, so its sign product is +1, never the -1 it needs
+PARITY_OBSTRUCTED = """torus-graph v1
+vertex b b
+vertex w1 w
+vertex w2 w
+edge e1 b w1 0 0
+edge e2 b w1 1 0
+edge e3 b w2 0 0
+edge e4 b w2 0 1
+rot b e2+ e4+ e1+ e3+
+rot w1 e1- e2-
+rot w2 e3- e4-
+weight e1 1
+weight e2 1
+weight e3 1
+weight e4 1
+"""
+
+
+class TestSignTwists:
+    def test_matches_kernel_search_reference(self):
+        graphs = list(sign_graphs())
+        assert len(graphs) == 56
+        for g in graphs:
+            assert solve_kasteleyn_signs(g) == reference_solve_kasteleyn_signs(g)
+
+    def test_fixture_matches_reference(self, dimer_fixture):
+        g, _ = dimer_fixture
+        assert solve_kasteleyn_signs(g) == reference_solve_kasteleyn_signs(g)
+
+    @pytest.mark.parametrize("lattice", ["fixture", "square 1x1", "honeycomb 1x1",
+                                         "square 2x1", "honeycomb 2x1"])
+    def test_classes_are_twists_of_one_polynomial(self, lattice, dimer_fixture):
+        # det K of class (s, t) is +-P_{++}(s z, t w), coefficient by coefficient
+        from test_torusgraph import honeycomb, square
+        if lattice == "fixture":
+            g, wt = dimer_fixture
+        else:
+            kind, size = lattice.split()
+            n, m = map(int, size.split("x"))
+            g, wt = pythagorean_dimer(square if kind == "square" else honeycomb, n, m, lattice)
+        classes = dict(solve_kasteleyn_signs(g))
+        assert list(classes) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        P = lm_determinant(kasteleyn_matrix(g, wt, classes[(1, 1)]))
+        dets = []
+        for (s, t), kappa in classes.items():
+            dets.append(canonical_sign(lm_determinant(kasteleyn_matrix(g, wt, kappa))))
+            assert dets[-1] == canonical_sign(twisted(P, s, t))
+        assert len(set(dets)) == 4
+
+    def test_parity_obstruction(self):
+        g, _, _ = parse_torus_graph(PARITY_OBSTRUCTED)
+        rep = g.validate()
+        assert (rep["V"], rep["E"], rep["faces"]) == (3, 4, {"f0": 8})
+        with pytest.raises(SpectralError, match=r"^Kasteleyn sign system is inconsistent "
+                                                r"\(parity obstruction\)$"):
+            solve_kasteleyn_signs(g)
 
 
 class TestDivisors:
