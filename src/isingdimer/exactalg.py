@@ -7,6 +7,7 @@ mixing modes in a binary operation raises `ModeError`.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 NUMERIC_ZERO_TOL = 1e-10
@@ -275,9 +276,6 @@ class LaurentPoly2:
         return f"LaurentPoly2({self.canonical_str()})"
 
 
-ONE = LaurentPoly2.const(Fraction(1))
-
-
 class LaurentMatrix:
     """A rectangular matrix of Laurent polynomials with labeled rows/columns."""
 
@@ -314,34 +312,11 @@ class LaurentMatrix:
         return LaurentMatrix(self.rows, other.cols, out)
 
 
-def lp_divexact(p, d):
-    """Exact division p / d in the Laurent ring; raises if not divisible."""
-    if d.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if p.is_zero():
-        return LaurentPoly2.zero()
-    lead = max(d.terms)
-    dlead = d.terms[lead]
-    rem = p
-    qterms = {}
-    guard = len(p.terms) * len(d.terms) + len(p.terms) + 8
-    while rem.terms:
-        guard -= 1
-        if guard < 0:
-            raise ArithmeticError("exact division did not terminate")
-        rl = max(rem.terms)
-        c = rem.terms[rl]
-        qc = c / dlead
-        qij = (rl[0] - lead[0], rl[1] - lead[1])
-        qterms[qij] = qterms.get(qij, 0) + qc
-        rem = rem - LaurentPoly2.monomial(*qij, qc) * d
-    return LaurentPoly2(qterms)
-
-
 def lm_determinant(m):
     """Determinant of a square Laurent matrix, of any size.
 
-    Exact entries: fraction-free Bareiss elimination over the Laurent ring.
+    Exact entries: fraction-free Bareiss elimination over Z[z^±1, w^±1]
+    on the rows cleared of their denominators (_int_rows, _det_int).
     Numeric entries: det lies in the exponent box summed from each row's
     exponent range, so it is evaluated on a grid of roots of unity covering
     that box (_sample_grid, batched LU) and its coefficients are read off
@@ -350,10 +325,9 @@ def lm_determinant(m):
     if not m.is_square():
         raise DimensionError("determinant of a non-square matrix")
     a = [[m.entries[(r, c)] for c in m.cols] for r in m.rows]
-    if not a:
-        return ONE
     if all(e.exact for row in a for e in row):
-        return _det_bareiss(a)
+        rows, scales = _int_rows(a)
+        return _from_int(_det_int(rows), math.prod(scales))
     import numpy as np
     sampled = _sample_grid(a)
     if sampled is None:
@@ -362,24 +336,99 @@ def lm_determinant(m):
     return _interpolate(np.linalg.det(grid)[..., None], shift, real)[0]
 
 
-def _det_bareiss(a):
+# -- the exact kernel: integer term dicts {(i, j): int} -------------------------
+
+
+def _int_rows(a):
+    """The rows of the exact matrix a as integer term dicts, each multiplied
+    by the lcm L_r of its denominators; returns (rows, [L_r])."""
+    dens = [math.lcm(*(c.denominator for e in row for c in e.terms.values())) for row in a]
+    return [[{ij: c.numerator * (den // c.denominator) for ij, c in e.terms.items()}
+             for e in row] for row, den in zip(a, dens)], dens
+
+
+def _from_int(p, scale):
+    """The integer term dict p divided by the nonzero integer scale."""
+    return LaurentPoly2({ij: Fraction(c, scale) for ij, c in p.items()})
+
+
+def _mul_sub(a, b, c, d):
+    """a*b - c*d for integer term dicts, without zero terms."""
+    out = {}
+    for p, q, sign in ((a, b, 1), (c, d, -1)):
+        for (i1, j1), x in p.items():
+            x *= sign
+            for (i2, j2), y in q.items():
+                ij = (i1 + i2, j1 + j2)
+                out[ij] = out.get(ij, 0) + x * y
+    return {ij: x for ij, x in out.items() if x}
+
+
+def _divider(d):
+    """Exact division by the nonzero integer term dict d in Z[z^±1, w^±1]:
+    a function p -> p / d that uses p up as the remainder. The quotient
+    lies in the box N(p) - N(d) of the Newton polygons, walked down in lex
+    order, each step dividing the top terms. Raises ArithmeticError on a
+    nonzero remainder."""
+    lead = max(d)
+    lc = d[lead]
+    rest = [(ij, x) for ij, x in d.items() if ij != lead]
+    di, dj = zip(*d)
+    low, high = (min(di), min(dj)), (max(di), max(dj))
+
+    def divide(p):
+        if not p:
+            return {}
+        pi, pj = zip(*p)
+        q = {}
+        for qi in range(max(pi) - high[0], min(pi) - low[0] - 1, -1):
+            for qj in range(max(pj) - high[1], min(pj) - low[1] - 1, -1):
+                c = p.pop((qi + lead[0], qj + lead[1]), 0)
+                if not c:
+                    continue
+                y, r = divmod(c, lc)
+                if r:
+                    raise ArithmeticError("inexact division")
+                q[(qi, qj)] = y
+                for (i, j), x in rest:
+                    ij = (i + qi, j + qj)
+                    p[ij] = p.get(ij, 0) - y * x
+        if any(p.values()):
+            raise ArithmeticError("inexact division")
+        return q
+
+    return divide
+
+
+def _det_int(a):
+    """Determinant of the square matrix a of integer term dicts, by Bareiss
+    elimination over Z[z^±1, w^±1] (Bareiss, Math. Comp. 1968): every
+    intermediate entry is a minor of a, so each division by the previous
+    pivot is exact. A zero pivot is swapped with the first nonzero entry
+    below it; an entry whose two products are zero stays zero, which skips
+    most of the work on a sparse Kasteleyn matrix. a is not changed."""
     n = len(a)
-    sign = 1
-    prev = ONE
+    if not n:
+        return {(0, 0): 1}
+    a = [list(row) for row in a]
+    sign, divide = 1, None
     for k in range(n - 1):
-        if a[k][k].is_zero():
-            piv = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
             if piv is None:
-                return LaurentPoly2.zero()
+                return {}
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
+        top, pivot = a[k], a[k][k]
         for i in range(k + 1, n):
+            row, lead = a[i], a[i][k]
             for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = lp_divexact(num, prev) if not prev == ONE else num
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign > 0 else -det
+                if row[j] or lead and top[j]:
+                    num = _mul_sub(row[j], pivot, lead, top[j])
+                    row[j] = divide(num) if divide else num
+        divide = _divider(pivot)
+    det = a[-1][-1]
+    return det if sign > 0 else {ij: -x for ij, x in det.items()}
 
 
 def _sample_grid(a):
@@ -458,22 +507,22 @@ def _adjugate_column_svd(a, i):
 
 def lm_adjugate_column(m, row):
     """Column `row` of adj(m), as {column label of m: signed (n-1)-minor}:
-    m @ column == det(m) * e_row, singular m included. Exact entries: each
-    minor by Bareiss elimination. Numeric entries: the whole column from
-    one sample grid of m (_adjugate_column_svd), read out as
-    lm_determinant reads det."""
+    m @ column == det(m) * e_row, singular m included. Exact entries: m is
+    cleared of denominators once (_int_rows), and each minor of the other
+    rows is a _det_int of those shared rows, scaled by the product of their
+    L_r. Numeric entries: the whole column from one sample grid of m
+    (_adjugate_column_svd), read out as lm_determinant reads det."""
     if not m.is_square():
         raise DimensionError("adjugate of a non-square matrix")
     i = m.rows.index(row)
+    a = [[m.entries[(r, c)] for c in m.cols] for r in m.rows]
     if not all(e.exact for e in m.entries.values()):
-        a = [[m.entries[(r, c)] for c in m.cols] for r in m.rows]
         return dict(zip(m.cols, _adjugate_column_svd(a, i)))
-    rest = m.rows[:i] + m.rows[i + 1:]
-    out = {}
-    for j, c in enumerate(m.cols):
-        minor = lm_determinant(LaurentMatrix(rest, m.cols[:j] + m.cols[j + 1:], m.entries))
-        out[c] = -minor if (i + j) % 2 else minor
-    return out
+    rows, scales = _int_rows(a[:i] + a[i + 1:])
+    scale = math.prod(scales)
+    return {c: _from_int(_det_int([r[:j] + r[j + 1:] for r in rows]),
+                         -scale if (i + j) % 2 else scale)
+            for j, c in enumerate(m.cols)}
 
 
 def lm_adjugate(m):

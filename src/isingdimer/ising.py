@@ -98,7 +98,7 @@ class IsingModel:
         missing = [e for e in graph.edges() if e not in couplings]
         if missing:
             raise GraphError(f"edges without couplings: {missing}")
-        graph.validate()
+        graph.ensure_valid()
         self.graph = graph
         self.couplings = dict(couplings)
 

@@ -359,8 +359,9 @@ def _rational_zeros(coeffs):
     f is the squarefree part, f / gcd(f, f') by Euclid over Q, as a
     primitive integer polynomial. A rational root p/q in lowest terms has
     p | a_0 and q | a_n, so it is N/a_n with |N| <= |a_0 a_n|. The roots of
-    f modulo a small prime p (one dividing neither a_n nor f' at any of
-    them) are lifted by Newton steps to roots modulo M > 2 |a_0 a_n|; N is
+    f modulo the smallest prime p that divides neither a_n nor f' at any of
+    them (roots that meet modulo p make f' vanish there) are lifted by
+    Newton steps to roots modulo M > 2 |a_0 a_n|; N is
     the residue of a_n r closest to 0, and N/a_n is kept if f vanishes there
     exactly. All of it is exact arithmetic, with no bound on sizes."""
     a = [Fraction(c) for c in reversed(coeffs)]
@@ -386,7 +387,7 @@ def _rational_zeros(coeffs):
             v = (v * x + c) % m if m else v * x + c
         return v
 
-    p = 1000
+    p = 1
     while True:
         p += 1
         if f[-1] % p == 0 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
@@ -680,7 +681,8 @@ def amoeba_sample(P, grid=100, region=(-3.0, 3.0, -3.0, 3.0), tol=1e-8):
     """Sample the amoeba: for z on a log-modulus x phase grid, solve
     P(z, .) = 0 for the whole grid in one batched root-kernel call, polish
     every root by Newton steps in w with the exact derivative (vectorised
-    over the batch), keep |P| < tol.
+    over the batch), keep the roots at which P vanishes by the relative
+    rule of _vanishes.
 
     Returns a list of rows (x, y, is_real, z, w) with x = log|z|, y = log|w|,
     taken by math.log and abs of Python complex numbers: numpy's log and abs
@@ -699,7 +701,7 @@ def amoeba_sample(P, grid=100, region=(-3.0, 3.0, -3.0, 3.0), tol=1e-8):
     keep = ok[:, None] & (np.abs(roots) >= 1e-300)
     fibre = np.nonzero(keep)[0]
     _, w = _polish([Pn], z[fibre], roots[keep], steps=3, move_z=False)
-    hit = np.abs(_terms(_grid([Pn]), z[fibre], w)[0][0]) < tol
+    hit = _vanishes([Pn], z[fibre], w, tol)[0]
     z, w = z[fibre[hit]], w[hit]
     is_real = ((abs(z.imag) < 1e-12) & (abs(w.imag) < 1e-9)).tolist()
     z, w = z.tolist(), w.tolist()

@@ -51,6 +51,14 @@ class Dart:
         return f"Dart({self.id}: {self.vertex}->{self.head} {self.disp})"
 
 
+def _find(parent, v):
+    """Root of v in the union-find forest `parent`, halving the path."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
 class TorusGraph:
     """Immutable-after-validation combinatorial map on the torus.
 
@@ -280,7 +288,8 @@ class TorusGraph:
                     raise GraphError(f"edge {e} joins two {self.colors[v1]}-vertices")
 
     def validate(self):
-        """Check all invariants; returns a report dict, raises GraphError on failure."""
+        """Check all invariants, connectivity among them; returns a report
+        dict, raises GraphError on failure."""
         problems = [p for d in self.darts for p in self._twin_problems(d)]
         at = {}
         for d, dart in self.darts.items():
@@ -293,6 +302,12 @@ class TorusGraph:
                 problems.append(f"rotation at {v} does not list exactly its darts")
         if problems:
             raise GraphError("; ".join(problems))
+        parent = {v: v for v in self.colors}
+        for v1, v2, _, _ in self.edge_ends.values():
+            parent[_find(parent, v1)] = _find(parent, v2)
+        parts = sum(v == root for v, root in parent.items())
+        if parts > 1:
+            raise GraphError(f"graph is not connected: {parts} components")
 
         faces = self.faces()
         self._check_faces(self._face_orbit, self.edge_ends)
@@ -420,17 +435,10 @@ class TorusGraph:
         edges in order), as steps (v, e, u) of a walk from the first vertex
         in which v is reached before u. Deterministic."""
         parent = {v: v for v in self.vertex_ids()}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
         adj = {v: [] for v in self.vertex_ids()}
         for e in self.edges():
             v1, v2, _, _ = self.edge_ends[e]
-            r1, r2 = find(v1), find(v2)
+            r1, r2 = _find(parent, v1), _find(parent, v2)
             if r1 != r2:
                 parent[r1] = r2
                 adj[v1].append((e, v2))

@@ -96,6 +96,17 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("verb", ["inspect", "todimer"])
+    def test_disconnected_graph_exits_2(self, tmp_path, verb, capsys):
+        from test_torusgraph import disjoint_union, square
+        g = disjoint_union(square(1, 1), square(1, 1))
+        coup = {e: {"s": Fraction(4, 5), "c": Fraction(3, 5)} for e in g.edges()}
+        path = tmp_path / "two.tg"
+        path.write_text(serialize_torus_graph(g, couplings=coup))
+        assert main([verb, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: graph is not connected: 2 components\n"
+
     def test_parity_obstruction_exits_2(self, tmp_path, capsys):
         from test_spectral import PARITY_OBSTRUCTED
         path = tmp_path / "octagon.tg"
@@ -396,8 +407,9 @@ class TestConsoleEntryPoint:
         assert "vertices 8" in r.stdout
 
     def test_exact_todimer_and_move_leave_numpy_unloaded(self, files):
-        # the exact write side needs no numpy; importing it would raise
-        # the memory of every exact todimer and move run
+        # the exact write side and the exact checks need no numpy; importing
+        # it would raise the memory of every exact todimer, move,
+        # verify-ising and charpoly run
         d, _, ip, _ = files
         dim, gm, script = d / "d.tg", d / "d.gm", d / "moves.txt"
         child = f"""
@@ -405,8 +417,12 @@ import sys
 from isingdimer.cli import main
 assert main(["todimer", {ip!r}, "--out", {str(dim)!r}, "--gadget-map", {str(gm)!r}]) == 0
 face = open({str(gm)!r}).read().split("square 1 ")[1].split()[0]
+white = open({str(gm)!r}).read().split("partner ")[1].split()[0]
 open({str(script)!r}, "w").write(f"move square f={{face}}\\nmove color\\n")
 assert main(["move", {str(dim)!r}, "--script", {str(script)!r}, "--out", {str(d / "m.tg")!r}]) == 0
+assert main(["verify-ising", {str(dim)!r}, "--vertex", white, "--gadget-map", {str(gm)!r},
+             "--mode", "exact", "--out", {str(d / "v.txt")!r}]) == 0
+assert main(["charpoly", {str(dim)!r}, "--mode", "exact", "--out", {str(d / "c.txt")!r}]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 """
         src = os.path.dirname(os.path.dirname(isingdimer.__file__))
@@ -416,3 +432,5 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
         assert r.returncode == 0, r.stderr
         assert r.stdout == "[]\n"
         assert "# move square" in (d / "m.tg").read_text()
+        assert "condition weight-mutation pass" in (d / "v.txt").read_text()
+        assert (d / "c.txt").read_text().startswith("polynomial ")

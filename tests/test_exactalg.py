@@ -1,17 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isingdimer.exactalg import (
     DimensionError,
     LaurentMatrix,
     LaurentPoly2,
     ModeError,
+    _divider,
+    _mul_sub,
     lm_adjugate,
     lm_adjugate_column,
     lm_determinant,
-    lp_divexact,
     minkowski_sum,
     newton_polygon,
     resultant_eliminate,
@@ -44,6 +45,76 @@ def rationals(max_num=9, max_den=9):
 def small_polys():
     pairs = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
     return st.dictionaries(pairs, rationals(), min_size=1, max_size=4).map(LaurentPoly2)
+
+
+def int_polys(min_size=0):
+    pairs = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    coeffs = st.integers(-9, 9).filter(bool)
+    return st.dictionaries(pairs, coeffs, min_size=min_size, max_size=4)
+
+
+def laurent_grids(max_n=4):
+    """Square grids of exact Laurent entries, n from 1 to max_n: entries
+    with negative exponents and denominators that differ within a row,
+    about half of them zero, so that zero pivots and zero rows occur."""
+    entry = st.one_of(st.just(LaurentPoly2.zero()), small_polys())
+    return st.integers(1, max_n).flatmap(lambda n: st.lists(
+        st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def reference_divexact(p, d):
+    """Exact division p / d of LaurentPoly2 with Fraction coefficients;
+    raises if not divisible."""
+    if d.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    if p.is_zero():
+        return LaurentPoly2.zero()
+    lead = max(d.terms)
+    dlead = d.terms[lead]
+    rem = p
+    qterms = {}
+    guard = len(p.terms) * len(d.terms) + len(p.terms) + 8
+    while rem.terms:
+        guard -= 1
+        if guard < 0:
+            raise ArithmeticError("exact division did not terminate")
+        rl = max(rem.terms)
+        c = rem.terms[rl]
+        qc = c / dlead
+        qij = (rl[0] - lead[0], rl[1] - lead[1])
+        qterms[qij] = qterms.get(qij, 0) + qc
+        rem = rem - LaurentPoly2.monomial(*qij, qc) * d
+    return LaurentPoly2(qterms)
+
+
+def reference_det_bareiss(grid):
+    """Reference determinant: Bareiss elimination on the LaurentPoly2
+    entries themselves, Fraction arithmetic throughout."""
+    a = [list(row) for row in grid]
+    n = len(a)
+    sign = 1
+    prev = ONE
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            piv = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
+            if piv is None:
+                return LaurentPoly2.zero()
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = reference_divexact(num, prev) if not prev == ONE else num
+        prev = a[k][k]
+    det = a[n - 1][n - 1]
+    return det if sign > 0 else -det
+
+
+def reference_minor(grid, i, j):
+    """The signed minor of grid without row i and column j."""
+    rest = [row[:j] + row[j + 1:] for row in grid[:i] + grid[i + 1:]]
+    minor = reference_det_bareiss(rest) if rest else ONE
+    return -minor if (i + j) % 2 else minor
 
 
 class TestMul:
@@ -196,6 +267,110 @@ class TestDeterminant:
                 for j in range(k, n):
                     a[i][j] -= f * a[k][j]
         assert det == LaurentPoly2.const(sign * acc)
+
+
+# zero pivot with a row swap, two swaps, a zero row, n = 1, negative
+# exponents and denominators that differ within a row
+SWAP = [[LaurentPoly2.zero(), LaurentPoly2({(1, -1): Fraction(2, 3)})],
+        [LaurentPoly2({(-1, 0): Fraction(5, 7), (0, 0): Fraction(1, 2)}),
+         LaurentPoly2.const(Fraction(3, 4))]]
+TWO_SWAPS = [[LaurentPoly2.zero(), LaurentPoly2.zero(), LaurentPoly2.const(Fraction(1, 6))],
+             [LaurentPoly2.zero(), LaurentPoly2({(0, -2): Fraction(2, 9)}), ONE],
+             [LaurentPoly2({(1, 1): Fraction(-3, 5)}), LaurentPoly2.const(Fraction(4)), Z]]
+ZERO_ROW = [[Z, W], [LaurentPoly2.zero(), LaurentPoly2.zero()]]
+ONE_BY_ONE = [[LaurentPoly2({(-2, 1): Fraction(7, 3), (0, -1): Fraction(-1, 8)})]]
+
+
+def kernel_examples(test):
+    """The grids above as Hypothesis examples of a kernel property."""
+    for grid in (SWAP, TWO_SWAPS, ZERO_ROW, ONE_BY_ONE):
+        test = example(grid)(test)
+    return test
+
+
+def _grid_matrix(grid):
+    n = len(grid)
+    return _matrix(range(n), range(n), grid)
+
+
+class TestIntegerKernel:
+    @given(laurent_grids())
+    @kernel_examples
+    @settings(max_examples=60, deadline=None)
+    def test_det_equals_fraction_reference(self, grid):
+        assert lm_determinant(_grid_matrix(grid)) == reference_det_bareiss(grid)
+
+    @given(laurent_grids(3))
+    @kernel_examples
+    @settings(max_examples=40, deadline=None)
+    def test_adjugate_column_equals_fraction_reference(self, grid):
+        m = _grid_matrix(grid)
+        n = len(grid)
+        for i in range(n):
+            col = lm_adjugate_column(m, i)
+            assert col == {j: reference_minor(grid, i, j) for j in range(n)}
+
+    def test_examples_need_swaps(self):
+        assert lm_determinant(_grid_matrix(SWAP)) == \
+            LaurentPoly2({(0, -1): Fraction(-10, 21), (1, -1): Fraction(-1, 3)})
+        assert lm_determinant(_grid_matrix(TWO_SWAPS)) == \
+            LaurentPoly2({(1, -1): Fraction(1, 45)})
+        assert lm_determinant(_grid_matrix(ZERO_ROW)).is_zero()
+
+    def test_honeycomb_2x2(self):
+        # n = 24, Pythagorean couplings: the determinant against the
+        # reference, and the adjugate identity of one column
+        x = [Fraction(k, k + 2) for k in range(1, 13)]
+        gd, wt, _ = to_dimer(honeycomb_model(x, n=2, m=2))
+        _, kappa = solve_kasteleyn_signs(gd)[0]
+        K = kasteleyn_matrix(gd, wt, kappa)
+        assert len(K.rows) == 24
+        grid = [[K[(r, c)] for c in K.cols] for r in K.rows]
+        det = lm_determinant(K)
+        assert det == reference_det_bareiss(grid)
+        r = K.rows[7]
+        col = lm_adjugate_column(K, r)
+        for rr in K.rows:
+            acc = LaurentPoly2.zero()
+            for c in K.cols:
+                acc = acc + K[(rr, c)] * col[c]
+            assert acc == (det if rr == r else LaurentPoly2.zero())
+
+
+def _sympy_matrix(sympy, grid):
+    z, w = sympy.symbols("z w")
+    return sympy.Matrix([[sum((sympy.Rational(c.numerator, c.denominator) * z ** i * w ** j
+                               for (i, j), c in e.terms.items()), sympy.Integer(0))
+                          for e in row] for row in grid]), z, w
+
+
+def _sympy_poly(sympy, p, z, w):
+    return sum((sympy.Rational(c.numerator, c.denominator) * z ** i * w ** j
+                for (i, j), c in p.terms.items()), sympy.Integer(0))
+
+
+class TestAgainstSympy:
+    @given(laurent_grids(3))
+    @kernel_examples
+    @settings(max_examples=25, deadline=None)
+    def test_det_and_adjugate(self, grid):
+        sympy = pytest.importorskip("sympy")
+        M, z, w = _sympy_matrix(sympy, grid)
+        m = _grid_matrix(grid)
+        det = lm_determinant(m)
+        assert sympy.expand(M.det(method="berkowitz") - _sympy_poly(sympy, det, z, w)) == 0
+        adj = lm_adjugate(m)
+        want = M.adjugate(method="berkowitz")
+        n = len(grid)
+        for r in range(n):
+            for c in range(n):
+                got = _sympy_poly(sympy, adj.entries[(r, c)], z, w)
+                assert sympy.expand(want[r, c] - got) == 0
+        # m adj(m) = adj(m) m = det(m) I
+        for prod in (m.matmul(adj), adj.matmul(m)):
+            for r in range(n):
+                for c in range(n):
+                    assert prod.entries[(r, c)] == (det if r == c else LaurentPoly2.zero())
 
 
 class TestAdjugate:
@@ -392,13 +567,39 @@ class TestRationalArithmetic:
 
 
 class TestDivexact:
-    @given(small_polys(), small_polys())
-    @settings(max_examples=30, deadline=None)
+    @given(int_polys(), int_polys(min_size=1))
+    @settings(max_examples=60, deadline=None)
     def test_product_division(self, p, q):
-        prod = p * q
-        if q.is_zero():
-            return
-        assert lp_divexact(prod, q) == p
+        prod = _mul_sub(p, q, {}, {})
+        assert _divider(q)(prod) == p
+        assert _divider(q)(_mul_sub(p, q, q, p)) == {}
+
+    @given(int_polys(), int_polys(min_size=1), st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+           st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_non_divisible_raises(self, p, q, ij, c):
+        # p*q plus a monomial c*z^i*w^j: q with two or more terms divides no
+        # monomial, and a monomial q divides it only if its coefficient
+        # divides c, so q is scaled to make sure it does not
+        if len(q) == 1:
+            q = {k: 9 * v for k, v in q.items()}
+        prod = _mul_sub(p, q, {}, {})
+        prod[ij] = prod.get(ij, 0) + c
+        prod = {k: v for k, v in prod.items() if v}
+        with pytest.raises(ArithmeticError):
+            _divider(q)(prod)
+
+    def test_examples(self):
+        # z^2 - w^2 = (z - w)(z + w); 2z + 1 is not divisible by 2 over Z,
+        # z + 1 not by z + 2, z^-1 + w not by z - w
+        assert _divider({(1, 0): 1, (0, 1): -1})({(2, 0): 1, (0, 2): -1}) == \
+            {(1, 0): 1, (0, 1): 1}
+        assert _divider({(0, 0): 3})({(1, -1): 6, (0, 0): -3}) == {(1, -1): 2, (0, 0): -1}
+        for p, d in (({(1, 0): 2, (0, 0): 1}, {(0, 0): 2}),
+                     ({(1, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 2}),
+                     ({(-1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1})):
+            with pytest.raises(ArithmeticError):
+                _divider(d)(dict(p))
 
 
 class TestSerialization:

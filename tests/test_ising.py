@@ -353,6 +353,21 @@ class TestYDeltaEdit:
         y_delta(result, "f:" + tri[0])
         assert calls == {"edit": 2, "init": 2, "freeze": 0}
 
+    def test_moved_model_is_not_validated_again(self, monkeypatch):
+        # the edit checked what it changed; IsingModel keeps that verdict,
+        # and validates a graph that has not been checked
+        calls = []
+        validate = TorusGraph.validate
+        monkeypatch.setattr(TorusGraph, "validate", lambda g: calls.append(g) or validate(g))
+        model = honeycomb_model([Fraction(k, 2 * k + 3) for k in range(1, 13)])
+        assert calls == [model.graph]
+        result = y_delta(model, "v:u00")
+        tri = [f for f in result.graph.face_ids() if len(result.graph.face_darts(f)) == 3]
+        back = y_delta(result, "f:" + tri[0])
+        assert calls == [model.graph]
+        IsingModel(back.graph.freeze(), back.couplings)
+        assert calls == [model.graph, back.graph]
+
 
 class TestToDimer:
     def test_fixture_census(self):

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from isingdimer.exactalg import LaurentPoly2, lm_determinant
 from isingdimer.dimer import MoveError, color_change, gauge_transform, square_move, x_of_cycle
@@ -415,6 +416,26 @@ def _worked_dimer():
     return g, wt, FIXTURE_KAPPA, "w2"
 
 
+def brute_rational_zeros(coeffs):
+    """Nonzero rational roots of a polynomial (lowest degree first), by
+    trying every +-p/q with p | a_0 and q | a_n in lowest terms."""
+    a = [Fraction(c) for c in coeffs]
+    while a and a[0] == 0:
+        a.pop(0)
+    while a and a[-1] == 0:
+        a.pop()
+    if len(a) < 2:
+        return []
+    den = math.lcm(*(c.denominator for c in a))
+    a0, an = (int(c * den) for c in (a[0], a[-1]))
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    cands = {Fraction(s * p, q) for p in divisors(a0) for q in divisors(an) for s in (1, -1)}
+    return sorted(c for c in cands if sum(x * c ** k for k, x in enumerate(a)) == 0)
+
+
 class TestRoots:
     def test_matches_np_roots_per_fibre(self, dimer_fixture):
         # reference: the per-fibre loop the kernel replaced, np.roots on the
@@ -442,6 +463,28 @@ class TestRoots:
                     continue
                 assert ok[k] and np.array_equal(roots[k], np.roots(rows[k]))
         assert not _roots(_fibres(Q.to_numeric(), np.array([1.0 + 0j])))[1][0]
+
+    @given(st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)), max_size=4),
+           st.sampled_from([2, 3, 5, 6, 10, 15, 30]),
+           st.sampled_from([[1], [1, 0, 1], [-2, 0, 1], [3, 1, 1]]),
+           st.sampled_from([Fraction(1), Fraction(-3, 7)]))
+    @example([Fraction(k) for k in (1, 3, 4, 6)] + [Fraction(1, 2)], 30, [1], Fraction(1))
+    @example([Fraction(1), Fraction(1), Fraction(-1), Fraction(5, 2)], 15, [1, 0, 1], Fraction(1))
+    @example([Fraction(2), Fraction(7), Fraction(12), Fraction(2, 5)], 10, [1], Fraction(1))
+    @settings(max_examples=150, deadline=None)
+    def test_rational_zeros_against_brute_force(self, roots, lead, extra, scale):
+        # small roots meet modulo 2, 3 and 5 (two of 1, 3, 4 and 6 modulo
+        # each), and those primes divide the leading coefficient: the
+        # prime search starts at 2 and must step over all of them
+        from isingdimer.spectral import _rational_zeros
+        f = [Fraction(lead) * scale]
+        for r in roots:
+            f = [a - r * b for a, b in zip([Fraction(0)] + f, f + [Fraction(0)])]
+        f = [sum((f[i] * extra[k - i] for i in range(len(f)) if 0 <= k - i < len(extra)),
+                 Fraction(0)) for k in range(len(f) + len(extra) - 1)]
+        want = brute_rational_zeros(f)
+        assert want == sorted({r for r in roots if r != 0})
+        assert _rational_zeros(f) == want
 
     @pytest.mark.parametrize("case", ["double root", "irreducible quadratic", "above 2^80"])
     def test_rational_zeros_against_sympy(self, case):
@@ -858,7 +901,7 @@ def reference_amoeba_sample(P, grid, region, tol=1e-8):
     """Reference for amoeba_sample: the grid point by point, one row at a time."""
     import cmath
     import numpy as np
-    from isingdimer.spectral import _fibres, _grid, _polish, _roots, _terms
+    from isingdimer.spectral import _fibres, _polish, _roots, _vanishes
     Pn = P.to_numeric()
     x0, x1, _, _ = region
     zs = []
@@ -872,7 +915,7 @@ def reference_amoeba_sample(P, grid, region, tol=1e-8):
     keep = ok[:, None] & (np.abs(roots) >= 1e-300)
     fibre = np.nonzero(keep)[0]
     _, w = _polish([Pn], z[fibre], roots[keep], steps=3, move_z=False)
-    hit = np.abs(_terms(_grid([Pn]), z[fibre], w)[0][0]) < tol
+    hit = _vanishes([Pn], z[fibre], w, tol)[0]
     rows = []
     for k, wk in zip(fibre[hit].tolist(), w[hit].tolist()):
         zk = zs[k]
@@ -981,10 +1024,21 @@ class TestAmoebaArrays:
             # both colours and both csv flags occur
             assert {r[2] for r in rows} == {True, False}
 
+    @pytest.mark.parametrize("r", [20, 40])
+    def test_far_roots_kept(self, r):
+        # every fibre of P(z, .) has w-degree 4; far out on a tentacle |P|
+        # grows with the terms, and the relative rule keeps every root
+        P = curve("square 2x1")
+        assert P.degree_range("w") == (-2, 2)
+        rows = amoeba_sample(P, grid=40, region=(-r, r, -r, r))
+        assert len(rows) == 40 * 40 * 4
+        assert rows == reference_amoeba_sample(P, 40, (-r, r, -r, r))
+
     def test_no_hit_rows(self):
-        P = curve("square 1x1")
-        rows = amoeba_sample(P, grid=6, region=(-1, 1, -1, 1), tol=0.0)
-        assert rows == reference_amoeba_sample(P, 6, (-1, 1, -1, 1), tol=0.0) == []
+        # the one fibre, z = 1, of (z - 1) w + 1 has its root at infinity
+        P = LaurentPoly2({(1, 1): 1.0, (0, 1): -1.0, (0, 0): 1.0})
+        rows = amoeba_sample(P, grid=1, region=(-1, 1, -1, 1))
+        assert rows == reference_amoeba_sample(P, 1, (-1, 1, -1, 1)) == []
         assert amoeba_csv(rows) == reference_amoeba_csv(rows) == "x,y,is_real\n"
         assert amoeba_svg(rows, [(0.0, 0.0)]) == reference_amoeba_svg(rows, [(0.0, 0.0)])
 

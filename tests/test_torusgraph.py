@@ -238,6 +238,19 @@ class TestValidate:
         assert sorted(rep["faces"].values()) == [4, 4, 8, 8]
         assert rep["bipartite"]
 
+    @pytest.mark.parametrize("parts", [
+        (lambda: square(1, 1), lambda: square(1, 1)),
+        (lambda: square(1, 1), lambda: honeycomb(2, 1), lambda: square(2, 1)),
+    ], ids=["two one-vertex tori", "three lattices"])
+    def test_disconnected_rejected(self, parts):
+        # each part is a torus, so V - E + F is 0 for the union too
+        g = disjoint_union(*(make() for make in parts))
+        V, E, F = len(g.colors), len(g.edge_ends), len(g.faces())
+        assert V - E + F == 0
+        message = f"graph is not connected: {len(parts)} components"
+        with pytest.raises(GraphError, match=message):
+            g.validate()
+
     def test_rotation_names_foreign_dart(self):
         g = TorusGraph()
         g.add_vertex("u")
