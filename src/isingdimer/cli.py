@@ -41,12 +41,17 @@ def _load(path):
         raise CliError(str(exc), 2)
 
 
-def _load_validated(path):
-    g, weights, couplings = _load(path)
+def _validate(g):
+    """The report of g.validate(); a GraphError exits 2."""
     try:
-        g.validate()
+        return g.validate()
     except GraphError as exc:
         raise CliError(str(exc), 2)
+
+
+def _load_validated(path):
+    g, weights, couplings = _load(path)
+    _validate(g)
     return g, weights, couplings
 
 
@@ -93,8 +98,8 @@ def _emit(text, out):
 
 
 def cmd_inspect(args):
-    g, weights, couplings = _load_validated(args.graph)
-    rep = g.validate()
+    g, _, _ = _load(args.graph)
+    rep = _validate(g)
     lines = [f"vertices {rep['V']}", f"edges {rep['E']}", f"faces {rep['F']}",
              f"euler {rep['euler']}", f"bipartite {int(rep['bipartite'])}"]
     for fid in sorted(rep["faces"]):

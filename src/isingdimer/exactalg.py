@@ -208,16 +208,6 @@ class LaurentPoly2:
             total += (c if not isinstance(c, Fraction) or isinstance(z, Fraction) else complex(c)) * zi * wj
         return total
 
-    def eval_exact(self, z, w):
-        """Evaluate at exact rational (z, w); requires exact mode."""
-        if not self.exact:
-            raise ModeError("eval_exact on numeric polynomial")
-        z, w = Fraction(z), Fraction(w)
-        total = Fraction(0)
-        for (i, j), c in self.terms.items():
-            total += c * z ** i * w ** j
-        return total
-
     def to_numeric(self):
         return LaurentPoly2({ij: complex(c) for ij, c in self.terms.items()})
 

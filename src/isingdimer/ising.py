@@ -283,14 +283,12 @@ def _moved_model(model, graph, dropped, names, xs):
 
 
 class GadgetMap:
-    """Bookkeeping of to_dimer: per Ising edge its square face and blacks,
-    per white corner its partner black (the 1-edge neighbor)."""
+    """Bookkeeping of to_dimer: per Ising edge its square face, per white
+    corner its partner black (the 1-edge neighbor)."""
 
-    def __init__(self, squares, partners, corner_of, black_of_dart):
+    def __init__(self, squares, partners):
         self.squares = squares            # ising edge -> face id in the dimer graph
         self.partners = partners          # white id -> black id
-        self.corner_of = corner_of        # (vertex, rotation index) -> white id
-        self.black_of_dart = black_of_dart  # ising dart -> black id
 
     def serialize(self):
         out = ["gadget-map v1"]
@@ -317,7 +315,7 @@ def parse_gadget_map(text):
             partners[parts[1]] = parts[2]
         else:
             raise GraphError(f"bad gadget-map line: {raw!r}")
-    return GadgetMap(squares, partners, {}, {})
+    return GadgetMap(squares, partners)
 
 
 def to_dimer(model):
@@ -326,26 +324,30 @@ def to_dimer(model):
     Per dart d of the Ising graph there is a black B(d); per rotation corner
     (u; d, d_next) a white. The corner after dart d carries the s-edge of d,
     the c-edge of d (from the black of twin(d)) and the weight-1 edge to the
-    black of d_next. Displacements: c-edges carry -disp(d), everything else 0,
-    which preserves every zig-zag homology class.
+    black of d_next.
+
+    The gadget's rotations are the mirror image of the Ising embedding, so
+    its marking goes through a determinant -1 lattice map S, which gives
+    H1 of the torus the orientation the discrete Abel translation rule
+    needs: c-edges carry S(-disp(d)), every other edge 0. S is the first
+    map of `_reflections` of the Ising zig-zag class multiset, so the
+    gadget keeps that multiset; when there is none (no det -1 symmetry, or
+    classes that do not span the plane), S is x -> -x.
 
     Returns (bipartite TorusGraph, weights: edge -> Fraction|float, GadgetMap).
     """
     g = model.graph
+    S = (_reflections(sorted(z["class"] for z in g.zigzag_paths())) or [((-1, 0), (0, 1))])[0]
     gn = TorusGraph()
     black = {}
     for d in sorted(g.darts):
         black[d] = f"B_{d}"
         gn.add_vertex(black[d], "b")
     corner = {}
-    corner_name = {}
     for u in g.vertex_ids():
-        rot = g.rotation[u]
-        for i, d in enumerate(rot):
-            w = f"W_{u}_{i}"
-            corner[(u, i)] = w
-            corner_name[(u, d)] = w     # corner after dart d
-            gn.add_vertex(w, "w")
+        for i in range(len(g.rotation[u])):
+            corner[(u, i)] = f"W_{u}_{i}"
+            gn.add_vertex(corner[(u, i)], "w")
     weights = {}
     s_edge, c_edge, one_edge = {}, {}, {}
     for u in g.vertex_ids():
@@ -360,8 +362,9 @@ def to_dimer(model):
             ec = f"c_{d}"
             e1 = f"o_{u}_{i}"
             gn.add_edge(es, black[d], w, 0, 0)
-            dd = g.disp(d)
-            gn.add_edge(ec, black[g.twin(d)], w, -dd[0], -dd[1])
+            dx, dy = g.disp(d)
+            gn.add_edge(ec, black[g.twin(d)], w, -S[0][0] * dx - S[0][1] * dy,
+                        -S[1][0] * dx - S[1][1] * dy)
             gn.add_edge(e1, black[dn], w, 0, 0)
             weights[es] = cp.s
             weights[ec] = cp.c
@@ -384,7 +387,6 @@ def to_dimer(model):
                                 one_edge[(u, i)] + "-"])
     gn.freeze()
     gn.validate()
-    gn = _orient_marking(gn, g.check_minimal()[0])
     squares = {}
     for e in g.edges():
         fid = gn.face_of_dart(s_edge[e + "+"] + "+")
@@ -395,51 +397,7 @@ def to_dimer(model):
     for (u, i), w in corner.items():
         dn = g.rotation[u][(i + 1) % len(g.rotation[u])]
         partners[w] = black[dn]
-    gm = GadgetMap(squares, partners, dict(corner), dict(black))
-    return gn, weights, gm
-
-
-def _abel_orientation_ok(g):
-    from .abel import abel_tree, SpectralError
-    try:
-        abel_tree(g)
-        return True
-    except SpectralError:
-        return False
-
-
-def _apply_lattice_map(g, S):
-    out = TorusGraph()
-    for v in g.vertex_ids():
-        out.add_vertex(v, g.colors[v], g.positions.get(v))
-    for e in g.edges():
-        v1, v2, dx, dy = g.edge_ends[e]
-        out.add_edge(e, v1, v2, S[0][0] * dx + S[0][1] * dy,
-                     S[1][0] * dx + S[1][1] * dy)
-    for v in g.vertex_ids():
-        out.set_rotation(v, list(g.rotation[v]))
-    return out.freeze()
-
-
-def _orient_marking(gn, minimal):
-    """Make the gadget marking orientation-compatible.
-
-    `minimal` is the verdict of `check_minimal` on the Ising graph, which
-    equals the gadget graph's. The raw gadget displacements preserve the
-    zig-zag class multiset but can identify H1 of the torus with the
-    reversed orientation, which the discrete Abel translation rule detects.
-    In that case the multiset admits a determinant -1 lattice symmetry;
-    compose the marking with the first one of `_reflections` that passes
-    the Abel check. The output is canonical up to lattice symmetries of
-    the Newton polygon.
-    """
-    if not minimal or _abel_orientation_ok(gn):
-        return gn
-    for S in _reflections(sorted(z["class"] for z in gn.zigzag_paths())):
-        flipped = _apply_lattice_map(gn, S)
-        if _abel_orientation_ok(flipped):
-            return flipped
-    raise GraphError("could not orient the gadget marking")
+    return gn, weights, GadgetMap(squares, partners)
 
 
 def _reflections(classes):
@@ -449,11 +407,14 @@ def _reflections(classes):
 
     A map is fixed by the images of two independent classes, so the
     candidates come from pairs of classes, O(k^2) of them. The classes of a
-    minimal graph span the plane (F = 2 Area(N) > 0).
+    minimal graph span the plane (F = 2 Area(N) > 0); for classes that do
+    not, the list is empty.
     """
     span = max(max(abs(p), abs(q)) for p, q in classes) + 1
-    u = classes[0]
-    v = next(c for c in classes if u[0] * c[1] - u[1] * c[0])
+    u, v = next(((u, v) for u in classes for v in classes if u[0] * v[1] - u[1] * v[0]),
+                (None, None))
+    if u is None:
+        return []
     m = u[0] * v[1] - u[1] * v[0]
     cands = []
     images = set(classes)

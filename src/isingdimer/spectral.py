@@ -107,26 +107,9 @@ def kappa_is_valid(g, kappa):
 
 
 def kappa_gauge_equivalent(g, k1, k2):
-    """Do k1 and k2 differ by a vertex sign function?"""
-    ratio = {e: k1[e] * k2[e] for e in g.edges()}
-    sign = {}
-    for root in g.vertex_ids():
-        if root in sign:
-            continue
-        sign[root] = 1
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for d in g.rotation[v]:
-                u = g.head(d)
-                want = sign[v] * ratio[g.darts[d].edge]
-                if u in sign:
-                    if sign[u] != want:
-                        return False
-                else:
-                    sign[u] = want
-                    stack.append(u)
-    return True
+    """Do k1 and k2 differ by a vertex sign function? On a connected graph
+    they do exactly when their tree normalizations agree."""
+    return kappa_tree_normalize(g, k1) == kappa_tree_normalize(g, k2)
 
 
 # -- Kasteleyn matrix and characteristic polynomial --------------------------------
@@ -510,8 +493,8 @@ def _divisor_exact(P, entries, genus):
     points = []
     for z0 in _rational_zeros([c.coeff(0, 0) for c in res.coeffs_in("z")[0]]):
         # w-candidates: rational roots of P(z0, w), which always depends on w
-        for w0 in _rational_zeros([c.eval_exact(z0, 1) for c in cw]):
-            if P.eval_exact(z0, w0) == 0 and all(q.eval_exact(z0, w0) == 0 for q in entries):
+        for w0 in _rational_zeros([c.eval(z0, 1) for c in cw]):
+            if P.eval(z0, w0) == 0 and all(q.eval(z0, w0) == 0 for q in entries):
                 points.append((z0, w0, 1))
     if len(points) != genus:
         raise SpectralError(

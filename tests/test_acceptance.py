@@ -52,7 +52,7 @@ from test_dimer import square22_dimer, two_cell_dimer
 
 
 GM = GadgetMap({"1": "f2", "2": "f3"},
-               {"w1": "b4", "w2": "b3", "w3": "b2", "w4": "b1"}, {}, {})
+               {"w1": "b4", "w2": "b3", "w3": "b2", "w4": "b1"})
 EXPECTED_P = "2 - 4/13*w - 4/13*w^-1 - 36/65*z - 36/65*z^-1"
 
 

@@ -125,11 +125,12 @@ class TestExitCodes:
     def test_abel_of_reflected_marking_exits_1(self, tmp_path, capsys):
         # the swap of x and y reverses the orientation of the marking; the
         # check sees it whatever the window
-        from isingdimer.ising import _apply_lattice_map
         from isingdimer.torusgraph import parse_torus_graph
+        from test_ising import reference_apply_lattice_map
         g, wt, _ = parse_torus_graph(DIMER_FIXTURE)
         bad = tmp_path / "swapped.tg"
-        bad.write_text(serialize_torus_graph(_apply_lattice_map(g, ((0, 1), (1, 0))), wt))
+        bad.write_text(serialize_torus_graph(reference_apply_lattice_map(g, ((0, 1), (1, 0))),
+                                             wt))
         for window in ("0", "2"):
             assert main(["abel", str(bad), "--window", window]) == 1
             err = capsys.readouterr().err
@@ -393,6 +394,18 @@ class TestPipelines:
         assert main(["dual", ip]) == 0
         out = capsys.readouterr().out
         assert out.startswith("torus-graph v1")
+
+    def test_inspect_validates_once(self, files, capsys, monkeypatch):
+        from isingdimer.torusgraph import TorusGraph
+        _, gp, ip, _ = files
+        calls = []
+        validate = TorusGraph.validate
+        monkeypatch.setattr(TorusGraph, "validate", lambda g: calls.append(g) or validate(g))
+        for path in (gp, ip):
+            calls.clear()
+            assert main(["inspect", path]) == 0
+            assert len(calls) == 1
+        assert "faces 4\n" in capsys.readouterr().out
 
 
 class TestConsoleEntryPoint:

@@ -34,7 +34,7 @@ from test_torusgraph import assert_same_faces, honeycomb, reference_canonical_fo
 
 def fixture_gm():
     return GadgetMap({"1": "f2", "2": "f3"},
-                     {"w1": "b4", "w2": "b3", "w3": "b2", "w4": "b1"}, {}, {})
+                     {"w1": "b4", "w2": "b3", "w3": "b2", "w4": "b1"})
 
 
 def two_cell_ising():
@@ -417,7 +417,7 @@ class TestIsingLocus:
         # one of the two gadget squares left unmoved: the graph is not the
         # color change, and isomorphic says so with the reference
         g, wt = fixture
-        gm = GadgetMap({"1": "f2"}, fixture_gm().partners, {}, {})
+        gm = GadgetMap({"1": "f2"}, fixture_gm().partners)
         ok, report = ising_locus_check(g, wt, gm)
         assert not ok and report["isomorphic"] is False
         assert (reference_canonical_form(report["mu_graph"])

@@ -145,6 +145,18 @@ class TestMul:
         assert all(isinstance(c, Fraction) for c in lm_determinant(m).terms.values())
 
 
+class TestEval:
+    @given(small_polys(), rationals().filter(bool), rationals().filter(bool))
+    @settings(max_examples=60, deadline=None)
+    @example(LaurentPoly2({(-2, 1): Fraction(3, 7), (0, -2): Fraction(-5, 2)}),
+             Fraction(-2, 3), Fraction(9, 4))
+    def test_exact_at_fraction_points(self, p, z, w):
+        got = p.eval(z, w)
+        assert got == sum((c * z ** i * w ** j for (i, j), c in p.terms.items()), Fraction(0))
+        # an empty polynomial sums to the int 0
+        assert isinstance(got, Fraction) or not p.terms
+
+
 class TestSigma:
     def test_monomial(self):
         assert LaurentPoly2.monomial(2, -1).sigma() == LaurentPoly2.monomial(-2, 1)

@@ -19,11 +19,14 @@ from isingdimer.ising import (
     ydelta_x_map,
     _reflections,
 )
+from isingdimer.abel import abel_tree
+from isingdimer.cli import main
+from isingdimer.spectral import SpectralError
 from isingdimer.torusgraph import GraphError, TorusGraph, parse_torus_graph, serialize_torus_graph
-from isingdimer.dimer import face_x_values
+from isingdimer.dimer import face_x_values, ising_locus_check
 
 from conftest import DIMER_FIXTURE, ISING_FIXTURE, S1, C1, S2, C2
-from test_torusgraph import honeycomb, square
+from test_torusgraph import doubled, honeycomb, square
 
 
 def fixture_model():
@@ -35,6 +38,58 @@ def honeycomb_model(values, n=2, m=2):
     g = honeycomb(n, m)
     coup = {e: make_coupling(x=x) for e, x in zip(g.edges(), values)}
     return IsingModel(g, coup)
+
+
+def rebuilt(g, disp):
+    """A new frozen graph with the vertices, edges and rotations of g, where
+    edge e carries displacement disp(e)."""
+    out = TorusGraph()
+    for v in g.vertex_ids():
+        out.add_vertex(v, g.colors[v], g.positions.get(v))
+    for e in g.edges():
+        v1, v2, _, _ = g.edge_ends[e]
+        out.add_edge(e, v1, v2, *disp(e))
+    for v in g.vertex_ids():
+        out.set_rotation(v, list(g.rotation[v]))
+    return out.freeze()
+
+
+def reference_apply_lattice_map(g, S):
+    """g with every edge displacement mapped by the integer matrix S."""
+    def disp(e):
+        _, _, dx, dy = g.edge_ends[e]
+        return S[0][0] * dx + S[0][1] * dy, S[1][0] * dx + S[1][1] * dy
+    return rebuilt(g, disp)
+
+
+def raw_gadget(model):
+    """The gadget graph of to_dimer with the marking before orientation: the
+    c-edge c_d carries -disp(d) of the Ising dart d, every other edge 0."""
+    disp = model.graph.disp
+    return rebuilt(to_dimer(model)[0],
+                   lambda e: tuple(-x for x in disp(e[2:])) if e.startswith("c_") else (0, 0))
+
+
+def reference_orient_marking(gn, minimal):
+    """The marking search that to_dimer replaced. `minimal` is the
+    check_minimal verdict of the Ising graph. A non-minimal graph, or a raw
+    marking that passes the discrete Abel check, keeps the raw marking;
+    otherwise the first map of `_reflections` whose image passes the check
+    wins, and GraphError is raised when none does."""
+    def abel_ok(h):
+        try:
+            abel_tree(h)
+            return True
+        except SpectralError:
+            return False
+
+    if not minimal or abel_ok(gn):
+        return gn
+    for S in _reflections(sorted(z["class"] for z in gn.zigzag_paths())):
+        flipped = reference_apply_lattice_map(gn, S)
+        if abel_ok(flipped):
+            return flipped
+    raise GraphError("could not orient the gadget marking")
 
 
 class TestCoupling:
@@ -476,6 +531,10 @@ class TestToDimer:
                 multisets.append(ms)
         for classes in multisets:
             assert _reflections(classes) == box(classes)
+        # classes that do not span the plane fix no map; to_dimer falls back
+        for classes in ([(0, 0)] * 4, [(0, -2), (0, 2)], [(-1, 1), (-1, 1), (1, -1), (1, -1)],
+                        [(-2, -1), (0, 0), (2, 1)]):
+            assert _reflections(classes) == []
 
     def test_oriented_output_matches_fixture_classes(self):
         # a weight-compatible isomorphism onto the worked fixture exists that
@@ -520,3 +579,79 @@ class TestToDimer:
         gm2 = parse_gadget_map(gm.serialize())
         assert gm2.squares == gm.squares
         assert gm2.partners == gm.partners
+
+
+LADDER = [(kind, k, l) for kind in ("square", "honeycomb") for k in (1, 2, 3) for l in (1, 2, 3)]
+
+
+class TestOrientedMarking:
+    """to_dimer writes the oriented marking while it builds the gadget."""
+
+    @pytest.mark.parametrize("kind,k,l", LADDER, ids=[f"{kind} {k}x{l}" for kind, k, l in LADDER])
+    def test_ladder(self, kind, k, l, tmp_path, capsys):
+        g = (square if kind == "square" else honeycomb)(k, l)
+        model = IsingModel(g, {e: make_coupling(x=Fraction(i + 1, 2 * i + 5))
+                               for i, e in enumerate(g.edges())})
+        gd, wt, gm = to_dimer(model)
+        text = serialize_torus_graph(gd, weights=wt)
+        ising = tmp_path / "ising.tg"
+        ising.write_text(serialize_torus_graph(g, couplings={
+            e: {"s": cp.s, "c": cp.c} for e, cp in model.couplings.items()}))
+        dimer, sidecar = tmp_path / "dimer.tg", tmp_path / "gadget.map"
+        assert main(["todimer", str(ising), "--out", str(dimer),
+                     "--gadget-map", str(sidecar)]) == 0
+        assert dimer.read_text() == text and sidecar.read_text() == gm.serialize()
+        assert main(["abel", str(dimer)]) == 0
+        assert main(["charpoly", str(dimer), "--mode", "numeric"]) == 0
+        assert capsys.readouterr().err == ""
+        assert ising_locus_check(gd, wt, gm)[0]
+        classes = sorted(z["class"] for z in g.zigzag_paths())
+        (a, b), (c, d) = (_reflections(classes) or [((-1, 0), (0, 1))])[0]
+        assert sorted(z["class"] for z in gd.zigzag_paths()) == \
+            sorted((a * p + b * q, c * p + d * q) for p, q in classes)
+        try:
+            ref = reference_orient_marking(raw_gadget(model), g.check_minimal()[0])
+        except GraphError:
+            # the search found no det -1 symmetry of these class multisets
+            assert (kind, k, l) in (("honeycomb", 3, 2), ("honeycomb", 2, 3))
+            assert (a, b, c, d) == (-1, 0, 0, 1)
+        else:
+            assert serialize_torus_graph(ref, weights=wt) == text
+
+    @pytest.mark.parametrize("make", [lambda: square(1, 1), lambda: honeycomb(1, 1),
+                                      lambda: square(2, 1)],
+                             ids=["square 1x1", "honeycomb 1x1", "square 2x1"])
+    def test_non_minimal_graphs_oriented(self, make):
+        # a doubled edge makes the class multiset collinear; the reference
+        # kept the raw marking there, which fails the Abel check
+        base = make()
+        for e in base.edges():
+            g = doubled(base, e)
+            classes = sorted(z["class"] for z in g.zigzag_paths())
+            assert not g.check_minimal()[0]
+            assert not any(p * s - q * r for p, q in classes for r, s in classes)
+            model = IsingModel(g, {x: make_coupling(x=Fraction(1, 3)) for x in g.edges()})
+            gd, _, _ = to_dimer(model)
+            abel_tree(gd)
+            assert sorted(z["class"] for z in gd.zigzag_paths()) == \
+                sorted((-p, q) for p, q in classes)
+            with pytest.raises(SpectralError):
+                abel_tree(raw_gadget(model))
+
+    def test_one_build_no_search(self, monkeypatch):
+        calls = {"check_minimal": 0, "abel_tree": 0, "freeze": 0, "validate": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        import isingdimer.abel
+        model = honeycomb_model([Fraction(k, 2 * k + 3) for k in range(1, 13)])
+        for name in ("check_minimal", "freeze", "validate"):
+            monkeypatch.setattr(TorusGraph, name, counting(name, getattr(TorusGraph, name)))
+        monkeypatch.setattr(isingdimer.abel, "abel_tree",
+                            counting("abel_tree", isingdimer.abel.abel_tree))
+        to_dimer(model)
+        assert calls == {"check_minimal": 0, "abel_tree": 0, "freeze": 1, "validate": 1}

@@ -36,7 +36,7 @@ from conftest import DIMER_FIXTURE, FIXTURE_KAPPA, ISING_FIXTURE, S1, C1, S2, C2
 
 def fixture_gm():
     return GadgetMap({"1": "f2", "2": "f3"},
-                     {"w1": "b4", "w2": "b3", "w3": "b2", "w4": "b1"}, {}, {})
+                     {"w1": "b4", "w2": "b3", "w3": "b2", "w4": "b1"})
 
 
 EXPECTED_P = "2 - 4/13*w - 4/13*w^-1 - 36/65*z - 36/65*z^-1"
@@ -783,15 +783,11 @@ def reference_discrete_abel(g, window=1):
     return {key: AbelLabel(lab) for key, lab in labels.items()}
 
 
-def gadget_markings(model, monkeypatch):
-    """The raw gadget marking that to_dimer starts from, and its output."""
-    from isingdimer import ising
-    raw, orient = [], ising._orient_marking
-    with monkeypatch.context() as mp:
-        mp.setattr(ising, "_orient_marking",
-                   lambda gn, minimal: raw.append(gn) or orient(gn, minimal))
-        final = to_dimer(model)[0]
-    return raw[0], final
+def gadget_markings(model):
+    """The raw gadget marking and the one the reference search orients."""
+    from test_ising import raw_gadget, reference_orient_marking
+    raw = raw_gadget(model)
+    return raw, reference_orient_marking(raw, model.graph.check_minimal()[0])
 
 
 def unimodular_maps(rng, count, bound=2):
@@ -825,20 +821,20 @@ def _verdict(check, g):
 class TestAbelTree:
     @pytest.mark.parametrize("lattice", ["square 1x1", "square 2x2", "square 3x3",
                                          "honeycomb 1x1", "honeycomb 2x2"])
-    def test_verdict_matches_window_reference(self, lattice, monkeypatch):
-        from isingdimer.ising import _apply_lattice_map
+    def test_verdict_matches_window_reference(self, lattice):
         from isingdimer.abel import abel_tree
+        from test_ising import reference_apply_lattice_map
         from test_torusgraph import honeycomb, square
         kind, size = lattice.split()
         g = (square if kind == "square" else honeycomb)(*map(int, size.split("x")))
         model = IsingModel(g, {e: make_coupling(x=Fraction(1, 3)) for e in g.edges()})
-        raw, final = gadget_markings(model, monkeypatch)
+        raw, final = gadget_markings(model)
         assert not _verdict(abel_tree, raw) and _verdict(abel_tree, final)
         rng = random.Random(lattice)
         seen = set()
         for marking in (raw, final):
             for S in unimodular_maps(rng, 40):
-                h = _apply_lattice_map(marking, S)
+                h = reference_apply_lattice_map(marking, S)
                 verdict = _verdict(abel_tree, h)
                 if verdict != _verdict(reference_discrete_abel, h):
                     # the window sees only the cycles that fit in it; the
@@ -857,12 +853,11 @@ class TestAbelTree:
             assert list(got) == list(want)
             assert all(got[k].counts == want[k].counts for k in want)
 
-    def test_inconsistent_marking_names_the_edge(self, monkeypatch):
-        from isingdimer.ising import _apply_lattice_map
+    def test_inconsistent_marking_names_the_edge(self):
         from isingdimer.abel import abel_tree
-        from test_ising import fixture_model
-        raw, final = gadget_markings(fixture_model(), monkeypatch)
-        for g in (raw, _apply_lattice_map(final, ((0, 1), (1, 0)))):
+        from test_ising import fixture_model, reference_apply_lattice_map
+        raw, final = gadget_markings(fixture_model())
+        for g in (raw, reference_apply_lattice_map(final, ((0, 1), (1, 0)))):
             with pytest.raises(SpectralError, match="inconsistent across edge") as exc:
                 abel_tree(g)
             named = str(exc.value).split("edge ")[1].split()[0]
