@@ -275,8 +275,10 @@ class LaurentMatrix:
         self.entries = {}
         for r in self.rows:
             for c in self.cols:
-                v = entries.get((r, c), LaurentPoly2.zero())
-                if not isinstance(v, LaurentPoly2):
+                v = entries.get((r, c))
+                if v is None:
+                    v = LaurentPoly2.zero()
+                elif not isinstance(v, LaurentPoly2):
                     v = LaurentPoly2.const(v)
                 self.entries[(r, c)] = v
 
@@ -319,11 +321,9 @@ def lm_determinant(m):
         rows, scales = _int_rows(a)
         return _from_int(_det_int(rows), math.prod(scales))
     import numpy as np
-    sampled = _sample_grid(a)
-    if sampled is None:
-        return LaurentPoly2.zero()
-    grid, shift, real = sampled
-    return _interpolate(np.linalg.det(grid)[..., None], shift, real)[0]
+    grid, lows, real = _sample_grid(a)
+    shift = tuple(sum(lo[k] for lo in lows) for k in (0, 1))
+    return _interpolate(np.linalg.det(grid)[..., None], [shift], real)[0]
 
 
 # -- the exact kernel: integer term dicts {(i, j): int} -------------------------
@@ -340,6 +340,17 @@ def _int_rows(a):
 def _from_int(p, scale):
     """The integer term dict p divided by the nonzero integer scale."""
     return LaurentPoly2({ij: Fraction(c, scale) for ij, c in p.items()})
+
+
+def _cleared_powers(x, lo, hi):
+    """{k: p^(k - lo) q^(hi - k) for lo <= k <= hi}, the powers x^k of the
+    nonzero rational x = p/q times the integer p^-lo q^hi."""
+    p, q = x.numerator, x.denominator
+    ps, qs = [1], [1]
+    for _ in range(hi - lo):
+        ps.append(ps[-1] * p)
+        qs.append(qs[-1] * q)
+    return dict(zip(range(lo, hi + 1), (a * b for a, b in zip(ps, reversed(qs)))))
 
 
 def _mul_sub(a, b, c, d):
@@ -423,16 +434,15 @@ def _det_int(a):
 
 def _sample_grid(a):
     """a on the grid of pairs of roots of unity that covers the exponent box
-    of det a, each row shifted to nonnegative exponents first. Returns the
-    (nz, nw, n, n) samples, the summed shift and whether every coefficient
-    is a float, or None when a row is zero."""
+    of det a, each row shifted to nonnegative exponents first (a zero row
+    counts as constant). Returns the (nz, nw, n, n) samples, the shift
+    (low z and w exponent) of each row and whether every coefficient is a
+    float."""
     import numpy as np
     n = len(a)
     lows, spans = [], []
     for row in a:
-        support = [ij for e in row for ij in e.terms]
-        if not support:
-            return None
+        support = [ij for e in row for ij in e.terms] or [(0, 0)]
         lo = [min(ij[k] for ij in support) for k in (0, 1)]
         lows.append(lo)
         spans.append([max(ij[k] for ij in support) - lo[k] for k in (0, 1)])
@@ -446,83 +456,128 @@ def _sample_grid(a):
             for (i, j), coef in e.terms.items():
                 grid[:, :, r, c] += (complex(coef) * roots_z[az * (i - zlo) % nz]
                                      * roots_w[bw * (j - wlo) % nw])
-    shift = tuple(sum(lo[k] for lo in lows) for k in (0, 1))
     real = all(isinstance(c, float) for row in a for e in row for c in e.terms.values())
-    return grid, shift, real
+    return grid, lows, real
 
 
-def _interpolate(values, shift, real):
-    """One Laurent polynomial per index of the last axis of `values`, its
-    samples on the grid of _sample_grid, read out by one batched 2-D FFT.
-    Terms at or below NUMERIC_ZERO_TOL times the polynomial's largest
-    coefficient are dropped; coefficients are floats when `real`."""
+def _interpolate(values, shifts, real):
+    """One Laurent polynomial per index t of the last axis of `values`, its
+    samples on the grid of _sample_grid times z^-shifts[t][0] w^-shifts[t][1],
+    read out by one batched 2-D FFT. Terms at or below NUMERIC_ZERO_TOL
+    times the polynomial's largest coefficient are dropped; coefficients
+    are floats when `real`."""
     import numpy as np
     nz, nw, k = values.shape
     coeffs = np.fft.fft2(values, axes=(0, 1)) / (nz * nw)
     mags = np.abs(coeffs)
     keep = mags > NUMERIC_ZERO_TOL * mags.max(axis=(0, 1))
-    return [LaurentPoly2({(x + shift[0], y + shift[1]): float(coeffs[x, y, t].real) if real
+    return [LaurentPoly2({(x + dz, y + dw): float(coeffs[x, y, t].real) if real
                           else complex(coeffs[x, y, t]) for x, y in zip(*np.nonzero(keep[..., t]))})
-            for t in range(k)]
+            for t, (dz, dw) in enumerate(shifts)]
 
 
-def _adjugate_column_svd(a, i):
-    """Column i of adj(a), numeric entries. Each sample A = U S Vh gives
-    adj(A) = det(U) det(Vh) V adj(S) U^H, adj(S) holding the products of all
-    singular values but one. Nothing is divided, so singular samples need
-    no care (Stewart, "On the adjugate matrix", LAA 1998). An entry whose
-    minor has a zero row is zero."""
+def _adjugate_svd(a, cols, rows):
+    """Columns `cols` and rows `rows` (indices) of adj(a), numeric entries,
+    from one sample grid of a (_sample_grid, the grid of det a). Each
+    sample A = U S Vh gives adj(A) = det(U) det(Vh) V adj(S) U^H, adj(S)
+    holding the products of all singular values but one; nothing is
+    divided, so singular samples need no care (Stewart, "On the adjugate
+    matrix", LAA 1998). Row r of a is sampled times the monomial
+    z^-lo_r (lo_r its low exponents in z and w), so entry (c, r) of adj,
+    a minor without row r, is sampled times z^-(sum of lo - lo_r), a
+    polynomial inside the grid's box; each entry is read out with that
+    shift. An entry whose minor has a zero row or a zero column is zero
+    (_zero_minors)."""
     import numpy as np
-    # column i does not depend on row i; a row of ones adds nothing to the
-    # exponent box, the shift or the coefficient type
-    sampled = _sample_grid(a[:i] + [[LaurentPoly2.const(1.0)] * len(a)] + a[i + 1:])
-    if sampled is None:
-        return [LaurentPoly2.zero()] * len(a)
-    grid, shift, real = sampled
-    col = np.empty(grid.shape[:3], dtype=complex)
+    n = len(a)
+    grid, lows, real = _sample_grid(a)
+    total = [sum(lo[k] for lo in lows) for k in (0, 1)]
+    lines = np.empty(grid.shape[:2] + (len(cols) + len(rows), n), dtype=complex)
     for t, samples in enumerate(grid):
         # one z-slice at a time, so that U and Vh stay the size of a slice
         u, s, vh = np.linalg.svd(samples)
-        adj_s = np.where(np.eye(len(a), dtype=bool), 1.0, s[:, None, :]).prod(axis=-1)
-        # V adj(S) U^H e_i = conj(Vh^T adj(S) U[i, :]), adj(S) being real
-        vec = np.einsum("skc,sk->sc", vh, adj_s * u[:, i, :]).conj()
-        col[t] = (np.linalg.det(u) * np.linalg.det(vh))[:, None] * vec
-    out = _interpolate(col, shift, real)
-    for row in a[:i] + a[i + 1:]:
-        hit = [c for c, e in enumerate(row) if e.terms]
-        if len(hit) == 1:
-            out[hit[0]] = LaurentPoly2.zero()
-    return out
+        adj_s = np.where(np.eye(n, dtype=bool), 1.0, s[:, None, :]).prod(axis=-1)
+        # adj(S) is real: column i is conj(Vh^T adj(S) U[i, :]) and
+        # row j is conj(U adj(S) Vh[:, j])
+        lines[t, :, :len(cols)] = np.einsum("skc,sik->sic", vh,
+                                            adj_s[:, None, :] * u[:, cols, :]).conj()
+        lines[t, :, len(cols):] = np.einsum("srk,skj->sjr", u,
+                                            adj_s[:, :, None] * vh[:, :, rows]).conj()
+        lines[t] *= (np.linalg.det(u) * np.linalg.det(vh))[:, None, None]
+    cells = [(i, c) for i in cols for c in range(n)] + [(r, j) for j in rows for r in range(n)]
+    out = _interpolate(lines.reshape(grid.shape[:2] + (-1,)),
+                       [(total[0] - lows[r][0], total[1] - lows[r][1]) for r, _ in cells], real)
+    zero = _zero_minors(a)
+    out = [LaurentPoly2.zero() if zero(r, c) else e for (r, c), e in zip(cells, out)]
+    lines = [out[k:k + n] for k in range(0, len(out), n)]
+    return lines[:len(cols)], lines[len(cols):]
+
+
+def _zero_minors(a):
+    """A test (r, c) -> whether the minor of a without row r and column c
+    has a zero row or a zero column: a row other than r meets no column
+    but c, or a column other than c no row but r."""
+    n = len(a)
+    lone_rows = [(k, [c for c in range(n) if a[k][c].terms]) for k in range(n)]
+    lone_rows = [(k, hit) for k, hit in lone_rows if len(hit) <= 1]
+    lone_cols = [(k, [r for r in range(n) if a[r][k].terms]) for k in range(n)]
+    lone_cols = [(k, hit) for k, hit in lone_cols if len(hit) <= 1]
+
+    def zero(r, c):
+        return (any(k != r and hit in ([], [c]) for k, hit in lone_rows)
+                or any(k != c and hit in ([], [r]) for k, hit in lone_cols))
+
+    return zero
+
+
+def lm_adjugate_lines(m, columns=(), rows=()):
+    """Lines of adj(m), whose rows are named by the column labels of m and
+    whose columns by its row labels: for each row label r of m in
+    `columns`, column r of adj(m) as {column label of m: entry}, and for
+    each column label c of m in `rows`, row c of adj(m) as {row label of m:
+    entry}. Returns (the columns, the rows), two lists. Entry (c, r) is the
+    signed (n-1)-minor of m without row r and column c.
+
+    Exact entries: m is cleared of denominators once (_int_rows), and each
+    minor is a _det_int of the shared rows, divided by the product of their
+    L_r. Numeric entries: every requested line from one sample grid of m
+    and one SVD per sample (_adjugate_svd), read out as lm_determinant
+    reads det."""
+    if not m.is_square():
+        raise DimensionError("adjugate of a non-square matrix")
+    ci = [m.rows.index(r) for r in columns]
+    rj = [m.cols.index(c) for c in rows]
+    a = [[m.entries[(r, c)] for c in m.cols] for r in m.rows]
+    if all(e.exact for e in m.entries.values()):
+        int_rows, scales = _int_rows(a)
+        scale = math.prod(scales)
+
+        def entry(i, j):
+            minor = [r[:j] + r[j + 1:] for k, r in enumerate(int_rows) if k != i]
+            return _from_int(_det_int(minor), (-1) ** (i + j) * (scale // scales[i]))
+
+        lines = ([[entry(i, j) for j in range(len(a))] for i in ci],
+                 [[entry(i, j) for i in range(len(a))] for j in rj])
+    else:
+        lines = _adjugate_svd(a, ci, rj)
+    return ([dict(zip(m.cols, col)) for col in lines[0]],
+            [dict(zip(m.rows, row)) for row in lines[1]])
 
 
 def lm_adjugate_column(m, row):
     """Column `row` of adj(m), as {column label of m: signed (n-1)-minor}:
-    m @ column == det(m) * e_row, singular m included. Exact entries: m is
-    cleared of denominators once (_int_rows), and each minor of the other
-    rows is a _det_int of those shared rows, scaled by the product of their
-    L_r. Numeric entries: the whole column from one sample grid of m
-    (_adjugate_column_svd), read out as lm_determinant reads det."""
-    if not m.is_square():
-        raise DimensionError("adjugate of a non-square matrix")
-    i = m.rows.index(row)
-    a = [[m.entries[(r, c)] for c in m.cols] for r in m.rows]
-    if not all(e.exact for e in m.entries.values()):
-        return dict(zip(m.cols, _adjugate_column_svd(a, i)))
-    rows, scales = _int_rows(a[:i] + a[i + 1:])
-    scale = math.prod(scales)
-    return {c: _from_int(_det_int([r[:j] + r[j + 1:] for r in rows]),
-                         -scale if (i + j) % 2 else scale)
-            for j, c in enumerate(m.cols)}
+    m @ column == det(m) * e_row, singular m included. One line of
+    lm_adjugate_lines."""
+    return lm_adjugate_lines(m, [row])[0][0]
 
 
 def lm_adjugate(m):
-    """Adjugate (transposed cofactor matrix), one lm_adjugate_column per row
-    label of m: m @ adj(m) == det(m) * I, singular m included."""
-    if not m.is_square():
-        raise DimensionError("adjugate of a non-square matrix")
-    cols = {r: lm_adjugate_column(m, r) for r in m.rows}
+    """Adjugate (transposed cofactor matrix): m @ adj(m) == det(m) * I,
+    singular m included. Every column from one lm_adjugate_lines call, so
+    in numeric mode from one sample grid of m."""
+    cols = lm_adjugate_lines(m, m.rows)[0]
     return LaurentMatrix(m.cols, m.rows,
-                         {(c, r): v for r, col in cols.items() for c, v in col.items()})
+                         {(c, r): v for r, col in zip(m.rows, cols) for c, v in col.items()})
 
 
 class NewtonPolygon:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from .exactalg import (
     LaurentMatrix,
     LaurentPoly2,
-    lm_adjugate_column,
+    lm_adjugate_lines,
     lm_determinant,
     newton_polygon,
     format_coeff,
@@ -451,29 +451,37 @@ class Divisor:
         return f"Divisor({self.points})"
 
 
-def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-10, K=None, P=None):
+def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-10, K=None, P=None,
+                      line=None):
     """The divisor of a vertex: common zeros on the open curve of the
-    adjugate column (white vertex) or row (black vertex).
+    adjugate column (white vertex) or row (black vertex) of adj K, which on
+    the curve is r (x) l with r in ker K and l in ker K^T (Kenyon-Okounkov).
 
     Both modes eliminate w from the two smallest adjugate entries and take
     the roots of the resultant in z, then the roots of P in w on each of
     those fibres. Exact mode takes the rational roots (_rational_zeros,
-    p-adic and exact) and confirms each point by exact substitution into P
-    and every adjugate entry; it raises SpectralError when it finds other
-    than genus rational points. Numeric mode takes the roots from the root
-    kernel, refines the candidates by Newton steps with exact derivatives
-    and keeps the points at which P and all entries vanish within tol.
-    K and P = det K are built here unless the caller passes them."""
-    if g.colors[vertex] not in ("w", "b"):
+    p-adic and exact) and confirms each point by substituting it into P
+    and every adjugate entry in integers; it raises SpectralError when it
+    finds other than genus rational points. Numeric mode takes the roots
+    from the root kernel, refines the candidates by Newton steps with exact
+    derivatives and keeps the points at which P and all entries vanish
+    within tol. K, P = det K and the vertex's line of adj K
+    ({label: entry}, from lm_adjugate_lines) are built here unless the
+    caller passes them."""
+    color = g.colors[vertex]
+    if color not in ("w", "b"):
         raise SpectralError(f"vertex {vertex} is uncolored")
     K = kasteleyn_matrix(g, wt, kappa) if K is None else K
     P = lm_determinant(K) if P is None else P
     genus = newton_polygon(P).genus
     if genus == 0:
         return Divisor([], exact=(mode == "exact"))
-    # a row of adj(K) is the matching column of adj(K^T)
-    col = lm_adjugate_column(K if g.colors[vertex] == "w" else K.transpose(), vertex)
-    entries = [e for e in col.values() if not e.is_zero()]
+    if line is None:
+        # a white names a row of K, so a column of adj K; a black a row of adj K
+        cols, rows = (lm_adjugate_lines(K, columns=[vertex]) if color == "w"
+                      else lm_adjugate_lines(K, rows=[vertex]))
+        line = (cols or rows)[0]
+    entries = [e for e in line.values() if not e.is_zero()]
     if len(entries) < 2:
         raise SpectralError("not enough nonzero adjugate entries")
     if mode == "exact":
@@ -482,19 +490,30 @@ def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-10, K=None, P=N
 
 
 def _divisor_exact(P, entries, genus):
-    from .exactalg import resultant_eliminate
+    from .exactalg import _cleared_powers, _int_rows, resultant_eliminate
     e1 = min(entries, key=lambda p: len(p.terms))
     rest = [p for p in entries if p is not e1]
     e2 = min(rest, key=lambda p: len(p.terms))
     res, _ = resultant_eliminate(e1, e2, "w")
     if res.is_zero():
         raise SpectralError("adjugate entries share a component; exact divisor ambiguous")
-    cw, _ = P.coeffs_in("w")
+    # P and the entries with integer coefficients (each times the lcm L of
+    # its denominators) on their joint exponent box: at z0 = p/q, w0 = r/s,
+    # sum n_ij zp[i] wp[j] is L p^-ilo q^ihi r^-jlo s^jhi times the value
+    polys = [row[0] for row in _int_rows([[q] for q in [P] + entries])[0]]
+    (ilo, ihi), (jlo, jhi) = ((min(ij[k] for q in polys for ij in q),
+                               max(ij[k] for q in polys for ij in q)) for k in (0, 1))
     points = []
     for z0 in _rational_zeros([c.coeff(0, 0) for c in res.coeffs_in("z")[0]]):
+        zp = _cleared_powers(z0, ilo, ihi)
         # w-candidates: rational roots of P(z0, w), which always depends on w
-        for w0 in _rational_zeros([c.eval(z0, 1) for c in cw]):
-            if P.eval(z0, w0) == 0 and all(q.eval(z0, w0) == 0 for q in entries):
+        cw = dict.fromkeys(range(jlo, jhi + 1), 0)
+        for (i, j), n in polys[0].items():
+            cw[j] += n * zp[i]
+        for w0 in _rational_zeros(list(cw.values())):
+            # P(z0, w0) = 0 by the choice of w0
+            wp = _cleared_powers(w0, jlo, jhi)
+            if all(not sum(n * zp[i] * wp[j] for (i, j), n in q.items()) for q in polys[1:]):
                 points.append((z0, w0, 1))
     if len(points) != genus:
         raise SpectralError(
@@ -605,15 +624,20 @@ def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-
                           K=None, P=None):
     """Check (1) sigma-invariance of P, (2') D_white = sigma(D_partner_black),
     (3) X_alphabar * X_alpha = 1 for every zig-zag. Returns (ok, report).
-    Both divisors use the one K and P = det K, passed in or built here."""
+    Both divisors use the one K and P = det K, passed in or built here, and
+    one lm_adjugate_lines call for the white's column and the partner
+    black's row of adj K (in numeric mode, one sample grid)."""
     from .dimer import x_of_cycle
     K = kasteleyn_matrix(g, wt, kappa) if K is None else K
     P = lm_determinant(K) if P is None else P
     cond1 = P.sigma() == P if all(isinstance(v, Fraction) for v in wt.values()) \
         else P.sigma().isclose(P, tol)
     black = gadget_map.partners[white]
-    Dw = divisor_of_vertex(g, wt, kappa, white, mode=mode, tol=min(tol, 1e-10), K=K, P=P)
-    Db = divisor_of_vertex(g, wt, kappa, black, mode=mode, tol=min(tol, 1e-10), K=K, P=P)
+    (col,), (row,) = lm_adjugate_lines(K, [white], [black])
+    Dw = divisor_of_vertex(g, wt, kappa, white, mode=mode, tol=min(tol, 1e-10), K=K, P=P,
+                           line=col)
+    Db = divisor_of_vertex(g, wt, kappa, black, mode=mode, tol=min(tol, 1e-10), K=K, P=P,
+                           line=row)
     cond2 = Dw.matches(Db.sigma(), None if mode == "exact" else tol)
     # condition (3): sigma maps the points at infinity of side S to those of
     # side -S, i.e. opposite sides carry equal X-value multisets (positive

@@ -389,6 +389,33 @@ class TestPipelines:
                      "--out", str(tmp / "am.csv")]) == 0
         assert calls == {"kasteleyn_matrix": 1, "lm_determinant": 1}
 
+    def test_one_adjugate_grid_no_transpose(self, files, monkeypatch, capsys):
+        # numeric verify-ising takes one SVD sample grid of K for the white's
+        # column and the partner black's row of adj K together; amoeba
+        # --vertex and divisor of a black one for their line; K is never
+        # transposed
+        import isingdimer.exactalg as exactalg
+        calls = {"_adjugate_svd": 0, "transpose": 0}
+        svd, transpose = exactalg._adjugate_svd, exactalg.LaurentMatrix.transpose
+
+        def counted_svd(*args):
+            calls["_adjugate_svd"] += 1
+            return svd(*args)
+
+        def counted_transpose(m):
+            calls["transpose"] += 1
+            return transpose(m)
+
+        monkeypatch.setattr(exactalg, "_adjugate_svd", counted_svd)
+        monkeypatch.setattr(exactalg.LaurentMatrix, "transpose", counted_transpose)
+        tmp, gp, _, gm = files
+        for argv in (["verify-ising", gp, "--vertex", "w2", "--gadget-map", gm],
+                     ["amoeba", gp, "--grid", "8", "--vertex", "w2", "--out", str(tmp / "am.csv")],
+                     ["divisor", gp, "--vertex", "b3"]):
+            calls.update(_adjugate_svd=0, transpose=0)
+            assert main(argv + ["--mode", "numeric"]) == 0
+            assert calls == {"_adjugate_svd": 1, "transpose": 0}
+
     def test_inspect_dual(self, files, capsys):
         _, _, ip, _ = files
         assert main(["dual", ip]) == 0
@@ -447,3 +474,78 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
         assert "# move square" in (d / "m.tg").read_text()
         assert "condition weight-mutation pass" in (d / "v.txt").read_text()
         assert (d / "c.txt").read_text().startswith("polynomial ")
+
+
+def _printed_divisors(text):
+    """{name: [(z, w)]} from the `divisor` lines of a spectral report."""
+    out = {}
+    for line in text.splitlines():
+        if line.startswith("divisor "):
+            _, name, *points = line.split()
+            out[name] = [tuple(map(complex, p.rsplit("x", 1)[0][1:-1].split(",")))
+                         for p in points]
+    return out
+
+
+class TestDifferentialOracle:
+    @pytest.mark.parametrize("which", ["fixture", "square 2x1"])
+    def test_numeric_divisors_against_mpmath(self, which, files, capsys):
+        # every printed point of a numeric verify-ising, polished at 30 digits
+        # on (det K, one cofactor of its line of adj K) = 0 by mpmath, is its
+        # printed value to 1e-10 relative
+        mpmath = pytest.importorskip("mpmath")
+        from isingdimer.exactalg import lm_adjugate_lines
+        from isingdimer.ising import parse_gadget_map
+        from isingdimer.spectral import kasteleyn_matrix, solve_kasteleyn_signs
+        from isingdimer.torusgraph import parse_torus_graph
+        from test_torusgraph import square
+        tmp, gp, _, gm = files
+        white = "w2"
+        if which == "square 2x1":
+            g = square(2, 1)
+            x = [Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(4, 9)]
+            model = IsingModel(g, {e: make_coupling(x=v) for e, v in zip(g.edges(), x)})
+            ip = tmp / "sq.tg"
+            ip.write_text(serialize_torus_graph(model.graph, couplings={
+                e: {"s": c.s, "c": c.c} for e, c in model.couplings.items()}))
+            gp, gm = str(tmp / "sq.dimer"), str(tmp / "sq.gm")
+            assert main(["todimer", str(ip), "--out", gp, "--gadget-map", gm]) == 0
+            white = parse_torus_graph(open(gp).read())[0].whites()[0]
+        capsys.readouterr()
+        assert main(["verify-ising", gp, "--vertex", white, "--gadget-map", gm,
+                     "--mode", "numeric"]) == 0
+        printed = _printed_divisors(capsys.readouterr().out)
+        g, wt, _ = parse_torus_graph(open(gp).read())
+        black = parse_gadget_map(open(gm).read()).partners[white]
+        K = kasteleyn_matrix(g, wt, dict(solve_kasteleyn_signs(g))[(1, 1)])
+        (col,), (row,) = lm_adjugate_lines(K, [white], [black])
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+
+        def matrix(z, w):
+            return mp.matrix([[sum((mp.mpf(c.numerator) / c.denominator * z ** i * w ** j
+                                    for (i, j), c in K[(r, b)].terms.items()), mp.mpf(0))
+                               for b in K.cols] for r in K.rows])
+
+        def cofactor(M, i, j):
+            n = len(K.rows)
+            return mp.det(mp.matrix([[M[a, b] for b in range(n) if b != j]
+                                     for a in range(n) if a != i]))
+
+        # the first nonzero entry of each line: entry (b, w) is the cofactor
+        # of K without row w and column b
+        b0 = next(b for b, e in col.items() if not e.is_zero())
+        w0 = next(w for w, e in row.items() if not e.is_zero())
+        minors = {"D_w": (K.rows.index(white), K.cols.index(b0)),
+                  "D_b": (K.rows.index(w0), K.cols.index(black))}
+        assert sorted(printed) == ["D_b", "D_w"] and len(printed["D_w"]) == len(printed["D_b"]) > 0
+        for name, (i, j) in minors.items():
+
+            def system(z, w, i=i, j=j):
+                M = matrix(z, w)
+                return mp.det(M), cofactor(M, i, j)
+
+            for point in printed[name]:
+                solution = mp.findroot(system, tuple(map(mp.mpc, point)))
+                for got, want in zip(point, map(complex, solution)):
+                    assert abs(got - want) <= 1e-10 * abs(want)

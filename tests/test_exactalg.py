@@ -12,6 +12,7 @@ from isingdimer.exactalg import (
     _mul_sub,
     lm_adjugate,
     lm_adjugate_column,
+    lm_adjugate_lines,
     lm_determinant,
     minkowski_sum,
     newton_polygon,
@@ -199,20 +200,32 @@ def _matrix(rows, cols, grid):
     return LaurentMatrix(rows, cols, entries)
 
 
-def _assert_column_close(m, r):
-    """lm_adjugate_column of the float matrix m against Bareiss minors of m
-    with its entries made exact Fractions: the same support, and each
-    coefficient within 1e-12 of the entry's largest one. Returns the column."""
-    exact = LaurentMatrix(m.rows, m.cols, {
+def _exact(m):
+    """The float matrix m with its entries made exact Fractions."""
+    return LaurentMatrix(m.rows, m.cols, {
         rc: LaurentPoly2({ij: Fraction(c) for ij, c in e.terms.items()})
         for rc, e in m.entries.items()})
-    got, want = lm_adjugate_column(m, r), lm_adjugate_column(exact, r)
-    for c in m.cols:
+
+
+def _assert_line_close(got, want):
+    """A numeric line of adj against the exact one: the same labels and
+    supports, float coefficients, and each coefficient within 1e-12 of the
+    entry's largest one."""
+    assert list(got) == list(want)
+    for c in want:
         assert set(got[c].terms) == set(want[c].terms)
         assert all(isinstance(v, float) for v in got[c].terms.values())
         scale = max((abs(v) for v in want[c].terms.values()), default=0)
         for ij, v in want[c].terms.items():
             assert abs(got[c].terms[ij] - float(v)) <= 1e-12 * float(scale)
+
+
+def _assert_column_close(m, r):
+    """lm_adjugate_column of the float matrix m against Bareiss minors of m
+    with its entries made exact Fractions: the same support, and each
+    coefficient within 1e-12 of the entry's largest one. Returns the column."""
+    got = lm_adjugate_column(m, r)
+    _assert_line_close(got, lm_adjugate_column(_exact(m), r))
     return got
 
 
@@ -438,16 +451,7 @@ class TestAdjugate:
     def test_numeric_column_matches_bareiss_minors(self, which):
         # every row: the SVD column against Bareiss minors of the same float
         # matrix with its entries made exact Fractions
-        if which == "fixture":
-            s1, c1, s2, c2 = 0.8, 0.6, 12 / 13, 5 / 13
-            m = _matrix("1234", "abcd", [
-                [c2, s2, 0.0, LaurentPoly2.monomial(1, -1, 1.0)],
-                [s2, -c2, 1.0, 0.0],
-                [0.0, LaurentPoly2.monomial(0, 1, 1.0), -s1, c1],
-                [LaurentPoly2.monomial(-1, 0, 1.0), 0.0, c1, s1],
-            ])
-        else:
-            _, m = gadget_kasteleyn(12)
+        m = fixture_float() if which == "fixture" else gadget_kasteleyn(12)[1]
         for r in m.rows:
             _assert_column_close(m, r)
 
@@ -504,6 +508,145 @@ class TestAdjugate:
             for c in "abc":
                 expect = det if r == c else LaurentPoly2.zero()
                 assert prod.entries[(r, c)] == expect
+
+
+def fixture_float():
+    """The Kasteleyn matrix of the worked example with float entries."""
+    s1, c1, s2, c2 = 0.8, 0.6, 12 / 13, 5 / 13
+    return _matrix("1234", "abcd", [
+        [c2, s2, 0.0, LaurentPoly2.monomial(1, -1, 1.0)],
+        [s2, -c2, 1.0, 0.0],
+        [0.0, LaurentPoly2.monomial(0, 1, 1.0), -s1, c1],
+        [LaurentPoly2.monomial(-1, 0, 1.0), 0.0, c1, s1],
+    ])
+
+
+def honeycomb22_float():
+    """The float Kasteleyn matrix of the honeycomb 2x2 gadget graph (n = 24)."""
+    x = [Fraction(k, k + 2) for k in range(1, 13)]
+    gd, wt, _ = to_dimer(honeycomb_model(x, n=2, m=2))
+    _, kappa = solve_kasteleyn_signs(gd)[0]
+    return kasteleyn_matrix(gd, {e: float(v) for e, v in wt.items()}, kappa)
+
+
+class TestAdjugateLines:
+    """The numeric engine: columns and rows of adj m from one sample grid."""
+
+    def assert_lines(self, m, pairs):
+        """For each (row label r, column label c) of m: column r and row c of
+        adj m from one lm_adjugate_lines call, against Bareiss minors of the
+        same matrix made exact."""
+        rs, cs = list(dict.fromkeys(r for r, _ in pairs)), list(dict.fromkeys(c for _, c in pairs))
+        want_cols, want_rows = lm_adjugate_lines(_exact(m), rs, cs)
+        want_cols, want_rows = dict(zip(rs, want_cols)), dict(zip(cs, want_rows))
+        for r, c in pairs:
+            (col,), (row,) = lm_adjugate_lines(m, [r], [c])
+            _assert_line_close(col, want_cols[r])
+            _assert_line_close(row, want_rows[c])
+
+    @pytest.mark.parametrize("which", ["fixture", "gadget 12"])
+    def test_every_pair_matches_bareiss(self, which):
+        m = fixture_float() if which == "fixture" else gadget_kasteleyn(12)[1]
+        self.assert_lines(m, [(r, c) for r in m.rows for c in m.cols])
+
+    def test_honeycomb_2x2(self):
+        m = honeycomb22_float()
+        assert len(m.rows) == 24
+        self.assert_lines(m, [(m.rows[0], m.cols[0]), (m.rows[7], m.cols[13])])
+
+    def test_several_lines_at_once(self):
+        _, m = gadget_kasteleyn(12)
+        cols, rows = lm_adjugate_lines(m, m.rows[:3], m.cols[4:6])
+        assert cols == [lm_adjugate_lines(m, [r])[0][0] for r in m.rows[:3]]
+        assert rows == [lm_adjugate_lines(m, (), [c])[1][0] for c in m.cols[4:6]]
+        assert lm_adjugate_lines(m) == ([], [])
+
+    def test_row_rule(self):
+        # row b meets column y only: the minors of every other row without
+        # column y keep row b and lose its only entry
+        z, w = LaurentPoly2.monomial(1, 0, 2.0), LaurentPoly2.monomial(0, 1, 1.0)
+        m = _matrix("abc", "xyz", [[1.0, z, 3.0], [0.0, 4.0, 0.0], [w, 5.0, 7.0]])
+        self.assert_lines(m, [(r, c) for r in m.rows for c in m.cols])
+        (col,), (row,) = lm_adjugate_lines(m, ["a"], ["y"])
+        assert col["y"].is_zero() and row["a"].is_zero() and not row["b"].is_zero()
+
+    def test_column_rule(self):
+        # column y meets row b only: the minors without row b keep column y
+        # and lose its only entry
+        z, w = LaurentPoly2.monomial(1, 0, 2.0), LaurentPoly2.monomial(0, 1, 1.0)
+        m = _matrix("abc", "xyz", [[1.0, 0.0, 3.0], [w, 4.0, 5.0], [7.0, 0.0, z]])
+        self.assert_lines(m, [(r, c) for r in m.rows for c in m.cols])
+        (col,), (row,) = lm_adjugate_lines(m, ["b"], ["x"])
+        assert col["x"].is_zero() and col["z"].is_zero() and not col["y"].is_zero()
+        assert row["b"].is_zero()
+
+    @pytest.mark.parametrize("zero", ["row", "column"])
+    def test_zero_line(self, zero):
+        z, w = LaurentPoly2.monomial(1, 0, 2.0), LaurentPoly2.monomial(0, 1, 1.0)
+        grid = [[1.0, z, 3.0], [0.0, 0.0, 0.0], [w, 5.0, 7.0]]
+        if zero == "column":
+            grid = [list(r) for r in zip(*grid)]
+        m = _matrix("abc", "xyz", grid)
+        self.assert_lines(m, [(r, c) for r in m.rows for c in m.cols])
+
+    def test_rank_n_minus_1(self):
+        # det m = 0 for all z, w, adj m = r (x) l is not; the minors of the
+        # two proportional rows vanish to rounding only (no zero line)
+        z, w = LaurentPoly2.monomial(1, 0, 1.0), LaurentPoly2.monomial(0, 1, 1.0)
+        m = _matrix("abc", "xyz", [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [z, w, 1.0]])
+        cols, rows = lm_adjugate_lines(m, m.rows, m.cols)
+        want_cols, want_rows = lm_adjugate_lines(_exact(m), m.rows, m.cols)
+        for got, want in zip(cols + rows, want_cols + want_rows):
+            assert list(got) == list(want)
+            for k in want:
+                assert all(abs(v) <= 1e-12 for v in (got[k] - want[k].to_numeric()).terms.values())
+        assert not cols[0]["x"].is_zero() and not rows[2]["b"].is_zero()
+
+    def test_rank_n_minus_2(self):
+        # rank 1 at every sample: adj m is 0 up to rounding
+        z, w = LaurentPoly2.monomial(1, 0, 1.0), LaurentPoly2.monomial(0, 1, 1.0)
+        m = _matrix("abc", "xyz", [[z, w, 1.0], [2.0 * z, 2.0 * w, 2.0],
+                                   [-1.0 * z, -1.0 * w, -1.0]])
+        cols, rows = lm_adjugate_lines(m, m.rows, m.cols)
+        assert all(abs(v) <= 1e-12 for line in cols + rows for e in line.values()
+                   for v in e.terms.values())
+
+    @pytest.mark.parametrize("entry", [LaurentPoly2({(1, 0): 2.0, (0, 1): 3.0}),
+                                       LaurentPoly2({(0, -2): -0.5})])
+    def test_1x1(self, entry):
+        m = LaurentMatrix("r", "c", {("r", "c"): entry})
+        (col,), (row,) = lm_adjugate_lines(m, ["r"], ["c"])
+        assert col["c"].terms == row["r"].terms == {(0, 0): 1.0}
+        assert isinstance(col["c"].terms[(0, 0)], float)
+
+    @pytest.mark.parametrize("which", ["fixture", "gadget 12"])
+    def test_numeric_lm_adjugate(self, which):
+        m = fixture_float() if which == "fixture" else gadget_kasteleyn(12)[1]
+        adj, want = lm_adjugate(m), lm_adjugate(_exact(m))
+        assert adj.rows == want.rows == m.cols and adj.cols == want.cols == m.rows
+        for c in m.cols:
+            _assert_line_close({r: adj[(c, r)] for r in m.rows},
+                               {r: want[(c, r)] for r in m.rows})
+        # m adj(m) = det(m) I, to rounding
+        det = lm_determinant(m)
+        top = max(abs(v) for v in det.terms.values())
+        prod = m.matmul(adj)
+        for r in m.rows:
+            for rr in m.rows:
+                diff = prod[(r, rr)] - (det if r == rr else LaurentPoly2.zero())
+                assert all(abs(v) <= 1e-11 * top for v in diff.terms.values())
+
+    def test_one_grid_per_lm_adjugate(self, monkeypatch):
+        import isingdimer.exactalg as exactalg
+        calls = []
+        grid = exactalg._sample_grid
+        monkeypatch.setattr(exactalg, "_sample_grid", lambda a: calls.append(a) or grid(a))
+        _, m = gadget_kasteleyn(12)
+        lm_adjugate(m)
+        assert len(calls) == 1
+        calls.clear()
+        lm_adjugate_lines(m, m.rows[:2], m.cols[:2])
+        assert len(calls) == 1
 
 
 class TestNewtonPolygon:

@@ -1,7 +1,11 @@
-"""Every module of the package uses each name its top-level imports bind.
+"""Every module of the package uses each name its top-level imports bind,
+and every private top-level function of the package is referenced.
 
-A stdlib stand-in for a linter's unused-import rule: a name counts as
-used when it is read anywhere in the module.
+Stdlib stand-ins for a linter's unused-import and dead-code rules: an
+imported name counts as used when it is read anywhere in the module; a
+private function counts as referenced when its name is read, as a name or
+an attribute, or imported anywhere in the package outside its own body, so
+that a replaced kernel cannot linger as a second path.
 """
 import ast
 from pathlib import Path
@@ -32,3 +36,40 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_functions(sources):
+    """Private top-level functions (not dunder) of the given module sources
+    whose name nothing reads or imports outside the function itself."""
+    defined, read = [], set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own = node.name
+                if own.startswith("_") and not own.startswith("__"):
+                    defined.append(own)
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name):
+                    names = [n.id]
+                elif isinstance(n, ast.Attribute):
+                    names = [n.attr]
+                elif isinstance(n, ast.ImportFrom):
+                    names = [a.name for a in n.names]
+                else:
+                    continue
+                read.update(name for name in names if name != own)
+    return [name for name in defined if name not in read]
+
+
+def test_finds_an_unreferenced_private_function():
+    a = ("def _used():\n    pass\n\ndef _loop(n):\n    return _loop(n - 1)\n\n"
+         "def _gone():\n    pass\n")
+    b = "from .a import _used\nimport a\nx = a._used\n"
+    assert unreferenced_private_functions([a, b]) == ["_loop", "_gone"]
+    assert unreferenced_private_functions([a, "import a\na._gone(a._loop)\n"]) == ["_used"]
+
+
+def test_private_functions_are_referenced():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unreferenced_private_functions(sources) == []

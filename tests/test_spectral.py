@@ -392,6 +392,50 @@ class TestDivisors:
         assert not near.matches(Divisor([(0.5 + 0j, 0.7 + 5e-8j, 1)], exact=False))
 
 
+def _nonzero_rationals():
+    return st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+
+
+def _rational_polys():
+    pairs = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    return st.dictionaries(pairs, _nonzero_rationals(), min_size=1, max_size=5).map(LaurentPoly2)
+
+
+class TestClearedEvaluation:
+    @given(st.lists(_rational_polys(), min_size=1, max_size=3),
+           _nonzero_rationals(), _nonzero_rationals())
+    @settings(max_examples=80, deadline=None)
+    # vanishing at the point: z - 2/3, (w + 3/4)(z^-1 - 5) and a zero sum of
+    # the terms at (2/3, -3/4)
+    @example([LaurentPoly2({(1, 0): Fraction(1), (0, 0): Fraction(-2, 3)}),
+              LaurentPoly2({(-1, 1): Fraction(1), (0, 1): Fraction(-5), (-1, 0): Fraction(3, 4),
+                            (0, 0): Fraction(-15, 4)})],
+             Fraction(2, 3), Fraction(-3, 4))
+    @example([LaurentPoly2({(2, -1): Fraction(9, 8), (0, 1): Fraction(3, 4)})],
+             Fraction(-2, 3), Fraction(-3, 4))
+    def test_against_fraction_sum(self, polys, z0, w0):
+        # the candidate test of exact divisors: over coefficients cleared of
+        # denominators (times L, the lcm of p's) and power tables of
+        # z0 = p/q and w0 = r/s on the joint box, sum n_ij zp[i] wp[j] is
+        # p(z0, w0) times L p^-ilo q^ihi r^-jlo s^jhi, so zero exactly where
+        # p vanishes
+        from isingdimer.exactalg import _cleared_powers, _int_rows
+        cleared = [row[0] for row in _int_rows([[p] for p in polys])[0]]
+        (ilo, ihi), (jlo, jhi) = ((min(ij[k] for p in polys for ij in p.terms),
+                                   max(ij[k] for p in polys for ij in p.terms)) for k in (0, 1))
+        zp, wp = _cleared_powers(z0, ilo, ihi), _cleared_powers(w0, jlo, jhi)
+        assert sorted(zp) == list(range(ilo, ihi + 1)) and sorted(wp) == list(range(jlo, jhi + 1))
+        assert all(isinstance(x, int) for x in list(zp.values()) + list(wp.values()))
+        scale = (Fraction(z0.numerator) ** -ilo * Fraction(z0.denominator) ** ihi
+                 * Fraction(w0.numerator) ** -jlo * Fraction(w0.denominator) ** jhi)
+        for p, c in zip(polys, cleared):
+            got = sum(n * zp[i] * wp[j] for (i, j), n in c.items())
+            want = sum(x * z0 ** i * w0 ** j for (i, j), x in p.terms.items())
+            lcm = math.lcm(*(x.denominator for x in p.terms.values()))
+            assert isinstance(got, int) and got == want * lcm * scale
+            assert (got == 0) == (want == 0)
+
+
 def _one_vertex_dimer(sc1, sc2):
     """The gadget dimer graph of the one-vertex Ising model with couplings
     sc=(s, c) on its two edges: (graph, weights, kappa, white)."""
