@@ -273,7 +273,7 @@ def cmd_verify_ising(args):
     try:
         weight_ok, wrep = ising_locus_check(g, wt, gm,
                                             tol=None if mode == "exact" else args.tol)
-        text, spec_ok = spectral_report(g, wt, kappa, gm, args.vertex, mode=mode)
+        text, spec_ok = spectral_report(g, wt, kappa, gm, args.vertex, mode=mode, tol=args.tol)
     except (SpectralError, MoveError, GraphError) as exc:
         raise CliError(str(exc), 1)
     lines = [text.rstrip("\n"),
@@ -322,7 +322,8 @@ def cmd_amoeba(args):
     try:
         rows = amoeba_sample(P, grid=args.grid, region=(-r, r, -r, r), tol=args.tol)
         if args.vertex:
-            D = divisor_of_vertex(g, wt, kappa, args.vertex, mode=mode, K=K, P=P)
+            D = divisor_of_vertex(g, wt, kappa, args.vertex, mode=mode, tol=args.tol,
+                                  K=K, P=P)
             for z, w, _m in D.points:
                 marks.append((math.log(abs(complex(z))), math.log(abs(complex(w)))))
     except SpectralError as exc:
@@ -340,31 +341,34 @@ def build_parser():
                                   description="Spectral transform tools for Ising and dimer models on a torus")
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def common(p, weighted=True):
+    def common(p, *options):
+        """The graph and --out, plus those of --mode, --tol and --sign named."""
         p.add_argument("graph", help="torus-graph v1 file")
         p.add_argument("--out", default=None)
-        if weighted:
+        if "mode" in options:
             p.add_argument("--mode", choices=("auto", "exact", "numeric"), default="auto")
+        if "tol" in options:
             p.add_argument("--tol", type=float, default=1e-8)
+        if "sign" in options:
             p.add_argument("--sign", choices=("++", "+-", "-+", "--"), default="++")
 
-    p = sub.add_parser("inspect");           common(p, weighted=False); p.set_defaults(fn=cmd_inspect)
-    p = sub.add_parser("todimer");           common(p, weighted=False)
+    p = sub.add_parser("inspect");           common(p); p.set_defaults(fn=cmd_inspect)
+    p = sub.add_parser("todimer");           common(p)
     p.add_argument("--gadget-map", default=None); p.set_defaults(fn=cmd_todimer)
-    p = sub.add_parser("dual");              common(p, weighted=False); p.set_defaults(fn=cmd_dual)
-    p = sub.add_parser("ydelta");            common(p, weighted=False)
+    p = sub.add_parser("dual");              common(p); p.set_defaults(fn=cmd_dual)
+    p = sub.add_parser("ydelta");            common(p)
     p.add_argument("--site", required=True); p.set_defaults(fn=cmd_ydelta)
-    p = sub.add_parser("move");              common(p)
+    p = sub.add_parser("move");              common(p, "mode")
     p.add_argument("--script", required=True); p.set_defaults(fn=cmd_move)
-    p = sub.add_parser("charpoly");          common(p); p.set_defaults(fn=cmd_charpoly)
-    p = sub.add_parser("divisor");           common(p)
+    p = sub.add_parser("charpoly");          common(p, "mode", "sign"); p.set_defaults(fn=cmd_charpoly)
+    p = sub.add_parser("divisor");           common(p, "mode", "tol", "sign")
     p.add_argument("--vertex", required=True); p.set_defaults(fn=cmd_divisor)
-    p = sub.add_parser("verify-ising");      common(p)
+    p = sub.add_parser("verify-ising");      common(p, "mode", "tol", "sign")
     p.add_argument("--vertex", required=True)
     p.add_argument("--gadget-map", default=None); p.set_defaults(fn=cmd_verify_ising)
-    p = sub.add_parser("abel");              common(p, weighted=False)
+    p = sub.add_parser("abel");              common(p)
     p.add_argument("--window", type=int, default=1); p.set_defaults(fn=cmd_abel)
-    p = sub.add_parser("amoeba");            common(p)
+    p = sub.add_parser("amoeba");            common(p, "mode", "tol", "sign")
     p.add_argument("--grid", type=int, default=100)
     p.add_argument("--range", type=float, default=2.5)
     p.add_argument("--vertex", default=None)

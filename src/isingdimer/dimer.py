@@ -22,21 +22,18 @@ def _one_like(weights):
 def x_of_cycle(g, wt, cycle):
     """Evaluate the gauge class on a cycle.
 
-    `cycle` is a dart-id walk (closed, alternating) or a list of
-    (dart, multiplicity) pairs with zero boundary. Darts traversed
-    black->white multiply the numerator, white->black the denominator.
-    The value is a Fraction when the cycle's own weights all are.
+    `cycle` is a closed walk of dart ids. Darts traversed black->white
+    multiply the numerator, white->black the denominator. The value is a
+    Fraction when the cycle's own weights all are.
     """
-    items = [(d, 1) if not isinstance(d, tuple) else d for d in cycle]
-    g.cycle_displacement(items)  # raises unless it is a cycle
-    num = den = _one_like(wt[g.darts[d].edge] for d, _ in items)
-    for d, m in items:
+    g.cycle_displacement(cycle)  # raises unless it is a cycle
+    num = den = _one_like(wt[g.darts[d].edge] for d in cycle)
+    for d in cycle:
         dart = g.darts[d]
-        wv = wt[dart.edge]
         if g.colors[dart.vertex] == "b":
-            num *= wv ** m if m >= 0 else 1 / (wv ** (-m))
+            num *= wt[dart.edge]
         else:
-            den *= wv ** m if m >= 0 else 1 / (wv ** (-m))
+            den *= wt[dart.edge]
     return num / den
 
 
@@ -45,20 +42,15 @@ def face_x_values(g, wt):
     return {fid: x_of_cycle(g, wt, orbit) for fid, orbit in g.faces()}
 
 
-def basis_x_values(g, wt, cycle_a=None, cycle_b=None, omit_face=None):
-    """X on the basis {all faces except one} + {a, b}.
+def basis_x_values(g, wt):
+    """X on the basis {all faces except the last face id} + {a, b}, with a
+    and b the graph's homology basis cycles.
 
-    The omitted face (default: the last face id) is reported separately via
-    the product-one identity.
+    The omitted face is reported separately via the product-one identity.
     """
     faces = face_x_values(g, wt)
-    fids = sorted(faces)
-    if omit_face is None:
-        omit_face = fids[-1]
-    if cycle_a is None or cycle_b is None:
-        ca, cb = g.homology_basis_cycles()
-        cycle_a = cycle_a or ca
-        cycle_b = cycle_b or cb
+    omit_face = max(faces)
+    cycle_a, cycle_b = g.homology_basis_cycles()
     out = {fid: x for fid, x in faces.items() if fid != omit_face}
     out["a"] = x_of_cycle(g, wt, cycle_a)
     out["b"] = x_of_cycle(g, wt, cycle_b)
@@ -418,10 +410,10 @@ def _match_faces(g, gn):
     return out
 
 
-def uncontraction_move(g, wt, v, arc_start, arc_len, tag="u"):
+def uncontraction_move(g, wt, v, arc_start, arc_len):
     """Split vertex v: darts arc_start..arc_start+arc_len-1 (ccw) stay on a
-    new copy v1; the rest go to v2; a degree-2 vertex of the opposite color
-    joins them with two weight-1 edges."""
+    new copy v_u1; the rest go to v_u2; a degree-2 vertex v_um of the
+    opposite color joins them with two weight-1 edges v_ue1 and v_ue2."""
     g.ensure_valid()
     rot = g.rotation[v]
     k = len(rot)
@@ -431,7 +423,7 @@ def uncontraction_move(g, wt, v, arc_start, arc_len, tag="u"):
     rest = [rot[(arc_start + arc_len + i) % k] for i in range(k - arc_len)]
     col = g.colors[v]
     mid_col = "w" if col == "b" else "b"
-    v1, v2, mid = f"{v}_{tag}1", f"{v}_{tag}2", f"{v}_{tag}m"
+    v1, v2, mid = f"{v}_u1", f"{v}_u2", f"{v}_um"
     where = {d: v1 for d in arc}
     where.update((d, v2) for d in rest)
     moved = {}
@@ -439,7 +431,7 @@ def uncontraction_move(g, wt, v, arc_start, arc_len, tag="u"):
         e = g.darts[d].edge
         va, vb, dx, dy = g.edge_ends[e]
         moved[e] = (e, where.get(e + "+", va), where.get(e + "-", vb), dx, dy)
-    e1, e2 = f"{v}_{tag}e1", f"{v}_{tag}e2"
+    e1, e2 = f"{v}_ue1", f"{v}_ue2"
     ends = [(v1, mid), (v2, mid)] if col == "b" else [(mid, v1), (mid, v2)]
     plus, minus = ("+", "-") if col == "b" else ("-", "+")
     gn = g.edit(drop_vertices=(v,), drop_edges=list(moved),

@@ -36,12 +36,6 @@ def as_coeff(c):
     raise TypeError(f"unsupported coefficient type {type(c)!r}")
 
 
-def coeff_is_zero(c, tol=NUMERIC_ZERO_TOL):
-    if isinstance(c, Fraction):
-        return c == 0
-    return abs(c) <= tol
-
-
 def format_coeff(c):
     """Render a coefficient: exact as p/q, numeric with 12 significant digits."""
     if isinstance(c, Fraction):
@@ -148,7 +142,7 @@ class LaurentPoly2:
         terms = dict(self.terms)
         for ij, c in other.terms.items():
             s = terms.get(ij, 0) + c
-            if coeff_is_zero(s, 0.0):
+            if s == 0:
                 terms.pop(ij, None)
             else:
                 terms[ij] = s
@@ -171,7 +165,7 @@ class LaurentPoly2:
             for (i2, j2), c2 in other.terms.items():
                 ij = (i1 + i2, j1 + j2)
                 s = terms.get(ij, 0) + c1 * c2
-                if coeff_is_zero(s, 0.0):
+                if s == 0:
                     terms.pop(ij, None)
                 else:
                     terms[ij] = s

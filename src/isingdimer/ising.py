@@ -387,12 +387,8 @@ def to_dimer(model):
                                 one_edge[(u, i)] + "-"])
     gn.freeze()
     gn.validate()
-    squares = {}
-    for e in g.edges():
-        fid = gn.face_of_dart(s_edge[e + "+"] + "+")
-        if len(gn.face_darts(fid)) != 4:
-            fid = gn.face_of_dart(s_edge[e + "+"] + "-")
-        squares[e] = fid
+    # the face left of s(e+)+ is the square s(e+) c(e+) s(e-) c(e-)
+    squares = {e: gn.face_of_dart(s_edge[e + "+"] + "+") for e in g.edges()}
     partners = {}
     for (u, i), w in corner.items():
         dn = g.rotation[u][(i + 1) % len(g.rotation[u])]

@@ -177,19 +177,16 @@ def _roots(coeffs):
     return roots, ok
 
 
-def _pow(x, k):
-    """x**k as LaurentPoly2.eval takes it, for arrays x."""
-    return x ** k if k >= 0 else 1 / x ** -k
-
-
 def _fibres(P, z):
     """Rows for _roots: the coefficients of P in w (lowest exponent
     cleared, highest first) at each z of an array."""
     import numpy as np
     lo, hi = P.degree_range("w")
+    ilo, ihi = P.degree_range("z")
+    Z = _powers(z, ilo, ihi)
     out = np.zeros((len(z), hi - lo + 1), dtype=complex)
     for (i, j), c in P.terms.items():
-        out[:, hi - j] += complex(c) * _pow(z, i)
+        out[:, hi - j] += complex(c) * Z[i - ilo]
     return out
 
 
@@ -451,21 +448,21 @@ class Divisor:
         return f"Divisor({self.points})"
 
 
-def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-10, K=None, P=None,
+def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-8, K=None, P=None,
                       line=None):
     """The divisor of a vertex: common zeros on the open curve of the
     adjugate column (white vertex) or row (black vertex) of adj K, which on
     the curve is r (x) l with r in ker K and l in ker K^T (Kenyon-Okounkov).
 
-    Both modes eliminate w from the two smallest adjugate entries and take
-    the roots of the resultant in z, then the roots of P in w on each of
-    those fibres. Exact mode takes the rational roots (_rational_zeros,
+    Both modes eliminate w from the two adjugate entries with the fewest
+    terms and take the roots of the resultant in z, then the roots of P in
+    w on each of those fibres. Exact mode takes the rational roots (_rational_zeros,
     p-adic and exact) and confirms each point by substituting it into P
     and every adjugate entry in integers; it raises SpectralError when it
     finds other than genus rational points. Numeric mode takes the roots
     from the root kernel, refines the candidates by Newton steps with exact
     derivatives and keeps the points at which P and all entries vanish
-    within tol. K, P = det K and the vertex's line of adj K
+    within min(tol, 1e-10). K, P = det K and the vertex's line of adj K
     ({label: entry}, from lm_adjugate_lines) are built here unless the
     caller passes them."""
     color = g.colors[vertex]
@@ -484,16 +481,14 @@ def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-10, K=None, P=N
     entries = [e for e in line.values() if not e.is_zero()]
     if len(entries) < 2:
         raise SpectralError("not enough nonzero adjugate entries")
+    e1, e2 = sorted(entries, key=lambda p: len(p.terms))[:2]
     if mode == "exact":
-        return _divisor_exact(P, entries, genus)
-    return _divisor_numeric(P, entries, genus, tol)
+        return _divisor_exact(P, entries, e1, e2, genus)
+    return _divisor_numeric(P, entries, e1, e2, genus, min(tol, 1e-10))
 
 
-def _divisor_exact(P, entries, genus):
+def _divisor_exact(P, entries, e1, e2, genus):
     from .exactalg import _cleared_powers, _int_rows, resultant_eliminate
-    e1 = min(entries, key=lambda p: len(p.terms))
-    rest = [p for p in entries if p is not e1]
-    e2 = min(rest, key=lambda p: len(p.terms))
     res, _ = resultant_eliminate(e1, e2, "w")
     if res.is_zero():
         raise SpectralError("adjugate entries share a component; exact divisor ambiguous")
@@ -541,11 +536,8 @@ def _vanishes(polys, z, w, tol):
     return abs(val) <= tol * np.maximum(1.0, size) + COEFF_EPS * cmax * spread
 
 
-def _divisor_numeric(P, entries, genus, tol):
+def _divisor_numeric(P, entries, e1, e2, genus, tol):
     from .exactalg import resultant_eliminate
-    e1 = min(entries, key=lambda p: len(p.terms))
-    rest = [p for p in entries if p is not e1]
-    e2 = min(rest, key=lambda p: len(p.terms))
     Pn = P.to_numeric()
     res, _ = resultant_eliminate(e1.to_numeric(), e2.to_numeric(), "w")
     if len(res.coeffs_in("z")[0]) < 2:
@@ -624,9 +616,12 @@ def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-
                           K=None, P=None):
     """Check (1) sigma-invariance of P, (2') D_white = sigma(D_partner_black),
     (3) X_alphabar * X_alpha = 1 for every zig-zag. Returns (ok, report).
-    Both divisors use the one K and P = det K, passed in or built here, and
-    one lm_adjugate_lines call for the white's column and the partner
-    black's row of adj K (in numeric mode, one sample grid)."""
+    In numeric mode tol bounds the coefficients of P - sigma(P), the
+    distance of matched divisor points and each residual of (3); the
+    divisors themselves are found within min(tol, 1e-10). Both divisors use
+    the one K and P = det K, passed in or built here, and one
+    lm_adjugate_lines call for the white's column and the partner black's
+    row of adj K (in numeric mode, one sample grid)."""
     from .dimer import x_of_cycle
     K = kasteleyn_matrix(g, wt, kappa) if K is None else K
     P = lm_determinant(K) if P is None else P
@@ -634,17 +629,14 @@ def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-
         else P.sigma().isclose(P, tol)
     black = gadget_map.partners[white]
     (col,), (row,) = lm_adjugate_lines(K, [white], [black])
-    Dw = divisor_of_vertex(g, wt, kappa, white, mode=mode, tol=min(tol, 1e-10), K=K, P=P,
-                           line=col)
-    Db = divisor_of_vertex(g, wt, kappa, black, mode=mode, tol=min(tol, 1e-10), K=K, P=P,
-                           line=row)
+    Dw = divisor_of_vertex(g, wt, kappa, white, mode=mode, tol=tol, K=K, P=P, line=col)
+    Db = divisor_of_vertex(g, wt, kappa, black, mode=mode, tol=tol, K=K, P=P, line=row)
     cond2 = Dw.matches(Db.sigma(), None if mode == "exact" else tol)
     # condition (3): sigma maps the points at infinity of side S to those of
     # side -S, i.e. opposite sides carry equal X-value multisets (positive
     # weights). The reversal of a zig-zag is a zig-zag of the color change,
     # whose X there is the inverse; X_alphabar * X_alpha = 1 is this check.
-    resid3 = {}
-    cond3 = True
+    resid3, failed = {}, []
     by_side = {}
     for zz in g.zigzag_paths():
         p, q = zz["class"]
@@ -658,16 +650,13 @@ def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-
         a = sorted(values, key=float)
         b = sorted(opp, key=float)
         if len(a) != len(b):
-            cond3 = False
             resid3[side] = float("inf")
+            failed.append(side)
             continue
-        for x1, x2 in zip(a, b):
-            r = x1 / x2 - 1
-            resid3.setdefault(side, []).append(r)
-            if isinstance(r, Fraction):
-                cond3 = cond3 and r == 0
-            else:
-                cond3 = cond3 and abs(r) <= tol
+        resid3[side] = [x1 / x2 - 1 for x1, x2 in zip(a, b)]
+        if any(r != 0 if isinstance(r, Fraction) else abs(r) > tol for r in resid3[side]):
+            failed.append(side)
+    cond3 = not failed
     report = {
         "sigma_invariant": cond1,
         "P": P,
@@ -676,6 +665,7 @@ def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-
         "partner_black": black,
         "divisor_condition": cond2,
         "nu_residuals": resid3,
+        "nu_failed": failed,
         "nu_condition": cond3,
     }
     return (cond1 and cond2 and cond3), report
@@ -728,9 +718,11 @@ def amoeba_csv(rows):
     return "x,y,is_real\n" + _format("%.12g,%.12g,%d\n", x, y, is_real)
 
 
-def amoeba_svg(rows, marks=(), size=480):
-    """Minimal deterministic SVG scatter with optional marked points."""
+def amoeba_svg(rows, marks=()):
+    """Minimal deterministic SVG scatter, 480 px square, with optional
+    marked points."""
     import numpy as np
+    size = 480
     if not rows:
         return "<svg xmlns='http://www.w3.org/2000/svg'/>"
     x, y, is_real, *_ = zip(*rows)
@@ -809,10 +801,11 @@ def derivative(P, var):
     return LaurentPoly2(terms)
 
 
-def detect_singularities(P, tol=1e-8):
+def detect_singularities(P):
     """Probe for singular points of the open curve: common zeros of
-    (P, dP/dw, dP/dz). Returns a list of approximate singular points; used to
-    report isolated real nodes as unsupported rather than desingularizing."""
+    (P, dP/dw, dP/dz), each below 1e-8 in modulus. Returns a list of
+    approximate singular points; used to report isolated real nodes as
+    unsupported rather than desingularizing."""
     from .exactalg import resultant_eliminate
     Pw = derivative(P, "w")
     if Pw.is_zero():
@@ -827,7 +820,7 @@ def detect_singularities(P, tol=1e-8):
     z1, w1 = _polish([Pwn, Pzn], *_fibre_roots(Pn, res, 1e-10), steps=40)
     hits = []
     for z, w in zip(z1.tolist(), w1.tolist()):
-        if all(abs(q.eval(z, w)) < tol for q in (Pn, Pwn, Pzn)) \
+        if all(abs(q.eval(z, w)) < 1e-8 for q in (Pn, Pwn, Pzn)) \
                 and not any(abs(z - a) < 1e-6 and abs(w - b) < 1e-6 for a, b in hits):
             hits.append((z, w))
     return hits
@@ -848,32 +841,26 @@ def canonical_sign(P):
     return -P if neg else P
 
 
-def spectral_report(g, wt, kappa, gadget_map=None, white=None, mode="exact"):
-    """Text `spectral-report v1`: polynomial, polygon, genus, conditions,
-    divisors. The printed polynomial is sign-normalized (the determinant's
-    overall sign is a sign-gauge artifact)."""
+def spectral_report(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-8):
+    """Text `spectral-report v1`: polynomial, polygon, genus, the three
+    conditions of verify_ising_spectral at tol, divisors, and the polygon
+    sides that fail the nu condition. The printed polynomial is
+    sign-normalized (the determinant's overall sign is a sign-gauge
+    artifact). Returns (text, ok)."""
     data = characteristic_polynomial(g, wt, kappa)
+    ok, rep = verify_ising_spectral(g, wt, kappa, gadget_map, white, mode=mode, tol=tol,
+                                    K=data.matrix, P=data.poly)
     lines = ["spectral-report v1",
              f"polynomial {canonical_sign(data.poly).canonical_str()}",
              "polygon " + " ".join(f"{x},{y}" for x, y in data.polygon.vertices),
-             f"genus {data.genus}"]
-    ok = None
-    if gadget_map is not None and white is not None:
-        ok, rep = verify_ising_spectral(g, wt, kappa, gadget_map, white, mode=mode,
-                                        K=data.matrix, P=data.poly)
-        lines.append(f"condition sigma-invariance {'pass' if rep['sigma_invariant'] else 'FAIL'}")
-        lines.append(f"condition divisor-sigma {'pass' if rep['divisor_condition'] else 'FAIL'}")
-        lines.append(f"condition nu-involution {'pass' if rep['nu_condition'] else 'FAIL'}")
-        for name, D in (("D_w", rep["divisor_white"]), ("D_b", rep["divisor_black"])):
-            lines.append(f"divisor {name} {D.format_points()}")
-        if not ok:
-            bad = []
-            for side, rs in rep["nu_residuals"].items():
-                rs = rs if isinstance(rs, list) else [rs]
-                if any((r != 0 if isinstance(r, Fraction) else abs(r) > 1e-8) for r in rs):
-                    bad.append(str(side))
-            if bad:
-                lines.append("residuals " + " ".join(sorted(bad)))
+             f"genus {data.genus}",
+             f"condition sigma-invariance {'pass' if rep['sigma_invariant'] else 'FAIL'}",
+             f"condition divisor-sigma {'pass' if rep['divisor_condition'] else 'FAIL'}",
+             f"condition nu-involution {'pass' if rep['nu_condition'] else 'FAIL'}"]
+    for name, D in (("D_w", rep["divisor_white"]), ("D_b", rep["divisor_black"])):
+        lines.append(f"divisor {name} {D.format_points()}")
+    if rep["nu_failed"]:
+        lines.append("residuals " + " ".join(sorted(map(str, rep["nu_failed"]))))
     return "\n".join(lines) + "\n", ok
 
 

@@ -6,9 +6,10 @@ displacement in Z^2 recording signed crossings with the two fundamental
 loops (x-crossings give the z exponent, y-crossings the w exponent).
 
 Faces are the orbits of d -> prev_ccw(twin(d)); their boundaries are
-counterclockwise. Zig-zag paths turn maximally right at black vertices and
-maximally left at white ones; on uncolored graphs both turn parities are
-tracked, which yields every path together with its reversal partner.
+counterclockwise. Zig-zag paths turn maximally right and left in turn: on
+bipartite graphs right at black vertices and left at white ones; on
+uncolored graphs from both parities, which yields every path together with
+its reversal partner.
 """
 from __future__ import annotations
 
@@ -498,54 +499,36 @@ class TorusGraph:
     def zigzag_paths(self):
         """Zig-zag paths with homology classes.
 
-        Bipartite graphs use the black-right/white-left rule, and every dart
-        lies on exactly one path. Uncolored graphs track (dart, parity)
-        strands with alternating maximal turns; every dart is covered once
-        per parity, producing each path together with its reversal.
+        A strand is a (dart, parity) walk that turns maximally right
+        (parity 1) or left (-1) at the dart's head and flips parity at each
+        step. On a bipartite graph the head's color fixes the parity (right
+        at black, left at white), so every dart lies on exactly one path.
+        Uncolored graphs trace each dart at both parities, producing each
+        path together with its reversal.
         Returns a list of dicts: {'id', 'darts', 'class'}.
         """
         if self._zigzags is not None:
             return self._zigzags
-        out = []
-        if self.is_bipartite_colored():
-            seen = set()
-            for d0 in sorted(self.darts):
-                if d0 in seen:
+        colored = self.is_bipartite_colored()
+        out, seen = [], set()
+        for d0 in sorted(self.darts):
+            for p0 in ((1 if self.colors[self.head(d0)] == "b" else -1,) if colored
+                       else (1, -1)):
+                if (d0, p0) in seen:
                     continue
                 darts = []
-                d = d0
+                d, p = d0, p0
                 while True:
                     darts.append(d)
-                    seen.add(d)
+                    seen.add((d, p))
                     t = self.twin(d)
-                    if self.colors[self.head(d)] == "b":
-                        d = self.next_ccw(t)   # maximal right at black
-                    else:
-                        d = self.prev_ccw(t)   # maximal left at white
-                    if d == d0:
+                    d = self.next_ccw(t) if p > 0 else self.prev_ccw(t)
+                    p = -p
+                    if (d, p) == (d0, p0):
                         break
-                    if len(darts) > 2 * len(self.darts):
-                        raise GraphError("zig-zag does not close")
-                out.append(darts)
-        else:
-            seen = set()
-            for d0 in sorted(self.darts):
-                for p0 in (1, -1):
-                    if (d0, p0) in seen:
-                        continue
-                    darts = []
-                    d, p = d0, p0
-                    while True:
-                        darts.append(d)
-                        seen.add((d, p))
-                        t = self.twin(d)
-                        d = self.next_ccw(t) if p > 0 else self.prev_ccw(t)
-                        p = -p
-                        if (d, p) == (d0, p0):
-                            break
-                        if len(darts) > 4 * len(self.darts):
-                            raise GraphError("zig-zag strand does not close")
-                    out.append(_primitive_period(darts))
+                    if len(darts) > 4 * len(self.darts):
+                        raise GraphError("zig-zag strand does not close")
+                out.append(_primitive_period(darts))
         self._zigzags = [
             {"id": f"zz{i}", "darts": ds, "class": self.walk_displacement(ds)}
             for i, ds in enumerate(out)
@@ -715,17 +698,12 @@ class TorusGraph:
         """
         fid = self.face_of_dart(d)
         orbit = self._face_orbit[fid]
-        k = orbit.index(d)
-        # walk backward to the orbit start accumulating displacement
+        # walk back to the orbit start, its minimal dart, accumulating
+        # displacement
         tx, ty = t
-        for i in range(k):
-            dd = self.disp(orbit[k - 1 - i])
-            tx, ty = tx - dd[0], ty - dd[1]
-        # orbit[0] lift translate now (tx, ty); canonical dart = min(orbit)
-        m = orbit.index(min(orbit))
-        for i in range(m):
-            dd = self.disp(orbit[i])
-            tx, ty = tx + dd[0], ty + dd[1]
+        for x in orbit[:orbit.index(d)]:
+            dx, dy = self.disp(x)
+            tx, ty = tx - dx, ty - dy
         return (fid, (tx, ty))
 
     def dual_graph(self):

@@ -187,6 +187,79 @@ class TestExitCodes:
         assert capsys.readouterr().err == message
 
 
+# line number of a line appended to the dimer fixture
+_NEW = DIMER_FIXTURE.count("\n") + 1
+
+
+class TestInputValidation:
+    """Each malformed input exits 2 with one `error:` line that names the
+    offending line: by its number where the parser knows it, else by the
+    key or text it could not place."""
+
+    @pytest.mark.parametrize("text,message", [
+        (DIMER_FIXTURE.replace("torus-graph v1", "torus-graph v2"),
+         "line 1: missing 'torus-graph v1' header"),
+        (DIMER_FIXTURE + "vertex x\n", f"line {_NEW}: vertex takes: id color [x y]"),
+        (DIMER_FIXTURE + "vertex x w 0.5 north\n",
+         f"line {_NEW}: could not convert string to float: 'north'"),
+        (DIMER_FIXTURE + "vertex b1 w\n", f"line {_NEW}: duplicate vertex b1"),
+        (DIMER_FIXTURE + "vertex x q\n", f"line {_NEW}: bad color 'q' for vertex x"),
+        (DIMER_FIXTURE + "edge e13 b1 w1 0\n", f"line {_NEW}: edge takes: id v1 v2 dx dy"),
+        (DIMER_FIXTURE + "edge e13 b1 w1 0 x\n",
+         f"line {_NEW}: invalid literal for int() with base 10: 'x'"),
+        (DIMER_FIXTURE + "edge e1 b1 w1 0 0\n", f"line {_NEW}: duplicate edge e1"),
+        (DIMER_FIXTURE + "edge e13 b1 nowhere 0 0\n",
+         f"line {_NEW}: edge e13 references unknown vertex nowhere"),
+        (DIMER_FIXTURE + "rot b1\n", f"line {_NEW}: rot takes: vertex dart..."),
+        (DIMER_FIXTURE + "rot b1 e99+\n", f"line {_NEW}: unknown dart e99+"),
+        (DIMER_FIXTURE + "rot b1 e99\n", f"line {_NEW}: unknown edge e99"),
+        (DIMER_FIXTURE + "rot b1 e1\n", f"line {_NEW}: edge e1 not incident to b1"),
+        (DIMER_FIXTURE + "rot nowhere e1+\n", f"line {_NEW}: rotation for unknown vertex nowhere"),
+        (ISING_FIXTURE.replace("rot n 1+ 2+ 1- 2-", "rot n 1 2+ 1- 2-"),
+         "line 5: loop edge 1 needs an explicit dart (+/-)"),
+        (DIMER_FIXTURE.replace("rot b1 e9 e8 e7", "rot b1 e9 e8 e1+"),
+         "dart e1+ is not based at b1"),
+        (DIMER_FIXTURE + "weight e1\n", f"line {_NEW}: weight takes: edge value"),
+        (DIMER_FIXTURE + "weight e1 x1\n", f"line {_NEW}: bad number 'x1'"),
+        (DIMER_FIXTURE + "weight e99 1\n", "weight for unknown edge e99"),
+        (DIMER_FIXTURE + "coupling e1\n",
+         f"line {_NEW}: coupling takes: edge J=<v>|sc=<s>,<c>"),
+        (DIMER_FIXTURE + "coupling e1 K=1\n", f"line {_NEW}: bad coupling spec 'K=1'"),
+        (DIMER_FIXTURE + "coupling e1 sc=1/2\n",
+         f"line {_NEW}: sc= takes two comma-separated rationals"),
+        (DIMER_FIXTURE + "coupling e1 sc=a,b\n",
+         f"line {_NEW}: Invalid literal for Fraction: 'a'"),
+        (DIMER_FIXTURE + "coupling e1 J=x\n",
+         f"line {_NEW}: could not convert string to float: 'x'"),
+        (DIMER_FIXTURE + "coupling e99 J=1\n", "coupling for unknown edge e99"),
+        (DIMER_FIXTURE + "frobnicate\n", f"line {_NEW}: unknown key 'frobnicate'"),
+    ], ids=["header", "vertex arity", "vertex position", "duplicate vertex", "bad color",
+            "edge arity", "edge displacement", "duplicate edge", "edge vertex", "rot arity",
+            "rot dart", "rot edge", "rot incidence", "rot vertex", "rot loop", "rot base",
+            "weight arity", "weight number", "weight edge", "coupling arity",
+            "coupling spec", "coupling sc", "coupling fraction", "coupling J",
+            "coupling edge", "unknown key"])
+    def test_malformed_graph_line_exits_2(self, tmp_path, text, message, capsys):
+        path = tmp_path / "bad.tg"
+        path.write_text(text)
+        assert main(["inspect", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text,message", [
+        (GADGET_MAP.replace("v1", "v0"), "missing 'gadget-map v1' header"),
+        (GADGET_MAP + "square 3\n", "bad gadget-map line: 'square 3'"),
+        (GADGET_MAP + "corner w1 b4\n", "bad gadget-map line: 'corner w1 b4'"),
+    ], ids=["header", "arity", "key"])
+    def test_malformed_gadget_map_line_exits_2(self, files, text, message, capsys):
+        tmp, gp, _, _ = files
+        path = tmp / "bad.gm"
+        path.write_text(text)
+        assert main(["verify-ising", gp, "--vertex", "w2", "--gadget-map", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self, files, tmp_path):
         _, gp, _, gm = files
@@ -288,6 +361,28 @@ class TestPipelines:
         script = tmp_path / "bad.txt"
         script.write_text("move square f=f0\n")
         assert main(["move", gp, "--script", str(script)]) == 2
+
+    def test_contraction_transports_the_basis(self, tmp_path, capsys):
+        # split b1 so that a new degree-2 white sits on both basis cycles,
+        # gauge its edges away from 1, and contract it again by script
+        from isingdimer.dimer import contraction_move, gauge_transform, uncontraction_move
+        from isingdimer.torusgraph import parse_torus_graph
+        g0, wt0, _ = parse_torus_graph(DIMER_FIXTURE)
+        g, wt, rec = uncontraction_move(g0, wt0, "b1", 1, 1)
+        mid = rec.data["parts"][2]
+        wt = gauge_transform(g, wt, {mid: Fraction(7, 3)})
+        cycles = g.homology_basis_cycles()
+        assert all(any(g.tail(d) == mid for d in c) for c in cycles)
+        gp, script, out = tmp_path / "split.tg", tmp_path / "s.txt", tmp_path / "out.tg"
+        gp.write_text(serialize_torus_graph(g, weights=wt))
+        script.write_text(f"move contract v={mid}\n")
+        assert main(["move", str(gp), "--script", str(script), "--out", str(out)]) == 0
+        before, after = out.read_text().split("# X basis after (transported)\n")
+        before = before.split("# X basis before\n")[1]
+        before, after = before.splitlines(), after.splitlines()
+        assert sorted(after) == sorted(before) and len(before) == len(g.face_ids()) + 1
+        g2, _, rec2 = contraction_move(g, wt, mid)
+        assert [g2.cycle_displacement(rec2.reroute(c)) for c in cycles] == [(1, 0), (0, 1)]
 
     def test_ydelta_cli(self, files, tmp_path):
         # honeycomb cell with a degree-3 vertex
@@ -435,6 +530,59 @@ class TestPipelines:
         assert "faces 4\n" in capsys.readouterr().out
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [1e-300, 1.5e-16])
+    def test_verify_ising_tol_reaches_the_spectral_conditions(self, tmp_path, capsys, tol):
+        # the nu residuals of this model are rounding errors of 1.1e-16 to
+        # 2.2e-16; the residuals line names the sides above tol, each side
+        # (p, q) as a primitive zig-zag class
+        from isingdimer.dimer import x_of_cycle
+        from isingdimer.torusgraph import parse_torus_graph
+        gp, gm, white = _square21_gadget(tmp_path)
+        g, wt, _ = parse_torus_graph(open(gp).read())
+        wt = {e: float(v) for e, v in wt.items()}
+        by_side = {}
+        for zz in g.zigzag_paths():
+            p, q = zz["class"]
+            k = math.gcd(p, q)
+            by_side.setdefault((p // k, q // k), []).append(x_of_cycle(g, wt, zz["darts"]))
+        above = sorted(str(side) for side, xs in by_side.items()
+                       if any(abs(x / y - 1) > tol for x, y in
+                              zip(sorted(xs), sorted(by_side[(-side[0], -side[1])]))))
+        assert 0 < len(above) and (len(above) < len(by_side) or tol < 1e-100)
+        capsys.readouterr()
+        assert main(["verify-ising", gp, "--vertex", white, "--gadget-map", gm,
+                     "--mode", "numeric", "--tol", repr(tol)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        if tol == 1e-300:
+            assert "condition sigma-invariance FAIL" in lines
+        assert "condition nu-involution FAIL" in lines
+        assert [line.split(" ", 1)[1] for line in lines if line.startswith("residuals ")] \
+            == [" ".join(above)]
+
+    @pytest.mark.parametrize("verb", ["move", "charpoly"])
+    def test_verbs_without_a_tolerance_reject_tol(self, files, verb, capsys):
+        _, gp, _, _ = files
+        extra = ["--script", gp] if verb == "move" else []
+        with pytest.raises(SystemExit) as exc:
+            main([verb, gp, "--tol", "1"] + extra)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["fixture", "square 2x1"])
+    def test_divisor_verb_prints_the_verify_ising_divisor(self, which, files, capsys):
+        tmp, gp, _, gm = files
+        white = "w2"
+        if which == "square 2x1":
+            gp, gm, white = _square21_gadget(tmp)
+        capsys.readouterr()
+        main(["verify-ising", gp, "--vertex", white, "--gadget-map", gm, "--mode", "numeric"])
+        d_w = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("divisor D_w "))
+        assert main(["divisor", gp, "--vertex", white, "--mode", "numeric"]) == 0
+        assert capsys.readouterr().out == f"divisor {white} {d_w[len('divisor D_w '):]}\n"
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation(self, files):
         # the child process imports the package from where this one found it
@@ -476,6 +624,22 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
         assert (d / "c.txt").read_text().startswith("polynomial ")
 
 
+def _square21_gadget(tmp):
+    """todimer of the square 2x1 Ising model with x = 1/3, 2/5, 3/7, 4/9:
+    (dimer graph path, gadget-map path, its first white)."""
+    from isingdimer.torusgraph import parse_torus_graph
+    from test_torusgraph import square
+    g = square(2, 1)
+    x = [Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(4, 9)]
+    model = IsingModel(g, {e: make_coupling(x=v) for e, v in zip(g.edges(), x)})
+    ip = tmp / "sq.tg"
+    ip.write_text(serialize_torus_graph(model.graph, couplings={
+        e: {"s": c.s, "c": c.c} for e, c in model.couplings.items()}))
+    gp, gm = str(tmp / "sq.dimer"), str(tmp / "sq.gm")
+    assert main(["todimer", str(ip), "--out", gp, "--gadget-map", gm]) == 0
+    return gp, gm, parse_torus_graph(open(gp).read())[0].whites()[0]
+
+
 def _printed_divisors(text):
     """{name: [(z, w)]} from the `divisor` lines of a spectral report."""
     out = {}
@@ -498,19 +662,10 @@ class TestDifferentialOracle:
         from isingdimer.ising import parse_gadget_map
         from isingdimer.spectral import kasteleyn_matrix, solve_kasteleyn_signs
         from isingdimer.torusgraph import parse_torus_graph
-        from test_torusgraph import square
         tmp, gp, _, gm = files
         white = "w2"
         if which == "square 2x1":
-            g = square(2, 1)
-            x = [Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(4, 9)]
-            model = IsingModel(g, {e: make_coupling(x=v) for e, v in zip(g.edges(), x)})
-            ip = tmp / "sq.tg"
-            ip.write_text(serialize_torus_graph(model.graph, couplings={
-                e: {"s": c.s, "c": c.c} for e, c in model.couplings.items()}))
-            gp, gm = str(tmp / "sq.dimer"), str(tmp / "sq.gm")
-            assert main(["todimer", str(ip), "--out", gp, "--gadget-map", gm]) == 0
-            white = parse_torus_graph(open(gp).read())[0].whites()[0]
+            gp, gm, white = _square21_gadget(tmp)
         capsys.readouterr()
         assert main(["verify-ising", gp, "--vertex", white, "--gadget-map", gm,
                      "--mode", "numeric"]) == 0

@@ -1,12 +1,15 @@
 """Every module of the package uses each name its top-level imports bind,
-and every private top-level function of the package is referenced.
+every private top-level function of the package is referenced, and every
+option of a CLI verb is read by that verb.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules: an
 imported name counts as used when it is read anywhere in the module; a
 private function counts as referenced when its name is read, as a name or
 an attribute, or imported anywhere in the package outside its own body, so
-that a replaced kernel cannot linger as a second path.
+that a replaced kernel cannot linger as a second path; an option counts as
+read when its verb's `cmd_*` function reads `args.<dest>`.
 """
+import argparse
 import ast
 from pathlib import Path
 
@@ -73,3 +76,39 @@ def test_finds_an_unreferenced_private_function():
 def test_private_functions_are_referenced():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unreferenced_private_functions(sources) == []
+
+
+def unread_options(parser, source):
+    """(verb, dest) for every option or positional that a subparser of
+    `parser` registers and that its verb's function, defined in `source`
+    and set as the subparser's `fn` default, never reads as `args.<dest>`."""
+    functions = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    out = []
+    for verb, p in sub.choices.items():
+        fn = functions[p.get_default("fn").__name__]
+        read = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == "args"}
+        out += [(verb, a.dest) for a in p._actions
+                if not isinstance(a, argparse._HelpAction) and a.dest not in read]
+    return out
+
+
+def test_finds_an_unread_option():
+    source = "def cmd_x(args):\n    return args.graph + args.out\n"
+
+    def cmd_x(args):
+        pass
+
+    top = argparse.ArgumentParser()
+    p = top.add_subparsers().add_parser("x")
+    p.add_argument("graph")
+    p.add_argument("--out")
+    p.add_argument("--tol", type=float)
+    p.set_defaults(fn=cmd_x)
+    assert unread_options(top, source) == [("x", "tol")]
+
+
+def test_every_cli_option_is_read():
+    from isingdimer.cli import build_parser
+    assert unread_options(build_parser(), (PACKAGE / "cli.py").read_text()) == []
