@@ -2,8 +2,9 @@
 
 Verbs: inspect, todimer, dual, ydelta, move, charpoly, divisor,
 verify-ising, abel, amoeba. Exit codes: 0 success, 1 check failure,
-2 parse/validation error. Output is deterministic: exact values print as
-p/q, numeric values with 12 significant digits, no timestamps.
+2 input error, by the error classes of EXIT_CODES. Output is deterministic:
+exact values print as p/q, numeric values with 12 significant digits, no
+timestamps.
 """
 from __future__ import annotations
 
@@ -26,53 +27,53 @@ from .exactalg import lm_determinant, format_coeff
 
 
 class CliError(Exception):
-    def __init__(self, message, code):
-        self.code = code
-        super().__init__(message)
+    """A usage or input error that the library cannot see: exit 2."""
 
 
-def _load(path):
+# The one exit-code policy of the command line: main maps an error of one of
+# these classes, or of a subclass, to its code. Any other exception is a bug
+# and keeps its traceback.
+EXIT_CODES = {CliError: 2, ParseError: 2, GraphError: 2, CouplingError: 2, MoveError: 2,
+              SpectralError: 1}
+
+
+def _read(path):
     try:
         with open(path) as fh:
-            return parse_torus_graph(fh.read())
+            return fh.read()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", 2)
-    except (ParseError, GraphError) as exc:
-        raise CliError(str(exc), 2)
+        raise CliError(f"cannot read {path}: {exc}")
 
 
-def _validate(g):
-    """The report of g.validate(); a GraphError exits 2."""
+def _emit(text, path):
+    """Write text to path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
-        return g.validate()
-    except GraphError as exc:
-        raise CliError(str(exc), 2)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}")
 
 
 def _load_validated(path):
-    g, weights, couplings = _load(path)
-    _validate(g)
+    g, weights, couplings = parse_torus_graph(_read(path))
+    g.validate()
     return g, weights, couplings
-
-
-def _load_model(g, couplings):
-    try:
-        return IsingModel(g, couplings_from_file_data(couplings))
-    except (CouplingError, GraphError) as exc:
-        raise CliError(str(exc), 2)
 
 
 def _need_weights(weights, g, mode):
     missing = [e for e in g.edges() if e not in weights]
     if missing:
-        raise CliError(f"edges without weights: {missing}", 2)
+        raise CliError(f"edges without weights: {missing}")
     if mode == "auto":
         mode = "exact" if all(isinstance(v, Fraction) for v in weights.values()) \
             else "numeric"
     if mode == "numeric":
         return {e: float(v) for e, v in weights.items()}, "numeric"
     if any(not isinstance(v, Fraction) for v in weights.values()):
-        raise CliError("exact mode needs rational weights throughout", 2)
+        raise CliError("exact mode needs rational weights throughout")
     return weights, "exact"
 
 
@@ -81,25 +82,17 @@ def _pick_kappa(g, sign):
     try:
         return dict(solve_kasteleyn_signs(g))[label]
     except SpectralError as exc:
-        raise CliError(str(exc), 2)
+        raise CliError(str(exc))
 
 
 def _check_vertex(g, vertex):
     if vertex not in g.colors:
-        raise CliError(f"unknown vertex {vertex}", 2)
-
-
-def _emit(text, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        raise CliError(f"unknown vertex {vertex}")
 
 
 def cmd_inspect(args):
-    g, _, _ = _load(args.graph)
-    rep = _validate(g)
+    g, _, _ = parse_torus_graph(_read(args.graph))
+    rep = g.validate()
     lines = [f"vertices {rep['V']}", f"edges {rep['E']}", f"faces {rep['F']}",
              f"euler {rep['euler']}", f"bipartite {int(rep['bipartite'])}"]
     for fid in sorted(rep["faces"]):
@@ -122,20 +115,18 @@ def cmd_inspect(args):
 def cmd_todimer(args):
     g, weights, couplings = _load_validated(args.graph)
     if not couplings:
-        raise CliError("input has no coupling lines", 2)
-    model = _load_model(g, couplings)
-    gd, wt, gm = to_dimer(model)
+        raise CliError("input has no coupling lines")
+    gd, wt, gm = to_dimer(IsingModel(g, couplings_from_file_data(couplings)))
     _emit(serialize_torus_graph(gd, weights=wt), args.out)
     if args.gadget_map:
-        with open(args.gadget_map, "w") as fh:
-            fh.write(gm.serialize())
+        _emit(gm.serialize(), args.gadget_map)
     return 0
 
 
 def cmd_dual(args):
     g, weights, couplings = _load_validated(args.graph)
     if couplings:
-        dm = dual_ising(_load_model(g, couplings))
+        dm = dual_ising(IsingModel(g, couplings_from_file_data(couplings)))
         coup = {e: {"s": c.s, "c": c.c} if c.exact else {"J": c.J}
                 for e, c in dm.couplings.items()}
         _emit(serialize_torus_graph(dm.graph, couplings=coup), args.out)
@@ -147,12 +138,8 @@ def cmd_dual(args):
 def cmd_ydelta(args):
     g, weights, couplings = _load_validated(args.graph)
     if not couplings:
-        raise CliError("ydelta needs coupling lines", 2)
-    model = _load_model(g, couplings)
-    try:
-        out = y_delta(model, args.site)
-    except (GraphError, MoveError) as exc:
-        raise CliError(str(exc), 2)
+        raise CliError("ydelta needs coupling lines")
+    out = y_delta(IsingModel(g, couplings_from_file_data(couplings)), args.site)
     coup = {e: {"s": c.s, "c": c.c} if c.exact else {"J": c.J}
             for e, c in out.couplings.items()}
     _emit(serialize_torus_graph(out.graph, couplings=coup), args.out)
@@ -162,11 +149,7 @@ def cmd_ydelta(args):
 def cmd_move(args):
     g, weights, _ = _load_validated(args.graph)
     wt, _mode = _need_weights(weights, g, args.mode)
-    try:
-        with open(args.script) as fh:
-            script = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {args.script}: {exc}", 2)
+    script = _read(args.script)
     from .dimer import x_of_cycle
     before, _ = basis_x_values(g, wt)
     lines_out = ["# X basis before"]
@@ -184,19 +167,19 @@ def cmd_move(args):
         parts = line.split()
         try:
             if parts[0] != "move" or len(parts) < 2:
-                raise CliError(f"script line {no}: expected 'move ...'", 2)
+                raise CliError(f"script line {no}: expected 'move ...'")
             kind = parts[1]
             opts = {}
             for p in parts[2:]:
                 if "=" not in p:
-                    raise CliError(f"script line {no}: expected key=value, got {p!r}", 2)
+                    raise CliError(f"script line {no}: expected key=value, got {p!r}")
                 key, value = p.split("=", 1)
                 if key in opts:
-                    raise CliError(f"script line {no}: repeated key {key!r}", 2)
+                    raise CliError(f"script line {no}: repeated key {key!r}")
                 opts[key] = value
             need = {"square": "f=<face>", "contract": "v=<vertex>"}.get(kind)
             if need and need.split("=")[0] not in opts:
-                raise CliError(f"script line {no}: move {kind} needs {need}", 2)
+                raise CliError(f"script line {no}: move {kind} needs {need}")
             if kind == "square":
                 g, wt, rec = square_move(g, wt, opts["f"])
                 lines_out.append(f"# move square f={opts['f']} -> f'={rec.data['new_face']}")
@@ -206,13 +189,13 @@ def cmd_move(args):
                 g, wt = color_change(g, wt)
                 rec = None
             else:
-                raise CliError(f"script line {no}: unknown move {kind!r}", 2)
+                raise CliError(f"script line {no}: unknown move {kind!r}")
             if rec is not None:
                 face_map = {old: rec.map_face(nf) for old, nf in face_map.items()}
                 ca = rec.reroute(ca)
                 cb = rec.reroute(cb)
         except (MoveError, GraphError, KeyError) as exc:
-            raise CliError(f"script line {no}: {exc}", 2)
+            raise CliError(f"script line {no}: {exc}")
     lines_out.append("# X basis after (transported)")
     faces_before = sorted(k for k in before if k not in ("a", "b"))
     for k in faces_before:
@@ -228,11 +211,7 @@ def cmd_move(args):
 def cmd_charpoly(args):
     g, weights, _ = _load_validated(args.graph)
     wt, _mode = _need_weights(weights, g, args.mode)
-    kappa = _pick_kappa(g, args.sign)
-    try:
-        data = characteristic_polynomial(g, wt, kappa)
-    except SpectralError as exc:
-        raise CliError(str(exc), 1)
+    data = characteristic_polynomial(g, wt, _pick_kappa(g, args.sign))
     from .spectral import canonical_sign
     lines = [f"polynomial {canonical_sign(data.poly).canonical_str()}",
              "polygon " + " ".join(f"{x},{y}" for x, y in data.polygon.vertices),
@@ -246,11 +225,7 @@ def cmd_divisor(args):
     wt, mode = _need_weights(weights, g, args.mode)
     _check_vertex(g, args.vertex)
     kappa = _pick_kappa(g, args.sign)
-    try:
-        D = divisor_of_vertex(g, wt, kappa, args.vertex, mode=mode,
-                              tol=args.tol)
-    except (SpectralError, GraphError) as exc:
-        raise CliError(str(exc), 1)
+    D = divisor_of_vertex(g, wt, kappa, args.vertex, mode=mode, tol=args.tol)
     _emit(f"divisor {args.vertex} {D.format_points()}\n", args.out)
     return 0
 
@@ -258,24 +233,26 @@ def cmd_divisor(args):
 def cmd_verify_ising(args):
     g, weights, _ = _load_validated(args.graph)
     wt, mode = _need_weights(weights, g, args.mode)
-    if args.gadget_map:
-        try:
-            with open(args.gadget_map) as fh:
-                gm = parse_gadget_map(fh.read())
-        except (OSError, GraphError) as exc:
-            raise CliError(str(exc), 2)
-    else:
-        raise CliError("verify-ising needs --gadget-map", 2)
+    if not args.gadget_map:
+        raise CliError("verify-ising needs --gadget-map")
+    gm = parse_gadget_map(_read(args.gadget_map))
+    # the gadget map must name the graph's faces and vertices before any
+    # computation looks them up
     _check_vertex(g, args.vertex)
-    if args.vertex not in gm.partners:
-        raise CliError(f"vertex {args.vertex} has no partner in the gadget map", 2)
+    black = gm.partners.get(args.vertex)
+    if black is None:
+        raise CliError(f"vertex {args.vertex} has no partner in the gadget map")
+    if g.colors[args.vertex] != "w":
+        raise CliError(f"vertex {args.vertex} is not white")
+    if g.colors.get(black) != "b":
+        raise CliError(f"partner {black} of {args.vertex} is not a black vertex")
+    faces = set(g.face_ids())
+    unknown = sorted(fid for fid in gm.squares.values() if fid not in faces)
+    if unknown:
+        raise CliError(f"gadget map names unknown face {unknown[0]}")
     kappa = _pick_kappa(g, args.sign)
-    try:
-        weight_ok, wrep = ising_locus_check(g, wt, gm,
-                                            tol=None if mode == "exact" else args.tol)
-        text, spec_ok = spectral_report(g, wt, kappa, gm, args.vertex, mode=mode, tol=args.tol)
-    except (SpectralError, MoveError, GraphError) as exc:
-        raise CliError(str(exc), 1)
+    weight_ok, wrep = ising_locus_check(g, wt, gm, tol=None if mode == "exact" else args.tol)
+    text, spec_ok = spectral_report(g, wt, kappa, gm, args.vertex, mode=mode, tol=args.tol)
     lines = [text.rstrip("\n"),
              f"condition weight-mutation {'pass' if weight_ok else 'FAIL'}"]
     if not weight_ok:
@@ -287,14 +264,9 @@ def cmd_verify_ising(args):
 
 def cmd_abel(args):
     if args.window < 0:
-        raise CliError(f"--window must be at least 0, got {args.window}", 2)
+        raise CliError(f"--window must be at least 0, got {args.window}")
     g, weights, _ = _load_validated(args.graph)
-    try:
-        labels = discrete_abel(g, window=args.window)
-    except GraphError as exc:
-        raise CliError(str(exc), 2)
-    except SpectralError as exc:
-        raise CliError(str(exc), 1)
+    labels = discrete_abel(g, window=args.window)
     lines = []
     for (v, t), lab in sorted(labels.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         body = " ".join(f"{z}:{c}" for z, c in sorted(lab.counts.items())) or "0"
@@ -305,11 +277,11 @@ def cmd_abel(args):
 
 def cmd_amoeba(args):
     if args.grid < 1:
-        raise CliError(f"--grid must be at least 1, got {args.grid}", 2)
+        raise CliError(f"--grid must be at least 1, got {args.grid}")
     # exp(range) must be a finite float; nan fails the comparison
     top = math.log(sys.float_info.max)
     if not 0 < args.range <= top:
-        raise CliError(f"--range must be in (0, {top}], got {args.range}", 2)
+        raise CliError(f"--range must be in (0, {top}], got {args.range}")
     g, weights, _ = _load_validated(args.graph)
     wt, mode = _need_weights(weights, g, args.mode)
     if args.vertex:
@@ -319,19 +291,14 @@ def cmd_amoeba(args):
     P = lm_determinant(K)
     r = args.range
     marks = []
-    try:
-        rows = amoeba_sample(P, grid=args.grid, region=(-r, r, -r, r), tol=args.tol)
-        if args.vertex:
-            D = divisor_of_vertex(g, wt, kappa, args.vertex, mode=mode, tol=args.tol,
-                                  K=K, P=P)
-            for z, w, _m in D.points:
-                marks.append((math.log(abs(complex(z))), math.log(abs(complex(w)))))
-    except SpectralError as exc:
-        raise CliError(str(exc), 1)
+    rows = amoeba_sample(P, grid=args.grid, region=(-r, r, -r, r), tol=args.tol)
+    if args.vertex:
+        D = divisor_of_vertex(g, wt, kappa, args.vertex, mode=mode, tol=args.tol, K=K, P=P)
+        for z, w, _m in D.points:
+            marks.append((math.log(abs(complex(z))), math.log(abs(complex(w)))))
     _emit(amoeba_csv(rows), args.out)
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(amoeba_svg(rows, marks))
+        _emit(amoeba_svg(rows, marks), args.svg)
     return 0
 
 
@@ -380,9 +347,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
+    except tuple(EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return exc.code
+        return next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -282,9 +282,6 @@ class LaurentMatrix:
     def is_square(self):
         return len(self.rows) == len(self.cols)
 
-    def transpose(self):
-        return LaurentMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
-
     def matmul(self, other):
         if self.cols != other.rows:
             raise DimensionError("inner labels disagree")

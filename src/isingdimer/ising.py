@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .torusgraph import TorusGraph, GraphError
+from .torusgraph import TorusGraph, GraphError, ParseError
 
 
 class CouplingError(ValueError):
@@ -56,6 +56,8 @@ def make_coupling(J=None, sc=None, x=None):
     if given != 1:
         raise CouplingError("give exactly one of J, sc, x")
     if J is not None:
+        if not math.isfinite(J):
+            raise CouplingError(f"J must be finite, got {J}")
         if J <= 0:
             raise CouplingError("J must be positive")
         s = 1.0 / math.cosh(2 * J)
@@ -101,9 +103,6 @@ class IsingModel:
         graph.ensure_valid()
         self.graph = graph
         self.couplings = dict(couplings)
-
-    def copy(self):
-        return IsingModel(self.graph.copy(), dict(self.couplings))
 
 
 def couplings_from_file_data(raw):
@@ -303,8 +302,8 @@ def parse_gadget_map(text):
     squares, partners = {}, {}
     lines = text.splitlines()
     if not lines or lines[0].strip() != "gadget-map v1":
-        raise GraphError("missing 'gadget-map v1' header")
-    for raw in lines[1:]:
+        raise ParseError("missing 'gadget-map v1' header", 1)
+    for no, raw in enumerate(lines[1:], start=2):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -314,7 +313,7 @@ def parse_gadget_map(text):
         elif parts[0] == "partner" and len(parts) == 3:
             partners[parts[1]] = parts[2]
         else:
-            raise GraphError(f"bad gadget-map line: {raw!r}")
+            raise ParseError(f"bad gadget-map line: {raw!r}", no)
     return GadgetMap(squares, partners)
 
 

@@ -788,6 +788,7 @@ def parse_torus_graph(text):
     weights = {}
     couplings = {}
     rot_lines = []
+    edge_refs = []   # (line, key, edge) of the weight and coupling lines
     lines = text.splitlines()
     if not lines or lines[0].strip() != "torus-graph v1":
         raise ParseError("missing 'torus-graph v1' header", 1)
@@ -814,11 +815,13 @@ def parse_torus_graph(text):
             elif key == "weight":
                 if len(parts) != 3:
                     raise ParseError("weight takes: edge value", no)
-                weights[parts[1]] = _parse_number(parts[2], no)
+                weights[parts[1]] = _parse_weight(parts[2], no)
+                edge_refs.append((no, key, parts[1]))
             elif key == "coupling":
                 if len(parts) != 3:
                     raise ParseError("coupling takes: edge J=<v>|sc=<s>,<c>", no)
                 couplings[parts[1]] = _parse_coupling(parts[2], no)
+                edge_refs.append((no, key, parts[1]))
             else:
                 raise ParseError(f"unknown key {key!r}", no)
         except GraphError as exc:
@@ -828,11 +831,15 @@ def parse_torus_graph(text):
                 raise
             raise ParseError(str(exc), no) from exc
     for no, v, ds in rot_lines:
+        if v not in g.colors:
+            raise ParseError(f"rotation for unknown vertex {v}", no)
         resolved = []
         for name in ds:
             if name.endswith("+") or name.endswith("-"):
                 if name not in g.darts:
                     raise ParseError(f"unknown dart {name}", no)
+                if g.darts[name].vertex != v:
+                    raise ParseError(f"dart {name} is not based at {v}", no)
                 resolved.append(name)
             else:
                 if name not in g.edge_ends:
@@ -846,27 +853,24 @@ def parse_torus_graph(text):
                     resolved.append(name + "-")
                 else:
                     raise ParseError(f"edge {name} not incident to {v}", no)
-        try:
-            g.set_rotation(v, resolved)
-        except GraphError as exc:
-            raise ParseError(str(exc), no) from exc
+        g.set_rotation(v, resolved)
     g.freeze()
-    for e in weights:
+    for no, key, e in edge_refs:
         if e not in g.edge_ends:
-            raise ParseError(f"weight for unknown edge {e}")
-    for e in couplings:
-        if e not in g.edge_ends:
-            raise ParseError(f"coupling for unknown edge {e}")
+            raise ParseError(f"{key} for unknown edge {e}", no)
     return g, weights, couplings
 
 
-def _parse_number(text, line):
+def _parse_weight(text, line):
+    """An edge weight: a rational p/q or integer, else a float; it must be
+    positive and finite."""
     try:
-        if "/" in text or text.lstrip("+-").isdigit():
-            return Fraction(text)
-        return float(text)
-    except ValueError as exc:
+        value = Fraction(text) if "/" in text or text.lstrip("+-").isdigit() else float(text)
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad number {text!r}", line) from exc
+    if not 0 < value < float("inf"):
+        raise ParseError(f"weight must be positive and finite, got {text}", line)
+    return value
 
 
 def _parse_coupling(text, line):
@@ -877,7 +881,10 @@ def _parse_coupling(text, line):
         if "," not in body:
             raise ParseError("sc= takes two comma-separated rationals", line)
         s, c = body.split(",", 1)
-        return {"s": Fraction(s), "c": Fraction(c)}
+        try:
+            return {"s": Fraction(s), "c": Fraction(c)}
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {text!r}", line) from None
     raise ParseError(f"bad coupling spec {text!r}", line)
 
 

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractions import Fraction
 
@@ -14,7 +18,7 @@ from isingdimer.torusgraph import serialize_torus_graph
 
 from conftest import DIMER_FIXTURE, ISING_FIXTURE
 from test_ising import honeycomb_model
-from test_torusgraph import honeycomb
+from test_torusgraph import doubled, honeycomb
 
 
 GADGET_MAP = """gadget-map v1
@@ -193,8 +197,7 @@ _NEW = DIMER_FIXTURE.count("\n") + 1
 
 class TestInputValidation:
     """Each malformed input exits 2 with one `error:` line that names the
-    offending line: by its number where the parser knows it, else by the
-    key or text it could not place."""
+    offending line by its number."""
 
     @pytest.mark.parametrize("text,message", [
         (DIMER_FIXTURE.replace("torus-graph v1", "torus-graph v2"),
@@ -218,10 +221,10 @@ class TestInputValidation:
         (ISING_FIXTURE.replace("rot n 1+ 2+ 1- 2-", "rot n 1 2+ 1- 2-"),
          "line 5: loop edge 1 needs an explicit dart (+/-)"),
         (DIMER_FIXTURE.replace("rot b1 e9 e8 e7", "rot b1 e9 e8 e1+"),
-         "dart e1+ is not based at b1"),
+         "line 22: dart e1+ is not based at b1"),
         (DIMER_FIXTURE + "weight e1\n", f"line {_NEW}: weight takes: edge value"),
         (DIMER_FIXTURE + "weight e1 x1\n", f"line {_NEW}: bad number 'x1'"),
-        (DIMER_FIXTURE + "weight e99 1\n", "weight for unknown edge e99"),
+        (DIMER_FIXTURE + "weight e99 1\n", f"line {_NEW}: weight for unknown edge e99"),
         (DIMER_FIXTURE + "coupling e1\n",
          f"line {_NEW}: coupling takes: edge J=<v>|sc=<s>,<c>"),
         (DIMER_FIXTURE + "coupling e1 K=1\n", f"line {_NEW}: bad coupling spec 'K=1'"),
@@ -231,7 +234,7 @@ class TestInputValidation:
          f"line {_NEW}: Invalid literal for Fraction: 'a'"),
         (DIMER_FIXTURE + "coupling e1 J=x\n",
          f"line {_NEW}: could not convert string to float: 'x'"),
-        (DIMER_FIXTURE + "coupling e99 J=1\n", "coupling for unknown edge e99"),
+        (DIMER_FIXTURE + "coupling e99 J=1\n", f"line {_NEW}: coupling for unknown edge e99"),
         (DIMER_FIXTURE + "frobnicate\n", f"line {_NEW}: unknown key 'frobnicate'"),
     ], ids=["header", "vertex arity", "vertex position", "duplicate vertex", "bad color",
             "edge arity", "edge displacement", "duplicate edge", "edge vertex", "rot arity",
@@ -247,9 +250,9 @@ class TestInputValidation:
         assert out == "" and err == f"error: {message}\n"
 
     @pytest.mark.parametrize("text,message", [
-        (GADGET_MAP.replace("v1", "v0"), "missing 'gadget-map v1' header"),
-        (GADGET_MAP + "square 3\n", "bad gadget-map line: 'square 3'"),
-        (GADGET_MAP + "corner w1 b4\n", "bad gadget-map line: 'corner w1 b4'"),
+        (GADGET_MAP.replace("v1", "v0"), "line 1: missing 'gadget-map v1' header"),
+        (GADGET_MAP + "square 3\n", "line 8: bad gadget-map line: 'square 3'"),
+        (GADGET_MAP + "corner w1 b4\n", "line 8: bad gadget-map line: 'corner w1 b4'"),
     ], ids=["header", "arity", "key"])
     def test_malformed_gadget_map_line_exits_2(self, files, text, message, capsys):
         tmp, gp, _, _ = files
@@ -258,6 +261,164 @@ class TestInputValidation:
         assert main(["verify-ising", gp, "--vertex", "w2", "--gadget-map", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
+
+
+def _line_of(text, prefix):
+    """The number of the first line of text that starts with prefix."""
+    return next(no for no, line in enumerate(text.splitlines(), start=1)
+                if line.startswith(prefix))
+
+
+def _doubled_e1():
+    """The dimer fixture with a parallel copy of e1: a digon face, so a
+    zig-zag of zero homology."""
+    from isingdimer.torusgraph import parse_torus_graph
+    g, wt, _ = parse_torus_graph(DIMER_FIXTURE)
+    return serialize_torus_graph(doubled(g, "e1"), weights={**wt, "e1d": wt["e1"]})
+
+
+# the Ising fixture with weight lines: uncolored, so it has no Kasteleyn signs
+_WEIGHTED_ISING = ISING_FIXTURE + "weight 1 1/2\nweight 2 1/3\n"
+_E5 = _line_of(DIMER_FIXTURE, "weight e5 ")
+_SC1 = _line_of(ISING_FIXTURE, "coupling 1 ")
+
+
+def _weight_e5(value):
+    return DIMER_FIXTURE.replace("weight e5 1\n", f"weight e5 {value}\n")
+
+
+def _bad_weight(value):
+    return f"line {_E5}: weight must be positive and finite, got {value}"
+
+
+class TestNoTraceback:
+    """Inputs that once ended in a Python traceback: each exits 2 with one
+    `error:` line and prints nothing on stdout. {missing} in an option is a
+    path in a directory that does not exist, {out} a writable path; {gm} and
+    {script} are the gadget map and move script written beside the graph."""
+
+    @pytest.mark.parametrize("argv,graph,gadget_map,message", [
+        (["charpoly"], _WEIGHTED_ISING, GADGET_MAP, "Kasteleyn signs need a bipartite graph"),
+        (["divisor", "--vertex", "n"], _WEIGHTED_ISING, GADGET_MAP,
+         "Kasteleyn signs need a bipartite graph"),
+        (["amoeba"], _WEIGHTED_ISING, GADGET_MAP, "Kasteleyn signs need a bipartite graph"),
+        (["inspect", "--out", "{missing}"], DIMER_FIXTURE, GADGET_MAP,
+         "cannot write {missing}: [Errno 2] No such file or directory: '{missing}'"),
+        (["todimer", "--out", "{out}", "--gadget-map", "{missing}"], ISING_FIXTURE, GADGET_MAP,
+         "cannot write {missing}: [Errno 2] No such file or directory: '{missing}'"),
+        (["amoeba", "--grid", "4", "--out", "{out}", "--svg", "{missing}"], DIMER_FIXTURE,
+         GADGET_MAP, "cannot write {missing}: [Errno 2] No such file or directory: '{missing}'"),
+        (["charpoly"], _doubled_e1(), GADGET_MAP, "zero-homology zig-zag: graph is not minimal"),
+        (["move", "--script", "{script}"],
+         _WEIGHTED_ISING.replace("edge 1 n n 1 0", "edge 1 n n 2 0"), GADGET_MAP,
+         "no cycle of class (1, 0) found"),
+        (["inspect"], _weight_e5("1/0"), GADGET_MAP, f"line {_E5}: bad number '1/0'"),
+        (["todimer"], ISING_FIXTURE.replace("sc=4/5,3/5", "sc=4/0,3/5"), GADGET_MAP,
+         f"line {_SC1}: zero denominator in 'sc=4/0,3/5'"),
+        (["verify-ising", "--vertex", "w2", "--gadget-map", "{gm}"], _weight_e5("0"), GADGET_MAP,
+         _bad_weight("0")),
+        (["move", "--script", "{script}"], _weight_e5("0"), GADGET_MAP, _bad_weight("0")),
+        (["move", "--script", "{script}"], _weight_e5("-1"), GADGET_MAP, _bad_weight("-1")),
+        (["charpoly"], _weight_e5("nan"), GADGET_MAP, _bad_weight("nan")),
+        (["charpoly"], _weight_e5("inf"), GADGET_MAP, _bad_weight("inf")),
+        (["charpoly"], _weight_e5("1e400"), GADGET_MAP, _bad_weight("1e400")),
+        (["todimer"], ISING_FIXTURE.replace("sc=4/5,3/5", "J=nan"), GADGET_MAP,
+         "J must be finite, got nan"),
+        (["todimer"], ISING_FIXTURE.replace("sc=4/5,3/5", "J=inf"), GADGET_MAP,
+         "J must be finite, got inf"),
+        (["verify-ising", "--vertex", "w2", "--gadget-map", "{gm}"], DIMER_FIXTURE,
+         GADGET_MAP.replace("square 1 f2", "square 1 f99"), "gadget map names unknown face f99"),
+        (["verify-ising", "--vertex", "w2", "--gadget-map", "{gm}"], DIMER_FIXTURE,
+         GADGET_MAP.replace("partner w2 b3", "partner w2 bX"),
+         "partner bX of w2 is not a black vertex"),
+        (["verify-ising", "--vertex", "b3", "--gadget-map", "{gm}"], DIMER_FIXTURE,
+         GADGET_MAP.replace("partner w2 b3", "partner b3 b1"), "vertex b3 is not white"),
+        # a face that is not a gadget square is an input error, not a failed check
+        (["verify-ising", "--vertex", "w2", "--gadget-map", "{gm}"], DIMER_FIXTURE,
+         GADGET_MAP.replace("square 1 f2", "square 1 f0"), "face f0 has 8 sides, need 4"),
+    ], ids=["charpoly uncolored", "divisor uncolored", "amoeba uncolored", "--out",
+            "todimer --gadget-map", "amoeba --svg", "charpoly not minimal", "move homology",
+            "weight p/0", "sc p/0", "verify-ising weight 0", "move weight 0",
+            "move weight negative", "weight nan", "weight inf", "weight overflow", "J nan",
+            "J inf", "square face", "partner black", "vertex white", "square not a square"])
+    def test_exits_2(self, tmp_path, argv, graph, gadget_map, message, capsys):
+        paths = {"missing": str(tmp_path / "missing" / "out"), "out": str(tmp_path / "out"),
+                 "gm": str(tmp_path / "gm.txt"), "script": str(tmp_path / "moves.txt")}
+        (tmp_path / "gm.txt").write_text(gadget_map)
+        (tmp_path / "moves.txt").write_text(_FUZZ_SCRIPT)
+        gp = tmp_path / "graph.tg"
+        gp.write_text(graph)
+        assert main([argv[0], str(gp)] + [a.format(**paths) for a in argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message.format(**paths)}\n"
+
+
+_FUZZ_SCRIPT = "move square f=f2\nmove color\n"
+_FUZZ_GRAPHS = [DIMER_FIXTURE, ISING_FIXTURE, _WEIGHTED_ISING]
+_FUZZ_TOKENS = ["0", "-1", "1/0", "nan", "inf", "1e400", "x"]
+# every verb with valid options; {dir} is the directory of the input files
+_FUZZ_VERBS = {
+    "inspect": [], "todimer": ["--gadget-map", "{dir}/out.gm"], "dual": [],
+    "ydelta": ["--site", "n"], "move": ["--script", "{dir}/script"], "charpoly": [],
+    "divisor": ["--vertex", "w2"],
+    "verify-ising": ["--vertex", "w2", "--gadget-map", "{dir}/gadget_map"],
+    "abel": [], "amoeba": ["--grid", "4"],
+}
+
+
+@st.composite
+def _mutated(draw, text):
+    """text after 1 to 3 mutations of its whitespace-separated tokens: delete
+    or duplicate a line, replace a token by another token of the text or by
+    one of _FUZZ_TOKENS, drop a token, swap two tokens."""
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        tokens = [(i, j) for i, line in enumerate(lines) for j in range(len(line))]
+        if not tokens:
+            break
+        kind = draw(st.sampled_from(["delete", "duplicate", "replace", "drop", "swap"]))
+        i, j = draw(st.sampled_from(tokens))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, list(lines[i]))
+        elif kind == "replace":
+            lines[i][j] = draw(st.sampled_from([lines[a][b] for a, b in tokens] + _FUZZ_TOKENS))
+        elif kind == "drop":
+            del lines[i][j]
+        else:
+            a, b = draw(st.sampled_from(tokens))
+            lines[i][j], lines[a][b] = lines[a][b], lines[i][j]
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+class TestMutationFuzz:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_mutated_inputs_exit_cleanly(self, data):
+        # one mutated input of one verb: main returns 0, 1 or 2 and raises
+        # nothing; stderr is empty or one `error:` line, and on exit 2
+        # stdout is empty
+        verb = data.draw(st.sampled_from(sorted(_FUZZ_VERBS)), label="verb")
+        texts = {"graph": data.draw(st.sampled_from(_FUZZ_GRAPHS), label="graph"),
+                 "gadget_map": GADGET_MAP, "script": _FUZZ_SCRIPT}
+        target = data.draw(st.sampled_from(
+            ["graph"] + {"verify-ising": ["gadget_map"], "move": ["script"]}.get(verb, [])),
+            label="mutated")
+        texts[target] = data.draw(_mutated(texts[target]), label="text")
+        with tempfile.TemporaryDirectory() as d:
+            for name, text in texts.items():
+                with open(os.path.join(d, name), "w") as fh:
+                    fh.write(text)
+            argv = [verb, os.path.join(d, "graph")] + [a.format(dir=d) for a in _FUZZ_VERBS[verb]]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1
+                             and err.endswith("\n"))
+        assert code != 2 or out.getvalue() == ""
 
 
 class TestDeterminism:
@@ -487,29 +648,24 @@ class TestPipelines:
     def test_one_adjugate_grid_no_transpose(self, files, monkeypatch, capsys):
         # numeric verify-ising takes one SVD sample grid of K for the white's
         # column and the partner black's row of adj K together; amoeba
-        # --vertex and divisor of a black one for their line; K is never
-        # transposed
+        # --vertex and divisor of a black one for their line; LaurentMatrix
+        # has no transpose
         import isingdimer.exactalg as exactalg
-        calls = {"_adjugate_svd": 0, "transpose": 0}
-        svd, transpose = exactalg._adjugate_svd, exactalg.LaurentMatrix.transpose
+        calls = {"_adjugate_svd": 0}
+        svd = exactalg._adjugate_svd
 
         def counted_svd(*args):
             calls["_adjugate_svd"] += 1
             return svd(*args)
 
-        def counted_transpose(m):
-            calls["transpose"] += 1
-            return transpose(m)
-
         monkeypatch.setattr(exactalg, "_adjugate_svd", counted_svd)
-        monkeypatch.setattr(exactalg.LaurentMatrix, "transpose", counted_transpose)
         tmp, gp, _, gm = files
         for argv in (["verify-ising", gp, "--vertex", "w2", "--gadget-map", gm],
                      ["amoeba", gp, "--grid", "8", "--vertex", "w2", "--out", str(tmp / "am.csv")],
                      ["divisor", gp, "--vertex", "b3"]):
-            calls.update(_adjugate_svd=0, transpose=0)
+            calls.update(_adjugate_svd=0)
             assert main(argv + ["--mode", "numeric"]) == 0
-            assert calls == {"_adjugate_svd": 1, "transpose": 0}
+            assert calls == {"_adjugate_svd": 1}
 
     def test_inspect_dual(self, files, capsys):
         _, _, ip, _ = files

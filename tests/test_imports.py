@@ -1,16 +1,20 @@
 """Every module of the package uses each name its top-level imports bind,
-every private top-level function of the package is referenced, and every
-option of a CLI verb is read by that verb.
+every private top-level function of the package is referenced, every
+option of a CLI verb is read by that verb, and every exception class of the
+package has an exit code.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules: an
 imported name counts as used when it is read anywhere in the module; a
 private function counts as referenced when its name is read, as a name or
 an attribute, or imported anywhere in the package outside its own body, so
 that a replaced kernel cannot linger as a second path; an option counts as
-read when its verb's `cmd_*` function reads `args.<dest>`.
+read when its verb's `cmd_*` function reads `args.<dest>`; an exception
+class has an exit code when it or a base class is a key of `cli.EXIT_CODES`.
 """
 import argparse
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -112,3 +116,35 @@ def test_finds_an_unread_option():
 def test_every_cli_option_is_read():
     from isingdimer.cli import build_parser
     assert unread_options(build_parser(), (PACKAGE / "cli.py").read_text()) == []
+
+
+# Errors that only a bug in the package can raise, so a traceback is the
+# right report; no input reaches them. Each with its reason.
+MISUSE_ERRORS = {
+    "ModeError": "an operation mixes exact and numeric operands; each verb picks one mode",
+    "DimensionError": "matrix shapes come from the graph's own colour classes",
+}
+
+
+def unmapped_errors(modules, exit_codes):
+    """Names of the Exception subclasses defined in `modules` that are not a
+    key of exit_codes, a subclass of one, or in MISUSE_ERRORS."""
+    return [name for mod in modules for name, obj in vars(mod).items()
+            if isinstance(obj, type) and issubclass(obj, Exception)
+            and obj.__module__ == mod.__name__
+            and not issubclass(obj, tuple(exit_codes)) and name not in MISUSE_ERRORS]
+
+
+def test_finds_an_unmapped_error():
+    mod = types.ModuleType("fake")
+    exec("class Mapped(ValueError): pass\n"
+         "class Derived(Mapped): pass\n"
+         "class Unmapped(ValueError): pass\n"
+         "class ModeError(TypeError): pass\n", vars(mod))
+    assert unmapped_errors([mod], {mod.Mapped: 2}) == ["Unmapped"]
+
+
+def test_every_error_has_an_exit_code():
+    from isingdimer.cli import EXIT_CODES
+    modules = [importlib.import_module(f"isingdimer.{p.stem}") for p in MODULES]
+    assert unmapped_errors(modules, EXIT_CODES) == []
