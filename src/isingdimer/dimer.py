@@ -34,6 +34,8 @@ def x_of_cycle(g, wt, cycle):
             num *= wt[dart.edge]
         else:
             den *= wt[dart.edge]
+    if isinstance(den, float) and not (den and 0 < num / den < math.inf):
+        raise MoveError(f"X of a cycle leaves the float range: {num!r} / {den!r}")
     return num / den
 
 
@@ -48,9 +50,11 @@ def basis_x_values(g, wt):
 
     The omitted face is reported separately via the product-one identity.
     """
+    cycle_a, cycle_b = g.homology_basis_cycles()
+    if not g.is_bipartite_colored():
+        raise GraphError("X coordinates need a bipartite graph")
     faces = face_x_values(g, wt)
     omit_face = max(faces)
-    cycle_a, cycle_b = g.homology_basis_cycles()
     out = {fid: x for fid, x in faces.items() if fid != omit_face}
     out["a"] = x_of_cycle(g, wt, cycle_a)
     out["b"] = x_of_cycle(g, wt, cycle_b)
@@ -228,6 +232,9 @@ def square_move(g, wt, fid):
     c = wt[g.darts[d2].edge]
     b = wt[g.darts[d3].edge]
     delta = a * c + b * dd
+    if isinstance(delta, float) and not (delta and all(0 < x / delta < math.inf
+                                                       for x in (a, b, c, dd))):
+        raise MoveError(f"square move at {fid} takes weights out of the float range")
 
     removed_edges = {g.darts[x].edge for x in (d0, d1, d2, d3, p1, p2)}
 

@@ -467,34 +467,45 @@ def _interpolate(values, shifts, real):
             for t, (dz, dw) in enumerate(shifts)]
 
 
-def _adjugate_svd(a, cols, rows):
+def _adjugate_qr(a, cols, rows):
     """Columns `cols` and rows `rows` (indices) of adj(a), numeric entries,
     from one sample grid of a (_sample_grid, the grid of det a). Each
-    sample A = U S Vh gives adj(A) = det(U) det(Vh) V adj(S) U^H, adj(S)
-    holding the products of all singular values but one; nothing is
-    divided, so singular samples need no care (Stewart, "On the adjugate
-    matrix", LAA 1998). Row r of a is sampled times the monomial
-    z^-lo_r (lo_r its low exponents in z and w), so entry (c, r) of adj,
-    a minor without row r, is sampled times z^-(sum of lo - lo_r), a
-    polynomial inside the grid's box; each entry is read out with that
-    shift. An entry whose minor has a zero row or a zero column is zero
-    (_zero_minors)."""
+    sample is factored A = QR by Householder reflectors, Q = H_0 ... H_(n-1)
+    with H_i = I - tau_i v_i v_i^H and det(H_i) = 1 - tau_i |v_i|^2, and
+    adj(A) = det(Q) adj(R) Q^H: column i is det(Q) adj(R) Q^H e_i, row j is
+    det(Q) conj(Q) (row j of adj(R)). The lines of adj(R) come from
+    _adjugate_triangular, which divides by nothing, so singular samples
+    need no care (Stewart, "On the adjugate matrix", LAA 1998). Row r of a
+    is sampled times the monomial z^-lo_r (lo_r its low exponents in z and
+    w), so entry (c, r) of adj, a minor without row r, is sampled times
+    z^-(sum of lo - lo_r), a polynomial inside the grid's box; each entry
+    is read out with that shift. An entry whose minor has a zero row or a
+    zero column is zero (_zero_minors)."""
     import numpy as np
     n = len(a)
     grid, lows, real = _sample_grid(a)
     total = [sum(lo[k] for lo in lows) for k in (0, 1)]
-    lines = np.empty(grid.shape[:2] + (len(cols) + len(rows), n), dtype=complex)
+    tau = np.empty(grid.shape[:3], dtype=complex)
+    det_q = np.empty(grid.shape[:2], dtype=complex)
     for t, samples in enumerate(grid):
-        # one z-slice at a time, so that U and Vh stay the size of a slice
-        u, s, vh = np.linalg.svd(samples)
-        adj_s = np.where(np.eye(n, dtype=bool), 1.0, s[:, None, :]).prod(axis=-1)
-        # adj(S) is real: column i is conj(Vh^T adj(S) U[i, :]) and
-        # row j is conj(U adj(S) Vh[:, j])
-        lines[t, :, :len(cols)] = np.einsum("skc,sik->sic", vh,
-                                            adj_s[:, None, :] * u[:, cols, :]).conj()
-        lines[t, :, len(cols):] = np.einsum("srk,skj->sjr", u,
-                                            adj_s[:, :, None] * vh[:, :, rows]).conj()
-        lines[t] *= (np.linalg.det(u) * np.linalg.det(vh))[:, None, None]
+        # one z-slice at a time, each sample overwritten by its factors
+        # (R on and above the diagonal, v_i below it, whose entry i is 1),
+        # so that they take no more room than the grid
+        h, tau[t] = np.linalg.qr(samples, mode="raw")
+        grid[t] = h.swapaxes(1, 2)
+        norms = 1 + (abs(np.tril(grid[t], -1)) ** 2).sum(axis=1)
+        det_q[t] = (1 - tau[t] * norms).prod(axis=1)
+    h, tau, det_q = grid.reshape((-1, n, n)), tau.reshape((-1, n)), det_q.reshape((-1, 1, 1))
+    eye = np.eye(n, dtype=complex)
+    lines = np.empty((len(h), len(cols) + len(rows), n), dtype=complex)
+    if cols:
+        y = _apply_q(h, tau, np.repeat(eye[None, cols], len(h), axis=0), adjoint=True)
+        lines[:, :len(cols)] = det_q * _adjugate_triangular(h, y)
+    if rows:
+        # row j of adj(R) is column n-1-j of adj(R') read backwards, R' =
+        # R^T with both indices reversed
+        back = _adjugate_triangular(h.swapaxes(1, 2)[:, ::-1, ::-1], eye[[n - 1 - j for j in rows]])
+        lines[:, len(cols):] = det_q * _apply_q(h, tau, back[..., ::-1].conj()).conj()
     cells = [(i, c) for i in cols for c in range(n)] + [(r, j) for j in rows for r in range(n)]
     out = _interpolate(lines.reshape(grid.shape[:2] + (-1,)),
                        [(total[0] - lows[r][0], total[1] - lows[r][1]) for r, _ in cells], real)
@@ -502,6 +513,42 @@ def _adjugate_svd(a, cols, rows):
     out = [LaurentPoly2.zero() if zero(r, c) else e for (r, c), e in zip(cells, out)]
     lines = [out[k:k + n] for k in range(0, len(out), n)]
     return lines[:len(cols)], lines[len(cols):]
+
+
+def _apply_q(h, tau, x, adjoint=False):
+    """Q x, or Q^H x when `adjoint`, in place, for each sample's Q = H_0 ...
+    H_(n-1) in the factored form of _adjugate_qr (h, tau) and each of its
+    lines x[s, l]: H_i x = x - tau_i v_i (v_i^H x), H_i^H with conj(tau_i)."""
+    n = h.shape[-1]
+    order, tau = (range(n), tau.conj()) if adjoint else (range(n - 1, -1, -1), tau)
+    for i in order:
+        v = h[:, None, i + 1:, i]
+        f = tau[:, i, None] * (x[..., i] + (v.conj() * x[..., i + 1:]).sum(axis=-1))
+        x[..., i] -= f
+        x[..., i + 1:] -= f[..., None] * v
+    return x
+
+
+def _adjugate_triangular(r, y):
+    """adj(R) y for each upper triangular R of the stack r (s, n, n), read
+    on and above the diagonal only, and each vector y of the lines y
+    (s, m, n) or (m, n), as (s, m, n), by back substitution on scaled
+    unknowns: with S_k the product of r_ii over i >= k, the
+    u_k = S_(k+1) y_k - sum over j > k of r_kj (product of r_ii over
+    k < i < j) u_j give x_k = (product of r_ii over i < k) u_k, the
+    solution of R x = det(R) y. Each step keeps x_j, j > k, scaled by the
+    diagonal up to k, so nothing is divided and a singular R needs no care."""
+    import numpy as np
+    n = r.shape[-1]
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    x = np.zeros(r.shape[:-2] + y.shape[-2:], dtype=complex)
+    s = np.ones((len(r), 1), dtype=complex)
+    for k in range(n - 1, -1, -1):
+        u = s * y[..., k] - (r[:, None, k, k + 1:] * x[..., k + 1:]).sum(axis=-1)
+        x[..., k + 1:] *= diag[:, k, None, None]
+        x[..., k] = u
+        s = s * diag[:, k, None]
+    return x
 
 
 def _zero_minors(a):
@@ -532,8 +579,8 @@ def lm_adjugate_lines(m, columns=(), rows=()):
     Exact entries: m is cleared of denominators once (_int_rows), and each
     minor is a _det_int of the shared rows, divided by the product of their
     L_r. Numeric entries: every requested line from one sample grid of m
-    and one SVD per sample (_adjugate_svd), read out as lm_determinant
-    reads det."""
+    and one Householder QR per sample (_adjugate_qr), read out as
+    lm_determinant reads det."""
     if not m.is_square():
         raise DimensionError("adjugate of a non-square matrix")
     ci = [m.rows.index(r) for r in columns]
@@ -550,7 +597,7 @@ def lm_adjugate_lines(m, columns=(), rows=()):
         lines = ([[entry(i, j) for j in range(len(a))] for i in ci],
                  [[entry(i, j) for i in range(len(a))] for j in rj])
     else:
-        lines = _adjugate_svd(a, ci, rj)
+        lines = _adjugate_qr(a, ci, rj)
     return ([dict(zip(m.cols, col)) for col in lines[0]],
             [dict(zip(m.rows, row)) for row in lines[1]])
 

@@ -7,6 +7,7 @@ conversions rational: s = 2x/(1+x^2), c = (1-x^2)/(1+x^2), x = (1-c)/s.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .torusgraph import TorusGraph, GraphError, ParseError
@@ -60,7 +61,11 @@ def make_coupling(J=None, sc=None, x=None):
             raise CouplingError(f"J must be finite, got {J}")
         if J <= 0:
             raise CouplingError("J must be positive")
-        s = 1.0 / math.cosh(2 * J)
+        try:
+            s = 1.0 / math.cosh(2 * J)
+        except OverflowError:
+            raise CouplingError(f"J must be at most {math.acosh(sys.float_info.max) / 2!r}, "
+                                f"above which cosh(2J) overflows; got {J}") from None
         c = math.tanh(2 * J)
         return Coupling(s, c, math.exp(-2 * J), J=J, exact=False)
     if sc is not None:

@@ -25,7 +25,6 @@ def _primitive_period(seq):
     for p in range(1, n + 1):
         if n % p == 0 and all(seq[i] == seq[i % p] for i in range(n)):
             return seq[:p]
-    return seq
 
 
 class GraphError(ValueError):

@@ -336,11 +336,21 @@ class TestNoTraceback:
         # a face that is not a gadget square is an input error, not a failed check
         (["verify-ising", "--vertex", "w2", "--gadget-map", "{gm}"], DIMER_FIXTURE,
          GADGET_MAP.replace("square 1 f2", "square 1 f0"), "face f0 has 8 sides, need 4"),
+        (["todimer"], ISING_FIXTURE.replace("sc=4/5,3/5", "J=400"), GADGET_MAP,
+         f"J must be at most {math.acosh(sys.float_info.max) / 2!r}, above which cosh(2J)"
+         " overflows; got 400.0"),
+        # the moved weights are in range, the products of one face's X are not
+        (["move", "--script", "{script}"],
+         _weight_e5("1e300").replace("weight e7 4/5\n", "weight e7 1e300\n"), GADGET_MAP,
+         "X of a cycle leaves the float range: 1.25e-300 / 0.0"),
+        (["move", "--script", "{script}"], _WEIGHTED_ISING, GADGET_MAP,
+         "X coordinates need a bipartite graph"),
     ], ids=["charpoly uncolored", "divisor uncolored", "amoeba uncolored", "--out",
             "todimer --gadget-map", "amoeba --svg", "charpoly not minimal", "move homology",
             "weight p/0", "sc p/0", "verify-ising weight 0", "move weight 0",
             "move weight negative", "weight nan", "weight inf", "weight overflow", "J nan",
-            "J inf", "square face", "partner black", "vertex white", "square not a square"])
+            "J inf", "square face", "partner black", "vertex white", "square not a square",
+            "J overflow", "move float range", "move uncolored"])
     def test_exits_2(self, tmp_path, argv, graph, gadget_map, message, capsys):
         paths = {"missing": str(tmp_path / "missing" / "out"), "out": str(tmp_path / "out"),
                  "gm": str(tmp_path / "gm.txt"), "script": str(tmp_path / "moves.txt")}
@@ -355,7 +365,7 @@ class TestNoTraceback:
 
 _FUZZ_SCRIPT = "move square f=f2\nmove color\n"
 _FUZZ_GRAPHS = [DIMER_FIXTURE, ISING_FIXTURE, _WEIGHTED_ISING]
-_FUZZ_TOKENS = ["0", "-1", "1/0", "nan", "inf", "1e400", "x"]
+_FUZZ_TOKENS = ["0", "-1", "1/0", "nan", "inf", "1e400", "1e300", "J=400", "x"]
 # every verb with valid options; {dir} is the directory of the input files
 _FUZZ_VERBS = {
     "inspect": [], "todimer": ["--gadget-map", "{dir}/out.gm"], "dual": [],
@@ -646,26 +656,26 @@ class TestPipelines:
         assert calls == {"kasteleyn_matrix": 1, "lm_determinant": 1}
 
     def test_one_adjugate_grid_no_transpose(self, files, monkeypatch, capsys):
-        # numeric verify-ising takes one SVD sample grid of K for the white's
+        # numeric verify-ising takes one sample grid of K for the white's
         # column and the partner black's row of adj K together; amoeba
         # --vertex and divisor of a black one for their line; LaurentMatrix
         # has no transpose
         import isingdimer.exactalg as exactalg
-        calls = {"_adjugate_svd": 0}
-        svd = exactalg._adjugate_svd
+        calls = {"_adjugate_qr": 0}
+        qr = exactalg._adjugate_qr
 
-        def counted_svd(*args):
-            calls["_adjugate_svd"] += 1
-            return svd(*args)
+        def counted_qr(*args):
+            calls["_adjugate_qr"] += 1
+            return qr(*args)
 
-        monkeypatch.setattr(exactalg, "_adjugate_svd", counted_svd)
+        monkeypatch.setattr(exactalg, "_adjugate_qr", counted_qr)
         tmp, gp, _, gm = files
         for argv in (["verify-ising", gp, "--vertex", "w2", "--gadget-map", gm],
                      ["amoeba", gp, "--grid", "8", "--vertex", "w2", "--out", str(tmp / "am.csv")],
                      ["divisor", gp, "--vertex", "b3"]):
-            calls.update(_adjugate_svd=0)
+            calls.update(_adjugate_qr=0)
             assert main(argv + ["--mode", "numeric"]) == 0
-            assert calls == {"_adjugate_svd": 1}
+            assert calls == {"_adjugate_qr": 1}
 
     def test_inspect_dual(self, files, capsys):
         _, _, ip, _ = files

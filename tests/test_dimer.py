@@ -208,6 +208,17 @@ class TestSquareMove:
         fx2 = face_x_values(g2, wt2)
         assert fx2[rec.map_face("f2")] == 1 / fx["f2"]
 
+    @pytest.mark.parametrize("edges,weight", [(("e10", "e9"), 1e200),
+                                              (("e10", "e12", "e9", "e7"), 1e-200)])
+    def test_float_range(self, fixture, edges, weight):
+        # a c + b d of the face f2 overflows (the new weights would be 0) or
+        # underflows to 0
+        g, wt = fixture
+        wt = {e: float(v) for e, v in wt.items()}
+        wt.update(dict.fromkeys(edges, weight))
+        with pytest.raises(MoveError, match="square move at f2 takes weights out of the float range"):
+            square_move(g, wt, "f2")
+
     def test_mutation_formula_random_weights(self):
         rng = random.Random(9)
         g, wt, gm = two_cell_dimer()

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -18,10 +20,10 @@ from isingdimer.exactalg import (
     newton_polygon,
     resultant_eliminate,
 )
-from isingdimer.ising import to_dimer
+from isingdimer.ising import IsingModel, make_coupling, to_dimer
 from isingdimer.spectral import kasteleyn_matrix, solve_kasteleyn_signs
 
-from test_dimer import square22_dimer
+from test_dimer import square22_dimer, square22_ising
 from test_ising import honeycomb_model
 
 Z = LaurentPoly2.var_z()
@@ -449,7 +451,7 @@ class TestAdjugate:
 
     @pytest.mark.parametrize("which", ["gadget 12", "fixture"])
     def test_numeric_column_matches_bareiss_minors(self, which):
-        # every row: the SVD column against Bareiss minors of the same float
+        # every row: the numeric column against Bareiss minors of the same float
         # matrix with its entries made exact Fractions
         m = fixture_float() if which == "fixture" else gadget_kasteleyn(12)[1]
         for r in m.rows:
@@ -529,6 +531,18 @@ def honeycomb22_float():
     return kasteleyn_matrix(gd, {e: float(v) for e, v in wt.items()}, kappa)
 
 
+def square22_critical_float():
+    """The float Kasteleyn matrix of class (1, 1) of the square 2x2 gadget
+    graph (n = 16) at the uniform critical coupling J_c = ln(1 + sqrt 2) / 2,
+    where K(1, 1) has corank 2 up to rounding."""
+    g = square22_ising()
+    jc = 0.5 * math.log(1 + math.sqrt(2))
+    gd, wt, _ = to_dimer(IsingModel(g, {e: make_coupling(J=jc) for e in g.edges()}))
+    label, kappa = solve_kasteleyn_signs(gd)[0]
+    assert label == (1, 1)
+    return kasteleyn_matrix(gd, wt, kappa)
+
+
 class TestAdjugateLines:
     """The numeric engine: columns and rows of adj m from one sample grid."""
 
@@ -601,6 +615,28 @@ class TestAdjugateLines:
             for k in want:
                 assert all(abs(v) <= 1e-12 for v in (got[k] - want[k].to_numeric()).terms.values())
         assert not cols[0]["x"].is_zero() and not rows[2]["b"].is_zero()
+
+    def test_near_singular_sample(self):
+        # the sample at z = w = 1 is singular to working precision; Bareiss
+        # on the same floats leaves rounding residue (below 1e-15 of the
+        # entry) where the numeric read-out drops a term, so every
+        # coefficient is compared, a term absent on one side counting as 0,
+        # within the tolerance of _assert_line_close
+        m = square22_critical_float()
+        at_one = np.array([[m[(r, c)].eval(1.0, 1.0) for c in m.cols] for r in m.rows])
+        assert np.linalg.cond(at_one) > 1e12
+        pairs = [(m.rows[0], m.cols[0]), (m.rows[5], m.cols[11]), (m.rows[15], m.cols[3])]
+        rs, cs = [r for r, _ in pairs], [c for _, c in pairs]
+        got_cols, got_rows = lm_adjugate_lines(m, rs, cs)
+        want_cols, want_rows = lm_adjugate_lines(_exact(m), rs, cs)
+        for got, want in zip(got_cols + got_rows, want_cols + want_rows):
+            assert list(got) == list(want)
+            for c in want:
+                scale = float(max((abs(v) for v in want[c].terms.values()), default=0))
+                assert scale > 0
+                for ij in set(got[c].terms) | set(want[c].terms):
+                    diff = got[c].terms.get(ij, 0.0) - float(want[c].terms.get(ij, 0))
+                    assert abs(diff) <= 1e-12 * scale
 
     def test_rank_n_minus_2(self):
         # rank 1 at every sample: adj m is 0 up to rounding

@@ -1,7 +1,8 @@
 """Every module of the package uses each name its top-level imports bind,
 every private top-level function of the package is referenced, every
-option of a CLI verb is read by that verb, and every exception class of the
-package has an exit code.
+option of a CLI verb is read by that verb, every exception class of the
+package has an exit code, and every module stays below TOKEN_LIMIT parser
+tokens.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules: an
 imported name counts as used when it is read anywhere in the module; a
@@ -14,6 +15,8 @@ class has an exit code when it or a base class is a key of `cli.EXIT_CODES`.
 import argparse
 import ast
 import importlib
+import io
+import tokenize
 import types
 from pathlib import Path
 
@@ -148,3 +151,27 @@ def test_every_error_has_an_exit_code():
     from isingdimer.cli import EXIT_CODES
     modules = [importlib.import_module(f"isingdimer.{p.stem}") for p in MODULES]
     assert unmapped_errors(modules, EXIT_CODES) == []
+
+
+# The parser keeps a module's tokens in an array that doubles past 8192
+# entries: compiling a module with more tokens peaks about 0.5 MB higher,
+# and without bytecode caching that compile is part of the peak memory of
+# every run that imports the package.
+TOKEN_LIMIT = 8192
+
+
+def parser_tokens(source):
+    """Tokens the parser sees: tokenize's tokens without COMMENT and NL."""
+    return sum(1 for t in tokenize.generate_tokens(io.StringIO(source).readline)
+               if t.type not in (tokenize.COMMENT, tokenize.NL))
+
+
+def test_counts_parser_tokens():
+    # x = 1 NEWLINE, y = ( 2 , 3 ) NEWLINE, ENDMARKER; the comment, the
+    # blank line and the line break inside the brackets do not count
+    assert parser_tokens("x = 1  # one\n\ny = (2,\n     3)\n") == 13
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_below_token_limit(path):
+    assert parser_tokens(path.read_text()) < TOKEN_LIMIT

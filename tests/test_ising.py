@@ -1,4 +1,5 @@
 import math
+import sys
 import random
 from fractions import Fraction
 
@@ -105,6 +106,14 @@ class TestCoupling:
         J = 0.5 * math.log(1 + math.sqrt(2))
         c = make_coupling(J=J)
         assert abs(c.x - (math.sqrt(2) - 1)) < 1e-12
+
+    def test_j_overflow(self):
+        # j_max is the last J whose cosh(2J) is a float
+        j_max = math.acosh(sys.float_info.max) / 2
+        assert 0 < make_coupling(J=j_max).s < 1e-307
+        for J in (math.nextafter(j_max, math.inf), 400.0, 1e300):
+            with pytest.raises(CouplingError, match=f"J must be at most {j_max!r}"):
+                make_coupling(J=J)
 
     def test_x_out_of_range(self):
         with pytest.raises(CouplingError):
