@@ -1,10 +1,14 @@
 """Shared fixtures: the one-vertex square-lattice Ising model and its
-bipartite companion with exact couplings (s1,c1)=(4/5,3/5), (s2,c2)=(12/13,5/13).
+bipartite companion with exact couplings (s1,c1)=(4/5,3/5), (s2,c2)=(12/13,5/13),
+and seeded Pythagorean couplings for any lattice.
 """
+import random
 from fractions import Fraction
 
 import pytest
 
+from isingdimer import lattices
+from isingdimer.ising import make_coupling
 from isingdimer.torusgraph import parse_torus_graph
 
 # One Ising vertex, two loops: edge 1 crosses the vertical fundamental loop
@@ -88,3 +92,28 @@ def ising_fixture():
 def dimer_fixture():
     g, weights, _ = parse_torus_graph(DIMER_FIXTURE)
     return g, weights
+
+
+# Couplings (s, c), s^2 + c^2 = 1, from the first Pythagorean triples: both
+# rational, so the gadget weights are exact.
+PYTHAGOREAN = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
+               (Fraction(8, 17), Fraction(15, 17)), (Fraction(20, 29), Fraction(21, 29))]
+
+
+def pythagorean_couplings(g, seed, swap=False):
+    """A coupling sc=(s, c) from PYTHAGOREAN on each edge of g, drawn by
+    random.Random(seed); with swap, (c, s) instead on about half of them."""
+    rng = random.Random(seed)
+    out = {}
+    for e in g.edges():
+        s, c = rng.choice(PYTHAGOREAN)
+        if swap and rng.choice((1, -1)) < 0:
+            s, c = c, s
+        out[e] = make_coupling(sc=(s, c))
+    return out
+
+
+def named_lattice(name):
+    """The lattice a name such as "square 2x1" or "honeycomb 3x3" names."""
+    kind, size = name.split()
+    return getattr(lattices, kind)(*map(int, size.split("x")))

@@ -11,7 +11,6 @@ import pytest
 from isingdimer.dimer import (
     color_change,
     face_x_values,
-    gauge_transform,
     intersection_pairing,
     ising_locus_check,
     square_move,
@@ -30,12 +29,12 @@ from isingdimer.ising import (
     ydelta_weights,
 )
 from isingdimer.abel import AbelLabel, discrete_abel
+from isingdimer.lattices import honeycomb, square
 from isingdimer.spectral import (
     amoeba_sample,
     characteristic_polynomial,
     divisor_of_vertex,
     kappa_gauge_equivalent,
-    kappa_is_valid,
     kasteleyn_matrix,
     solve_kasteleyn_signs,
 )
@@ -47,8 +46,8 @@ from conftest import (
     FIXTURE_CYCLE_B,
     FIXTURE_KAPPA,
     ISING_FIXTURE,
+    pythagorean_couplings,
 )
-from test_dimer import square22_dimer, two_cell_dimer
 
 
 GM = GadgetMap({"1": "f2", "2": "f3"},
@@ -119,7 +118,8 @@ def test_04_weight_side_characterization(fixture):
 
 
 def test_05_mutation_algebra():
-    g, wt, gm = square22_dimer(seed=12)
+    gi = square(2, 2)
+    g, wt, gm = to_dimer(IsingModel(gi, pythagorean_couplings(gi, 12)))
     rng = random.Random(12)
     wt = {e: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for e in g.edges()}
     f = gm.squares["h00"]
@@ -200,7 +200,6 @@ def test_08_ising_side_moves():
     c = make_coupling(J=0.5 * math.log(1 + math.sqrt(2)))
     assert abs(c.x - x_sd) < 1e-12
     # Y-Delta / duality commutation on 50 random rational triples
-    from test_torusgraph import honeycomb
     rng = random.Random(77)
     worst = 0.0
     for _ in range(50):

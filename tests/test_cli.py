@@ -14,11 +14,11 @@ from fractions import Fraction
 import isingdimer
 from isingdimer.cli import main
 from isingdimer.ising import IsingModel, make_coupling, y_delta
+from isingdimer.lattices import honeycomb, square
 from isingdimer.torusgraph import serialize_torus_graph
 
 from conftest import DIMER_FIXTURE, ISING_FIXTURE
-from test_ising import honeycomb_model
-from test_torusgraph import doubled, honeycomb
+from test_torusgraph import doubled
 
 
 GADGET_MAP = """gadget-map v1
@@ -102,7 +102,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("verb", ["inspect", "todimer"])
     def test_disconnected_graph_exits_2(self, tmp_path, verb, capsys):
-        from test_torusgraph import disjoint_union, square
+        from test_torusgraph import disjoint_union
         g = disjoint_union(square(1, 1), square(1, 1))
         coup = {e: {"s": Fraction(4, 5), "c": Fraction(3, 5)} for e in g.edges()}
         path = tmp_path / "two.tg"
@@ -620,8 +620,10 @@ class TestPipelines:
 
     def test_numeric_verify_on_honeycomb_gadget(self, tmp_path, capsys):
         # 12 whites: beyond the old float-Bareiss and size-bound limits
-        model = honeycomb_model([Fraction(1, 2), Fraction(1, 3), Fraction(2, 5),
-                                 Fraction(3, 7), Fraction(1, 4), Fraction(3, 5)], n=2, m=1)
+        g = honeycomb(2, 1)
+        x = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(1, 4),
+             Fraction(3, 5)]
+        model = IsingModel(g, {e: make_coupling(x=v) for e, v in zip(g.edges(), x)})
         coup = {e: {"s": c.s, "c": c.c} for e, c in model.couplings.items()}
         ip = tmp_path / "hc.tg"
         ip.write_text(serialize_torus_graph(model.graph, couplings=coup))
@@ -794,7 +796,6 @@ def _square21_gadget(tmp):
     """todimer of the square 2x1 Ising model with x = 1/3, 2/5, 3/7, 4/9:
     (dimer graph path, gadget-map path, its first white)."""
     from isingdimer.torusgraph import parse_torus_graph
-    from test_torusgraph import square
     g = square(2, 1)
     x = [Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(4, 9)]
     model = IsingModel(g, {e: make_coupling(x=v) for e, v in zip(g.edges(), x)})

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from isingdimer.dimer import (
     MoveError,
-    basis_x_values,
     color_change,
     contraction_move,
     face_x_values,
@@ -20,7 +19,8 @@ from isingdimer.dimer import (
     x_of_cycle,
 )
 from isingdimer.ising import GadgetMap, IsingModel, couplings_from_file_data, make_coupling, to_dimer
-from isingdimer.torusgraph import GraphError, TorusGraph, parse_torus_graph
+from isingdimer.lattices import honeycomb, square
+from isingdimer.torusgraph import GraphError, parse_torus_graph
 
 from conftest import (
     DIMER_FIXTURE,
@@ -28,77 +28,14 @@ from conftest import (
     FIXTURE_CYCLE_B,
     ISING_FIXTURE,
     S1, C1, S2, C2,
+    pythagorean_couplings,
 )
-from test_torusgraph import assert_same_faces, honeycomb, reference_canonical_form, retraced
+from test_torusgraph import assert_same_faces, reference_canonical_form, retraced
 
 
 def fixture_gm():
     return GadgetMap({"1": "f2", "2": "f3"},
                      {"w1": "b4", "w2": "b3", "w3": "b2", "w4": "b1"})
-
-
-def two_cell_ising():
-    """Square-lattice Ising graph with two vertices (so that every gadget
-    square in the dimer image has four distinct neighbor faces)."""
-    g = TorusGraph()
-    g.add_vertex("u", "n")
-    g.add_vertex("v", "n")
-    g.add_edge("h1", "u", "v", 0, 0)
-    g.add_edge("h2", "u", "v", -1, 0)
-    g.add_edge("lu", "u", "u", 0, 1)
-    g.add_edge("lv", "v", "v", 0, 1)
-    g.set_rotation("u", ["h1+", "lu+", "h2+", "lu-"])
-    g.set_rotation("v", ["h2-", "lv+", "h1-", "lv-"])
-    g.freeze()
-    g.validate()
-    return g
-
-
-def square22_ising():
-    """2x2 square-lattice Ising graph: every dimer-image square has four
-    distinct neighbor faces."""
-    g = TorusGraph()
-    for i in range(2):
-        for j in range(2):
-            g.add_vertex(f"p{i}{j}", "n")
-    for i in range(2):
-        for j in range(2):
-            g.add_edge(f"h{i}{j}", f"p{i}{j}", f"p{(i + 1) % 2}{j}", 1 if i == 1 else 0, 0)
-            g.add_edge(f"v{i}{j}", f"p{i}{j}", f"p{i}{(j + 1) % 2}", 0, 1 if j == 1 else 0)
-    for i in range(2):
-        for j in range(2):
-            g.set_rotation(f"p{i}{j}", [f"h{i}{j}+", f"v{i}{j}+",
-                                        f"h{(i + 1) % 2}{j}-", f"v{i}{(j + 1) % 2}-"])
-    g.freeze()
-    g.validate()
-    return g
-
-
-def square22_dimer(seed=None):
-    g = square22_ising()
-    rng = random.Random(seed or 0)
-    pyth = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
-            (Fraction(8, 17), Fraction(15, 17)), (Fraction(20, 29), Fraction(21, 29))]
-    coup = {}
-    for e in g.edges():
-        s, c = pyth[rng.randrange(len(pyth))]
-        coup[e] = make_coupling(sc=(s, c))
-    return to_dimer(IsingModel(g, coup))
-
-
-def two_cell_dimer(seed=None):
-    g = two_cell_ising()
-    if seed is None:
-        coup = {e: make_coupling(sc=(Fraction(4, 5), Fraction(3, 5))) for e in g.edges()}
-    else:
-        rng = random.Random(seed)
-        pyth = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
-                (Fraction(8, 17), Fraction(15, 17)), (Fraction(20, 29), Fraction(21, 29))]
-        coup = {}
-        for e in g.edges():
-            s, c = pyth[rng.randrange(len(pyth))]
-            coup[e] = make_coupling(sc=(s, c))
-    return to_dimer(IsingModel(g, coup))
 
 
 @pytest.fixture
@@ -159,7 +96,8 @@ class TestGauge:
 
 class TestIntersectionPairing:
     def test_transport_table(self):
-        g, wt, gm = square22_dimer()
+        gi = square(2, 2)
+        g, wt, gm = to_dimer(IsingModel(gi, pythagorean_couplings(gi, 0)))
         f = gm.squares["h00"]
         sq = g.face_darts(f)
         # neighbor faces in ccw order around the square
@@ -221,9 +159,10 @@ class TestSquareMove:
 
     def test_mutation_formula_random_weights(self):
         rng = random.Random(9)
-        g, wt, gm = two_cell_dimer()
+        gi = square(2, 1)
+        g, _, gm = to_dimer(IsingModel(gi, pythagorean_couplings(gi, 0)))
         wt = {e: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for e in g.edges()}
-        f = gm.squares["h1"]
+        f = gm.squares["h00"]
         fx = face_x_values(g, wt)
         Xf = fx[f]
         g2, wt2, rec = square_move(g, wt, f)
@@ -335,19 +274,15 @@ def assert_local_move(g, gn, rec):
     assert rec.data["face_map"] == expect
 
 
-def honeycomb22_dimer():
-    g = honeycomb(2, 2)
-    return to_dimer(IsingModel(g, {e: make_coupling(sc=(Fraction(4, 5), Fraction(3, 5)))
-                                   for e in g.edges()}))
-
-
 class TestLocalMoves:
-    @pytest.mark.parametrize("make,seed", [(lambda: square22_dimer(3), 11),
-                                           (lambda: square22_dimer(5), 12),
-                                           (honeycomb22_dimer, 13)],
-                             ids=["square 2x2 a", "square 2x2 b", "honeycomb 2x2"])
-    def test_move_scripts_match_retrace(self, make, seed):
-        g, wt, _ = make()
+    @pytest.mark.parametrize("make,couplings,seed", [
+        (square, lambda g: pythagorean_couplings(g, 3), 11),
+        (square, lambda g: pythagorean_couplings(g, 5), 12),
+        (honeycomb, lambda g: {e: make_coupling(sc=(S1, C1)) for e in g.edges()}, 13)],
+        ids=["square 2x2 a", "square 2x2 b", "honeycomb 2x2"])
+    def test_move_scripts_match_retrace(self, make, couplings, seed):
+        gi = make(2, 2)
+        g, wt, _ = to_dimer(IsingModel(gi, couplings(gi)))
         rng = random.Random(seed)
         squares = 0
         for _ in range(30):
@@ -435,7 +370,8 @@ class TestIsingLocus:
                 != reference_canonical_form(color_change(g, wt)[0]))
 
     def test_two_cell_passes(self):
-        g, wt, gm = two_cell_dimer(seed=4)
+        gi = square(2, 1)
+        g, wt, gm = to_dimer(IsingModel(gi, pythagorean_couplings(gi, 4)))
         ok, report = ising_locus_check(g, wt, gm)
         assert ok, report["residuals"]
 

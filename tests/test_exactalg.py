@@ -20,11 +20,11 @@ from isingdimer.exactalg import (
     newton_polygon,
     resultant_eliminate,
 )
+from isingdimer import lattices
 from isingdimer.ising import IsingModel, make_coupling, to_dimer
 from isingdimer.spectral import kasteleyn_matrix, solve_kasteleyn_signs
 
-from test_dimer import square22_dimer, square22_ising
-from test_ising import honeycomb_model
+from conftest import named_lattice, pythagorean_couplings
 
 Z = LaurentPoly2.var_z()
 W = LaurentPoly2.var_w()
@@ -179,19 +179,29 @@ class TestSigma:
         assert (p * q).sigma() == p.sigma() * q.sigma()
 
 
-def gadget_kasteleyn(n):
-    """Exact and float Kasteleyn matrices of a gadget dimer graph with n
-    whites: honeycomb 2x1 (n = 12) or square 2x2 (n = 16)."""
-    if n == 12:
+def gadget_kasteleyn(case):
+    """Exact and float Kasteleyn matrices of a gadget dimer graph: for case
+    12, honeycomb 2x1 with six fixed x (12 whites); for 16, square 2x2 with
+    Pythagorean couplings of seed 3 (16 whites); else the lattice case names,
+    as "square 2x1", with Pythagorean couplings in either order seeded by the
+    name."""
+    if case == 12:
+        g = lattices.honeycomb(2, 1)
         x = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7),
              Fraction(1, 4), Fraction(3, 5)]
-        g, wt, _ = to_dimer(honeycomb_model(x, n=2, m=1))
+        couplings = {e: make_coupling(x=v) for e, v in zip(g.edges(), x)}
+    elif case == 16:
+        g = lattices.square(2, 2)
+        couplings = pythagorean_couplings(g, 3)
     else:
-        g, wt, _ = square22_dimer(seed=3)
-    _, kappa = solve_kasteleyn_signs(g)[0]
-    K = kasteleyn_matrix(g, wt, kappa)
-    assert len(K.rows) == n
-    return K, kasteleyn_matrix(g, {e: float(v) for e, v in wt.items()}, kappa)
+        g = named_lattice(case)
+        couplings = pythagorean_couplings(g, case, swap=True)
+    gd, wt, _ = to_dimer(IsingModel(g, couplings))
+    _, kappa = solve_kasteleyn_signs(gd)[0]
+    K = kasteleyn_matrix(gd, wt, kappa)
+    if isinstance(case, int):
+        assert len(K.rows) == case
+    return K, kasteleyn_matrix(gd, {e: float(v) for e, v in wt.items()}, kappa)
 
 
 def _matrix(rows, cols, grid):
@@ -246,9 +256,10 @@ class TestDeterminant:
         with pytest.raises(DimensionError):
             lm_determinant(m)
 
-    @pytest.mark.parametrize("n", [12, 16])
-    def test_exact_and_numeric_agree_on_gadget_graphs(self, n):
-        K, Kn = gadget_kasteleyn(n)
+    @pytest.mark.parametrize("case", [12, 16] + [f"{kind} {size}" for size in ("1x1", "2x1", "2x2")
+                                                 for kind in ("square", "honeycomb")])
+    def test_exact_and_numeric_agree_on_gadget_graphs(self, case):
+        K, Kn = gadget_kasteleyn(case)
         P, Pn = lm_determinant(K), lm_determinant(Kn)
         assert set(Pn.terms) == set(P.terms)
         assert all(isinstance(c, float) for c in Pn.terms.values())
@@ -347,8 +358,9 @@ class TestIntegerKernel:
     def test_honeycomb_2x2(self):
         # n = 24, Pythagorean couplings: the determinant against the
         # reference, and the adjugate identity of one column
+        g = lattices.honeycomb(2, 2)
         x = [Fraction(k, k + 2) for k in range(1, 13)]
-        gd, wt, _ = to_dimer(honeycomb_model(x, n=2, m=2))
+        gd, wt, _ = to_dimer(IsingModel(g, {e: make_coupling(x=v) for e, v in zip(g.edges(), x)}))
         _, kappa = solve_kasteleyn_signs(gd)[0]
         K = kasteleyn_matrix(gd, wt, kappa)
         assert len(K.rows) == 24
@@ -525,8 +537,9 @@ def fixture_float():
 
 def honeycomb22_float():
     """The float Kasteleyn matrix of the honeycomb 2x2 gadget graph (n = 24)."""
+    g = lattices.honeycomb(2, 2)
     x = [Fraction(k, k + 2) for k in range(1, 13)]
-    gd, wt, _ = to_dimer(honeycomb_model(x, n=2, m=2))
+    gd, wt, _ = to_dimer(IsingModel(g, {e: make_coupling(x=v) for e, v in zip(g.edges(), x)}))
     _, kappa = solve_kasteleyn_signs(gd)[0]
     return kasteleyn_matrix(gd, {e: float(v) for e, v in wt.items()}, kappa)
 
@@ -535,7 +548,7 @@ def square22_critical_float():
     """The float Kasteleyn matrix of class (1, 1) of the square 2x2 gadget
     graph (n = 16) at the uniform critical coupling J_c = ln(1 + sqrt 2) / 2,
     where K(1, 1) has corank 2 up to rounding."""
-    g = square22_ising()
+    g = lattices.square(2, 2)
     jc = 0.5 * math.log(1 + math.sqrt(2))
     gd, wt, _ = to_dimer(IsingModel(g, {e: make_coupling(J=jc) for e in g.edges()}))
     label, kappa = solve_kasteleyn_signs(gd)[0]

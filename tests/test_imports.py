@@ -1,8 +1,9 @@
-"""Every module of the package uses each name its top-level imports bind,
-every private top-level function of the package is referenced, every
-option of a CLI verb is read by that verb, every exception class of the
-package has an exit code, and every module stays below TOKEN_LIMIT parser
-tokens.
+"""Every module of the package and of the tests uses each name its
+top-level imports bind, every test module takes the square and honeycomb
+lattices from `isingdimer.lattices` alone, every private top-level function
+of the package is referenced, every option of a CLI verb is read by that
+verb, every exception class of the package has an exit code, and every
+module stays below TOKEN_LIMIT parser tokens.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules: an
 imported name counts as used when it is read anywhere in the module; a
@@ -24,6 +25,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "isingdimer"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+LATTICES = ("square", "honeycomb")
 
 
 def unused_imports(source):
@@ -43,9 +46,35 @@ def test_finds_an_unused_import():
     assert unused_imports(source) == ["math", "path"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=[p.name for p in MODULES + TESTS])
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def own_lattices(source):
+    """Names among LATTICES that source defines, at any depth, or imports
+    from a module other than isingdimer.lattices."""
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [n.name]
+        elif isinstance(n, ast.ImportFrom) and n.module != "isingdimer.lattices":
+            names = [a.name for a in n.names]
+        else:
+            continue
+        out += [name for name in names if name in LATTICES]
+    return out
+
+
+def test_finds_an_own_lattice():
+    source = ("from isingdimer.lattices import square\nfrom test_x import honeycomb\n"
+              "def f():\n    def square(n):\n        pass\n")
+    assert own_lattices(source) == ["honeycomb", "square"]
+
+
+@pytest.mark.parametrize("path", TESTS, ids=[p.name for p in TESTS])
+def test_lattices_come_from_the_library(path):
+    assert own_lattices(path.read_text()) == []
 
 
 def unreferenced_private_functions(sources):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from isingdimer.exactalg import LaurentPoly2, lm_determinant
-from isingdimer.dimer import MoveError, color_change, gauge_transform, square_move, x_of_cycle
+from isingdimer.dimer import MoveError, color_change, gauge_transform, square_move
+from isingdimer import lattices
 from isingdimer.ising import (GadgetMap, IsingModel, couplings_from_file_data,
                               make_coupling, to_dimer)
 from isingdimer.abel import AbelLabel, discrete_abel
@@ -31,7 +32,8 @@ from isingdimer.spectral import (
 )
 from isingdimer.torusgraph import TorusGraph, parse_torus_graph
 
-from conftest import DIMER_FIXTURE, FIXTURE_KAPPA, ISING_FIXTURE, S1, C1, S2, C2
+from conftest import (DIMER_FIXTURE, FIXTURE_KAPPA, ISING_FIXTURE, S1, C1, S2, C2, named_lattice,
+                      pythagorean_couplings)
 
 
 def fixture_gm():
@@ -215,29 +217,14 @@ def reference_solve_kasteleyn_signs(g):
     return out
 
 
-PYTHAGOREAN = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
-               (Fraction(8, 17), Fraction(15, 17)), (Fraction(7, 25), Fraction(24, 25))]
-
-
-def pythagorean_dimer(make, n, m, seed):
-    """Gadget graph and exact weights of make(n, m) with seeded couplings
-    from the first Pythagorean triples, in either order."""
-    g = make(n, m)
-    rng = random.Random(seed)
-    couplings = {e: make_coupling(sc=rng.choice(PYTHAGOREAN)[::rng.choice((1, -1))])
-                 for e in g.edges()}
-    gd, wt, _ = to_dimer(IsingModel(g, couplings))
-    return gd, wt
-
-
 def sign_graphs():
     """The gadget graphs of square and honeycomb 1x1, 2x1, 2x2 and 3x3, each
     followed by six seeded square-move descendants: 56 graphs."""
-    from test_torusgraph import honeycomb, square
-    for make in (square, honeycomb):
+    for make in (lattices.square, lattices.honeycomb):
         for n, m in ((1, 1), (2, 1), (2, 2), (3, 3)):
             rng = random.Random(f"{make.__name__} {n}x{m}")
-            g, wt = pythagorean_dimer(make, n, m, rng.random())
+            gi = make(n, m)
+            g, wt, _ = to_dimer(IsingModel(gi, pythagorean_couplings(gi, rng.random(), swap=True)))
             yield g
             for _ in range(6):
                 quads = [f for f, orbit in g.faces() if len(orbit) == 4]
@@ -294,13 +281,11 @@ class TestSignTwists:
                                          "square 2x1", "honeycomb 2x1"])
     def test_classes_are_twists_of_one_polynomial(self, lattice, dimer_fixture):
         # det K of class (s, t) is +-P_{++}(s z, t w), coefficient by coefficient
-        from test_torusgraph import honeycomb, square
         if lattice == "fixture":
             g, wt = dimer_fixture
         else:
-            kind, size = lattice.split()
-            n, m = map(int, size.split("x"))
-            g, wt = pythagorean_dimer(square if kind == "square" else honeycomb, n, m, lattice)
+            gi = named_lattice(lattice)
+            g, wt, _ = to_dimer(IsingModel(gi, pythagorean_couplings(gi, lattice, swap=True)))
         classes = dict(solve_kasteleyn_signs(g))
         assert list(classes) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
         P = lm_determinant(kasteleyn_matrix(g, wt, classes[(1, 1)]))
@@ -447,8 +432,7 @@ def _one_vertex_dimer(sc1, sc2):
 
 
 def _honeycomb_dimer(scs):
-    from test_torusgraph import honeycomb
-    g = honeycomb(1, 1)
+    g = lattices.honeycomb(1, 1)
     model = IsingModel(g, {e: make_coupling(sc=(Fraction(s), Fraction(c)))
                            for e, (s, c) in zip(g.edges(), scs)})
     gd, wt, _ = to_dimer(model)
@@ -600,9 +584,7 @@ def reference_vanishes(p, z, w, tol):
 def ladder_dimer(lattice, seed):
     """A gadget-ladder rung: the gadget graph of a lattice with seeded real
     couplings, numeric weights, a sign class and its first white."""
-    from test_torusgraph import honeycomb, square
-    kind, size = lattice.split()
-    g = (square if kind == "square" else honeycomb)(*map(int, size.split("x")))
+    g = named_lattice(lattice)
     rng = random.Random(seed)
     gd, wt, gm = to_dimer(IsingModel(g, {e: make_coupling(J=rng.uniform(0.2, 1.2))
                                          for e in g.edges()}))
@@ -868,9 +850,7 @@ class TestAbelTree:
     def test_verdict_matches_window_reference(self, lattice):
         from isingdimer.abel import abel_tree
         from test_ising import reference_apply_lattice_map
-        from test_torusgraph import honeycomb, square
-        kind, size = lattice.split()
-        g = (square if kind == "square" else honeycomb)(*map(int, size.split("x")))
+        g = named_lattice(lattice)
         model = IsingModel(g, {e: make_coupling(x=Fraction(1, 3)) for e in g.edges()})
         raw, final = gadget_markings(model)
         assert not _verdict(abel_tree, raw) and _verdict(abel_tree, final)
@@ -890,8 +870,11 @@ class TestAbelTree:
 
     @pytest.mark.parametrize("graph", ["fixture", "honeycomb 2x2"])
     def test_labels_match_window_reference(self, graph, dimer_fixture):
-        from test_dimer import honeycomb22_dimer
-        g = dimer_fixture[0] if graph == "fixture" else honeycomb22_dimer()[0]
+        if graph == "fixture":
+            g = dimer_fixture[0]
+        else:
+            gi = lattices.honeycomb(2, 2)
+            g, _, _ = to_dimer(IsingModel(gi, {e: make_coupling(sc=(S1, C1)) for e in gi.edges()}))
         for window in (0, 1, 2):
             got, want = discrete_abel(g, window), reference_discrete_abel(g, window)
             assert list(got) == list(want)
@@ -1148,10 +1131,8 @@ class TestSecondFixturePolygon:
         assert data.genus == 0
 
     def test_honeycomb_dimer_polygon_coherence(self):
-        from test_torusgraph import honeycomb
-        g = honeycomb(1, 1)
-        model = IsingModel(g, {e: make_coupling(sc=(Fraction(4, 5), Fraction(3, 5)))
-                               for e in g.edges()})
+        g = lattices.honeycomb(1, 1)
+        model = IsingModel(g, {e: make_coupling(sc=(S1, C1)) for e in g.edges()})
         gd, wt, gm = to_dimer(model)
         assert gd.check_minimal()[0] == g.check_minimal()[0]
         _, kappa = solve_kasteleyn_signs(gd)[0]
@@ -1224,9 +1205,9 @@ class TestToDimerSpectralPath:
     # |w| ~ 1e4 (it needs the coefficient-error term of the residual test).
     @pytest.mark.parametrize("tenths", ["999322272294", "174719488946"])
     def test_numeric_divisor_at_24_whites(self, tenths):
-        from test_ising import honeycomb_model
-        model = honeycomb_model([Fraction(int(k), 10) for k in tenths], n=2, m=2)
-        gd, wt, gm = to_dimer(model)
+        g = lattices.honeycomb(2, 2)
+        gd, wt, gm = to_dimer(IsingModel(g, {e: make_coupling(x=Fraction(int(k), 10))
+                                             for e, k in zip(g.edges(), tenths)}))
         wtf = {e: float(v) for e, v in wt.items()}
         _, kappa = solve_kasteleyn_signs(gd)[0]
         Dw = divisor_of_vertex(gd, wtf, kappa, "W_u00_0", mode="numeric")

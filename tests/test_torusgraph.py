@@ -5,6 +5,7 @@ import pytest
 
 from isingdimer.dimer import color_change, square_move
 from isingdimer.ising import IsingModel, couplings_from_file_data, make_coupling, to_dimer
+from isingdimer.lattices import honeycomb, square
 from isingdimer.torusgraph import (
     Dart,
     GraphError,
@@ -15,42 +16,6 @@ from isingdimer.torusgraph import (
 )
 
 from conftest import DIMER_FIXTURE, ISING_FIXTURE
-
-
-def honeycomb(n=1, m=1):
-    g = TorusGraph()
-    for i in range(n):
-        for j in range(m):
-            g.add_vertex(f"u{i}{j}", "n")
-            g.add_vertex(f"v{i}{j}", "n")
-    for i in range(n):
-        for j in range(m):
-            g.add_edge(f"a{i}{j}", f"u{i}{j}", f"v{i}{j}", 0, 0)
-            g.add_edge(f"b{i}{j}", f"u{i}{j}", f"v{(i + 1) % n}{j}", 1 if i + 1 == n else 0, 0)
-            g.add_edge(f"c{i}{j}", f"u{i}{j}", f"v{i}{(j + 1) % m}", 0, 1 if j + 1 == m else 0)
-    for i in range(n):
-        for j in range(m):
-            g.set_rotation(f"u{i}{j}", [f"a{i}{j}+", f"b{i}{j}+", f"c{i}{j}+"])
-            g.set_rotation(f"v{i}{j}", [f"a{i}{j}-", f"b{(i - 1) % n}{j}-", f"c{i}{(j - 1) % m}-"])
-    return g.freeze()
-
-
-
-def square(n=1, m=1):
-    """Uncolored square lattice, n x m vertices per fundamental domain."""
-    g = TorusGraph()
-    for i in range(n):
-        for j in range(m):
-            g.add_vertex(f"p{i}{j}", "n")
-    for i in range(n):
-        for j in range(m):
-            g.add_edge(f"h{i}{j}", f"p{i}{j}", f"p{(i + 1) % n}{j}", 1 if i + 1 == n else 0, 0)
-            g.add_edge(f"v{i}{j}", f"p{i}{j}", f"p{i}{(j + 1) % m}", 0, 1 if j + 1 == m else 0)
-    for i in range(n):
-        for j in range(m):
-            g.set_rotation(f"p{i}{j}", [f"h{i}{j}+", f"v{i}{j}+",
-                                        f"h{(i - 1) % n}{j}-", f"v{i}{(j - 1) % m}-"])
-    return g.freeze()
 
 
 def doubled(g, e, after=True):
@@ -259,6 +224,13 @@ class TestValidate:
         g.set_rotation("u", ["e-"])   # e- is based at v, not u
         g.set_rotation("v", ["e+"])
         with pytest.raises(GraphError, match="e-"):
+            g.freeze()
+
+    def test_rotation_names_unknown_dart(self):
+        g = TorusGraph()
+        g.add_vertex("a")
+        g.set_rotation("a", ["x+"])
+        with pytest.raises(GraphError, match=r"^rotation at a names unknown dart x\+$"):
             g.freeze()
 
     def test_face_displacement_violation(self):
@@ -473,6 +445,14 @@ class TestHomology:
         assert set(count) == set(g.darts)
 
 
+# genus of the gadget graph of each lattice: the interior points of its
+# Newton polygon (Kenyon-Okounkov, "Planar dimers and Harnack curves")
+GADGET_GENUS = [(kind, k, l, genus) for kind, genera in (
+    ("square", (1, 3, 3, 5, 11, 11, 13, 25)), ("honeycomb", (1, 3, 3, 7, 13, 13, 19, 37)))
+    for (k, l), genus in zip([(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (4, 4)],
+                             genera)]
+
+
 class TestNewtonPolygon:
     def test_fixture_square(self):
         g, _, _ = parse_torus_graph(ISING_FIXTURE)
@@ -486,6 +466,17 @@ class TestNewtonPolygon:
         poly, anchored = g.newton_polygon()
         assert set(poly.vertices) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
         assert not anchored
+
+    @pytest.mark.parametrize("kind,k,l,genus", GADGET_GENUS,
+                             ids=[f"{kind} {k}x{l}" for kind, k, l, _ in GADGET_GENUS])
+    def test_gadget_genus_odd_and_polygon_symmetric(self, kind, k, l, genus):
+        # sigma has no fixed point on the spectral curve off criticality, so
+        # Riemann-Hurwitz gives g = 2g' - 1: odd
+        g = (square if kind == "square" else honeycomb)(k, l)
+        gd, _, _ = to_dimer(IsingModel(g, {e: make_coupling(x=Fraction(1, 3)) for e in g.edges()}))
+        poly, _ = gd.newton_polygon()
+        assert poly.is_centrally_symmetric()
+        assert poly.genus == genus and genus % 2 == 1
 
     def test_color_change_reflects_classes(self, dimer_fixture):
         g, _ = dimer_fixture
