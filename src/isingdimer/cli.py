@@ -21,9 +21,9 @@ from .dimer import (basis_x_values, square_move, contraction_move, color_change,
                     ising_locus_check, MoveError)
 from .spectral import (SpectralError, solve_kasteleyn_signs, characteristic_polynomial,
                        divisor_of_vertex, spectral_report, amoeba_sample,
-                       amoeba_csv, amoeba_svg, kasteleyn_matrix)
+                       amoeba_csv, amoeba_svg)
 from .abel import discrete_abel
-from .exactalg import lm_determinant, format_coeff
+from .exactalg import format_coeff
 
 
 class CliError(Exception):
@@ -211,12 +211,8 @@ def cmd_move(args):
 def cmd_charpoly(args):
     g, weights, _ = _load_validated(args.graph)
     wt, _mode = _need_weights(weights, g, args.mode)
-    data = characteristic_polynomial(g, wt, _pick_kappa(g, args.sign))
-    from .spectral import canonical_sign
-    lines = [f"polynomial {canonical_sign(data.poly).canonical_str()}",
-             "polygon " + " ".join(f"{x},{y}" for x, y in data.polygon.vertices),
-             f"genus {data.genus}"]
-    _emit("\n".join(lines) + "\n", args.out)
+    curve = characteristic_polynomial(g, wt, _pick_kappa(g, args.sign))
+    _emit("\n".join(curve.format_lines()) + "\n", args.out)
     return 0
 
 
@@ -287,13 +283,12 @@ def cmd_amoeba(args):
     if args.vertex:
         _check_vertex(g, args.vertex)
     kappa = _pick_kappa(g, args.sign)
-    K = kasteleyn_matrix(g, wt, kappa)
-    P = lm_determinant(K)
+    curve = characteristic_polynomial(g, wt, kappa)
     r = args.range
     marks = []
-    rows = amoeba_sample(P, grid=args.grid, region=(-r, r, -r, r), tol=args.tol)
+    rows = amoeba_sample(curve.poly, grid=args.grid, region=(-r, r, -r, r), tol=args.tol)
     if args.vertex:
-        D = divisor_of_vertex(g, wt, kappa, args.vertex, mode=mode, tol=args.tol, K=K, P=P)
+        D = divisor_of_vertex(g, wt, kappa, args.vertex, mode=mode, tol=args.tol, curve=curve)
         for z, w, _m in D.points:
             marks.append((math.log(abs(complex(z))), math.log(abs(complex(w)))))
     _emit(amoeba_csv(rows), args.out)

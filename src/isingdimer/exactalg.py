@@ -602,13 +602,6 @@ def lm_adjugate_lines(m, columns=(), rows=()):
             [dict(zip(m.rows, row)) for row in lines[1]])
 
 
-def lm_adjugate_column(m, row):
-    """Column `row` of adj(m), as {column label of m: signed (n-1)-minor}:
-    m @ column == det(m) * e_row, singular m included. One line of
-    lm_adjugate_lines."""
-    return lm_adjugate_lines(m, [row])[0][0]
-
-
 def lm_adjugate(m):
     """Adjugate (transposed cofactor matrix): m @ adj(m) == det(m) * I,
     singular m included. Every column from one lm_adjugate_lines call, so
@@ -623,7 +616,7 @@ class NewtonPolygon:
 
     vertices: counterclockwise, starting from the lexicographically
     smallest vertex. sides: per hull edge, its primitive vector and lattice
-    length. interior: lattice points strictly inside.
+    length.
     """
 
     def __init__(self, points):
@@ -638,26 +631,22 @@ class NewtonPolygon:
                 x0, y0 = self.vertices[t]
                 x1, y1 = self.vertices[(t + 1) % k]
                 dx, dy = x1 - x0, y1 - y0
-                g = _gcd(abs(dx), abs(dy))
+                g = math.gcd(dx, dy)
                 self.sides.append(((dx // g, dy // g), g))
-        self.interior = self._interior_points()
 
-    def _interior_points(self):
+    @property
+    def twice_area(self):
+        """Twice the area, by the shoelace formula over the ccw vertices."""
         v = self.vertices
-        if len(v) < 3:
-            return []
-        xs = [p[0] for p in v]
-        ys = [p[1] for p in v]
-        out = []
-        for x in range(min(xs), max(xs) + 1):
-            for y in range(min(ys), max(ys) + 1):
-                if all(_cross(v[i], v[(i + 1) % len(v)], (x, y)) > 0 for i in range(len(v))):
-                    out.append((x, y))
-        return out
+        return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1]))
 
     @property
     def genus(self):
-        return len(self.interior)
+        """Lattice points strictly inside, by Pick's theorem: twice the area
+        is 2 I + B - 2 with B the lattice points on the boundary."""
+        if len(self.vertices) < 3:
+            return 0
+        return (self.twice_area - sum(n for _, n in self.sides) + 2) // 2
 
     def translate(self, dx, dy):
         return NewtonPolygon([(x + dx, y + dy) for x, y in self.vertices])
@@ -681,12 +670,6 @@ class NewtonPolygon:
 
     def __repr__(self):
         return f"NewtonPolygon({self.vertices})"
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def _cross(o, a, b):

@@ -106,12 +106,6 @@ def kappa_is_valid(g, kappa):
     return True
 
 
-def kappa_gauge_equivalent(g, k1, k2):
-    """Do k1 and k2 differ by a vertex sign function? On a connected graph
-    they do exactly when their tree normalizations agree."""
-    return kappa_tree_normalize(g, k1) == kappa_tree_normalize(g, k2)
-
-
 # -- Kasteleyn matrix and characteristic polynomial --------------------------------
 
 
@@ -138,10 +132,20 @@ class SpectralCurveData:
         self.genus = genus
         self.matrix = matrix
 
+    def format_lines(self):
+        """The `polynomial`, `polygon` and `genus` lines. The printed
+        polynomial is sign-normalized: the determinant's overall sign is a
+        sign-gauge artifact."""
+        return [f"polynomial {canonical_sign(self.poly).canonical_str()}",
+                "polygon " + " ".join(f"{x},{y}" for x, y in self.polygon.vertices),
+                f"genus {self.genus}"]
+
 
 def characteristic_polynomial(g, wt, kappa):
     """P = det K with its Newton polygon, genus (interior lattice points)
-    and the Kasteleyn matrix K it came from."""
+    and the Kasteleyn matrix K it came from: the one place that builds
+    them, checking that K is square, P is not zero and P's polygon is the
+    graph's."""
     K = kasteleyn_matrix(g, wt, kappa)
     if len(K.rows) != len(K.cols):
         raise SpectralError(f"#white={len(K.rows)} != #black={len(K.cols)}")
@@ -448,8 +452,7 @@ class Divisor:
         return f"Divisor({self.points})"
 
 
-def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-8, K=None, P=None,
-                      line=None):
+def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-8, curve=None, line=None):
     """The divisor of a vertex: common zeros on the open curve of the
     adjugate column (white vertex) or row (black vertex) of adj K, which on
     the curve is r (x) l with r in ker K and l in ker K^T (Kenyon-Okounkov).
@@ -462,21 +465,20 @@ def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-8, K=None, P=No
     finds other than genus rational points. Numeric mode takes the roots
     from the root kernel, refines the candidates by Newton steps with exact
     derivatives and keeps the points at which P and all entries vanish
-    within min(tol, 1e-10). K, P = det K and the vertex's line of adj K
-    ({label: entry}, from lm_adjugate_lines) are built here unless the
-    caller passes them."""
+    within min(tol, 1e-10). The curve (characteristic_polynomial) and the
+    vertex's line of adj K ({label: entry}, from lm_adjugate_lines) are
+    built here unless the caller passes them."""
     color = g.colors[vertex]
     if color not in ("w", "b"):
         raise SpectralError(f"vertex {vertex} is uncolored")
-    K = kasteleyn_matrix(g, wt, kappa) if K is None else K
-    P = lm_determinant(K) if P is None else P
-    genus = newton_polygon(P).genus
+    curve = characteristic_polynomial(g, wt, kappa) if curve is None else curve
+    P, genus = curve.poly, curve.genus
     if genus == 0:
         return Divisor([], exact=(mode == "exact"))
     if line is None:
         # a white names a row of K, so a column of adj K; a black a row of adj K
-        cols, rows = (lm_adjugate_lines(K, columns=[vertex]) if color == "w"
-                      else lm_adjugate_lines(K, rows=[vertex]))
+        cols, rows = (lm_adjugate_lines(curve.matrix, columns=[vertex]) if color == "w"
+                      else lm_adjugate_lines(curve.matrix, rows=[vertex]))
         line = (cols or rows)[0]
     entries = [e for e in line.values() if not e.is_zero()]
     if len(entries) < 2:
@@ -612,25 +614,23 @@ def nu_map(g, wt):
 # -- the three Ising conditions -----------------------------------------------------
 
 
-def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-8,
-                          K=None, P=None):
+def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-8):
     """Check (1) sigma-invariance of P, (2') D_white = sigma(D_partner_black),
-    (3) X_alphabar * X_alpha = 1 for every zig-zag. Returns (ok, report).
+    (3) X_alphabar * X_alpha = 1 for every zig-zag. Returns (ok, report),
+    the report holding the curve as "curve".
     In numeric mode tol bounds the coefficients of P - sigma(P), the
     distance of matched divisor points and each residual of (3); the
     divisors themselves are found within min(tol, 1e-10). Both divisors use
-    the one K and P = det K, passed in or built here, and one
-    lm_adjugate_lines call for the white's column and the partner black's
-    row of adj K (in numeric mode, one sample grid)."""
+    the one curve and one lm_adjugate_lines call for the white's column and
+    the partner black's row of adj K (in numeric mode, one sample grid)."""
     from .dimer import x_of_cycle
-    K = kasteleyn_matrix(g, wt, kappa) if K is None else K
-    P = lm_determinant(K) if P is None else P
-    cond1 = P.sigma() == P if all(isinstance(v, Fraction) for v in wt.values()) \
-        else P.sigma().isclose(P, tol)
+    curve = characteristic_polynomial(g, wt, kappa)
+    P = curve.poly
+    cond1 = P.sigma() == P if P.exact else P.sigma().isclose(P, tol)
     black = gadget_map.partners[white]
-    (col,), (row,) = lm_adjugate_lines(K, [white], [black])
-    Dw = divisor_of_vertex(g, wt, kappa, white, mode=mode, tol=tol, K=K, P=P, line=col)
-    Db = divisor_of_vertex(g, wt, kappa, black, mode=mode, tol=tol, K=K, P=P, line=row)
+    (col,), (row,) = lm_adjugate_lines(curve.matrix, [white], [black])
+    Dw = divisor_of_vertex(g, wt, kappa, white, mode=mode, tol=tol, curve=curve, line=col)
+    Db = divisor_of_vertex(g, wt, kappa, black, mode=mode, tol=tol, curve=curve, line=row)
     cond2 = Dw.matches(Db.sigma(), None if mode == "exact" else tol)
     # condition (3): sigma maps the points at infinity of side S to those of
     # side -S, i.e. opposite sides carry equal X-value multisets (positive
@@ -659,7 +659,7 @@ def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-
     cond3 = not failed
     report = {
         "sigma_invariant": cond1,
-        "P": P,
+        "curve": curve,
         "divisor_white": Dw,
         "divisor_black": Db,
         "partner_black": black,
@@ -842,18 +842,11 @@ def canonical_sign(P):
 
 
 def spectral_report(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-8):
-    """Text `spectral-report v1`: polynomial, polygon, genus, the three
-    conditions of verify_ising_spectral at tol, divisors, and the polygon
-    sides that fail the nu condition. The printed polynomial is
-    sign-normalized (the determinant's overall sign is a sign-gauge
-    artifact). Returns (text, ok)."""
-    data = characteristic_polynomial(g, wt, kappa)
-    ok, rep = verify_ising_spectral(g, wt, kappa, gadget_map, white, mode=mode, tol=tol,
-                                    K=data.matrix, P=data.poly)
-    lines = ["spectral-report v1",
-             f"polynomial {canonical_sign(data.poly).canonical_str()}",
-             "polygon " + " ".join(f"{x},{y}" for x, y in data.polygon.vertices),
-             f"genus {data.genus}",
+    """Text `spectral-report v1`: the curve's polynomial, polygon and genus
+    lines, the three conditions of verify_ising_spectral at tol, divisors,
+    and the polygon sides that fail the nu condition. Returns (text, ok)."""
+    ok, rep = verify_ising_spectral(g, wt, kappa, gadget_map, white, mode=mode, tol=tol)
+    lines = ["spectral-report v1", *rep["curve"].format_lines(),
              f"condition sigma-invariance {'pass' if rep['sigma_invariant'] else 'FAIL'}",
              f"condition divisor-sigma {'pass' if rep['divisor_condition'] else 'FAIL'}",
              f"condition nu-involution {'pass' if rep['nu_condition'] else 'FAIL'}"]

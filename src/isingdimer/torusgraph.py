@@ -644,9 +644,7 @@ class TorusGraph:
                                           za, zb, L)
                 if hit:
                     return False, hit
-        pts = self.newton_polygon()[0].vertices
-        twice_area = abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
-                             in zip(pts, pts[1:] + pts[:1])))
+        twice_area = self.newton_polygon()[0].twice_area
         faces = len(self.faces()) if self.is_bipartite_colored() else 2 * len(self.edges())
         kind = "minimal" if faces == twice_area else "face-count"
         return kind == "minimal", {"kind": kind, "faces": faces, "twice_area": twice_area}

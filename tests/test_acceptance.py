@@ -34,7 +34,7 @@ from isingdimer.spectral import (
     amoeba_sample,
     characteristic_polynomial,
     divisor_of_vertex,
-    kappa_gauge_equivalent,
+    kappa_tree_normalize,
     kasteleyn_matrix,
     solve_kasteleyn_signs,
 )
@@ -161,14 +161,15 @@ def test_06_kasteleyn_signs(fixture):
     assert len(classes) == 4
     import itertools
     for (l1, k1), (l2, k2) in itertools.combinations(classes, 2):
-        assert not kappa_gauge_equivalent(g, k1, k2)
+        assert kappa_tree_normalize(g, k1) != kappa_tree_normalize(g, k2)
     for _, kappa in classes:
         for fid, orbit in g.faces():
             prod = 1
             for d in orbit:
                 prod *= kappa[g.darts[d].edge]
             assert prod == (-1) ** (len(orbit) // 2 + 1)
-    hits = [lab for lab, k in classes if kappa_gauge_equivalent(g, k, FIXTURE_KAPPA)]
+    hits = [lab for lab, k in classes
+            if kappa_tree_normalize(g, k) == kappa_tree_normalize(g, FIXTURE_KAPPA)]
     assert len(hits) == 1
     report("6 kasteleyn signs", f"(4 classes; figure representative in class {hits[0]})")
 

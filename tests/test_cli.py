@@ -1,7 +1,9 @@
 import contextlib
+import functools
 import io
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 import isingdimer
 from isingdimer.cli import main
-from isingdimer.ising import IsingModel, make_coupling, y_delta
+from isingdimer.ising import IsingModel, make_coupling, to_dimer, y_delta
 from isingdimer.lattices import honeycomb, square
 from isingdimer.torusgraph import serialize_torus_graph
 
@@ -363,6 +365,62 @@ class TestNoTraceback:
         assert out == "" and err == f"error: {message.format(**paths)}\n"
 
 
+# a valid graph with one white and three blacks: K is 1x3 and has no determinant
+_UNBALANCED = """torus-graph v1
+vertex b0 b
+vertex b1 b
+vertex b2 b
+vertex w0 w
+edge e0 w0 b1 0 1
+edge e1 w0 b2 0 0
+edge e2 w0 b0 -1 0
+edge e3 w0 b0 -1 1
+edge e4 w0 b0 0 0
+rot b0 e3- e2- e4-
+rot b1 e0-
+rot b2 e1-
+rot w0 e1+ e3+ e0+ e2+ e4+
+weight e0 1
+weight e1 1
+weight e2 1
+weight e3 1
+weight e4 1
+"""
+
+
+@functools.cache
+def _honeycomb44_numeric():
+    """The numeric gadget graph of honeycomb 4x4 (96 whites), J uniform in
+    (0.2, 0.8). The FFT determinant on the unit torus keeps 37 of P's terms;
+    their polygon has genus 19, the graph's 37."""
+    rng = random.Random(4)
+    g = honeycomb(4, 4)
+    gd, wt, _ = to_dimer(IsingModel(g, {e: make_coupling(J=rng.uniform(0.2, 0.8))
+                                        for e in g.edges()}))
+    return serialize_torus_graph(gd, weights=wt)
+
+
+class TestCurveChecks:
+    """divisor and amoeba take K and P from characteristic_polynomial, so
+    they fail its checks as charpoly does: exit 1 with one `error:` line and
+    nothing on stdout, not a traceback or the divisor or amoeba of a
+    truncated P."""
+
+    @pytest.mark.parametrize("graph,vertex,message", [
+        (lambda: _UNBALANCED, "w0", "#white=1 != #black=3"),
+        (_honeycomb44_numeric, "W_u00_0", "Newton polygon of P differs from the graph polygon"),
+    ], ids=["unbalanced", "honeycomb 4x4"])
+    @pytest.mark.parametrize("argv", [["charpoly"], ["divisor", "--vertex", "{vertex}"],
+                                      ["amoeba", "--grid", "4"]],
+                             ids=["charpoly", "divisor", "amoeba"])
+    def test_exits_1(self, tmp_path, argv, graph, vertex, message, capsys):
+        gp = tmp_path / "graph.tg"
+        gp.write_text(graph())
+        assert main([argv[0], str(gp)] + [a.format(vertex=vertex) for a in argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+
 _FUZZ_SCRIPT = "move square f=f2\nmove color\n"
 _FUZZ_GRAPHS = [DIMER_FIXTURE, ISING_FIXTURE, _WEIGHTED_ISING]
 _FUZZ_TOKENS = ["0", "-1", "1/0", "nan", "inf", "1e400", "1e300", "J=400", "x"]
@@ -637,9 +695,8 @@ class TestPipelines:
 
     @pytest.mark.parametrize("mode", ["exact", "numeric"])
     def test_one_kasteleyn_matrix_and_determinant(self, files, monkeypatch, capsys, mode):
-        # verify-ising and amoeba --vertex build K once and take det K once;
-        # the divisors reuse both
-        import isingdimer.cli as cli
+        # each verb builds K once and takes det K once, in
+        # characteristic_polynomial; the divisors reuse both
         import isingdimer.spectral as spectral
         calls = {"kasteleyn_matrix": 0, "lm_determinant": 0}
         for name in calls:
@@ -647,15 +704,14 @@ class TestPipelines:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(spectral, name, counted)
-            monkeypatch.setattr(cli, name, counted)
         tmp, gp, _, gm = files
-        assert main(["verify-ising", gp, "--vertex", "w2", "--gadget-map", gm,
-                     "--mode", mode]) == 0
-        assert calls == {"kasteleyn_matrix": 1, "lm_determinant": 1}
-        calls.update(kasteleyn_matrix=0, lm_determinant=0)
-        assert main(["amoeba", gp, "--grid", "8", "--vertex", "w2", "--mode", mode,
-                     "--out", str(tmp / "am.csv")]) == 0
-        assert calls == {"kasteleyn_matrix": 1, "lm_determinant": 1}
+        for argv in (["verify-ising", gp, "--vertex", "w2", "--gadget-map", gm],
+                     ["amoeba", gp, "--grid", "8", "--vertex", "w2", "--out", str(tmp / "am.csv")],
+                     ["divisor", gp, "--vertex", "w2"],
+                     ["charpoly", gp]):
+            calls.update(kasteleyn_matrix=0, lm_determinant=0)
+            assert main(argv + ["--mode", mode]) == 0
+            assert calls == {"kasteleyn_matrix": 1, "lm_determinant": 1}
 
     def test_one_adjugate_grid_no_transpose(self, files, monkeypatch, capsys):
         # numeric verify-ising takes one sample grid of K for the white's

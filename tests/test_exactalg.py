@@ -13,7 +13,6 @@ from isingdimer.exactalg import (
     _divider,
     _mul_sub,
     lm_adjugate,
-    lm_adjugate_column,
     lm_adjugate_lines,
     lm_determinant,
     minkowski_sum,
@@ -233,11 +232,12 @@ def _assert_line_close(got, want):
 
 
 def _assert_column_close(m, r):
-    """lm_adjugate_column of the float matrix m against Bareiss minors of m
-    with its entries made exact Fractions: the same support, and each
-    coefficient within 1e-12 of the entry's largest one. Returns the column."""
-    got = lm_adjugate_column(m, r)
-    _assert_line_close(got, lm_adjugate_column(_exact(m), r))
+    """Adjugate column r (lm_adjugate_lines) of the float matrix m against
+    Bareiss minors of m with its entries made exact Fractions: the same
+    support, and each coefficient within 1e-12 of the entry's largest one.
+    Returns the column."""
+    got = lm_adjugate_lines(m, [r])[0][0]
+    _assert_line_close(got, lm_adjugate_lines(_exact(m), [r])[0][0])
     return got
 
 
@@ -345,7 +345,7 @@ class TestIntegerKernel:
         m = _grid_matrix(grid)
         n = len(grid)
         for i in range(n):
-            col = lm_adjugate_column(m, i)
+            col = lm_adjugate_lines(m, [i])[0][0]
             assert col == {j: reference_minor(grid, i, j) for j in range(n)}
 
     def test_examples_need_swaps(self):
@@ -368,7 +368,7 @@ class TestIntegerKernel:
         det = lm_determinant(K)
         assert det == reference_det_bareiss(grid)
         r = K.rows[7]
-        col = lm_adjugate_column(K, r)
+        col = lm_adjugate_lines(K, [r])[0][0]
         for rr in K.rows:
             acc = LaurentPoly2.zero()
             for c in K.cols:
@@ -417,7 +417,7 @@ class TestAdjugate:
         K, _ = gadget_kasteleyn(12)
         det = lm_determinant(K)
         r = K.rows[5]
-        col = lm_adjugate_column(K, r)
+        col = lm_adjugate_lines(K, [r])[0][0]
         for rr in K.rows:
             acc = LaurentPoly2.zero()
             for c in K.cols:
@@ -474,13 +474,13 @@ class TestAdjugate:
                                    [LaurentPoly2.monomial(1, 0, 1.0),
                                     LaurentPoly2.monomial(0, 1, 1.0), 1.0]])
         for r in m.rows:
-            col = lm_adjugate_column(m, r)
+            col = lm_adjugate_lines(m, [r])[0][0]
             for rr in m.rows:
                 acc = LaurentPoly2.zero()
                 for c in m.cols:
                     acc = acc + m[(rr, c)] * col[c]
                 assert all(abs(v) <= 1e-12 for v in acc.terms.values())
-        col = lm_adjugate_column(m, "a")
+        col = lm_adjugate_lines(m, ["a"])[0][0]
         assert set(col["x"].terms) == {(0, 0), (0, 1)}
         assert abs(col["x"].terms[(0, 0)] - 4) <= 1e-12
         assert abs(col["x"].terms[(0, 1)] + 6) <= 1e-12
@@ -492,7 +492,7 @@ class TestAdjugate:
         own = _assert_column_close(m, "b")
         assert own["x"].isclose(LaurentPoly2({(1, 0): -14.0, (0, 0): 15.0}), 1e-12)
         for r in "ac":
-            col = lm_adjugate_column(m, r)
+            col = lm_adjugate_lines(m, [r])[0][0]
             assert all(abs(v) <= 1e-12 for c in "xyz" for v in col[c].terms.values())
 
     def test_numeric_one_entry_row(self):
@@ -508,7 +508,7 @@ class TestAdjugate:
 
     def test_numeric_1x1(self):
         m = _matrix("r", "c", [[LaurentPoly2({(1, 0): 2.0, (0, 1): 3.0})]])
-        assert lm_adjugate_column(m, "r") == {"c": LaurentPoly2.const(1.0)}
+        assert lm_adjugate_lines(m, ["r"])[0][0] == {"c": LaurentPoly2.const(1.0)}
 
     @given(st.lists(rationals(4, 4), min_size=9, max_size=9))
     @settings(max_examples=20, deadline=None)
@@ -702,13 +702,29 @@ class TestNewtonPolygon:
     def test_fixture_square(self):
         np_ = newton_polygon(fixture_P())
         assert np_.vertices == [(-1, 0), (0, -1), (1, 0), (0, 1)]
-        assert np_.interior == [(0, 0)]
+        assert np_.twice_area == 4
         assert np_.genus == 1
 
     def test_single_monomial(self):
         np_ = newton_polygon(LaurentPoly2.monomial(3, 1))
         assert np_.vertices == [(3, 1)]
         assert np_.genus == 0
+
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=9))
+    @settings(max_examples=200, deadline=None)
+    def test_genus_counts_interior_points(self, pts):
+        # Pick's theorem against a scan of the bounding box for points
+        # strictly left of every ccw side
+        np_ = newton_polygon(LaurentPoly2({p: 1 for p in pts}))
+        v = np_.vertices
+        sides = list(zip(v, v[1:] + v[:1])) if len(v) >= 3 else []
+        xs, ys = [x for x, _ in v], [y for _, y in v]
+        inside = sum(all((b[0] - a[0]) * (y - a[1]) > (b[1] - a[1]) * (x - a[0])
+                         for a, b in sides)
+                     for x in range(min(xs), max(xs) + 1)
+                     for y in range(min(ys), max(ys) + 1)) if sides else 0
+        assert np_.genus == inside
+        assert np_.twice_area == abs(sum(a[0] * b[1] - b[0] * a[1] for a, b in sides))
 
     def test_triangle(self):
         np_ = newton_polygon(ONE + Z + W)

@@ -1,6 +1,7 @@
 """Every module of the package and of the tests uses each name its
 top-level imports bind, every test module takes the square and honeycomb
-lattices from `isingdimer.lattices` alone, every private top-level function
+lattices from `isingdimer.lattices` alone, the CLI reaches K and P only
+through `characteristic_polynomial`, every private top-level function
 of the package is referenced, every option of a CLI verb is read by that
 verb, every exception class of the package has an exit code, and every
 module stays below TOKEN_LIMIT parser tokens.
@@ -27,6 +28,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "isingdimer"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 LATTICES = ("square", "honeycomb")
+# what builds K and P = det K; a verb takes both from characteristic_polynomial
+CURVE_BUILDERS = ("kasteleyn_matrix", "lm_determinant")
 
 
 def unused_imports(source):
@@ -75,6 +78,28 @@ def test_finds_an_own_lattice():
 @pytest.mark.parametrize("path", TESTS, ids=[p.name for p in TESTS])
 def test_lattices_come_from_the_library(path):
     assert own_lattices(path.read_text()) == []
+
+
+def curve_builders_used(source):
+    """Names among CURVE_BUILDERS that source imports or reads as an
+    attribute, at any depth."""
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.ImportFrom):
+            out += [a.name for a in n.names if a.name in CURVE_BUILDERS]
+        elif isinstance(n, ast.Attribute) and n.attr in CURVE_BUILDERS:
+            out.append(n.attr)
+    return out
+
+
+def test_finds_a_curve_builder():
+    source = ("from .spectral import amoeba_sample, kasteleyn_matrix\n"
+              "from . import exactalg\ndef f(K):\n    return exactalg.lm_determinant(K)\n")
+    assert curve_builders_used(source) == ["kasteleyn_matrix", "lm_determinant"]
+
+
+def test_cli_takes_k_and_p_from_the_curve():
+    assert curve_builders_used((PACKAGE / "cli.py").read_text()) == []
 
 
 def unreferenced_private_functions(sources):
