@@ -27,14 +27,15 @@ def x_of_cycle(g, wt, cycle):
     Fraction when the cycle's own weights all are.
     """
     g.cycle_displacement(cycle)  # raises unless it is a cycle
-    num = den = _one_like(wt[g.darts[d].edge] for d in cycle)
+    darts, colors, up, down = g.darts, g.colors, [], []
     for d in cycle:
-        dart = g.darts[d]
-        if g.colors[dart.vertex] == "b":
-            num *= wt[dart.edge]
-        else:
-            den *= wt[dart.edge]
-    if isinstance(den, float) and not (den and 0 < num / den < math.inf):
+        dart = darts[d]
+        (up if colors[dart.vertex] == "b" else down).append(wt[dart.edge])
+    if all(isinstance(x, Fraction) for x in up + down):   # one Fraction from ints
+        return Fraction(math.prod(x.numerator for x in up) * math.prod(x.denominator for x in down),
+                        math.prod(x.denominator for x in up) * math.prod(x.numerator for x in down))
+    num, den = math.prod(up, start=1.0), math.prod(down, start=1.0)
+    if not (den and 0 < num / den < math.inf):
         raise MoveError(f"X of a cycle leaves the float range: {num!r} / {den!r}")
     return num / den
 
@@ -212,78 +213,73 @@ def square_move(g, wt, fid):
     if g.colors[g.tail(orbit[0])] == "w":
         orbit = orbit[1:] + orbit[:1]
     d0, d1, d2, d3 = orbit
-    B1, m3, B2, m1 = (g.tail(d) for d in orbit)
+    k0, k1, k2, k3 = (g.darts[d] for d in orbit)
+    B1, m3, B2, m1 = k0.vertex, k1.vertex, k2.vertex, k3.vertex
     if len({B1, m3, B2, m1}) != 4:
         raise MoveError(f"face {fid} has repeated corners")
     if g.degree(B1) != 3 or g.degree(B2) != 3:
         raise MoveError("square corners must be trivalent blacks")
-    p1 = next(d for d in g.rotation[B1] if d not in (d0, g.twin(d3)))
-    p2 = next(d for d in g.rotation[B2] if d not in (d2, g.twin(d1)))
-    m2, m4 = g.head(p1), g.head(p2)
+    p1 = next(d for d in g.rotation[B1] if d != d0 and d != k3.twin)
+    p2 = next(d for d in g.rotation[B2] if d != d2 and d != k1.twin)
+    kp1, kp2 = g.darts[p1], g.darts[p2]
+    m2, m4 = kp1.head, kp2.head
 
-    # gauge the pendant weights to 1 (gauge at the two blacks)
-    wt = dict(wt)
-    for black, pend in ((B1, p1), (B2, p2)):
-        lam = wt[g.darts[pend].edge]
-        for d in g.rotation[black]:
-            wt[g.darts[d].edge] = wt[g.darts[d].edge] / lam
-    a = wt[g.darts[d0].edge]
-    dd = wt[g.darts[d1].edge]
-    c = wt[g.darts[d2].edge]
-    b = wt[g.darts[d3].edge]
-    delta = a * c + b * dd
-    if isinstance(delta, float) and not (delta and all(0 < x / delta < math.inf
-                                                       for x in (a, b, c, dd))):
-        raise MoveError(f"square move at {fid} takes weights out of the float range")
+    # gauge the pendant weights to 1 at the two blacks; their three edges
+    # each are the six the move removes
+    e0, e1, e2, e3, q1, q2 = (k.edge for k in (k0, k1, k2, k3, kp1, kp2))
+    w0, w1, w2, w3, lam1, lam2 = (wt[e] for e in (e0, e1, e2, e3, q1, q2))
+    if all(isinstance(x, Fraction) for x in (w0, w1, w2, w3, lam1, lam2)):
+        # the same values in ints: with w_i = n_i/t_i and D = t0 t1 t2 t3,
+        # d/delta = w1 l1 / (w0 w2 + w1 w3) = n1 l1 (D/t1) / T, and so on
+        (n0, t0), (n1, t1), (n2, t2), (n3, t3) = (x.as_integer_ratio() for x in (w0, w1, w2, w3))
+        D, T = t0 * t1 * t2 * t3, n0 * n2 * t1 * t3 + n1 * n3 * t0 * t2
+        one, (wA2, wA4, wB2, wB4) = Fraction(1), (
+            Fraction(n * lam.numerator * (D // t), lam.denominator * T)
+            for n, t, lam in ((n1, t1, lam1), (n0, t0, lam2), (n2, t2, lam1), (n3, t3, lam2)))
+    else:
+        a, dd, c, b = w0 / lam1, w1 / lam2, w2 / lam2, w3 / lam1
+        delta = a * c + b * dd
+        if isinstance(delta, float) and not (delta and all(0 < x / delta < math.inf
+                                                           for x in (a, b, c, dd))):
+            raise MoveError(f"square move at {fid} takes weights out of the float range")
+        one, wA2, wA4, wB2, wB4 = lam1 / lam1, dd / delta, a / delta, c / delta, b / delta
 
-    removed_edges = {g.darts[x].edge for x in (d0, d1, d2, d3, p1, p2)}
-
-    def fresh(base, *taken):
-        name = base
-        k = 0
-        while any(name in t for t in taken):
+    def fresh(base, taken, other=None):
+        name, k = base, 0
+        while name in taken or name == other:
             k += 1
             name = f"{base}.{k}"
         return name
 
-    nb1 = fresh(f"{B1}'", g.colors)
-    nb2 = fresh(f"{B2}'", g.colors, (nb1,))
-    new_wt = {e: x for e, x in wt.items() if e not in removed_edges}
-    edges = []
-
-    def D(x):
-        return g.disp(x)
-
-    def add(name, black, white, disp, weight):
-        edges.append((name, black, white, disp[0], disp[1]))
-        new_wt[name] = weight
-
-    neg = lambda t: (-t[0], -t[1])
-    plus = lambda s, t: (s[0] + t[0], s[1] + t[1])
-    one = wt[g.darts[p1].edge]        # gauged to 1 in the weights' number type
     taken = g.edge_ends
+    nb1 = fresh(f"{B1}'", g.colors)
+    nb2 = fresh(f"{B2}'", g.colors, nb1)
     pA1 = fresh(f"{fid}_pA", taken)   # B_A' - m1 pendant
     pB3 = fresh(f"{fid}_pB", taken)   # B_B' - m3 pendant
     eA2 = fresh(f"{fid}_a2", taken)   # B_A' - m2, weight d/delta
     eA4 = fresh(f"{fid}_a4", taken)   # B_A' - m4, weight a/delta
     eB2 = fresh(f"{fid}_b2", taken)   # B_B' - m2, weight c/delta
     eB4 = fresh(f"{fid}_b4", taken)   # B_B' - m4, weight b/delta
-    add(pA1, nb1, m1, neg(D(d3)), one)
-    add(eA2, nb1, m2, D(p1), dd / delta)
-    add(eA4, nb1, m4, plus(plus(neg(D(d3)), neg(D(d2))), D(p2)), a / delta)
-    add(pB3, nb2, m3, neg(D(d1)), one)
-    add(eB2, nb2, m2, plus(plus(neg(D(d1)), neg(D(d0))), D(p1)), c / delta)
-    add(eB4, nb2, m4, D(p2), b / delta)
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = k0.disp, k1.disp, k2.disp, k3.disp
+    (u1, v1), (u2, v2) = kp1.disp, kp2.disp
+    edges = [(pA1, nb1, m1, -x3, -y3), (eA2, nb1, m2, u1, v1),
+             (eA4, nb1, m4, u2 - x3 - x2, v2 - y3 - y2), (pB3, nb2, m3, -x1, -y1),
+             (eB2, nb2, m2, u1 - x1 - x0, v1 - y1 - y0), (eB4, nb2, m4, u2, v2)]
+    removed_edges = {e0, e1, e2, e3, q1, q2}
+    new_wt = wt.copy()
+    for e in removed_edges:
+        del new_wt[e]
+    new_wt.update({pA1: one, eA2: wA2, eA4: wA4, pB3: one, eB2: wB2, eB4: wB4})
 
     # at the corners the square's darts give way to the new pendants and
     # the pendant darts to the pairs of new diagonals
-    swap = {d1: [pB3 + "-"], g.twin(d0): [], d3: [pA1 + "-"], g.twin(d2): [],
-            g.twin(p1): [eB2 + "-", eA2 + "-"], g.twin(p2): [eA4 + "-", eB4 + "-"]}
+    swap = {d1: [pB3 + "-"], k0.twin: [], d3: [pA1 + "-"], k2.twin: [],
+            kp1.twin: [eB2 + "-", eA2 + "-"], kp2.twin: [eA4 + "-", eB4 + "-"]}
     rotations = {nb1: [pA1 + "+", eA2 + "+", eA4 + "+"],
                  nb2: [pB3 + "+", eB4 + "+", eB2 + "+"]}
     for v in (m1, m2, m3, m4):
         rotations[v] = [x for d in g.rotation[v] for x in swap.get(d, (d,))]
-    gn = g.edit(drop_vertices=(B1, B2), drop_edges=sorted(removed_edges),
+    gn = g.edit(drop_vertices=(B1, B2), drop_edges=(e0, e1, e2, e3, q1, q2),
                 vertices=[(nb1, "b", g.positions.get(B1)), (nb2, "b", g.positions.get(B2))],
                 edges=edges, rotations=rotations)
     face_map = _match_faces(g, gn)
@@ -407,13 +403,16 @@ def contraction_move(g, wt, v):
 
 
 def _match_faces(g, gn):
-    """Old face id -> the new face through its first surviving dart, for
-    the faces that keep one (for a face the move left alone, its first)."""
-    out = {}
+    """Old face id -> the new face through its first surviving dart, for the
+    faces that keep one; `edit` shares the orbits it kept, the rest are scanned."""
+    out, kept, root_of, face_id = {}, gn._orbit, gn._root, gn._face_id
     for fid, orbit in g.faces():
-        survivor = next((x for x in orbit if x in gn.darts), None)
-        if survivor is not None:
-            out[fid] = gn.face_of_dart(survivor)
+        if kept.get(orbit[0]) is orbit:
+            out[fid] = face_id[orbit[0]]
+        else:
+            survivor = next((x for x in orbit if x in root_of), None)
+            if survivor is not None:
+                out[fid] = gn.face_of_dart(survivor)
     return out
 
 

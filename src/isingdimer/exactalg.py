@@ -69,14 +69,15 @@ class LaurentPoly2:
     __slots__ = ("terms", "exact")
 
     def __init__(self, terms=None):
-        clean = {}
+        clean, other = {}, False
         for ij, c in (terms or {}).items():
-            c = as_coeff(c)
+            if type(c) not in (float, complex):   # these pass as they are
+                c, other = as_coeff(c), True
             if c != 0:
                 clean[(int(ij[0]), int(ij[1]))] = c
-        # the mode follows the coefficients that are kept
+        # the mode follows the kept coefficients; only an exact one needs converting
         exact = all(is_exact_scalar(c) for c in clean.values())
-        if not exact:
+        if not exact and other:
             clean = {ij: complex(c) if is_exact_scalar(c) else c for ij, c in clean.items()}
         self.terms = clean
         self.exact = exact
@@ -267,11 +268,12 @@ class LaurentMatrix:
         self.rows = list(rows)
         self.cols = list(cols)
         self.entries = {}
+        zero = LaurentPoly2.zero()          # one for all cells: nothing mutates terms
         for r in self.rows:
             for c in self.cols:
                 v = entries.get((r, c))
                 if v is None:
-                    v = LaurentPoly2.zero()
+                    v = zero
                 elif not isinstance(v, LaurentPoly2):
                     v = LaurentPoly2.const(v)
                 self.entries[(r, c)] = v

@@ -38,14 +38,15 @@ class ParseError(ValueError):
 
 
 class Dart:
-    __slots__ = ("id", "edge", "vertex", "head", "disp")
+    __slots__ = ("id", "edge", "vertex", "head", "disp", "twin")
 
     def __init__(self, dart_id, edge, vertex, head, disp):
         self.id = dart_id
         self.edge = edge
         self.vertex = vertex          # tail
         self.head = head
-        self.disp = (int(disp[0]), int(disp[1]))
+        self.disp = disp              # (dx, dy), ints
+        self.twin = dart_id[:-1] + ("-" if dart_id[-1] == "+" else "+")
 
     def __repr__(self):
         return f"Dart({self.id}: {self.vertex}->{self.head} {self.disp})"
@@ -105,9 +106,9 @@ class TorusGraph:
         for v in (v1, v2):
             if v not in self.colors:
                 raise GraphError(f"edge {e} references unknown vertex {v}")
-        self.edge_ends[e] = (v1, v2, int(dx), int(dy))
-        self.darts[e + "+"] = Dart(e + "+", e, v1, v2, (dx, dy))
-        self.darts[e + "-"] = Dart(e + "-", e, v2, v1, (-dx, -dy))
+        self.edge_ends[e] = ends = (v1, v2, int(dx), int(dy))
+        self.darts[e + "+"] = Dart(e + "+", e, v1, v2, ends[2:])
+        self.darts[e + "-"] = Dart(e + "-", e, v2, v1, (-ends[2], -ends[3]))
 
     def set_rotation(self, v, dart_ids):
         if v not in self.colors:
@@ -124,23 +125,24 @@ class TorusGraph:
 
     def _link(self, v):
         """Successor maps around v from its rotation."""
-        ds = self.rotation[v]
+        ds, darts = self.rotation[v], self.darts
         for d in ds:
-            if d not in self.darts:
+            dart = darts.get(d)
+            if dart is None:
                 raise GraphError(f"rotation at {v} names unknown dart {d}")
-            if self.darts[d].vertex != v:
+            if dart.vertex != v:
                 raise GraphError(f"dart {d} is not based at {v}")
         for d, nxt in zip(ds, ds[1:] + ds[:1]):
             self._next[d] = nxt
             self._prev[nxt] = d
 
     def _shared(self):
-        """A graph with dicts of its own that shares the Dart objects and
-        rotation lists of self, and none of its caches."""
+        """A graph with dicts of its own (dict.copy(), fast also after deletions)
+        that shares the Dart objects and rotation lists of self; no caches."""
         g = TorusGraph()
-        g.colors, g.positions = dict(self.colors), dict(self.positions)
-        g.darts, g.edge_ends = dict(self.darts), dict(self.edge_ends)
-        g.rotation, g._next, g._prev = dict(self.rotation), dict(self._next), dict(self._prev)
+        g.colors, g.positions = self.colors.copy(), self.positions.copy()
+        g.darts, g.edge_ends = self.darts.copy(), self.edge_ends.copy()
+        g.rotation, g._next, g._prev = self.rotation.copy(), self._next.copy(), self._prev.copy()
         return g
 
     def copy(self):
@@ -201,10 +203,6 @@ class TorusGraph:
 
     # -- faces ---------------------------------------------------------------
 
-    def face_next(self, d):
-        """Next dart counterclockwise around the face to the left of d."""
-        return self.prev_ccw(self.twin(d))
-
     def faces(self):
         """List of faces (id, darts in ccw boundary order).
 
@@ -224,21 +222,20 @@ class TorusGraph:
     def _trace(self, starts):
         """Trace the face orbit of every dart of `starts` that has none yet;
         returns the smallest darts of the new orbits."""
-        roots, face_next, limit = [], self.face_next, 2 * len(self.darts)
+        roots, prev, darts, root_of, limit = [], self._prev, self.darts, self._root, 2 * len(self.darts)
         for d0 in starts:
-            if d0 in self._root:
+            if d0 in root_of:
                 continue
             orbit = [d0]
-            d = face_next(d0)
+            d = prev[darts[d0].twin]      # the next dart around the face
             while d != d0:
                 orbit.append(d)
                 if len(orbit) > limit:
                     raise GraphError(f"face trace from {d0} does not close")
-                d = face_next(d)
+                d = prev[darts[d].twin]
             k = orbit.index(min(orbit))
             orbit = orbit[k:] + orbit[:k]
-            for d in orbit:
-                self._root[d] = orbit[0]
+            root_of.update(dict.fromkeys(orbit, orbit[0]))
             self._orbit[orbit[0]] = orbit
             roots.append(orbit[0])
         return roots
@@ -259,7 +256,7 @@ class TorusGraph:
     # -- validation ----------------------------------------------------------
 
     def _twin_problems(self, d):
-        dart, tw = self.darts[d], self.darts.get(self.twin(d))
+        dart, tw = self.darts[d], self.darts.get(self.darts[d].twin)
         if tw is None:
             return [f"dart {d} has no twin"]
         out = []
@@ -269,15 +266,15 @@ class TorusGraph:
             out.append(f"twin of {d} has inconsistent displacement")
         return out
 
-    def _check_faces(self, fids, edges):
-        """Raise GraphError for the first face of `fids` with nonzero total
-        displacement, for a nonzero Euler characteristic, and on a colored
-        graph for the first edge of `edges` that joins two same-colored
-        vertices."""
-        for fid in fids:
-            dx, dy = self.walk_displacement(self._face_orbit[fid])
+    def _check_faces(self, roots, edges):
+        """Raise GraphError for the first face of `roots` (smallest darts)
+        with nonzero total displacement, for a nonzero Euler characteristic,
+        and on a colored graph for the first edge of `edges` that joins two
+        same-colored vertices."""
+        for r in roots:
+            dx, dy = self.walk_displacement(self._orbit[r])
             if (dx, dy) != (0, 0):
-                raise GraphError(f"face {fid} has nonzero total displacement ({dx},{dy})")
+                raise GraphError(f"face {self._face_id[r]} has nonzero total displacement ({dx},{dy})")
         V, E, F = len(self.colors), len(self.edge_ends), len(self._orbit)
         if V - E + F != 0:
             raise GraphError(f"Euler characteristic {V - E + F} != 0 (V={V} E={E} F={F})")
@@ -310,7 +307,7 @@ class TorusGraph:
             raise GraphError(f"graph is not connected: {parts} components")
 
         faces = self.faces()
-        self._check_faces(self._face_orbit, self.edge_ends)
+        self._check_faces(self._face_id, self.edge_ends)
         self._valid = True
         V, E, F = len(self.colors), len(self.edge_ends), len(faces)
         return {
@@ -344,12 +341,13 @@ class TorusGraph:
         self.ensure_valid()
         edges, rotations = list(edges), rotations or {}
         g = self._shared()
-        g._orbit, g._root = dict(self._orbit), dict(self._root)
+        g._orbit, g._root = self._orbit.copy(), self._root.copy()
+        darts, prev = g.darts, g._prev
         gone = [d for e in drop_edges for d in (e + "+", e + "-")]
         for e in drop_edges:
             del g.edge_ends[e]
         for d in gone:
-            del g.darts[d]
+            del darts[d]
         for v in drop_vertices:
             del g.colors[v], g.rotation[v]
             g.positions.pop(v, None)
@@ -359,46 +357,47 @@ class TorusGraph:
             g.add_edge(e, v1, v2, dx, dy)
         new = [d for e, *_ in edges for d in (e + "+", e + "-")]
         for d in gone:
-            if d not in g.darts:
-                del g._next[d], g._prev[d]
+            if d not in darts:
+                del g._next[d], prev[d]
         for v, ds in rotations.items():
             g.set_rotation(v, ds)
             g._link(v)
 
-        # the darts at a vertex change only at touched vertices
-        touched = set(rotations) | set(drop_vertices) | {v for v, _, _ in vertices}
-        problems = [p for d in new for p in g._twin_problems(d)]
-        was = {d: self.darts[d].vertex for d in gone}
-        now = {d: g.darts[d].vertex for d in new}
-        moved = {t for d, t in was.items() if now.get(d) != t}
-        moved.update(t for d, t in now.items() if was.get(d) != t)
+        # one pass over the dropped and added darts: a dart leaves its old
+        # tail and joins its new one unless both are the same vertex. _link
+        # put every listed dart at its vertex, so a rotation lists exactly its
+        # vertex's darts when it lists none twice and as many as it has.
+        problems, gain = [p for d in new for p in g._twin_problems(d)], {}
+        for ds, step, here, there in ((gone, -1, self.darts, darts), (new, 1, darts, self.darts)):
+            for d in ds:
+                v, other = here[d].vertex, there.get(d)
+                if other is None or other.vertex != v:
+                    gain[v] = gain.get(v, 0) + step
+        touched = {*rotations, *drop_vertices, *(v for v, _, _ in vertices)}
         problems += [f"rotation at {v} does not list exactly its darts"
-                     for v in sorted(moved - touched)]
+                     for v in sorted(gain.keys() - touched)]
         for v in sorted(touched):
-            at_v = {d for d in self.rotation.get(v, ()) if d not in was}
-            at_v.update(d for d, t in now.items() if t == v)
-            ds = g.rotation.get(v, [])
+            ds = g.rotation.get(v, ())
             if v in g.colors and not ds:
                 problems.append(f"vertex {v} has no rotation")
-            elif sorted(ds) != sorted(at_v):
+            elif len(set(ds)) != len(ds) or len(ds) != len(self.rotation.get(v, ())) + gain.get(v, 0):
                 problems.append(f"rotation at {v} does not list exactly its darts")
         if problems:
             raise GraphError("; ".join(problems))
 
         # re-trace the faces through darts whose face successor changed:
         # the new darts and the twins of darts with a new predecessor
-        changed = set(new)
+        changed, root_of = set(new), self._root
         for v in rotations:
-            changed.update(g.twin(d) for d in g.rotation[v] if g._prev[d] != self._prev.get(d))
-        for root in {self._root[d] for d in changed.union(gone) if d in self._root}:
+            changed.update(darts[d].twin for d in g.rotation[v] if prev[d] != self._prev.get(d))
+        for root in {root_of[d] for d in changed.union(gone) if d in root_of}:
             for d in g._orbit.pop(root):
                 del g._root[d]
-        roots = g._trace(sorted(changed))
+        roots = sorted(g._trace(changed))
         g.faces()
         # old edges were checked for color only if self was colored
         uncolored = any(self.colors[v] == "n" for v in drop_vertices)
-        g._check_faces([g._face_id[r] for r in roots],
-                       g.edge_ends if uncolored else [e for e, *_ in edges])
+        g._check_faces(roots, g.edge_ends if uncolored else [e for e, *_ in edges])
         g._valid = True
         return g
 
@@ -424,9 +423,9 @@ class TorusGraph:
         return (total[0], total[1])
 
     def walk_displacement(self, dart_seq):
-        dx = dy = 0
+        darts, dx, dy = self.darts, 0, 0
         for d in dart_seq:
-            x, y = self.darts[d].disp
+            x, y = darts[d].disp
             dx, dy = dx + x, dy + y
         return (dx, dy)
 

@@ -20,7 +20,7 @@ from isingdimer.dimer import (
 )
 from isingdimer.ising import GadgetMap, IsingModel, couplings_from_file_data, make_coupling, to_dimer
 from isingdimer.lattices import honeycomb, square
-from isingdimer.torusgraph import GraphError, parse_torus_graph
+from isingdimer.torusgraph import GraphError, TorusGraph, parse_torus_graph
 
 from conftest import (
     DIMER_FIXTURE,
@@ -222,6 +222,68 @@ class TestSquareMove:
         g, wt = fixture
         with pytest.raises(MoveError):
             square_move(g, wt, "f0")
+
+    @pytest.mark.parametrize("kind", [Fraction, float])
+    def test_new_weights_are_the_gauged_quotients(self, kind):
+        # the rule with the pendants gauged to 1, in the weights' own
+        # arithmetic and order: a, b, c, d are the square's weights over the
+        # pendant weight at their black; the pendants become 1, the
+        # diagonals d, a, c, b over a c + b d
+        rng = random.Random(5)
+        gi = square(2, 1)
+        g, _, gm = to_dimer(IsingModel(gi, pythagorean_couplings(gi, 0)))
+        wt = {e: kind(Fraction(rng.randint(1, 9), rng.randint(1, 9))) for e in g.edges()}
+        f = gm.squares["h00"]
+        orbit = g.face_darts(f)
+        if g.colors[g.tail(orbit[0])] == "w":
+            orbit = orbit[1:] + orbit[:1]
+        w = [wt[g.darts[d].edge] for d in orbit]
+        pendant = {}
+        for i in (0, 2):
+            black, around = g.tail(orbit[i]), {orbit[i], g.twin(orbit[i - 1])}
+            p = next(d for d in g.rotation[black] if d not in around)
+            pendant[i] = pendant[(i - 1) % 4] = wt[g.darts[p].edge]
+        a, dd, c, b = (w[i] / pendant[i] for i in range(4))
+        delta = a * c + b * dd
+        one = pendant[0] / pendant[0]
+        g2, wt2, _ = square_move(g, wt, f)
+        got = {e[len(f):]: x for e, x in wt2.items() if e.startswith(f + "_")}
+        assert got == {"_pA": one, "_pB": one, "_a2": dd / delta, "_a4": a / delta,
+                       "_b2": c / delta, "_b4": b / delta}
+        assert all(type(x) is kind for x in wt2.values())
+        rest = {e: x for e, x in wt2.items() if not e.startswith(f + "_")}
+        assert rest == {e: wt[e] for e in g2.edges() if e in wt}
+
+    def test_cost_is_local(self, monkeypatch):
+        # the darts _trace visits and the faces _match_faces scans (each a
+        # face_of_dart call, and square_move makes one more) in one square
+        # move are the same on the square 2x2 and 4x4 gadget graphs
+        trace, face_of_dart = TorusGraph._trace, TorusGraph.face_of_dart
+        counts = {}
+
+        def counted_trace(self, starts):
+            roots = trace(self, starts)
+            counts["darts"] += sum(len(self._orbit[r]) for r in roots)
+            return roots
+
+        def counted_face_of_dart(self, d):
+            counts["faces"] += 1
+            return face_of_dart(self, d)
+
+        seen = []
+        for k in (2, 4):
+            gi = square(k, k)
+            g, wt, gm = to_dimer(IsingModel(gi, pythagorean_couplings(gi, 0)))
+            g.faces()
+            with monkeypatch.context() as m:
+                m.setattr(TorusGraph, "_trace", counted_trace)
+                m.setattr(TorusGraph, "face_of_dart", counted_face_of_dart)
+                counts.update(darts=0, faces=0)
+                square_move(g, wt, gm.squares["h00"])
+            seen.append((dict(counts), len(g.faces())))
+        assert seen[0][0] == seen[1][0]
+        assert seen[0][0]["darts"] > 0 and seen[0][0]["faces"] > 1
+        assert (seen[0][1], seen[1][1]) == (16, 64)
 
 
 class TestContraction:

@@ -341,7 +341,8 @@ class TestEdit:
          "rotation at w2 does not list exactly its darts"),
         (dict(drop_vertices=["b1"]), "rotation at b1 does not list exactly its darts"),
         (dict(vertices=[("m", "w", None)]), "vertex m has no rotation"),
-    ], ids=["touched", "gains", "loses", "dropped", "new"])
+        (dict(rotations={"b1": ["e9+", "e9+", "e8+"]}), "rotation at b1 does not list exactly its darts"),
+    ], ids=["touched", "gains", "loses", "dropped", "new", "twice"])
     def test_rotation_lists_exactly_its_darts(self, change, message):
         with pytest.raises(GraphError, match=message):
             fixture_graph().edit(**change)
