@@ -224,8 +224,8 @@ def square_move(g, wt, fid):
     kp1, kp2 = g.darts[p1], g.darts[p2]
     m2, m4 = kp1.head, kp2.head
 
-    # gauge the pendant weights to 1 at the two blacks; their three edges
-    # each are the six the move removes
+    # gauge the pendant weights to 1 at the two blacks, whose three edges
+    # each are the six edges the move removes
     e0, e1, e2, e3, q1, q2 = (k.edge for k in (k0, k1, k2, k3, kp1, kp2))
     w0, w1, w2, w3, lam1, lam2 = (wt[e] for e in (e0, e1, e2, e3, q1, q2))
     if all(isinstance(x, Fraction) for x in (w0, w1, w2, w3, lam1, lam2)):
