@@ -17,7 +17,7 @@ from fractions import Fraction
 from .torusgraph import parse_torus_graph, serialize_torus_graph, ParseError, GraphError
 from .ising import (IsingModel, CouplingError, couplings_from_file_data, dual_ising,
                     y_delta, to_dimer, parse_gadget_map)
-from .dimer import (basis_x_values, square_move, contraction_move, color_change,
+from .dimer import (XBasis, basis_x_values, square_move, contraction_move, color_change,
                     ising_locus_check, MoveError)
 from .spectral import (SpectralError, solve_kasteleyn_signs, characteristic_polynomial,
                        divisor_of_vertex, spectral_report, amoeba_sample,
@@ -123,13 +123,17 @@ def cmd_todimer(args):
     return 0
 
 
+def _emit_model(model, path):
+    """Write an Ising model with each coupling as sc= when exact, else J=."""
+    coup = {e: {"s": c.s, "c": c.c} if c.exact else {"J": c.J}
+            for e, c in model.couplings.items()}
+    _emit(serialize_torus_graph(model.graph, couplings=coup), path)
+
+
 def cmd_dual(args):
     g, weights, couplings = _load_validated(args.graph)
     if couplings:
-        dm = dual_ising(IsingModel(g, couplings_from_file_data(couplings)))
-        coup = {e: {"s": c.s, "c": c.c} if c.exact else {"J": c.J}
-                for e, c in dm.couplings.items()}
-        _emit(serialize_torus_graph(dm.graph, couplings=coup), args.out)
+        _emit_model(dual_ising(IsingModel(g, couplings_from_file_data(couplings))), args.out)
     else:
         _emit(serialize_torus_graph(g.dual_graph(), weights=weights or None), args.out)
     return 0
@@ -139,10 +143,7 @@ def cmd_ydelta(args):
     g, weights, couplings = _load_validated(args.graph)
     if not couplings:
         raise CliError("ydelta needs coupling lines")
-    out = y_delta(IsingModel(g, couplings_from_file_data(couplings)), args.site)
-    coup = {e: {"s": c.s, "c": c.c} if c.exact else {"J": c.J}
-            for e, c in out.couplings.items()}
-    _emit(serialize_torus_graph(out.graph, couplings=coup), args.out)
+    _emit_model(y_delta(IsingModel(g, couplings_from_file_data(couplings)), args.site), args.out)
     return 0
 
 
@@ -150,16 +151,13 @@ def cmd_move(args):
     g, weights, _ = _load_validated(args.graph)
     wt, _mode = _need_weights(weights, g, args.mode)
     script = _read(args.script)
-    from .dimer import x_of_cycle
     before, _ = basis_x_values(g, wt)
     lines_out = ["# X basis before"]
     for k in sorted(before):
         lines_out.append(f"# X[{k}] = {format_coeff(before[k])}")
-    # track the initial basis through the move ledger so the after-values
-    # refer to the same cycles
-    face_map = {fid: fid for fid in g.face_ids()}
-    cycle_a, cycle_b = g.homology_basis_cycles()
-    ca, cb = list(cycle_a), list(cycle_b)
+    # carry the initial basis through the moves so the after-values refer
+    # to the same cycles
+    basis = XBasis.of(g)
     for no, raw in enumerate(script.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -187,22 +185,15 @@ def cmd_move(args):
                 g, wt, rec = contraction_move(g, wt, opts["v"])
             elif kind == "color":
                 g, wt = color_change(g, wt)
-                rec = None
+                continue
             else:
                 raise CliError(f"script line {no}: unknown move {kind!r}")
-            if rec is not None:
-                face_map = {old: rec.map_face(nf) for old, nf in face_map.items()}
-                ca = rec.reroute(ca)
-                cb = rec.reroute(cb)
+            basis = basis.follow(rec)
         except (MoveError, GraphError, KeyError) as exc:
             raise CliError(f"script line {no}: {exc}")
     lines_out.append("# X basis after (transported)")
-    faces_before = sorted(k for k in before if k not in ("a", "b"))
-    for k in faces_before:
-        x = x_of_cycle(g, wt, g.face_darts(face_map[k]))
-        lines_out.append(f"# X[{k}] = {format_coeff(x)}")
-    lines_out.append(f"# X[a] = {format_coeff(x_of_cycle(g, wt, ca))}")
-    lines_out.append(f"# X[b] = {format_coeff(x_of_cycle(g, wt, cb))}")
+    after = basis.values(g, wt, sorted(k for k in before if k not in ("a", "b")))
+    lines_out += [f"# X[{k}] = {format_coeff(x)}" for k, x in after.items()]
     text = serialize_torus_graph(g, weights=wt)
     _emit(text + "".join(s + "\n" for s in lines_out), args.out)
     return 0

@@ -66,6 +66,34 @@ def basis_x_values(g, wt):
                  "face_product": prod}
 
 
+class XBasis:
+    """The faces and the homology cycles a, b of a graph, carried through a
+    sequence of moves: `follow` takes one MoveRecord, `x` evaluates X of one
+    of them on the graph reached."""
+
+    def __init__(self, face_map, cycles):
+        self.face_map, self.cycles = face_map, cycles
+
+    @classmethod
+    def of(cls, g):
+        face_map = {fid: fid for fid in g.face_ids()}
+        return cls(face_map, dict(zip("ab", map(list, g.homology_basis_cycles()))))
+
+    def follow(self, rec):
+        """The basis after the move that `rec` records."""
+        return XBasis({old: rec.map_face(nf) for old, nf in self.face_map.items()},
+                      {k: rec.reroute(c) for k, c in self.cycles.items()})
+
+    def x(self, g, wt, key):
+        """X on g of face `key` of the first graph, or of cycle "a" or "b"."""
+        cycle = self.cycles[key] if key in self.cycles else g.face_darts(self.face_map[key])
+        return x_of_cycle(g, wt, cycle)
+
+    def values(self, g, wt, faces):
+        """X on g of the given faces of the first graph, then of a and b."""
+        return {k: self.x(g, wt, k) for k in [*faces, *self.cycles]}
+
+
 def gauge_canonicalize(g, wt):
     """Gauge so that a deterministic spanning tree (lowest edge ids) has
     weight 1 everywhere. Two cochains are gauge equivalent iff their
@@ -76,12 +104,7 @@ def gauge_canonicalize(g, wt):
         pot[u] = pot[v] / wt[e] if g.colors[v] == "b" else pot[v] * wt[e]
     if len(pot) != len(g.vertex_ids()):
         raise GraphError("graph is disconnected")
-    out = {}
-    for e, x in wt.items():
-        v1, v2, _, _ = g.edge_ends[e]
-        b, w = (v1, v2) if g.colors[v1] == "b" else (v2, v1)
-        out[e] = x * pot[w] / pot[b]
-    return out
+    return gauge_transform(g, wt, pot)
 
 
 def gauge_transform(g, wt, f):
@@ -115,44 +138,29 @@ def _transits(g, cycle):
 
 
 def _half_cross_sign(g, v, t1, t2):
-    """Crossing sign of two transits at a trivalent vertex sharing one port.
+    """Crossing sign of two transits at a vertex that share one port.
 
-    Strand endpoints on a shared port are ordered by the ccw distance to
-    their other endpoint; the perturbed chords either cross or not, and the
-    sign is the orientation of (dir1, dir2) at the crossing.
+    A strand end on port p, bound for port q, sits at position
+    5n idx(p) + n + 3 ((idx(q) - idx(p)) mod n) of a circle of 5n^2: inside
+    p's sector, ordered by the ccw distance to q. The chords a1 b1 and a2 b2
+    cross when exactly one of a2, b2 lies on the open ccw arc from a1 to b1;
+    the sign is +1 when it is a2, -1 when it is b2.
     """
     rot = g.rotation[v]
     n = len(rot)
     idx = {p: i for i, p in enumerate(rot)}
 
     def pos(port, other):
-        # ccw rank of `other` seen from `port`, as a fraction used to offset
-        # split endpoints within the port's angular sector
-        r = (idx[other] - idx[port]) % n
-        return idx[port] + 0.2 + 0.6 * (r / n)
+        return 5 * n * idx[port] + n + 3 * ((idx[other] - idx[port]) % n)
 
-    a1, b1 = t1
-    a2, b2 = t2
-    pts = {}
-    pts["a1"] = pos(a1, b1)
-    pts["b1"] = pos(b1, a1)
-    pts["a2"] = pos(a2, b2)
-    pts["b2"] = pos(b2, a2)
-    ang = {k: 2 * math.pi * p / n for k, p in pts.items()}
-    P = {k: (math.cos(t), math.sin(t)) for k, t in ang.items()}
-    d1 = (P["b1"][0] - P["a1"][0], P["b1"][1] - P["a1"][1])
-    d2 = (P["b2"][0] - P["a2"][0], P["b2"][1] - P["a2"][1])
-    if not _segments_cross(P["a1"], P["b1"], P["a2"], P["b2"]):
-        return 0
-    return 1 if d1[0] * d2[1] - d1[1] * d2[0] > 0 else -1
+    (a1, b1), (a2, b2) = t1, t2
+    start, size = pos(a1, b1), 5 * n * n
+    arc = (pos(b1, a1) - start) % size
 
+    def on_arc(port, other):
+        return 0 < (pos(port, other) - start) % size < arc
 
-def _segments_cross(p1, p2, p3, p4):
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    o1, o2 = orient(p1, p2, p3), orient(p1, p2, p4)
-    o3, o4 = orient(p3, p4, p1), orient(p3, p4, p2)
-    return (o1 * o2 < 0) and (o3 * o4 < 0)
+    return on_arc(a2, b2) - on_arc(b2, a2)
 
 
 def intersection_pairing(g, cycle_c, cycle_d):
@@ -285,24 +293,24 @@ def square_move(g, wt, fid):
     face_map = _match_faces(g, gn)
     face_map[fid] = gn.face_of_dart(eA2 + "+")
 
-    # transit table: old corner->black->corner hops mapped to new dart paths.
-    # Diagonal hops (between opposite square corners) stay on their black's
-    # pendant-corner side, which is what the cycle correspondence of the
-    # spider move does.
-    routes = {
-        (m2, B1, m3): [eB2 + "-", pB3 + "+"],
-        (m3, B1, m2): [pB3 + "-", eB2 + "+"],
-        (m2, B1, m1): [eA2 + "-", pA1 + "+"],
-        (m1, B1, m2): [pA1 + "-", eA2 + "+"],
-        (m4, B2, m3): [eB4 + "-", pB3 + "+"],
-        (m3, B2, m4): [pB3 + "-", eB4 + "+"],
-        (m4, B2, m1): [eA4 + "-", pA1 + "+"],
-        (m1, B2, m4): [pA1 + "-", eA4 + "+"],
-        (m1, B1, m3): [pA1 + "-", eA2 + "+", eB2 + "-", pB3 + "+"],
-        (m3, B1, m1): [pB3 + "-", eB2 + "+", eA2 + "-", pA1 + "+"],
-        (m1, B2, m3): [pA1 + "-", eA4 + "+", eB4 + "-", pB3 + "+"],
-        (m3, B2, m1): [pB3 + "-", eB4 + "+", eA4 + "-", pA1 + "+"],
-    }
+    # the new legs from each removed black's pendant corner to its side
+    # corners m1 and m3, as (edge at the pendant corner, edge at the side)
+    legs = {B1: (m2, {m3: (eB2, pB3), m1: (eA2, pA1)}),
+            B2: (m4, {m3: (eB4, pB3), m1: (eA4, pA1)})}
+
+    def hop(x, B, y):
+        """The new walk of an old hop x -> B -> y: the reversed twin of B's
+        leg to x, then its leg to y; the pendant corner's own leg is empty.
+        So a diagonal hop (m1 to m3) passes B's pendant corner, which is
+        what the cycle correspondence of the spider move does. A corner that
+        is both pendant and side takes the side's leg, and the pendant's
+        only as y after x took the side's."""
+        pendant, sides = legs.get(B, (None, {}))
+        to_x, to_y = sides.get(x), sides.get(y) if y != x else None
+        if (to_x or x == pendant) and (to_y or y == pendant) and (to_x or to_y):
+            return ([to_x[1] + "-", to_x[0] + "+"] if to_x else []) + \
+                ([to_y[0] + "-", to_y[1] + "+"] if to_y else [])
+        raise MoveError(f"cannot transport hop {(x, B, y)}")
 
     def reroute(cycle):
         """Rewrite a dart walk of the old graph in the new graph."""
@@ -323,11 +331,7 @@ def square_move(g, wt, fid):
                 continue
             if i + 1 >= n or g.darts[segs[i + 1]].edge not in removed_edges:
                 raise MoveError("walk stops on a removed black vertex")
-            d2_ = segs[i + 1]
-            key = (g.tail(d), g.head(d), g.head(d2_))
-            if key not in routes:
-                raise MoveError(f"cannot transport hop {key}")
-            out.extend(routes[key])
+            out.extend(hop(g.tail(d), g.head(d), g.head(segs[i + 1])))
             i += 2
         return out
 
@@ -386,13 +390,7 @@ def contraction_move(g, wt, v):
     new_wt = {e: x for e, x in wt.items() if e not in (eA, eB)}
 
     def reroute(cycle):
-        out = []
-        for d in cycle:
-            e = g.darts[d].edge
-            if e in (eA, eB):
-                continue
-            out.append(d)
-        return out
+        return [d for d in cycle if g.darts[d].edge not in (eA, eB)]
 
     record = MoveRecord("contract", {
         "vertex": v, "merged": nA, "gone": nB,
@@ -472,32 +470,22 @@ def ising_locus_check(g, wt, gadget_map, tol=None):
     """
     squares = sorted(set(gadget_map.squares.values()))
     cur_g, cur_wt = g, dict(wt)
-    face_map = {fid: fid for fid in g.face_ids()}
-    cycle_a, cycle_b = g.homology_basis_cycles()
-    ca, cb = list(cycle_a), list(cycle_b)
+    start = basis = XBasis.of(g)
     for fid in squares:
-        cur_fid = face_map[fid]
-        cur_g, cur_wt, rec = square_move(cur_g, cur_wt, cur_fid)
-        face_map = {old: rec.map_face(nf) for old, nf in face_map.items()}
-        ca = rec.reroute(ca)
-        cb = rec.reroute(cb)
+        cur_g, cur_wt, rec = square_move(cur_g, cur_wt, basis.face_map[fid])
+        basis = basis.follow(rec)
     cc_g, cc_wt = color_change(g, wt)
     iso = cur_g.isomorphic(cc_g)
 
     residuals = {}
     ok = True
-    for fid in g.face_ids():
-        target = x_of_cycle(cc_g, cc_wt, g.face_darts(fid))
-        got = x_of_cycle(cur_g, cur_wt, cur_g.face_darts(face_map[fid]))
-        residuals[fid] = _residual(got, target)
-        ok = ok and _is_zero(residuals[fid], tol)
-    for name, cyc_old, cyc_new in (("a", cycle_a, ca), ("b", cycle_b, cb)):
-        target = x_of_cycle(cc_g, cc_wt, cyc_old)
-        got = x_of_cycle(cur_g, cur_wt, cyc_new)
-        residuals[name] = _residual(got, target)
-        ok = ok and _is_zero(residuals[name], tol)
+    for key in [*start.face_map, *start.cycles]:
+        target = start.x(cc_g, cc_wt, key)
+        got = basis.x(cur_g, cur_wt, key)
+        residuals[key] = _residual(got, target)
+        ok = ok and _is_zero(residuals[key], tol)
     report = {"residuals": residuals, "isomorphic": iso,
-              "mu_graph": cur_g, "mu_weights": cur_wt, "face_map": face_map}
+              "mu_graph": cur_g, "mu_weights": cur_wt, "face_map": basis.face_map}
     return ok and iso, report
 
 

@@ -403,24 +403,16 @@ class TorusGraph:
 
     # -- homology -------------------------------------------------------------
 
-    def cycle_displacement(self, darts_with_mult):
-        """Homology class of an integer combination of darts.
-
-        Accepts a list of dart ids (each multiplicity 1) or (dart, mult) pairs.
-        Verifies the boundary vanishes.
-        """
+    def cycle_displacement(self, darts):
+        """Homology class of a sum of darts; raises unless its boundary vanishes."""
         flow = {}
-        total = [0, 0]
-        for item in darts_with_mult:
-            d, m = item if isinstance(item, tuple) else (item, 1)
+        for d in darts:
             dart = self.darts[d]
-            flow[dart.vertex] = flow.get(dart.vertex, 0) - m
-            flow[dart.head] = flow.get(dart.head, 0) + m
-            total[0] += m * dart.disp[0]
-            total[1] += m * dart.disp[1]
+            flow[dart.vertex] = flow.get(dart.vertex, 0) - 1
+            flow[dart.head] = flow.get(dart.head, 0) + 1
         if any(flow.values()):
             raise GraphError("dart combination is not a cycle")
-        return (total[0], total[1])
+        return self.walk_displacement(darts)
 
     def walk_displacement(self, dart_seq):
         darts, dx, dy = self.darts, 0, 0
@@ -619,7 +611,7 @@ class TorusGraph:
             period = len(zz["darts"])
             edge_seen = {}
             for idx, (d, t) in enumerate(path):
-                key = (self.darts[d].edge, t)
+                key = self._edge_lift(d, t)
                 if key in edge_seen:
                     prev_idx = edge_seen[key]
                     if (idx - prev_idx) % period != 0 or path[prev_idx][0] != d:
@@ -667,22 +659,24 @@ class TorusGraph:
                     continue  # own translate along the class is the same lift
                 groups.setdefault((sx, sy), []).append((idx, ib, d, t))
 
-        def edge_lift(d, t):
-            if d.endswith("+"):
-                return (self.darts[d].edge, t)
-            dd = self.disp(d)
-            return (self.darts[d].edge, (t[0] + dd[0], t[1] + dd[1]))
-
         for shift in sorted(groups):
             shared = groups[shift]
             for i in range(len(shared)):
                 for j in range(i + 1, len(shared)):
                     ia, ib, da, ta = shared[i]
                     ja, jb, db, tb = shared[j]
-                    if ia < ja and ib < jb and edge_lift(da, ta) != edge_lift(db, tb):
+                    if ia < ja and ib < jb and self._edge_lift(da, ta) != self._edge_lift(db, tb):
                         return {"kind": "parallel-bigon", "zigzags": (za["id"], zb["id"]),
                                 "darts": (da, db)}
         return None
+
+    def _edge_lift(self, d, t):
+        """The edge-lift that dart-lift (d, t) runs on: its edge and the
+        translate of the tail of its + dart."""
+        dart = self.darts[d]
+        if d.endswith("+"):
+            return (dart.edge, t)
+        return (dart.edge, (t[0] + dart.disp[0], t[1] + dart.disp[1]))
 
     # -- duality ---------------------------------------------------------------
 

@@ -1,4 +1,6 @@
+import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from isingdimer.dimer import (
     MoveError,
+    XBasis,
+    _half_cross_sign,
+    basis_x_values,
     color_change,
     contraction_move,
     face_x_values,
@@ -138,6 +143,46 @@ class TestIntersectionPairing:
             intersection_pairing(gi, ["1+", "1-"], ["2+", "2-"])
 
 
+def reference_half_cross_sign(g, v, t1, t2):
+    """Reference for _half_cross_sign: strand ends at angles 2 pi p / n on the
+    unit circle, p = idx(port) + 0.2 + 0.6 r / n with r the ccw distance to
+    the other port; the sign of the cross product of the two chords where
+    their segments cross, else 0."""
+    rot = g.rotation[v]
+    n = len(rot)
+    idx = {p: i for i, p in enumerate(rot)}
+
+    def point(port, other):
+        t = 2 * math.pi * (idx[port] + 0.2 + 0.6 * (((idx[other] - idx[port]) % n) / n)) / n
+        return math.cos(t), math.sin(t)
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    (a1, b1), (a2, b2) = t1, t2
+    p1, q1, p2, q2 = point(a1, b1), point(b1, a1), point(a2, b2), point(b2, a2)
+    if not (orient(p1, q1, p2) * orient(p1, q1, q2) < 0 and orient(p2, q2, p1) * orient(p2, q2, q1) < 0):
+        return 0
+    d1, d2 = (q1[0] - p1[0], q1[1] - p1[1]), (q2[0] - p2[0], q2[1] - p2[1])
+    return 1 if d1[0] * d2[1] - d1[1] * d2[0] > 0 else -1
+
+
+class TestCrossingSign:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_chord_reference(self, n):
+        # every ordered pair of transits, back-tracking ones included, that
+        # share exactly one port: 4n(n - 1)^2, 3696 over n = 2..8
+        ports = [f"p{i}" for i in range(n)]
+        g = types.SimpleNamespace(rotation={"v": ports})
+        transits = [(a, b) for a in ports for b in ports]
+        pairs = [(t1, t2) for t1 in transits for t2 in transits
+                 if len(set(t1) & set(t2)) == 1 and set(t1) != set(t2)]
+        assert len(pairs) == 4 * n * (n - 1) ** 2
+        got = [_half_cross_sign(g, "v", t1, t2) for t1, t2 in pairs]
+        assert got == [reference_half_cross_sign(g, "v", t1, t2) for t1, t2 in pairs]
+        assert set(got) <= {-1, 0, 1} and all(type(x) is int for x in got)
+
+
 class TestSquareMove:
     def test_x_inverse_at_moved_face(self, fixture):
         g, wt = fixture
@@ -217,6 +262,66 @@ class TestSquareMove:
         assert dsum == (da[0] + db[0], da[1] + db[1])
         assert x_of_cycle(g2, wt2, ra) * x_of_cycle(g2, wt2, rb) == \
             x_of_cycle(g2, wt2, ra + rb)
+
+    @pytest.mark.parametrize("lattice", ["fixture", "square 2x1"])
+    def test_routes_match_hop_table(self, fixture, lattice):
+        # every hop corner -> old black -> corner of the square against the
+        # literal table of the twelve routes; a hop back to its own corner
+        # has none
+        if lattice == "fixture":
+            (g, wt), f = fixture, "f2"
+        else:
+            gi = square(2, 1)
+            g, wt, gm = to_dimer(IsingModel(gi, pythagorean_couplings(gi, 0)))
+            f = gm.squares["h00"]
+        orbit = g.face_darts(f)
+        if g.colors[g.tail(orbit[0])] == "w":
+            orbit = orbit[1:] + orbit[:1]
+        B1, B2 = g.tail(orbit[0]), g.tail(orbit[2])
+        _, _, rec = square_move(g, wt, f)
+        m1, m2, m3, m4 = rec.data["corners"]
+        pA1, pB3, eA2, eA4, eB2, eB4 = (f"{f}_{x}" for x in ("pA", "pB", "a2", "a4", "b2", "b4"))
+        table = {
+            (m2, B1, m3): [eB2 + "-", pB3 + "+"], (m3, B1, m2): [pB3 + "-", eB2 + "+"],
+            (m2, B1, m1): [eA2 + "-", pA1 + "+"], (m1, B1, m2): [pA1 + "-", eA2 + "+"],
+            (m4, B2, m3): [eB4 + "-", pB3 + "+"], (m3, B2, m4): [pB3 + "-", eB4 + "+"],
+            (m4, B2, m1): [eA4 + "-", pA1 + "+"], (m1, B2, m4): [pA1 + "-", eA4 + "+"],
+            (m1, B1, m3): [pA1 + "-", eA2 + "+", eB2 + "-", pB3 + "+"],
+            (m3, B1, m1): [pB3 + "-", eB2 + "+", eA2 + "-", pA1 + "+"],
+            (m1, B2, m3): [pA1 + "-", eA4 + "+", eB4 + "-", pB3 + "+"],
+            (m3, B2, m1): [pB3 + "-", eB4 + "+", eA4 + "-", pA1 + "+"],
+        }
+        moved = {g.darts[d].edge for B in (B1, B2) for d in g.rotation[B]}
+        kept = next(d for d in sorted(g.darts) if g.darts[d].edge not in moved)
+        hops = 0
+        for B in (B1, B2):
+            for into in g.rotation[B]:
+                for out in g.rotation[B]:
+                    walk = [kept, g.twin(into), out]
+                    key = (g.head(into), B, g.head(out))
+                    if into == out:
+                        with pytest.raises(MoveError, match="cannot transport hop"):
+                            rec.reroute(walk)
+                    else:
+                        assert rec.reroute(walk) == [kept] + table[key]
+                        hops += 1
+        assert hops == len(table)
+
+    def test_basis_follows_moves(self, fixture):
+        # two moves: X of the carried faces and cycles by XBasis against the
+        # face maps composed and the cycles rerouted by hand
+        g, wt = fixture
+        start = XBasis.of(g)
+        assert start.values(g, wt, ["f0", "f1", "f2"]) == basis_x_values(g, wt)[0]
+        g2, wt2, rec = square_move(g, wt, "f3")
+        g3, wt3, rec2 = square_move(g2, wt2, rec.map_face("f2"))
+        basis = start.follow(rec).follow(rec2)
+        want = {fid: x_of_cycle(g3, wt3, g3.face_darts(rec2.map_face(rec.map_face(fid))))
+                for fid in g.face_ids()}
+        want.update((k, x_of_cycle(g3, wt3, rec2.reroute(rec.reroute(c))))
+                    for k, c in zip("ab", g.homology_basis_cycles()))
+        assert basis.values(g3, wt3, g.face_ids()) == want
+        assert start.cycles == dict(zip("ab", map(list, g.homology_basis_cycles())))
 
     def test_non_quadrilateral_rejected(self, fixture):
         g, wt = fixture

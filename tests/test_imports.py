@@ -1,10 +1,11 @@
 """Every module of the package and of the tests uses each name its
 top-level imports bind, every test module takes the square and honeycomb
 lattices from `isingdimer.lattices` alone, the CLI reaches K and P only
-through `characteristic_polynomial`, every private top-level function
-of the package is referenced, every option of a CLI verb is read by that
-verb, every exception class of the package has an exit code, and every
-module stays below TOKEN_LIMIT parser tokens.
+through `characteristic_polynomial` and carries X through moves only by
+`dimer.XBasis`, every private top-level function of the package is
+referenced, every option of a CLI verb is read by that verb, every
+exception class of the package has an exit code, and every module stays
+below TOKEN_LIMIT parser tokens.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules: an
 imported name counts as used when it is read anywhere in the module; a
@@ -100,6 +101,34 @@ def test_finds_a_curve_builder():
 
 def test_cli_takes_k_and_p_from_the_curve():
     assert curve_builders_used((PACKAGE / "cli.py").read_text()) == []
+
+
+# what carries X through moves by hand; a verb takes it from dimer.XBasis
+TRANSPORT_CALLS, TRANSPORT_IMPORTS = ("reroute", "map_face"), ("x_of_cycle",)
+
+
+def hand_transport(source):
+    """Calls of a method among TRANSPORT_CALLS and imports of a name among
+    TRANSPORT_IMPORTS in source, at any depth."""
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.ImportFrom):
+            out += [a.name for a in n.names if a.name in TRANSPORT_IMPORTS]
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+              and n.func.attr in TRANSPORT_CALLS):
+            out.append(n.func.attr)
+    return out
+
+
+def test_finds_a_hand_transport():
+    source = ("from .dimer import XBasis, x_of_cycle\n"
+              "def f(rec, c, faces):\n"
+              "    return rec.reroute(c), {k: rec.map_face(k) for k in faces}, rec.data\n")
+    assert hand_transport(source) == ["x_of_cycle", "reroute", "map_face"]
+
+
+def test_cli_carries_x_by_the_basis():
+    assert hand_transport((PACKAGE / "cli.py").read_text()) == []
 
 
 def unreferenced_private_functions(sources):

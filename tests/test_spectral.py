@@ -438,6 +438,14 @@ def _honeycomb_dimer(scs):
     return gd, wt, solve_kasteleyn_signs(gd)[0][1], gd.whites()[0]
 
 
+def _pythagorean_dimer(name, seed):
+    """The gadget dimer graph of a named lattice with seeded Pythagorean
+    couplings: (graph, weights)."""
+    g = named_lattice(name)
+    gd, wt, _ = to_dimer(IsingModel(g, pythagorean_couplings(g, seed)))
+    return gd, wt
+
+
 def _worked_dimer():
     g, wt, _ = parse_torus_graph(DIMER_FIXTURE)
     return g, wt, FIXTURE_KAPPA, "w2"
@@ -540,15 +548,24 @@ class TestRoots:
         lambda: _one_vertex_dimer(("3/5", "4/5"), ("56/65", "33/65")),
         lambda: _one_vertex_dimer(("12/13", "5/13"), ("11/61", "60/61")),
         lambda: _honeycomb_dimer([("3/5", "4/5"), ("24/25", "7/25"), ("3/5", "4/5")]),
+        *(functools.partial(_pythagorean_dimer, name, seed)
+          for name in ("square 1x1", "honeycomb 1x1") for seed in range(5)),
     ], ids=["worked", "one-vertex 3-4-5/33-56-65", "one-vertex 5-12-13/11-60-61",
-            "honeycomb 1x1"])
+            "honeycomb 1x1", *(f"{name} seed {seed}" for name in ("square 1x1", "honeycomb 1x1")
+                               for seed in range(5))])
     def test_exact_and_numeric_divisors_agree(self, model):
-        g, wt, kappa, white = model()
-        De = divisor_of_vertex(g, wt, kappa, white)
-        Dn = divisor_of_vertex(g, {e: float(v) for e, v in wt.items()}, kappa, white,
-                               mode="numeric")
-        assert De.exact and len(De) >= 1
-        assert Dn.matches(De, tol=1e-8)
+        # deg D = genus for every vertex, white and black, in every sign class
+        g, wt = model()[:2]
+        fwt = {e: float(v) for e, v in wt.items()}
+        for _, kappa in solve_kasteleyn_signs(g):
+            genus = characteristic_polynomial(g, wt, kappa).genus
+            assert genus >= 1
+            for v in g.vertex_ids():
+                De = divisor_of_vertex(g, wt, kappa, v)
+                Dn = divisor_of_vertex(g, fwt, kappa, v, mode="numeric")
+                assert De.exact and not Dn.exact
+                assert len(De) == len(Dn) == genus
+                assert Dn.matches(De, tol=1e-8)
 
 
 def reference_terms(p, z, w):

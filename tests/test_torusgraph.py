@@ -61,11 +61,17 @@ def reference_check_minimal(g):
                 t = (t[0] + dd[0], t[1] + dd[1])
         return out
 
+    def edge_lift(d, t):
+        if d.endswith("+"):
+            return (g.darts[d].edge, t)
+        dd = g.disp(d)
+        return (g.darts[d].edge, (t[0] + dd[0], t[1] + dd[1]))
+
     lifted = {zz["id"]: lift(zz) for zz in zzs}
     for zz in zzs:
         path, period, edge_seen = lifted[zz["id"]], len(zz["darts"]), {}
         for idx, (d, t) in enumerate(path):
-            key = (g.darts[d].edge, t)
+            key = edge_lift(d, t)
             if key in edge_seen:
                 prev_idx = edge_seen[key]
                 if (idx - prev_idx) % period != 0 or path[prev_idx][0] != d:
@@ -73,12 +79,6 @@ def reference_check_minimal(g):
                                    "darts": (path[prev_idx][0], d)}
             else:
                 edge_seen[key] = idx
-
-    def edge_lift(d, t):
-        if d.endswith("+"):
-            return (g.darts[d].edge, t)
-        dd = g.disp(d)
-        return (g.darts[d].edge, (t[0] + dd[0], t[1] + dd[1]))
 
     for za in zzs:
         for zb in zzs:
@@ -420,7 +420,7 @@ class TestHomology:
     def test_cycle_plus_reversal_zero(self, dimer_fixture):
         g, _ = dimer_fixture
         zz = g.zigzag_paths()[0]
-        both = [(d, 1) for d in zz["darts"]] + [(g.twin(d), 1) for d in zz["darts"]]
+        both = zz["darts"] + [g.twin(d) for d in zz["darts"]]
         assert g.cycle_displacement(both) == (0, 0)
 
     def test_non_cycle_rejected(self, dimer_fixture):
@@ -522,10 +522,39 @@ class TestMinimal:
         assert g.check_minimal() == (False, {"kind": "zero-homology", "zigzag": "zz0"})
         assert g.check_minimal() == reference_check_minimal(g)
 
+    @staticmethod
+    def _two_vertex_graph(disps):
+        """One black, one white and four edges b -> w with the displacements
+        given, in the rotations b: e0+ e1+ e2+ e3+ and w: e0- e2- e1- e3-."""
+        g = TorusGraph()
+        g.add_vertex("b", "b")
+        g.add_vertex("w", "w")
+        for i, (dx, dy) in enumerate(disps):
+            g.add_edge(f"e{i}", "b", "w", dx, dy)
+        g.set_rotation("b", ["e0+", "e1+", "e2+", "e3+"])
+        g.set_rotation("w", ["e0-", "e2-", "e1-", "e3-"])
+        return g.freeze()
+
     def test_self_intersection_certificate(self):
+        # zz1 = e0- e1+ e2- e3+ e1- e2+ has class (1, 0): its e1- and the next
+        # period's e1+ run on the one edge-lift (e1, (1, 0))
+        g = self._two_vertex_graph([(0, 0), (0, 0), (0, 0), (1, 0)])
+        assert g.check_minimal() == (False, {"kind": "self-intersection", "zigzag": "zz1",
+                                             "darts": ("e1-", "e1+")})
+        assert g.check_minimal() == reference_check_minimal(g)
+
+    def test_self_intersection_is_one_edge_lift_twice(self):
+        # with e1 and e2 at (0, 1), zz1 runs e1+ on the edge-lifts (k, 0) and
+        # e1- on (k + 1, -1): never one edge-lift twice, although the tails
+        # of e1+ and of e1- meet at one translate
+        g = self._two_vertex_graph([(0, 0), (0, 1), (0, 1), (1, 0)])
+        assert g.check_minimal() == (False, {"kind": "face-count", "faces": 2, "twice_area": 0})
+        assert reference_check_minimal(g) == (True, {"kind": "minimal"})
+        # zz0 of the doubled honeycomb runs b00d- on (-1, -k) and b00d+ on
+        # (0, -1 - k); the digon's bigon is zz0 against zz1
         g = doubled(honeycomb(1, 1), "b00")
-        assert g.check_minimal() == (False, {"kind": "self-intersection", "zigzag": "zz0",
-                                             "darts": ("b00d+", "b00d-")})
+        assert g.check_minimal() == (False, {"kind": "parallel-bigon", "zigzags": ("zz0", "zz1"),
+                                             "darts": ("a00+", "c00-")})
         assert g.check_minimal() == reference_check_minimal(g)
 
     def test_parallel_bigon_certificate(self):
