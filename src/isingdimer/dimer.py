@@ -55,7 +55,7 @@ def basis_x_values(g, wt):
     if not g.is_bipartite_colored():
         raise GraphError("X coordinates need a bipartite graph")
     faces = face_x_values(g, wt)
-    omit_face = max(faces)
+    omit_face = g.face_ids()[-1]
     out = {fid: x for fid, x in faces.items() if fid != omit_face}
     out["a"] = x_of_cycle(g, wt, cycle_a)
     out["b"] = x_of_cycle(g, wt, cycle_b)
@@ -252,22 +252,21 @@ def square_move(g, wt, fid):
             raise MoveError(f"square move at {fid} takes weights out of the float range")
         one, wA2, wA4, wB2, wB4 = lam1 / lam1, dd / delta, a / delta, c / delta, b / delta
 
-    def fresh(base, taken, other=None):
+    def fresh(base):
         name, k = base, 0
-        while name in taken or name == other:
+        while name in g.edge_ends:
             k += 1
             name = f"{base}.{k}"
         return name
 
-    taken = g.edge_ends
-    nb1 = fresh(f"{B1}'", g.colors)
-    nb2 = fresh(f"{B2}'", g.colors, nb1)
-    pA1 = fresh(f"{fid}_pA", taken)   # B_A' - m1 pendant
-    pB3 = fresh(f"{fid}_pB", taken)   # B_B' - m3 pendant
-    eA2 = fresh(f"{fid}_a2", taken)   # B_A' - m2, weight d/delta
-    eA4 = fresh(f"{fid}_a4", taken)   # B_A' - m4, weight a/delta
-    eB2 = fresh(f"{fid}_b2", taken)   # B_B' - m2, weight c/delta
-    eB4 = fresh(f"{fid}_b4", taken)   # B_B' - m4, weight b/delta
+    # the new blacks take the names of the removed ones
+    nb1, nb2 = B1, B2
+    pA1 = fresh(f"{fid}_pA")   # B_A' - m1 pendant
+    pB3 = fresh(f"{fid}_pB")   # B_B' - m3 pendant
+    eA2 = fresh(f"{fid}_a2")   # B_A' - m2, weight d/delta
+    eA4 = fresh(f"{fid}_a4")   # B_A' - m4, weight a/delta
+    eB2 = fresh(f"{fid}_b2")   # B_B' - m2, weight c/delta
+    eB4 = fresh(f"{fid}_b4")   # B_B' - m4, weight b/delta
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = k0.disp, k1.disp, k2.disp, k3.disp
     (u1, v1), (u2, v2) = kp1.disp, kp2.disp
     edges = [(pA1, nb1, m1, -x3, -y3), (eA2, nb1, m2, u1, v1),
@@ -319,7 +318,7 @@ def square_move(g, wt, fid):
         if n and all(g.darts[d].edge in removed_edges for d in segs):
             raise MoveError("cycle lies entirely inside the moved gadget")
         # rotate so the walk starts on a surviving dart
-        k = next(i for i, d in enumerate(segs) if g.darts[d].edge not in removed_edges)
+        k = next((i for i, d in enumerate(segs) if g.darts[d].edge not in removed_edges), 0)
         segs = segs[k:] + segs[:k]
         out = []
         i = 0

@@ -396,10 +396,11 @@ def _rational_zeros(coeffs):
 
 
 class Divisor:
-    """Points (z, w) with multiplicity; exact (Fractions) or numeric (complex)."""
+    """Points (z, w) with multiplicity; exact (Fractions) or numeric
+    (complex), in the order of (Re z, Im z, Re w, Im w)."""
 
     def __init__(self, points, exact=True):
-        self.points = list(points)
+        self.points = sorted(points, key=lambda p: (p[0].real, p[0].imag, p[1].real, p[1].imag))
         self.exact = exact
 
     def __len__(self):

@@ -793,16 +793,25 @@ class TestTolerance:
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("which", ["fixture", "square 2x1"])
+    @pytest.mark.parametrize("which", ["fixture", "square 2x1", "honeycomb 2x2"])
     def test_divisor_verb_prints_the_verify_ising_divisor(self, which, files, capsys):
+        # ... and both divisors print their points in the order of (Re z,
+        # Im z, Re w, Im w), not in the root finder's: on honeycomb 2x2 that
+        # order is another
         tmp, gp, _, gm = files
         white = "w2"
         if which == "square 2x1":
             gp, gm, white = _square21_gadget(tmp)
+        if which == "honeycomb 2x2":
+            gp, gm, white = _gadget(tmp, honeycomb(2, 2), [Fraction(k, 13) for k in range(1, 13)])
         capsys.readouterr()
         main(["verify-ising", gp, "--vertex", white, "--gadget-map", gm, "--mode", "numeric"])
-        d_w = next(line for line in capsys.readouterr().out.splitlines()
-                   if line.startswith("divisor D_w "))
+        out = capsys.readouterr().out
+        d_w = next(line for line in out.splitlines() if line.startswith("divisor D_w "))
+        for points in _printed_divisors(out).values():
+            assert len(points) > 0
+            assert points == sorted(points, key=lambda p: (p[0].real, p[0].imag,
+                                                           p[1].real, p[1].imag))
         assert main(["divisor", gp, "--vertex", white, "--mode", "numeric"]) == 0
         assert capsys.readouterr().out == f"divisor {white} {d_w[len('divisor D_w '):]}\n"
 
@@ -851,9 +860,12 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 def _square21_gadget(tmp):
     """todimer of the square 2x1 Ising model with x = 1/3, 2/5, 3/7, 4/9:
     (dimer graph path, gadget-map path, its first white)."""
+    return _gadget(tmp, square(2, 1), [Fraction(k, 2 * k + 1) for k in range(1, 5)])
+
+
+def _gadget(tmp, g, x):
+    """todimer of the Ising model on g with x the couplings in edge order."""
     from isingdimer.torusgraph import parse_torus_graph
-    g = square(2, 1)
-    x = [Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(4, 9)]
     model = IsingModel(g, {e: make_coupling(x=v) for e, v in zip(g.edges(), x)})
     ip = tmp / "sq.tg"
     ip.write_text(serialize_torus_graph(model.graph, couplings={

@@ -75,6 +75,16 @@ class TestXOfCycle:
         with pytest.raises(Exception):
             x_of_cycle(g, wt, ["e1+"])
 
+    def test_basis_omits_the_last_face_by_number(self):
+        # faces f0 to f15: the last by number is f15, where the largest id
+        # as a string would be f9
+        gi = square(2, 2)
+        g, wt, _ = to_dimer(IsingModel(gi, pythagorean_couplings(gi, 3)))
+        values, info = basis_x_values(g, wt)
+        assert g.face_ids() == [f"f{k}" for k in range(16)]
+        assert info["omitted_face"] == "f15"
+        assert sorted(values) == sorted(g.face_ids()[:-1] + ["a", "b"])
+
 
 class TestGauge:
     def test_invariance_random_vertex_function(self, fixture):
@@ -359,6 +369,28 @@ class TestSquareMove:
         rest = {e: x for e, x in wt2.items() if not e.startswith(f + "_")}
         assert rest == {e: wt[e] for e in g2.edges() if e in wt}
 
+    def test_blacks_keep_their_names(self):
+        # 20 involutive pairs (a move, then the move at the face it made) on
+        # the square 2x2 gadget graph: the new blacks take the removed ones'
+        # names, so the vertex ids never change
+        gi = square(2, 2)
+        g, wt, _ = to_dimer(IsingModel(gi, pythagorean_couplings(gi, 3)))
+        ids, rng = set(g.colors), random.Random(7)
+        for _ in range(20):
+            quads = [f for f, orbit in g.faces() if len(orbit) == 4]
+            rng.shuffle(quads)
+            for f in quads:
+                try:
+                    g1, wt1, rec = square_move(g, wt, f)
+                except MoveError:
+                    continue
+                assert set(g1.colors) == ids and set(rec.data["new_blacks"]) <= ids
+                g, wt, _ = square_move(g1, wt1, rec.data["new_face"])
+                assert set(g.colors) == ids
+                break
+            else:
+                pytest.fail("no face admits a square move")
+
     def test_cost_is_local(self, monkeypatch):
         # the darts _trace visits and the faces _match_faces scans (each a
         # face_of_dart call, and square_move makes one more) in one square
@@ -495,6 +527,15 @@ class TestLocalMoves:
         g, wt = fixture
         with pytest.raises(MoveError, match="unknown vertex nope"):
             contraction_move(g, wt, "nope")
+
+    def test_empty_walk_reroutes_to_empty(self, fixture):
+        g, wt = fixture
+        g1, wt1, rec1 = uncontraction_move(g, wt, "b1", 0, 2)
+        _, _, rec2 = contraction_move(g1, wt1, rec1.data["parts"][2])
+        _, _, rec3 = square_move(g, wt, "f3")
+        assert [r.kind for r in (rec1, rec2, rec3)] == ["uncontract", "contract", "square"]
+        for rec in (rec1, rec2, rec3):
+            assert rec.reroute([]) == []
 
 
 class TestColorChange:
