@@ -278,7 +278,7 @@ def _terms(grid, z, w):
     return tuple(a.reshape(shape) for a in (val, zdz, wdw, size, spread))
 
 
-def _polish(polys, z, w, steps=4, move_z=True):
+def _polish(polys, z, w, steps=4, move_z=True, stop=None):
     """Newton steps with exact derivatives on all of polys = 0 from a batch
     of points z, w (arrays or scalars; with move_z false only w moves),
     least squares by the normal equations when there are more equations
@@ -288,7 +288,8 @@ def _polish(polys, z, w, steps=4, move_z=True):
     the other entries do not share those zeros and restore them. A point
     stops when its residuals reach rounding level, or when an evaluation or
     a step turns non-finite: it keeps its last iterate at which every poly
-    evaluates finitely."""
+    evaluates finitely. After each step stop(z, w), if given, sees the
+    points that stopped in it; all points stop when it returns true."""
     import numpy as np
     shape = np.shape(z)
     z = np.array(z, dtype=complex).ravel()
@@ -298,7 +299,7 @@ def _polish(polys, z, w, steps=4, move_z=True):
     grid = _grid(polys)
     with np.errstate(all="ignore"):
         for k in range(steps + 1):
-            idx = np.flatnonzero(live)
+            ran = idx = np.flatnonzero(live)
             if not len(idx):
                 break
             val, zdz, wdw, size, _ = _terms(grid, z[idx], w[idx])
@@ -321,6 +322,9 @@ def _polish(polys, z, w, steps=4, move_z=True):
             prev_z[idx], prev_w[idx] = z[idx], w[idx]
             z[idx] += z[idx] * sz
             w[idx] += w[idx] * sw
+            ended = ran[~live[ran]]
+            if stop and k < steps and len(ended) and stop(z[ended], w[ended]):
+                break
     return z.reshape(shape), w.reshape(shape)
 
 
@@ -465,7 +469,8 @@ def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-8, curve=None, 
     and every adjugate entry in integers; it raises SpectralError when it
     finds other than genus rational points. Numeric mode takes the roots
     from the root kernel, refines the candidates by Newton steps with exact
-    derivatives and keeps the points at which P and all entries vanish
+    derivatives, which end once the candidates done with them hold genus
+    accepted points, and keeps the points at which P and all entries vanish
     within min(tol, 1e-10). The curve (characteristic_polynomial) and the
     vertex's line of adj K ({label: entry}, from lm_adjugate_lines) are
     built here unless the caller passes them."""
@@ -526,40 +531,52 @@ def _divisor_exact(P, entries, e1, e2, genus):
 COEFF_EPS = 1e-13
 
 
-def _vanishes(polys, z, w, tol):
+def _vanishes(polys, z, w, tol, grid=None):
     """Where |p(z, w)| is within tol times the sum of |term| (at least tol),
     plus the spread of COEFF_EPS-sized coefficient errors over the support,
     for each p of polys at arrays z, w: one row per p. Far out on a
     tentacle the terms with the smallest coefficients dominate, and their
-    relative error is far above tol."""
+    relative error is far above tol. grid is _grid(polys) if given."""
     import numpy as np
-    grid = _grid(polys)
+    grid = grid or _grid(polys)
     val, _, _, size, spread = _terms(grid, z, w)
     cmax = grid[1][0].max((1, 2)).reshape((-1,) + (1,) * np.ndim(z))
     return abs(val) <= tol * np.maximum(1.0, size) + COEFF_EPS * cmax * spread
 
 
 def _divisor_numeric(P, entries, e1, e2, genus, tol):
+    import numpy as np
     from .exactalg import resultant_eliminate
     Pn = P.to_numeric()
     res, _ = resultant_eliminate(e1.to_numeric(), e2.to_numeric(), "w")
     if len(res.coeffs_in("z")[0]) < 2:
         raise SpectralError("resultant is constant; no isolated roots")
-    z1, w1 = _polish([Pn, e1.to_numeric()], *_fibre_roots(Pn, res, 1e-12), steps=40)
     polys = [Pn] + entries
-    points = []
-    # the second pass polishes every candidate on all entries; it runs only
-    # when the first falls short of the genus
-    for polish in (False, True):
-        if polish:
-            if len(points) >= genus:
-                break
-            z1, w1 = _polish(polys, z1, w1)
-        ok = _vanishes(polys, z1, w1, tol).all(0)
-        for z, w in zip(z1[ok].tolist(), w1[ok].tolist()):
-            if any(abs(z - zs) < 1e-6 and abs(w - ws) < 1e-6 for zs, ws, _ in points):
-                continue
-            points.append((z, w, 1))
+    grid = _grid(polys)
+
+    def accept(points, z, w):
+        """points, extended by those of z, w at which every poly vanishes
+        and that lie 1e-6 or more from each point held. Candidates within
+        1e-6 of a point held on entry could not be added, so they skip the
+        vanishing test."""
+        held = np.array([p[:2] for p in points]).reshape(-1, 2).T
+        far = ((abs(z[:, None] - held[0]) >= 1e-6) | (abs(w[:, None] - held[1]) >= 1e-6)).all(1)
+        z, w = z[far], w[far]
+        ok = _vanishes(polys, z, w, tol, grid).all(0)
+        for a, b in zip(z[ok].tolist(), w[ok].tolist()):
+            if not any(abs(a - zs) < 1e-6 and abs(b - ws) < 1e-6 for zs, ws, _ in points):
+                points.append((a, b, 1))
+        return points
+
+    # the first pass stops once the candidates that stopped hold genus
+    # points; the second polishes every candidate on all entries, and runs
+    # only when the first falls short of the genus
+    found = []
+    z1, w1 = _polish([Pn, e1.to_numeric()], *_fibre_roots(Pn, res, 1e-12), steps=40,
+                     stop=lambda z, w: len(accept(found, z, w)) >= genus)
+    points = accept([], z1, w1)
+    if len(points) < genus:
+        points = accept(points, *_polish(polys, z1, w1))
     if len(points) != genus:
         sing = detect_singularities(P)
         if sing:

@@ -368,6 +368,25 @@ class TestDivisors:
         z, w = _polish(polys, 1.001 + 0j, 1.999 + 0j)
         assert abs(z - 1) < 1e-12 and abs(w - 2) < 1e-12
 
+    def test_polish_stop_sees_each_point_in_the_step_it_stops(self):
+        # points nearer the common zero (1, 2) stop in earlier steps; stop
+        # sees each point once, at its final value, and a true return ends
+        # the pass with the points still moving where they are
+        import numpy as np
+        from isingdimer.spectral import _polish
+        polys = [LaurentPoly2({(1, 0): 1.0, (0, 1): 1.0, (0, 0): -3.0}),
+                 LaurentPoly2({(1, 0): 1.0, (0, 1): -1.0, (0, 0): 1.0}),
+                 LaurentPoly2({(1, 1): 1.0, (0, 0): -2.0})]
+        z0 = np.array([8.0, 1.0000001, 1.5]) + 0j
+        w0 = np.array([0.3, 2.0000001, 3.0]) + 0j
+        seen = []
+        z, w = _polish(polys, z0, w0, steps=40, stop=lambda z, w: seen.append(z.tolist()))
+        assert (abs(z - 1) < 1e-12).all() and (abs(w - 2) < 1e-12).all()
+        assert [len(s) for s in seen] == [1, 1, 1]
+        assert [s[0] for s in seen] == [z[1], z[2], z[0]]
+        z, w = _polish(polys, z0, w0, steps=40, stop=lambda z, w: True)
+        assert abs(z[1] - 1) < 1e-12 and (abs(z[[0, 2]] - 1) > 1e-7).all()
+
     def test_matches_is_relative_far_out(self):
         from isingdimer.spectral import Divisor
         far = Divisor([(100 + 0j, 70 + 0j, 1)], exact=False)
@@ -646,8 +665,8 @@ class TestTermKernel:
         g, wt, gm, kappa, white = ladder_dimer(lattice, 11)
         calls, batched = [], spectral._vanishes
 
-        def spy(polys, z, w, tol):
-            out = batched(polys, z, w, tol)
+        def spy(polys, z, w, tol, grid=None):
+            out = batched(polys, z, w, tol, grid)
             calls.append((polys, z.copy(), w.copy(), tol, out))
             return out
 
@@ -658,6 +677,69 @@ class TestTermKernel:
             want = [[reference_vanishes(p, a, b, tol) for a, b in zip(z.tolist(), w.tolist())]
                     for p in polys]
             assert np.array_equal(out, want)
+
+
+def divisor_search(monkeypatch, lattice, seed, with_stop):
+    """Both numeric divisors of verify-ising on a ladder rung, or the
+    SpectralError message, with the stop test of the first Newton pass
+    (the _polish call given `stop`) on or off. Also, per first pass, the
+    number of polynomials of each _terms call made inside it: 2 for a
+    Newton step on P and e1, more for a stop test on P and every entry;
+    and the number of other _polish calls."""
+    from isingdimer import spectral
+    g, wt, gm, kappa, white = ladder_dimer(lattice, seed)
+    polish, terms, passes, others, inside = spectral._polish, spectral._terms, [], [], []
+
+    def counted_terms(grid, z, w):
+        if inside:
+            passes[-1].append(grid[0].shape[1])
+        return terms(grid, z, w)
+
+    def first_pass(*args, stop=None, **kw):
+        if stop is None:
+            others.append(1)
+            return polish(*args, **kw)
+        passes.append([])
+        inside.append(1)
+        try:
+            return polish(*args, stop=stop if with_stop else None, **kw)
+        finally:
+            inside.pop()
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_terms", counted_terms)
+        m.setattr(spectral, "_polish", first_pass)
+        try:
+            _, rep = verify_ising_spectral(g, wt, kappa, gm, white, mode="numeric")
+            got = rep["divisor_white"], rep["divisor_black"]
+        except SpectralError as exc:
+            got = str(exc)
+    return got, passes, len(others)
+
+
+class TestDivisorSearchStop:
+    # the first Newton pass of a numeric divisor stops once the points that
+    # stopped hold genus accepted points; against the same search run to
+    # the end of the pass
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_same_divisors_in_a_third_of_the_calls_at_24_whites(self, seed, monkeypatch):
+        # the first pass alone finds both divisors, with the stop or without
+        (dw, db), fast, second = divisor_search(monkeypatch, "honeycomb 2x2", seed, True)
+        (dw0, db0), slow, second0 = divisor_search(monkeypatch, "honeycomb 2x2", seed, False)
+        assert len(dw) == len(db) == 7
+        assert dw.matches(dw0, 1e-10) and db.matches(db0, 1e-10)
+        assert len(fast) == len(slow) == 2 and second == second0 == 0
+        assert all(0 < 3 * len(a) <= len(b) for a, b in zip(fast, slow))
+
+    def test_same_error_at_36_whites(self, monkeypatch):
+        # square 3x3, genus 13: the stopped points never hold 13, so the
+        # pass makes every Newton step it makes without the stop test
+        got, fast, _ = divisor_search(monkeypatch, "square 3x3", 1, True)
+        want, slow, _ = divisor_search(monkeypatch, "square 3x3", 1, False)
+        assert isinstance(got, str) and "found 10 points, genus is 13" in got
+        assert got == want
+        assert len(fast) == len(slow) == 1 and fast[0].count(2) == len(slow[0]) > 20
+        assert len(fast[0]) > len(slow[0]) and set(slow[0]) == {2}
 
 
 class TestNuMap:
