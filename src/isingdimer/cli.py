@@ -332,6 +332,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        # the verbs with --tol need a finite tolerance above 0, checked
+        # before the graph is read; nan fails the comparison
+        if not 0 < getattr(args, "tol", 1) < math.inf:
+            raise CliError(f"--tol must be finite and greater than 0, got {args.tol}")
         return args.fn(args)
     except tuple(EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -96,16 +96,6 @@ def kappa_tree_normalize(g, kappa):
     return out
 
 
-def kappa_is_valid(g, kappa):
-    for fid, orbit in g.faces():
-        prod = 1
-        for d in orbit:
-            prod *= kappa[g.darts[d].edge]
-        if prod != (-1) ** (len(orbit) // 2 + 1):
-            return False
-    return True
-
-
 # -- Kasteleyn matrix and characteristic polynomial --------------------------------
 
 
@@ -692,6 +682,15 @@ def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-
 # -- amoeba sampling -----------------------------------------------------------------
 
 
+def _numeric_in_w(P):
+    """P.to_numeric() for the fibre solvers; SpectralError when P is
+    constant in w, so that no fibre has a root."""
+    rng = P.degree_range("w")
+    if rng is None or rng[0] == rng[1]:
+        raise SpectralError("polynomial is constant in w; amoeba degenerate")
+    return P.to_numeric()
+
+
 def amoeba_sample(P, grid=100, region=(-3.0, 3.0, -3.0, 3.0), tol=1e-8):
     """Sample the amoeba: for z on a log-modulus x phase grid, solve
     P(z, .) = 0 for the whole grid in one batched root-kernel call, polish
@@ -704,10 +703,7 @@ def amoeba_sample(P, grid=100, region=(-3.0, 3.0, -3.0, 3.0), tol=1e-8):
     can differ from them in the last bit.
     """
     import numpy as np
-    rng = P.degree_range("w")
-    if rng is None or rng[0] == rng[1]:
-        raise SpectralError("polynomial is constant in w; amoeba degenerate")
-    Pn = P.to_numeric()
+    Pn = _numeric_in_w(P)
     x0, x1, _, _ = region
     z = np.outer([math.exp(x0 + (x1 - x0) * (ix + 0.5) / grid) for ix in range(grid)],
                  [cmath.exp(1j * (math.pi * ip / (grid - 1) if grid > 1 else 0.0))
@@ -765,41 +761,48 @@ def harnack_diagnostic(P, probes=None, theta_steps=720):
     list violations. A diagnostic, not a certificate.
 
     For a probe (x, y): with |z| = e^x fixed, each root branch traces
-    log|w|(theta) over theta_steps + 1 angles in [0, pi]; the fibres of all
-    probes come from one root-kernel call. Sorted, the levels log|w| of a
-    fibre lie below y up to k = #{levels <= y}, so between consecutive
-    fibres with as many levels the branches cross y |k - k'| times. Each
-    crossing counts twice, for its complex-conjugate partner at -theta.
-    Harnack means every interior probe has exactly 2. A preimage on a real
-    fibre, theta = 0 or pi, sits on an end of the scan, where the count
-    depends on the last bit of the roots; so the automatic probes are
-    samples with non-real z.
+    log|w|(theta) over theta_steps + 1 angles in [0, pi]. Probes with equal
+    x share that circle of fibres, and one root-kernel call solves every
+    circle. Sorted, the levels log|w| of a fibre lie below y up to
+    k = #{levels <= y}, so between consecutive fibres with as many levels
+    the branches cross y |k - k'| times. Each crossing counts twice, for its
+    complex-conjugate partner at -theta. Harnack means every interior probe
+    has exactly 2.
+
+    The automatic probes lie on |z| = 1: (0.0, the lower median level of
+    the fibre at theta = pi (k + 1/2) / theta_steps), for k a quarter, a
+    half and three quarters of theta_steps; these three fibres go in the
+    same kernel call. Each sits between two scan angles, so its preimage is
+    interior to the scan, never on a real fibre (theta = 0 or pi), where the
+    count would turn on the last bit of the roots. A fibre with no level
+    gives no probe.
     """
     import numpy as np
-    Pn = P.to_numeric()
-    if probes is None:
-        # samples with non-real z are strictly interior (the amoeba boundary
-        # is the image of the real locus)
-        rows = amoeba_sample(P, grid=24, region=(-1.2, 1.2, -1.2, 1.2))
-        inner = [(x, y) for x, y, _, z, _ in rows if abs(z.imag) >= 1e-12]
-        probes = [inner[len(inner) // 3], inner[len(inner) // 2],
-                  inner[(2 * len(inner)) // 3]] if inner else []
-    if not probes:
-        return {"consistent": True, "probes": [], "violations": []}
-    z = np.outer([math.exp(x) for x, _ in probes],
+    Pn = _numeric_in_w(P)
+    if theta_steps < 1:
+        raise SpectralError(f"theta_steps must be at least 1, got {theta_steps}")
+    auto = probes is None
+    xs = [0.0] if auto else list(dict.fromkeys(x for x, _ in probes))
+    z = np.outer([math.exp(x) for x in xs],
                  [cmath.exp(1j * math.pi * k / theta_steps) for k in range(theta_steps + 1)])
-    roots, _ = _roots(_fibres(Pn, z.ravel()))
+    mid = [cmath.exp(1j * math.pi * (k + 0.5) / theta_steps)
+           for k in (theta_steps // 4, theta_steps // 2, 3 * theta_steps // 4)] if auto else []
+    roots, _ = _roots(_fibres(Pn, np.append(z, mid)))
     # levels log|w| by math.log and abs of Python complex numbers; roots of
     # modulus <= 1e-300 and the nan roots of a fibre skipped for a root at
     # infinity are no levels, so only steps between fibres with as many
     # levels count
-    mod = np.array(list(map(abs, roots.ravel().tolist()))).reshape(z.shape + (-1,))
+    mod = np.array(list(map(abs, roots.ravel().tolist()))).reshape(roots.shape)
     seen = mod > 1e-300
     level = np.full(mod.shape, np.inf)
     level[seen] = list(map(math.log, mod[seen].tolist()))
+    if auto:
+        probes = [(0.0, v[(c - 1) // 2]) for v, c in
+                  zip(np.sort(level[z.size:]).tolist(), seen[z.size:].sum(1).tolist()) if c]
+    level = level[:z.size].reshape(*z.shape, level.shape[1])[[xs.index(x) for x, _ in probes]]
+    n = np.isfinite(level).sum(2)
     k = (level <= np.array([y for _, y in probes])[:, None, None]).sum(2)
-    n = seen.sum(2)
-    step = n[:, 1:] == n[:, :-1]
+    step = np.diff(n) == 0
     out = [{"probe": (x, y), "preimages": c}
            for (x, y), c in zip(probes, (2 * (abs(np.diff(k)) * step).sum(1)).tolist())]
     violations = [p for p in out if p["preimages"] != 2]

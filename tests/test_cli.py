@@ -102,6 +102,17 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("verb", ["amoeba", "divisor", "verify-ising"])
+    def test_bad_tol_exits_2_before_reading_the_graph(self, tmp_path, verb, tol, capsys):
+        # the graph file does not exist: the --tol error comes first
+        extra = {"divisor": ["--vertex", "w2"],
+                 "verify-ising": ["--vertex", "w2", "--gadget-map", "gm.txt"]}.get(verb, [])
+        assert main([verb, str(tmp_path / "missing.tg"), f"--tol={tol}"] + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --tol must be finite and greater than 0, got {float(tol)}\n"
+
     @pytest.mark.parametrize("verb", ["inspect", "todimer"])
     def test_disconnected_graph_exits_2(self, tmp_path, verb, capsys):
         from test_torusgraph import disjoint_union

@@ -21,7 +21,6 @@ from isingdimer.spectral import (
     canonical_sign,
     characteristic_polynomial,
     divisor_of_vertex,
-    kappa_is_valid,
     kappa_tree_normalize,
     kasteleyn_matrix,
     nu_map,
@@ -41,6 +40,17 @@ def fixture_gm():
 
 
 EXPECTED_P = "2 - 4/13*w - 4/13*w^-1 - 36/65*z - 36/65*z^-1"
+
+
+def kappa_is_valid(g, kappa):
+    """Every face's sign product is (-1)^(len/2 + 1): the Kasteleyn condition."""
+    for fid, orbit in g.faces():
+        prod = 1
+        for d in orbit:
+            prod *= kappa[g.darts[d].edge]
+        if prod != (-1) ** (len(orbit) // 2 + 1):
+            return False
+    return True
 
 
 class TestKasteleynMatrix:
@@ -1113,6 +1123,24 @@ def reference_harnack(P, probes, theta_steps=720):
     return {"consistent": not violations, "probes": out, "violations": violations}
 
 
+def reference_auto_probes(P, theta_steps=720):
+    """The automatic Harnack probes, one root-kernel call per fibre: (0.0,
+    the lower median of the levels log|w|) of the fibre on |z| = 1 at
+    theta = pi (k + 1/2) / theta_steps, k a quarter, a half and three
+    quarters of theta_steps; a fibre with no level gives none."""
+    import cmath
+    import numpy as np
+    from isingdimer.spectral import _fibres, _roots
+    out = []
+    for k in (theta_steps // 4, theta_steps // 2, 3 * theta_steps // 4):
+        z = np.array([cmath.exp(1j * math.pi * (k + 0.5) / theta_steps)])
+        roots, _ = _roots(_fibres(P.to_numeric(), z))
+        levels = sorted(math.log(abs(w)) for w in roots[0].tolist() if abs(w) > 1e-300)
+        if levels:
+            out.append((0.0, levels[(len(levels) - 1) // 2]))
+    return out
+
+
 CURVES = ["fixture", "square 1x1", "square 2x1", "square 2x2", "honeycomb 1x1",
           "honeycomb 2x1", "honeycomb 2x2"]
 
@@ -1180,8 +1208,9 @@ class TestHarnackArrays:
                 want = reference_harnack(P, probes, steps)
                 assert harnack_diagnostic(P, probes=probes, theta_steps=steps) == want
         auto = harnack_diagnostic(P)
-        assert auto == reference_harnack(P, [p["probe"] for p in auto["probes"]])
-        assert all(p["probe"] in inner for p in auto["probes"])
+        assert [p["probe"] for p in auto["probes"]] == reference_auto_probes(P)
+        assert auto == reference_harnack(P, reference_auto_probes(P))
+        assert len(auto["probes"]) == 3
 
     def test_fibre_with_a_root_at_infinity(self):
         # the leading coefficient z - 1 in w vanishes at theta = 0 on |z| = 1:
@@ -1193,6 +1222,18 @@ class TestHarnackArrays:
         rep = harnack_diagnostic(P, probes=probes)
         assert rep == reference_harnack(P, probes)
         assert [p["preimages"] for p in rep["probes"]] == [0, 0, 4, 4, 0, 4]
+
+    def test_mid_fibre_without_a_level_gives_no_probe(self):
+        # the leading coefficient z - c in w vanishes on the first mid-angle
+        # fibre of the automatic probes: the root kernel skips it, and the
+        # other two fibres give the probes
+        import cmath
+        from isingdimer.spectral import harnack_diagnostic
+        c = cmath.exp(1j * math.pi * 180.5 / 720)
+        P = LaurentPoly2({(1, 1): 1.0, (0, 1): -c, (0, 0): 2.0, (1, 0): 1.0})
+        rep = harnack_diagnostic(P)
+        assert len(rep["probes"]) == 2
+        assert rep == reference_harnack(P, reference_auto_probes(P))
 
     @pytest.mark.parametrize("terms", [
         {(1, 0): 0.2767183997632788, (-1, 0): 0.27671839976327933, (0, 1): 0.7216637898262106,
@@ -1207,6 +1248,67 @@ class TestHarnackArrays:
         from isingdimer.spectral import harnack_diagnostic
         rep = harnack_diagnostic(LaurentPoly2(terms))
         assert rep["consistent"] and len(rep["probes"]) == 3
+
+    @pytest.mark.parametrize("probes,steps,rows", [
+        (None, 720, 721 + 3),
+        (None, 45, 46 + 3),
+        ([(0.1, 0.0), (0.1, 0.5), (-0.2, 0.3), (0.1, -0.4)], 45, 2 * 46),
+        ([(0.0, 0.2)], 720, 721),
+        ([], 720, 0),
+    ], ids=["auto", "auto 45", "two circles", "one probe", "no probe"])
+    def test_one_kernel_call_and_no_amoeba_sample(self, monkeypatch, probes, steps, rows):
+        # every circle of equal x, and the three fibres of the automatic
+        # probes, go to the root kernel in one call
+        from isingdimer import spectral
+        calls = []
+        kernel = spectral._roots
+
+        def spy(coeffs):
+            calls.append(len(coeffs))
+            return kernel(coeffs)
+
+        def no_sample(*args, **kwargs):
+            raise AssertionError("amoeba_sample called")
+
+        monkeypatch.setattr(spectral, "_roots", spy)
+        monkeypatch.setattr(spectral, "amoeba_sample", no_sample)
+        rep = spectral.harnack_diagnostic(curve("square 2x1"), probes=probes, theta_steps=steps)
+        assert calls == [rows]
+        assert len(rep["probes"]) == (3 if probes is None else len(probes))
+
+    @pytest.mark.parametrize("terms", [
+        {(0, 0): 0.5, (1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0},
+        {(0, 2): 1.0, (1, 1): 1.0, (-1, 1): 1.0, (0, 1): 0.2, (0, 0): 1.0},
+    ], ids=["0.5 + z + 1/z + w + 1/w", "w^2 + (z + 1/z + 0.2) w + 1"])
+    def test_automatic_probes_flag_non_harnack_curves(self, terms):
+        # on both curves whole arcs of the unit torus map to one point of
+        # the amoeba, so the map is not 2:1 there
+        from isingdimer.spectral import harnack_diagnostic
+        rep = harnack_diagnostic(LaurentPoly2(terms))
+        assert not rep["consistent"]
+        assert len(rep["probes"]) == 3 and rep["violations"]
+        assert all(p["probe"][0] == 0.0 for p in rep["probes"])
+
+    def test_automatic_probes_on_a_harnack_curve(self):
+        from isingdimer.spectral import harnack_diagnostic
+        P = LaurentPoly2({(0, 0): 5.0, (1, 0): -1.0, (-1, 0): -1.0, (0, 1): -1.0, (0, -1): -1.0})
+        rep = harnack_diagnostic(P)
+        assert rep["consistent"]
+        assert [p["preimages"] for p in rep["probes"]] == [2, 2, 2]
+
+    @pytest.mark.parametrize("probes", [None, [(0.0, 0.0)], []], ids=["auto", "explicit", "none"])
+    def test_constant_in_w_raises(self, probes):
+        from isingdimer.spectral import harnack_diagnostic
+        P = LaurentPoly2({(1, 0): 1.0, (0, 0): 2.0})
+        with pytest.raises(SpectralError, match="constant in w"):
+            harnack_diagnostic(P, probes=probes)
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    @pytest.mark.parametrize("probes", [None, [(0.0, 0.0)]], ids=["auto", "explicit"])
+    def test_theta_steps_below_one_raises(self, probes, steps):
+        from isingdimer.spectral import harnack_diagnostic
+        with pytest.raises(SpectralError, match=f"theta_steps must be at least 1, got {steps}"):
+            harnack_diagnostic(curve("square 1x1"), probes=probes, theta_steps=steps)
 
 
 class TestSecondFixturePolygon:
