@@ -96,14 +96,6 @@ class LaurentPoly2:
     def monomial(i, j, c=1):
         return LaurentPoly2({(i, j): c})
 
-    @staticmethod
-    def var_z():
-        return LaurentPoly2.monomial(1, 0)
-
-    @staticmethod
-    def var_w():
-        return LaurentPoly2.monomial(0, 1)
-
     # -- basic queries ------------------------------------------------------
 
     def is_zero(self):
@@ -283,18 +275,6 @@ class LaurentMatrix:
 
     def is_square(self):
         return len(self.rows) == len(self.cols)
-
-    def matmul(self, other):
-        if self.cols != other.rows:
-            raise DimensionError("inner labels disagree")
-        out = {}
-        for r in self.rows:
-            for c in other.cols:
-                acc = LaurentPoly2.zero()
-                for k in self.cols:
-                    acc = acc + self.entries[(r, k)] * other.entries[(k, c)]
-                out[(r, c)] = acc
-        return LaurentMatrix(self.rows, other.cols, out)
 
 
 def lm_determinant(m):
@@ -658,10 +638,6 @@ class NewtonPolygon:
         x0, y0 = min(self.vertices)
         return self.translate(-x0, -y0)
 
-    def is_centrally_symmetric(self):
-        s = set(self.vertices)
-        return all((-x, -y) in s for x, y in s)
-
     def __eq__(self, other):
         if not isinstance(other, NewtonPolygon):
             return NotImplemented
@@ -704,10 +680,6 @@ def newton_polygon(p):
     if p.is_zero():
         raise ValueError("zero polynomial has no Newton polygon")
     return NewtonPolygon(p.support())
-
-
-def minkowski_sum(a, b):
-    return NewtonPolygon([(x1 + x2, y1 + y2) for x1, y1 in a.vertices for x2, y2 in b.vertices])
 
 
 def resultant_eliminate(p, q, var):

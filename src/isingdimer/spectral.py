@@ -1,26 +1,24 @@
-"""Kasteleyn signs and matrices, characteristic polynomials, spectral
-divisors, the zig-zag/points-at-infinity bijection, the Ising spectral
-conditions and amoeba sampling.
+"""Kasteleyn signs and matrices, characteristic polynomials, the divisor
+of a vertex (by divisor.divisor_on_curve), the zig-zag/points-at-infinity
+bijection, the Ising spectral conditions, amoeba sampling and the Harnack
+diagnostic.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
+from .divisor import SpectralError, _fibres, _polish, _roots, _vanishes, divisor_on_curve
 from .exactalg import (
     LaurentMatrix,
     LaurentPoly2,
     lm_adjugate_lines,
     lm_determinant,
     newton_polygon,
-    format_coeff,
 )
 from .torusgraph import GraphError
-
-
-class SpectralError(ValueError):
-    pass
 
 
 # -- Kasteleyn signs -------------------------------------------------------------
@@ -149,434 +147,22 @@ def characteristic_polynomial(g, wt, kappa):
     return SpectralCurveData(P, poly, poly.genus, K)
 
 
-# -- roots: the numeric kernel and exact rational roots ----------------------------
-
-
-def _roots(coeffs):
-    """The root kernel: roots of a batch of polynomials, one per row of
-    `coeffs` (highest degree first). The stacked companion matrices are
-    built as numpy's `roots` builds them and go to one eigvals call.
-    Returns (roots, ok): roots[k] are the roots of row k where ok[k]; a row
-    whose leading coefficient vanishes (a root at infinity) is skipped, its
-    roots are nan."""
-    import numpy as np
-    c = np.asarray(coeffs, dtype=complex)
-    d = c.shape[1] - 1
-    ok = np.abs(c[:, 0]) >= 1e-300
-    comp = np.zeros((int(ok.sum()), d, d), dtype=complex)
-    comp[:, 0, :] = -c[ok, 1:] / c[ok, :1]
-    comp[:, np.arange(1, d), np.arange(d - 1)] = 1
-    roots = np.full((len(c), d), np.nan, dtype=complex)
-    roots[ok] = np.linalg.eigvals(comp)
-    return roots, ok
-
-
-def _fibres(P, z):
-    """Rows for _roots: the coefficients of P in w (lowest exponent
-    cleared, highest first) at each z of an array."""
-    import numpy as np
-    lo, hi = P.degree_range("w")
-    ilo, ihi = P.degree_range("z")
-    Z = _powers(z, ilo, ihi)
-    out = np.zeros((len(z), hi - lo + 1), dtype=complex)
-    for (i, j), c in P.terms.items():
-        out[:, hi - j] += complex(c) * Z[i - ilo]
-    return out
-
-
-def _fibre_roots(Pn, res, eps):
-    """Candidate points (z, w) as arrays: z a root of the resultant res in
-    z, w a root of Pn(z, .) (the curve always depends on w), both of
-    modulus at least eps."""
-    import numpy as np
-    coeffs, _ = res.coeffs_in("z")
-    zroots = _roots([[complex(c.coeff(0, 0)) for c in reversed(coeffs)]])[0][0]
-    zroots = zroots[np.abs(zroots) >= eps]
-    wroots, ok = _roots(_fibres(Pn, zroots))
-    keep = ok[:, None] & (np.abs(wroots) >= eps)
-    return np.broadcast_to(zroots[:, None], wroots.shape)[keep], wroots[keep]
-
-
-def _powers(x, lo, hi):
-    """Rows x**lo, ..., x**hi at every point of the 1-d array x, by repeated
-    multiplication away from x**0 = 1."""
-    import numpy as np
-    a, b = min(lo, 0), max(hi, 0)
-    out = np.empty((b - a + 1, len(x)), dtype=complex)
-    out[-a] = 1
-    for k in range(1 - a, b - a + 1):
-        np.multiply(out[k - 1], x, out=out[k])
-    if a < 0:
-        inv = 1 / x
-        for k in range(-a - 1, -1, -1):
-            np.multiply(out[k + 1], inv, out=out[k])
-    return out[lo - a:hi - a + 1]
-
-
-def _grid(polys):
-    """The input of the term kernel `_terms`: the dense coefficient grids
-    C[k, i - ilo, j - jlo] of polys (k their index) over their joint degree
-    ranges (ilo, ihi) in z and (jlo, jhi) in w, stacked as G = (C, C * j)
-    for p and w dp/dw and A = (|C|, C != 0) for the sums of |term| and of
-    |monomial|, with the ranges."""
-    import numpy as np
-    k, i, j = np.array([(k, i, j) for k, p in enumerate(polys) for i, j in p.terms]).T
-    (ilo, ihi), (jlo, jhi) = (int(i.min()), int(i.max())), (int(j.min()), int(j.max()))
-    C = np.zeros((len(polys), ihi - ilo + 1, jhi - jlo + 1), dtype=complex)
-    C[k, i - ilo, j - jlo] = [c for p in polys for c in p.terms.values()]
-    return (np.stack([C, C * np.arange(jlo, jhi + 1)]), np.stack([abs(C), C != 0]),
-            (ilo, ihi), (jlo, jhi))
-
-
-# points times polynomials per pass of the term kernel: its temporaries stay
-# (degree range) x TERMS_BLOCK on the amoeba's grid of fibres as on a few
-# candidates checked against every adjugate entry
-TERMS_BLOCK = 1024
-
-
-def _terms(grid, z, w):
-    """Value, logarithmic partial derivatives (z dp/dz and w dp/dw), the sum
-    of |term| and the sum of |monomial| over the support of each polynomial
-    p of `_grid(polys)` at arrays z, w; each of shape (len(polys),) +
-    shape(z).
-
-    The batched term kernel: the dense coefficient grids meet power tables
-    of z and w in small matrix products, TERMS_BLOCK // len(polys) points
-    at a time, whatever the number of terms. The products are einsum, not
-    matmul, whose first BLAS call alone raises the peak resident memory of
-    a numeric run by about 0.5 MB."""
-    import numpy as np
-    G, A, (ilo, ihi), (jlo, jhi) = grid
-    n = G.shape[1]
-    shape = (n,) + np.shape(z)
-    z = np.asarray(z, dtype=complex).ravel()
-    w = np.asarray(w, dtype=complex).ravel()
-    i = np.arange(ilo, ihi + 1)
-    val, zdz, wdw = (np.empty((n, len(z)), dtype=complex) for _ in range(3))
-    size, spread = np.empty((n, len(z))), np.empty((n, len(z)))
-    step = max(1, TERMS_BLOCK // n)
-    for k in range(0, len(z), step):
-        b = slice(k, k + step)
-        Z, W = _powers(z[b], ilo, ihi), _powers(w[b], jlo, jhi)
-        t = np.einsum("lkij,jn->lkin", G, W)
-        t *= Z
-        val[:, b], wdw[:, b] = t.sum(2)
-        zdz[:, b] = np.einsum("i,kin->kn", i, t[0])
-        t = np.einsum("lkij,jn->lkin", A, abs(W))
-        t *= abs(Z)
-        size[:, b], spread[:, b] = t.sum(2)
-    return tuple(a.reshape(shape) for a in (val, zdz, wdw, size, spread))
-
-
-def _polish(polys, z, w, steps=4, move_z=True, stop=None):
-    """Newton steps with exact derivatives on all of polys = 0 from a batch
-    of points z, w (arrays or scalars; with move_z false only w moves),
-    least squares by the normal equations when there are more equations
-    than unknowns. Each equation is divided by the size of its terms and
-    the unknowns are log z and log w. Newton on P and one entry loses
-    digits where their other common zeros come close to a divisor point;
-    the other entries do not share those zeros and restore them. A point
-    stops when its residuals reach rounding level, or when an evaluation or
-    a step turns non-finite: it keeps its last iterate at which every poly
-    evaluates finitely. After each step stop(z, w), if given, sees the
-    points that stopped in it; all points stop when it returns true."""
-    import numpy as np
-    shape = np.shape(z)
-    z = np.array(z, dtype=complex).ravel()
-    w = np.array(w, dtype=complex).ravel()
-    prev_z, prev_w = z.copy(), w.copy()
-    live = np.ones(len(z), dtype=bool)
-    grid = _grid(polys)
-    with np.errstate(all="ignore"):
-        for k in range(steps + 1):
-            ran = idx = np.flatnonzero(live)
-            if not len(idx):
-                break
-            val, zdz, wdw, size, _ = _terms(grid, z[idx], w[idx])
-            res, jz, jw = val / size, zdz / size, wdw / size
-            bad = ~np.isfinite(np.stack([res, jz, jw])).all((0, 1))
-            z[idx[bad]], w[idx[bad]] = prev_z[idx[bad]], prev_w[idx[bad]]
-            done = bad | (np.abs(res).max(0) <= 1e-15) | (k == steps)
-            live[idx[done]] = False
-            idx, res, jz, jw = idx[~done], res[:, ~done], jz[:, ~done], jw[:, ~done]
-            a11, a12, a22 = (abs(jz) ** 2).sum(0), (jz.conj() * jw).sum(0), (abs(jw) ** 2).sum(0)
-            b1, b2 = -(jz.conj() * res).sum(0), -(jw.conj() * res).sum(0)
-            if move_z:
-                det = a11 * a22 - abs(a12) ** 2
-                sz, sw = (a22 * b1 - a12 * b2) / det, (a11 * b2 - a12.conj() * b1) / det
-            else:
-                sz, sw = np.zeros(len(idx)), b2 / a22
-            ok = np.isfinite(sz) & np.isfinite(sw)
-            live[idx[~ok]] = False
-            idx, sz, sw = idx[ok], sz[ok], sw[ok]
-            prev_z[idx], prev_w[idx] = z[idx], w[idx]
-            z[idx] += z[idx] * sz
-            w[idx] += w[idx] * sw
-            ended = ran[~live[ran]]
-            if stop and k < steps and len(ended) and stop(z[ended], w[ended]):
-                break
-    return z.reshape(shape), w.reshape(shape)
-
-
-def _divmod(a, b):
-    """Quotient and remainder of polynomials with rational coefficients,
-    highest degree first; the remainder has no leading zeros."""
-    a, q = list(a), []
-    while len(a) >= len(b):
-        q.append(a[0] / b[0])
-        a = [x - q[-1] * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
-    while a and a[0] == 0:
-        a.pop(0)
-    return q, a
-
-
-def _rational_zeros(coeffs):
-    """Nonzero rational roots, ascending and without repeats, of a
-    polynomial with rational coefficients (lowest degree first).
-
-    f is the squarefree part, f / gcd(f, f') by Euclid over Q, as a
-    primitive integer polynomial. A rational root p/q in lowest terms has
-    p | a_0 and q | a_n, so it is N/a_n with |N| <= |a_0 a_n|. The roots of
-    f modulo the smallest prime p that divides neither a_n nor f' at any of
-    them (roots that meet modulo p make f' vanish there) are lifted by
-    Newton steps to roots modulo M > 2 |a_0 a_n|; N is
-    the residue of a_n r closest to 0, and N/a_n is kept if f vanishes there
-    exactly. All of it is exact arithmetic, with no bound on sizes."""
-    a = [Fraction(c) for c in reversed(coeffs)]
-    while a and a[0] == 0:
-        a.pop(0)
-    while a and a[-1] == 0:
-        a.pop()
-    if len(a) < 2:
-        return []
-    g, b = a, [k * c for k, c in zip(range(len(a) - 1, 0, -1), a)]
-    while b:
-        g, b = b, _divmod(g, b)[1]
-    q = _divmod(a, g)[0]
-    den = math.lcm(*(c.denominator for c in q))
-    f = [int(c * den) for c in reversed(q)]
-    content = math.gcd(*f)
-    f = [c // content for c in f]
-    df = [k * c for k, c in enumerate(f)][1:]
-
-    def value(x, coeffs, m=0):
-        v = 0
-        for c in reversed(coeffs):
-            v = (v * x + c) % m if m else v * x + c
-        return v
-
-    p = 1
-    while True:
-        p += 1
-        if f[-1] % p == 0 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
-            continue
-        roots = [r for r in range(p) if value(r, f, p) == 0]
-        if all(value(r, df, p) for r in roots):
-            break
-    out = []
-    for r in roots:
-        m = p
-        while m <= 2 * abs(f[0] * f[-1]):
-            m *= m
-            r = (r - value(r, f, m) * pow(value(r, df, m), -1, m)) % m
-        n = f[-1] * r % m
-        root = Fraction(n - m if 2 * n > m else n, f[-1])
-        if value(root, f) == 0:
-            out.append(root)
-    return sorted(out)
-
-
-# -- divisors ------------------------------------------------------------------
-
-
-class Divisor:
-    """Points (z, w) with multiplicity; exact (Fractions) or numeric
-    (complex), in the order of (Re z, Im z, Re w, Im w)."""
-
-    def __init__(self, points, exact=True):
-        self.points = sorted(points, key=lambda p: (p[0].real, p[0].imag, p[1].real, p[1].imag))
-        self.exact = exact
-
-    def __len__(self):
-        return sum(m for _, _, m in self.points)
-
-    def sigma(self):
-        return Divisor([(1 / z, 1 / w, m) for z, w, m in self.points], self.exact)
-
-    def format_points(self):
-        """`(z,w)xm` per point, 12 significant digits; a numeric coordinate
-        with |imag| < 1e-10 prints as its real part."""
-        return " ".join(f"({_fmt_val(z)},{_fmt_val(w)})x{m}"
-                        for z, w, m in self.points) or "(empty)"
-
-    def as_multiset(self):
-        out = []
-        for z, w, m in self.points:
-            out.extend([(z, w)] * m)
-        return sorted(out, key=lambda p: (repr(p[0]), repr(p[1])))
-
-    def matches(self, other, tol=None):
-        """Equal multisets: exactly, or with coordinates within tol (default
-        1e-8) relative to their size, floored at 1, since a point far out on
-        a tentacle carries the relative error of the inverse of a small one."""
-        a, b = self.as_multiset(), other.as_multiset()
-        if len(a) != len(b):
-            return False
-        if self.exact and other.exact and tol is None:
-            return sorted(a) == sorted(b)
-
-        def close(x, y):
-            x, y = complex(x), complex(y)
-            return abs(x - y) <= (tol or 1e-8) * max(1.0, abs(x), abs(y))
-
-        used = [False] * len(b)
-        for p in a:
-            hit = None
-            for i, q in enumerate(b):
-                if used[i]:
-                    continue
-                if close(p[0], q[0]) and close(p[1], q[1]):
-                    hit = i
-                    break
-            if hit is None:
-                return False
-            used[hit] = True
-        return True
-
-    def __repr__(self):
-        return f"Divisor({self.points})"
-
-
 def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-8, curve=None, line=None):
-    """The divisor of a vertex: common zeros on the open curve of the
-    adjugate column (white vertex) or row (black vertex) of adj K, which on
-    the curve is r (x) l with r in ker K and l in ker K^T (Kenyon-Okounkov).
-
-    Both modes eliminate w from the two adjugate entries with the fewest
-    terms and take the roots of the resultant in z, then the roots of P in
-    w on each of those fibres. Exact mode takes the rational roots (_rational_zeros,
-    p-adic and exact) and confirms each point by substituting it into P
-    and every adjugate entry in integers; it raises SpectralError when it
-    finds other than genus rational points. Numeric mode takes the roots
-    from the root kernel, refines the candidates by Newton steps with exact
-    derivatives, which end once the candidates done with them hold genus
-    accepted points, and keeps the points at which P and all entries vanish
-    within min(tol, 1e-10). The curve (characteristic_polynomial) and the
-    vertex's line of adj K ({label: entry}, from lm_adjugate_lines) are
-    built here unless the caller passes them."""
+    """The divisor of a vertex by divisor_on_curve: the common zeros on the
+    open curve of the adjugate column (white vertex) or row (black vertex)
+    of adj K. The curve (characteristic_polynomial) and the vertex's line
+    of adj K ({label: entry}, from lm_adjugate_lines) are built here unless
+    the caller passes them."""
     color = g.colors[vertex]
     if color not in ("w", "b"):
         raise SpectralError(f"vertex {vertex} is uncolored")
     curve = characteristic_polynomial(g, wt, kappa) if curve is None else curve
-    P, genus = curve.poly, curve.genus
-    if genus == 0:
-        return Divisor([], exact=(mode == "exact"))
     if line is None:
         # a white names a row of K, so a column of adj K; a black a row of adj K
         cols, rows = (lm_adjugate_lines(curve.matrix, columns=[vertex]) if color == "w"
                       else lm_adjugate_lines(curve.matrix, rows=[vertex]))
         line = (cols or rows)[0]
-    entries = [e for e in line.values() if not e.is_zero()]
-    if len(entries) < 2:
-        raise SpectralError("not enough nonzero adjugate entries")
-    e1, e2 = sorted(entries, key=lambda p: len(p.terms))[:2]
-    if mode == "exact":
-        return _divisor_exact(P, entries, e1, e2, genus)
-    return _divisor_numeric(P, entries, e1, e2, genus, min(tol, 1e-10))
-
-
-def _divisor_exact(P, entries, e1, e2, genus):
-    from .exactalg import _cleared_powers, _int_rows, resultant_eliminate
-    res, _ = resultant_eliminate(e1, e2, "w")
-    if res.is_zero():
-        raise SpectralError("adjugate entries share a component; exact divisor ambiguous")
-    # P and the entries with integer coefficients (each times the lcm L of
-    # its denominators) on their joint exponent box: at z0 = p/q, w0 = r/s,
-    # sum n_ij zp[i] wp[j] is L p^-ilo q^ihi r^-jlo s^jhi times the value
-    polys = [row[0] for row in _int_rows([[q] for q in [P] + entries])[0]]
-    (ilo, ihi), (jlo, jhi) = ((min(ij[k] for q in polys for ij in q),
-                               max(ij[k] for q in polys for ij in q)) for k in (0, 1))
-    points = []
-    for z0 in _rational_zeros([c.coeff(0, 0) for c in res.coeffs_in("z")[0]]):
-        zp = _cleared_powers(z0, ilo, ihi)
-        # w-candidates: rational roots of P(z0, w), which always depends on w
-        cw = dict.fromkeys(range(jlo, jhi + 1), 0)
-        for (i, j), n in polys[0].items():
-            cw[j] += n * zp[i]
-        for w0 in _rational_zeros(list(cw.values())):
-            # P(z0, w0) = 0 by the choice of w0
-            wp = _cleared_powers(w0, jlo, jhi)
-            if all(not sum(n * zp[i] * wp[j] for (i, j), n in q.items()) for q in polys[1:]):
-                points.append((z0, w0, 1))
-    if len(points) != genus:
-        raise SpectralError(
-            f"exact divisor found {len(points)} rational points, genus is {genus};"
-            " use numeric mode")
-    return Divisor(points, exact=True)
-
-
-# absolute error of a numeric coefficient of P or of an adjugate entry, as a
-# fraction of the polynomial's largest one: FFT interpolation spreads rounding
-# evenly over the coefficients (about 1e-15 measured at 24 whites)
-COEFF_EPS = 1e-13
-
-
-def _vanishes(polys, z, w, tol, grid=None):
-    """Where |p(z, w)| is within tol times the sum of |term| (at least tol),
-    plus the spread of COEFF_EPS-sized coefficient errors over the support,
-    for each p of polys at arrays z, w: one row per p. Far out on a
-    tentacle the terms with the smallest coefficients dominate, and their
-    relative error is far above tol. grid is _grid(polys) if given."""
-    import numpy as np
-    grid = grid or _grid(polys)
-    val, _, _, size, spread = _terms(grid, z, w)
-    cmax = grid[1][0].max((1, 2)).reshape((-1,) + (1,) * np.ndim(z))
-    return abs(val) <= tol * np.maximum(1.0, size) + COEFF_EPS * cmax * spread
-
-
-def _divisor_numeric(P, entries, e1, e2, genus, tol):
-    import numpy as np
-    from .exactalg import resultant_eliminate
-    Pn = P.to_numeric()
-    res, _ = resultant_eliminate(e1.to_numeric(), e2.to_numeric(), "w")
-    if len(res.coeffs_in("z")[0]) < 2:
-        raise SpectralError("resultant is constant; no isolated roots")
-    polys = [Pn] + entries
-    grid = _grid(polys)
-
-    def accept(points, z, w):
-        """points, extended by those of z, w at which every poly vanishes
-        and that lie 1e-6 or more from each point held. Candidates within
-        1e-6 of a point held on entry could not be added, so they skip the
-        vanishing test."""
-        held = np.array([p[:2] for p in points]).reshape(-1, 2).T
-        far = ((abs(z[:, None] - held[0]) >= 1e-6) | (abs(w[:, None] - held[1]) >= 1e-6)).all(1)
-        z, w = z[far], w[far]
-        ok = _vanishes(polys, z, w, tol, grid).all(0)
-        for a, b in zip(z[ok].tolist(), w[ok].tolist()):
-            if not any(abs(a - zs) < 1e-6 and abs(b - ws) < 1e-6 for zs, ws, _ in points):
-                points.append((a, b, 1))
-        return points
-
-    # the first pass stops once the candidates that stopped hold genus
-    # points; the second polishes every candidate on all entries, and runs
-    # only when the first falls short of the genus
-    found = []
-    z1, w1 = _polish([Pn, e1.to_numeric()], *_fibre_roots(Pn, res, 1e-12), steps=40,
-                     stop=lambda z, w: len(accept(found, z, w)) >= genus)
-    points = accept([], z1, w1)
-    if len(points) < genus:
-        points = accept(points, *_polish(polys, z1, w1))
-    if len(points) != genus:
-        sing = detect_singularities(P)
-        if sing:
-            raise SpectralError(
-                f"curve appears singular near {sing}; isolated nodes are"
-                " unsupported (no desingularization)")
-        raise SpectralError(
-            f"numeric divisor found {len(points)} points, genus is {genus}"
-            " (possible root clustering; condition suspect)")
-    return Divisor(points, exact=False)
+    return divisor_on_curve(curve.poly, curve.genus, line.values(), mode, tol)
 
 
 # -- the nu map -----------------------------------------------------------------
@@ -775,12 +361,20 @@ def harnack_diagnostic(P, probes=None, theta_steps=720):
     same kernel call. Each sits between two scan angles, so its preimage is
     interior to the scan, never on a real fibre (theta = 0 or pi), where the
     count would turn on the last bit of the roots. A fibre with no level
-    gives no probe.
+    gives no probe. SpectralError unless theta_steps is an int of at least
+    1 and every probe has finite y and |x| <= log(float max).
     """
     import numpy as np
     Pn = _numeric_in_w(P)
+    if not isinstance(theta_steps, int):
+        raise SpectralError(f"theta_steps must be an integer, got {theta_steps!r}")
     if theta_steps < 1:
         raise SpectralError(f"theta_steps must be at least 1, got {theta_steps}")
+    # e^x must be a finite float: the bound of the amoeba's --range
+    top = math.log(sys.float_info.max)
+    for x, y in probes or ():
+        if not (abs(x) <= top and math.isfinite(y)):
+            raise SpectralError(f"probe ({x}, {y}) must have finite y and |x| <= {top}")
     auto = probes is None
     xs = [0.0] if auto else list(dict.fromkeys(x for x, _ in probes))
     z = np.outer([math.exp(x) for x in xs],
@@ -807,44 +401,6 @@ def harnack_diagnostic(P, probes=None, theta_steps=720):
            for (x, y), c in zip(probes, (2 * (abs(np.diff(k)) * step).sum(1)).tolist())]
     violations = [p for p in out if p["preimages"] != 2]
     return {"consistent": not violations, "probes": out, "violations": violations}
-
-
-def derivative(P, var):
-    """Formal partial derivative of a Laurent polynomial."""
-    k = 0 if var == "z" else 1
-    terms = {}
-    for (i, j), c in P.terms.items():
-        e = (i, j)[k]
-        if e == 0:
-            continue
-        ij = (i - 1, j) if k == 0 else (i, j - 1)
-        terms[ij] = terms.get(ij, 0) + c * e
-    return LaurentPoly2(terms)
-
-
-def detect_singularities(P):
-    """Probe for singular points of the open curve: common zeros of
-    (P, dP/dw, dP/dz), each below 1e-8 in modulus. Returns a list of
-    approximate singular points; used to report isolated real nodes as
-    unsupported rather than desingularizing."""
-    from .exactalg import resultant_eliminate
-    Pw = derivative(P, "w")
-    if Pw.is_zero():
-        return []
-    Pn, Pwn = P.to_numeric(), Pw.to_numeric()
-    Pzn = derivative(P, "z").to_numeric()
-    res, _ = resultant_eliminate(Pn, Pwn, "w")
-    if len(res.coeffs_in("z")[0]) < 2:
-        return []
-    # polish on the critical system before the residual test; double roots
-    # of the resultant are only located to sqrt precision
-    z1, w1 = _polish([Pwn, Pzn], *_fibre_roots(Pn, res, 1e-10), steps=40)
-    hits = []
-    for z, w in zip(z1.tolist(), w1.tolist()):
-        if all(abs(q.eval(z, w)) < 1e-8 for q in (Pn, Pwn, Pzn)) \
-                and not any(abs(z - a) < 1e-6 and abs(w - b) < 1e-6 for a, b in hits):
-            hits.append((z, w))
-    return hits
 
 
 # -- report --------------------------------------------------------------------------
@@ -876,13 +432,3 @@ def spectral_report(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-8):
     if rep["nu_failed"]:
         lines.append("residuals " + " ".join(sorted(map(str, rep["nu_failed"]))))
     return "\n".join(lines) + "\n", ok
-
-
-def _fmt_val(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, complex):
-        if abs(v.imag) < 1e-10:
-            return f"{v.real:.12g}"
-        return f"{v.real:.12g}{v.imag:+.12g}j"
-    return format_coeff(v)

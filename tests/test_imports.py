@@ -4,8 +4,9 @@ lattices from `isingdimer.lattices` alone, the CLI reaches K and P only
 through `characteristic_polynomial` and carries X through moves only by
 `dimer.XBasis`, every private top-level function of the package is
 referenced, every option of a CLI verb is read by that verb, every
-exception class of the package has an exit code, and every module stays
-below TOKEN_LIMIT parser tokens.
+exception class of the package has an exit code, every module stays
+below TOKEN_LIMIT parser tokens, and the modules of the package import
+each other one way, with no cycle.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules: an
 imported name counts as used when it is read anywhere in the module; a
@@ -17,6 +18,7 @@ class has an exit code when it or a base class is a key of `cli.EXIT_CODES`.
 """
 import argparse
 import ast
+import graphlib
 import importlib
 import io
 import tokenize
@@ -258,3 +260,47 @@ def test_counts_parser_tokens():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_below_token_limit(path):
     assert parser_tokens(path.read_text()) < TOKEN_LIMIT
+
+
+def package_imports(source):
+    """Modules of the package that source imports, at any depth: by
+    `from .x import`, `from . import x`, `import isingdimer.x` and
+    `from isingdimer.x import`."""
+    out = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.ImportFrom):
+            top, _, mod = (n.module or "").partition(".")
+            if n.level:
+                mod = top
+            elif top != "isingdimer":
+                continue
+            out |= {mod.split(".")[0]} if mod else {a.name for a in n.names}
+        elif isinstance(n, ast.Import):
+            out |= {a.name.split(".")[1] for a in n.names if a.name.startswith("isingdimer.")}
+    return out
+
+
+def import_cycle(graph):
+    """A cycle [m, ..., m] of graph {module: modules it imports}, or []."""
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        return exc.args[1]
+    return []
+
+
+def test_finds_an_import_cycle():
+    sources = {"a": "from .b import f\nimport math\n",
+               "b": "def f():\n    import isingdimer.c.sub\n",
+               "c": "from . import a\nfrom isingdimer.d import g\n", "d": ""}
+    graph = {m: package_imports(src) for m, src in sources.items()}
+    assert graph == {"a": {"b"}, "b": {"c"}, "c": {"a", "d"}, "d": set()}
+    cycle = import_cycle(graph)
+    assert cycle[0] == cycle[-1] and sorted(cycle[1:]) == ["a", "b", "c"]
+    assert import_cycle({**graph, "c": {"d"}}) == []
+
+
+def test_package_imports_run_one_way():
+    graph = {p.stem: package_imports(p.read_text()) for p in MODULES}
+    assert import_cycle(graph) == []
+    assert graph["divisor"] == {"exactalg"}

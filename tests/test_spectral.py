@@ -353,7 +353,7 @@ class TestDivisors:
         assert len(D) == 0
 
     def test_residual_test_scales_with_terms(self):
-        from isingdimer.spectral import _vanishes
+        from isingdimer.divisor import _vanishes
         p = LaurentPoly2({(0, 0): -1e6, (1, 0): 1.0})
         # an absolute 1e-5 miss is rounding at a point of size 1e6
         assert _vanishes([p], 1e6 + 1e-5, 1.0, 1e-10)[0]
@@ -371,7 +371,7 @@ class TestDivisors:
             [[True, False, False], [False, True, False]]
 
     def test_polish_on_all_equations(self):
-        from isingdimer.spectral import _polish
+        from isingdimer.divisor import _polish
         polys = [LaurentPoly2({(1, 0): 1.0, (0, 1): 1.0, (0, 0): -3.0}),
                  LaurentPoly2({(1, 0): 1.0, (0, 1): -1.0, (0, 0): 1.0}),
                  LaurentPoly2({(1, 1): 1.0, (0, 0): -2.0})]
@@ -383,7 +383,7 @@ class TestDivisors:
         # sees each point once, at its final value, and a true return ends
         # the pass with the points still moving where they are
         import numpy as np
-        from isingdimer.spectral import _polish
+        from isingdimer.divisor import _polish
         polys = [LaurentPoly2({(1, 0): 1.0, (0, 1): 1.0, (0, 0): -3.0}),
                  LaurentPoly2({(1, 0): 1.0, (0, 1): -1.0, (0, 0): 1.0}),
                  LaurentPoly2({(1, 1): 1.0, (0, 0): -2.0})]
@@ -398,7 +398,7 @@ class TestDivisors:
         assert abs(z[1] - 1) < 1e-12 and (abs(z[[0, 2]] - 1) > 1e-7).all()
 
     def test_matches_is_relative_far_out(self):
-        from isingdimer.spectral import Divisor
+        from isingdimer.divisor import Divisor
         far = Divisor([(100 + 0j, 70 + 0j, 1)], exact=False)
         assert far.matches(Divisor([(100 + 0j, 70 + 5e-8j, 1)], exact=False))
         near = Divisor([(0.5 + 0j, 0.7 + 0j, 1)], exact=False)
@@ -508,7 +508,7 @@ class TestRoots:
         # so they agree with LaurentPoly2.eval to rounding; the roots of a
         # row are bit-identical.
         import numpy as np
-        from isingdimer.spectral import _fibres, _roots
+        from isingdimer.divisor import _fibres, _roots
         g, wt = dimer_fixture
         P = lm_determinant(kasteleyn_matrix(g, wt, FIXTURE_KAPPA))
         # plus (z - 1) w^2: the leading coefficient in w vanishes at z = 1
@@ -540,7 +540,7 @@ class TestRoots:
         # small roots meet modulo 2, 3 and 5 (two of 1, 3, 4 and 6 modulo
         # each), and those primes divide the leading coefficient: the
         # prime search starts at 2 and must step over all of them
-        from isingdimer.spectral import _rational_zeros
+        from isingdimer.divisor import _rational_zeros
         f = [Fraction(lead) * scale]
         for r in roots:
             f = [a - r * b for a, b in zip([Fraction(0)] + f, f + [Fraction(0)])]
@@ -554,7 +554,7 @@ class TestRoots:
     def test_rational_zeros_against_sympy(self, case):
         sympy = pytest.importorskip("sympy")
         import numpy as np
-        from isingdimer.spectral import _rational_zeros
+        from isingdimer.divisor import _rational_zeros
         x = sympy.symbols("x")
         big1, big2 = 2 ** 81 + 1, 3 ** 52
         f = {"double root": x * (3 * x - 2) ** 2 * (x + 5) * (x ** 2 + 1) / 6,
@@ -615,7 +615,7 @@ def reference_terms(p, z, w):
 
 def reference_vanishes(p, z, w, tol):
     """Reference for _vanishes: one scalar point, one term at a time."""
-    from isingdimer.spectral import COEFF_EPS
+    from isingdimer.divisor import COEFF_EPS
     az, aw = abs(z), abs(w)
     size = spread = 0.0
     for (i, j), c in p.terms.items():
@@ -643,7 +643,7 @@ class TestTermKernel:
         # over more points than one pass of the kernel takes
         import numpy as np
         from isingdimer.exactalg import lm_adjugate_lines
-        from isingdimer.spectral import TERMS_BLOCK, _grid, _terms
+        from isingdimer.divisor import TERMS_BLOCK, _grid, _terms
         g, wt, _, kappa, white = ladder_dimer("honeycomb 2x2", 5)
         K = kasteleyn_matrix(g, wt, kappa)
         assert len(K.rows) == 24
@@ -671,16 +671,16 @@ class TestTermKernel:
     def test_batched_vanishes_matches_scalar_verdict(self, lattice, monkeypatch):
         # every divisor candidate of both divisors of verify-ising
         import numpy as np
-        from isingdimer import spectral
+        from isingdimer import divisor
         g, wt, gm, kappa, white = ladder_dimer(lattice, 11)
-        calls, batched = [], spectral._vanishes
+        calls, batched = [], divisor._vanishes
 
         def spy(polys, z, w, tol, grid=None):
             out = batched(polys, z, w, tol, grid)
             calls.append((polys, z.copy(), w.copy(), tol, out))
             return out
 
-        monkeypatch.setattr(spectral, "_vanishes", spy)
+        monkeypatch.setattr(divisor, "_vanishes", spy)
         ok, _ = verify_ising_spectral(g, wt, kappa, gm, white, mode="numeric")
         assert ok and calls
         for polys, z, w, tol, out in calls:
@@ -696,9 +696,9 @@ def divisor_search(monkeypatch, lattice, seed, with_stop):
     number of polynomials of each _terms call made inside it: 2 for a
     Newton step on P and e1, more for a stop test on P and every entry;
     and the number of other _polish calls."""
-    from isingdimer import spectral
+    from isingdimer import divisor
     g, wt, gm, kappa, white = ladder_dimer(lattice, seed)
-    polish, terms, passes, others, inside = spectral._polish, spectral._terms, [], [], []
+    polish, terms, passes, others, inside = divisor._polish, divisor._terms, [], [], []
 
     def counted_terms(grid, z, w):
         if inside:
@@ -717,8 +717,8 @@ def divisor_search(monkeypatch, lattice, seed, with_stop):
             inside.pop()
 
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_terms", counted_terms)
-        m.setattr(spectral, "_polish", first_pass)
+        m.setattr(divisor, "_terms", counted_terms)
+        m.setattr(divisor, "_polish", first_pass)
         try:
             _, rep = verify_ising_spectral(g, wt, kappa, gm, white, mode="numeric")
             got = rep["divisor_white"], rep["divisor_black"]
@@ -1032,7 +1032,7 @@ def reference_amoeba_sample(P, grid, region, tol=1e-8):
     """Reference for amoeba_sample: the grid point by point, one row at a time."""
     import cmath
     import numpy as np
-    from isingdimer.spectral import _fibres, _polish, _roots, _vanishes
+    from isingdimer.divisor import _fibres, _polish, _roots, _vanishes
     Pn = P.to_numeric()
     x0, x1, _, _ = region
     zs = []
@@ -1096,7 +1096,7 @@ def reference_harnack(P, probes, theta_steps=720):
     call per probe, the sorted levels and their signs angle by angle."""
     import cmath
     import numpy as np
-    from isingdimer.spectral import _fibres, _roots
+    from isingdimer.divisor import _fibres, _roots
     Pn = P.to_numeric()
     out = []
     violations = []
@@ -1130,7 +1130,7 @@ def reference_auto_probes(P, theta_steps=720):
     quarters of theta_steps; a fibre with no level gives none."""
     import cmath
     import numpy as np
-    from isingdimer.spectral import _fibres, _roots
+    from isingdimer.divisor import _fibres, _roots
     out = []
     for k in (theta_steps // 4, theta_steps // 2, 3 * theta_steps // 4):
         z = np.array([cmath.exp(1j * math.pi * (k + 0.5) / theta_steps)])
@@ -1310,6 +1310,21 @@ class TestHarnackArrays:
         with pytest.raises(SpectralError, match=f"theta_steps must be at least 1, got {steps}"):
             harnack_diagnostic(curve("square 1x1"), probes=probes, theta_steps=steps)
 
+    def test_theta_steps_not_an_integer_raises(self):
+        from isingdimer.spectral import harnack_diagnostic
+        with pytest.raises(SpectralError, match="theta_steps must be an integer, got 2.5"):
+            harnack_diagnostic(curve("square 1x1"), theta_steps=2.5)
+
+    @pytest.mark.parametrize("probe", [(800.0, 0.0), (-800.0, 0.0), (math.nan, 0.0),
+                                       (0.0, math.nan), (0.0, math.inf)],
+                             ids=["x above", "x below", "x nan", "y nan", "y inf"])
+    def test_probe_outside_the_float_range_raises(self, probe):
+        # e^x must be a finite float, as for the amoeba's --range, and y a
+        # level; a bad probe fails the call, whatever the good ones with it
+        from isingdimer.spectral import harnack_diagnostic
+        with pytest.raises(SpectralError, match=r"must have finite y and \|x\| <= 709.78"):
+            harnack_diagnostic(curve("square 1x1"), probes=[(0.0, 0.0), probe])
+
 
 class TestSecondFixturePolygon:
     def test_genus_zero_polygon_coherence(self):
@@ -1352,7 +1367,7 @@ class TestHarnackAndSingularities:
         assert all(p["preimages"] == 2 for p in rep["probes"])
 
     def test_fixture_curve_smooth(self, dimer_fixture):
-        from isingdimer.spectral import detect_singularities
+        from isingdimer.divisor import detect_singularities
         g, wt = dimer_fixture
         P = lm_determinant(kasteleyn_matrix(g, wt, FIXTURE_KAPPA))
         assert detect_singularities(P) == []
@@ -1361,7 +1376,7 @@ class TestHarnackAndSingularities:
         # from this start the critical-system iteration runs off to infinity
         import cmath
         import numpy as np
-        from isingdimer.spectral import _polish, derivative
+        from isingdimer.divisor import _polish, derivative
         g, wt = dimer_fixture
         P = lm_determinant(kasteleyn_matrix(g, wt, FIXTURE_KAPPA))
         Pn, Pw, Pz = (p.to_numeric() for p in (P, derivative(P, "w"), derivative(P, "z")))
@@ -1372,7 +1387,7 @@ class TestHarnackAndSingularities:
             assert cmath.isfinite(Pw.eval(z1, w1)) and cmath.isfinite(Pz.eval(z1, w1))
 
     def test_nodal_curve_detected(self):
-        from isingdimer.spectral import detect_singularities
+        from isingdimer.divisor import detect_singularities
         # (z + 1/z + w + 1/w): node at (z, w) = (1, -1) and (-1, 1)
         P = LaurentPoly2({(1, 0): Fraction(1), (-1, 0): Fraction(1),
                           (0, 1): Fraction(1), (0, -1): Fraction(1)})

@@ -454,13 +454,17 @@ GADGET_GENUS = [(kind, k, l, genus) for kind, genera in (
                              genera)]
 
 
+def centrally_symmetric(poly):
+    return {(-x, -y) for x, y in poly.vertices} == set(poly.vertices)
+
+
 class TestNewtonPolygon:
     def test_fixture_square(self):
         g, _, _ = parse_torus_graph(ISING_FIXTURE)
         poly, anchored = g.newton_polygon()
         assert set(poly.vertices) == {(1, 0), (0, 1), (-1, 0), (0, -1)}
         assert anchored
-        assert poly.is_centrally_symmetric()
+        assert centrally_symmetric(poly)
 
     def test_dimer_fixture_same_square(self):
         g, _, _ = parse_torus_graph(DIMER_FIXTURE)
@@ -476,7 +480,7 @@ class TestNewtonPolygon:
         g = (square if kind == "square" else honeycomb)(k, l)
         gd, _, _ = to_dimer(IsingModel(g, {e: make_coupling(x=Fraction(1, 3)) for e in g.edges()}))
         poly, _ = gd.newton_polygon()
-        assert poly.is_centrally_symmetric()
+        assert centrally_symmetric(poly)
         assert poly.genus == genus and genus % 2 == 1
 
     def test_color_change_reflects_classes(self, dimer_fixture):
