@@ -44,14 +44,21 @@ def _roots(coeffs):
 
 def _fibres(P, z):
     """Rows for _roots: the coefficients of P in w (lowest exponent
-    cleared, highest first) at each z of an array."""
+    cleared, highest first) at each z of an array. SpectralError, naming
+    the least |log|z|| of such a row, if a coefficient is not a finite
+    float: e^x can be finite where e^(kx) is not."""
     import numpy as np
     lo, hi = P.degree_range("w")
     ilo, ihi = P.degree_range("z")
-    Z = _powers(z, ilo, ihi)
     out = np.zeros((len(z), hi - lo + 1), dtype=complex)
-    for (i, j), c in P.terms.items():
-        out[:, hi - j] += complex(c) * Z[i - ilo]
+    with np.errstate(all="ignore"):
+        Z = _powers(z, ilo, ihi)
+        for (i, j), c in P.terms.items():
+            out[:, hi - j] += complex(c) * Z[i - ilo]
+        bad = ~np.isfinite(out).all(axis=1)
+        if bad.any():
+            x = np.abs(np.log(np.abs(z[bad]))).min()
+            raise SpectralError(f"fibre coefficients of P are not finite at |log|z|| = {x:.12g}")
     return out
 
 

@@ -254,12 +254,17 @@ class LaurentPoly2:
 
 
 class LaurentMatrix:
-    """A rectangular matrix of Laurent polynomials with labeled rows/columns."""
+    """A rectangular matrix of Laurent polynomials with labeled rows/columns.
+
+    Never changed after construction: `samples` keeps the sample grid it
+    builds on its first call, which a change to rows, cols or entries
+    would leave stale."""
 
     def __init__(self, rows, cols, entries):
         self.rows = list(rows)
         self.cols = list(cols)
         self.entries = {}
+        self._samples = None
         zero = LaurentPoly2.zero()          # one for all cells: nothing mutates terms
         for r in self.rows:
             for c in self.cols:
@@ -276,6 +281,17 @@ class LaurentMatrix:
     def is_square(self):
         return len(self.rows) == len(self.cols)
 
+    def samples(self):
+        """(grid, lows, real) of _sample_grid for this square matrix, built
+        on the first call and kept, the grid read-only: lm_determinant and
+        every lm_adjugate_lines call on the matrix share one grid."""
+        if self._samples is None:
+            grid, lows, real = _sample_grid([[self.entries[(r, c)] for c in self.cols]
+                                             for r in self.rows])
+            grid.flags.writeable = False
+            self._samples = grid, lows, real
+        return self._samples
+
 
 def lm_determinant(m):
     """Determinant of a square Laurent matrix, of any size.
@@ -284,8 +300,8 @@ def lm_determinant(m):
     on the rows cleared of their denominators (_int_rows, _det_int).
     Numeric entries: det lies in the exponent box summed from each row's
     exponent range, so it is evaluated on a grid of roots of unity covering
-    that box (_sample_grid, batched LU) and its coefficients are read off
-    by a 2-D FFT (_interpolate).
+    that box (the matrix's one sample grid, m.samples(); batched LU) and
+    its coefficients are read off by a 2-D FFT (_interpolate).
     """
     if not m.is_square():
         raise DimensionError("determinant of a non-square matrix")
@@ -294,7 +310,7 @@ def lm_determinant(m):
         rows, scales = _int_rows(a)
         return _from_int(_det_int(rows), math.prod(scales))
     import numpy as np
-    grid, lows, real = _sample_grid(a)
+    grid, lows, real = m.samples()
     shift = tuple(sum(lo[k] for lo in lows) for k in (0, 1))
     return _interpolate(np.linalg.det(grid)[..., None], [shift], real)[0]
 
@@ -410,7 +426,9 @@ def _sample_grid(a):
     of det a, each row shifted to nonnegative exponents first (a zero row
     counts as constant). Returns the (nz, nw, n, n) samples, the shift
     (low z and w exponent) of each row and whether every coefficient is a
-    float."""
+    float. Every term's samples coef * roots_z^(i - lo) * roots_w^(j - lo)
+    are made in one array pass and added to their cells by one scatter,
+    the terms of a cell in their order."""
     import numpy as np
     n = len(a)
     lows, spans = [], []
@@ -422,13 +440,15 @@ def _sample_grid(a):
     nz, nw = (sum(s[k] for s in spans) + 1 for k in (0, 1))
     roots_z = np.exp(2j * np.pi * np.arange(nz) / nz)
     roots_w = np.exp(2j * np.pi * np.arange(nw) / nw)
-    az, bw = np.arange(nz)[:, None], np.arange(nw)[None, :]
     grid = np.zeros((nz, nw, n, n), dtype=complex)
-    for r, (row, (zlo, wlo)) in enumerate(zip(a, lows)):
-        for c, e in enumerate(row):
-            for (i, j), coef in e.terms.items():
-                grid[:, :, r, c] += (complex(coef) * roots_z[az * (i - zlo) % nz]
-                                     * roots_w[bw * (j - wlo) % nw])
+    terms = [(r, c, i - zlo, j - wlo, complex(coef))
+             for r, (row, (zlo, wlo)) in enumerate(zip(a, lows)) for c, e in enumerate(row)
+             for (i, j), coef in e.terms.items()]
+    if terms:
+        r, c, i, j, coef = map(np.array, zip(*terms))
+        samples = (coef[:, None, None] * roots_z[np.outer(i, np.arange(nz)) % nz][:, :, None]
+                   * roots_w[np.outer(j, np.arange(nw)) % nw][:, None, :])
+        np.add.at(grid, (slice(None), slice(None), r, c), samples.transpose(1, 2, 0))
     real = all(isinstance(c, float) for row in a for e in row for c in e.terms.values())
     return grid, lows, real
 
@@ -438,26 +458,32 @@ def _interpolate(values, shifts, real):
     samples on the grid of _sample_grid times z^-shifts[t][0] w^-shifts[t][1],
     read out by one batched 2-D FFT. Terms at or below NUMERIC_ZERO_TOL
     times the polynomial's largest coefficient are dropped; coefficients
-    are floats when `real`."""
+    are floats when `real`. The kept terms of all polynomials are found
+    and gathered in one pass, each polynomial's in the order of its (x, y)."""
     import numpy as np
     nz, nw, k = values.shape
     coeffs = np.fft.fft2(values, axes=(0, 1)) / (nz * nw)
     mags = np.abs(coeffs)
     keep = mags > NUMERIC_ZERO_TOL * mags.max(axis=(0, 1))
-    return [LaurentPoly2({(x + dz, y + dw): float(coeffs[x, y, t].real) if real
-                          else complex(coeffs[x, y, t]) for x, y in zip(*np.nonzero(keep[..., t]))})
-            for t, (dz, dw) in enumerate(shifts)]
+    t, x, y = np.nonzero(keep.transpose(2, 0, 1))
+    kept = coeffs[x, y, t]
+    dz, dw = np.array(shifts, dtype=int).reshape(-1, 2)[t].T
+    terms = list(zip(zip((x + dz).tolist(), (y + dw).tolist()),
+                     (kept.real if real else kept).tolist()))
+    ends = np.cumsum(np.bincount(t, minlength=k)).tolist()
+    return [LaurentPoly2(dict(terms[a:b])) for a, b in zip([0] + ends, ends)]
 
 
-def _adjugate_qr(a, cols, rows):
+def _adjugate_qr(a, samples, cols, rows):
     """Columns `cols` and rows `rows` (indices) of adj(a), numeric entries,
-    from one sample grid of a (_sample_grid, the grid of det a). Each
-    sample is factored A = QR by Householder reflectors, Q = H_0 ... H_(n-1)
-    with H_i = I - tau_i v_i v_i^H and det(H_i) = 1 - tau_i |v_i|^2, and
-    adj(A) = det(Q) adj(R) Q^H: column i is det(Q) adj(R) Q^H e_i, row j is
-    det(Q) conj(Q) (row j of adj(R)). The lines of adj(R) come from
-    _adjugate_triangular, which divides by nothing, so singular samples
-    need no care (Stewart, "On the adjugate matrix", LAA 1998). Row r of a
+    from `samples`, the sample grid of a (_sample_grid, the grid of det a),
+    which is only read. Each sample is factored A = QR by Householder
+    reflectors, Q = H_0 ... H_(n-1) with H_i = I - tau_i v_i v_i^H and
+    det(H_i) = 1 - tau_i |v_i|^2, and adj(A) = det(Q) adj(R) Q^H: column
+    i is det(Q) adj(R) Q^H e_i, row j is det(Q) conj(Q) (row j of adj(R)).
+    The lines of adj(R) come from _adjugate_triangular, which divides by
+    nothing, so singular samples need no care (Stewart, "On the adjugate
+    matrix", LAA 1998). Row r of a
     is sampled times the monomial z^-lo_r (lo_r its low exponents in z and
     w), so entry (c, r) of adj, a minor without row r, is sampled times
     z^-(sum of lo - lo_r), a polynomial inside the grid's box; each entry
@@ -465,19 +491,19 @@ def _adjugate_qr(a, cols, rows):
     zero column is zero (_zero_minors)."""
     import numpy as np
     n = len(a)
-    grid, lows, real = _sample_grid(a)
+    grid, lows, real = samples
     total = [sum(lo[k] for lo in lows) for k in (0, 1)]
+    factors = np.empty(grid.shape, dtype=complex)
     tau = np.empty(grid.shape[:3], dtype=complex)
     det_q = np.empty(grid.shape[:2], dtype=complex)
-    for t, samples in enumerate(grid):
-        # one z-slice at a time, each sample overwritten by its factors
-        # (R on and above the diagonal, v_i below it, whose entry i is 1),
-        # so that they take no more room than the grid
-        h, tau[t] = np.linalg.qr(samples, mode="raw")
-        grid[t] = h.swapaxes(1, 2)
-        norms = 1 + (abs(np.tril(grid[t], -1)) ** 2).sum(axis=1)
+    for t, z_slice in enumerate(grid):
+        # one z-slice at a time, each sample's factors (R on and above the
+        # diagonal, v_i below it, whose entry i is 1) in the grid's shape
+        h, tau[t] = np.linalg.qr(z_slice, mode="raw")
+        factors[t] = h.swapaxes(1, 2)
+        norms = 1 + (abs(np.tril(factors[t], -1)) ** 2).sum(axis=1)
         det_q[t] = (1 - tau[t] * norms).prod(axis=1)
-    h, tau, det_q = grid.reshape((-1, n, n)), tau.reshape((-1, n)), det_q.reshape((-1, 1, 1))
+    h, tau, det_q = factors.reshape((-1, n, n)), tau.reshape((-1, n)), det_q.reshape((-1, 1, 1))
     eye = np.eye(n, dtype=complex)
     lines = np.empty((len(h), len(cols) + len(rows), n), dtype=complex)
     if cols:
@@ -488,6 +514,7 @@ def _adjugate_qr(a, cols, rows):
         # R^T with both indices reversed
         back = _adjugate_triangular(h.swapaxes(1, 2)[:, ::-1, ::-1], eye[[n - 1 - j for j in rows]])
         lines[:, len(cols):] = det_q * _apply_q(h, tau, back[..., ::-1].conj()).conj()
+    del factors, h      # as large as the grid: gone before the read-out
     cells = [(i, c) for i in cols for c in range(n)] + [(r, j) for j in rows for r in range(n)]
     out = _interpolate(lines.reshape(grid.shape[:2] + (-1,)),
                        [(total[0] - lows[r][0], total[1] - lows[r][1]) for r, _ in cells], real)
@@ -560,9 +587,9 @@ def lm_adjugate_lines(m, columns=(), rows=()):
 
     Exact entries: m is cleared of denominators once (_int_rows), and each
     minor is a _det_int of the shared rows, divided by the product of their
-    L_r. Numeric entries: every requested line from one sample grid of m
-    and one Householder QR per sample (_adjugate_qr), read out as
-    lm_determinant reads det."""
+    L_r. Numeric entries: every requested line from the one sample grid
+    of m, m.samples(), that lm_determinant also reads, and one Householder
+    QR per sample (_adjugate_qr), read out as lm_determinant reads det."""
     if not m.is_square():
         raise DimensionError("adjugate of a non-square matrix")
     ci = [m.rows.index(r) for r in columns]
@@ -579,7 +606,7 @@ def lm_adjugate_lines(m, columns=(), rows=()):
         lines = ([[entry(i, j) for j in range(len(a))] for i in ci],
                  [[entry(i, j) for i in range(len(a))] for j in rj])
     else:
-        lines = _adjugate_qr(a, ci, rj)
+        lines = _adjugate_qr(a, m.samples(), ci, rj)
     return ([dict(zip(m.cols, col)) for col in lines[0]],
             [dict(zip(m.rows, row)) for row in lines[1]])
 
@@ -587,7 +614,7 @@ def lm_adjugate_lines(m, columns=(), rows=()):
 def lm_adjugate(m):
     """Adjugate (transposed cofactor matrix): m @ adj(m) == det(m) * I,
     singular m included. Every column from one lm_adjugate_lines call, so
-    in numeric mode from one sample grid of m."""
+    in numeric mode from the one sample grid of m."""
     cols = lm_adjugate_lines(m, m.rows)[0]
     return LaurentMatrix(m.cols, m.rows,
                          {(c, r): v for r, col in zip(m.rows, cols) for c, v in col.items()})

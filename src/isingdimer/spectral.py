@@ -99,18 +99,18 @@ def kappa_tree_normalize(g, kappa):
 
 def kasteleyn_matrix(g, wt, kappa):
     """Rows = white vertices, columns = black; entries sum wt * kappa * z^i w^j
-    over parallel edges, with (i, j) the displacement of the black->white dart."""
-    whites, blacks = g.whites(), g.blacks()
-    entries = {}
+    over parallel edges, with (i, j) the displacement of the black->white dart,
+    summed in edge order into one term dict per cell."""
+    cells = {}
     for e in g.edges():
         v1, v2, _, _ = g.edge_ends[e]
         b, w = (v1, v2) if g.colors[v1] == "b" else (v2, v1)
         d = e + "+" if g.tail(e + "+") == b else e + "-"
-        i, j = g.disp(d)
-        term = LaurentPoly2.monomial(i, j, wt[e] * kappa[e])
-        key = (w, b)
-        entries[key] = entries.get(key, LaurentPoly2.zero()) + term
-    return LaurentMatrix(whites, blacks, entries)
+        ij = g.disp(d)
+        terms = cells.setdefault((w, b), {})
+        terms[ij] = terms.get(ij, 0) + wt[e] * kappa[e]
+    return LaurentMatrix(g.whites(), g.blacks(),
+                         {cell: LaurentPoly2(terms) for cell, terms in cells.items()})
 
 
 class SpectralCurveData:
@@ -362,7 +362,8 @@ def harnack_diagnostic(P, probes=None, theta_steps=720):
     interior to the scan, never on a real fibre (theta = 0 or pi), where the
     count would turn on the last bit of the roots. A fibre with no level
     gives no probe. SpectralError unless theta_steps is an int of at least
-    1 and every probe has finite y and |x| <= log(float max).
+    1 and every probe has finite y and |x| <= log(float max), and if the
+    coefficients of P in w on a probe's circle are not finite floats.
     """
     import numpy as np
     Pn = _numeric_in_w(P)

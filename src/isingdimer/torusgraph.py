@@ -87,6 +87,7 @@ class TorusGraph:
         self._zigzags = None
         self._cycle_a = None
         self._cycle_b = None
+        self._tree = None
         self._valid = False           # a validate() or a checked edit passed
 
     # -- construction -------------------------------------------------------
@@ -424,7 +425,10 @@ class TorusGraph:
     def spanning_tree(self):
         """The spanning tree on the lowest edge ids (union-find over the
         edges in order), as steps (v, e, u) of a walk from the first vertex
-        in which v is reached before u. Deterministic."""
+        in which v is reached before u. Deterministic; built once per graph
+        and kept like the faces."""
+        if self._tree is not None:
+            return self._tree
         parent = {v: v for v in self.vertex_ids()}
         adj = {v: [] for v in self.vertex_ids()}
         for e in self.edges():
@@ -443,6 +447,7 @@ class TorusGraph:
                     seen.add(u)
                     steps.append((v, e, u))
                     stack.append(u)
+        self._tree = steps
         return steps
 
     def homology_basis_cycles(self):

@@ -154,6 +154,15 @@ class TestExitCodes:
             assert err.startswith("error: Abel labels inconsistent across edge e")
             assert err.count("\n") == 1
 
+    def test_fibres_outside_the_float_range_exit_1(self, tmp_path, capsys):
+        # P has degree 2 in z: e^525 is a float, e^1050 is not
+        gp, _, _ = _gadget(tmp_path, square(2, 2), [Fraction(k, 2 * k + 1) for k in range(1, 9)])
+        capsys.readouterr()
+        assert main(["amoeba", gp, "--range", "700", "--grid", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: fibre coefficients of P are not finite at |log|z|| = 525\n"
+
     def test_vertex_without_partner_exits_2(self, files, capsys):
         _, gp, _, gm = files
         assert main(["verify-ising", gp, "--vertex", "b3", "--gadget-map", gm]) == 2
@@ -745,6 +754,22 @@ class TestPipelines:
             calls.update(_adjugate_qr=0)
             assert main(argv + ["--mode", "numeric"]) == 0
             assert calls == {"_adjugate_qr": 1}
+
+    def test_amoeba_vertex_builds_one_grid_of_k(self, files, monkeypatch, capsys):
+        # det K and the vertex's adjugate line read one sample grid of K
+        import isingdimer.exactalg as exactalg
+        import isingdimer.spectral as spectral
+        matrices, grids = [], []
+        build, grid = spectral.kasteleyn_matrix, exactalg._sample_grid
+        monkeypatch.setattr(spectral, "kasteleyn_matrix",
+                            lambda *args: matrices.append(build(*args)) or matrices[-1])
+        monkeypatch.setattr(exactalg, "_sample_grid", lambda a: grids.append(a) or grid(a))
+        tmp, gp, _, _ = files
+        assert main(["amoeba", gp, "--grid", "8", "--vertex", "w2", "--mode", "numeric",
+                     "--out", str(tmp / "am.csv")]) == 0
+        (K,) = matrices
+        rows = [[K[(r, c)] for c in K.cols] for r in K.rows]
+        assert sum(a == rows for a in grids) == 1
 
     def test_inspect_dual(self, files, capsys):
         _, _, ip, _ = files

@@ -10,8 +10,10 @@ from isingdimer.exactalg import (
     LaurentMatrix,
     LaurentPoly2,
     ModeError,
+    NUMERIC_ZERO_TOL,
     NewtonPolygon,
     _divider,
+    _interpolate,
     _mul_sub,
     lm_adjugate,
     lm_adjugate_lines,
@@ -695,6 +697,8 @@ class TestAdjugateLines:
                 assert all(abs(v) <= 1e-11 * top for v in diff.terms.values())
 
     def test_one_grid_per_lm_adjugate(self, monkeypatch):
+        # one grid per matrix: the determinant and every later call of the
+        # same matrix read the grid of the first; another matrix builds its own
         import isingdimer.exactalg as exactalg
         calls = []
         grid = exactalg._sample_grid
@@ -702,9 +706,169 @@ class TestAdjugateLines:
         _, m = gadget_kasteleyn(12)
         lm_adjugate(m)
         assert len(calls) == 1
-        calls.clear()
         lm_adjugate_lines(m, m.rows[:2], m.cols[:2])
+        lm_determinant(m)
         assert len(calls) == 1
+        lm_determinant(gadget_kasteleyn(12)[1])
+        assert len(calls) == 2
+
+    def test_shared_grid_is_read_only(self):
+        m = honeycomb22_float()
+        grid = m.samples()[0]
+        before = grid.copy()
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0, 0, 0] = 1.0
+        lm_adjugate_lines(m, m.rows, m.cols[:3])
+        lm_determinant(m)
+        assert m.samples()[0] is grid
+        assert grid.tobytes() == before.tobytes()
+
+
+def reference_sample_grid(a):
+    """The sample grid of _sample_grid made by one numpy pass per term:
+    each cell the sum, in term order, of coef * roots_z^(a (i - lo)) *
+    roots_w^(b (j - lo)) over the grid's pairs (a, b)."""
+    n = len(a)
+    lows, spans = [], []
+    for row in a:
+        support = [ij for e in row for ij in e.terms] or [(0, 0)]
+        lo = [min(ij[k] for ij in support) for k in (0, 1)]
+        lows.append(lo)
+        spans.append([max(ij[k] for ij in support) - lo[k] for k in (0, 1)])
+    nz, nw = (sum(s[k] for s in spans) + 1 for k in (0, 1))
+    roots_z = np.exp(2j * np.pi * np.arange(nz) / nz)
+    roots_w = np.exp(2j * np.pi * np.arange(nw) / nw)
+    az, bw = np.arange(nz)[:, None], np.arange(nw)[None, :]
+    grid = np.zeros((nz, nw, n, n), dtype=complex)
+    for r, (row, (zlo, wlo)) in enumerate(zip(a, lows)):
+        for c, e in enumerate(row):
+            for (i, j), coef in e.terms.items():
+                grid[:, :, r, c] += (complex(coef) * roots_z[az * (i - zlo) % nz]
+                                     * roots_w[bw * (j - wlo) % nw])
+    real = all(isinstance(c, float) for row in a for e in row for c in e.terms.values())
+    return grid, lows, real
+
+
+def reference_interpolate(values, shifts, real):
+    """The read-out of _interpolate made polynomial by polynomial, one
+    np.nonzero and one scalar index per kept term."""
+    nz, nw, _ = values.shape
+    coeffs = np.fft.fft2(values, axes=(0, 1)) / (nz * nw)
+    mags = np.abs(coeffs)
+    keep = mags > NUMERIC_ZERO_TOL * mags.max(axis=(0, 1))
+    return [LaurentPoly2({(x + dz, y + dw): float(coeffs[x, y, t].real) if real
+                          else complex(coeffs[x, y, t]) for x, y in zip(*np.nonzero(keep[..., t]))})
+            for t, (dz, dw) in enumerate(shifts)]
+
+
+def assert_same_grid(m):
+    """m.samples() against reference_sample_grid on the rows of m: equal
+    arrays, bit for bit, and equal row shifts and float flags."""
+    grid, lows, real = m.samples()
+    want, want_lows, want_real = reference_sample_grid(
+        [[m[(r, c)] for c in m.cols] for r in m.rows])
+    assert np.array_equal(grid, want) and grid.tobytes() == want.tobytes()
+    assert (lows, real) == (want_lows, want_real)
+
+
+def checked_read_out(mp):
+    """Patch _interpolate, on the pytest.MonkeyPatch mp, with one that also
+    runs reference_interpolate and asserts the same term dicts, keys in the
+    same order. Returns the list of checked calls."""
+    import isingdimer.exactalg as exactalg
+    interpolate, calls = exactalg._interpolate, []
+
+    def checked(values, shifts, real):
+        got = interpolate(values, shifts, real)
+        want = reference_interpolate(values, shifts, real)
+        assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
+        calls.append(len(shifts))
+        return got
+
+    mp.setattr(exactalg, "_interpolate", checked)
+    return calls
+
+
+@st.composite
+def numeric_matrices(draw):
+    """Square Laurent matrices up to 6x6 whose coefficients are all floats,
+    all complex or all Fractions, up to three terms in a cell, exponents
+    from -2 to 2, and maybe one zero row."""
+    n = draw(st.integers(1, 6))
+    coeff = draw(st.sampled_from([
+        st.floats(-9, 9, allow_nan=False).filter(bool),
+        st.builds(complex, st.floats(-9, 9), st.floats(-9, 9)).filter(bool),
+        rationals().filter(bool)]))
+    pairs = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    cell = st.dictionaries(pairs, coeff, max_size=3).map(LaurentPoly2)
+    grid = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    zero = draw(st.none() | st.integers(0, n - 1))
+    if zero is not None:
+        grid[zero] = [LaurentPoly2.zero()] * n
+    return _matrix(range(n), range(n), grid)
+
+
+class TestSampleKernels:
+    """The scatter that builds a matrix's sample grid and the one-pass FFT
+    read-out, against their per-term and per-polynomial references."""
+
+    @pytest.mark.parametrize("lattice", ["honeycomb 1x1", "square 2x1", "honeycomb 2x1",
+                                         "square 2x2", "honeycomb 2x2"])
+    def test_ladder_kasteleyn_matrices(self, lattice):
+        from test_spectral import ladder_dimer
+        g, wt, _, kappa, _ = ladder_dimer(lattice, 3)
+        m = kasteleyn_matrix(g, wt, kappa)
+        assert_same_grid(m)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = checked_read_out(mp)
+            lm_determinant(m)
+            lm_adjugate_lines(m, m.rows[:2], m.cols[-1:])
+        assert calls == [1, 3 * len(m.rows)]
+
+    def test_numeric_sylvester_matrix(self):
+        # the resultant of P and an adjugate entry: cells of several terms
+        import isingdimer.exactalg as exactalg
+        from test_spectral import ladder_dimer
+        g, wt, _, kappa, white = ladder_dimer("square 2x1", 3)
+        K = kasteleyn_matrix(g, wt, kappa)
+        P = lm_determinant(K)
+        e = max(lm_adjugate_lines(K, [white])[0][0].values(), key=lambda e: len(e.terms))
+        seen, det = [], exactalg.lm_determinant
+        with pytest.MonkeyPatch.context() as mp:
+            calls = checked_read_out(mp)
+            mp.setattr(exactalg, "lm_determinant", lambda m: seen.append(m) or det(m))
+            resultant_eliminate(P, e, "w")
+        (m,) = seen
+        assert calls == [1]
+        assert max(len(c.terms) for c in m.entries.values()) > 1
+        assert_same_grid(m)
+
+    @settings(max_examples=50, deadline=None)
+    @given(numeric_matrices())
+    def test_random_matrices(self, m):
+        assert_same_grid(m)
+        if not all(e.exact for e in m.entries.values()):
+            with pytest.MonkeyPatch.context() as mp:
+                calls = checked_read_out(mp)
+                lm_determinant(m)
+                lm_adjugate_lines(m, m.rows, m.cols)
+            assert calls == [1, 2 * len(m.rows) ** 2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 4), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_read_out_of_random_samples(self, nz, nw, k, real, seed):
+        # coefficients from 1e-14 to 1 of the largest: the cut at 1e-10
+        # drops some terms of some polynomials
+        rng = np.random.default_rng(seed)
+        coeffs = rng.normal(size=(nz, nw, k)) + 1j * rng.normal(size=(nz, nw, k))
+        coeffs *= 10.0 ** rng.uniform(-14, 0, size=(nz, nw, k))
+        values = np.fft.ifft2(coeffs, axes=(0, 1)) * (nz * nw)
+        shifts = [tuple(map(int, rng.integers(-3, 4, 2))) for _ in range(k)]
+        got = _interpolate(values, shifts, real)
+        want = reference_interpolate(values, shifts, real)
+        assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
 
 
 class TestNewtonPolygon:

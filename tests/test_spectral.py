@@ -148,6 +148,16 @@ class TestKasteleynSigns:
                 if kappa_tree_normalize(g, k) == kappa_tree_normalize(g, FIXTURE_KAPPA)]
         assert len(hits) == 1
 
+    @pytest.mark.parametrize("lattice", ["square 2x1", "honeycomb 2x2"])
+    def test_one_spanning_tree_for_the_four_classes(self, lattice, monkeypatch):
+        # every call returns the tree built by the first
+        from isingdimer.torusgraph import TorusGraph
+        g, *_ = ladder_dimer(lattice, 1)
+        trees, tree = [], TorusGraph.spanning_tree
+        monkeypatch.setattr(TorusGraph, "spanning_tree", lambda g: trees.append(tree(g)) or trees[-1])
+        solve_kasteleyn_signs(g)
+        assert len(trees) == 4 and all(t is trees[0] for t in trees)
+
 
 def reference_gf2_solve(rows, rhs, nvars):
     """Particular solution and kernel basis of A x = b over GF(2)."""
@@ -833,6 +843,17 @@ class TestVerifyIsingSpectral:
             ok, _ = verify_ising_spectral(g, wt, FIXTURE_KAPPA, gm, w)
             assert ok
 
+    def test_numeric_verify_builds_three_sample_grids(self, monkeypatch):
+        # K's grid, for det K and both adjugate lines, and one per divisor's
+        # Sylvester matrix
+        import isingdimer.exactalg as exactalg
+        g, wt, gm, kappa, white = ladder_dimer("honeycomb 2x2", 11)
+        calls, grid = [], exactalg._sample_grid
+        monkeypatch.setattr(exactalg, "_sample_grid", lambda a: calls.append(len(a)) or grid(a))
+        ok, _ = verify_ising_spectral(g, wt, kappa, gm, white, mode="numeric")
+        assert ok
+        assert len(calls) == 3 and calls[0] == 24
+
     def test_report_text(self, dimer_fixture):
         g, wt = dimer_fixture
         text, ok = spectral_report(g, wt, FIXTURE_KAPPA, fixture_gm(), "w2")
@@ -1324,6 +1345,17 @@ class TestHarnackArrays:
         from isingdimer.spectral import harnack_diagnostic
         with pytest.raises(SpectralError, match=r"must have finite y and \|x\| <= 709.78"):
             harnack_diagnostic(curve("square 1x1"), probes=[(0.0, 0.0), probe])
+
+    @pytest.mark.parametrize("x", [400.0, -400.0])
+    def test_fibres_outside_the_float_range_raise(self, x):
+        # e^400 is a float, e^800 is not: the coefficient of w^0 at
+        # |z| = e^400 overflows
+        from isingdimer.spectral import harnack_diagnostic
+        P = LaurentPoly2({(0, 0): 5.0, (2, 0): -1.0, (-2, 0): -1.0, (0, 1): -1.0, (0, -1): -1.0,
+                          (1, 1): 1.0})
+        with pytest.raises(SpectralError, match=r"^fibre coefficients of P are not finite "
+                                                r"at \|log\|z\|\| = 400$"):
+            harnack_diagnostic(P, probes=[(x, 0.0)], theta_steps=8)
 
 
 class TestSecondFixturePolygon:

@@ -376,6 +376,18 @@ class TestEdit:
         g.freeze().edit(**change)
         assert calls == [g, g]
 
+    def test_spanning_tree_is_kept_and_new_graphs_start_without_one(self):
+        g = fixture_graph()
+        tree = g.spanning_tree()
+        assert g.spanning_tree() is tree
+        h = g.edit(**self.subdivided())
+        assert h.spanning_tree() is not tree
+        assert h.spanning_tree() == h.copy().spanning_tree() != tree
+        swapped = g.color_swapped()
+        assert swapped.spanning_tree() is not tree and swapped.spanning_tree() == tree
+        g.freeze()
+        assert g.spanning_tree() is not tree and g.spanning_tree() == tree
+
     def test_unvalidated_broken_input(self):
         g = fixture_graph()
         g.rotation["b1"] = ["e9+", "e8+"]
