@@ -286,7 +286,8 @@ def amoeba_sample(P, grid=100, region=(-3.0, 3.0, -3.0, 3.0), tol=1e-8):
 
     Returns a list of rows (x, y, is_real, z, w) with x = log|z|, y = log|w|,
     taken by math.log and abs of Python complex numbers: numpy's log and abs
-    can differ from them in the last bit.
+    can differ from them in the last bit. is_real holds where z lies on a
+    real fibre (phase 0 or pi) and |Im w| < 1e-9.
     """
     import numpy as np
     Pn = _numeric_in_w(P)
@@ -299,8 +300,10 @@ def amoeba_sample(P, grid=100, region=(-3.0, 3.0, -3.0, 3.0), tol=1e-8):
     fibre = np.nonzero(keep)[0]
     _, w = _polish([Pn], z[fibre], roots[keep], steps=3, move_z=False)
     hit = _vanishes([Pn], z[fibre], w, tol)[0]
-    z, w = z[fibre[hit]], w[hit]
-    is_real = ((abs(z.imag) < 1e-12) & (abs(w.imag) < 1e-9)).tolist()
+    z, w, phase = z[fibre[hit]], w[hit], fibre[hit] % grid
+    # z is real on the fibres of phase 0 and pi, whose Im z = |z| sin(theta)
+    # in floats no absolute threshold tells from the others' at every |z|
+    is_real = (((phase == 0) | (phase == grid - 1)) & (abs(w.imag) < 1e-9)).tolist()
     z, w = z.tolist(), w.tolist()
     return list(zip(map(math.log, map(abs, z)), map(math.log, map(abs, w)), is_real, z, w))
 

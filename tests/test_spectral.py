@@ -1071,7 +1071,7 @@ def reference_amoeba_sample(P, grid, region, tol=1e-8):
     rows = []
     for k, wk in zip(fibre[hit].tolist(), w[hit].tolist()):
         zk = zs[k]
-        is_real = abs(zk.imag) < 1e-12 and abs(wk.imag) < 1e-9
+        is_real = k % grid in (0, grid - 1) and abs(wk.imag) < 1e-9
         rows.append((math.log(abs(zk)), math.log(abs(wk)), is_real, zk, wk))
     return rows
 
@@ -1193,6 +1193,10 @@ class TestAmoebaArrays:
         if grid == 40:
             # both colours and both csv flags occur
             assert {r[2] for r in rows} == {True, False}
+            # at |x| <= 2.5 the real fibres are those of |Im z| < 1e-12, as
+            # the flags were decided before they went by the fibre
+            assert [r[2] for r in rows] == [abs(z.imag) < 1e-12 and abs(w.imag) < 1e-9
+                                            for *_, z, w in rows]
 
     @pytest.mark.parametrize("r", [20, 40])
     def test_far_roots_kept(self, r):
@@ -1203,6 +1207,18 @@ class TestAmoebaArrays:
         rows = amoeba_sample(P, grid=40, region=(-r, r, -r, r))
         assert len(rows) == 40 * 40 * 4
         assert rows == reference_amoeba_sample(P, 40, (-r, r, -r, r))
+
+    @pytest.mark.parametrize("r", [20, 40])
+    @pytest.mark.parametrize("name", ["fixture", "honeycomb 2x2"])
+    def test_is_real_far_out(self, name, r):
+        # Im z of a real fibre grows with |z| to above 1e-12, and that of
+        # the others falls below it as |z| shrinks; relative to |z| the two
+        # stay 16 orders apart
+        rows = amoeba_sample(curve(name), grid=40, region=(-r, r, -r, r))
+        on_real_fibre = [abs(z.imag) <= 1e-12 * abs(z) for *_, z, _ in rows]
+        assert 0 < sum(on_real_fibre) < len(rows)
+        assert [r[2] for r in rows] == [a and abs(w.imag) < 1e-9
+                                        for a, (*_, w) in zip(on_real_fibre, rows)]
 
     def test_no_hit_rows(self):
         # the one fibre, z = 1, of (z - 1) w + 1 has its root at infinity
