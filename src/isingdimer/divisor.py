@@ -146,7 +146,7 @@ def _terms(grid, z, w):
     return tuple(a.reshape(shape) for a in (val, zdz, wdw, size, spread))
 
 
-def _polish(polys, z, w, steps=4, move_z=True, stop=None):
+def _polish(polys, z, w, steps=4, move_z=True, stop=None, grid=None):
     """Newton steps with exact derivatives on all of polys = 0 from a batch
     of points z, w (arrays or scalars; with move_z false only w moves),
     least squares by the normal equations when there are more equations
@@ -157,22 +157,37 @@ def _polish(polys, z, w, steps=4, move_z=True, stop=None):
     stops when its residuals reach rounding level, or when an evaluation or
     a step turns non-finite: it keeps its last iterate at which every poly
     evaluates finitely. After each step stop(z, w), if given, sees the
-    points that stopped in it; all points stop when it returns true."""
+    points that stopped in it; all points stop when it returns true.
+    grid is _grid(polys) if given.
+
+    Returns z, w and the values (value, size of terms, spread) of _terms
+    at each point's last evaluation, one row per poly: at the point where
+    it stops, since a point reverted after a non-finite evaluation keeps
+    those of the step before. When stop ends the pass, the points that had
+    not stopped have moved since theirs."""
     import numpy as np
     shape = np.shape(z)
     z = np.array(z, dtype=complex).ravel()
     w = np.array(w, dtype=complex).ravel()
     prev_z, prev_w = z.copy(), w.copy()
     live = np.ones(len(z), dtype=bool)
-    grid = _grid(polys)
+    grid = grid or _grid(polys)
+    last = (np.empty((len(polys), len(z)), dtype=complex),
+            np.empty((len(polys), len(z))), np.empty((len(polys), len(z))))
     with np.errstate(all="ignore"):
         for k in range(steps + 1):
             ran = idx = np.flatnonzero(live)
             if not len(idx):
                 break
-            val, zdz, wdw, size, _ = _terms(grid, z[idx], w[idx])
+            val, zdz, wdw, size, spread = _terms(grid, z[idx], w[idx])
             res, jz, jw = val / size, zdz / size, wdw / size
             bad = ~np.isfinite(np.stack([res, jz, jw])).all((0, 1))
+            # the first evaluation is where every point starts and is
+            # reverted to
+            kept = ~bad if k and bad.any() else slice(None)
+            at = idx[kept]
+            for a, b in zip(last, (val, size, spread)):
+                a[:, at] = b[:, kept]
             z[idx[bad]], w[idx[bad]] = prev_z[idx[bad]], prev_w[idx[bad]]
             done = bad | (np.abs(res).max(0) <= 1e-15) | (k == steps)
             live[idx[done]] = False
@@ -193,7 +208,8 @@ def _polish(polys, z, w, steps=4, move_z=True, stop=None):
             ended = ran[~live[ran]]
             if stop and k < steps and len(ended) and stop(z[ended], w[ended]):
                 break
-    return z.reshape(shape), w.reshape(shape)
+    return z.reshape(shape), w.reshape(shape), tuple(a.reshape((len(polys),) + shape)
+                                                     for a in last)
 
 
 def _divmod(a, b):
@@ -397,10 +413,17 @@ def _vanishes(polys, z, w, tol, grid=None):
     for each p of polys at arrays z, w: one row per p. Far out on a
     tentacle the terms with the smallest coefficients dominate, and their
     relative error is far above tol. grid is _grid(polys) if given."""
-    import numpy as np
     grid = grid or _grid(polys)
     val, _, _, size, spread = _terms(grid, z, w)
-    cmax = grid[1][0].max((1, 2)).reshape((-1,) + (1,) * np.ndim(z))
+    return _vanish_rule(grid, (val, size, spread), tol)
+
+
+def _vanish_rule(grid, values, tol):
+    """_vanishes from the values (value, size of terms, spread) of _terms
+    at the points, such as those _polish hands back."""
+    import numpy as np
+    val, size, spread = values
+    cmax = grid[1][0].max((1, 2)).reshape((-1,) + (1,) * (val.ndim - 1))
     return abs(val) <= tol * np.maximum(1.0, size) + COEFF_EPS * cmax * spread
 
 
@@ -413,15 +436,17 @@ def _divisor_numeric(P, entries, e1, e2, genus, tol):
     polys = [Pn] + entries
     grid = _grid(polys)
 
-    def accept(points, z, w):
+    def accept(points, z, w, values=None):
         """points, extended by those of z, w at which every poly vanishes
         and that lie 1e-6 or more from each point held. Candidates within
         1e-6 of a point held on entry could not be added, so they skip the
-        vanishing test."""
+        vanishing test. values are those of _terms at z, w, if given, as
+        _polish hands them back."""
         held = np.array([p[:2] for p in points]).reshape(-1, 2).T
         far = ((abs(z[:, None] - held[0]) >= 1e-6) | (abs(w[:, None] - held[1]) >= 1e-6)).all(1)
         z, w = z[far], w[far]
-        ok = _vanishes(polys, z, w, tol, grid).all(0)
+        ok = (_vanishes(polys, z, w, tol, grid) if values is None else
+              _vanish_rule(grid, [v[:, far] for v in values], tol)).all(0)
         for a, b in zip(z[ok].tolist(), w[ok].tolist()):
             if not any(abs(a - zs) < 1e-6 and abs(b - ws) < 1e-6 for zs, ws, _ in points):
                 points.append((a, b, 1))
@@ -431,11 +456,11 @@ def _divisor_numeric(P, entries, e1, e2, genus, tol):
     # points; the second polishes every candidate on all entries, and runs
     # only when the first falls short of the genus
     found = []
-    z1, w1 = _polish([Pn, e1.to_numeric()], *_fibre_roots(Pn, res, 1e-12), steps=40,
-                     stop=lambda z, w: len(accept(found, z, w)) >= genus)
+    z1, w1, _ = _polish([Pn, e1.to_numeric()], *_fibre_roots(Pn, res, 1e-12), steps=40,
+                        stop=lambda z, w: len(accept(found, z, w)) >= genus)
     points = accept([], z1, w1)
     if len(points) < genus:
-        points = accept(points, *_polish(polys, z1, w1))
+        points = accept(points, *_polish(polys, z1, w1, grid=grid))
     if len(points) != genus:
         sing = detect_singularities(P)
         if sing:
@@ -476,7 +501,7 @@ def detect_singularities(P):
         return []
     # polish on the critical system before the residual test; double roots
     # of the resultant are only located to sqrt precision
-    z1, w1 = _polish([Pwn, Pzn], *_fibre_roots(Pn, res, 1e-10), steps=40)
+    z1, w1, _ = _polish([Pwn, Pzn], *_fibre_roots(Pn, res, 1e-10), steps=40)
     hits = []
     for z, w in zip(z1.tolist(), w1.tolist()):
         if all(abs(q.eval(z, w)) < 1e-8 for q in (Pn, Pwn, Pzn)) \

@@ -10,7 +10,8 @@ import math
 import sys
 from fractions import Fraction
 
-from .divisor import SpectralError, _fibres, _polish, _roots, _vanishes, divisor_on_curve
+from .divisor import (SpectralError, _fibres, _grid, _polish, _roots, _vanish_rule,
+                      divisor_on_curve)
 from .exactalg import (
     LaurentMatrix,
     LaurentPoly2,
@@ -277,17 +278,32 @@ def _numeric_in_w(P):
     return P.to_numeric()
 
 
+class AmoebaSample:
+    """The rows of an amoeba sample as columns: x = log|z| and y = log|w|
+    as lists of floats, is_real as a bool array, z and w as complex arrays.
+    len() is the number of rows."""
+
+    __slots__ = ("x", "y", "is_real", "z", "w")
+
+    def __init__(self, x, y, is_real, z, w):
+        self.x, self.y, self.is_real, self.z, self.w = x, y, is_real, z, w
+
+    def __len__(self):
+        return len(self.x)
+
+
 def amoeba_sample(P, grid=100, region=(-3.0, 3.0, -3.0, 3.0), tol=1e-8):
     """Sample the amoeba: for z on a log-modulus x phase grid, solve
     P(z, .) = 0 for the whole grid in one batched root-kernel call, polish
     every root by Newton steps in w with the exact derivative (vectorised
     over the batch), keep the roots at which P vanishes by the relative
-    rule of _vanishes.
+    rule of _vanishes, applied to the values of the last Newton step.
 
-    Returns a list of rows (x, y, is_real, z, w) with x = log|z|, y = log|w|,
-    taken by math.log and abs of Python complex numbers: numpy's log and abs
-    can differ from them in the last bit. is_real holds where z lies on a
-    real fibre (phase 0 or pi) and |Im w| < 1e-9.
+    Returns an AmoebaSample, one row per root kept. x = log|z| (taken once
+    per fibre) and y = log|w| are taken by math.log and abs of Python
+    complex numbers: numpy's log and abs can differ from them in the last
+    bit. is_real holds where z lies on a real fibre (phase 0 or pi) and
+    |Im w| < 1e-9.
     """
     import numpy as np
     Pn = _numeric_in_w(P)
@@ -298,14 +314,16 @@ def amoeba_sample(P, grid=100, region=(-3.0, 3.0, -3.0, 3.0), tol=1e-8):
     roots, ok = _roots(_fibres(Pn, z))
     keep = ok[:, None] & (np.abs(roots) >= 1e-300)
     fibre = np.nonzero(keep)[0]
-    _, w = _polish([Pn], z[fibre], roots[keep], steps=3, move_z=False)
-    hit = _vanishes([Pn], z[fibre], w, tol)[0]
-    z, w, phase = z[fibre[hit]], w[hit], fibre[hit] % grid
+    terms = _grid([Pn])
+    _, w, last = _polish([Pn], z[fibre], roots[keep], steps=3, move_z=False, grid=terms)
+    hit = _vanish_rule(terms, last, tol)[0]
+    fibre, w = fibre[hit], w[hit]
+    phase = fibre % grid
     # z is real on the fibres of phase 0 and pi, whose Im z = |z| sin(theta)
     # in floats no absolute threshold tells from the others' at every |z|
-    is_real = (((phase == 0) | (phase == grid - 1)) & (abs(w.imag) < 1e-9)).tolist()
-    z, w = z.tolist(), w.tolist()
-    return list(zip(map(math.log, map(abs, z)), map(math.log, map(abs, w)), is_real, z, w))
+    is_real = ((phase == 0) | (phase == grid - 1)) & (abs(w.imag) < 1e-9)
+    x = np.array(list(map(math.log, map(abs, z.tolist()))))[fibre].tolist()
+    return AmoebaSample(x, list(map(math.log, map(abs, w.tolist()))), is_real, z[fibre], w)
 
 
 def _format(template, *cols):
@@ -316,21 +334,20 @@ def _format(template, *cols):
     return template * len(cols[0]) % tuple(flat)
 
 
-def amoeba_csv(rows):
-    x, y, is_real, *_ = zip(*rows) if rows else ((), (), ())
-    return "x,y,is_real\n" + _format("%.12g,%.12g,%d\n", x, y, is_real)
+def amoeba_csv(sample):
+    return "x,y,is_real\n" + _format("%.12g,%.12g,%d\n", sample.x, sample.y,
+                                      sample.is_real.tolist())
 
 
-def amoeba_svg(rows, marks=()):
+def amoeba_svg(sample, marks=()):
     """Minimal deterministic SVG scatter, 480 px square, with optional
     marked points."""
     import numpy as np
     size = 480
-    if not rows:
+    if not sample:
         return "<svg xmlns='http://www.w3.org/2000/svg'/>"
-    x, y, is_real, *_ = zip(*rows)
-    lo = min(min(x), min(y)) - 0.3
-    hi = max(max(x), max(y)) + 0.3
+    lo = min(min(sample.x), min(sample.y)) - 0.3
+    hi = max(max(sample.x), max(sample.y)) + 0.3
 
     def scaled(x, y):
         x, y = np.array(x, dtype=float), np.array(y, dtype=float)
@@ -338,8 +355,8 @@ def amoeba_svg(rows, marks=()):
 
     return (f"<svg xmlns='http://www.w3.org/2000/svg' width='{size}' height='{size}' "
             f"viewBox='0 0 {size} {size}'>\n<rect width='{size}' height='{size}' fill='white'/>\n"
-            + _format("<circle cx='%.2f' cy='%.2f' r='1' fill='%s'/>\n", *scaled(x, y),
-                      np.where(is_real, "#d62728", "#1f77b4").tolist())
+            + _format("<circle cx='%.2f' cy='%.2f' r='1' fill='%s'/>\n", *scaled(sample.x, sample.y),
+                      np.where(sample.is_real, "#d62728", "#1f77b4").tolist())
             + _format("<circle cx='%.2f' cy='%.2f' r='5' fill='none' stroke='black' "
                       "stroke-width='2'/>\n", *scaled([m[0] for m in marks], [m[1] for m in marks]))
             + "</svg>")

@@ -238,15 +238,15 @@ def test_10_amoeba(fixture):
     g, wt = fixture
     P = lm_determinant(kasteleyn_matrix(g, wt, FIXTURE_KAPPA))
     grid = 200
-    rows = amoeba_sample(P, grid=grid, region=(-2.0, 2.0, -2.0, 2.0))
-    assert rows
+    sample = amoeba_sample(P, grid=grid, region=(-2.0, 2.0, -2.0, 2.0))
+    assert sample
     Pn = P.to_numeric()
-    assert all(abs(Pn.eval(z, w)) < 1e-8 for _, _, _, z, w in rows)
+    assert all(abs(Pn.eval(z, w)) < 1e-8 for z, w in zip(sample.z.tolist(), sample.w.tolist()))
     tx, ty = math.log(13 / 20), math.log(52 / 25)
     step = 4.0 / grid
-    dmin = min(math.hypot(x - tx, y - ty) for x, y, *_ in rows)
+    pts = list(zip(sample.x, sample.y))
+    dmin = min(math.hypot(x - tx, y - ty) for x, y in pts)
     assert dmin <= step + 1e-12
-    pts = [(x, y) for x, y, *_ in rows]
     cells = {}   # step-sized grid cells, so each probe scans its neighbours only
     for a, b in pts:
         cells.setdefault((math.floor(a / step), math.floor(b / step)), []).append((a, b))

@@ -686,15 +686,23 @@ class TestPipelines:
         assert out.count("label") >= 8
 
     def test_amoeba_csv_and_svg(self, files, tmp_path):
+        # the files of the per-row references on P of the ++ class, the SVG
+        # ringing the divisor point (13/20, 52/25) of w2
+        from isingdimer.spectral import characteristic_polynomial, solve_kasteleyn_signs
+        from isingdimer.torusgraph import parse_torus_graph
+        from test_spectral import reference_amoeba_csv, reference_amoeba_sample, reference_amoeba_svg
         _, gp, _, _ = files
         csv = tmp_path / "am.csv"
         svg = tmp_path / "am.svg"
         assert main(["amoeba", gp, "--grid", "24", "--vertex", "w2",
                      "--out", str(csv), "--svg", str(svg)]) == 0
-        body = csv.read_text().splitlines()
-        assert body[0] == "x,y,is_real"
-        assert len(body) > 10
-        assert svg.read_text().startswith("<svg")
+        g, wt, _ = parse_torus_graph(DIMER_FIXTURE)
+        P = characteristic_polynomial(g, wt, dict(solve_kasteleyn_signs(g))[(1, 1)]).poly
+        rows = reference_amoeba_sample(P, 24, (-2.5, 2.5, -2.5, 2.5))
+        assert len(rows) > 10
+        assert csv.read_text() == reference_amoeba_csv(rows)
+        assert svg.read_text() == reference_amoeba_svg(rows, [(math.log(13 / 20),
+                                                                math.log(52 / 25))])
 
     def test_numeric_verify_on_honeycomb_gadget(self, tmp_path, capsys):
         # 12 whites: beyond the old float-Bareiss and size-bound limits

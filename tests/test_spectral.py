@@ -385,7 +385,7 @@ class TestDivisors:
         polys = [LaurentPoly2({(1, 0): 1.0, (0, 1): 1.0, (0, 0): -3.0}),
                  LaurentPoly2({(1, 0): 1.0, (0, 1): -1.0, (0, 0): 1.0}),
                  LaurentPoly2({(1, 1): 1.0, (0, 0): -2.0})]
-        z, w = _polish(polys, 1.001 + 0j, 1.999 + 0j)
+        z, w, _ = _polish(polys, 1.001 + 0j, 1.999 + 0j)
         assert abs(z - 1) < 1e-12 and abs(w - 2) < 1e-12
 
     def test_polish_stop_sees_each_point_in_the_step_it_stops(self):
@@ -400,11 +400,11 @@ class TestDivisors:
         z0 = np.array([8.0, 1.0000001, 1.5]) + 0j
         w0 = np.array([0.3, 2.0000001, 3.0]) + 0j
         seen = []
-        z, w = _polish(polys, z0, w0, steps=40, stop=lambda z, w: seen.append(z.tolist()))
+        z, w, _ = _polish(polys, z0, w0, steps=40, stop=lambda z, w: seen.append(z.tolist()))
         assert (abs(z - 1) < 1e-12).all() and (abs(w - 2) < 1e-12).all()
         assert [len(s) for s in seen] == [1, 1, 1]
         assert [s[0] for s in seen] == [z[1], z[2], z[0]]
-        z, w = _polish(polys, z0, w0, steps=40, stop=lambda z, w: True)
+        z, w, _ = _polish(polys, z0, w0, steps=40, stop=lambda z, w: True)
         assert abs(z[1] - 1) < 1e-12 and (abs(z[[0, 2]] - 1) > 1e-7).all()
 
     def test_matches_is_relative_far_out(self):
@@ -1027,11 +1027,11 @@ class TestAmoeba:
     def test_residuals_and_symmetry(self, dimer_fixture):
         g, wt = dimer_fixture
         P = lm_determinant(kasteleyn_matrix(g, wt, FIXTURE_KAPPA))
-        rows = amoeba_sample(P, grid=40, region=(-2, 2, -2, 2))
-        assert rows
+        sample = amoeba_sample(P, grid=40, region=(-2, 2, -2, 2))
+        assert sample
         Pn = P.to_numeric()
-        assert all(abs(Pn.eval(z, w)) < 1e-8 for _, _, _, z, w in rows)
-        pts = [(x, y) for x, y, *_ in rows]
+        assert all(abs(Pn.eval(z, w)) < 1e-8 for z, w in zip(sample.z.tolist(), sample.w.tolist()))
+        pts = list(zip(sample.x, sample.y))
         step = 4.0 / 40 + 1e-6
         for x, y in pts[::11]:
             assert any(abs(x + a) <= step and abs(y + b) <= step for a, b in pts)
@@ -1039,9 +1039,9 @@ class TestAmoeba:
     def test_divisor_point_in_amoeba(self, dimer_fixture):
         g, wt = dimer_fixture
         P = lm_determinant(kasteleyn_matrix(g, wt, FIXTURE_KAPPA))
-        rows = amoeba_sample(P, grid=60, region=(-2, 2, -2, 2))
+        sample = amoeba_sample(P, grid=60, region=(-2, 2, -2, 2))
         tx, ty = math.log(13 / 20), math.log(52 / 25)
-        d = min(math.hypot(x - tx, y - ty) for x, y, *_ in rows)
+        d = min(math.hypot(x - tx, y - ty) for x, y in zip(sample.x, sample.y))
         assert d < 4.0 / 60 + 1e-9
 
     def test_degenerate_rejected(self):
@@ -1066,7 +1066,7 @@ def reference_amoeba_sample(P, grid, region, tol=1e-8):
     roots, ok = _roots(_fibres(Pn, z))
     keep = ok[:, None] & (np.abs(roots) >= 1e-300)
     fibre = np.nonzero(keep)[0]
-    _, w = _polish([Pn], z[fibre], roots[keep], steps=3, move_z=False)
+    _, w, _ = _polish([Pn], z[fibre], roots[keep], steps=3, move_z=False)
     hit = _vanishes([Pn], z[fibre], w, tol)[0]
     rows = []
     for k, wk in zip(fibre[hit].tolist(), w[hit].tolist()):
@@ -1074,6 +1074,26 @@ def reference_amoeba_sample(P, grid, region, tol=1e-8):
         is_real = k % grid in (0, grid - 1) and abs(wk.imag) < 1e-9
         rows.append((math.log(abs(zk)), math.log(abs(wk)), is_real, zk, wk))
     return rows
+
+
+def sample_rows(sample):
+    """The rows (x, y, is_real, z, w) of an AmoebaSample, as Python scalars."""
+    return list(zip(sample.x, sample.y, sample.is_real.tolist(), sample.z.tolist(),
+                    sample.w.tolist()))
+
+
+def assert_columns_hold(sample, rows):
+    """sample's columns hold the rows bit for bit: x and y as lists of
+    floats, is_real as a bool array, z and w as complex arrays."""
+    import numpy as np
+    assert len(sample) == len(rows)
+    assert type(sample.x) is type(sample.y) is list
+    assert all(type(v) is float for v in sample.x + sample.y)
+    cols = (sample.x, sample.y, sample.is_real, sample.z, sample.w)
+    for got, want, dtype in zip(cols, list(zip(*rows)) or [()] * 5,
+                                (float, float, bool, complex, complex)):
+        got, want = np.asarray(got), np.array(want, dtype=dtype)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
 def reference_amoeba_csv(rows):
@@ -1182,14 +1202,14 @@ class TestAmoebaArrays:
     def test_rows_csv_and_svg_match_per_row_reference(self, name, grid):
         P = curve(name)
         region = (-2.5, 2.5, -2.5, 2.5)
-        rows = amoeba_sample(P, grid=grid, region=region)
-        assert rows == reference_amoeba_sample(P, grid, region)
+        sample = amoeba_sample(P, grid=grid, region=region)
+        rows = reference_amoeba_sample(P, grid, region)
+        assert_columns_hold(sample, rows)
         assert rows or grid == 1
-        assert all(type(r[2]) is bool for r in rows)
         marks = [(x + 0.01, y - 0.02) for x, y, *_ in rows[:3]]
-        assert amoeba_csv(rows) == reference_amoeba_csv(rows)
+        assert amoeba_csv(sample) == reference_amoeba_csv(rows)
         for m in (marks, ()):
-            assert amoeba_svg(rows, m) == reference_amoeba_svg(rows, m)
+            assert amoeba_svg(sample, m) == reference_amoeba_svg(rows, m)
         if grid == 40:
             # both colours and both csv flags occur
             assert {r[2] for r in rows} == {True, False}
@@ -1204,9 +1224,9 @@ class TestAmoebaArrays:
         # grows with the terms, and the relative rule keeps every root
         P = curve("square 2x1")
         assert P.degree_range("w") == (-2, 2)
-        rows = amoeba_sample(P, grid=40, region=(-r, r, -r, r))
-        assert len(rows) == 40 * 40 * 4
-        assert rows == reference_amoeba_sample(P, 40, (-r, r, -r, r))
+        sample = amoeba_sample(P, grid=40, region=(-r, r, -r, r))
+        assert len(sample) == 40 * 40 * 4
+        assert_columns_hold(sample, reference_amoeba_sample(P, 40, (-r, r, -r, r)))
 
     @pytest.mark.parametrize("r", [20, 40])
     @pytest.mark.parametrize("name", ["fixture", "honeycomb 2x2"])
@@ -1214,19 +1234,130 @@ class TestAmoebaArrays:
         # Im z of a real fibre grows with |z| to above 1e-12, and that of
         # the others falls below it as |z| shrinks; relative to |z| the two
         # stay 16 orders apart
-        rows = amoeba_sample(curve(name), grid=40, region=(-r, r, -r, r))
+        rows = sample_rows(amoeba_sample(curve(name), grid=40, region=(-r, r, -r, r)))
         on_real_fibre = [abs(z.imag) <= 1e-12 * abs(z) for *_, z, _ in rows]
         assert 0 < sum(on_real_fibre) < len(rows)
         assert [r[2] for r in rows] == [a and abs(w.imag) < 1e-9
                                         for a, (*_, w) in zip(on_real_fibre, rows)]
 
+    @pytest.mark.parametrize("name", CURVES)
+    def test_one_root_kernel_call_and_term_passes_only_in_newton_steps(self, name, monkeypatch):
+        # the roots are kept by the values of the last Newton step, so every
+        # pass of the term kernel is one of the steps + 1 = 4 evaluations
+        import isingdimer.spectral as spectral
+        from isingdimer import divisor
+        roots, terms, polish = spectral._roots, divisor._terms, spectral._polish
+        calls, inside = {}, []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                calls["outside _polish"] += name == "_terms" and not inside
+                return fn(*args, **kwargs)
+            return call
+
+        def in_polish(*args, **kwargs):
+            inside.append(1)
+            try:
+                return polish(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(spectral, "_roots", counted("_roots", roots))
+        monkeypatch.setattr(divisor, "_terms", counted("_terms", terms))
+        monkeypatch.setattr(spectral, "_polish", in_polish)
+        for r in (2.5, 40):
+            calls.update({"_roots": 0, "_terms": 0, "outside _polish": 0})
+            assert amoeba_sample(curve(name), grid=40, region=(-r, r, -r, r))
+            assert calls["_roots"] == 1 and calls["outside _polish"] == 0
+            assert 1 <= calls["_terms"] <= 4
+
     def test_no_hit_rows(self):
         # the one fibre, z = 1, of (z - 1) w + 1 has its root at infinity
         P = LaurentPoly2({(1, 1): 1.0, (0, 1): -1.0, (0, 0): 1.0})
-        rows = amoeba_sample(P, grid=1, region=(-1, 1, -1, 1))
-        assert rows == reference_amoeba_sample(P, 1, (-1, 1, -1, 1)) == []
-        assert amoeba_csv(rows) == reference_amoeba_csv(rows) == "x,y,is_real\n"
-        assert amoeba_svg(rows, [(0.0, 0.0)]) == reference_amoeba_svg(rows, [(0.0, 0.0)])
+        sample = amoeba_sample(P, grid=1, region=(-1, 1, -1, 1))
+        rows = reference_amoeba_sample(P, 1, (-1, 1, -1, 1))
+        assert rows == []
+        assert_columns_hold(sample, rows)
+        assert amoeba_csv(sample) == reference_amoeba_csv(rows) == "x,y,is_real\n"
+        assert amoeba_svg(sample, [(0.0, 0.0)]) == reference_amoeba_svg(rows, [(0.0, 0.0)])
+
+
+class TestPolishValues:
+    # _polish hands back the term kernel's values at each point's last
+    # evaluation; the vanishing test on them is _vanishes run afresh at the
+    # points it returns
+
+    @staticmethod
+    def verdicts(polys, z, w, values, tol=1e-8):
+        from isingdimer.divisor import _grid, _vanish_rule, _vanishes
+        return _vanish_rule(_grid(polys), values, tol), _vanishes(polys, z, w, tol)
+
+    @pytest.mark.parametrize("r", [2.5, 20, 40])
+    @pytest.mark.parametrize("name", CURVES)
+    def test_amoeba(self, name, r, monkeypatch):
+        import numpy as np
+        import isingdimer.spectral as spectral
+        polish, seen = spectral._polish, []
+        monkeypatch.setattr(spectral, "_polish",
+                            lambda *args, **kw: seen.append((args[0], polish(*args, **kw))) or
+                            seen[-1][1])
+        assert amoeba_sample(curve(name), grid=40, region=(-r, r, -r, r))
+        ((polys, (z, w, values)),) = seen
+        got, want = self.verdicts(polys, z, w, values)
+        assert np.array_equal(got, want) and want.any()
+
+    @pytest.mark.parametrize("move_z", [True, False])
+    def test_non_finite_evaluation_and_non_finite_step(self, move_z, monkeypatch):
+        # w^4 - 1, and z - 2 when z moves. From w = 1e-38 the first step
+        # goes to |w| = 2.5e113, where w^4 overflows: the point is taken
+        # back and keeps the values of its first evaluation. At w = 0 the
+        # derivative in log w is 0, and so is that of z - 2 in log w: the
+        # normal equations are singular, and the step is nan. The other
+        # points reach (2, +-1) or (2, +-i).
+        import numpy as np
+        from isingdimer import divisor
+        from isingdimer.divisor import _grid, _polish
+        polys = [LaurentPoly2({(0, 4): 1.0, (0, 0): -1.0}),
+                 LaurentPoly2({(1, 0): 1.0, (0, 0): -2.0})][:1 + move_z]
+        z0 = np.full(5, 1.5 if move_z else 2.0, dtype=complex)
+        w0 = np.array([1e-38, 0, 0.9, -1.1j, 2], dtype=complex)
+        terms, evaluated = divisor._terms, []
+        monkeypatch.setattr(divisor, "_terms",
+                            lambda *args: evaluated.append(terms(*args)) or evaluated[-1])
+        z, w, values = _polish(polys, z0, w0, steps=8, move_z=move_z)
+        # the second evaluation leaves out w = 0 and overflows at the first
+        assert evaluated[1][0].shape == (len(polys), 4)
+        assert not np.isfinite(evaluated[1][0][0, 0])
+        assert w[:2].tolist() == w0[:2].tolist() and z[:2].tolist() == z0[:2].tolist()
+        assert all(np.isfinite(v).all() for v in values)
+        fresh = terms(_grid(polys), z, w)
+        for a, b in zip(values, (fresh[0], fresh[3], fresh[4])):
+            assert (abs(a - b) <= 1e-15 * fresh[3]).all()
+        got, want = self.verdicts(polys, z, w, values)
+        assert np.array_equal(got, want)
+        assert got.all(0).tolist() == [False, False, True, True, True]
+
+    def test_second_pass_of_a_numeric_divisor(self, monkeypatch):
+        # square 3x3 (36 whites) is the rung whose first pass falls short of
+        # the genus, so the second polishes on P and every entry
+        import numpy as np
+        from isingdimer import divisor
+        polish, second = divisor._polish, []
+
+        def spy(polys, *args, **kw):
+            out = polish(polys, *args, **kw)
+            if kw.get("stop") is None and len(polys) > 2:
+                second.append((polys, out))
+            return out
+
+        monkeypatch.setattr(divisor, "_polish", spy)
+        g, wt, gm, kappa, white = ladder_dimer("square 3x3", 1)
+        with pytest.raises(SpectralError, match="found 10 points, genus is 13"):
+            verify_ising_spectral(g, wt, kappa, gm, white, mode="numeric")
+        ((polys, (z, w, values)),) = second
+        got, want = self.verdicts(polys, z, w, values, 1e-10)
+        assert np.array_equal(got, want) and want.all(0).any()
 
 
 class TestHarnackArrays:
@@ -1236,7 +1367,7 @@ class TestHarnackArrays:
         # amoeba, and none at all
         from isingdimer.spectral import harnack_diagnostic
         P = curve(name)
-        rows = amoeba_sample(P, grid=24, region=(-1.2, 1.2, -1.2, 1.2))
+        rows = sample_rows(amoeba_sample(P, grid=24, region=(-1.2, 1.2, -1.2, 1.2)))
         real = [(x, y) for x, y, _, z, _ in rows if abs(z.imag) < 1e-12]
         inner = [(x, y) for x, y, _, z, _ in rows if abs(z.imag) >= 1e-12]
         assert real and inner
@@ -1431,7 +1562,7 @@ class TestHarnackAndSingularities:
         z0 = 4.5 + 7.34546972e-17j
         cw, _ = Pn.coeffs_in("w")
         for w0 in np.roots([complex(c.eval(z0, 1.0)) for c in cw][::-1]):
-            z1, w1 = (complex(v) for v in _polish([Pw, Pz], z0, complex(w0), steps=40))
+            z1, w1 = (complex(v) for v in _polish([Pw, Pz], z0, complex(w0), steps=40)[:2])
             assert cmath.isfinite(Pw.eval(z1, w1)) and cmath.isfinite(Pz.eval(z1, w1))
 
     def test_nodal_curve_detected(self):
