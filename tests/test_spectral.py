@@ -1213,8 +1213,7 @@ class TestAmoebaArrays:
         if grid == 40:
             # both colours and both csv flags occur
             assert {r[2] for r in rows} == {True, False}
-            # at |x| <= 2.5 the real fibres are those of |Im z| < 1e-12, as
-            # the flags were decided before they went by the fibre
+            # at |x| <= 2.5 the fibre rule agrees with |Im z| < 1e-12
             assert [r[2] for r in rows] == [abs(z.imag) < 1e-12 and abs(w.imag) < 1e-9
                                             for *_, z, w in rows]
 
@@ -1237,8 +1236,8 @@ class TestAmoebaArrays:
         rows = sample_rows(amoeba_sample(curve(name), grid=40, region=(-r, r, -r, r)))
         on_real_fibre = [abs(z.imag) <= 1e-12 * abs(z) for *_, z, _ in rows]
         assert 0 < sum(on_real_fibre) < len(rows)
-        assert [r[2] for r in rows] == [a and abs(w.imag) < 1e-9
-                                        for a, (*_, w) in zip(on_real_fibre, rows)]
+        assert [row[2] for row in rows] == [a and abs(w.imag) < 1e-9
+                                            for a, (*_, w) in zip(on_real_fibre, rows)]
 
     @pytest.mark.parametrize("name", CURVES)
     def test_one_root_kernel_call_and_term_passes_only_in_newton_steps(self, name, monkeypatch):
@@ -1340,7 +1339,8 @@ class TestPolishValues:
 
     def test_second_pass_of_a_numeric_divisor(self, monkeypatch):
         # square 3x3 (36 whites) is the rung whose first pass falls short of
-        # the genus, so the second polishes on P and every entry
+        # the genus, so the second polishes on P and every entry; the
+        # singularity probe's polish, on two polynomials, is left out
         import numpy as np
         from isingdimer import divisor
         polish, second = divisor._polish, []
