@@ -9,28 +9,13 @@ from .torusgraph import GraphError
 
 
 class AbelLabel:
-    """Formal integer combination of zig-zag ids plus a monomial offset."""
+    """Formal integer combination of zig-zag ids."""
 
-    def __init__(self, counts=None, offset=(0, 0)):
+    def __init__(self, counts=None):
         self.counts = {k: v for k, v in (counts or {}).items() if v}
-        self.offset = tuple(offset)
-
-    def reduced(self, zz_classes):
-        """Resolve the monomial offset through div(z^i w^j) =
-        sum_alpha (j p_alpha - i q_alpha) nu(alpha)."""
-        c = dict(self.counts)
-        i, j = self.offset
-        for zid, (p, q) in zz_classes.items():
-            k = j * p - i * q
-            if k:
-                c[zid] = c.get(zid, 0) + k
-        return AbelLabel(c, (0, 0))
-
-    def degree(self):
-        return sum(self.counts.values())
 
     def __repr__(self):
-        return f"AbelLabel({self.counts}, offset={self.offset})"
+        return f"AbelLabel({self.counts})"
 
 
 def abel_tree(g):

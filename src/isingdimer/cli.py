@@ -101,9 +101,8 @@ def cmd_inspect(args):
         lines.append(f"zigzag {zz['id']} class {zz['class'][0]},{zz['class'][1]} "
                      f"len {len(zz['darts'])}")
     try:
-        poly, anchored = g.newton_polygon()
-        lines.append("polygon " + " ".join(f"{x},{y}" for x, y in poly.vertices)
-                     + ("" if anchored else " (up to translation)"))
+        lines.append("polygon " + " ".join(f"{x},{y}" for x, y in g.newton_polygon().vertices)
+                     + (" (up to translation)" if g.is_bipartite_colored() else ""))
         minimal, cert = g.check_minimal()
         lines.append(f"minimal {int(minimal)}" + ("" if minimal else f" {cert['kind']}"))
     except GraphError as exc:

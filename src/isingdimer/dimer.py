@@ -1,6 +1,6 @@
 """Dimer models as gauge classes of edge weights: X-coordinates on cycles,
-the intersection pairing at trivalent vertices, square and contraction moves
-with cycle transport, color change, and the Ising-locus characterization.
+square and contraction moves with cycle transport, color change, and the
+Ising-locus characterization.
 """
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import math
 from fractions import Fraction
 
 from .torusgraph import GraphError
-from .ising import _fraction_sqrt, make_coupling
 
 
 class MoveError(ValueError):
@@ -92,102 +91,6 @@ class XBasis:
     def values(self, g, wt, faces):
         """X on g of the given faces of the first graph, then of a and b."""
         return {k: self.x(g, wt, k) for k in [*faces, *self.cycles]}
-
-
-def gauge_canonicalize(g, wt):
-    """Gauge so that a deterministic spanning tree (lowest edge ids) has
-    weight 1 everywhere. Two cochains are gauge equivalent iff their
-    canonical forms are equal."""
-    pot = {g.vertex_ids()[0]: _one_like(wt.values())}
-    for v, e, u in g.spanning_tree():
-        # want pot[b]^-1 * wt * pot[w] == 1
-        pot[u] = pot[v] / wt[e] if g.colors[v] == "b" else pot[v] * wt[e]
-    if len(pot) != len(g.vertex_ids()):
-        raise GraphError("graph is disconnected")
-    return gauge_transform(g, wt, pot)
-
-
-def gauge_transform(g, wt, f):
-    """Apply a vertex function f: wt'(e) = f(b)^-1 wt(e) f(w)."""
-    out = {}
-    for e, x in wt.items():
-        v1, v2, _, _ = g.edge_ends[e]
-        b, w = (v1, v2) if g.colors[v1] == "b" else (v2, v1)
-        out[e] = x * f.get(w, 1) / f.get(b, 1)
-    return out
-
-
-# -- intersection pairing (trivalent) -----------------------------------------
-
-
-def _transits(g, cycle):
-    """Per-vertex transits of a dart walk: vertex -> list of (in_port, out_port).
-
-    Ports are darts based at the vertex; the in-port is the twin of the
-    arriving dart.
-    """
-    out = {}
-    k = len(cycle)
-    for i, d in enumerate(cycle):
-        nxt = cycle[(i + 1) % k]
-        v = g.head(d)
-        if g.tail(nxt) != v:
-            raise GraphError("walk is not connected")
-        out.setdefault(v, []).append((g.twin(d), nxt))
-    return out
-
-
-def _half_cross_sign(g, v, t1, t2):
-    """Crossing sign of two transits at a vertex that share one port.
-
-    A strand end on port p, bound for port q, sits at position
-    5n idx(p) + n + 3 ((idx(q) - idx(p)) mod n) of a circle of 5n^2: inside
-    p's sector, ordered by the ccw distance to q. The chords a1 b1 and a2 b2
-    cross when exactly one of a2, b2 lies on the open ccw arc from a1 to b1;
-    the sign is +1 when it is a2, -1 when it is b2.
-    """
-    rot = g.rotation[v]
-    n = len(rot)
-    idx = {p: i for i, p in enumerate(rot)}
-
-    def pos(port, other):
-        return 5 * n * idx[port] + n + 3 * ((idx[other] - idx[port]) % n)
-
-    (a1, b1), (a2, b2) = t1, t2
-    start, size = pos(a1, b1), 5 * n * n
-    arc = (pos(b1, a1) - start) % size
-
-    def on_arc(port, other):
-        return 0 < (pos(port, other) - start) % size < arc
-
-    return on_arc(a2, b2) - on_arc(b2, a2)
-
-
-def intersection_pairing(g, cycle_c, cycle_d):
-    """<c, d> = sum over black vertices of eps minus sum over whites.
-
-    Both cycles are dart walks; all touched vertices must be trivalent.
-    Transits through the same unordered port pair contribute 0; transits
-    sharing one port contribute +-1/2; disjoint transits cannot occur at a
-    trivalent vertex.
-    """
-    tc = _transits(g, cycle_c)
-    td = _transits(g, cycle_d)
-    total = Fraction(0)
-    for v in set(tc) & set(td):
-        if g.degree(v) != 3:
-            raise GraphError(f"vertex {v} is not trivalent; pairing unsupported")
-        eps = Fraction(0)
-        for t1 in tc[v]:
-            for t2 in td[v]:
-                if set(t1) == set(t2):
-                    continue
-                shared = set(t1) & set(t2)
-                if len(shared) == 1:
-                    eps += Fraction(_half_cross_sign(g, v, t1, t2), 2)
-                # at a trivalent vertex two transits always share a port
-        total += eps if g.colors[v] == "b" else -eps
-    return total
 
 
 # -- square move ---------------------------------------------------------------
@@ -413,45 +316,6 @@ def _match_faces(g, gn):
     return out
 
 
-def uncontraction_move(g, wt, v, arc_start, arc_len):
-    """Split vertex v: darts arc_start..arc_start+arc_len-1 (ccw) stay on a
-    new copy v_u1; the rest go to v_u2; a degree-2 vertex v_um of the
-    opposite color joins them with two weight-1 edges v_ue1 and v_ue2."""
-    g.ensure_valid()
-    rot = g.rotation[v]
-    k = len(rot)
-    if not (0 < arc_len < k):
-        raise MoveError("arc must be a proper nonempty subset")
-    arc = [rot[(arc_start + i) % k] for i in range(arc_len)]
-    rest = [rot[(arc_start + arc_len + i) % k] for i in range(k - arc_len)]
-    col = g.colors[v]
-    mid_col = "w" if col == "b" else "b"
-    v1, v2, mid = f"{v}_u1", f"{v}_u2", f"{v}_um"
-    where = {d: v1 for d in arc}
-    where.update((d, v2) for d in rest)
-    moved = {}
-    for d in rot:
-        e = g.darts[d].edge
-        va, vb, dx, dy = g.edge_ends[e]
-        moved[e] = (e, where.get(e + "+", va), where.get(e + "-", vb), dx, dy)
-    e1, e2 = f"{v}_ue1", f"{v}_ue2"
-    ends = [(v1, mid), (v2, mid)] if col == "b" else [(mid, v1), (mid, v2)]
-    plus, minus = ("+", "-") if col == "b" else ("-", "+")
-    gn = g.edit(drop_vertices=(v,), drop_edges=list(moved),
-                vertices=[(v1, col, g.positions.get(v)), (v2, col, None), (mid, mid_col, None)],
-                edges=[*moved.values(), (e1, *ends[0], 0, 0), (e2, *ends[1], 0, 0)],
-                rotations={v1: arc + [e1 + plus], v2: rest + [e2 + plus],
-                           mid: [e1 + minus, e2 + minus]})
-    one = _one_like(wt.values())
-    new_wt = {**wt, e1: one, e2: one}
-    record = MoveRecord("uncontract", {
-        "vertex": v, "parts": (v1, v2, mid),
-        "face_map": _match_faces(g, gn),
-        "reroute": lambda cycle: list(cycle),
-    })
-    return gn, new_wt, record
-
-
 def color_change(g, wt):
     """Flip every vertex color, keeping edges, rotations and weights."""
     return g.color_swapped(), dict(wt)
@@ -499,28 +363,3 @@ def _is_zero(r, tol):
     if isinstance(r, Fraction):
         return r == 0 if tol is None else abs(r) <= tol
     return abs(r) <= (tol if tol is not None else 1e-9)
-
-
-def ising_from_faces(face_x):
-    """Couplings from square-face X values: s = sqrt(X/(1+X)), c = sqrt(1/(1+X)).
-
-    Exact when the fractions are perfect squares, numeric otherwise.
-    """
-    out = {}
-    for key, x in face_x.items():
-        if isinstance(x, Fraction):
-            if x <= 0:
-                raise MoveError(f"face X must be positive, got {x}")
-            s2 = x / (1 + x)
-            c2 = 1 / (1 + x)
-            s, c = _fraction_sqrt(s2), _fraction_sqrt(c2)
-            if s is not None and c is not None:
-                out[key] = make_coupling(sc=(s, c))
-                continue
-            x = float(x)
-        if x <= 0:
-            raise MoveError(f"face X must be positive, got {x}")
-        s = math.sqrt(x / (1 + x))
-        c = math.sqrt(1 / (1 + x))
-        out[key] = make_coupling(sc=(s, c))
-    return out

@@ -135,14 +135,20 @@ def _terms(grid, z, w):
     step = max(1, TERMS_BLOCK // n)
     for k in range(0, len(z), step):
         b = slice(k, k + step)
-        Z, W = _powers(z[b], ilo, ihi), _powers(w[b], jlo, jhi)
+        zb, wb = z[b], w[b]
+        m = len(zb)
+        if m == 1:
+            # a lone point goes as two copies of it: einsum would sum it
+            # along another inner loop, which can change its last bits
+            zb, wb = np.repeat(zb, 2), np.repeat(wb, 2)
+        Z, W = _powers(zb, ilo, ihi), _powers(wb, jlo, jhi)
         t = np.einsum("lkij,jn->lkin", G, W)
         t *= Z
-        val[:, b], wdw[:, b] = t.sum(2)
-        zdz[:, b] = np.einsum("i,kin->kn", i, t[0])
+        val[:, b], wdw[:, b] = t.sum(2)[..., :m]
+        zdz[:, b] = np.einsum("i,kin->kn", i, t[0])[:, :m]
         t = np.einsum("lkij,jn->lkin", A, abs(W))
         t *= abs(Z)
-        size[:, b], spread[:, b] = t.sum(2)
+        size[:, b], spread[:, b] = t.sum(2)[..., :m]
     return tuple(a.reshape(shape) for a in (val, zdz, wdw, size, spread))
 
 

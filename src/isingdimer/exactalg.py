@@ -625,7 +625,7 @@ class NewtonPolygon:
 
     vertices: counterclockwise, starting from the lexicographically
     smallest vertex. sides: per hull edge, its primitive vector and lattice
-    length.
+    length; a segment has two, there and back.
     """
 
     def __init__(self, points):
@@ -636,7 +636,7 @@ class NewtonPolygon:
         self.sides = []
         k = len(self.vertices)
         if k >= 2:
-            for t in range(k if k > 2 else 1):
+            for t in range(k):
                 x0, y0 = self.vertices[t]
                 x1, y1 = self.vertices[(t + 1) % k]
                 dx, dy = x1 - x0, y1 - y0

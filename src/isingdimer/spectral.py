@@ -10,6 +10,7 @@ import math
 import sys
 from fractions import Fraction
 
+from .dimer import x_of_cycle
 from .divisor import (SpectralError, _fibres, _grid, _polish, _roots, _vanish_rule,
                       divisor_on_curve)
 from .exactalg import (
@@ -142,8 +143,7 @@ def characteristic_polynomial(g, wt, kappa):
     if P.is_zero():
         raise SpectralError("characteristic polynomial vanishes identically")
     poly = newton_polygon(P)
-    gp, _ = g.newton_polygon()
-    if poly.normalized().vertices != gp.normalized().vertices:
+    if poly.normalized().vertices != g.newton_polygon().normalized().vertices:
         raise SpectralError("Newton polygon of P differs from the graph polygon")
     return SpectralCurveData(P, poly, poly.genus, K)
 
@@ -170,40 +170,36 @@ def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-8, curve=None, 
 
 
 def nu_map(g, wt):
-    """Assign zig-zag paths to points at infinity per side of the polygon.
+    """The zig-zag paths on each side of the polygon, whose points at
+    infinity they are (nu of Goncharov-Kenyon, "Dimers and cluster
+    integrable systems", 2013).
 
-    Per side S (primitive vector (i, j)): zig-zags with class along S are
-    ordered by the tentacle intercept -log|X_alpha|; ties are reported.
-    Returns {'sides': [{'vector', 'length', 'zigzags': [ids in order],
-    'intercepts', 'ties'}], 'of_zigzag': {zz_id: (side_index, position)}}.
+    Side S (primitive vector (i, j), lattice length) holds the zig-zags
+    whose class is a positive multiple of S, ordered by the tentacle
+    intercept -log X_alpha, with their X values (exact from exact weights)
+    in that order and the adjacent pairs whose intercepts tie. On a graph
+    that is not minimal a side can hold a number of zig-zags other than its
+    length. Returns [{'vector', 'length', 'zigzags', 'x', 'intercepts',
+    'ties'}], one per side of g.newton_polygon().
     """
-    from .dimer import x_of_cycle
-    polygon, _ = g.newton_polygon()
-    zzs = g.zigzag_paths()
+    polygon, by_vector = g.newton_polygon(), {}
+    for zz in g.zigzag_paths():
+        p, q = zz["class"]
+        d = math.gcd(p, q)
+        x = x_of_cycle(g, wt, zz["darts"])
+        # log of a Fraction by its integers: also outside the float range
+        log = math.log(x.numerator) - math.log(x.denominator) if isinstance(x, Fraction) \
+            else math.log(x)
+        by_vector.setdefault((p // d, q // d), []).append((-log, zz["id"], x))
     sides = []
-    of_zz = {}
-    for si, ((vx, vy), length) in enumerate(polygon.sides):
-        members = []
-        for zz in zzs:
-            p, q = zz["class"]
-            gcd = math.gcd(abs(p), abs(q))
-            if gcd and (p // gcd, q // gcd) == (vx, vy):
-                x = x_of_cycle(g, wt, zz["darts"])
-                members.append((math.log(abs(float(x))), zz["id"]))
-        if len(members) != length:
-            raise SpectralError(
-                f"side {(vx, vy)} x{length} has {len(members)} zig-zags")
-        members.sort(key=lambda t: (-t[0], t[1]))
-        intercepts = [-m[0] for m in members]
-        ties = [(members[k][1], members[k + 1][1])
-                for k in range(len(members) - 1)
-                if abs(members[k][0] - members[k + 1][0]) < 1e-12]
-        sides.append({"vector": (vx, vy), "length": length,
-                      "zigzags": [m[1] for m in members],
-                      "intercepts": intercepts, "ties": ties})
-        for pos, m in enumerate(members):
-            of_zz[m[1]] = (si, pos)
-    return {"sides": sides, "of_zigzag": of_zz}
+    for vector, length in polygon.sides:
+        members = sorted(by_vector.get(vector, ()), key=lambda m: m[:2])
+        sides.append({"vector": vector, "length": length,
+                      "zigzags": [m[1] for m in members], "x": [m[2] for m in members],
+                      "intercepts": [m[0] for m in members],
+                      "ties": [(a[1], b[1]) for a, b in zip(members, members[1:])
+                               if abs(a[0] - b[0]) < 1e-12]})
+    return sides
 
 
 # -- the three Ising conditions -----------------------------------------------------
@@ -218,7 +214,6 @@ def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-
     divisors themselves are found within min(tol, 1e-10). Both divisors use
     the one curve and one lm_adjugate_lines call for the white's column and
     the partner black's row of adj K (in numeric mode, one sample grid)."""
-    from .dimer import x_of_cycle
     curve = characteristic_polynomial(g, wt, kappa)
     P = curve.poly
     cond1 = P.sigma() == P if P.exact else P.sigma().isclose(P, tol)
@@ -231,19 +226,13 @@ def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-
     # side -S, i.e. opposite sides carry equal X-value multisets (positive
     # weights). The reversal of a zig-zag is a zig-zag of the color change,
     # whose X there is the inverse; X_alphabar * X_alpha = 1 is this check.
+    # A side with as many zig-zags as its opposite compares their X values
+    # sorted as floats; one with another number fails.
     resid3, failed = {}, []
-    by_side = {}
-    for zz in g.zigzag_paths():
-        p, q = zz["class"]
-        gg = math.gcd(abs(p), abs(q))
-        if gg == 0:
-            raise SpectralError(f"zig-zag {zz['id']} has zero homology")
-        key = (p // gg, q // gg)
-        by_side.setdefault(key, []).append(x_of_cycle(g, wt, zz["darts"]))
-    for side, values in by_side.items():
-        opp = by_side.get((-side[0], -side[1]), [])
+    x_of_side = {side["vector"]: side["x"] for side in nu_map(g, wt)}
+    for side, values in x_of_side.items():
         a = sorted(values, key=float)
-        b = sorted(opp, key=float)
+        b = sorted(x_of_side.get((-side[0], -side[1]), ()), key=float)
         if len(a) != len(b):
             resid3[side] = float("inf")
             failed.append(side)

@@ -146,11 +146,6 @@ class TorusGraph:
         g.rotation, g._next, g._prev = self.rotation.copy(), self._next.copy(), self._prev.copy()
         return g
 
-    def copy(self):
-        g = self._shared()
-        g.rotation = {v: list(ds) for v, ds in self.rotation.items()}
-        return g.freeze()
-
     def color_swapped(self):
         """The graph with black and white exchanged. Faces, homology cycles
         and the validity verdict do not depend on color and are kept; the
@@ -288,6 +283,8 @@ class TorusGraph:
     def validate(self):
         """Check all invariants, connectivity among them; returns a report
         dict, raises GraphError on failure."""
+        if not self.colors:
+            raise GraphError("graph has no vertices")
         problems = [p for d in self.darts for p in self._twin_problems(d)]
         at = {}
         for d, dart in self.darts.items():
@@ -533,14 +530,13 @@ class TorusGraph:
     # -- Newton polygon ----------------------------------------------------------
 
     def newton_polygon(self):
-        """Polygon assembled from zig-zag classes.
+        """Polygon assembled from zig-zag classes, as the walk along them
+        sorted by angle; GraphError for a zero-homology zig-zag.
 
         Uncolored graphs: centered at the origin (classes come in opposite
-        pairs, so the centering is integral). Bipartite graphs: returned with
-        the translation flag set (normalized to the lex-min vertex at the
-        origin is NOT applied; vertices are the centered walk, flag tells
-        consumers the translation is conventional).
-        Returns (NewtonPolygon, translation_free: bool).
+        pairs, so the centering is integral; GraphError if it is not).
+        Bipartite graphs: centered when that is integral, else the walk from
+        the origin; either way the polygon is defined up to translation.
         """
         classes = [zz["class"] for zz in self.zigzag_paths()]
         if any(c == (0, 0) for c in classes):
@@ -557,13 +553,11 @@ class TorusGraph:
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
         cx, cy = max(xs) + min(xs), max(ys) + min(ys)
-        bipartite = self.is_bipartite_colored()
         if cx % 2 == 0 and cy % 2 == 0:
-            pts = [(x - cx // 2, y - cy // 2) for x, y in pts]
-            return NewtonPolygon(pts), not bipartite
-        if not bipartite:
+            return NewtonPolygon([(x - cx // 2, y - cy // 2) for x, y in pts])
+        if not self.is_bipartite_colored():
             raise GraphError("uncolored graph polygon cannot be centered integrally")
-        return NewtonPolygon(pts), False
+        return NewtonPolygon(pts)
 
     # -- minimality -----------------------------------------------------------
 
@@ -640,7 +634,7 @@ class TorusGraph:
                                           za, zb, L)
                 if hit:
                     return False, hit
-        twice_area = self.newton_polygon()[0].twice_area
+        twice_area = self.newton_polygon().twice_area
         faces = len(self.faces()) if self.is_bipartite_colored() else 2 * len(self.edges())
         kind = "minimal" if faces == twice_area else "face-count"
         return kind == "minimal", {"kind": kind, "faces": faces, "twice_area": twice_area}

@@ -19,7 +19,7 @@ from isingdimer.ising import IsingModel, make_coupling, to_dimer, y_delta
 from isingdimer.lattices import honeycomb, square
 from isingdimer.torusgraph import serialize_torus_graph
 
-from conftest import DIMER_FIXTURE, ISING_FIXTURE
+from conftest import DIMER_FIXTURE, ISING_FIXTURE, gauge_transform, uncontraction_move
 from test_torusgraph import doubled
 
 
@@ -508,6 +508,17 @@ class TestMutationFuzz:
                              and err.endswith("\n"))
         assert code != 2 or out.getvalue() == ""
 
+    @pytest.mark.parametrize("verb", sorted(_FUZZ_VERBS))
+    def test_header_only_graph_exits_2(self, tmp_path, verb, capsys):
+        # a file with the header line alone: no vertices to work on
+        for name, text in (("graph", "torus-graph v1\n"), ("gadget_map", GADGET_MAP),
+                           ("script", _FUZZ_SCRIPT)):
+            (tmp_path / name).write_text(text)
+        argv = [verb, str(tmp_path / "graph")] + [a.format(dir=tmp_path) for a in _FUZZ_VERBS[verb]]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: graph has no vertices\n"
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, files, tmp_path):
@@ -614,7 +625,7 @@ class TestPipelines:
     def test_contraction_transports_the_basis(self, tmp_path, capsys):
         # split b1 so that a new degree-2 white sits on both basis cycles,
         # gauge its edges away from 1, and contract it again by script
-        from isingdimer.dimer import contraction_move, gauge_transform, uncontraction_move
+        from isingdimer.dimer import contraction_move
         from isingdimer.torusgraph import parse_torus_graph
         g0, wt0, _ = parse_torus_graph(DIMER_FIXTURE)
         g, wt, rec = uncontraction_move(g0, wt0, "b1", 1, 1)

@@ -9,21 +9,17 @@ from hypothesis import given, settings, strategies as st
 from isingdimer.dimer import (
     MoveError,
     XBasis,
-    _half_cross_sign,
+    _one_like,
     basis_x_values,
     color_change,
     contraction_move,
     face_x_values,
-    gauge_canonicalize,
-    gauge_transform,
-    intersection_pairing,
-    ising_from_faces,
     ising_locus_check,
     square_move,
-    uncontraction_move,
     x_of_cycle,
 )
-from isingdimer.ising import GadgetMap, IsingModel, couplings_from_file_data, make_coupling, to_dimer
+from isingdimer.ising import (GadgetMap, IsingModel, _fraction_sqrt, couplings_from_file_data,
+                              make_coupling, to_dimer)
 from isingdimer.lattices import honeycomb, square
 from isingdimer.torusgraph import GraphError, TorusGraph, parse_torus_graph
 
@@ -33,7 +29,12 @@ from conftest import (
     FIXTURE_CYCLE_B,
     ISING_FIXTURE,
     S1, C1, S2, C2,
+    gauge_transform,
+    half_cross_sign,
+    intersection_pairing,
     pythagorean_couplings,
+    reparsed,
+    uncontraction_move,
 )
 from test_torusgraph import assert_same_faces, reference_canonical_form, retraced
 
@@ -84,6 +85,19 @@ class TestXOfCycle:
         assert g.face_ids() == [f"f{k}" for k in range(16)]
         assert info["omitted_face"] == "f15"
         assert sorted(values) == sorted(g.face_ids()[:-1] + ["a", "b"])
+
+
+def gauge_canonicalize(g, wt):
+    """Gauge so that a deterministic spanning tree (lowest edge ids) has
+    weight 1 everywhere. Two cochains are gauge equivalent iff their
+    canonical forms are equal."""
+    pot = {g.vertex_ids()[0]: _one_like(wt.values())}
+    for v, e, u in g.spanning_tree():
+        # want pot[b]^-1 * wt * pot[w] == 1
+        pot[u] = pot[v] / wt[e] if g.colors[v] == "b" else pot[v] * wt[e]
+    if len(pot) != len(g.vertex_ids()):
+        raise GraphError("graph is disconnected")
+    return gauge_transform(g, wt, pot)
 
 
 class TestGauge:
@@ -147,14 +161,14 @@ class TestIntersectionPairing:
 
     def test_nontrivalent_rejected(self):
         g, _, _ = parse_torus_graph(ISING_FIXTURE)
-        gi = g.copy()
+        gi = reparsed(g)
         gi.colors = {"n": "b"}
         with pytest.raises(Exception):
             intersection_pairing(gi, ["1+", "1-"], ["2+", "2-"])
 
 
 def reference_half_cross_sign(g, v, t1, t2):
-    """Reference for _half_cross_sign: strand ends at angles 2 pi p / n on the
+    """Reference for half_cross_sign: strand ends at angles 2 pi p / n on the
     unit circle, p = idx(port) + 0.2 + 0.6 r / n with r the ccw distance to
     the other port; the sign of the cross product of the two chords where
     their segments cross, else 0."""
@@ -188,7 +202,7 @@ class TestCrossingSign:
         pairs = [(t1, t2) for t1 in transits for t2 in transits
                  if len(set(t1) & set(t2)) == 1 and set(t1) != set(t2)]
         assert len(pairs) == 4 * n * (n - 1) ** 2
-        got = [_half_cross_sign(g, "v", t1, t2) for t1, t2 in pairs]
+        got = [half_cross_sign(g, "v", t1, t2) for t1, t2 in pairs]
         assert got == [reference_half_cross_sign(g, "v", t1, t2) for t1, t2 in pairs]
         assert set(got) <= {-1, 0, 1} and all(type(x) is int for x in got)
 
@@ -515,7 +529,7 @@ class TestLocalMoves:
 
     def test_broken_unvalidated_input_raises(self, fixture):
         g, wt = fixture
-        h = g.copy()
+        h = reparsed(g)
         h.rotation["b1"] = h.rotation["b1"][:-1]
         h.freeze()
         with pytest.raises(GraphError, match="rotation at b1"):
@@ -600,6 +614,31 @@ class TestIsingLocus:
         ok, report = ising_locus_check(g, wtp, fixture_gm())
         assert not ok
         assert any(r != 0 for r in report["residuals"].values())
+
+
+def ising_from_faces(face_x):
+    """Couplings from square-face X values: s = sqrt(X/(1+X)), c = sqrt(1/(1+X)).
+
+    Exact when the fractions are perfect squares, numeric otherwise.
+    """
+    out = {}
+    for key, x in face_x.items():
+        if isinstance(x, Fraction):
+            if x <= 0:
+                raise MoveError(f"face X must be positive, got {x}")
+            s2 = x / (1 + x)
+            c2 = 1 / (1 + x)
+            s, c = _fraction_sqrt(s2), _fraction_sqrt(c2)
+            if s is not None and c is not None:
+                out[key] = make_coupling(sc=(s, c))
+                continue
+            x = float(x)
+        if x <= 0:
+            raise MoveError(f"face X must be positive, got {x}")
+        s = math.sqrt(x / (1 + x))
+        c = math.sqrt(1 / (1 + x))
+        out[key] = make_coupling(sc=(s, c))
+    return out
 
 
 class TestIsingFromFaces:

@@ -3,16 +3,19 @@ top-level imports bind, every test module takes the square and honeycomb
 lattices from `isingdimer.lattices` alone, the CLI reaches K and P only
 through `characteristic_polynomial` and carries X through moves only by
 `dimer.XBasis`, every private top-level function of the package is
-referenced, every option of a CLI verb is read by that verb, every
-exception class of the package has an exit code, every module stays
-below TOKEN_LIMIT parser tokens, and the modules of the package import
-each other one way, with no cycle.
+referenced, every public function and method of the package is read in
+the package or named in KEEP with a reason, every option of a CLI verb is
+read by that verb, every exception class of the package has an exit code,
+every module stays below TOKEN_LIMIT parser tokens, and the modules of the
+package import each other one way, with no cycle.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules: an
 imported name counts as used when it is read anywhere in the module; a
 private function counts as referenced when its name is read, as a name or
 an attribute, or imported anywhere in the package outside its own body, so
-that a replaced kernel cannot linger as a second path; an option counts as
+that a replaced kernel cannot linger as a second path; a public function
+or method counts as read by the same rule, `__init__.py` left out, so that
+API that only the tests call moves into the tests; an option counts as
 read when its verb's `cmd_*` function reads `args.<dest>`; an exception
 class has an exit code when it or a base class is a key of `cli.EXIT_CODES`.
 """
@@ -170,6 +173,56 @@ def test_private_functions_are_referenced():
     assert unreferenced_private_functions(sources) == []
 
 
+# Library API that no code of the package reads, each with its reason to stay.
+KEEP = {
+    "spectral.harnack_diagnostic": "the numeric-curve benchmark's harnack step calls it",
+    "exactalg.lm_adjugate": "the benchmark's exactalg.adjugate probe calls it",
+    "lattices.square": "the tests' one source of square lattices",
+    "lattices.honeycomb": "the tests' one source of honeycomb lattices",
+}
+
+
+def unread_api(sources):
+    """module.name of each public top-level function and each non-dunder
+    method (module.Class.name) of the {module: source} given whose name
+    nothing reads, as a name or an attribute, or imports outside its own
+    body."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defs = [(n.name, n) for n in tree.body
+                if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")]
+        defs += [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, ast.FunctionDef)
+                 and not (f.name.startswith("__") and f.name.endswith("__"))]
+        inside = {id(n): d.name for _, d in defs for n in ast.walk(d)}
+        defined += [(f"{module}.{q}", d.name) for q, d in defs]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                names = [n.id]
+            elif isinstance(n, ast.Attribute):
+                names = [n.attr]
+            elif isinstance(n, ast.ImportFrom):
+                names = [a.name for a in n.names]
+            else:
+                continue
+            read.update(name for name in names if inside.get(id(n)) != name)
+    return [q for q, name in defined if name not in read]
+
+
+def test_finds_unread_api():
+    a = ("def used():\n    pass\n\ndef loop(n):\n    return loop(n - 1)\n\n"
+         "def _private():\n    used()\n\nclass C:\n    def m(self):\n        return self.m()\n\n"
+         "    def spare(self):\n        pass\n\n    def __len__(self):\n        return 0\n")
+    assert unread_api({"a": a, "b": "from .a import C\nx = C().spare\n"}) == ["a.loop", "a.C.m"]
+    assert unread_api({"a": a, "b": "from .a import loop, m\n"}) == ["a.C.spare"]
+
+
+def test_library_api_has_readers():
+    # __init__.py re-exports are not readers: MODULES leaves it out
+    assert sorted(unread_api({p.stem: p.read_text() for p in MODULES})) == sorted(KEEP)
+
+
 def unread_options(parser, source):
     """(verb, dest) for every option or positional that a subparser of
     `parser` registers and that its verb's function, defined in `source`
@@ -304,3 +357,4 @@ def test_package_imports_run_one_way():
     graph = {p.stem: package_imports(p.read_text()) for p in MODULES}
     assert import_cycle(graph) == []
     assert graph["divisor"] == {"exactalg"}
+    assert "ising" not in graph["dimer"]

@@ -498,8 +498,8 @@ class TestToDimer:
         # the 1x1 honeycomb polygon is a hexagon that differs from its mirror
         model = honeycomb_model([Fraction(1, 2)] * 3, 1, 1)
         gd, _, _ = to_dimer(model)
-        gp, _ = model.graph.newton_polygon()
-        dp, _ = gd.newton_polygon()
+        gp = model.graph.newton_polygon()
+        dp = gd.newton_polygon()
         assert sorted(z["class"] for z in gd.zigzag_paths()) == \
             sorted(z["class"] for z in model.graph.zigzag_paths())
         assert gp.normalized().vertices == dp.normalized().vertices
