@@ -379,7 +379,7 @@ def divisor_on_curve(P, genus, entries, mode, tol):
 
 
 def _divisor_exact(P, entries, e1, e2, genus):
-    res, _ = resultant_eliminate(e1, e2, "w")
+    res = resultant_eliminate(e1, e2)
     if res.is_zero():
         raise SpectralError("adjugate entries share a component; exact divisor ambiguous")
     # P and the entries with integer coefficients (each times the lcm L of
@@ -436,7 +436,7 @@ def _vanish_rule(grid, values, tol):
 def _divisor_numeric(P, entries, e1, e2, genus, tol):
     import numpy as np
     Pn = P.to_numeric()
-    res, _ = resultant_eliminate(e1.to_numeric(), e2.to_numeric(), "w")
+    res = resultant_eliminate(e1.to_numeric(), e2.to_numeric())
     if len(res.coeffs_in("z")[0]) < 2:
         raise SpectralError("resultant is constant; no isolated roots")
     polys = [Pn] + entries
@@ -502,7 +502,7 @@ def detect_singularities(P):
         return []
     Pn, Pwn = P.to_numeric(), Pw.to_numeric()
     Pzn = derivative(P, "z").to_numeric()
-    res, _ = resultant_eliminate(Pn, Pwn, "w")
+    res = resultant_eliminate(Pn, Pwn)
     if len(res.coeffs_in("z")[0]) < 2:
         return []
     # polish on the critical system before the residual test; double roots

@@ -107,9 +107,6 @@ class LaurentPoly2:
     def coeff(self, i, j):
         return self.terms.get((i, j), Fraction(0))
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly2):
             return NotImplemented
@@ -268,12 +265,7 @@ class LaurentMatrix:
         zero = LaurentPoly2.zero()          # one for all cells: nothing mutates terms
         for r in self.rows:
             for c in self.cols:
-                v = entries.get((r, c))
-                if v is None:
-                    v = zero
-                elif not isinstance(v, LaurentPoly2):
-                    v = LaurentPoly2.const(v)
-                self.entries[(r, c)] = v
+                self.entries[(r, c)] = entries.get((r, c), zero)
 
     def __getitem__(self, rc):
         return self.entries[rc]
@@ -312,7 +304,15 @@ def lm_determinant(m):
     import numpy as np
     grid, lows, real = m.samples()
     shift = tuple(sum(lo[k] for lo in lows) for k in (0, 1))
-    return _interpolate(np.linalg.det(grid)[..., None], [shift], real)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = np.linalg.det(grid)
+        # LU can leave an exact zero pivot unflagged; det then takes 0/0 for
+        # its sign. A log|det| of -inf tells such a singular sample from
+        # one that overflowed
+        bad = np.isnan(det)
+        if bad.any():
+            det[bad] = np.where(np.linalg.slogdet(grid[bad])[1] == -np.inf, 0, det[bad])
+    return _interpolate(det[..., None], [shift], real)[0]
 
 
 # -- the exact kernel: integer term dicts {(i, j): int} -------------------------
@@ -665,14 +665,6 @@ class NewtonPolygon:
         x0, y0 = min(self.vertices)
         return self.translate(-x0, -y0)
 
-    def __eq__(self, other):
-        if not isinstance(other, NewtonPolygon):
-            return NotImplemented
-        return self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(tuple(self.vertices))
-
     def __repr__(self):
         return f"NewtonPolygon({self.vertices})"
 
@@ -694,12 +686,8 @@ def _convex_hull(pts):
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 0:
-        hull = [pts[0], pts[-1]]
-    if len(hull) == 2 and hull[0] == hull[1]:
-        hull = hull[:1]
-    return hull
+    # distinct points: pts[0] and pts[-1] are two vertices
+    return lower[:-1] + upper[:-1]
 
 
 def newton_polygon(p):
@@ -709,25 +697,20 @@ def newton_polygon(p):
     return NewtonPolygon(p.support())
 
 
-def resultant_eliminate(p, q, var):
-    """Resultant eliminating `var` ('z' or 'w').
-
-    Both inputs are cleared of their minimal `var` exponent first; the
-    cleared monomial exponents are reported. Returns
-    (resultant: LaurentPoly2 in the other variable, (cleared_p, cleared_q)).
-    Sign convention: Sylvester determinant with the p-coefficient rows first,
-    taken by lm_determinant at any size (Bareiss for exact inputs, FFT
-    interpolation for numeric ones).
+def resultant_eliminate(p, q):
+    """Resultant of p and q eliminating w, a LaurentPoly2 in z. Both inputs
+    are cleared of their minimal w exponent first. Sign convention:
+    Sylvester determinant with the p-coefficient rows first, taken by
+    lm_determinant at any size (Bareiss for exact inputs, FFT interpolation
+    for numeric ones).
     """
-    if var not in ("z", "w"):
-        raise ValueError("var must be 'z' or 'w'")
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of a zero polynomial")
-    pc, plo = p.coeffs_in(var)
-    qc, qlo = q.coeffs_in(var)
+    pc, _ = p.coeffs_in("w")
+    qc, _ = q.coeffs_in("w")
     m, n = len(pc) - 1, len(qc) - 1
     if m == 0 and n == 0:
-        raise ValueError(f"both inputs constant in {var}")
+        raise ValueError("both inputs constant in w")
     labels = list(range(m + n))
     entries = {}
     # n shifted copies of p's coefficients (descending), then m of q's
@@ -737,4 +720,4 @@ def resultant_eliminate(p, q, var):
     for s in range(m):
         for k, c in enumerate(reversed(qc)):
             entries[(n + s, s + k)] = c
-    return lm_determinant(LaurentMatrix(labels, labels, entries)), (plo, qlo)
+    return lm_determinant(LaurentMatrix(labels, labels, entries))

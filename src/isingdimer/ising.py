@@ -47,9 +47,6 @@ class Coupling:
     def __repr__(self):
         return f"Coupling(s={self.s}, c={self.c}, x={self.x})"
 
-    def __eq__(self, other):
-        return isinstance(other, Coupling) and (self.s, self.c) == (other.s, other.c)
-
 
 def make_coupling(J=None, sc=None, x=None):
     """Build a coupling from J > 0, an exact (s, c) pair, or x in (0, 1)."""

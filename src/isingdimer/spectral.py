@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from fractions import Fraction
 
 from .dimer import x_of_cycle
@@ -169,10 +168,10 @@ def divisor_of_vertex(g, wt, kappa, vertex, mode="exact", tol=1e-8, curve=None, 
 # -- the nu map -----------------------------------------------------------------
 
 
-def nu_map(g, wt):
-    """The zig-zag paths on each side of the polygon, whose points at
-    infinity they are (nu of Goncharov-Kenyon, "Dimers and cluster
-    integrable systems", 2013).
+def nu_map(g, wt, polygon):
+    """The zig-zag paths on each side of `polygon`, g's Newton polygon up to
+    translation, whose points at infinity they are (nu of Goncharov-Kenyon,
+    "Dimers and cluster integrable systems", 2013).
 
     Side S (primitive vector (i, j), lattice length) holds the zig-zags
     whose class is a positive multiple of S, ordered by the tentacle
@@ -180,9 +179,9 @@ def nu_map(g, wt):
     in that order and the adjacent pairs whose intercepts tie. On a graph
     that is not minimal a side can hold a number of zig-zags other than its
     length. Returns [{'vector', 'length', 'zigzags', 'x', 'intercepts',
-    'ties'}], one per side of g.newton_polygon().
+    'ties'}], one per side of the polygon.
     """
-    polygon, by_vector = g.newton_polygon(), {}
+    by_vector = {}
     for zz in g.zigzag_paths():
         p, q = zz["class"]
         d = math.gcd(p, q)
@@ -227,12 +226,12 @@ def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-
     # weights). The reversal of a zig-zag is a zig-zag of the color change,
     # whose X there is the inverse; X_alphabar * X_alpha = 1 is this check.
     # A side with as many zig-zags as its opposite compares their X values
-    # sorted as floats; one with another number fails.
+    # sorted (exactly, for Fractions); one with another number fails.
     resid3, failed = {}, []
-    x_of_side = {side["vector"]: side["x"] for side in nu_map(g, wt)}
+    x_of_side = {side["vector"]: side["x"] for side in nu_map(g, wt, curve.polygon)}
     for side, values in x_of_side.items():
-        a = sorted(values, key=float)
-        b = sorted(x_of_side.get((-side[0], -side[1]), ()), key=float)
+        a = sorted(values)
+        b = sorted(x_of_side.get((-side[0], -side[1]), ()))
         if len(a) != len(b):
             resid3[side] = float("inf")
             failed.append(side)
@@ -351,47 +350,37 @@ def amoeba_svg(sample, marks=()):
             + "</svg>")
 
 
-def harnack_diagnostic(P, probes=None, theta_steps=720):
-    """Count Log-preimages of probe points; report 'consistent with 2:1' or
-    list violations. A diagnostic, not a certificate.
+# angles of harnack_diagnostic's scan of |z| = 1 over [0, pi]
+HARNACK_STEPS = 720
 
-    For a probe (x, y): with |z| = e^x fixed, each root branch traces
-    log|w|(theta) over theta_steps + 1 angles in [0, pi]. Probes with equal
-    x share that circle of fibres, and one root-kernel call solves every
-    circle. Sorted, the levels log|w| of a fibre lie below y up to
-    k = #{levels <= y}, so between consecutive fibres with as many levels
-    the branches cross y |k - k'| times. Each crossing counts twice, for its
-    complex-conjugate partner at -theta. Harnack means every interior probe
-    has exactly 2.
 
-    The automatic probes lie on |z| = 1: (0.0, the lower median level of
-    the fibre at theta = pi (k + 1/2) / theta_steps), for k a quarter, a
-    half and three quarters of theta_steps; these three fibres go in the
-    same kernel call. Each sits between two scan angles, so its preimage is
+def harnack_diagnostic(P):
+    """Count Log-preimages of three probe points on |z| = 1; report
+    'consistent with 2:1' or list violations. A diagnostic, not a
+    certificate.
+
+    Each root branch traces log|w|(theta) for z = e^(i theta) over
+    HARNACK_STEPS + 1 angles in [0, pi]. Sorted, the levels log|w| of a
+    fibre lie below a probe's y up to k = #{levels <= y}, so between
+    consecutive fibres with as many levels the branches cross y |k - k'|
+    times. Each crossing counts twice, for its complex-conjugate partner at
+    -theta. Harnack means every interior probe has exactly 2.
+
+    The probes are (0.0, the lower median level of the fibre at theta =
+    pi (k + 1/2) / HARNACK_STEPS), for k a quarter, a half and three
+    quarters of HARNACK_STEPS; these three fibres go in the same root-kernel
+    call as the scan. Each sits between two scan angles, so its preimage is
     interior to the scan, never on a real fibre (theta = 0 or pi), where the
     count would turn on the last bit of the roots. A fibre with no level
-    gives no probe. SpectralError unless theta_steps is an int of at least
-    1 and every probe has finite y and |x| <= log(float max), and if the
-    coefficients of P in w on a probe's circle are not finite floats.
+    gives no probe. SpectralError if P is constant in w or its coefficients
+    in w on |z| = 1 are not finite floats.
     """
     import numpy as np
     Pn = _numeric_in_w(P)
-    if not isinstance(theta_steps, int):
-        raise SpectralError(f"theta_steps must be an integer, got {theta_steps!r}")
-    if theta_steps < 1:
-        raise SpectralError(f"theta_steps must be at least 1, got {theta_steps}")
-    # e^x must be a finite float: the bound of the amoeba's --range
-    top = math.log(sys.float_info.max)
-    for x, y in probes or ():
-        if not (abs(x) <= top and math.isfinite(y)):
-            raise SpectralError(f"probe ({x}, {y}) must have finite y and |x| <= {top}")
-    auto = probes is None
-    xs = [0.0] if auto else list(dict.fromkeys(x for x, _ in probes))
-    z = np.outer([math.exp(x) for x in xs],
-                 [cmath.exp(1j * math.pi * k / theta_steps) for k in range(theta_steps + 1)])
-    mid = [cmath.exp(1j * math.pi * (k + 0.5) / theta_steps)
-           for k in (theta_steps // 4, theta_steps // 2, 3 * theta_steps // 4)] if auto else []
-    roots, _ = _roots(_fibres(Pn, np.append(z, mid)))
+    steps = HARNACK_STEPS
+    # the scan's angles pi k / steps, then the probe fibres' between them
+    ks = [*range(steps + 1), *(k + 0.5 for k in (steps // 4, steps // 2, 3 * steps // 4))]
+    roots, _ = _roots(_fibres(Pn, np.array([cmath.exp(1j * math.pi * k / steps) for k in ks])))
     # levels log|w| by math.log and abs of Python complex numbers; roots of
     # modulus <= 1e-300 and the nan roots of a fibre skipped for a root at
     # infinity are no levels, so only steps between fibres with as many
@@ -400,15 +389,13 @@ def harnack_diagnostic(P, probes=None, theta_steps=720):
     seen = mod > 1e-300
     level = np.full(mod.shape, np.inf)
     level[seen] = list(map(math.log, mod[seen].tolist()))
-    if auto:
-        probes = [(0.0, v[(c - 1) // 2]) for v, c in
-                  zip(np.sort(level[z.size:]).tolist(), seen[z.size:].sum(1).tolist()) if c]
-    level = level[:z.size].reshape(*z.shape, level.shape[1])[[xs.index(x) for x, _ in probes]]
-    n = np.isfinite(level).sum(2)
+    probes = [(0.0, v[(c - 1) // 2]) for v, c in
+              zip(np.sort(level[-3:]).tolist(), seen[-3:].sum(1).tolist()) if c]
+    level = level[:-3]
     k = (level <= np.array([y for _, y in probes])[:, None, None]).sum(2)
-    step = np.diff(n) == 0
-    out = [{"probe": (x, y), "preimages": c}
-           for (x, y), c in zip(probes, (2 * (abs(np.diff(k)) * step).sum(1)).tolist())]
+    step = np.diff(np.isfinite(level).sum(1)) == 0
+    out = [{"probe": p, "preimages": c}
+           for p, c in zip(probes, (2 * (abs(np.diff(k)) * step).sum(1)).tolist())]
     violations = [p for p in out if p["preimages"] != 2]
     return {"consistent": not violations, "probes": out, "violations": violations}
 
@@ -418,10 +405,9 @@ def harnack_diagnostic(P, probes=None, theta_steps=720):
 
 def canonical_sign(P):
     """Normalize the overall sign (a sign-gauge artifact): make the first
-    coefficient in canonical term order positive."""
+    coefficient in canonical term order positive. P is not zero:
+    characteristic_polynomial rejects a zero P."""
     from .exactalg import _term_sort_key
-    if P.is_zero():
-        return P
     lead = min(P.terms, key=_term_sort_key)
     c = P.terms[lead]
     neg = (c < 0) if isinstance(c, Fraction) else (complex(c).real < 0)

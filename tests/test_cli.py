@@ -191,13 +191,40 @@ class TestExitCodes:
     @pytest.mark.parametrize("script,message", [
         ("move color\nmove contract v=nope\n", "script line 2: unknown vertex nope"),
         ("move square f=f2 f=f3\n", "script line 1: repeated key 'f'"),
-    ], ids=["unknown vertex", "repeated key"])
+        ("move color\nsquare f=f2\n", "script line 2: expected 'move ...'"),
+        ("move twist\n", "script line 1: unknown move 'twist'"),
+    ], ids=["unknown vertex", "repeated key", "not a move", "unknown move"])
     def test_bad_move_script_exits_2(self, files, tmp_path, capsys, script, message):
         _, gp, _, _ = files
         path = tmp_path / "bad.txt"
         path.write_text(script)
         assert main(["move", gp, "--script", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,graph,message", [
+        (["charpoly", "--mode", "exact"],
+         DIMER_FIXTURE.replace("weight e5 1\n", "weight e5 1.5\n"),
+         "exact mode needs rational weights throughout"),
+        (["verify-ising", "--vertex", "w2"], DIMER_FIXTURE, "verify-ising needs --gadget-map"),
+    ], ids=["exact mode float weight", "verify-ising without gadget map"])
+    def test_missing_input_exits_2(self, tmp_path, argv, graph, message, capsys):
+        gp = tmp_path / "graph.tg"
+        gp.write_text(graph)
+        assert main([argv[0], str(gp)] + argv[1:]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_exact_x_outside_the_float_range_fails_the_nu_condition(self, files, tmp_path,
+                                                                      capsys):
+        # the X values of two sides are near 10^-400 and 10^400: Fractions
+        # sorted exactly, not as floats
+        _, _, _, gm = files
+        gp = tmp_path / "tiny.tg"
+        gp.write_text(DIMER_FIXTURE.replace("weight e1 1\n", f"weight e1 1/{10 ** 400}\n"))
+        assert main(["verify-ising", str(gp), "--vertex", "w2", "--gadget-map", gm]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "condition nu-involution FAIL\n" in out
+        assert "\nresiduals (-1, -1) (1, 1)\n" in out
 
     @pytest.mark.parametrize("verb", [["todimer"], ["dual"], ["ydelta", "--site", "n"]],
                              ids=["todimer", "dual", "ydelta"])
@@ -606,6 +633,28 @@ class TestPipelines:
             return sorted(seen)
 
         assert x_lines(final, "before") == x_lines(final, "after")
+
+    def test_script_comments_and_blank_lines_are_skipped(self, files, tmp_path, capsys):
+        _, gp, _, _ = files
+        plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+        plain.write_text("move color\nmove color\n")
+        commented.write_text("# two colour changes\n\nmove color\n   \nmove color  # back\n")
+        assert main(["move", gp, "--script", str(plain)]) == 0
+        want = capsys.readouterr()
+        assert main(["move", gp, "--script", str(commented)]) == 0
+        assert capsys.readouterr() == want
+
+    def test_dual_of_a_weighted_dimer_graph(self, files, capsys):
+        # the dual has a vertex per face and keeps each edge's weight
+        _, gp, _, _ = files
+        assert main(["dual", gp]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert lines[0] == "torus-graph v1"
+        assert [ln.split()[1] for ln in lines if ln.startswith("vertex ")] == [
+            "f0", "f1", "f2", "f3"]
+        assert sorted(ln for ln in lines if ln.startswith("weight ")) == sorted(
+            ln for ln in DIMER_FIXTURE.splitlines() if ln.startswith("weight "))
 
     def test_empty_script_identity(self, files, tmp_path):
         _, gp, _, _ = files

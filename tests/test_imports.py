@@ -4,10 +4,13 @@ lattices from `isingdimer.lattices` alone, the CLI reaches K and P only
 through `characteristic_polynomial` and carries X through moves only by
 `dimer.XBasis`, every private top-level function of the package is
 referenced, every public function and method of the package is read in
-the package or named in KEEP with a reason, every option of a CLI verb is
-read by that verb, every exception class of the package has an exit code,
-every module stays below TOKEN_LIMIT parser tokens, and the modules of the
-package import each other one way, with no cycle.
+the package or named in KEEP with a reason, every parameter of a package
+function takes more than one value over the calls in the package and the
+benchmark or is named in KEEP_PARAMETERS, the benchmark's calls into the
+package bind to its signatures and its traced targets exist, every option
+of a CLI verb is read by that verb, every exception class of the package
+has an exit code, every module stays below TOKEN_LIMIT parser tokens, and
+the modules of the package import each other one way, with no cycle.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules: an
 imported name counts as used when it is read anywhere in the module; a
@@ -23,6 +26,7 @@ import argparse
 import ast
 import graphlib
 import importlib
+import inspect
 import io
 import tokenize
 import types
@@ -31,6 +35,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "isingdimer"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 LATTICES = ("square", "honeycomb")
@@ -221,6 +226,178 @@ def test_finds_unread_api():
 def test_library_api_has_readers():
     # __init__.py re-exports are not readers: MODULES leaves it out
     assert sorted(unread_api({p.stem: p.read_text() for p in MODULES})) == sorted(KEEP)
+
+
+def single_valued_parameters(package, callers):
+    """function.parameter for each parameter of a function defined in the
+    `package` sources whose values over every call in the `callers` sources
+    are all one literal. Calls match by bare name, and a function name
+    defined twice is skipped. A call passes a value positionally or by
+    keyword; one that leaves the parameter out passes its default, or any
+    value if it has *args or **kwargs. `self` and `cls` take none."""
+    defs, twice = {}, set()
+    for source in package:
+        tree = ast.parse(source)
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            twice |= {f.name} & defs.keys()
+            a = f.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in f.decorator_list)
+            params = (a.posonlyargs + a.args)[id(f) in methods and not static:]
+            defaults = {p.arg: d for p, d in zip(reversed(params), reversed(a.defaults))}
+            defaults |= {p.arg: d for p, d in zip(a.kwonlyargs, a.kw_defaults) if d}
+            defs[f.name] = ([p.arg for p in params], [p.arg for p in params + a.kwonlyargs],
+                            defaults)
+
+    def literal(node):
+        try:
+            ast.literal_eval(node)
+        except ValueError:
+            return None     # any value
+        return ast.dump(node)
+
+    values = {}
+    for source in callers:
+        for n in ast.walk(ast.parse(source)):
+            name = getattr(n, "func", None)
+            name = getattr(name, "id", getattr(name, "attr", None))
+            if not isinstance(n, ast.Call) or name not in defs.keys() - twice:
+                continue
+            positional, params, defaults = defs[name]
+            star = any(isinstance(a, ast.Starred) for a in n.args) or any(
+                k.arg is None for k in n.keywords)
+            given = dict(zip(positional, n.args)) | {k.arg: k.value for k in n.keywords}
+            for p in params:
+                node = given.get(p, None if star else defaults.get(p))
+                values.setdefault(f"{name}.{p}", set()).add(
+                    None if node is None or isinstance(node, ast.Starred) else literal(node))
+    return sorted(q for q, v in values.items() if len(v) == 1 and None not in v)
+
+
+def test_finds_a_single_valued_parameter():
+    a = ("def f(p, q, var='w', n=3, *, k=None):\n    pass\n\n"
+         "class C:\n    def m(self, x, y=1):\n        pass\n\n"
+         "def g(a):\n    pass\n\nclass D:\n    def g(self, b):\n        pass\n")
+    b = ("f(1, x, 'w')\nf(y, 2, var='w', n=4)\nf(*args, n=3)\n"
+         "C().m(2, y=1)\nobj.m(2)\ng(1)\n")
+    # f.var: 'w' twice, and any value from *args; f.k: the default None
+    # twice, any value once; C.m: self takes none; g is defined twice
+    assert single_valued_parameters([a], [a, b]) == ["m.x", "m.y"]
+    b = b.replace("*args", "p")
+    assert single_valued_parameters([a], [a, b]) == ["f.k", "f.var", "m.x", "m.y"]
+    assert single_valued_parameters([a], [a, b, "f(1, 2, **kw)\n"]) == ["m.x", "m.y"]
+
+
+# Library parameters that every call in the package and the benchmark
+# passes one literal value, each with its reason to stay a parameter.
+KEEP_PARAMETERS = {}
+
+
+def test_library_parameters_take_two_values():
+    package = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    perfbench = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]
+    assert single_valued_parameters(package, package + perfbench) == sorted(KEEP_PARAMETERS)
+
+
+def package_references(source):
+    """(module, name, call) for each reference of source into the package:
+    `lib.<module>.<name>`, `<module>.<name>` for a module bound by `from
+    isingdimer import <module>`, and `<name>` bound by `from
+    isingdimer.<module> import <name>`. call is the ast.Call whose function
+    the reference is, or None."""
+    tree = ast.parse(source)
+    modules, names = {}, {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and n.module == "isingdimer":
+            modules |= {a.asname or a.name: a.name for a in n.names}
+        elif isinstance(n, ast.ImportFrom) and (n.module or "").startswith("isingdimer."):
+            names |= {a.asname or a.name: (n.module.split(".")[1], a.name) for a in n.names}
+    calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and n.id in names:
+            target = names[n.id]
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and (
+                n.value.id in modules):
+            target = (modules[n.value.id], n.attr)
+        elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Attribute)
+              and isinstance(n.value.value, ast.Name) and n.value.value.id == "lib"):
+            target = (n.value.attr, n.attr)
+        else:
+            continue
+        out.append((*target, calls.get(id(n))))
+    return out
+
+
+def broken_package_references(source):
+    """`module.name` for each reference of package_references(source) that
+    the package does not define, and `module.name(...)` at line k for each
+    call whose arguments do not bind to the signature; a call with *args or
+    **kwargs binds."""
+    out = []
+    for module, name, call in package_references(source):
+        fn = getattr(importlib.import_module(f"isingdimer.{module}"), name, None)
+        if fn is None:
+            out.append(f"{module}.{name}")
+        elif call is not None and not any(isinstance(a, ast.Starred) for a in call.args) and all(
+                k.arg for k in call.keywords):
+            try:
+                inspect.signature(fn).bind(*call.args, **{k.arg: k.value for k in call.keywords})
+            except TypeError:
+                out.append(f"{module}.{name}(...) at line {call.lineno}")
+    return out
+
+
+def unresolved_targets(source):
+    """`module:attribute` of each entry of source's TARGETS (module,
+    attribute or Class.method, ...) that Tracer._patches would not find:
+    a module outside source's MODULES, or an attribute the module, or a
+    method the class's own __dict__, does not hold."""
+    assigned = {t.id: n.value for n in ast.parse(source).body if isinstance(n, ast.Assign)
+                for t in n.targets if isinstance(t, ast.Name)}
+    modules = ast.literal_eval(assigned["MODULES"])
+    out = []
+    for entry in assigned["TARGETS"].elts:
+        module, attr = (ast.literal_eval(e) for e in entry.elts[:2])
+        space = vars(importlib.import_module(f"isingdimer.{module}")) if module in modules else {}
+        cls, _, name = attr.rpartition(".")
+        if cls:
+            space = vars(space[cls]) if cls in space else {}
+        if name not in space:
+            out.append(f"{module}:{attr}")
+    return out
+
+
+def test_finds_broken_benchmark_calls():
+    source = ("from isingdimer import spectral\nfrom isingdimer.dimer import square_move\n"
+              "MODULES = ('spectral', 'torusgraph')\n"
+              "TARGETS = [('spectral', 'harnack_diagnostic', 'h', None),\n"
+              "           ('spectral', 'amoeba', 'a', None),\n"
+              "           ('dimer', 'square_move', 's', None),\n"
+              "           ('torusgraph', 'TorusGraph.validate', 'v', None),\n"
+              "           ('torusgraph', 'TorusGraph.split', 'v', None)]\n"
+              "def f(lib, P, g):\n"
+              "    spectral.harnack_diagnostic(P, theta_steps=45)\n"
+              "    lib.exactalg.resultant_eliminate(P, P, 'w')\n"
+              "    lib.exactalg.resultant_eliminate(*P)\n"
+              "    square_move(g)\n"
+              "    return lib.spectral.kasteleyn_matrix, lib.spectral.amoeba\n")
+    # a *args call binds whatever it holds
+    assert broken_package_references(source) == [
+        "spectral.harnack_diagnostic(...) at line 10",
+        "exactalg.resultant_eliminate(...) at line 11", "dimer.square_move(...) at line 13",
+        "spectral.amoeba"]
+    assert unresolved_targets(source) == [
+        "spectral:amoeba", "dimer:square_move", "torusgraph:TorusGraph.split"]
+
+
+def test_benchmark_calls_bind_to_the_library():
+    spans, ops = ((PERFBENCH / name).read_text() for name in ("spans.py", "ops.py"))
+    assert broken_package_references(spans) + broken_package_references(ops) == []
+    assert unresolved_targets(spans) == []
 
 
 def unread_options(parser, source):

@@ -789,7 +789,7 @@ class TestDivisorSearchStop:
 class TestNuMap:
     def test_fixture_singleton_sides(self, dimer_fixture):
         g, wt = dimer_fixture
-        sides = nu_map(g, wt)
+        sides = nu_map(g, wt, g.newton_polygon())
         assert len(sides) == 4
         for side in sides:
             assert side["length"] == 1
@@ -798,7 +798,8 @@ class TestNuMap:
 
     def test_opposite_sides_intercepts_negate_at_locus(self, dimer_fixture):
         g, wt = dimer_fixture
-        by_vec = {tuple(s["vector"]): s["intercepts"] for s in nu_map(g, wt)}
+        by_vec = {tuple(s["vector"]): s["intercepts"]
+                  for s in nu_map(g, wt, g.newton_polygon())}
         for v, ints in by_vec.items():
             opp = by_vec[(-v[0], -v[1])]
             assert all(abs(a + b) < 1e-12 for a, b in zip(sorted(ints), sorted(-x for x in opp)))
@@ -807,11 +808,34 @@ class TestNuMap:
         g, wt = dimer_fixture
         rng = random.Random(13)
         f = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in g.vertex_ids()}
-        nm1 = nu_map(g, wt)
-        nm2 = nu_map(g, gauge_transform(g, wt, f))
+        nm1 = nu_map(g, wt, g.newton_polygon())
+        nm2 = nu_map(g, gauge_transform(g, wt, f), g.newton_polygon())
         for s1, s2 in zip(nm1, nm2):
             assert s1["zigzags"] == s2["zigzags"]
             assert all(abs(a - b) < 1e-12 for a, b in zip(s1["intercepts"], s2["intercepts"]))
+
+    def test_side_without_an_opposite_fails(self):
+        # one hexagon: the triangle polygon's three sides have no opposite
+        # side, so each fails condition (3) with residual inf
+        g, _, _ = parse_torus_graph("torus-graph v1\nvertex b b\nvertex w w\n"
+                                    "edge e0 b w 0 0\nedge e1 b w -1 0\nedge e2 b w 0 -1\n"
+                                    "rot b e0 e1 e2\nrot w e0 e1 e2\n")
+        wt = {e: Fraction(1) for e in g.edges()}
+        _, kappa = solve_kasteleyn_signs(g)[0]
+        ok, rep = verify_ising_spectral(g, wt, kappa, GadgetMap({}, {"w": "b"}), "w")
+        assert not ok and not rep["nu_condition"]
+        assert sorted(rep["nu_failed"]) == [(-1, 0), (0, 1), (1, -1)]
+        assert rep["nu_residuals"] == dict.fromkeys(rep["nu_failed"], math.inf)
+
+    def test_one_graph_polygon_per_verify(self, monkeypatch):
+        # nu_map takes its sides from the curve's polygon, so the graph's
+        # polygon is built once, by characteristic_polynomial
+        g, wt, gm, kappa, white = ladder_dimer("square 2x1", 1)
+        calls, polygon = [], TorusGraph.newton_polygon
+        monkeypatch.setattr(TorusGraph, "newton_polygon",
+                            lambda self: calls.append(self) or polygon(self))
+        ok, _ = verify_ising_spectral(g, wt, kappa, gm, white, mode="numeric")
+        assert ok and calls == [g]
 
 
 class TestColorChangeIdentities:
@@ -1157,7 +1181,11 @@ def reference_amoeba_svg(rows, marks=(), size=480):
     return "\n".join(parts)
 
 
-def reference_harnack(P, probes, theta_steps=720):
+# the angles of harnack_diagnostic's scan of [0, pi]
+HARNACK_STEPS = 720
+
+
+def reference_harnack(P, probes):
     """Reference for harnack_diagnostic at given probes: one root-kernel
     call per probe, the sorted levels and their signs angle by angle."""
     import cmath
@@ -1168,8 +1196,8 @@ def reference_harnack(P, probes, theta_steps=720):
     violations = []
     for x, y in probes:
         r = math.exp(x)
-        z = np.array([r * cmath.exp(1j * math.pi * k / theta_steps)
-                      for k in range(theta_steps + 1)])
+        z = np.array([r * cmath.exp(1j * math.pi * k / HARNACK_STEPS)
+                      for k in range(HARNACK_STEPS + 1)])
         count = 0
         prev = None
         for roots, ok in zip(*_roots(_fibres(Pn, z))):
@@ -1189,17 +1217,18 @@ def reference_harnack(P, probes, theta_steps=720):
     return {"consistent": not violations, "probes": out, "violations": violations}
 
 
-def reference_auto_probes(P, theta_steps=720):
-    """The automatic Harnack probes, one root-kernel call per fibre: (0.0,
-    the lower median of the levels log|w|) of the fibre on |z| = 1 at
-    theta = pi (k + 1/2) / theta_steps, k a quarter, a half and three
-    quarters of theta_steps; a fibre with no level gives none."""
+def reference_auto_probes(P):
+    """The Harnack probes, one root-kernel call per fibre: (0.0, the lower
+    median of the levels log|w|) of the fibre on |z| = 1 at theta =
+    pi (k + 1/2) / HARNACK_STEPS, k a quarter, a half and three quarters of
+    HARNACK_STEPS; a fibre with no level gives none."""
     import cmath
     import numpy as np
     from isingdimer.divisor import _fibres, _roots
     out = []
-    for k in (theta_steps // 4, theta_steps // 2, 3 * theta_steps // 4):
-        z = np.array([cmath.exp(1j * math.pi * (k + 0.5) / theta_steps)])
+    steps = HARNACK_STEPS
+    for k in (steps // 4, steps // 2, 3 * steps // 4):
+        z = np.array([cmath.exp(1j * math.pi * (k + 0.5) / steps)])
         roots, _ = _roots(_fibres(P.to_numeric(), z))
         levels = sorted(math.log(abs(w)) for w in roots[0].tolist() if abs(w) > 1e-300)
         if levels:
@@ -1388,38 +1417,37 @@ class TestPolishValues:
 class TestHarnackArrays:
     @pytest.mark.parametrize("name", CURVES)
     def test_report_matches_per_angle_reference(self, name):
-        # probes on real and non-real samples, inside and outside the
-        # amoeba, and none at all
         from isingdimer.spectral import harnack_diagnostic
         P = curve(name)
-        rows = sample_rows(amoeba_sample(P, grid=24, region=(-1.2, 1.2, -1.2, 1.2)))
-        real = [(x, y) for x, y, _, z, _ in rows if abs(z.imag) < 1e-12]
-        inner = [(x, y) for x, y, _, z, _ in rows if abs(z.imag) >= 1e-12]
-        assert real and inner
-        for probes in ([], real[:2] + inner[::len(inner) // 4], [(0.1, 30.0), (-0.2, -30.0)]):
-            for steps in (720, 45):
-                want = reference_harnack(P, probes, steps)
-                assert harnack_diagnostic(P, probes=probes, theta_steps=steps) == want
-        auto = harnack_diagnostic(P)
-        assert [p["probe"] for p in auto["probes"]] == reference_auto_probes(P)
-        assert auto == reference_harnack(P, reference_auto_probes(P))
-        assert len(auto["probes"]) == 3
+        rep = harnack_diagnostic(P)
+        assert [p["probe"] for p in rep["probes"]] == reference_auto_probes(P)
+        assert rep == reference_harnack(P, reference_auto_probes(P))
+        assert len(rep["probes"]) == 3
 
-    def test_fibre_with_a_root_at_infinity(self):
+    def test_fibre_with_a_root_at_infinity(self, monkeypatch):
         # the leading coefficient z - 1 in w vanishes at theta = 0 on |z| = 1:
-        # the root kernel skips that fibre, and the steps next to it count
+        # the root kernel skips that fibre, and the step next to it counts
         # no crossing
-        from isingdimer.spectral import harnack_diagnostic
+        from isingdimer import spectral
+        skipped = []
+        kernel = spectral._roots
+
+        def spy(coeffs):
+            roots, ok = kernel(coeffs)
+            skipped.extend((~ok).nonzero()[0].tolist())
+            return roots, ok
+
+        monkeypatch.setattr(spectral, "_roots", spy)
         P = LaurentPoly2({(1, 2): 1.0, (0, 2): -1.0, (0, 1): 0.5, (0, 0): 2.0, (1, 0): 1.0})
-        probes = [(0.0, y) for y in (30.0, -30.0, 0.2, 1.0, -1.0, 0.0)]
-        rep = harnack_diagnostic(P, probes=probes)
-        assert rep == reference_harnack(P, probes)
-        assert [p["preimages"] for p in rep["probes"]] == [0, 0, 4, 4, 0, 4]
+        rep = spectral.harnack_diagnostic(P)
+        assert skipped == [0]
+        assert rep == reference_harnack(P, reference_auto_probes(P))
+        assert [p["preimages"] for p in rep["probes"]] == [4, 4, 2]
 
     def test_mid_fibre_without_a_level_gives_no_probe(self):
         # the leading coefficient z - c in w vanishes on the first mid-angle
-        # fibre of the automatic probes: the root kernel skips it, and the
-        # other two fibres give the probes
+        # fibre of the probes: the root kernel skips it, and the other two
+        # fibres give the probes
         import cmath
         from isingdimer.spectral import harnack_diagnostic
         c = cmath.exp(1j * math.pi * 180.5 / 720)
@@ -1442,16 +1470,9 @@ class TestHarnackArrays:
         rep = harnack_diagnostic(LaurentPoly2(terms))
         assert rep["consistent"] and len(rep["probes"]) == 3
 
-    @pytest.mark.parametrize("probes,steps,rows", [
-        (None, 720, 721 + 3),
-        (None, 45, 46 + 3),
-        ([(0.1, 0.0), (0.1, 0.5), (-0.2, 0.3), (0.1, -0.4)], 45, 2 * 46),
-        ([(0.0, 0.2)], 720, 721),
-        ([], 720, 0),
-    ], ids=["auto", "auto 45", "two circles", "one probe", "no probe"])
-    def test_one_kernel_call_and_no_amoeba_sample(self, monkeypatch, probes, steps, rows):
-        # every circle of equal x, and the three fibres of the automatic
-        # probes, go to the root kernel in one call
+    def test_one_kernel_call_and_no_amoeba_sample(self, monkeypatch):
+        # the circle |z| = 1 and the three probe fibres go to the root
+        # kernel in one call
         from isingdimer import spectral
         calls = []
         kernel = spectral._roots
@@ -1465,9 +1486,9 @@ class TestHarnackArrays:
 
         monkeypatch.setattr(spectral, "_roots", spy)
         monkeypatch.setattr(spectral, "amoeba_sample", no_sample)
-        rep = spectral.harnack_diagnostic(curve("square 2x1"), probes=probes, theta_steps=steps)
-        assert calls == [rows]
-        assert len(rep["probes"]) == (3 if probes is None else len(probes))
+        rep = spectral.harnack_diagnostic(curve("square 2x1"))
+        assert calls == [721 + 3]
+        assert len(rep["probes"]) == 3
 
     @pytest.mark.parametrize("terms", [
         {(0, 0): 0.5, (1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0},
@@ -1489,45 +1510,19 @@ class TestHarnackArrays:
         assert rep["consistent"]
         assert [p["preimages"] for p in rep["probes"]] == [2, 2, 2]
 
-    @pytest.mark.parametrize("probes", [None, [(0.0, 0.0)], []], ids=["auto", "explicit", "none"])
-    def test_constant_in_w_raises(self, probes):
+    def test_constant_in_w_raises(self):
         from isingdimer.spectral import harnack_diagnostic
         P = LaurentPoly2({(1, 0): 1.0, (0, 0): 2.0})
         with pytest.raises(SpectralError, match="constant in w"):
-            harnack_diagnostic(P, probes=probes)
+            harnack_diagnostic(P)
 
-    @pytest.mark.parametrize("steps", [0, -1])
-    @pytest.mark.parametrize("probes", [None, [(0.0, 0.0)]], ids=["auto", "explicit"])
-    def test_theta_steps_below_one_raises(self, probes, steps):
+    def test_fibres_outside_the_float_range_raise(self):
+        # 1e308 + 1e308 z, the coefficient of w^0, overflows near z = 1
         from isingdimer.spectral import harnack_diagnostic
-        with pytest.raises(SpectralError, match=f"theta_steps must be at least 1, got {steps}"):
-            harnack_diagnostic(curve("square 1x1"), probes=probes, theta_steps=steps)
-
-    def test_theta_steps_not_an_integer_raises(self):
-        from isingdimer.spectral import harnack_diagnostic
-        with pytest.raises(SpectralError, match="theta_steps must be an integer, got 2.5"):
-            harnack_diagnostic(curve("square 1x1"), theta_steps=2.5)
-
-    @pytest.mark.parametrize("probe", [(800.0, 0.0), (-800.0, 0.0), (math.nan, 0.0),
-                                       (0.0, math.nan), (0.0, math.inf)],
-                             ids=["x above", "x below", "x nan", "y nan", "y inf"])
-    def test_probe_outside_the_float_range_raises(self, probe):
-        # e^x must be a finite float, as for the amoeba's --range, and y a
-        # level; a bad probe fails the call, whatever the good ones with it
-        from isingdimer.spectral import harnack_diagnostic
-        with pytest.raises(SpectralError, match=r"must have finite y and \|x\| <= 709.78"):
-            harnack_diagnostic(curve("square 1x1"), probes=[(0.0, 0.0), probe])
-
-    @pytest.mark.parametrize("x", [400.0, -400.0])
-    def test_fibres_outside_the_float_range_raise(self, x):
-        # e^400 is a float, e^800 is not: the coefficient of w^0 at
-        # |z| = e^400 overflows
-        from isingdimer.spectral import harnack_diagnostic
-        P = LaurentPoly2({(0, 0): 5.0, (2, 0): -1.0, (-2, 0): -1.0, (0, 1): -1.0, (0, -1): -1.0,
-                          (1, 1): 1.0})
+        P = LaurentPoly2({(0, 1): 1.0, (0, 0): 1e308, (1, 0): 1e308})
         with pytest.raises(SpectralError, match=r"^fibre coefficients of P are not finite "
-                                                r"at \|log\|z\|\| = 400$"):
-            harnack_diagnostic(P, probes=[(x, 0.0)], theta_steps=8)
+                                                r"at \|log\|z\|\| = 0$"):
+            harnack_diagnostic(P)
 
 
 class TestSecondFixturePolygon:
