@@ -14,10 +14,6 @@ class MoveError(ValueError):
     pass
 
 
-def _one_like(weights):
-    return Fraction(1) if all(isinstance(v, Fraction) for v in weights) else 1.0
-
-
 def x_of_cycle(g, wt, cycle):
     """Evaluate the gauge class on a cycle.
 
@@ -39,30 +35,14 @@ def x_of_cycle(g, wt, cycle):
     return num / den
 
 
-def face_x_values(g, wt):
-    """X of every face (counterclockwise boundary)."""
-    return {fid: x_of_cycle(g, wt, orbit) for fid, orbit in g.faces()}
-
-
 def basis_x_values(g, wt):
     """X on the basis {all faces except the last face id} + {a, b}, with a
-    and b the graph's homology basis cycles.
-
-    The omitted face is reported separately via the product-one identity.
-    """
-    cycle_a, cycle_b = g.homology_basis_cycles()
+    and b the graph's homology basis cycles, and the omitted face id."""
+    basis = XBasis.of(g)
     if not g.is_bipartite_colored():
         raise GraphError("X coordinates need a bipartite graph")
-    faces = face_x_values(g, wt)
-    omit_face = g.face_ids()[-1]
-    out = {fid: x for fid, x in faces.items() if fid != omit_face}
-    out["a"] = x_of_cycle(g, wt, cycle_a)
-    out["b"] = x_of_cycle(g, wt, cycle_b)
-    prod = _one_like(wt.values())
-    for x in faces.values():
-        prod *= x
-    return out, {"omitted_face": omit_face, "omitted_x": faces[omit_face],
-                 "face_product": prod}
+    faces = g.face_ids()
+    return basis.values(g, wt, faces[:-1]), faces[-1]
 
 
 class XBasis:
@@ -294,11 +274,7 @@ def contraction_move(g, wt, v):
     def reroute(cycle):
         return [d for d in cycle if g.darts[d].edge not in (eA, eB)]
 
-    record = MoveRecord("contract", {
-        "vertex": v, "merged": nA, "gone": nB,
-        "face_map": _match_faces(g, gn),
-        "reroute": reroute,
-    })
+    record = MoveRecord("contract", {"face_map": _match_faces(g, gn), "reroute": reroute})
     return gn, new_wt, record
 
 
@@ -329,7 +305,8 @@ def ising_locus_check(g, wt, gadget_map, tol=None):
     with the color change. Returns (passes, report).
 
     The report carries per-basis-element residuals (mu-route value divided by
-    color-change value, minus one) and the structural isomorphism check.
+    color-change value, minus one), the structural isomorphism check and the
+    graph the square moves reach.
     """
     squares = sorted(set(gadget_map.squares.values()))
     cur_g, cur_wt = g, dict(wt)
@@ -347,8 +324,7 @@ def ising_locus_check(g, wt, gadget_map, tol=None):
         got = basis.x(cur_g, cur_wt, key)
         residuals[key] = _residual(got, target)
         ok = ok and _is_zero(residuals[key], tol)
-    report = {"residuals": residuals, "isomorphic": iso,
-              "mu_graph": cur_g, "mu_weights": cur_wt, "face_map": basis.face_map}
+    report = {"residuals": residuals, "isomorphic": iso, "mu_graph": cur_g}
     return ok and iso, report
 
 

@@ -206,11 +206,8 @@ class LaurentPoly2:
         return min(exps), max(exps)
 
     def coeffs_in(self, var):
-        """View as a polynomial in `var` after clearing the minimal exponent.
-
-        Returns (coeff list low..high as LaurentPoly2 in the other variable,
-        cleared exponent).
-        """
+        """View as a polynomial in `var` after clearing the minimal exponent:
+        the coefficients low..high, as LaurentPoly2s in the other variable."""
         if not self.terms:
             raise ValueError("zero polynomial")
         k = 0 if var == "z" else 1
@@ -221,7 +218,7 @@ class LaurentPoly2:
             d = (i if k == 0 else j) - lo
             other = (0, j) if k == 0 else (i, 0)
             out[d][other] = c
-        return [LaurentPoly2(t) for t in out], lo
+        return [LaurentPoly2(t) for t in out]
 
     # -- output -------------------------------------------------------------
 
@@ -706,8 +703,7 @@ def resultant_eliminate(p, q):
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of a zero polynomial")
-    pc, _ = p.coeffs_in("w")
-    qc, _ = q.coeffs_in("w")
+    pc, qc = p.coeffs_in("w"), q.coeffs_in("w")
     m, n = len(pc) - 1, len(qc) - 1
     if m == 0 and n == 0:
         raise ValueError("both inputs constant in w")

@@ -1,8 +1,8 @@
 """Shared fixtures: the one-vertex square-lattice Ising model and its
 bipartite companion with exact couplings (s1,c1)=(4/5,3/5), (s2,c2)=(12/13,5/13),
 and seeded Pythagorean couplings for any lattice. Shared test helpers: a
-fresh copy of a graph, gauge transforms, the uncontraction move, the
-intersection pairing of cycles and the labels of monomial divisors.
+fresh copy of a graph, X of every face, gauge transforms, the uncontraction
+move, the intersection pairing of cycles and the labels of monomial divisors.
 """
 import random
 from fractions import Fraction
@@ -11,7 +11,7 @@ import pytest
 
 from isingdimer import lattices
 from isingdimer.abel import AbelLabel
-from isingdimer.dimer import MoveError, MoveRecord, _match_faces, _one_like
+from isingdimer.dimer import MoveError, MoveRecord, _match_faces, x_of_cycle
 from isingdimer.ising import make_coupling
 from isingdimer.torusgraph import GraphError, parse_torus_graph, serialize_torus_graph
 
@@ -128,6 +128,16 @@ def reparsed(g):
     return parse_torus_graph(serialize_torus_graph(g))[0]
 
 
+def one_like(weights):
+    """The unit of the weights: Fraction(1) when they all are Fractions, else 1.0."""
+    return Fraction(1) if all(isinstance(v, Fraction) for v in weights) else 1.0
+
+
+def face_x_values(g, wt):
+    """X of every face (counterclockwise boundary)."""
+    return {fid: x_of_cycle(g, wt, orbit) for fid, orbit in g.faces()}
+
+
 def gauge_transform(g, wt, f):
     """Apply a vertex function f: wt'(e) = f(b)^-1 wt(e) f(w)."""
     out = {}
@@ -168,7 +178,7 @@ def uncontraction_move(g, wt, v, arc_start, arc_len):
                 edges=[*moved.values(), (e1, *ends[0], 0, 0), (e2, *ends[1], 0, 0)],
                 rotations={v1: arc + [e1 + plus], v2: rest + [e2 + plus],
                            mid: [e1 + minus, e2 + minus]})
-    one = _one_like(wt.values())
+    one = one_like(wt.values())
     new_wt = {**wt, e1: one, e2: one}
     record = MoveRecord("uncontract", {
         "vertex": v, "parts": (v1, v2, mid),

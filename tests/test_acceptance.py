@@ -10,7 +10,6 @@ import pytest
 
 from isingdimer.dimer import (
     color_change,
-    face_x_values,
     ising_locus_check,
     square_move,
     x_of_cycle,
@@ -45,6 +44,7 @@ from conftest import (
     FIXTURE_CYCLE_B,
     FIXTURE_KAPPA,
     ISING_FIXTURE,
+    face_x_values,
     intersection_pairing,
     monomial_label,
     pythagorean_couplings,

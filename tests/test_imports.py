@@ -6,11 +6,13 @@ through `characteristic_polynomial` and carries X through moves only by
 referenced, every public function and method of the package is read in
 the package or named in KEEP with a reason, every parameter of a package
 function takes more than one value over the calls in the package and the
-benchmark or is named in KEEP_PARAMETERS, the benchmark's calls into the
-package bind to its signatures and its traced targets exist, every option
-of a CLI verb is read by that verb, every exception class of the package
-has an exit code, every module stays below TOKEN_LIMIT parser tokens, and
-the modules of the package import each other one way, with no cycle.
+benchmark or is named in KEEP_PARAMETERS, every string key of a dict the
+package builds is read somewhere, the benchmark's calls into the package
+bind to its signatures and unpack as many names as the function returns,
+its traced targets exist, every option of a CLI verb is read by that verb,
+every exception class of the package has an exit code, every module stays
+below TOKEN_LIMIT parser tokens, and the modules of the package import
+each other one way, with no cycle.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules: an
 imported name counts as used when it is read anywhere in the module; a
@@ -18,16 +20,22 @@ private function counts as referenced when its name is read, as a name or
 an attribute, or imported anywhere in the package outside its own body, so
 that a replaced kernel cannot linger as a second path; a public function
 or method counts as read by the same rule, `__init__.py` left out, so that
-API that only the tests call moves into the tests; an option counts as
-read when its verb's `cmd_*` function reads `args.<dest>`; an exception
-class has an exit code when it or a base class is a key of `cli.EXIT_CODES`.
+API that only the tests call moves into the tests; a key of a dict the
+package builds counts as read when the same string constant occurs in the
+package, the benchmark or the tests other than as such a key, so that no
+result is built that nothing reads (a dict indexed where it is written is
+a lookup table and is left out); an option counts as read when its verb's
+`cmd_*` function reads `args.<dest>`; an exception class has an exit code
+when it or a base class is a key of `cli.EXIT_CODES`.
 """
 import argparse
 import ast
+import collections
 import graphlib
 import importlib
 import inspect
 import io
+import textwrap
 import tokenize
 import types
 from pathlib import Path
@@ -302,6 +310,39 @@ def test_library_parameters_take_two_values():
     assert single_valued_parameters(package, package + perfbench) == sorted(KEEP_PARAMETERS)
 
 
+def unread_result_keys(package, readers):
+    """String keys of the dict displays in the `package` sources that occur
+    as a string constant nowhere else in `package` or `readers`. A dict
+    display indexed in place, by `[...]` or `.get(...)`, is a lookup table
+    and is skipped."""
+    written, seen = collections.Counter(), collections.Counter()
+    for source in package + readers:
+        seen.update(n.value for n in ast.walk(ast.parse(source))
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    for source in package:
+        tree = ast.parse(source)
+        tables = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Subscript)
+                  or (isinstance(n, ast.Attribute) and n.attr == "get")}
+        written.update(k.value for n in ast.walk(tree)
+                       if isinstance(n, ast.Dict) and id(n) not in tables
+                       for k in n.keys if isinstance(k, ast.Constant) and isinstance(k.value, str))
+    return sorted(k for k, count in written.items() if seen[k] == count)
+
+
+def test_finds_an_unread_result_key():
+    a = ("def f(x):\n    return {'kept': x, 'spare': x, 'twice': x}\n\n"
+         "def g(x):\n    return {'twice': x}, {'k': 1}['k'], {'t': 2}.get(x)\n")
+    # 'k' and 't' key lookup tables; 'twice' is written twice and read nowhere
+    assert unread_result_keys([a], ["r = f(1)['kept']\n"]) == ["spare", "twice"]
+    assert unread_result_keys([a], ["r = f(1)\nr['kept'], r.get('twice'), r['spare']\n"]) == []
+
+
+def test_library_results_have_readers():
+    package = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    readers = [p.read_text() for p in sorted(PERFBENCH.glob("*.py")) + TESTS]
+    assert unread_result_keys(package, readers) == []
+
+
 def package_references(source):
     """(module, name, call) for each reference of source into the package:
     `lib.<module>.<name>`, `<module>.<name>` for a module bound by `from
@@ -332,22 +373,43 @@ def package_references(source):
     return out
 
 
+def returned_tuple_lengths(fn):
+    """Lengths of the tuple displays, without a starred item, that the
+    return statements of fn's own body return; nested functions left out."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+    nested = {id(m) for d in ast.walk(tree) if d is not tree and isinstance(
+        d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) for m in ast.walk(d)}
+    return {len(n.value.elts) for n in ast.walk(tree)
+            if isinstance(n, ast.Return) and id(n) not in nested and isinstance(n.value, ast.Tuple)
+            and not any(isinstance(e, ast.Starred) for e in n.value.elts)}
+
+
 def broken_package_references(source):
     """`module.name` for each reference of package_references(source) that
-    the package does not define, and `module.name(...)` at line k for each
-    call whose arguments do not bind to the signature; a call with *args or
-    **kwargs binds."""
+    the package does not define; `module.name(...)` at line k for each call
+    whose arguments do not bind to the signature, a call with *args or
+    **kwargs binding; and `module.name(...)` at line k unpacked into m names
+    for each assignment that unpacks a call of a package function into m
+    names where the function returns a tuple of another length."""
+    unpacked = {(n.value.lineno, n.value.col_offset): len(n.targets[0].elts)
+                for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assign)
+                and len(n.targets) == 1 and isinstance(n.targets[0], (ast.Tuple, ast.List))
+                and not any(isinstance(e, ast.Starred) for e in n.targets[0].elts)}
     out = []
     for module, name, call in package_references(source):
         fn = getattr(importlib.import_module(f"isingdimer.{module}"), name, None)
         if fn is None:
             out.append(f"{module}.{name}")
-        elif call is not None and not any(isinstance(a, ast.Starred) for a in call.args) and all(
+            continue
+        if call is not None and not any(isinstance(a, ast.Starred) for a in call.args) and all(
                 k.arg for k in call.keywords):
             try:
                 inspect.signature(fn).bind(*call.args, **{k.arg: k.value for k in call.keywords})
             except TypeError:
                 out.append(f"{module}.{name}(...) at line {call.lineno}")
+        names = unpacked.get((call.lineno, call.col_offset)) if call is not None else None
+        if names and inspect.isfunction(fn) and returned_tuple_lengths(fn) - {names}:
+            out.append(f"{module}.{name}(...) at line {call.lineno} unpacked into {names} names")
     return out
 
 
@@ -392,6 +454,20 @@ def test_finds_broken_benchmark_calls():
         "spectral.amoeba"]
     assert unresolved_targets(source) == [
         "spectral:amoeba", "dimer:square_move", "torusgraph:TorusGraph.split"]
+
+
+def test_finds_a_wrong_unpack():
+    # basis_x_values returns two values, square_move three; a starred
+    # target and a call that is not unpacked take any number
+    source = ("from isingdimer import dimer\nfrom isingdimer.dimer import square_move\n"
+              "def f(lib, g, wt):\n"
+              "    values, omitted, extra = lib.dimer.basis_x_values(g, wt)\n"
+              "    before, _ = dimer.basis_x_values(g, wt)\n"
+              "    g, wt, rec = square_move(g, wt, 'f0')\n"
+              "    g, *rest = square_move(g, wt, 'f0')\n"
+              "    return square_move(g, wt, 'f1')\n")
+    assert broken_package_references(source) == [
+        "dimer.basis_x_values(...) at line 4 unpacked into 3 names"]
 
 
 def test_benchmark_calls_bind_to_the_library():

@@ -24,10 +24,10 @@ from isingdimer.abel import abel_tree
 from isingdimer.cli import main
 from isingdimer.spectral import SpectralError
 from isingdimer.torusgraph import GraphError, TorusGraph, parse_torus_graph, serialize_torus_graph
-from isingdimer.dimer import face_x_values, ising_locus_check
+from isingdimer.dimer import ising_locus_check
 from isingdimer.lattices import honeycomb, square
 
-from conftest import DIMER_FIXTURE, ISING_FIXTURE, S1, C1, S2, C2
+from conftest import DIMER_FIXTURE, ISING_FIXTURE, S1, C1, S2, C2, face_x_values
 from test_torusgraph import doubled
 
 

@@ -528,7 +528,7 @@ class TestRoots:
         for poly in (P.to_numeric(), Q.to_numeric()):
             rows = _fibres(poly, np.array(zs))
             roots, ok = _roots(rows)
-            cw, _ = poly.coeffs_in("w")
+            cw = poly.coeffs_in("w")
             for k, z in enumerate(zs):
                 ref = np.array([complex(c.eval(z, 1.0)) for c in cw][::-1])
                 assert np.abs(rows[k] - ref).max() <= 1e-15 * (abs(z) + 1 / abs(z) + 2)
@@ -908,6 +908,63 @@ class TestVerifyIsingSpectral:
         assert text.startswith("spectral-report v1\n")
         assert f"polynomial {EXPECTED_P}" in text
         assert "divisor D_w (13/20,52/25)x1" in text
+
+
+# The benchmark's inputs (perfbench/ops.py): the gadget-ladder lattices, and
+# the exact-verify pool built from its Pythagorean triples (a, b, h), each
+# read as the coupling (s, c) = (a/h, b/h) or, flipped, (b/h, a/h). Ten
+# one-vertex models pair triple i with triple 9 - i, one of the two flipped.
+GADGET_LADDER = ["honeycomb 1x1", "square 2x1", "honeycomb 2x1", "square 2x2", "honeycomb 2x2"]
+TRIPLES = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29),
+           (12, 35, 37), (9, 40, 41), (28, 45, 53), (11, 60, 61), (33, 56, 65)]
+
+
+def triple_sc(k, flip=False):
+    a, b, h = TRIPLES[k]
+    return (Fraction(b, h), Fraction(a, h)) if flip else (Fraction(a, h), Fraction(b, h))
+
+
+EXACT_VERIFY_POOL = (
+    [("square 1x1", [(S1, C1), (S2, C2)])]
+    + [("square 1x1", [triple_sc(i, flip), triple_sc(9 - i, not flip)])
+       for flip in (False, True) for i in range(5)]
+    + [("honeycomb 1x1", [triple_sc(0), triple_sc(3, True), triple_sc(0)]),
+       ("honeycomb 1x1", [triple_sc(0, True), triple_sc(2), triple_sc(0)])]
+)
+
+
+def benchmark_model(lattice, couplings, mode):
+    """The (1, 1) sign class's verify_ising_spectral report on the gadget
+    graph of `lattice` with `couplings` in edge order, asked about the white
+    corner after the first dart at the first vertex, as the benchmark asks."""
+    g = named_lattice(lattice)
+    gd, wt, gm = to_dimer(IsingModel(g, dict(zip(g.edges(), couplings))))
+    kappa = dict(solve_kasteleyn_signs(gd))[(1, 1)]
+    return verify_ising_spectral(gd, wt, kappa, gm, f"W_{g.vertex_ids()[0]}_0", mode=mode)
+
+
+class TestPropertiesAcrossTheBenchmark:
+    # the three conditions of the paper's Ising locus, one by one, on every
+    # input the benchmark verifies: a failing condition names itself
+
+    def assert_conditions(self, ok, rep):
+        assert rep["sigma_invariant"]
+        assert rep["divisor_condition"]
+        assert rep["nu_condition"]
+        assert ok
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("lattice", GADGET_LADDER)
+    def test_numeric_gadget_ladder(self, lattice, seed):
+        rng = random.Random(seed)
+        couplings = [make_coupling(J=rng.uniform(0.2, 0.8)) for _ in named_lattice(lattice).edges()]
+        self.assert_conditions(*benchmark_model(lattice, couplings, "numeric"))
+
+    @pytest.mark.parametrize("k", range(len(EXACT_VERIFY_POOL)))
+    def test_exact_verify_pool(self, k):
+        lattice, pairs = EXACT_VERIFY_POOL[k]
+        couplings = [make_coupling(sc=sc) for sc in pairs]
+        self.assert_conditions(*benchmark_model(lattice, couplings, "exact"))
 
 
 class TestDiscreteAbel:
@@ -1580,7 +1637,7 @@ class TestHarnackAndSingularities:
         P = lm_determinant(kasteleyn_matrix(g, wt, FIXTURE_KAPPA))
         Pn, Pw, Pz = (p.to_numeric() for p in (P, derivative(P, "w"), derivative(P, "z")))
         z0 = 4.5 + 7.34546972e-17j
-        cw, _ = Pn.coeffs_in("w")
+        cw = Pn.coeffs_in("w")
         for w0 in np.roots([complex(c.eval(z0, 1.0)) for c in cw][::-1]):
             z1, w1 = (complex(v) for v in _polish([Pw, Pz], z0, complex(w0), steps=40)[:2])
             assert cmath.isfinite(Pw.eval(z1, w1)) and cmath.isfinite(Pz.eval(z1, w1))
