@@ -63,12 +63,11 @@ def _fibres(P, z):
 
 
 def _fibre_roots(Pn, res, eps):
-    """Candidate points (z, w) as arrays: z a root of the resultant res in
-    z, w a root of Pn(z, .) (the curve always depends on w), both of
-    modulus at least eps."""
+    """Candidate points (z, w) as arrays: z a root of the resultant, given
+    by its coefficients res in z (resultant_eliminate), w a root of
+    Pn(z, .) (the curve always depends on w), both of modulus at least eps."""
     import numpy as np
-    coeffs = res.coeffs_in("z")
-    zroots = _roots([[complex(c.coeff(0, 0)) for c in reversed(coeffs)]])[0][0]
+    zroots = _roots([[complex(c) for c in reversed(res)]])[0][0]
     zroots = zroots[np.abs(zroots) >= eps]
     wroots, ok = _roots(_fibres(Pn, zroots))
     keep = ok[:, None] & (np.abs(wroots) >= eps)
@@ -380,7 +379,7 @@ def divisor_on_curve(P, genus, entries, mode, tol):
 
 def _divisor_exact(P, entries, e1, e2, genus):
     res = resultant_eliminate(e1, e2)
-    if res.is_zero():
+    if not res:
         raise SpectralError("adjugate entries share a component; exact divisor ambiguous")
     # P and the entries with integer coefficients (each times the lcm L of
     # its denominators) on their joint exponent box: at z0 = p/q, w0 = r/s,
@@ -389,7 +388,7 @@ def _divisor_exact(P, entries, e1, e2, genus):
     (ilo, ihi), (jlo, jhi) = ((min(ij[k] for q in polys for ij in q),
                                max(ij[k] for q in polys for ij in q)) for k in (0, 1))
     points = []
-    for z0 in _rational_zeros([c.coeff(0, 0) for c in res.coeffs_in("z")]):
+    for z0 in _rational_zeros(res):
         zp = _cleared_powers(z0, ilo, ihi)
         # w-candidates: rational roots of P(z0, w), which always depends on w
         cw = dict.fromkeys(range(jlo, jhi + 1), 0)
@@ -437,7 +436,7 @@ def _divisor_numeric(P, entries, e1, e2, genus, tol):
     import numpy as np
     Pn = P.to_numeric()
     res = resultant_eliminate(e1.to_numeric(), e2.to_numeric())
-    if len(res.coeffs_in("z")) < 2:
+    if len(res) < 2:
         raise SpectralError("resultant is constant; no isolated roots")
     polys = [Pn] + entries
     grid = _grid(polys)
@@ -503,7 +502,7 @@ def detect_singularities(P):
     Pn, Pwn = P.to_numeric(), Pw.to_numeric()
     Pzn = derivative(P, "z").to_numeric()
     res = resultant_eliminate(Pn, Pwn)
-    if len(res.coeffs_in("z")) < 2:
+    if len(res) < 2:
         return []
     # polish on the critical system before the residual test; double roots
     # of the resultant are only located to sqrt precision

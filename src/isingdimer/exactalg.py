@@ -205,19 +205,15 @@ class LaurentPoly2:
         exps = [ij[k] for ij in self.terms]
         return min(exps), max(exps)
 
-    def coeffs_in(self, var):
-        """View as a polynomial in `var` after clearing the minimal exponent:
-        the coefficients low..high, as LaurentPoly2s in the other variable."""
+    def coeffs_in_w(self):
+        """View as a polynomial in w after clearing the minimal exponent:
+        the coefficients low..high, as LaurentPoly2s in z."""
         if not self.terms:
             raise ValueError("zero polynomial")
-        k = 0 if var == "z" else 1
-        lo = min(ij[k] for ij in self.terms)
-        hi = max(ij[k] for ij in self.terms)
+        lo, hi = self.degree_range("w")
         out = [dict() for _ in range(hi - lo + 1)]
         for (i, j), c in self.terms.items():
-            d = (i if k == 0 else j) - lo
-            other = (0, j) if k == 0 else (i, 0)
-            out[d][other] = c
+            out[j - lo][(i, 0)] = c
         return [LaurentPoly2(t) for t in out]
 
     # -- output -------------------------------------------------------------
@@ -695,15 +691,17 @@ def newton_polygon(p):
 
 
 def resultant_eliminate(p, q):
-    """Resultant of p and q eliminating w, a LaurentPoly2 in z. Both inputs
-    are cleared of their minimal w exponent first. Sign convention:
-    Sylvester determinant with the p-coefficient rows first, taken by
-    lm_determinant at any size (Bareiss for exact inputs, FFT interpolation
-    for numeric ones).
+    """Resultant of p and q eliminating w, as its coefficients in z, low to
+    high, after clearing the lowest exponent of z ([] when the resultant is
+    zero; Fraction(0) for a power between the lowest and highest that does
+    not occur). Both inputs are cleared of their minimal w exponent first.
+    Sign convention: Sylvester determinant with the p-coefficient rows
+    first, taken by lm_determinant at any size (Bareiss for exact inputs,
+    FFT interpolation for numeric ones).
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of a zero polynomial")
-    pc, qc = p.coeffs_in("w"), q.coeffs_in("w")
+    pc, qc = p.coeffs_in_w(), q.coeffs_in_w()
     m, n = len(pc) - 1, len(qc) - 1
     if m == 0 and n == 0:
         raise ValueError("both inputs constant in w")
@@ -716,4 +714,8 @@ def resultant_eliminate(p, q):
     for s in range(m):
         for k, c in enumerate(reversed(qc)):
             entries[(n + s, s + k)] = c
-    return lm_determinant(LaurentMatrix(labels, labels, entries))
+    res = lm_determinant(LaurentMatrix(labels, labels, entries))
+    if res.is_zero():
+        return []
+    lo, hi = res.degree_range("z")
+    return [res.coeff(i, 0) for i in range(lo, hi + 1)]

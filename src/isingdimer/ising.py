@@ -310,10 +310,11 @@ def parse_gadget_map(text):
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "square" and len(parts) == 3:
-            squares[parts[1]] = parts[2]
-        elif parts[0] == "partner" and len(parts) == 3:
-            partners[parts[1]] = parts[2]
+        if parts[0] in ("square", "partner") and len(parts) == 3:
+            table = squares if parts[0] == "square" else partners
+            if parts[1] in table:
+                raise ParseError(f"repeated {parts[0]} line for {parts[1]}", no)
+            table[parts[1]] = parts[2]
         else:
             raise ParseError(f"bad gadget-map line: {raw!r}", no)
     return GadgetMap(squares, partners)
@@ -322,10 +323,10 @@ def parse_gadget_map(text):
 def to_dimer(model):
     """Replace every Ising edge by the six-edge bipartite gadget.
 
-    Per dart d of the Ising graph there is a black B(d); per rotation corner
-    (u; d, d_next) a white. The corner after dart d carries the s-edge of d,
-    the c-edge of d (from the black of twin(d)) and the weight-1 edge to the
-    black of d_next.
+    Per dart d of the Ising graph there is a black B_d; per rotation corner
+    i of u (u; d, d_next) a white W_u_i. The corner after dart d carries the
+    s-edge s_d, the c-edge c_d (from B_twin(d)) and the weight-1 edge o_u_i
+    to B_d_next, its partner. Every name is built from the dart or corner.
 
     The gadget's rotations are the mirror image of the Ising embedding, so
     its marking goes through a determinant -1 lattice map S, which gives
@@ -340,60 +341,34 @@ def to_dimer(model):
     g = model.graph
     S = (_reflections(sorted(z["class"] for z in g.zigzag_paths())) or [((-1, 0), (0, 1))])[0]
     gn = TorusGraph()
-    black = {}
     for d in sorted(g.darts):
-        black[d] = f"B_{d}"
-        gn.add_vertex(black[d], "b")
-    corner = {}
-    for u in g.vertex_ids():
-        for i in range(len(g.rotation[u])):
-            corner[(u, i)] = f"W_{u}_{i}"
-            gn.add_vertex(corner[(u, i)], "w")
-    weights = {}
-    s_edge, c_edge, one_edge = {}, {}, {}
+        gn.add_vertex(f"B_{d}", "b")
+    weights, partners = {}, {}
     for u in g.vertex_ids():
         rot = g.rotation[u]
         k = len(rot)
         for i, d in enumerate(rot):
-            w = corner[(u, i)]
-            e = g.darts[d].edge
-            cp = model.couplings[e]
             dn = rot[(i + 1) % k]
-            es = f"s_{d}"
-            ec = f"c_{d}"
-            e1 = f"o_{u}_{i}"
-            gn.add_edge(es, black[d], w, 0, 0)
+            w = f"W_{u}_{i}"
+            gn.add_vertex(w, "w")
+            cp = model.couplings[g.darts[d].edge]
             dx, dy = g.disp(d)
-            gn.add_edge(ec, black[g.twin(d)], w, -S[0][0] * dx - S[0][1] * dy,
+            gn.add_edge(f"s_{d}", f"B_{d}", w, 0, 0)
+            gn.add_edge(f"c_{d}", f"B_{g.twin(d)}", w, -S[0][0] * dx - S[0][1] * dy,
                         -S[1][0] * dx - S[1][1] * dy)
-            gn.add_edge(e1, black[dn], w, 0, 0)
-            weights[es] = cp.s
-            weights[ec] = cp.c
-            weights[e1] = Fraction(1) if cp.exact else 1.0
-            s_edge[d], c_edge[d], one_edge[(u, i)] = es, ec, e1
-    # rotations: black B(d): ccw (incoming 1-edge, s-edge, c-edge);
-    # white corner: ccw (c-edge, s-edge, 1-edge)
-    for u in g.vertex_ids():
-        rot = g.rotation[u]
-        k = len(rot)
-        for i, d in enumerate(rot):
-            prev_i = (i - 1) % k
-            b = black[d]
-            gn.set_rotation(b, [one_edge[(u, prev_i)] + "+",
-                                s_edge[d] + "+",
-                                c_edge[g.twin(d)] + "+"])
-            w = corner[(u, i)]
-            gn.set_rotation(w, [c_edge[d] + "-",
-                                s_edge[d] + "-",
-                                one_edge[(u, i)] + "-"])
+            gn.add_edge(f"o_{u}_{i}", f"B_{dn}", w, 0, 0)
+            weights[f"s_{d}"] = cp.s
+            weights[f"c_{d}"] = cp.c
+            weights[f"o_{u}_{i}"] = Fraction(1) if cp.exact else 1.0
+            # black B_d: ccw (incoming 1-edge, s-edge, c-edge);
+            # white W_u_i: ccw (c-edge, s-edge, 1-edge)
+            gn.set_rotation(f"B_{d}", [f"o_{u}_{(i - 1) % k}+", f"s_{d}+", f"c_{g.twin(d)}+"])
+            gn.set_rotation(w, [f"c_{d}-", f"s_{d}-", f"o_{u}_{i}-"])
+            partners[w] = f"B_{dn}"
     gn.freeze()
     gn.validate()
     # the face left of s(e+)+ is the square s(e+) c(e+) s(e-) c(e-)
-    squares = {e: gn.face_of_dart(s_edge[e + "+"] + "+") for e in g.edges()}
-    partners = {}
-    for (u, i), w in corner.items():
-        dn = g.rotation[u][(i + 1) % len(g.rotation[u])]
-        partners[w] = black[dn]
+    squares = {e: gn.face_of_dart(f"s_{e}++") for e in g.edges()}
     return gn, weights, GadgetMap(squares, partners)
 
 

@@ -173,31 +173,24 @@ def nu_map(g, wt, polygon):
     translation, whose points at infinity they are (nu of Goncharov-Kenyon,
     "Dimers and cluster integrable systems", 2013).
 
-    Side S (primitive vector (i, j), lattice length) holds the zig-zags
-    whose class is a positive multiple of S, ordered by the tentacle
-    intercept -log X_alpha, with their X values (exact from exact weights)
-    in that order and the adjacent pairs whose intercepts tie. On a graph
+    Side S (primitive vector (i, j)) holds the zig-zags whose class is a
+    positive multiple of S, ordered exactly by (X_alpha, zig-zag id), with
+    their X values (exact from exact weights) in that order. On a graph
     that is not minimal a side can hold a number of zig-zags other than its
-    length. Returns [{'vector', 'length', 'zigzags', 'x', 'intercepts',
-    'ties'}], one per side of the polygon.
+    lattice length. Returns [{'vector', 'zigzags', 'x'}], one per side of
+    the polygon.
     """
     by_vector = {}
     for zz in g.zigzag_paths():
         p, q = zz["class"]
         d = math.gcd(p, q)
         x = x_of_cycle(g, wt, zz["darts"])
-        # log of a Fraction by its integers: also outside the float range
-        log = math.log(x.numerator) - math.log(x.denominator) if isinstance(x, Fraction) \
-            else math.log(x)
-        by_vector.setdefault((p // d, q // d), []).append((-log, zz["id"], x))
+        by_vector.setdefault((p // d, q // d), []).append((x, zz["id"]))
     sides = []
-    for vector, length in polygon.sides:
-        members = sorted(by_vector.get(vector, ()), key=lambda m: m[:2])
-        sides.append({"vector": vector, "length": length,
-                      "zigzags": [m[1] for m in members], "x": [m[2] for m in members],
-                      "intercepts": [m[0] for m in members],
-                      "ties": [(a[1], b[1]) for a, b in zip(members, members[1:])
-                               if abs(a[0] - b[0]) < 1e-12]})
+    for vector, _ in polygon.sides:
+        members = sorted(by_vector.get(vector, ()))
+        sides.append({"vector": vector, "zigzags": [m[1] for m in members],
+                      "x": [m[0] for m in members]})
     return sides
 
 
@@ -226,12 +219,12 @@ def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-
     # weights). The reversal of a zig-zag is a zig-zag of the color change,
     # whose X there is the inverse; X_alphabar * X_alpha = 1 is this check.
     # A side with as many zig-zags as its opposite compares their X values
-    # sorted (exactly, for Fractions); one with another number fails.
+    # in nu_map's order, which is sorted by X exactly; one with another
+    # number fails.
     resid3, failed = {}, []
     x_of_side = {side["vector"]: side["x"] for side in nu_map(g, wt, curve.polygon)}
-    for side, values in x_of_side.items():
-        a = sorted(values)
-        b = sorted(x_of_side.get((-side[0], -side[1]), ()))
+    for side, a in x_of_side.items():
+        b = x_of_side.get((-side[0], -side[1]), [])
         if len(a) != len(b):
             resid3[side] = float("inf")
             failed.append(side)

@@ -771,7 +771,8 @@ def parse_torus_graph(text):
     """Parse the `torus-graph v1` format.
 
     Returns (TorusGraph, weights: edge->Fraction|float, couplings: edge->dict).
-    Strict: unknown keys, bad arity and undefined references are errors.
+    Strict: unknown keys, bad arity, undefined references and a second
+    weight or coupling line for an edge, or rot line for a vertex, are errors.
     """
     g = TorusGraph()
     weights = {}
@@ -842,11 +843,17 @@ def parse_torus_graph(text):
                     resolved.append(name + "-")
                 else:
                     raise ParseError(f"edge {name} not incident to {v}", no)
+        if v in g.rotation:
+            raise ParseError(f"repeated rot line for {v}", no)
         g.set_rotation(v, resolved)
     g.freeze()
+    named = set()
     for no, key, e in edge_refs:
         if e not in g.edge_ends:
             raise ParseError(f"{key} for unknown edge {e}", no)
+        if (key, e) in named:
+            raise ParseError(f"repeated {key} line for {e}", no)
+        named.add((key, e))
     return g, weights, couplings
 
 

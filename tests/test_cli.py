@@ -240,8 +240,9 @@ class TestExitCodes:
         assert capsys.readouterr().err == message
 
 
-# line number of a line appended to the dimer fixture
+# line number of a line appended to the dimer (Ising) fixture
 _NEW = DIMER_FIXTURE.count("\n") + 1
+_NEW_ISING = ISING_FIXTURE.count("\n") + 1
 
 
 class TestInputValidation:
@@ -285,12 +286,17 @@ class TestInputValidation:
          f"line {_NEW}: could not convert string to float: 'x'"),
         (DIMER_FIXTURE + "coupling e99 J=1\n", f"line {_NEW}: coupling for unknown edge e99"),
         (DIMER_FIXTURE + "frobnicate\n", f"line {_NEW}: unknown key 'frobnicate'"),
+        (DIMER_FIXTURE + "weight e1 1/2\n", f"line {_NEW}: repeated weight line for e1"),
+        (ISING_FIXTURE + "coupling 1 J=0.5\n",
+         f"line {_NEW_ISING}: repeated coupling line for 1"),
+        (DIMER_FIXTURE + "rot b1 e7 e9 e8\n", f"line {_NEW}: repeated rot line for b1"),
     ], ids=["header", "vertex arity", "vertex position", "duplicate vertex", "bad color",
             "edge arity", "edge displacement", "duplicate edge", "edge vertex", "rot arity",
             "rot dart", "rot edge", "rot incidence", "rot vertex", "rot loop", "rot base",
             "weight arity", "weight number", "weight edge", "coupling arity",
             "coupling spec", "coupling sc", "coupling fraction", "coupling J",
-            "coupling edge", "unknown key"])
+            "coupling edge", "unknown key", "repeated weight", "repeated coupling",
+            "repeated rot"])
     def test_malformed_graph_line_exits_2(self, tmp_path, text, message, capsys):
         path = tmp_path / "bad.tg"
         path.write_text(text)
@@ -302,7 +308,9 @@ class TestInputValidation:
         (GADGET_MAP.replace("v1", "v0"), "line 1: missing 'gadget-map v1' header"),
         (GADGET_MAP + "square 3\n", "line 8: bad gadget-map line: 'square 3'"),
         (GADGET_MAP + "corner w1 b4\n", "line 8: bad gadget-map line: 'corner w1 b4'"),
-    ], ids=["header", "arity", "key"])
+        (GADGET_MAP + "square 1 f3\n", "line 8: repeated square line for 1"),
+        (GADGET_MAP + "partner w1 b3\n", "line 8: repeated partner line for w1"),
+    ], ids=["header", "arity", "key", "repeated square", "repeated partner"])
     def test_malformed_gadget_map_line_exits_2(self, files, text, message, capsys):
         tmp, gp, _, _ = files
         path = tmp / "bad.gm"

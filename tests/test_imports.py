@@ -21,16 +21,17 @@ an attribute, or imported anywhere in the package outside its own body, so
 that a replaced kernel cannot linger as a second path; a public function
 or method counts as read by the same rule, `__init__.py` left out, so that
 API that only the tests call moves into the tests; a key of a dict the
-package builds counts as read when the same string constant occurs in the
-package, the benchmark or the tests other than as such a key, so that no
-result is built that nothing reads (a dict indexed where it is written is
-a lookup table and is left out); an option counts as read when its verb's
-`cmd_*` function reads `args.<dest>`; an exception class has an exit code
-when it or a base class is a key of `cli.EXIT_CODES`.
+package builds counts as read when the package, the benchmark or the tests
+read that string as a key (a constant subscript, `.get`, `.pop` or
+`.setdefault` of it, `in` or `not in` of it, or a dict display holding it
+compared by `==` or `!=`), so that no result is built that nothing reads
+(a dict indexed where it is written is a lookup table and is left out);
+an option counts as read when its verb's `cmd_*` function reads
+`args.<dest>`; an exception class has an exit code when it or a base class
+is a key of `cli.EXIT_CODES`.
 """
 import argparse
 import ast
-import collections
 import graphlib
 import importlib
 import inspect
@@ -310,15 +311,51 @@ def test_library_parameters_take_two_values():
     assert single_valued_parameters(package, package + perfbench) == sorted(KEEP_PARAMETERS)
 
 
+def displayed_keys(node):
+    """String keys of the dict displays in node, a display itself or a tuple
+    or list display holding them, at any depth."""
+    if isinstance(node, ast.Dict):
+        yield from (k.value for k in node.keys
+                    if isinstance(k, ast.Constant) and isinstance(k.value, str))
+        items = node.values
+    else:
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List)) else ()
+    for item in items:
+        yield from displayed_keys(item)
+
+
+def key_reads(tree):
+    """The string keys that tree reads: a constant subscript, `.get`, `.pop`
+    or `.setdefault` with a constant first argument, a constant left of
+    `in` or `not in`, and the keys of a dict display compared by `==` or
+    `!=` (a whole certificate compared in a test)."""
+    def const(n):
+        return isinstance(n, ast.Constant) and isinstance(n.value, str)
+
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Load) and const(n.slice):
+            yield n.slice.value
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                and n.func.attr in ("get", "pop", "setdefault") and n.args and const(n.args[0]):
+            yield n.args[0].value
+        elif isinstance(n, ast.Compare):
+            sides = [n.left, *n.comparators]
+            for op, left, right in zip(n.ops, sides, sides[1:]):
+                if isinstance(op, (ast.In, ast.NotIn)) and const(left):
+                    yield left.value
+                elif isinstance(op, (ast.Eq, ast.NotEq)):
+                    yield from displayed_keys(left)
+                    yield from displayed_keys(right)
+
+
 def unread_result_keys(package, readers):
-    """String keys of the dict displays in the `package` sources that occur
-    as a string constant nowhere else in `package` or `readers`. A dict
-    display indexed in place, by `[...]` or `.get(...)`, is a lookup table
-    and is skipped."""
-    written, seen = collections.Counter(), collections.Counter()
+    """String keys of the dict displays in the `package` sources that no
+    source of `package` or `readers` reads (key_reads). A dict display
+    indexed in place, by `[...]` or `.get(...)`, is a lookup table and is
+    skipped."""
+    written, read = set(), set()
     for source in package + readers:
-        seen.update(n.value for n in ast.walk(ast.parse(source))
-                    if isinstance(n, ast.Constant) and isinstance(n.value, str))
+        read.update(key_reads(ast.parse(source)))
     for source in package:
         tree = ast.parse(source)
         tables = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Subscript)
@@ -326,7 +363,7 @@ def unread_result_keys(package, readers):
         written.update(k.value for n in ast.walk(tree)
                        if isinstance(n, ast.Dict) and id(n) not in tables
                        for k in n.keys if isinstance(k, ast.Constant) and isinstance(k.value, str))
-    return sorted(k for k, count in written.items() if seen[k] == count)
+    return sorted(written - read)
 
 
 def test_finds_an_unread_result_key():
@@ -335,6 +372,21 @@ def test_finds_an_unread_result_key():
     # 'k' and 't' key lookup tables; 'twice' is written twice and read nowhere
     assert unread_result_keys([a], ["r = f(1)['kept']\n"]) == ["spare", "twice"]
     assert unread_result_keys([a], ["r = f(1)\nr['kept'], r.get('twice'), r['spare']\n"]) == []
+    assert unread_result_keys([a], ["r = f(1)\nr.pop('kept'), r.setdefault('twice', 0)\n",
+                                    "assert 'spare' not in f(1)\n"]) == []
+    assert unread_result_keys([a], ["assert (f(1), 2) == ({'kept': 1, 'spare': 1}, 2)\n",
+                                    "assert g(1)[0] != {'twice': 1}\n"]) == []
+    # a store is not a read
+    assert unread_result_keys([a], ["r = f(1)\nr['kept'] = r['spare'] = r['twice'] = 0\n"]) \
+        == ["kept", "spare", "twice"]
+
+
+def test_a_string_elsewhere_is_not_a_read():
+    # 'vertex' also names a slot and another dict's key, and neither reads it
+    a = ("class Dart:\n    __slots__ = ('vertex', 'edge')\n\n"
+         "def move(g, v):\n    return {'vertex': v, 'edge': g}\n")
+    assert unread_result_keys([a], ["table = {'vertex': 1}\nrec = move(1, 2)['edge']\n"]) \
+        == ["vertex"]
 
 
 def test_library_results_have_readers():

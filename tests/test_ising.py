@@ -434,6 +434,9 @@ class TestYDeltaEdit:
         assert calls == [model.graph, back.graph]
 
 
+LADDER = [(kind, k, l) for kind in ("square", "honeycomb") for k in (1, 2, 3) for l in (1, 2, 3)]
+
+
 class TestToDimer:
     def test_fixture_census(self):
         gd, wt, gm = to_dimer(fixture_model())
@@ -583,15 +586,49 @@ class TestToDimer:
                 exact_match = True
         assert exact_match
 
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("kind,k,l", LADDER, ids=[f"{kind} {k}x{l}" for kind, k, l in LADDER])
+    def test_gadget_by_formula(self, kind, k, l, exact):
+        # every gadget name is a formula of an Ising dart d or corner (u, i):
+        # B_d, W_u_i, s_d, c_d, o_u_i
+        g = (square if kind == "square" else honeycomb)(k, l)
+        model = IsingModel(g, {e: make_coupling(x=Fraction(i + 1, 2 * i + 5)) if exact
+                               else make_coupling(J=0.2 + 0.05 * i) for i, e in enumerate(g.edges())})
+        gd, wt, gm = to_dimer(model)
+        (a, b), (c, d) = (_reflections(sorted(z["class"] for z in g.zigzag_paths()))
+                          or [((-1, 0), (0, 1))])[0]
+        one = Fraction(1) if exact else 1.0
+        edges = set()
+        for u in g.vertex_ids():
+            rot = g.rotation[u]
+            for i, e in enumerate(rot):
+                nxt, prev = rot[(i + 1) % len(rot)], (i - 1) % len(rot)
+                w, cp = f"W_{u}_{i}", model.couplings[g.darts[e].edge]
+                dx, dy = g.disp(e)
+                ends = {f"s_{e}": (f"B_{e}", w, 0, 0),
+                        f"c_{e}": (f"B_{g.twin(e)}", w, -a * dx - b * dy, -c * dx - d * dy),
+                        f"o_{u}_{i}": (f"B_{nxt}", w, 0, 0)}
+                assert {x: gd.edge_ends[x] for x in ends} == ends
+                assert [(wt[x], type(wt[x])) for x in ends] == \
+                    [(cp.s, type(cp.s)), (cp.c, type(cp.c)), (one, type(one))]
+                assert gd.rotation[f"B_{e}"] == [f"o_{u}_{prev}+", f"s_{e}+", f"c_{g.twin(e)}+"]
+                assert gd.rotation[w] == [f"c_{e}-", f"s_{e}-", f"o_{u}_{i}-"]
+                assert gm.partners[w] == f"B_{nxt}"
+                edges.update(ends)
+        assert set(gd.edge_ends) == set(wt) == edges
+        assert set(gd.colors) == {f"B_{e}" for e in g.darts} | set(gm.partners)
+        for e in g.edges():
+            square_edges = {f"s_{e}+", f"c_{e}+", f"s_{e}-", f"c_{e}-"}
+            assert gm.squares[e] == gd.face_of_dart(f"s_{e}++")
+            assert {gd.darts[x].edge for x in gd.face_darts(gm.squares[e])} == square_edges
+        assert sorted(gm.squares) == sorted(g.edges())
+
     def test_gadget_map_sidecar_roundtrip(self):
         from isingdimer.ising import parse_gadget_map
         _, _, gm = to_dimer(fixture_model())
         gm2 = parse_gadget_map(gm.serialize())
         assert gm2.squares == gm.squares
         assert gm2.partners == gm.partners
-
-
-LADDER = [(kind, k, l) for kind in ("square", "honeycomb") for k in (1, 2, 3) for l in (1, 2, 3)]
 
 
 class TestOrientedMarking:

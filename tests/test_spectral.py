@@ -528,7 +528,7 @@ class TestRoots:
         for poly in (P.to_numeric(), Q.to_numeric()):
             rows = _fibres(poly, np.array(zs))
             roots, ok = _roots(rows)
-            cw = poly.coeffs_in("w")
+            cw = poly.coeffs_in_w()
             for k, z in enumerate(zs):
                 ref = np.array([complex(c.eval(z, 1.0)) for c in cw][::-1])
                 assert np.abs(rows[k] - ref).max() <= 1e-15 * (abs(z) + 1 / abs(z) + 2)
@@ -789,20 +789,21 @@ class TestDivisorSearchStop:
 class TestNuMap:
     def test_fixture_singleton_sides(self, dimer_fixture):
         g, wt = dimer_fixture
-        sides = nu_map(g, wt, g.newton_polygon())
-        assert len(sides) == 4
-        for side in sides:
-            assert side["length"] == 1
-            assert len(side["zigzags"]) == 1
-            assert not side["ties"]
+        polygon = g.newton_polygon()
+        sides = nu_map(g, wt, polygon)
+        assert [s["vector"] for s in sides] == [v for v, _ in polygon.sides]
+        for side, (_, length) in zip(sides, polygon.sides):
+            assert len(side["zigzags"]) == len(side["x"]) == length == 1
 
-    def test_opposite_sides_intercepts_negate_at_locus(self, dimer_fixture):
+    def test_opposite_sides_equal_x_at_locus(self, dimer_fixture):
+        # condition (3) at the locus: side -S carries the X values of side S
+        # exactly (X_alphabar * X_alpha = 1, X_alphabar on the color change)
         g, wt = dimer_fixture
-        by_vec = {tuple(s["vector"]): s["intercepts"]
-                  for s in nu_map(g, wt, g.newton_polygon())}
-        for v, ints in by_vec.items():
-            opp = by_vec[(-v[0], -v[1])]
-            assert all(abs(a + b) < 1e-12 for a, b in zip(sorted(ints), sorted(-x for x in opp)))
+        by_vec = {s["vector"]: s["x"] for s in nu_map(g, wt, g.newton_polygon())}
+        assert sorted(x for xs in by_vec.values() for x in xs) == \
+            [Fraction(5, 9)] * 2 + [Fraction(9, 5)] * 2
+        for (p, q), xs in by_vec.items():
+            assert xs == sorted(xs) and by_vec[(-p, -q)] == xs
 
     def test_gauge_invariance(self, dimer_fixture):
         g, wt = dimer_fixture
@@ -810,9 +811,7 @@ class TestNuMap:
         f = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in g.vertex_ids()}
         nm1 = nu_map(g, wt, g.newton_polygon())
         nm2 = nu_map(g, gauge_transform(g, wt, f), g.newton_polygon())
-        for s1, s2 in zip(nm1, nm2):
-            assert s1["zigzags"] == s2["zigzags"]
-            assert all(abs(a - b) < 1e-12 for a, b in zip(s1["intercepts"], s2["intercepts"]))
+        assert [(s["zigzags"], s["x"]) for s in nm1] == [(s["zigzags"], s["x"]) for s in nm2]
 
     def test_side_without_an_opposite_fails(self):
         # one hexagon: the triangle polygon's three sides have no opposite
@@ -1637,7 +1636,7 @@ class TestHarnackAndSingularities:
         P = lm_determinant(kasteleyn_matrix(g, wt, FIXTURE_KAPPA))
         Pn, Pw, Pz = (p.to_numeric() for p in (P, derivative(P, "w"), derivative(P, "z")))
         z0 = 4.5 + 7.34546972e-17j
-        cw = Pn.coeffs_in("w")
+        cw = Pn.coeffs_in_w()
         for w0 in np.roots([complex(c.eval(z0, 1.0)) for c in cw][::-1]):
             z1, w1 = (complex(v) for v in _polish([Pw, Pz], z0, complex(w0), steps=40)[:2])
             assert cmath.isfinite(Pw.eval(z1, w1)) and cmath.isfinite(Pz.eval(z1, w1))
