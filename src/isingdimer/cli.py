@@ -17,7 +17,7 @@ from fractions import Fraction
 from .torusgraph import parse_torus_graph, serialize_torus_graph, ParseError, GraphError
 from .ising import (IsingModel, CouplingError, couplings_from_file_data, dual_ising,
                     y_delta, to_dimer, parse_gadget_map)
-from .dimer import (XBasis, basis_x_values, square_move, contraction_move, color_change,
+from .dimer import (basis_x_values, square_move, contraction_move, color_change,
                     ising_locus_check, MoveError)
 from .spectral import (SpectralError, solve_kasteleyn_signs, characteristic_polynomial,
                        divisor_of_vertex, spectral_report, amoeba_sample,
@@ -150,13 +150,12 @@ def cmd_move(args):
     g, weights, _ = _load_validated(args.graph)
     wt, _mode = _need_weights(weights, g, args.mode)
     script = _read(args.script)
-    before, _ = basis_x_values(g, wt)
+    # the basis of the before-values is carried through the moves, so the
+    # after-values refer to the same cycles
+    before, basis = basis_x_values(g, wt)
     lines_out = ["# X basis before"]
     for k in sorted(before):
         lines_out.append(f"# X[{k}] = {format_coeff(before[k])}")
-    # carry the initial basis through the moves so the after-values refer
-    # to the same cycles
-    basis = XBasis.of(g)
     for no, raw in enumerate(script.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -174,19 +173,22 @@ def cmd_move(args):
                 if key in opts:
                     raise CliError(f"script line {no}: repeated key {key!r}")
                 opts[key] = value
-            need = {"square": "f=<face>", "contract": "v=<vertex>"}.get(kind)
-            if need and need.split("=")[0] not in opts:
-                raise CliError(f"script line {no}: move {kind} needs {need}")
+            takes = {"square": ("f", "<face>"), "contract": ("v", "<vertex>"), "color": ()}.get(kind)
+            if takes is None:
+                raise CliError(f"script line {no}: unknown move {kind!r}")
+            if takes and takes[0] not in opts:
+                raise CliError(f"script line {no}: move {kind} needs {'='.join(takes)}")
+            extra = [k for k in opts if k not in takes[:1]]
+            if extra:
+                raise CliError(f"script line {no}: move {kind} takes no key {extra[0]!r}")
+            if kind == "color":
+                g, wt = color_change(g, wt)
+                continue
             if kind == "square":
                 g, wt, rec = square_move(g, wt, opts["f"])
                 lines_out.append(f"# move square f={opts['f']} -> f'={rec.data['new_face']}")
-            elif kind == "contract":
-                g, wt, rec = contraction_move(g, wt, opts["v"])
-            elif kind == "color":
-                g, wt = color_change(g, wt)
-                continue
             else:
-                raise CliError(f"script line {no}: unknown move {kind!r}")
+                g, wt, rec = contraction_move(g, wt, opts["v"])
             basis = basis.follow(rec)
         except (MoveError, GraphError, KeyError) as exc:
             raise CliError(f"script line {no}: {exc}")

@@ -37,35 +37,37 @@ def x_of_cycle(g, wt, cycle):
 
 def basis_x_values(g, wt):
     """X on the basis {all faces except the last face id} + {a, b}, with a
-    and b the graph's homology basis cycles, and the omitted face id."""
+    and b the graph's homology basis cycles, and the XBasis that carries
+    them through moves."""
     basis = XBasis.of(g)
     if not g.is_bipartite_colored():
         raise GraphError("X coordinates need a bipartite graph")
-    faces = g.face_ids()
-    return basis.values(g, wt, faces[:-1]), faces[-1]
+    return basis.values(g, wt, g.face_ids()[:-1]), basis
 
 
 class XBasis:
     """The faces and the homology cycles a, b of a graph, carried through a
-    sequence of moves: `follow` takes one MoveRecord, `x` evaluates X of one
-    of them on the graph reached."""
+    sequence of moves: each face of the first graph is kept as the smallest
+    dart of the face it has become. `follow` takes one MoveRecord, `x`
+    evaluates X of one of them on the graph reached."""
 
-    def __init__(self, face_map, cycles):
-        self.face_map, self.cycles = face_map, cycles
+    def __init__(self, roots, cycles):
+        self.roots, self.cycles = roots, cycles
 
     @classmethod
     def of(cls, g):
-        face_map = {fid: fid for fid in g.face_ids()}
-        return cls(face_map, dict(zip("ab", map(list, g.homology_basis_cycles()))))
+        return cls({fid: orbit[0] for fid, orbit in g.faces()},
+                   dict(zip("ab", map(list, g.homology_basis_cycles()))))
 
     def follow(self, rec):
         """The basis after the move that `rec` records."""
-        return XBasis({old: rec.map_face(nf) for old, nf in self.face_map.items()},
+        moved = rec.data["roots"]
+        return XBasis({k: moved.get(r, r) for k, r in self.roots.items()},
                       {k: rec.reroute(c) for k, c in self.cycles.items()})
 
     def x(self, g, wt, key):
         """X on g of face `key` of the first graph, or of cycle "a" or "b"."""
-        cycle = self.cycles[key] if key in self.cycles else g.face_darts(self.face_map[key])
+        cycle = self.cycles[key] if key in self.cycles else g.orbit(self.roots[key])
         return x_of_cycle(g, wt, cycle)
 
     def values(self, g, wt, faces):
@@ -77,14 +79,16 @@ class XBasis:
 
 
 class MoveRecord:
-    """Replayable record of one local move."""
+    """Replayable record of one local move from g to gn; data["roots"] maps
+    the smallest dart of a face of g traced again to that of its new face."""
 
-    def __init__(self, kind, data):
-        self.kind = kind
-        self.data = data
+    def __init__(self, kind, g, gn, data):
+        self.kind, self.g, self.gn, self.data = kind, g, gn, data
 
     def map_face(self, fid):
-        return self.data["face_map"].get(fid, fid)
+        """The id in gn of the face that face fid of g became."""
+        r = self.g.face_darts(fid)[0]
+        return self.gn.face_of_dart(self.data["roots"].get(r, r))
 
     def reroute(self, cycle):
         return self.data["reroute"](cycle)
@@ -172,8 +176,8 @@ def square_move(g, wt, fid):
     gn = g.edit(drop_vertices=(B1, B2), drop_edges=(e0, e1, e2, e3, q1, q2),
                 vertices=[(nb1, "b", g.positions.get(B1)), (nb2, "b", g.positions.get(B2))],
                 edges=edges, rotations=rotations)
-    face_map = _match_faces(g, gn)
-    face_map[fid] = gn.face_of_dart(eA2 + "+")
+    roots = _root_map(g, gn)
+    roots[min(orbit)] = gn.root_of(eA2 + "+")
 
     # the new legs from each removed black's pendant corner to its side
     # corners m1 and m3, as (edge at the pendant corner, edge at the side)
@@ -194,31 +198,34 @@ def square_move(g, wt, fid):
                 ([to_y[0] + "-", to_y[1] + "+"] if to_y else [])
         raise MoveError(f"cannot transport hop {(x, B, y)}")
 
+    removed = {d0, d1, d2, d3, p1, p2, *(k.twin for k in (k0, k1, k2, k3, kp1, kp2))}
+
     def reroute(cycle):
         """Rewrite a dart walk of the old graph in the new graph."""
         segs = list(cycle)
-        n = len(segs)
-        if n and all(g.darts[d].edge in removed_edges for d in segs):
+        if removed.isdisjoint(segs):
+            return segs
+        inside = [d in removed for d in segs]
+        if all(inside):
             raise MoveError("cycle lies entirely inside the moved gadget")
         # rotate so the walk starts on a surviving dart
-        k = next((i for i, d in enumerate(segs) if g.darts[d].edge not in removed_edges), 0)
-        segs = segs[k:] + segs[:k]
-        out = []
-        i = 0
+        k = inside.index(False)
+        segs, inside = segs[k:] + segs[:k], inside[k:] + inside[:k]
+        out, i, n = [], 0, len(segs)
         while i < n:
             d = segs[i]
-            if g.darts[d].edge not in removed_edges:
+            if not inside[i]:
                 out.append(d)
                 i += 1
                 continue
-            if i + 1 >= n or g.darts[segs[i + 1]].edge not in removed_edges:
+            if i + 1 >= n or not inside[i + 1]:
                 raise MoveError("walk stops on a removed black vertex")
             out.extend(hop(g.tail(d), g.head(d), g.head(segs[i + 1])))
             i += 2
         return out
 
-    record = MoveRecord("square", {
-        "face": fid, "new_face": face_map[fid], "face_map": face_map,
+    record = MoveRecord("square", g, gn, {
+        "face": fid, "new_face": gn.face_of_dart(eA2 + "+"), "roots": roots,
         "reroute": reroute, "new_blacks": (nb1, nb2),
         "corners": (m1, m2, m3, m4),
     })
@@ -274,21 +281,20 @@ def contraction_move(g, wt, v):
     def reroute(cycle):
         return [d for d in cycle if g.darts[d].edge not in (eA, eB)]
 
-    record = MoveRecord("contract", {"face_map": _match_faces(g, gn), "reroute": reroute})
+    record = MoveRecord("contract", g, gn, {"roots": _root_map(g, gn), "reroute": reroute})
     return gn, new_wt, record
 
 
-def _match_faces(g, gn):
-    """Old face id -> the new face through its first surviving dart, for the
-    faces that keep one; `edit` shares the orbits it kept, the rest are scanned."""
-    out, kept, root_of, face_id = {}, gn._orbit, gn._root, gn._face_id
-    for fid, orbit in g.faces():
-        if kept.get(orbit[0]) is orbit:
-            out[fid] = face_id[orbit[0]]
-        else:
-            survivor = next((x for x in orbit if x in root_of), None)
-            if survivor is not None:
-                out[fid] = gn.face_of_dart(survivor)
+def _root_map(g, gn):
+    """The smallest dart of each face of g that the edit to gn traced again,
+    mapped to that of the face of gn through its first surviving dart; a
+    face that keeps no dart is left out."""
+    out, kept = {}, gn.darts
+    for r in gn.stale_roots:
+        for x in g.orbit(r):
+            if x in kept:
+                out[r] = gn.root_of(x)
+                break
     return out
 
 
@@ -312,14 +318,14 @@ def ising_locus_check(g, wt, gadget_map, tol=None):
     cur_g, cur_wt = g, dict(wt)
     start = basis = XBasis.of(g)
     for fid in squares:
-        cur_g, cur_wt, rec = square_move(cur_g, cur_wt, basis.face_map[fid])
+        cur_g, cur_wt, rec = square_move(cur_g, cur_wt, cur_g.face_of_dart(basis.roots[fid]))
         basis = basis.follow(rec)
     cc_g, cc_wt = color_change(g, wt)
     iso = cur_g.isomorphic(cc_g)
 
     residuals = {}
     ok = True
-    for key in [*start.face_map, *start.cycles]:
+    for key in [*start.roots, *start.cycles]:
         target = start.x(cc_g, cc_wt, key)
         got = basis.x(cur_g, cur_wt, key)
         residuals[key] = _residual(got, target)

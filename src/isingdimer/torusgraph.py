@@ -13,6 +13,7 @@ its reversal partner.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from fractions import Fraction
 
 from .exactalg import NewtonPolygon
@@ -81,9 +82,8 @@ class TorusGraph:
     def _clear_caches(self):
         self._orbit = None            # smallest dart of a face -> its orbit from there
         self._root = None             # dart -> smallest dart of its face
+        self._ranks = None            # the smallest darts of the faces, sorted: f<k> is rank k
         self._faces = None
-        self._face_orbit = None
-        self._face_id = None          # smallest dart of a face -> face id
         self._zigzags = None
         self._cycle_a = None
         self._cycle_b = None
@@ -125,17 +125,21 @@ class TorusGraph:
         return self
 
     def _link(self, v):
-        """Successor maps around v from its rotation."""
-        ds, darts = self.rotation[v], self.darts
-        for d in ds:
+        """Successor maps around v from its rotation, checked and linked in
+        one pass. Returns the twins of the darts whose predecessor changed:
+        their face successor did."""
+        ds, darts, nxt, prev, moved = self.rotation[v], self.darts, self._next, self._prev, []
+        for p, d in zip(ds[-1:] + ds[:-1], ds):
             dart = darts.get(d)
             if dart is None:
                 raise GraphError(f"rotation at {v} names unknown dart {d}")
             if dart.vertex != v:
                 raise GraphError(f"dart {d} is not based at {v}")
-        for d, nxt in zip(ds, ds[1:] + ds[:1]):
-            self._next[d] = nxt
-            self._prev[nxt] = d
+            nxt[p] = d
+            if prev.get(d) != p:
+                prev[d] = p
+                moved.append(dart.twin)
+        return moved
 
     def _shared(self):
         """A graph with dicts of its own (dict.copy(), fast also after deletions)
@@ -152,8 +156,7 @@ class TorusGraph:
         zig-zag paths are not."""
         g = self._shared()
         g.colors = {v: {"b": "w", "w": "b"}.get(c, c) for v, c in self.colors.items()}
-        g._orbit, g._root, g._faces = self._orbit, self._root, self._faces
-        g._face_orbit, g._face_id = self._face_orbit, self._face_id
+        g._orbit, g._root, g._ranks, g._faces = self._orbit, self._root, self._ranks, self._faces
         g._cycle_a, g._cycle_b, g._valid = self._cycle_a, self._cycle_b, self._valid
         return g
 
@@ -207,13 +210,15 @@ class TorusGraph:
         in sorted id order finds them.
         """
         if self._faces is None:
-            if self._orbit is None:
-                self._orbit, self._root = {}, {}
-                self._trace(sorted(self.darts))
-            self._faces = [(f"f{k}", self._orbit[r]) for k, r in enumerate(sorted(self._orbit))]
-            self._face_orbit = dict(self._faces)
-            self._face_id = {orbit[0]: fid for fid, orbit in self._faces}
+            self._faces = [(f"f{k}", self._orbit[r]) for k, r in enumerate(self._traced())]
         return self._faces
+
+    def _traced(self):
+        """The sorted smallest darts of the faces, tracing them all on first use."""
+        if self._ranks is None:
+            self._orbit, self._root = {}, {}
+            self._ranks = self._trace(sorted(self.darts))
+        return self._ranks
 
     def _trace(self, starts):
         """Trace the face orbit of every dart of `starts` that has none yet;
@@ -224,11 +229,13 @@ class TorusGraph:
                 continue
             orbit = [d0]
             d = prev[darts[d0].twin]      # the next dart around the face
-            while d != d0:
+            for _ in range(limit):
+                if d == d0:
+                    break
                 orbit.append(d)
-                if len(orbit) > limit:
-                    raise GraphError(f"face trace from {d0} does not close")
                 d = prev[darts[d].twin]
+            else:
+                raise GraphError(f"face trace from {d0} does not close")
             k = orbit.index(min(orbit))
             orbit = orbit[k:] + orbit[:k]
             root_of.update(dict.fromkeys(orbit, orbit[0]))
@@ -237,29 +244,43 @@ class TorusGraph:
         return roots
 
     def face_ids(self):
-        return [fid for fid, _ in self.faces()]
+        return [f"f{k}" for k in range(len(self._traced()))]
 
     def face_darts(self, fid):
-        self.faces()
-        if fid not in self._face_orbit:
+        """The orbit of face `fid` from its smallest dart. The face is f<k>
+        for rank k: k in decimal digits, no leading zero and fewer than 10."""
+        ranks, k = self._traced(), str(fid)[1:]
+        if not (k.isdecimal() and len(k) < 10 and fid == f"f{int(k)}" and int(k) < len(ranks)):
             raise GraphError(f"unknown face {fid}")
-        return list(self._face_orbit[fid])
+        return list(self._orbit[ranks[int(k)]])
+
+    def root_of(self, d):
+        """The smallest dart of the face of dart d."""
+        self._traced()
+        return self._root[d]
+
+    def orbit(self, root):
+        """The face orbit from its smallest dart `root`; not to be changed."""
+        return self._orbit[root]
 
     def face_of_dart(self, d):
-        self.faces()
-        return self._face_id[self._root[d]]
+        r = self.root_of(d)
+        return f"f{bisect_left(self._ranks, r)}"
 
     # -- validation ----------------------------------------------------------
 
-    def _twin_problems(self, d):
-        dart, tw = self.darts[d], self.darts.get(self.darts[d].twin)
-        if tw is None:
-            return [f"dart {d} has no twin"]
-        out = []
-        if tw.vertex != dart.head or tw.head != dart.vertex:
-            out.append(f"twin of {d} has inconsistent endpoints")
-        if tw.disp != (-dart.disp[0], -dart.disp[1]):
-            out.append(f"twin of {d} has inconsistent displacement")
+    def _twin_problems(self, ds):
+        """The twin problems of the darts `ds`."""
+        darts, out = self.darts, []
+        for d in ds:
+            dart, tw = darts[d], darts.get(darts[d].twin)
+            if tw is None:
+                out.append(f"dart {d} has no twin")
+                continue
+            if tw.vertex != dart.head or tw.head != dart.vertex:
+                out.append(f"twin of {d} has inconsistent endpoints")
+            if tw.disp != (-dart.disp[0], -dart.disp[1]):
+                out.append(f"twin of {d} has inconsistent displacement")
         return out
 
     def _check_faces(self, roots, edges):
@@ -270,8 +291,8 @@ class TorusGraph:
         for r in roots:
             dx, dy = self.walk_displacement(self._orbit[r])
             if (dx, dy) != (0, 0):
-                raise GraphError(f"face {self._face_id[r]} has nonzero total displacement ({dx},{dy})")
-        V, E, F = len(self.colors), len(self.edge_ends), len(self._orbit)
+                raise GraphError(f"face {self.face_of_dart(r)} has nonzero total displacement ({dx},{dy})")
+        V, E, F = len(self.colors), len(self.edge_ends), len(self._ranks)
         if V - E + F != 0:
             raise GraphError(f"Euler characteristic {V - E + F} != 0 (V={V} E={E} F={F})")
         if "n" not in self.colors.values():
@@ -285,7 +306,7 @@ class TorusGraph:
         dict, raises GraphError on failure."""
         if not self.colors:
             raise GraphError("graph has no vertices")
-        problems = [p for d in self.darts for p in self._twin_problems(d)]
+        problems = self._twin_problems(self.darts)
         at = {}
         for d, dart in self.darts.items():
             at.setdefault(dart.vertex, []).append(d)
@@ -305,7 +326,7 @@ class TorusGraph:
             raise GraphError(f"graph is not connected: {parts} components")
 
         faces = self.faces()
-        self._check_faces(self._face_id, self.edge_ends)
+        self._check_faces(self._ranks, self.edge_ends)
         self._valid = True
         V, E, F = len(self.colors), len(self.edge_ends), len(faces)
         return {
@@ -331,41 +352,44 @@ class TorusGraph:
         self is not changed; the new graph shares its other Dart objects and
         rotation lists. Successor maps are patched at the touched vertices,
         and only the faces through darts whose face successor changed are
-        traced again; face ids follow the rule of `faces()`. The invariants
-        of `validate()` are checked on what changed, and the rest inherits
-        them from self, which is validated first unless it already was.
-        Raises GraphError.
+        traced again: their smallest darts in self, `stale_roots`, leave the
+        sorted face ranks and the new ones go in, so face ids follow the rule
+        of `faces()`. The invariants of `validate()` are checked on what
+        changed, and the rest inherits them from self, which is validated
+        first unless it already was. Raises GraphError.
         """
         self.ensure_valid()
-        edges, rotations = list(edges), rotations or {}
+        rotations = rotations or {}
         g = self._shared()
-        g._orbit, g._root = self._orbit.copy(), self._root.copy()
-        darts, prev = g.darts, g._prev
+        g._orbit, g._root, g._ranks = self._orbit.copy(), self._root.copy(), self._ranks.copy()
+        darts = g.darts
         gone = [d for e in drop_edges for d in (e + "+", e + "-")]
         for e in drop_edges:
-            del g.edge_ends[e]
-        for d in gone:
-            del darts[d]
+            del g.edge_ends[e], darts[e + "+"], darts[e + "-"]
         for v in drop_vertices:
             del g.colors[v], g.rotation[v]
             g.positions.pop(v, None)
         for v, color, pos in vertices:
             g.add_vertex(v, color, pos)
+        new = []
         for e, v1, v2, dx, dy in edges:
             g.add_edge(e, v1, v2, dx, dy)
-        new = [d for e, *_ in edges for d in (e + "+", e + "-")]
+            new += (e + "+", e + "-")
         for d in gone:
             if d not in darts:
-                del g._next[d], prev[d]
+                del g._next[d], g._prev[d]
+        # the faces through darts whose face successor changed are traced
+        # again: the new darts and the twins of darts with a new predecessor
+        changed = set(new)
         for v, ds in rotations.items():
             g.set_rotation(v, ds)
-            g._link(v)
+            changed.update(g._link(v))
 
         # one pass over the dropped and added darts: a dart leaves its old
         # tail and joins its new one unless both are the same vertex. _link
         # put every listed dart at its vertex, so a rotation lists exactly its
         # vertex's darts when it lists none twice and as many as it has.
-        problems, gain = [p for d in new for p in g._twin_problems(d)], {}
+        problems, gain = g._twin_problems(new), {}
         for ds, step, here, there in ((gone, -1, self.darts, darts), (new, 1, darts, self.darts)):
             for d in ds:
                 v, other = here[d].vertex, there.get(d)
@@ -383,19 +407,18 @@ class TorusGraph:
         if problems:
             raise GraphError("; ".join(problems))
 
-        # re-trace the faces through darts whose face successor changed:
-        # the new darts and the twins of darts with a new predecessor
-        changed, root_of = set(new), self._root
-        for v in rotations:
-            changed.update(darts[d].twin for d in g.rotation[v] if prev[d] != self._prev.get(d))
-        for root in {root_of[d] for d in changed.union(gone) if d in root_of}:
-            for d in g._orbit.pop(root):
+        root_of, ranks = self._root, g._ranks
+        g.stale_roots = {root_of[d] for d in changed.union(gone) if d in root_of}
+        for r in g.stale_roots:
+            del ranks[bisect_left(ranks, r)]
+            for d in g._orbit.pop(r):
                 del g._root[d]
         roots = sorted(g._trace(changed))
-        g.faces()
+        for r in roots:
+            insort(ranks, r)
         # old edges were checked for color only if self was colored
         uncolored = any(self.colors[v] == "n" for v in drop_vertices)
-        g._check_faces(roots, g.edge_ends if uncolored else [e for e, *_ in edges])
+        g._check_faces(roots, g.edge_ends if uncolored else [d[:-1] for d in new[::2]])
         g._valid = True
         return g
 
@@ -685,8 +708,7 @@ class TorusGraph:
         The translate label is the translate of the face's minimal dart within
         the lifted orbit.
         """
-        fid = self.face_of_dart(d)
-        orbit = self._face_orbit[fid]
+        fid, orbit = self.face_of_dart(d), self._orbit[self.root_of(d)]
         # walk back to the orbit start, its minimal dart, accumulating
         # displacement
         tx, ty = t
@@ -703,15 +725,12 @@ class TorusGraph:
         in the Z^2-cover. Primal edge ids are kept, so e+ in the dual
         corresponds to e+ in the primal.
         """
-        self.faces()
         dual = TorusGraph()
         for fid, _ in self.faces():
             dual.add_vertex(fid, "n")
         for e, (v1, v2, dx, dy) in self.edge_ends.items():
-            f_plus = self.face_of_dart(e + "+")
-            f_minus = self.face_of_dart(e + "-")
-            _, t1 = self.face_lift_label(e + "+", (0, 0))
-            _, t2 = self.face_lift_label(e + "-", (dx, dy))
+            f_plus, t1 = self.face_lift_label(e + "+", (0, 0))
+            f_minus, t2 = self.face_lift_label(e + "-", (dx, dy))
             dual.add_edge(e, f_plus, f_minus, t2[0] - t1[0], t2[1] - t1[1])
         # rotation at a dual vertex (= primal face): radial dual darts cross
         # the ccw face boundary in the same ccw order.

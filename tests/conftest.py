@@ -11,7 +11,7 @@ import pytest
 
 from isingdimer import lattices
 from isingdimer.abel import AbelLabel
-from isingdimer.dimer import MoveError, MoveRecord, _match_faces, x_of_cycle
+from isingdimer.dimer import MoveError, MoveRecord, _root_map, x_of_cycle
 from isingdimer.ising import make_coupling
 from isingdimer.torusgraph import GraphError, parse_torus_graph, serialize_torus_graph
 
@@ -180,9 +180,9 @@ def uncontraction_move(g, wt, v, arc_start, arc_len):
                            mid: [e1 + minus, e2 + minus]})
     one = one_like(wt.values())
     new_wt = {**wt, e1: one, e2: one}
-    record = MoveRecord("uncontract", {
+    record = MoveRecord("uncontract", g, gn, {
         "vertex": v, "parts": (v1, v2, mid),
-        "face_map": _match_faces(g, gn),
+        "roots": _root_map(g, gn),
         "reroute": lambda cycle: list(cycle),
     })
     return gn, new_wt, record

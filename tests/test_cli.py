@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import isingdimer
 from isingdimer.cli import main
+from isingdimer.dimer import XBasis
 from isingdimer.ising import IsingModel, make_coupling, to_dimer, y_delta
 from isingdimer.lattices import honeycomb, square
 from isingdimer.torusgraph import serialize_torus_graph
@@ -193,13 +194,42 @@ class TestExitCodes:
         ("move square f=f2 f=f3\n", "script line 1: repeated key 'f'"),
         ("move color\nsquare f=f2\n", "script line 2: expected 'move ...'"),
         ("move twist\n", "script line 1: unknown move 'twist'"),
-    ], ids=["unknown vertex", "repeated key", "not a move", "unknown move"])
+        ("move color f=f1\n", "script line 1: move color takes no key 'f'"),
+        ("move color =f1\n", "script line 1: move color takes no key ''"),
+        ("move color\nmove square f=f3 g=7\n", "script line 2: move square takes no key 'g'"),
+        ("move contract v=b1 f=f2\n", "script line 1: move contract takes no key 'f'"),
+    ], ids=["unknown vertex", "repeated key", "not a move", "unknown move", "color with a key",
+            "color with an empty key", "square with a second key", "contract with a second key"])
     def test_bad_move_script_exits_2(self, files, tmp_path, capsys, script, message):
         _, gp, _, _ = files
         path = tmp_path / "bad.txt"
         path.write_text(script)
         assert main(["move", gp, "--script", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("before", ["", "move square f=f2\n", "move color\n"],
+                             ids=["first line", "after a square move", "after a colour change"])
+    @pytest.mark.parametrize("fid", ["f03", "f-1", "f1.0", "F1", "f", "f4"])
+    def test_unknown_face_exits_2(self, files, tmp_path, capsys, before, fid):
+        # the dimer fixture has faces f0 to f3 before and after each move,
+        # so f4 is one past the last
+        _, gp, _, _ = files
+        path = tmp_path / "bad.txt"
+        path.write_text(before + f"move square f={fid}\n")
+        assert main(["move", gp, "--script", str(path)]) == 2
+        no = before.count("\n") + 1
+        assert capsys.readouterr() == ("", f"error: script line {no}: unknown face {fid}\n")
+
+    def test_move_makes_one_basis(self, files, tmp_path, monkeypatch):
+        # the basis of the before-values is the one carried through the moves
+        _, gp, _, _ = files
+        path = tmp_path / "ok.txt"
+        path.write_text("move square f=f2\nmove color\n")
+        made = []
+        of = XBasis.of.__func__
+        monkeypatch.setattr(XBasis, "of", classmethod(lambda cls, g: made.append(g) or of(cls, g)))
+        assert main(["move", gp, "--script", str(path), "--out", str(tmp_path / "out.tg")]) == 0
+        assert len(made) == 1
 
     @pytest.mark.parametrize("argv,graph,message", [
         (["charpoly", "--mode", "exact"],

@@ -81,9 +81,9 @@ class TestXOfCycle:
         # as a string would be f9
         gi = square(2, 2)
         g, wt, _ = to_dimer(IsingModel(gi, pythagorean_couplings(gi, 3)))
-        values, omitted = basis_x_values(g, wt)
+        values, _ = basis_x_values(g, wt)
         assert g.face_ids() == [f"f{k}" for k in range(16)]
-        assert omitted == "f15"
+        assert g.face_ids()[-1] == "f15" and "f15" not in values
         assert sorted(values) == sorted(g.face_ids()[:-1] + ["a", "b"])
 
 
@@ -406,11 +406,13 @@ class TestSquareMove:
                 pytest.fail("no face admits a square move")
 
     def test_cost_is_local(self, monkeypatch):
-        # the darts _trace visits and the faces _match_faces scans (each a
-        # face_of_dart call, and square_move makes one more) in one square
-        # move are the same on the square 2x2 and 4x4 gadget graphs
-        trace, face_of_dart = TorusGraph._trace, TorusGraph.face_of_dart
-        counts = {}
+        # one square move and one XBasis.follow on the square 2x2, 4x4 and
+        # 6x6 gadget graphs: no (id, orbit) list is built, every orbit read
+        # is one of a face the edit traced again, and the darts _trace
+        # visits, the face_of_dart calls and the orbits read are as many at
+        # every size
+        trace, face_of_dart, orbit = TorusGraph._trace, TorusGraph.face_of_dart, TorusGraph.orbit
+        counts, read = {}, []
 
         def counted_trace(self, starts):
             roots = trace(self, starts)
@@ -418,23 +420,35 @@ class TestSquareMove:
             return roots
 
         def counted_face_of_dart(self, d):
-            counts["faces"] += 1
+            counts["face_of_dart"] += 1
             return face_of_dart(self, d)
 
+        def read_orbit(self, root):
+            read.append(root)
+            return orbit(self, root)
+
+        def no_list(self):
+            raise AssertionError("the (id, orbit) list is built")
+
         seen = []
-        for k in (2, 4):
+        for k in (2, 4, 6):
             gi = square(k, k)
             g, wt, gm = to_dimer(IsingModel(gi, pythagorean_couplings(gi, 0)))
-            g.faces()
+            basis, faces = XBasis.of(g), len(g.faces())
             with monkeypatch.context() as m:
-                m.setattr(TorusGraph, "_trace", counted_trace)
-                m.setattr(TorusGraph, "face_of_dart", counted_face_of_dart)
-                counts.update(darts=0, faces=0)
-                square_move(g, wt, gm.squares["h00"])
-            seen.append((dict(counts), len(g.faces())))
-        assert seen[0][0] == seen[1][0]
-        assert seen[0][0]["darts"] > 0 and seen[0][0]["faces"] > 1
-        assert (seen[0][1], seen[1][1]) == (16, 64)
+                for name, spy in [("_trace", counted_trace), ("face_of_dart", counted_face_of_dart),
+                                  ("orbit", read_orbit), ("faces", no_list), ("face_ids", no_list)]:
+                    m.setattr(TorusGraph, name, spy)
+                counts.update(darts=0, face_of_dart=0)
+                read.clear()
+                gn, _, rec = square_move(g, wt, gm.squares["h00"])
+                basis.follow(rec)
+            assert gn._faces is None
+            assert read and set(read) <= gn.stale_roots
+            seen.append((dict(counts), len(read), faces))
+        assert seen[0][:2] == seen[1][:2] == seen[2][:2]
+        assert seen[0][0]["darts"] > 0 and seen[0][0]["face_of_dart"] > 0
+        assert [faces for *_, faces in seen] == [16, 64, 144]
 
 
 class TestContraction:
@@ -448,10 +462,8 @@ class TestContraction:
         g2, wt2, rec2 = contraction_move(g1, wt1, mid)
         assert g2.isomorphic(g)
         fx2 = face_x_values(g2, wt2)
-        match = rec2.data["face_map"]
-        chain = rec1.data["face_map"]
         for fid in g.face_ids():
-            assert fx2[match[chain[fid]]] == fx[fid]
+            assert fx2[rec2.map_face(rec1.map_face(fid))] == fx[fid]
 
     def test_figure_contract_degree(self, fixture):
         g, wt = fixture
@@ -484,7 +496,7 @@ def assert_local_move(g, gn, rec):
         new = rec.data["new_face"]
         assert {h.tail(d) for d in h.face_darts(new)} >= set(rec.data["new_blacks"])
         expect[rec.data["face"]] = new
-    assert rec.data["face_map"] == expect
+    assert {fid: rec.map_face(fid) for fid in g.face_ids()} == expect
 
 
 class TestLocalMoves:
@@ -516,6 +528,54 @@ class TestLocalMoves:
                 squares += 1
                 break
         assert squares > 15
+
+    @pytest.mark.parametrize("make,k,seed", [(square, 2, 21), (square, 4, 22), (honeycomb, 2, 23)],
+                             ids=["square 2x2", "square 4x4", "honeycomb 2x2"])
+    def test_chained_script_keeps_ranks_and_basis(self, make, k, seed):
+        # a 120-line script of 60 move pairs, as the move-script benchmark
+        # makes them: two colour changes, or a square move and the square
+        # move at the face it made. After every line the face ranks and
+        # orbits kept by the edits equal those traced from scratch, and X on
+        # the basis kept by root dart equals, Fraction for Fraction, X on the
+        # faces carried by name (map_face) and the cycles carried by reroute
+        gi = make(k, k)
+        g, wt, _ = to_dimer(IsingModel(gi, pythagorean_couplings(gi, 3)))
+        rng, basis, start = random.Random(seed), XBasis.of(g), g.face_ids()
+        names, cycles = {fid: fid for fid in start}, dict(basis.cycles)
+
+        def check(g, wt):
+            h = retraced(g)
+            assert g._ranks == [orbit[0] for _, orbit in h.faces()]
+            assert_same_faces(g, h)
+            want = {fid: x_of_cycle(g, wt, g.face_darts(names[fid])) for fid in start}
+            want.update((key, x_of_cycle(g, wt, c)) for key, c in cycles.items())
+            got = basis.values(g, wt, start)
+            assert got == want and all(type(x) is Fraction for x in got.values())
+
+        squares = 0
+        for _ in range(60):
+            if rng.random() < 0.2:
+                for _ in range(2):
+                    g, wt = color_change(g, wt)
+                    check(g, wt)
+                continue
+            quads = [f for f, orbit in g.faces() if len(orbit) == 4]
+            rng.shuffle(quads)
+            for f in quads:
+                try:
+                    pair = [square_move(g, wt, f)]
+                except MoveError:
+                    continue
+                g1, wt1, rec = pair[0]
+                pair.append(square_move(g1, wt1, rec.data["new_face"]))
+                for g, wt, rec in pair:
+                    basis = basis.follow(rec)
+                    names = {old: rec.map_face(fid) for old, fid in names.items()}
+                    cycles = {key: rec.reroute(c) for key, c in cycles.items()}
+                    check(g, wt)
+                squares += 2
+                break
+        assert squares > 80
 
     @pytest.mark.parametrize("v,start,length", [("b1", 0, 2), ("b1", 1, 1), ("w2", 2, 2)])
     def test_contraction_after_uncontraction_matches_retrace(self, fixture, v, start, length):

@@ -193,6 +193,7 @@ KEEP = {
     "exactalg.lm_adjugate": "the benchmark's exactalg.adjugate probe calls it",
     "lattices.square": "the tests' one source of square lattices",
     "lattices.honeycomb": "the tests' one source of honeycomb lattices",
+    "dimer.MoveRecord.map_face": "the benchmark's move replay carries faces by name with it",
 }
 
 

@@ -347,6 +347,18 @@ class TestEdit:
         with pytest.raises(GraphError, match=message):
             fixture_graph().edit(**change)
 
+    @pytest.mark.parametrize("fid", ["f03", "f-1", "f1.0", "F1", "f", "f4", "f+1", "f 1", "f\u0663",
+                                     "f" + "9" * 5000, None, 3])
+    def test_unknown_face_id(self, fid):
+        # f<k> is rank k in decimal digits without a leading zero; the
+        # fixture has faces f0 to f3, also after an edit and a colour swap
+        g = fixture_graph()
+        h = g.edit(**self.subdivided())
+        for graph in (g, h, h.color_swapped()):
+            assert graph.face_darts("f3") and graph.face_ids() == ["f0", "f1", "f2", "f3"]
+            with pytest.raises(GraphError, match=r"^unknown face "):
+                graph.face_darts(fid)
+
     def test_new_dart_twins(self, monkeypatch):
         add_edge = TorusGraph.add_edge
 
