@@ -202,9 +202,18 @@ def square_move(g, wt, fid):
 
     def reroute(cycle):
         """Rewrite a dart walk of the old graph in the new graph."""
-        segs = list(cycle)
-        if removed.isdisjoint(segs):
-            return segs
+        if removed.isdisjoint(cycle):
+            return list(cycle)
+        # a dart and then its twin, cyclically, change neither X nor the
+        # class of the walk, and a hop from a corner back to it has no route
+        segs = []
+        for d in cycle:
+            if segs and segs[-1] == g.darts[d].twin:
+                segs.pop()
+            else:
+                segs.append(d)
+        while len(segs) > 1 and segs[0] == g.darts[segs[-1]].twin:
+            segs = segs[1:-1]
         inside = [d in removed for d in segs]
         if all(inside):
             raise MoveError("cycle lies entirely inside the moved gadget")

@@ -217,31 +217,40 @@ def _polish(polys, z, w, steps=4, move_z=True, stop=None, grid=None):
                                                      for a in last)
 
 
-def _divmod(a, b):
-    """Quotient and remainder of polynomials with rational coefficients,
-    highest degree first; the remainder has no leading zeros."""
-    a, q = list(a), []
+def _pseudo_divmod(a, b):
+    """(q, r) with b_0^(len(a) - len(b) + 1) a = q b + r, for polynomials
+    with integer coefficients, highest degree first; r has no leading zeros."""
+    q = []
     while len(a) >= len(b):
-        q.append(a[0] / b[0])
-        a = [x - q[-1] * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
-    while a and a[0] == 0:
-        a.pop(0)
+        q = [b[0] * x for x in q] + [a[0]]
+        a = [b[0] * x - a[0] * y for x, y in zip(a[1:], b[1:])] + [b[0] * x for x in a[len(b):]]
+    while a and not a[0]:
+        a = a[1:]
     return q, a
+
+
+def _primitive(a):
+    """The integer polynomial a divided by the gcd of its coefficients."""
+    content = math.gcd(*a)
+    return [c // content for c in a] if content else a
 
 
 def _rational_zeros(coeffs):
     """Nonzero rational roots, ascending and without repeats, of a
     polynomial with rational coefficients (lowest degree first).
 
-    f is the squarefree part, f / gcd(f, f') by Euclid over Q, as a
-    primitive integer polynomial. A rational root p/q in lowest terms has
+    All of it runs in integers, with no bound on sizes. f is the
+    squarefree part, the primitive part of the polynomial cleared of
+    denominators over its gcd with its derivative, which the primitive
+    remainder sequence gives. A rational root p/q in lowest terms has
     p | a_0 and q | a_n, so it is N/a_n with |N| <= |a_0 a_n|. The roots of
     f modulo the smallest prime p that divides neither a_n nor f' at any of
     them (roots that meet modulo p make f' vanish there) are lifted by
-    Newton steps to roots modulo M > 2 |a_0 a_n|; N is
-    the residue of a_n r closest to 0, and N/a_n is kept if f vanishes there
-    exactly. All of it is exact arithmetic, with no bound on sizes."""
-    a = [Fraction(c) for c in reversed(coeffs)]
+    Newton steps to roots modulo M > 2 |a_0 a_n|; N is the residue of a_n r
+    closest to 0, and N/a_n is kept if f_d N^d + f_(d-1) N^(d-1) a_n + ...
+    + f_0 a_n^d = 0, d the degree of f."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    a = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
     while a and a[0] == 0:
         a.pop(0)
     while a and a[-1] == 0:
@@ -250,18 +259,14 @@ def _rational_zeros(coeffs):
         return []
     g, b = a, [k * c for k, c in zip(range(len(a) - 1, 0, -1), a)]
     while b:
-        g, b = b, _divmod(g, b)[1]
-    q = _divmod(a, g)[0]
-    den = math.lcm(*(c.denominator for c in q))
-    f = [int(c * den) for c in reversed(q)]
-    content = math.gcd(*f)
-    f = [c // content for c in f]
+        g, b = b, _primitive(_pseudo_divmod(g, b)[1])
+    f = _primitive(_pseudo_divmod(a, g)[0])[::-1]
     df = [k * c for k, c in enumerate(f)][1:]
 
-    def value(x, coeffs, m=0):
+    def value(x, coeffs, m):
         v = 0
         for c in reversed(coeffs):
-            v = (v * x + c) % m if m else v * x + c
+            v = (v * x + c) % m
         return v
 
     p = 1
@@ -279,9 +284,12 @@ def _rational_zeros(coeffs):
             m *= m
             r = (r - value(r, f, m) * pow(value(r, df, m), -1, m)) % m
         n = f[-1] * r % m
-        root = Fraction(n - m if 2 * n > m else n, f[-1])
-        if value(root, f) == 0:
-            out.append(root)
+        n = n - m if 2 * n > m else n
+        v, s = 0, 1
+        for c in reversed(f):
+            v, s = v * n + c * s, s * f[-1]
+        if v == 0:
+            out.append(Fraction(n, f[-1]))
     return sorted(out)
 
 

@@ -246,15 +246,15 @@ class LaurentPoly2:
 class LaurentMatrix:
     """A rectangular matrix of Laurent polynomials with labeled rows/columns.
 
-    Never changed after construction: `samples` keeps the sample grid it
-    builds on its first call, which a change to rows, cols or entries
+    Never changed after construction: `samples` and `elimination` keep what
+    they build on their first call, which a change to rows, cols or entries
     would leave stale."""
 
     def __init__(self, rows, cols, entries):
         self.rows = list(rows)
         self.cols = list(cols)
         self.entries = {}
-        self._samples = None
+        self._samples = self._elimination = None
         zero = LaurentPoly2.zero()          # one for all cells: nothing mutates terms
         for r in self.rows:
             for c in self.cols:
@@ -277,12 +277,23 @@ class LaurentMatrix:
             self._samples = grid, lows, real
         return self._samples
 
+    def elimination(self):
+        """(elimination, scales): the _Elimination of the rows of this exact
+        square matrix cleared of denominators, and the row scales [L_r] of
+        _int_rows, built on the first call and kept: lm_determinant and every
+        lm_adjugate_lines call on the matrix share one elimination."""
+        if self._elimination is None:
+            rows, scales = _int_rows([[self.entries[(r, c)] for c in self.cols]
+                                      for r in self.rows])
+            self._elimination = _Elimination(rows), scales
+        return self._elimination
+
 
 def lm_determinant(m):
     """Determinant of a square Laurent matrix, of any size.
 
-    Exact entries: fraction-free Bareiss elimination over Z[z^±1, w^±1]
-    on the rows cleared of their denominators (_int_rows, _det_int).
+    Exact entries: the matrix's one fraction-free elimination over
+    Z[z^±1, w^±1] of its rows cleared of denominators, m.elimination().
     Numeric entries: det lies in the exponent box summed from each row's
     exponent range, so it is evaluated on a grid of roots of unity covering
     that box (the matrix's one sample grid, m.samples(); batched LU) and
@@ -290,10 +301,9 @@ def lm_determinant(m):
     """
     if not m.is_square():
         raise DimensionError("determinant of a non-square matrix")
-    a = [[m.entries[(r, c)] for c in m.cols] for r in m.rows]
-    if all(e.exact for row in a for e in row):
-        rows, scales = _int_rows(a)
-        return _from_int(_det_int(rows), math.prod(scales))
+    if all(e.exact for e in m.entries.values()):
+        elim, scales = m.elimination()
+        return _from_int(elim.det, math.prod(scales))
     import numpy as np
     grid, lows, real = m.samples()
     shift = tuple(sum(lo[k] for lo in lows) for k in (0, 1))
@@ -335,15 +345,17 @@ def _cleared_powers(x, lo, hi):
     return dict(zip(range(lo, hi + 1), (a * b for a, b in zip(ps, reversed(qs)))))
 
 
-def _mul_sub(a, b, c, d):
-    """a*b - c*d for integer term dicts, without zero terms."""
-    out = {}
-    for p, q, sign in ((a, b, 1), (c, d, -1)):
+def _mul_sub(a, b, *pairs):
+    """a*b minus x*y for each pair (x, y), for integer term dicts, without
+    zero terms."""
+    out, sign = {}, 1
+    for p, q in ((a, b), *pairs):
         for (i1, j1), x in p.items():
             x *= sign
             for (i2, j2), y in q.items():
                 ij = (i1 + i2, j1 + j2)
                 out[ij] = out.get(ij, 0) + x * y
+        sign = -1
     return {ij: x for ij, x in out.items() if x}
 
 
@@ -383,35 +395,86 @@ def _divider(d):
     return divide
 
 
-def _det_int(a):
-    """Determinant of the square matrix a of integer term dicts, by Bareiss
-    elimination over Z[z^±1, w^±1] (Bareiss, Math. Comp. 1968): every
-    intermediate entry is a minor of a, so each division by the previous
-    pivot is exact. A zero pivot is swapped with the first nonzero entry
-    below it; an entry whose two products are zero stays zero, which skips
-    most of the work on a sparse Kasteleyn matrix. a is not changed."""
-    n = len(a)
-    if not n:
-        return {(0, 0): 1}
-    a = [list(row) for row in a]
-    sign, divide = 1, None
-    for k in range(n - 1):
-        if not a[k][k]:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return {}
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        top, pivot = a[k], a[k][k]
-        for i in range(k + 1, n):
-            row, lead = a[i], a[i][k]
-            for j in range(k + 1, n):
-                if row[j] or lead and top[j]:
-                    num = _mul_sub(row[j], pivot, lead, top[j])
-                    row[j] = divide(num) if divide else num
-        divide = _divider(pivot)
-    det = a[-1][-1]
-    return det if sign > 0 else {ij: -x for ij, x in det.items()}
+class _Elimination:
+    """One fraction-free elimination of the square matrix a of integer term
+    dicts over Z[z^±1, w^±1] (Bareiss, Math. Comp. 1968), pivoting on rows
+    and columns: a nonzero diagonal entry, else the first nonzero entry
+    below it, else the first in a later column. Every entry made is a minor
+    of a, so each division by the previous pivot is exact; an entry whose
+    two products are zero stays zero, which skips most of the work on a
+    sparse Kasteleyn matrix. a is not changed.
+
+    Kept, for A = a with rows in the order `rows` and columns in the order
+    `cols`: the packed factors u (on and above the diagonal the pivot rows,
+    below it the entries each step eliminated), the pivots (1 first) with
+    their dividers, the rank, the sign of the two orders and det a. The
+    elimination of A^T has the transposed factors and the same pivots, so
+    the rows of adj a come from the same factors as its columns."""
+
+    def __init__(self, a):
+        n = self.n = len(a)
+        u = self.u = [list(row) for row in a]
+        rows, cols = self.rows, self.cols = list(range(n)), list(range(n))
+        self.pivots, self.divides, self.rank, sign = [{(0, 0): 1}], [], n, 1
+        for k in range(n):
+            at = next(((i, j) for j in range(k, n) for i in range(k, n) if u[i][j]), None)
+            if at is None:
+                self.rank = k
+                break
+            i, j = at
+            if i != k:
+                u[k], u[i], rows[k], rows[i], sign = u[i], u[k], rows[i], rows[k], -sign
+            if j != k:
+                for row in u:
+                    row[k], row[j] = row[j], row[k]
+                cols[k], cols[j], sign = cols[j], cols[k], -sign
+            top, pivot = u[k], u[k][k]
+            divide = self.divides[-1] if k else None
+            for i in range(k + 1, n):
+                row, lead = u[i], u[i][k]
+                for j in range(k + 1, n):
+                    if row[j] or lead and top[j]:
+                        num = _mul_sub(row[j], pivot, (lead, top[j]))
+                        row[j] = divide(num) if divide else num
+            self.pivots.append(pivot)
+            self.divides.append(_divider(pivot))
+        self.sign = sign
+        det = self.pivots[-1] if self.rank == n else {}
+        self.det = det if sign > 0 else {ij: -x for ij, x in det.items()}
+
+    def adjugate(self, i, transpose=False):
+        """Column i of adj a, or row i when `transpose`, as a list by index.
+
+        Column k of adj A solves A x = det(A) e_k: the elimination's steps
+        replayed on e_k (its entries before k stay zero, and entry k becomes
+        the pivot before step k), then a fraction-free back substitution
+        (Nakos, Turner and Williams 1997), each division exact by a pivot.
+        At rank n - 1 det A = 0, and no zero pivot is divided by; below it
+        adj a = 0. Entry l of that column is sign times entry (cols[l], i)
+        of adj a; rows come the same way from A^T."""
+        n = self.n
+        if self.rank < n - 1:
+            return [{}] * n
+        if transpose:
+            u, k, order = [list(c) for c in zip(*self.u)], self.cols.index(i), self.rows
+        else:
+            u, k, order = self.u, self.rows.index(i), self.cols
+        x, p, div = [{}] * n, self.pivots, self.divides
+        x[k] = p[k]
+        for t in range(k, n - 1):
+            for r in range(t + 1, n):
+                lead = u[r][t]
+                if x[r] or lead and x[t]:
+                    num = _mul_sub(x[r], p[t + 1], (lead, x[t]))
+                    x[r] = div[t - 1](num) if t else num
+        d = p[n] if self.rank == n else {}
+        for t in range(n - 2, -1, -1):
+            row = u[t]
+            x[t] = div[t](_mul_sub(d, x[t], *((row[j], x[j]) for j in range(t + 1, n) if row[j])))
+        out = [None] * n
+        for c, e in zip(order, x):
+            out[c] = e if self.sign > 0 else {ij: -v for ij, v in e.items()}
+        return out
 
 
 def _sample_grid(a):
@@ -578,27 +641,25 @@ def lm_adjugate_lines(m, columns=(), rows=()):
     entry}. Returns (the columns, the rows), two lists. Entry (c, r) is the
     signed (n-1)-minor of m without row r and column c.
 
-    Exact entries: m is cleared of denominators once (_int_rows), and each
-    minor is a _det_int of the shared rows, divided by the product of their
-    L_r. Numeric entries: every requested line from the one sample grid
-    of m, m.samples(), that lm_determinant also reads, and one Householder
-    QR per sample (_adjugate_qr), read out as lm_determinant reads det."""
+    Exact entries: every requested line from the one elimination of m,
+    m.elimination(), that lm_determinant also reads (_Elimination.adjugate),
+    each entry (c, r) of the cleared rows divided by the product of their
+    L_r other than L_r. Numeric entries: every requested line from the one
+    sample grid of m, m.samples(), that lm_determinant also reads, and one
+    Householder QR per sample (_adjugate_qr), read out as lm_determinant
+    reads det."""
     if not m.is_square():
         raise DimensionError("adjugate of a non-square matrix")
     ci = [m.rows.index(r) for r in columns]
     rj = [m.cols.index(c) for c in rows]
-    a = [[m.entries[(r, c)] for c in m.cols] for r in m.rows]
     if all(e.exact for e in m.entries.values()):
-        int_rows, scales = _int_rows(a)
+        elim, scales = m.elimination()
         scale = math.prod(scales)
-
-        def entry(i, j):
-            minor = [r[:j] + r[j + 1:] for k, r in enumerate(int_rows) if k != i]
-            return _from_int(_det_int(minor), (-1) ** (i + j) * (scale // scales[i]))
-
-        lines = ([[entry(i, j) for j in range(len(a))] for i in ci],
-                 [[entry(i, j) for i in range(len(a))] for j in rj])
+        lines = ([[_from_int(e, scale // scales[i]) for e in elim.adjugate(i)] for i in ci],
+                 [[_from_int(e, scale // s)
+                   for e, s in zip(elim.adjugate(j, transpose=True), scales)] for j in rj])
     else:
+        a = [[m.entries[(r, c)] for c in m.cols] for r in m.rows]
         lines = _adjugate_qr(a, m.samples(), ci, rj)
     return ([dict(zip(m.cols, col)) for col in lines[0]],
             [dict(zip(m.rows, row)) for row in lines[1]])
@@ -607,7 +668,7 @@ def lm_adjugate_lines(m, columns=(), rows=()):
 def lm_adjugate(m):
     """Adjugate (transposed cofactor matrix): m @ adj(m) == det(m) * I,
     singular m included. Every column from one lm_adjugate_lines call, so
-    in numeric mode from the one sample grid of m."""
+    from the one elimination or the one sample grid of m."""
     cols = lm_adjugate_lines(m, m.rows)[0]
     return LaurentMatrix(m.cols, m.rows,
                          {(c, r): v for r, col in zip(m.rows, cols) for c, v in col.items()})

@@ -251,14 +251,18 @@ def _delta_to_y(model, fid):
     # opposite verts[i] is the edge of orbit[i+1]
     xs = deltay_x_map(*(model.couplings[g.darts[orbit[(i + 1) % 3]].edge].x
                         for i in range(3)))
-    center = f"dy_{fid}"
+    # face ids are renumbered by every edit, so dy_<fid> may be taken by the
+    # centre of an earlier move: then the first free dy_<fid>_<k>, k >= 1
+    center, names, k = f"dy_{fid}", [f"dyleg_{fid}_{i}" for i in range(3)], 0
+    while center in g.colors or any(name in g.edge_ends for name in names):
+        k += 1
+        center, names = f"dy_{fid}_{k}", [f"dyleg_{fid}_{k}_{i}" for i in range(3)]
     triangle = [g.darts[d].edge for d in orbit]
     # leg i runs from the center to verts[i]; leg_i - leg_j is the old
     # triangle walk from verts[j] to verts[i]. The center sits inside the
     # ccw triangle, so its rotation lists the legs in the order of verts.
     (dx0, dy0), (dx1, dy1) = g.disp(orbit[0]), g.disp(orbit[1])
     disps = [(0, 0), (dx0, dy0), (dx0 + dx1, dy0 + dy1)]
-    names = [f"dyleg_{fid}_{i}" for i in range(3)]
     edges = [(name, center, u, dx, dy) for name, u, (dx, dy) in zip(names, verts, disps)]
     # the two triangle darts at a corner are neighbours in its rotation; the
     # leg takes the place of the first one listed

@@ -291,7 +291,7 @@ class TestSquareMove:
     def test_routes_match_hop_table(self, fixture, lattice):
         # every hop corner -> old black -> corner of the square against the
         # literal table of the twelve routes; a hop back to its own corner
-        # has none
+        # along the same edge is a spur, cancelled before routing
         if lattice == "fixture":
             (g, wt), f = fixture, "f2"
         else:
@@ -324,8 +324,7 @@ class TestSquareMove:
                     walk = [kept, g.twin(into), out]
                     key = (g.head(into), B, g.head(out))
                     if into == out:
-                        with pytest.raises(MoveError, match="cannot transport hop"):
-                            rec.reroute(walk)
+                        assert rec.reroute(walk) == [kept]
                     else:
                         assert rec.reroute(walk) == [kept] + table[key]
                         hops += 1
@@ -404,6 +403,52 @@ class TestSquareMove:
                 break
             else:
                 pytest.fail("no face admits a square move")
+
+    def test_spur_in_a_cycle_reroutes(self):
+        # cycle a of the square 2x2 gadget graph passes W_p10_2, a corner of
+        # square f1; a spur there, out along the square's other side dart
+        # and back, leaves X as it is, and after the square move at f1 the
+        # rerouted cycle has the X of the rerouted spur-free one
+        gi = square(2, 2)
+        g, wt, gm = to_dimer(IsingModel(gi, pythagorean_couplings(gi, 3)))
+        assert gm.squares["h00"] == "f1"
+        a = XBasis.of(g).cycles["a"]
+        k = a.index("c_h00--")
+        assert g.tail("c_h00--") == "W_p10_2" and {"c_h00--", "s_h00-+"} <= set(g.face_darts("f1"))
+        spur = a[:k] + ["s_h00--", "s_h00-+"] + a[k:]
+        assert x_of_cycle(g, wt, spur) == x_of_cycle(g, wt, a)
+        g2, wt2, rec = square_move(g, wt, "f1")
+        assert x_of_cycle(g2, wt2, rec.reroute(spur)) == x_of_cycle(g2, wt2, rec.reroute(a))
+        # the same spur at the walk's seam, split between its last and first dart
+        seam = ["s_h00-+"] + a[k:] + a[:k] + ["s_h00--"]
+        assert x_of_cycle(g2, wt2, rec.reroute(seam)) == x_of_cycle(g2, wt2, rec.reroute(a))
+
+    @pytest.mark.parametrize("seed", [19, 33])
+    def test_single_moves_keep_the_cycles(self, seed):
+        # single square moves and colour changes on the honeycomb 2x2 gadget
+        # graph: within 40 steps of both seeds rerouting leaves a cycle that
+        # passes a corner and comes straight back, and a later move at that
+        # square must still route it. The carried a and b stay closed walks
+        # of their class
+        gi = honeycomb(2, 2)
+        g, wt, _ = to_dimer(IsingModel(gi, pythagorean_couplings(gi, 3)))
+        rng, basis = random.Random(seed), XBasis.of(g)
+        classes = {k: g.cycle_displacement(c) for k, c in basis.cycles.items()}
+        for _ in range(40):
+            if rng.random() < 0.2:
+                g, wt = color_change(g, wt)
+                continue
+            quads = [f for f, orbit in g.faces() if len(orbit) == 4]
+            rng.shuffle(quads)
+            for f in quads:
+                try:
+                    g, wt, rec = square_move(g, wt, f)
+                except MoveError:
+                    continue
+                basis = basis.follow(rec)
+                break
+            assert {k: g.cycle_displacement(c) for k, c in basis.cycles.items()} == classes
+            assert all(type(x) is Fraction for x in basis.values(g, wt, []).values())
 
     def test_cost_is_local(self, monkeypatch):
         # one square move and one XBasis.follow on the square 2x2, 4x4 and

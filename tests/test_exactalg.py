@@ -13,6 +13,8 @@ from isingdimer.exactalg import (
     NUMERIC_ZERO_TOL,
     NewtonPolygon,
     _divider,
+    _from_int,
+    _int_rows,
     _interpolate,
     _mul_sub,
     lm_adjugate,
@@ -119,6 +121,71 @@ def reference_minor(grid, i, j):
     rest = [row[:j] + row[j + 1:] for row in grid[:i] + grid[i + 1:]]
     minor = reference_det_bareiss(rest) if rest else ONE
     return -minor if (i + j) % 2 else minor
+
+
+def reference_det_int(a):
+    """Determinant of the square matrix a of integer term dicts, by Bareiss
+    elimination with row swaps only, one elimination per call; a is not
+    changed."""
+    n = len(a)
+    if not n:
+        return {(0, 0): 1}
+    a = [list(row) for row in a]
+    sign, divide = 1, None
+    for k in range(n - 1):
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return {}
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        top, pivot = a[k], a[k][k]
+        for i in range(k + 1, n):
+            row, lead = a[i], a[i][k]
+            for j in range(k + 1, n):
+                if row[j] or lead and top[j]:
+                    num = _mul_sub(row[j], pivot, (lead, top[j]))
+                    row[j] = divide(num) if divide else num
+        divide = _divider(pivot)
+    det = a[-1][-1]
+    return det if sign > 0 else {ij: -x for ij, x in det.items()}
+
+
+def minors_lines(m, columns=(), rows=()):
+    """lm_adjugate_lines of an exact m by its minors: entry (c, r) is the
+    reference_det_int of the rows of m cleared of denominators without row r
+    and column c, signed, over the product of their L_r other than L_r."""
+    a = [[m[(r, c)] for c in m.cols] for r in m.rows]
+    int_rows, scales = _int_rows(a)
+    scale = math.prod(scales)
+
+    def entry(i, j):
+        minor = [r[:j] + r[j + 1:] for k, r in enumerate(int_rows) if k != i]
+        return _from_int(reference_det_int(minor), (-1) ** (i + j) * (scale // scales[i]))
+
+    n = len(a)
+    return ([dict(zip(m.cols, (entry(m.rows.index(r), j) for j in range(n)))) for r in columns],
+            [dict(zip(m.rows, (entry(i, m.cols.index(c)) for i in range(n)))) for c in rows])
+
+
+@st.composite
+def ranked_int_matrices(draw):
+    """Square matrices of integer Laurent entries, n from 1 to 5, about half
+    the entries zero (zero pivots, zero rows and columns), and rank n, n - 1
+    or at most n - 2: the lines of the deficient rank are combinations, by
+    monomials, of the lines before them, as rows or as columns."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just({}), int_polys(1)).map(LaurentPoly2)
+    grid = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    monomial = st.builds(LaurentPoly2.monomial, st.integers(-1, 1), st.integers(-1, 1),
+                         st.integers(-3, 3).filter(bool))
+    for k in draw(st.permutations(range(1, n)))[:draw(st.integers(0, 2))]:
+        mix = [draw(monomial) if draw(st.booleans()) else LaurentPoly2.zero() for _ in range(k)]
+        grid[k] = [sum((x * grid[i][j] for i, x in enumerate(mix)), LaurentPoly2.zero())
+                   for j in range(n)]
+    if draw(st.booleans()):
+        grid = [list(col) for col in zip(*grid)]
+    return _matrix(range(n), range(n), grid)
 
 
 class TestMul:
@@ -385,6 +452,79 @@ class TestIntegerKernel:
             for c in K.cols:
                 acc = acc + K[(rr, c)] * col[c]
             assert acc == (det if rr == r else LaurentPoly2.zero())
+
+
+class TestElimination:
+    """The exact determinant and adjugate lines from one kept elimination,
+    against the minors: each entry its own Bareiss determinant."""
+
+    @given(ranked_int_matrices())
+    @example(_grid_matrix([[ONE, ONE, ONE], [ONE, ONE, ONE], [Z, W, ONE]]))
+    @example(_grid_matrix([[LaurentPoly2.zero()] * 2, [LaurentPoly2.zero(), Z]]))
+    @example(_grid_matrix([[LaurentPoly2.zero()] * 2] * 2))
+    @settings(max_examples=150, deadline=None)
+    def test_lines_equal_minors(self, m):
+        want_cols, want_rows = minors_lines(m, m.rows, m.cols)
+        assert lm_adjugate_lines(m, m.rows, m.cols) == (want_cols, want_rows)
+        assert lm_adjugate(m).entries == {(c, r): col[c] for r, col in zip(m.rows, want_cols)
+                                          for c in m.cols}
+        a = [[m[(r, c)] for c in m.cols] for r in m.rows]
+        rows, scales = _int_rows(a)
+        assert lm_determinant(m) == _from_int(reference_det_int(rows), math.prod(scales))
+
+    @given(laurent_grids(4))
+    @kernel_examples
+    @settings(max_examples=40, deadline=None)
+    def test_rational_lines_equal_minors(self, grid):
+        # denominators that differ within a row: each entry's own rescaling
+        m = _grid_matrix(grid)
+        cols, rows = lm_adjugate_lines(m, m.rows[::-1], m.cols[1:])
+        assert (cols, rows) == minors_lines(m, m.rows[::-1], m.cols[1:])
+
+    def test_rank_is_kept(self):
+        # rank n - 1: det 0 and a nonzero adjugate; rank n - 2: adjugate 0
+        for grid, rank in (([[1, 2, 3], [2, 4, 6], [Z, W, 1]], 2),
+                           ([[Z, W, 1], [2 * Z, 2 * W, 2], [-1 * Z, -1 * W, -1]], 1)):
+            m = _matrix("abc", "xyz", grid)
+            assert m.elimination()[0].rank == rank
+            cols, rows = lm_adjugate_lines(m, m.rows, m.cols)
+            assert (cols, rows) == minors_lines(m, m.rows, m.cols)
+            assert any(not e.is_zero() for line in cols for e in line.values()) == (rank == 2)
+
+    @pytest.mark.parametrize("case", [16, "honeycomb 2x2"])
+    def test_gadget_kasteleyn(self, case):
+        K = gadget_kasteleyn(case)[0]
+        n = len(K.rows)
+        assert n == {16: 16, "honeycomb 2x2": 24}[case]
+        rs, cs = [K.rows[0], K.rows[n // 3]], [K.cols[1], K.cols[-1]]
+        assert lm_adjugate_lines(K, rs, cs) == minors_lines(K, rs, cs)
+        a = [[K[(r, c)] for c in K.cols] for r in K.rows]
+        rows, scales = _int_rows(a)
+        assert lm_determinant(K) == _from_int(reference_det_int(rows), math.prod(scales))
+
+    def test_one_elimination_per_matrix(self, monkeypatch):
+        # det and any columns and rows of one exact matrix: one elimination,
+        # of the whole matrix, whatever is asked and in any order; another
+        # matrix makes its own
+        import isingdimer.exactalg as exactalg
+        sizes, elimination = [], exactalg._Elimination
+        monkeypatch.setattr(exactalg, "_Elimination",
+                            lambda a: sizes.append(len(a)) or elimination(a))
+        for first in ("det", "rows", "columns"):
+            K, _ = gadget_kasteleyn(12)
+            sizes.clear()
+            if first == "rows":
+                lm_adjugate_lines(K, (), K.cols[:2])
+            elif first == "columns":
+                lm_adjugate_lines(K, K.rows[3:5])
+            lm_determinant(K)
+            lm_adjugate_lines(K, K.rows[:1], K.cols[:1])
+            lm_adjugate(K)
+            lm_determinant(K)
+            assert sizes == [12]
+        lm_determinant(gadget_kasteleyn(12)[0])
+        assert sizes == [12, 12]
+        assert not hasattr(exactalg, "_det_int")
 
 
 def _sympy_matrix(sympy, grid):
@@ -972,9 +1112,9 @@ class TestDivexact:
     @given(int_polys(), int_polys(min_size=1))
     @settings(max_examples=60, deadline=None)
     def test_product_division(self, p, q):
-        prod = _mul_sub(p, q, {}, {})
+        prod = _mul_sub(p, q)
         assert _divider(q)(prod) == p
-        assert _divider(q)(_mul_sub(p, q, q, p)) == {}
+        assert _divider(q)(_mul_sub(p, q, (q, p))) == {}
 
     @given(int_polys(), int_polys(min_size=1), st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
            st.integers(1, 8))
@@ -985,7 +1125,7 @@ class TestDivexact:
         # divides c, so q is scaled to make sure it does not
         if len(q) == 1:
             q = {k: 9 * v for k, v in q.items()}
-        prod = _mul_sub(p, q, {}, {})
+        prod = _mul_sub(p, q)
         prod[ij] = prod.get(ij, 0) + c
         prod = {k: v for k, v in prod.items() if v}
         with pytest.raises(ArithmeticError):

@@ -418,6 +418,30 @@ class TestYDeltaEdit:
         y_delta(result, "f:" + tri[0])
         assert calls == {"edit": 2, "init": 2, "freeze": 0}
 
+    def test_delta_to_y_takes_a_free_name(self):
+        # honeycomb 2x2: Y -> triangle at the four u vertices, then triangle
+        # -> Y at f0, f3, f4 and f4 again. Every edit renumbers the faces, so
+        # the fourth triangle is named f4 too while dy_f4 is taken: its
+        # centre is dy_f4_1 with legs dyleg_f4_1_<i>, the first three keep
+        # dy_<fid> and dyleg_<fid>_<i>, and the legs carry the x of the map
+        g = honeycomb(2, 2)
+        model = IsingModel(g, {e: make_coupling(x=Fraction(k, 2 * k + 3))
+                               for k, e in enumerate(g.edges(), 1)})
+        for v in ("u00", "u01", "u10", "u11"):
+            model = y_delta(model, v)
+        for fid, center in (("f0", "dy_f0"), ("f3", "dy_f3"), ("f4", "dy_f4"), ("f4", "dy_f4_1")):
+            gf = model.graph
+            orbit = gf.face_darts(fid)
+            xs = deltay_x_map(*(model.couplings[gf.darts[orbit[(i + 1) % 3]].edge].x
+                                for i in range(3)))
+            model = y_delta(model, "f:" + fid)
+            legs = [f"dyleg{center[2:]}_{i}" for i in range(3)]
+            assert [d[:-1] for d in model.graph.rotation[center]] == legs
+            assert tuple(model.couplings[e].x for e in legs) == xs
+        assert sorted(v for v in model.graph.colors if v.startswith("dy")) == \
+            ["dy_f0", "dy_f3", "dy_f4", "dy_f4_1"]
+        IsingModel(model.graph.freeze(), model.couplings)
+
     def test_moved_model_is_not_validated_again(self, monkeypatch):
         # the edit checked what it changed; IsingModel keeps that verdict,
         # and validates a graph that has not been checked

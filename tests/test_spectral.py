@@ -560,6 +560,31 @@ class TestRoots:
         assert want == sorted({r for r in roots if r != 0})
         assert _rational_zeros(f) == want
 
+    @given(st.lists(st.tuples(st.integers(1, 2 ** 24), st.integers(-2 ** 24, 2 ** 24),
+                              st.integers(1, 3)), max_size=4),
+           st.booleans(), st.integers(0, 2), st.integers(1, 2 ** 200),
+           st.integers(1, 2 ** 40))
+    @settings(max_examples=30, deadline=None)
+    def test_rational_zeros_of_tall_polynomials(self, linear, quadratic, zero, content, den):
+        # products of (p x - q)^k and maybe an irreducible quadratic, to
+        # degree 8 with repeated roots, times x^zero and a content of up to
+        # 200 bits over a 40-bit denominator: the roots against sympy's
+        sympy = pytest.importorskip("sympy")
+        from isingdimer.divisor import _rational_zeros
+        x = sympy.symbols("x")
+        f, degree, roots = sympy.Rational(content, den) * x ** zero, zero, set()
+        for p, q, k in linear:
+            if degree + k <= 8:
+                f, degree = f * (p * x - q) ** k, degree + k
+                roots |= {Fraction(q, p)} - {0}
+        if quadratic and degree <= 6:
+            f *= (2 ** 23 + 1) * x ** 2 - 3 * x + 2 ** 22
+        poly = sympy.Poly(sympy.expand(f), x)
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+        want = sorted(Fraction(int(r.p), int(r.q)) for r in poly.ground_roots() if r != 0)
+        assert want == sorted(roots)
+        assert _rational_zeros(coeffs) == want
+
     @pytest.mark.parametrize("case", ["double root", "irreducible quadratic", "above 2^80"])
     def test_rational_zeros_against_sympy(self, case):
         sympy = pytest.importorskip("sympy")
