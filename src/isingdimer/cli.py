@@ -77,8 +77,21 @@ def _need_weights(weights, g, mode):
     return weights, "exact"
 
 
+def _sign_class(sign):
+    """The Kasteleyn sign class (s, t) that a --sign value names: ++, +-, -+
+    or --, or the same in letters, p for + and m for -. argparse reads a
+    bare -- as the end of the options, and --sign=-- as no value (a list),
+    so the class -- is selectable only as mm."""
+    label = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1), "pp": (1, 1),
+             "pm": (1, -1), "mp": (-1, 1), "mm": (-1, -1)}.get(sign) if isinstance(sign, str) else None
+    if label is None:
+        got = repr(sign) if isinstance(sign, str) else "no value"
+        raise CliError(f"--sign takes ++, +-, -+, --, pp, pm, mp or mm (the class -- as mm), got {got}")
+    return label
+
+
 def _pick_kappa(g, sign):
-    label = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}[sign]
+    label = _sign_class(sign)
     try:
         return dict(solve_kasteleyn_signs(g))[label]
     except SpectralError as exc:
@@ -304,7 +317,8 @@ def build_parser():
         if "tol" in options:
             p.add_argument("--tol", type=float, default=1e-8)
         if "sign" in options:
-            p.add_argument("--sign", choices=("++", "+-", "-+", "--"), default="++")
+            p.add_argument("--sign", default="++", metavar="{++,+-,-+,--,pp,pm,mp,mm}",
+                           help="Kasteleyn sign class; p is +, m is - (write -- as mm)")
 
     p = sub.add_parser("inspect");           common(p); p.set_defaults(fn=cmd_inspect)
     p = sub.add_parser("todimer");           common(p)
@@ -333,10 +347,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        # the verbs with --tol need a finite tolerance above 0, checked
-        # before the graph is read; nan fails the comparison
+        # the verbs with --tol need a finite tolerance above 0, and those
+        # with --sign a sign class, checked before the graph is read; nan
+        # fails the comparison
         if not 0 < getattr(args, "tol", 1) < math.inf:
             raise CliError(f"--tol must be finite and greater than 0, got {args.tol}")
+        _sign_class(getattr(args, "sign", "++"))
         return args.fn(args)
     except tuple(EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -48,22 +48,27 @@ def basis_x_values(g, wt):
 class XBasis:
     """The faces and the homology cycles a, b of a graph, carried through a
     sequence of moves: each face of the first graph is kept as the smallest
-    dart of the face it has become. `follow` takes one MoveRecord, `x`
-    evaluates X of one of them on the graph reached."""
+    dart of the face it has become, with the inverse index from that dart to
+    the face. `follow` takes one MoveRecord, `x` evaluates X of one of them
+    on the graph reached."""
 
-    def __init__(self, roots, cycles):
-        self.roots, self.cycles = roots, cycles
+    def __init__(self, roots, keys, cycles):
+        self.roots, self.keys, self.cycles = roots, keys, cycles
 
     @classmethod
     def of(cls, g):
-        return cls({fid: orbit[0] for fid, orbit in g.faces()},
+        roots = {fid: orbit[0] for fid, orbit in g.faces()}
+        return cls(roots, {r: k for k, r in roots.items()},
                    dict(zip("ab", map(list, g.homology_basis_cycles()))))
 
     def follow(self, rec):
-        """The basis after the move that `rec` records."""
-        moved = rec.data["roots"]
-        return XBasis({k: moved.get(r, r) for k, r in self.roots.items()},
-                      {k: rec.reroute(c) for k, c in self.cycles.items()})
+        """The basis after the move that `rec` records; only the faces whose
+        smallest dart the move maps are rewritten."""
+        roots, keys = self.roots.copy(), self.keys.copy()
+        moved = [(keys.pop(r), new) for r, new in rec.data["roots"].items() if r in keys]
+        for k, new in moved:
+            roots[k], keys[new] = new, k
+        return XBasis(roots, keys, {k: rec.reroute(c) for k, c in self.cycles.items()})
 
     def x(self, g, wt, key):
         """X on g of face `key` of the first graph, or of cycle "a" or "b"."""
@@ -146,8 +151,7 @@ def square_move(g, wt, fid):
             name = f"{base}.{k}"
         return name
 
-    # the new blacks take the names of the removed ones
-    nb1, nb2 = B1, B2
+    # the blacks keep their names and vertex records; their edges change
     pA1 = fresh(f"{fid}_pA")   # B_A' - m1 pendant
     pB3 = fresh(f"{fid}_pB")   # B_B' - m3 pendant
     eA2 = fresh(f"{fid}_a2")   # B_A' - m2, weight d/delta
@@ -156,9 +160,9 @@ def square_move(g, wt, fid):
     eB4 = fresh(f"{fid}_b4")   # B_B' - m4, weight b/delta
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = k0.disp, k1.disp, k2.disp, k3.disp
     (u1, v1), (u2, v2) = kp1.disp, kp2.disp
-    edges = [(pA1, nb1, m1, -x3, -y3), (eA2, nb1, m2, u1, v1),
-             (eA4, nb1, m4, u2 - x3 - x2, v2 - y3 - y2), (pB3, nb2, m3, -x1, -y1),
-             (eB2, nb2, m2, u1 - x1 - x0, v1 - y1 - y0), (eB4, nb2, m4, u2, v2)]
+    edges = [(pA1, B1, m1, -x3, -y3), (eA2, B1, m2, u1, v1),
+             (eA4, B1, m4, u2 - x3 - x2, v2 - y3 - y2), (pB3, B2, m3, -x1, -y1),
+             (eB2, B2, m2, u1 - x1 - x0, v1 - y1 - y0), (eB4, B2, m4, u2, v2)]
     removed_edges = {e0, e1, e2, e3, q1, q2}
     new_wt = wt.copy()
     for e in removed_edges:
@@ -169,17 +173,14 @@ def square_move(g, wt, fid):
     # the pendant darts to the pairs of new diagonals
     swap = {d1: [pB3 + "-"], k0.twin: [], d3: [pA1 + "-"], k2.twin: [],
             kp1.twin: [eB2 + "-", eA2 + "-"], kp2.twin: [eA4 + "-", eB4 + "-"]}
-    rotations = {nb1: [pA1 + "+", eA2 + "+", eA4 + "+"],
-                 nb2: [pB3 + "+", eB4 + "+", eB2 + "+"]}
+    rotations = {B1: [pA1 + "+", eA2 + "+", eA4 + "+"],
+                 B2: [pB3 + "+", eB4 + "+", eB2 + "+"]}
     for v in (m1, m2, m3, m4):
         rotations[v] = [x for d in g.rotation[v] for x in swap.get(d, (d,))]
-    gn = g.edit(drop_vertices=(B1, B2), drop_edges=(e0, e1, e2, e3, q1, q2),
-                vertices=[(nb1, "b", g.positions.get(B1)), (nb2, "b", g.positions.get(B2))],
-                edges=edges, rotations=rotations)
-    roots = _root_map(g, gn)
-    roots[min(orbit)] = gn.root_of(eA2 + "+")
+    gn = g.edit(drop_edges=(e0, e1, e2, e3, q1, q2), edges=edges, rotations=rotations)
+    roots = {**gn.moved_roots, min(orbit): gn.root_of(eA2 + "+")}
 
-    # the new legs from each removed black's pendant corner to its side
+    # the new legs from each black's pendant corner to its side
     # corners m1 and m3, as (edge at the pendant corner, edge at the side)
     legs = {B1: (m2, {m3: (eB2, pB3), m1: (eA2, pA1)}),
             B2: (m4, {m3: (eB4, pB3), m1: (eA4, pA1)})}
@@ -235,7 +236,7 @@ def square_move(g, wt, fid):
 
     record = MoveRecord("square", g, gn, {
         "face": fid, "new_face": gn.face_of_dart(eA2 + "+"), "roots": roots,
-        "reroute": reroute, "new_blacks": (nb1, nb2),
+        "reroute": reroute, "new_blacks": (B1, B2),
         "corners": (m1, m2, m3, m4),
     })
     return gn, new_wt, record
@@ -290,21 +291,8 @@ def contraction_move(g, wt, v):
     def reroute(cycle):
         return [d for d in cycle if g.darts[d].edge not in (eA, eB)]
 
-    record = MoveRecord("contract", g, gn, {"roots": _root_map(g, gn), "reroute": reroute})
+    record = MoveRecord("contract", g, gn, {"roots": gn.moved_roots, "reroute": reroute})
     return gn, new_wt, record
-
-
-def _root_map(g, gn):
-    """The smallest dart of each face of g that the edit to gn traced again,
-    mapped to that of the face of gn through its first surviving dart; a
-    face that keeps no dart is left out."""
-    out, kept = {}, gn.darts
-    for r in gn.stale_roots:
-        for x in g.orbit(r):
-            if x in kept:
-                out[r] = gn.root_of(x)
-                break
-    return out
 
 
 def color_change(g, wt):

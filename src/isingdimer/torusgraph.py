@@ -14,6 +14,7 @@ its reversal partner.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from copy import copy
 from fractions import Fraction
 
 from .exactalg import NewtonPolygon
@@ -88,6 +89,7 @@ class TorusGraph:
         self._cycle_a = None
         self._cycle_b = None
         self._tree = None
+        self._uncolored = None        # vertices colored 'n', counted by validate() and kept by edits
         self._valid = False           # a validate() or a checked edit passed
 
     # -- construction -------------------------------------------------------
@@ -141,23 +143,15 @@ class TorusGraph:
                 moved.append(dart.twin)
         return moved
 
-    def _shared(self):
-        """A graph with dicts of its own (dict.copy(), fast also after deletions)
-        that shares the Dart objects and rotation lists of self; no caches."""
-        g = TorusGraph()
-        g.colors, g.positions = self.colors.copy(), self.positions.copy()
-        g.darts, g.edge_ends = self.darts.copy(), self.edge_ends.copy()
-        g.rotation, g._next, g._prev = self.rotation.copy(), self._next.copy(), self._prev.copy()
-        return g
-
     def color_swapped(self):
-        """The graph with black and white exchanged. Faces, homology cycles
-        and the validity verdict do not depend on color and are kept; the
+        """The graph with black and white exchanged, a shallow copy: it
+        shares every dict of self but the colors, as a graph is not changed
+        after validation. Faces, homology cycles, the uncolored count and
+        the validity verdict do not depend on color and are kept; the
         zig-zag paths are not."""
-        g = self._shared()
-        g.colors = {v: {"b": "w", "w": "b"}.get(c, c) for v, c in self.colors.items()}
-        g._orbit, g._root, g._ranks, g._faces = self._orbit, self._root, self._ranks, self._faces
-        g._cycle_a, g._cycle_b, g._valid = self._cycle_a, self._cycle_b, self._valid
+        g, swap = copy(self), {"b": "w", "w": "b"}.get
+        g.colors = {v: swap(c, c) for v, c in self.colors.items()}
+        g._zigzags = g._tree = None
         return g
 
     # -- elementary queries --------------------------------------------------
@@ -295,7 +289,7 @@ class TorusGraph:
         V, E, F = len(self.colors), len(self.edge_ends), len(self._ranks)
         if V - E + F != 0:
             raise GraphError(f"Euler characteristic {V - E + F} != 0 (V={V} E={E} F={F})")
-        if "n" not in self.colors.values():
+        if not self._uncolored:
             for e in edges:
                 v1, v2, _, _ = self.edge_ends[e]
                 if self.colors[v1] == self.colors[v2]:
@@ -326,13 +320,14 @@ class TorusGraph:
             raise GraphError(f"graph is not connected: {parts} components")
 
         faces = self.faces()
+        self._uncolored = list(self.colors.values()).count("n")
         self._check_faces(self._ranks, self.edge_ends)
         self._valid = True
         V, E, F = len(self.colors), len(self.edge_ends), len(faces)
         return {
             "V": V, "E": E, "F": F, "euler": V - E + F,
             "faces": {fid: len(orbit) for fid, orbit in faces},
-            "bipartite": "n" not in self.colors.values(),
+            "bipartite": not self._uncolored,
         }
 
     def ensure_valid(self):
@@ -349,32 +344,46 @@ class TorusGraph:
         `rotations` (vertex -> ccw dart ids) at the touched vertices. An
         edge may be dropped and added again under its id with new ends.
 
-        self is not changed; the new graph shares its other Dart objects and
-        rotation lists. Successor maps are patched at the touched vertices,
-        and only the faces through darts whose face successor changed are
-        traced again: their smallest darts in self, `stale_roots`, leave the
-        sorted face ranks and the new ones go in, so face ids follow the rule
-        of `faces()`. The invariants of `validate()` are checked on what
+        self is not changed. The new graph shares the vertex dicts of self
+        when no vertex is dropped or added, the edge dicts when no edge is,
+        and its other Dart objects and rotation lists. Successor maps are
+        patched at the touched vertices, and only the faces through darts
+        whose face successor changed are traced again: their smallest darts
+        in self leave the sorted face ranks and the new ones go in, so face
+        ids follow the rule of `faces()`. The new graph's `moved_roots` maps
+        each of those old smallest darts to the smallest dart of the face of
+        its orbit's first dart that the new graph keeps (a face that keeps no
+        dart is left out). The invariants of `validate()` are checked on what
         changed, and the rest inherits them from self, which is validated
         first unless it already was. Raises GraphError.
         """
         self.ensure_valid()
         rotations = rotations or {}
-        g = self._shared()
+        g = TorusGraph()
+        g.colors, g.positions = ((self.colors.copy(), self.positions.copy())
+                                 if drop_vertices or vertices else (self.colors, self.positions))
+        g.darts, g.edge_ends = ((self.darts.copy(), self.edge_ends.copy())
+                                if drop_edges or edges else (self.darts, self.edge_ends))
+        g.rotation, g._next, g._prev = self.rotation.copy(), self._next.copy(), self._prev.copy()
         g._orbit, g._root, g._ranks = self._orbit.copy(), self._root.copy(), self._ranks.copy()
-        darts = g.darts
-        gone = [d for e in drop_edges for d in (e + "+", e + "-")]
+        darts, ends, gone, new, added = g.darts, g.edge_ends, [], [], []
         for e in drop_edges:
-            del g.edge_ends[e], darts[e + "+"], darts[e + "-"]
+            plus, minus = e + "+", e + "-"
+            del ends[e], darts[plus], darts[minus]
+            gone += plus, minus
+        uncolored, touched = self._uncolored, {*rotations, *drop_vertices}
         for v in drop_vertices:
-            del g.colors[v], g.rotation[v]
+            uncolored -= g.colors.pop(v) == "n"
+            del g.rotation[v]
             g.positions.pop(v, None)
         for v, color, pos in vertices:
             g.add_vertex(v, color, pos)
-        new = []
+            uncolored += color == "n"
+            touched.add(v)
         for e, v1, v2, dx, dy in edges:
             g.add_edge(e, v1, v2, dx, dy)
-            new += (e + "+", e + "-")
+            added.append(e)
+            new += e + "+", e + "-"
         for d in gone:
             if d not in darts:
                 del g._next[d], g._prev[d]
@@ -385,19 +394,23 @@ class TorusGraph:
             g.set_rotation(v, ds)
             changed.update(g._link(v))
 
-        # one pass over the dropped and added darts: a dart leaves its old
-        # tail and joins its new one unless both are the same vertex. _link
-        # put every listed dart at its vertex, so a rotation lists exactly its
-        # vertex's darts when it lists none twice and as many as it has.
+        # one pass over the ends of the dropped and added edges: an end
+        # leaves its old vertex and joins its new one unless both are the
+        # same. _link put every listed dart at its vertex, so a rotation
+        # lists exactly its vertex's darts when it lists none twice and as
+        # many as it has.
         problems, gain = g._twin_problems(new), {}
-        for ds, step, here, there in ((gone, -1, self.darts, darts), (new, 1, darts, self.darts)):
-            for d in ds:
-                v, other = here[d].vertex, there.get(d)
-                if other is None or other.vertex != v:
-                    gain[v] = gain.get(v, 0) + step
-        touched = {*rotations, *drop_vertices, *(v for v, _, _ in vertices)}
-        problems += [f"rotation at {v} does not list exactly its darts"
-                     for v in sorted(gain.keys() - touched)]
+        for es, step, here, there in ((drop_edges, -1, self.edge_ends, ends),
+                                      (added, 1, ends, self.edge_ends)):
+            for e in es:
+                v1, v2, _, _ = here[e]
+                w1, w2, _, _ = there.get(e, (None, None, None, None))
+                if v1 != w1:
+                    gain[v1] = gain.get(v1, 0) + step
+                if v2 != w2:
+                    gain[v2] = gain.get(v2, 0) + step
+        for v in sorted(gain.keys() - touched):
+            problems.append(f"rotation at {v} does not list exactly its darts")
         for v in sorted(touched):
             ds = g.rotation.get(v, ())
             if v in g.colors and not ds:
@@ -407,18 +420,24 @@ class TorusGraph:
         if problems:
             raise GraphError("; ".join(problems))
 
-        root_of, ranks = self._root, g._ranks
-        g.stale_roots = {root_of[d] for d in changed.union(gone) if d in root_of}
-        for r in g.stale_roots:
+        # the faces through changed or dropped darts leave. Only the changed
+        # and dropped darts lose their roots here: every kept dart of those
+        # faces lies on a new face through a changed dart, so the traces from
+        # the changed darts give it its new root
+        root_of, ranks, orbits, kept = g._root, g._ranks, g._orbit, {}
+        for r in {root_of.pop(d) for d in changed.union(gone) if d in root_of}:
             del ranks[bisect_left(ranks, r)]
-            for d in g._orbit.pop(r):
-                del g._root[d]
+            for d in orbits.pop(r):
+                if d in darts:
+                    kept[r] = d
+                    break
         roots = sorted(g._trace(changed))
         for r in roots:
             insort(ranks, r)
+        g.moved_roots = {r: root_of[d] for r, d in kept.items()}
+        g._uncolored = uncolored
         # old edges were checked for color only if self was colored
-        uncolored = any(self.colors[v] == "n" for v in drop_vertices)
-        g._check_faces(roots, g.edge_ends if uncolored else [d[:-1] for d in new[::2]])
+        g._check_faces(roots, ends if self._uncolored else added)
         g._valid = True
         return g
 

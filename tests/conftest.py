@@ -11,7 +11,7 @@ import pytest
 
 from isingdimer import lattices
 from isingdimer.abel import AbelLabel
-from isingdimer.dimer import MoveError, MoveRecord, _root_map, x_of_cycle
+from isingdimer.dimer import MoveError, MoveRecord, x_of_cycle
 from isingdimer.ising import make_coupling
 from isingdimer.torusgraph import GraphError, parse_torus_graph, serialize_torus_graph
 
@@ -182,7 +182,7 @@ def uncontraction_move(g, wt, v, arc_start, arc_len):
     new_wt = {**wt, e1: one, e2: one}
     record = MoveRecord("uncontract", g, gn, {
         "vertex": v, "parts": (v1, v2, mid),
-        "roots": _root_map(g, gn),
+        "roots": gn.moved_roots,
         "reroute": lambda cycle: list(cycle),
     })
     return gn, new_wt, record

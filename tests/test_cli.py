@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from fractions import Fraction
 
 import isingdimer
-from isingdimer.cli import main
+from isingdimer.cli import build_parser, main
 from isingdimer.dimer import XBasis
 from isingdimer.ising import IsingModel, make_coupling, to_dimer, y_delta
 from isingdimer.lattices import honeycomb, square
@@ -956,6 +956,53 @@ class TestTolerance:
                                                            p[1].real, p[1].imag))
         assert main(["divisor", gp, "--vertex", white, "--mode", "numeric"]) == 0
         assert capsys.readouterr().out == f"divisor {white} {d_w[len('divisor D_w '):]}\n"
+
+
+class TestSignClasses:
+    """--sign selects each of the four Kasteleyn sign classes, by symbols
+    where argparse keeps them and by letters (p for +, m for -) always."""
+
+    LETTERS = {"++": "pp", "+-": "pm", "-+": "mp", "--": "mm"}
+
+    @staticmethod
+    def extra(verb, gm):
+        return {"charpoly": [], "divisor": ["--vertex", "w2"], "amoeba": ["--grid", "4"],
+                "verify-ising": ["--vertex", "w2", "--gadget-map", gm]}[verb]
+
+    @pytest.mark.parametrize("verb", ["charpoly", "divisor", "verify-ising", "amoeba"])
+    def test_every_class(self, files, verb, capsys):
+        _, gp, _, gm = files
+        argv = [verb, gp, *self.extra(verb, gm)]
+        outs = []
+        for symbols, letters in self.LETTERS.items():
+            code = main(argv + ["--sign", letters])
+            got = capsys.readouterr()
+            assert code in (0, 1) and got.out and not got.err
+            # the verb run on the symbols, as the parser would pass them on
+            args = build_parser().parse_args(argv)
+            args.sign = symbols
+            assert (args.fn(args), capsys.readouterr()) == (code, got)
+            if symbols != "--":
+                assert (main(argv + [f"--sign={symbols}"]), capsys.readouterr()) == (code, got)
+            outs.append(got.out)
+        assert len(set(outs)) > 1
+
+    @pytest.mark.parametrize("verb", ["charpoly", "divisor", "verify-ising", "amoeba"])
+    @pytest.mark.parametrize("value,got", [("--sign=--", "no value"), ("--sign=xx", "'xx'"),
+                                           ("--sign=", "''"), ("--sign=m", "'m'")])
+    def test_a_value_that_names_no_class(self, files, verb, value, got, capsys):
+        _, gp, _, gm = files
+        assert main([verb, gp, *self.extra(verb, gm), value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: --sign takes ++, +-, -+, --, pp, pm, mp or mm "
+                                     f"(the class -- as mm), got {got}\n")
+
+    def test_a_bare_double_dash_is_a_usage_error(self, files, capsys):
+        _, gp, _, _ = files
+        with pytest.raises(SystemExit) as exc:
+            main(["charpoly", gp, "--sign", "--"])
+        assert exc.value.code == 2
+        assert "argument --sign: expected one argument" in capsys.readouterr().err
 
 
 class TestConsoleEntryPoint:

@@ -17,9 +17,9 @@ from isingdimer.dimer import (
     x_of_cycle,
 )
 from isingdimer.ising import (GadgetMap, IsingModel, _fraction_sqrt, couplings_from_file_data,
-                              make_coupling, to_dimer)
+                              make_coupling, to_dimer, y_delta)
 from isingdimer.lattices import honeycomb, square
-from isingdimer.torusgraph import GraphError, TorusGraph, parse_torus_graph
+from isingdimer.torusgraph import GraphError, TorusGraph, parse_torus_graph, serialize_torus_graph
 
 from conftest import (
     DIMER_FIXTURE,
@@ -452,12 +452,12 @@ class TestSquareMove:
 
     def test_cost_is_local(self, monkeypatch):
         # one square move and one XBasis.follow on the square 2x2, 4x4 and
-        # 6x6 gadget graphs: no (id, orbit) list is built, every orbit read
-        # is one of a face the edit traced again, and the darts _trace
-        # visits, the face_of_dart calls and the orbits read are as many at
-        # every size
-        trace, face_of_dart, orbit = TorusGraph._trace, TorusGraph.face_of_dart, TorusGraph.orbit
-        counts, read = {}, []
+        # 6x6 gadget graphs: no (id, orbit) list is built, no orbit is read
+        # again and no basis face is scanned; the darts _trace visits, the
+        # face_of_dart calls, the faces the edit traced again (moved_roots)
+        # and the basis faces follow rewrites are as many at every size
+        trace, face_of_dart = TorusGraph._trace, TorusGraph.face_of_dart
+        counts = {}
 
         def counted_trace(self, starts):
             roots = trace(self, starts)
@@ -468,31 +468,39 @@ class TestSquareMove:
             counts["face_of_dart"] += 1
             return face_of_dart(self, d)
 
-        def read_orbit(self, root):
-            read.append(root)
-            return orbit(self, root)
-
         def no_list(self):
             raise AssertionError("the (id, orbit) list is built")
+
+        def no_orbit(self, root):
+            raise AssertionError("an orbit is read")
+
+        class NoScan(dict):
+            def items(self):
+                raise AssertionError("the basis faces are scanned")
+            keys = values = items
 
         seen = []
         for k in (2, 4, 6):
             gi = square(k, k)
             g, wt, gm = to_dimer(IsingModel(gi, pythagorean_couplings(gi, 0)))
             basis, faces = XBasis.of(g), len(g.faces())
+            basis = XBasis(NoScan(basis.roots), NoScan(basis.keys), basis.cycles)
             with monkeypatch.context() as m:
                 for name, spy in [("_trace", counted_trace), ("face_of_dart", counted_face_of_dart),
-                                  ("orbit", read_orbit), ("faces", no_list), ("face_ids", no_list)]:
+                                  ("orbit", no_orbit), ("faces", no_list), ("face_ids", no_list)]:
                     m.setattr(TorusGraph, name, spy)
                 counts.update(darts=0, face_of_dart=0)
-                read.clear()
                 gn, _, rec = square_move(g, wt, gm.squares["h00"])
-                basis.follow(rec)
+                after = basis.follow(rec)
             assert gn._faces is None
-            assert read and set(read) <= gn.stale_roots
-            seen.append((dict(counts), len(read), faces))
-        assert seen[0][:2] == seen[1][:2] == seen[2][:2]
-        assert seen[0][0]["darts"] > 0 and seen[0][0]["face_of_dart"] > 0
+            moved = gn.moved_roots
+            assert moved and set(moved.values()) <= set(gn._orbit)
+            rewritten = {key for key, r in dict(basis.roots).items() if after.roots[key] != r}
+            assert {dict(basis.roots)[key] for key in rewritten} <= set(rec.data["roots"])
+            assert after.keys == {r: key for key, r in after.roots.items()}
+            seen.append((dict(counts), len(moved), len(rewritten), faces))
+        assert seen[0][:3] == seen[1][:3] == seen[2][:3]
+        assert seen[0][0]["darts"] > 0 and seen[0][0]["face_of_dart"] > 0 and seen[0][2] > 0
         assert [faces for *_, faces in seen] == [16, 64, 144]
 
 
@@ -672,10 +680,12 @@ class TestColorChange:
         assert gbb.colors == g.colors
 
     def test_classes_negate(self, fixture):
+        # g's zig-zags are traced before the swap, which must trace its own
         g, wt = fixture
+        classes = sorted(z["class"] for z in g.zigzag_paths())
         gb, _ = color_change(g, wt)
-        assert sorted((-p, -q) for p, q in (z["class"] for z in gb.zigzag_paths())) == \
-            sorted(z["class"] for z in g.zigzag_paths())
+        assert sorted((-p, -q) for p, q in (z["class"] for z in gb.zigzag_paths())) == classes
+        assert gb.zigzag_paths() == parse_torus_graph(serialize_torus_graph(gb))[0].zigzag_paths()
 
 
 class TestIsingLocus:
@@ -780,3 +790,100 @@ class TestLocusProperty:
         wt2 = gauge_transform(g, wt, f)
         ok, _ = ising_locus_check(g, wt2, fixture_gm())
         assert ok
+
+
+class TestSharing:
+    """An edit shares with its input the dicts it leaves alone, and a colour
+    swap shares all of them but the colors: an edit of either graph leaves
+    both as they were."""
+
+    @staticmethod
+    def snapshot(*graphs):
+        return [(serialize_torus_graph(h), h.faces(), dict(h._next), dict(h._prev))
+                for h in graphs]
+
+    def assert_apart(self, g, h, edit_g, edit_h):
+        before = self.snapshot(g, h)
+        edit_g()
+        assert self.snapshot(g, h) == before
+        edit_h()
+        assert self.snapshot(g, h) == before
+
+    @staticmethod
+    def subdivided(colors):
+        # e9 of the dimer fixture replaced by the path b1 - m1 - m2 - w2
+        return dict(drop_edges=["e9"], vertices=[("m1", colors[0], None), ("m2", colors[1], None)],
+                    edges=[("y1", "b1", "m1", 0, 0), ("y2", "m1", "m2", 0, 0),
+                           ("y3", "m2", "w2", 0, 0)],
+                    rotations={"b1": ["y1+", "e8+", "e7+"], "m1": ["y1-", "y2+"],
+                               "m2": ["y2-", "y3+"], "w2": ["e1-", "y3-", "e12-"]})
+
+    def test_color_swap(self, fixture):
+        g, _ = fixture
+        swapped = g.color_swapped()
+        assert swapped.darts is g.darts and swapped.colors is not g.colors
+        self.assert_apart(g, swapped, lambda: g.edit(**self.subdivided("wb")),
+                          lambda: swapped.edit(**self.subdivided("bw")))
+
+    def test_square_move(self):
+        gi = square(2, 2)
+        g, wt, gm = to_dimer(IsingModel(gi, pythagorean_couplings(gi, 0)))
+        h, wt_h, rec = square_move(g, wt, gm.squares["h00"])
+        assert h.colors is g.colors and h.positions is g.positions
+        self.assert_apart(g, h, lambda: square_move(g, wt, gm.squares["v11"]),
+                          lambda: square_move(h, wt_h, rec.data["new_face"]))
+
+    def test_contraction(self, fixture):
+        g, wt = fixture
+        g1, wt1, rec = uncontraction_move(g, wt, "b1", 0, 2)
+        mid = rec.data["parts"][2]
+        h, wt_h, _ = contraction_move(g1, wt1, mid)
+        self.assert_apart(g1, h, lambda: contraction_move(g1, wt1, mid),
+                          lambda: uncontraction_move(h, wt_h, "w2", 2, 2))
+
+    def test_y_delta_both_ways(self):
+        g = honeycomb(2, 2)
+        model = IsingModel(g, {e: make_coupling(x=Fraction(k, 2 * k + 3))
+                               for k, e in enumerate(g.edges(), 1)})
+        tri_model = y_delta(model, "v:u00")
+        tri = next(f for f in tri_model.graph.face_ids() if len(tri_model.graph.face_darts(f)) == 3)
+        # Y -> triangle, then triangle -> Y
+        self.assert_apart(model.graph, tri_model.graph, lambda: y_delta(model, "v:u01"),
+                          lambda: y_delta(tri_model, "f:" + tri))
+        star_model = y_delta(tri_model, "f:" + tri)
+        self.assert_apart(tri_model.graph, star_model.graph, lambda: y_delta(tri_model, "v:u01"),
+                          lambda: y_delta(star_model, "v:u10"))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_uncolored_count_follows_edits_and_swaps(self, seed):
+        # Y <-> triangle moves drop and add uncolored vertices, and a colour
+        # swap keeps the count; it always equals a scan of the colors
+        rng = random.Random(seed)
+        g = honeycomb(2, 2)
+        model = IsingModel(g, {e: make_coupling(x=Fraction(rng.randint(1, 9), 11))
+                               for e in g.edges()})
+        model.graph.validate()
+        for _ in range(12):
+            gr = model.graph
+            if rng.random() < 0.25:
+                model = IsingModel(gr.color_swapped(), model.couplings)
+            else:
+                sites = ["v:" + v for v in gr.vertex_ids() if gr.degree(v) == 3]
+                sites += ["f:" + f for f in gr.face_ids() if len(gr.face_darts(f)) == 3]
+                for site in rng.sample(sites, len(sites)):
+                    try:
+                        model = y_delta(model, site)
+                        break
+                    except GraphError:
+                        continue
+            gr = model.graph
+            assert gr._uncolored == list(gr.colors.values()).count("n")
+
+    def test_uncolored_count_on_a_partly_colored_graph(self, fixture):
+        g, _ = fixture
+        h = g.edit(**self.subdivided("nn"))
+        assert (g._uncolored, h._uncolored, h.color_swapped()._uncolored) == (0, 2, 2)
+        k = h.edit(drop_vertices=["m1", "m2"], drop_edges=["y1", "y2", "y3"],
+                   edges=[("e9", "b1", "w2", 0, 0)],
+                   rotations={"b1": ["e9+", "e8+", "e7+"], "w2": ["e1-", "e9-", "e12-"]})
+        assert k._uncolored == 0 and serialize_torus_graph(k) == serialize_torus_graph(g)

@@ -9,7 +9,8 @@ function takes more than one value over the calls in the package and the
 benchmark or is named in KEEP_PARAMETERS, every string key of a dict the
 package builds is read somewhere, the benchmark's calls into the package
 bind to its signatures and unpack as many names as the function returns,
-its traced targets exist, every option of a CLI verb is read by that verb,
+its traced targets exist, a graph's data is written only while the graph
+is built, every option of a CLI verb is read by that verb,
 every exception class of the package has an exit code, every module stays
 below TOKEN_LIMIT parser tokens, and the modules of the package import
 each other one way, with no cycle.
@@ -563,6 +564,108 @@ def test_finds_an_unread_option():
 def test_every_cli_option_is_read():
     from isingdimer.cli import build_parser
     assert unread_options(build_parser(), (PACKAGE / "cli.py").read_text()) == []
+
+
+# What a TorusGraph holds. A graph is not changed after it is built, so that
+# an edit and a colour swap may share these dicts with their input: package
+# code writes into them only in the methods that build a graph, into self,
+# and in edit and color_swapped, into the new graph they made.
+GRAPH_DATA = ("darts", "edge_ends", "rotation", "_next", "_prev", "colors", "positions")
+GRAPH_BUILDERS = ("__init__", "add_vertex", "add_edge", "set_rotation", "freeze", "_link")
+GRAPH_COPIERS = ("edit", "color_swapped")
+MUTATORS = ("append", "clear", "extend", "insert", "pop", "popitem", "remove", "reverse",
+            "setdefault", "sort", "update")
+
+
+def graph_writes(source):
+    """`function:line` of each write into a graph's GRAPH_DATA in source
+    outside its building: a store or del of an item of `x.<data>`, of an
+    item of it (a rotation list) or of a local name bound to either, a call
+    of a MUTATORS method on them, and a rebinding of `x.<data>`. A method of
+    TorusGraph among GRAPH_BUILDERS may write into self, and one among
+    GRAPH_COPIERS into any graph but self; nested functions count as their
+    enclosing function."""
+    tree = ast.parse(source)
+    functions = [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, ast.FunctionDef)]
+    functions += [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+    out = []
+    for name, fn in functions:
+        aliases = {}
+
+        def base(node):
+            """The graph whose data node is, unparsed, or None."""
+            if isinstance(node, ast.Name):
+                return aliases.get(node.id)
+            if isinstance(node, ast.Attribute) and node.attr in GRAPH_DATA:
+                return ast.unparse(node.value)
+            return base(node.value) if isinstance(node, ast.Subscript) else None
+
+        def pairs(target, value):
+            if isinstance(target, (ast.Tuple, ast.List)) and isinstance(value, (ast.Tuple, ast.List)) \
+                    and len(target.elts) == len(value.elts):
+                for t, v in zip(target.elts, value.elts):
+                    yield from pairs(t, v)
+            else:
+                yield target, value
+
+        assigns = [n for n in ast.walk(fn) if isinstance(n, ast.Assign)]
+        for _ in assigns:       # aliases of aliases, to a fixed point
+            for n in assigns:
+                for target, value in ((t, v) for tg in n.targets for t, v in pairs(tg, n.value)):
+                    if isinstance(target, ast.Name) and base(value) is not None:
+                        aliases[target.id] = base(value)
+        writes = []
+        for n in ast.walk(fn):
+            targets = (n.targets if isinstance(n, (ast.Assign, ast.Delete)) else
+                       [n.target] if isinstance(n, (ast.AugAssign, ast.AnnAssign)) else [])
+            while any(isinstance(t, (ast.Tuple, ast.List, ast.Starred)) for t in targets):
+                targets = [e for t in targets for e in (
+                    t.elts if isinstance(t, (ast.Tuple, ast.List)) else
+                    [t.value] if isinstance(t, ast.Starred) else [t])]
+            for t in targets:
+                if isinstance(t, ast.Subscript) and base(t.value) is not None:
+                    writes.append((base(t.value), t.lineno))
+                elif isinstance(t, ast.Attribute) and t.attr in GRAPH_DATA:
+                    writes.append((ast.unparse(t.value), t.lineno))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                    and n.func.attr in MUTATORS and base(n.func.value) is not None:
+                writes.append((base(n.func.value), n.lineno))
+        method = name.partition("TorusGraph.")[2]
+        out += [f"{name}:{line}" for graph, line in writes
+                if not (method in GRAPH_BUILDERS and graph == "self")
+                and not (method in GRAPH_COPIERS and graph != "self")]
+    return sorted(set(out), key=lambda w: int(w.rpartition(":")[2]))
+
+
+def test_finds_a_graph_write():
+    source = ("class TorusGraph:\n"
+              "    def add_vertex(self, v):\n"
+              "        self.colors[v] = 'n'\n"
+              "    def edit(self, v):\n"
+              "        g = TorusGraph()\n"
+              "        g.colors, rot = self.colors.copy(), self.rotation\n"
+              "        g.colors[v] = 'b'\n"
+              "        rot[v].append(v)\n"
+              "    def faces(self):\n"
+              "        self._faces = []\n"
+              "        self.positions = {}\n"
+              "def move(g, v):\n"
+              "    darts, here = g.darts, [v]\n"
+              "    ds = darts\n"
+              "    del ds[v]\n"
+              "    here.append(v)\n"
+              "    g.rotation[v][0] += 1\n"
+              "    def inner():\n"
+              "        g.colors.update({v: 'w'})\n"
+              "    return g.colors.get(v), sorted(g.rotation[v])\n")
+    # edit may write into g, not into self; caches are not graph data
+    assert graph_writes(source) == ["TorusGraph.edit:8", "TorusGraph.faces:11", "move:15",
+                                    "move:17", "move:19"]
+
+
+def test_graphs_are_written_only_while_built():
+    assert {p.name: graph_writes(p.read_text()) for p in MODULES} == {p.name: [] for p in MODULES}
 
 
 # Errors that only a bug in the package can raise, so a traceback is the

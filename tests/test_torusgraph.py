@@ -264,6 +264,8 @@ def retraced(g):
 
 
 def assert_same_faces(g, h):
+    # the kept face caches too: an edit leaves no root of a dart it dropped
+    assert (g._root, g._orbit, g._ranks) == (h._root, h._orbit, h._ranks)
     assert g.faces() == h.faces()
     assert all(g.face_of_dart(d) == h.face_of_dart(d) for d in h.darts)
     assert serialize_torus_graph(g) == serialize_torus_graph(h)
