@@ -8,16 +8,6 @@ from .spectral import SpectralError
 from .torusgraph import GraphError
 
 
-class AbelLabel:
-    """Formal integer combination of zig-zag ids."""
-
-    def __init__(self, counts=None):
-        self.counts = {k: v for k, v in (counts or {}).items() if v}
-
-    def __repr__(self):
-        return f"AbelLabel({self.counts})"
-
-
 def abel_tree(g):
     """Discrete Abel labels along one spanning tree, checked on every cycle.
 
@@ -80,7 +70,8 @@ def discrete_abel(g, window=1):
     every cycle of the torus graph and raises SpectralError naming the edge
     of an inconsistent one; the block holds the lifts reachable from the
     base white without leaving it.
-    Returns {(vertex, (tx, ty)): AbelLabel}.
+    Returns {(vertex, (tx, ty)): {zig-zag id: n}}, a formal integer
+    combination of zig-zag ids with the zero entries dropped.
     """
     ids, classes, L, T = abel_tree(g)
 
@@ -92,7 +83,7 @@ def discrete_abel(g, window=1):
     shift = [a - b for a, b in zip(L[base], m(T[base]))]
     rel = {v: [a - b - c for a, b, c in zip(lab, m(T[v]), shift)] for v, lab in L.items()}
     rng = range(-window, window + 1)
-    labels = {(base, (0, 0)): AbelLabel()}
+    labels = {(base, (0, 0)): {}}
     frontier = [(base, (0, 0))]
     while frontier:
         v, t = frontier.pop()
@@ -101,6 +92,6 @@ def discrete_abel(g, window=1):
             key = (g.head(d), (t[0] + dd[0], t[1] + dd[1]))
             if key[1][0] in rng and key[1][1] in rng and key not in labels:
                 u, tu = key
-                labels[key] = AbelLabel(dict(zip(ids, (a + b for a, b in zip(rel[u], m(tu))))))
+                labels[key] = {z: n for z, n in zip(ids, map(sum, zip(rel[u], m(tu)))) if n}
                 frontier.append(key)
     return labels

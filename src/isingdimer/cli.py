@@ -32,9 +32,10 @@ class CliError(Exception):
 
 # The one exit-code policy of the command line: main maps an error of one of
 # these classes, or of a subclass, to its code. Any other exception is a bug
-# and keeps its traceback.
+# and keeps its traceback. A MemoryError, such as an amoeba --grid too large
+# for memory, is a computation that cannot finish on this input.
 EXIT_CODES = {CliError: 2, ParseError: 2, GraphError: 2, CouplingError: 2, MoveError: 2,
-              SpectralError: 1}
+              SpectralError: 1, MemoryError: 1}
 
 
 def _read(path):
@@ -203,7 +204,7 @@ def cmd_move(args):
             else:
                 g, wt, rec = contraction_move(g, wt, opts["v"])
             basis = basis.follow(rec)
-        except (MoveError, GraphError, KeyError) as exc:
+        except (MoveError, GraphError) as exc:
             raise CliError(f"script line {no}: {exc}")
     lines_out.append("# X basis after (transported)")
     after = basis.values(g, wt, sorted(k for k in before if k not in ("a", "b")))
@@ -270,7 +271,7 @@ def cmd_abel(args):
     labels = discrete_abel(g, window=args.window)
     lines = []
     for (v, t), lab in sorted(labels.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        body = " ".join(f"{z}:{c}" for z, c in sorted(lab.counts.items())) or "0"
+        body = " ".join(f"{z}:{c}" for z, c in sorted(lab.items())) or "0"
         lines.append(f"label {v} @({t[0]},{t[1]}) {body}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -355,7 +356,8 @@ def main(argv=None):
         _sign_class(getattr(args, "sign", "++"))
         return args.fn(args)
     except tuple(EXIT_CODES) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # a MemoryError may carry no message
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
 
 

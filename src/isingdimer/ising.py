@@ -49,7 +49,8 @@ class Coupling:
 
 
 def make_coupling(J=None, sc=None, x=None):
-    """Build a coupling from J > 0, an exact (s, c) pair, or x in (0, 1)."""
+    """Build a coupling from J > 0, an exact (s, c) pair of Fractions, or x
+    in (0, 1), a Fraction (exact) or a float."""
     given = sum(v is not None for v in (J, sc, x))
     if given != 1:
         raise CouplingError("give exactly one of J, sc, x")
@@ -67,30 +68,20 @@ def make_coupling(J=None, sc=None, x=None):
         return Coupling(s, c, math.exp(-2 * J), J=J, exact=False)
     if sc is not None:
         s, c = sc
-        if isinstance(s, Fraction) and isinstance(c, Fraction):
-            if s * s + c * c != 1:
-                raise CouplingError(f"s^2 + c^2 = {s * s + c * c} != 1")
-            if not (0 < s < 1 and 0 < c < 1):
-                raise CouplingError("s and c must lie in (0, 1)")
-            xval = (1 - c) / s
-            J = None
-            return Coupling(s, c, xval, J=J, exact=True)
-        s, c = float(s), float(c)
-        if abs(s * s + c * c - 1.0) > 1e-12:
-            raise CouplingError("s^2 + c^2 != 1")
-        return Coupling(s, c, (1 - c) / s, J=0.5 * math.atanh(c), exact=False)
-    if isinstance(x, Fraction):
-        if not (0 < x < 1):
-            raise CouplingError("x must lie in (0, 1)")
-        s = 2 * x / (1 + x * x)
-        c = (1 - x * x) / (1 + x * x)
-        return Coupling(s, c, x, exact=True)
-    x = float(x)
-    if not (0.0 < x < 1.0):
+        if not (isinstance(s, Fraction) and isinstance(c, Fraction)):
+            raise CouplingError("s and c must be Fractions")
+        if s * s + c * c != 1:
+            raise CouplingError(f"s^2 + c^2 = {s * s + c * c} != 1")
+        if not (0 < s < 1 and 0 < c < 1):
+            raise CouplingError("s and c must lie in (0, 1)")
+        return Coupling(s, c, (1 - c) / s)
+    exact = isinstance(x, Fraction)
+    x = x if exact else float(x)
+    if not 0 < x < 1:
         raise CouplingError("x must lie in (0, 1)")
     s = 2 * x / (1 + x * x)
     c = (1 - x * x) / (1 + x * x)
-    return Coupling(s, c, x, J=-0.5 * math.log(x), exact=False)
+    return Coupling(s, c, x, J=None if exact else -0.5 * math.log(x), exact=exact)
 
 
 class IsingModel:

@@ -84,10 +84,8 @@ class TorusGraph:
         self._orbit = None            # smallest dart of a face -> its orbit from there
         self._root = None             # dart -> smallest dart of its face
         self._ranks = None            # the smallest darts of the faces, sorted: f<k> is rank k
-        self._faces = None
         self._zigzags = None
-        self._cycle_a = None
-        self._cycle_b = None
+        self._cycles = None           # the homology basis cycles a, b
         self._tree = None
         self._uncolored = None        # vertices colored 'n', counted by validate() and kept by edits
         self._valid = False           # a validate() or a checked edit passed
@@ -109,6 +107,8 @@ class TorusGraph:
         for v in (v1, v2):
             if v not in self.colors:
                 raise GraphError(f"edge {e} references unknown vertex {v}")
+        # the one maker of darts: an edge's two are twins by construction,
+        # with swapped ends and negated displacements
         self.edge_ends[e] = ends = (v1, v2, int(dx), int(dy))
         self.darts[e + "+"] = Dart(e + "+", e, v1, v2, ends[2:])
         self.darts[e + "-"] = Dart(e + "-", e, v2, v1, (-ends[2], -ends[3]))
@@ -146,18 +146,18 @@ class TorusGraph:
     def color_swapped(self):
         """The graph with black and white exchanged, a shallow copy: it
         shares every dict of self but the colors, as a graph is not changed
-        after validation. Faces, homology cycles, the uncolored count and
-        the validity verdict do not depend on color and are kept; the
-        zig-zag paths are not."""
+        after validation. Faces, homology cycles, the spanning tree, the
+        uncolored count and the validity verdict do not depend on color and
+        are kept; the zig-zag paths are not."""
         g, swap = copy(self), {"b": "w", "w": "b"}.get
         g.colors = {v: swap(c, c) for v, c in self.colors.items()}
-        g._zigzags = g._tree = None
+        g._zigzags = None
         return g
 
     # -- elementary queries --------------------------------------------------
 
     def twin(self, d):
-        return d[:-1] + ("-" if d[-1] == "+" else "+")
+        return self.darts[d].twin
 
     def next_ccw(self, d):
         return self._next[d]
@@ -203,9 +203,7 @@ class TorusGraph:
         and each orbit starts at its smallest dart, as a scan of the darts
         in sorted id order finds them.
         """
-        if self._faces is None:
-            self._faces = [(f"f{k}", self._orbit[r]) for k, r in enumerate(self._traced())]
-        return self._faces
+        return [(f"f{k}", self._orbit[r]) for k, r in enumerate(self._traced())]
 
     def _traced(self):
         """The sorted smallest darts of the faces, tracing them all on first use."""
@@ -263,20 +261,6 @@ class TorusGraph:
 
     # -- validation ----------------------------------------------------------
 
-    def _twin_problems(self, ds):
-        """The twin problems of the darts `ds`."""
-        darts, out = self.darts, []
-        for d in ds:
-            dart, tw = darts[d], darts.get(darts[d].twin)
-            if tw is None:
-                out.append(f"dart {d} has no twin")
-                continue
-            if tw.vertex != dart.head or tw.head != dart.vertex:
-                out.append(f"twin of {d} has inconsistent endpoints")
-            if tw.disp != (-dart.disp[0], -dart.disp[1]):
-                out.append(f"twin of {d} has inconsistent displacement")
-        return out
-
     def _check_faces(self, roots, edges):
         """Raise GraphError for the first face of `roots` (smallest darts)
         with nonzero total displacement, for a nonzero Euler characteristic,
@@ -300,8 +284,7 @@ class TorusGraph:
         dict, raises GraphError on failure."""
         if not self.colors:
             raise GraphError("graph has no vertices")
-        problems = self._twin_problems(self.darts)
-        at = {}
+        problems, at = [], {}
         for d, dart in self.darts.items():
             at.setdefault(dart.vertex, []).append(d)
         for v in self.colors:
@@ -366,7 +349,7 @@ class TorusGraph:
                                 if drop_edges or edges else (self.darts, self.edge_ends))
         g.rotation, g._next, g._prev = self.rotation.copy(), self._next.copy(), self._prev.copy()
         g._orbit, g._root, g._ranks = self._orbit.copy(), self._root.copy(), self._ranks.copy()
-        darts, ends, gone, new, added = g.darts, g.edge_ends, [], [], []
+        darts, ends, gone, added = g.darts, g.edge_ends, [], []
         for e in drop_edges:
             plus, minus = e + "+", e + "-"
             del ends[e], darts[plus], darts[minus]
@@ -383,13 +366,12 @@ class TorusGraph:
         for e, v1, v2, dx, dy in edges:
             g.add_edge(e, v1, v2, dx, dy)
             added.append(e)
-            new += e + "+", e + "-"
         for d in gone:
             if d not in darts:
                 del g._next[d], g._prev[d]
         # the faces through darts whose face successor changed are traced
         # again: the new darts and the twins of darts with a new predecessor
-        changed = set(new)
+        changed = {e + s for e in added for s in "+-"}
         for v, ds in rotations.items():
             g.set_rotation(v, ds)
             changed.update(g._link(v))
@@ -399,7 +381,7 @@ class TorusGraph:
         # same. _link put every listed dart at its vertex, so a rotation
         # lists exactly its vertex's darts when it lists none twice and as
         # many as it has.
-        problems, gain = g._twin_problems(new), {}
+        problems, gain = [], {}
         for es, step, here, there in ((drop_edges, -1, self.edge_ends, ends),
                                       (added, 1, ends, self.edge_ends)):
             for e in es:
@@ -492,10 +474,9 @@ class TorusGraph:
     def homology_basis_cycles(self):
         """Two closed walks with classes (1,0) and (0,1), found by BFS in the
         Z^2-cover from the smallest vertex. Deterministic."""
-        if self._cycle_a is None:
-            self._cycle_a = self._find_class_cycle((1, 0))
-            self._cycle_b = self._find_class_cycle((0, 1))
-        return self._cycle_a, self._cycle_b
+        if self._cycles is None:
+            self._cycles = self._find_class_cycle((1, 0)), self._find_class_cycle((0, 1))
+        return self._cycles
 
     def _find_class_cycle(self, target):
         root = self.vertex_ids()[0]
@@ -677,7 +658,7 @@ class TorusGraph:
                 if hit:
                     return False, hit
         twice_area = self.newton_polygon().twice_area
-        faces = len(self.faces()) if self.is_bipartite_colored() else 2 * len(self.edges())
+        faces = len(self._traced()) if self.is_bipartite_colored() else 2 * len(self.edges())
         kind = "minimal" if faces == twice_area else "face-count"
         return kind == "minimal", {"kind": kind, "faces": faces, "twice_area": twice_area}
 
@@ -744,8 +725,8 @@ class TorusGraph:
         in the Z^2-cover. Primal edge ids are kept, so e+ in the dual
         corresponds to e+ in the primal.
         """
-        dual = TorusGraph()
-        for fid, _ in self.faces():
+        dual, faces = TorusGraph(), self.faces()
+        for fid, _ in faces:
             dual.add_vertex(fid, "n")
         for e, (v1, v2, dx, dy) in self.edge_ends.items():
             f_plus, t1 = self.face_lift_label(e + "+", (0, 0))
@@ -753,7 +734,7 @@ class TorusGraph:
             dual.add_edge(e, f_plus, f_minus, t2[0] - t1[0], t2[1] - t1[1])
         # rotation at a dual vertex (= primal face): radial dual darts cross
         # the ccw face boundary in the same ccw order.
-        for fid, orbit in self.faces():
+        for fid, orbit in faces:
             dual.set_rotation(fid, list(orbit))
         dual.freeze()
         return dual

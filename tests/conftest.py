@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 from isingdimer import lattices
-from isingdimer.abel import AbelLabel
 from isingdimer.dimer import MoveError, MoveRecord, x_of_cycle
 from isingdimer.ising import make_coupling
 from isingdimer.torusgraph import GraphError, parse_torus_graph, serialize_torus_graph
@@ -261,6 +260,6 @@ def intersection_pairing(g, cycle_c, cycle_d):
 def monomial_label(t, zz_classes):
     """The label of div(z^i w^j) = sum_alpha (j p_alpha - i q_alpha) nu(alpha)
     for t = (i, j), alpha of class (p, q): where the lift of a label by t
-    moves it."""
+    moves it; zero entries dropped, as discrete_abel drops them."""
     i, j = t
-    return AbelLabel({zid: j * p - i * q for zid, (p, q) in zz_classes.items()})
+    return {zid: n for zid, (p, q) in zz_classes.items() if (n := j * p - i * q)}

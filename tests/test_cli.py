@@ -231,6 +231,41 @@ class TestExitCodes:
         assert main(["move", gp, "--script", str(path), "--out", str(tmp_path / "out.tg")]) == 0
         assert len(made) == 1
 
+    def test_key_error_in_a_move_keeps_its_traceback(self, files, tmp_path, monkeypatch):
+        # every key of a script line is checked before use, so a KeyError
+        # inside a move is a bug, not an input error
+        import isingdimer.cli
+
+        def broken(g, wt, fid):
+            raise KeyError("e9+")
+
+        _, gp, _, _ = files
+        path = tmp_path / "ok.txt"
+        path.write_text("move square f=f2\n")
+        monkeypatch.setattr(isingdimer.cli, "square_move", broken)
+        with pytest.raises(KeyError, match="e9"):
+            main(["move", gp, "--script", str(path)])
+
+    @pytest.mark.parametrize("exc,message", [
+        (MemoryError("Unable to allocate 149. GiB for an array with shape (100000, 100000) "
+                     "and data type float64"),
+         "Unable to allocate 149. GiB for an array with shape (100000, 100000) and data type "
+         "float64"),
+        (MemoryError(), "MemoryError"),
+    ], ids=["numpy message", "no message"])
+    def test_out_of_memory_exits_1(self, files, monkeypatch, capsys, exc, message):
+        # a grid too large for memory is a computation that cannot finish on
+        # this input; the sample is not allocated here, its failure is faked
+        import isingdimer.cli
+
+        def no_memory(*args, **kwargs):
+            raise exc
+
+        _, gp, _, _ = files
+        monkeypatch.setattr(isingdimer.cli, "amoeba_sample", no_memory)
+        assert main(["amoeba", gp, "--grid", "100000"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("argv,graph,message", [
         (["charpoly", "--mode", "exact"],
          DIMER_FIXTURE.replace("weight e5 1\n", "weight e5 1.5\n"),

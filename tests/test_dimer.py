@@ -492,7 +492,6 @@ class TestSquareMove:
                 counts.update(darts=0, face_of_dart=0)
                 gn, _, rec = square_move(g, wt, gm.squares["h00"])
                 after = basis.follow(rec)
-            assert gn._faces is None
             moved = gn.moved_roots
             assert moved and set(moved.values()) <= set(gn._orbit)
             rewritten = {key for key, r in dict(basis.roots).items() if after.roots[key] != r}
@@ -734,7 +733,8 @@ class TestIsingLocus:
 def ising_from_faces(face_x):
     """Couplings from square-face X values: s = sqrt(X/(1+X)), c = sqrt(1/(1+X)).
 
-    Exact when the fractions are perfect squares, numeric otherwise.
+    Exact (s, c) when the fractions are perfect squares, else numeric from
+    x = (1 - c)/s.
     """
     out = {}
     for key, x in face_x.items():
@@ -752,7 +752,7 @@ def ising_from_faces(face_x):
             raise MoveError(f"face X must be positive, got {x}")
         s = math.sqrt(x / (1 + x))
         c = math.sqrt(1 / (1 + x))
-        out[key] = make_coupling(sc=(s, c))
+        out[key] = make_coupling(x=(1 - c) / s)
     return out
 
 

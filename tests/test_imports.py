@@ -10,7 +10,7 @@ benchmark or is named in KEEP_PARAMETERS, every string key of a dict the
 package builds is read somewhere, the benchmark's calls into the package
 bind to its signatures and unpack as many names as the function returns,
 its traced targets exist, a graph's data is written only while the graph
-is built, every option of a CLI verb is read by that verb,
+is built, only `TorusGraph.add_edge` makes a `Dart`, every option of a CLI verb is read by that verb,
 every exception class of the package has an exit code, every module stays
 below TOKEN_LIMIT parser tokens, and the modules of the package import
 each other one way, with no cycle.
@@ -666,6 +666,58 @@ def test_finds_a_graph_write():
 
 def test_graphs_are_written_only_while_built():
     assert {p.name: graph_writes(p.read_text()) for p in MODULES} == {p.name: [] for p in MODULES}
+
+
+# The one maker of darts. add_edge makes an edge's two darts from one ends
+# tuple, so each dart's twin exists, with swapped ends and the negated
+# displacement; no run-time check repeats that.
+DART_MAKER = "TorusGraph.add_edge"
+
+
+def dart_makers(source):
+    """`where:line` of each reference to the name Dart in source outside
+    DART_MAKER: a call, an alias, an attribute `.Dart` or an import of it.
+    where is Class.method or function for code in a top-level class or
+    function (nested functions count as their enclosing one), else
+    <module>."""
+    tree = ast.parse(source)
+    scopes = [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
+              for f in c.body if isinstance(f, ast.FunctionDef)]
+    scopes += [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+    owner = {id(n): name for name, f in scopes for n in ast.walk(f)}
+    out = []
+    for n in ast.walk(tree):
+        named = (getattr(n, "id", None) == "Dart" if isinstance(n, ast.Name) else
+                 n.attr == "Dart" if isinstance(n, ast.Attribute) else
+                 any(a.name == "Dart" for a in n.names) if isinstance(n, ast.ImportFrom) else False)
+        where = owner.get(id(n), "<module>")
+        if named and where != DART_MAKER:
+            out.append(f"{where}:{n.lineno}")
+    return out
+
+
+def test_finds_a_dart_maker():
+    source = ("from .torusgraph import Dart\n"
+              "class Dart:\n"
+              "    def __repr__(self):\n"
+              "        return 'Dart()'\n"
+              "class TorusGraph:\n"
+              "    def add_edge(self, e):\n"
+              "        self.darts[e] = Dart(e)\n"
+              "    def edit(self, e):\n"
+              "        make = Dart\n"
+              "        return make(e)\n"
+              "def move(g, m):\n"
+              "    def inner():\n"
+              "        return m.Dart(1)\n"
+              "    return Dart(g)\n")
+    # the class statement and a string do not name it; add_edge may
+    assert sorted(dart_makers(source), key=lambda w: int(w.rpartition(":")[2])) == [
+        "<module>:1", "TorusGraph.edit:9", "move:13", "move:14"]
+
+
+def test_only_add_edge_makes_darts():
+    assert {p.name: dart_makers(p.read_text()) for p in MODULES} == {p.name: [] for p in MODULES}
 
 
 # Errors that only a bug in the package can raise, so a traceback is the

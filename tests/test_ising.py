@@ -103,6 +103,23 @@ class TestCoupling:
         with pytest.raises(CouplingError):
             make_coupling(sc=(Fraction(1, 2), Fraction(1, 2)))
 
+    @pytest.mark.parametrize("sc", [(0.8, 0.6), (Fraction(4, 5), 0.6), (0.8, Fraction(3, 5)),
+                                    (4, 3)], ids=["floats", "float c", "float s", "ints"])
+    def test_sc_takes_fractions_only(self, sc):
+        # the parser makes only Fraction pairs; a float pair has no exact x
+        with pytest.raises(CouplingError, match="s and c must be Fractions"):
+            make_coupling(sc=sc)
+
+    @pytest.mark.parametrize("x", [Fraction(1, 3), 1 / 3, Fraction(7, 9), 0.123456789])
+    def test_x_gives_s_and_c_in_its_own_arithmetic(self, x):
+        # one formula for both kinds: Fractions stay exact, floats get J
+        c = make_coupling(x=x)
+        assert (c.s, c.c) == (2 * x / (1 + x * x), (1 - x * x) / (1 + x * x))
+        assert c.exact == isinstance(x, Fraction) == (c.J is None)
+        assert all(type(v) is type(x) for v in (c.s, c.c, c.x))
+        if not c.exact:
+            assert c.J == -0.5 * math.log(x)
+
     def test_self_dual_point(self):
         J = 0.5 * math.log(1 + math.sqrt(2))
         c = make_coupling(J=J)

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from isingdimer.dimer import color_change, square_move
-from isingdimer.ising import IsingModel, couplings_from_file_data, make_coupling, to_dimer
+from isingdimer.dimer import MoveError, color_change, contraction_move, square_move
+from isingdimer.ising import IsingModel, couplings_from_file_data, make_coupling, to_dimer, y_delta
 from isingdimer.lattices import honeycomb, square
 from isingdimer.torusgraph import (
     Dart,
@@ -15,7 +15,7 @@ from isingdimer.torusgraph import (
     serialize_torus_graph,
 )
 
-from conftest import DIMER_FIXTURE, ISING_FIXTURE, reparsed
+from conftest import DIMER_FIXTURE, ISING_FIXTURE, reparsed, uncontraction_move
 
 
 def doubled(g, e, after=True):
@@ -361,21 +361,6 @@ class TestEdit:
             with pytest.raises(GraphError, match=r"^unknown face "):
                 graph.face_darts(fid)
 
-    def test_new_dart_twins(self, monkeypatch):
-        add_edge = TorusGraph.add_edge
-
-        def skewed(self, e, v1, v2, dx=0, dy=0):
-            add_edge(self, e, v1, v2, dx, dy)
-            d = self.darts[e + "-"]
-            self.darts[d.id] = Dart(d.id, e, d.vertex, d.head, (d.disp[0] + 1, d.disp[1]))
-
-        g = fixture_graph()
-        g.validate()
-        monkeypatch.setattr(TorusGraph, "add_edge", skewed)
-        with pytest.raises(GraphError, match="twin of x[+-] has inconsistent displacement"):
-            g.edit(edges=[("x", "b1", "w2", 0, 0)],
-                   rotations={"b1": ["e9+", "x+", "e8+", "e7+"], "w2": ["e1-", "x-", "e9-", "e12-"]})
-
     def test_verdict_is_kept_and_freeze_clears_it(self, monkeypatch):
         calls = []
         validate = TorusGraph.validate
@@ -398,7 +383,8 @@ class TestEdit:
         assert h.spanning_tree() is not tree
         assert h.spanning_tree() == reparsed(h).spanning_tree() != tree
         swapped = g.color_swapped()
-        assert swapped.spanning_tree() is not tree and swapped.spanning_tree() == tree
+        # the tree reads no colour: a colour swap keeps it
+        assert swapped.spanning_tree() is tree
         g.freeze()
         assert g.spanning_tree() is not tree and g.spanning_tree() == tree
 
@@ -408,6 +394,98 @@ class TestEdit:
         g.freeze()
         with pytest.raises(GraphError, match="rotation at b1"):
             g.edit(**self.subdivided())
+
+
+def twin_faults(g):
+    """The darts d of g whose twin darts[d.twin] is missing or is not d
+    reversed: named d.twin, with d as its own twin, on d's edge, with
+    swapped ends and the negated displacement."""
+    darts, out = g.darts, []
+    for d, dart in darts.items():
+        t = darts.get(dart.twin)
+        if t is None or (t.id, t.twin, t.edge, t.vertex, t.head, t.disp) != (
+                dart.twin, d, dart.edge, dart.head, dart.vertex, (-dart.disp[0], -dart.disp[1])):
+            out.append(d)
+    return out
+
+
+class TestTwins:
+    """Every dart's twin mirrors it by construction (only add_edge makes
+    darts, tests/test_imports.py::test_only_add_edge_makes_darts), so no
+    run-time check repeats it; these tests check the property on the
+    fixtures, the lattices and their gadget graphs, and after chains of
+    edits."""
+
+    def test_finds_a_faulty_twin(self):
+        g = fixture_graph()
+        g.darts = dict(g.darts)
+        assert twin_faults(g) == []
+        g.darts["e9-"] = Dart("e9-", "e9", "w2", "b1", (1, 0))
+        g.darts["e5-"] = Dart("e5-", "e5", "w3", "b1", (0, -1))
+        del g.darts["e1-"]
+        assert sorted(twin_faults(g)) == ["e1+", "e5+", "e5-", "e9+", "e9-"]
+
+    @pytest.mark.parametrize("text", [ISING_FIXTURE, DIMER_FIXTURE], ids=["ising", "dimer"])
+    def test_fixtures(self, text):
+        g, _, _ = parse_torus_graph(text)
+        assert twin_faults(g) == [] and twin_faults(g.dual_graph()) == []
+
+    @pytest.mark.parametrize("make", LATTICES, ids=LATTICE_IDS)
+    def test_lattices_and_gadget_graphs(self, make):
+        # the gadget graph, after its gadget square moves, and colour-swapped
+        g = make()
+        for h in (g, g.dual_graph(), *gadget_moved(make)):
+            assert twin_faults(h) == []
+
+    @pytest.mark.parametrize("make,seed", [(square, 1), (honeycomb, 2), (square, 3)],
+                             ids=["square 2x2", "honeycomb 2x2", "square 2x2 b"])
+    def test_after_moves(self, make, seed):
+        # square moves, colour swaps and uncontraction-contraction pairs,
+        # in a random order
+        gi = make(2, 2)
+        g, wt, _ = to_dimer(IsingModel(gi, {e: make_coupling(sc=(Fraction(4, 5), Fraction(3, 5)))
+                                            for e in gi.edges()}))
+        rng, kinds = random.Random(seed), []
+        for _ in range(30):
+            kind = rng.choice(["square", "color", "contract"])
+            if kind == "color":
+                g, wt = color_change(g, wt)
+            elif kind == "contract":
+                v = rng.choice(g.vertex_ids())
+                g, wt, rec = uncontraction_move(g, wt, v, rng.randrange(g.degree(v)),
+                                                rng.randrange(1, g.degree(v)))
+                assert twin_faults(g) == []
+                g, wt, _ = contraction_move(g, wt, rec.data["parts"][2])
+            else:
+                quads = [f for f, orbit in g.faces() if len(orbit) == 4]
+                try:
+                    g, wt, _ = square_move(g, wt, rng.choice(quads))
+                except MoveError:
+                    continue
+            kinds.append(kind)
+            assert twin_faults(g) == []
+        assert set(kinds) == {"square", "color", "contract"}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_after_y_delta_moves(self, seed):
+        rng = random.Random(seed)
+        g = honeycomb(2, 2)
+        model = IsingModel(g, {e: make_coupling(x=Fraction(rng.randint(1, 9), 11))
+                               for e in g.edges()})
+        moves = 0
+        for _ in range(12):
+            gr = model.graph
+            sites = ["v:" + v for v in gr.vertex_ids() if gr.degree(v) == 3]
+            sites += ["f:" + f for f in gr.face_ids() if len(gr.face_darts(f)) == 3]
+            for site in rng.sample(sites, len(sites)):
+                try:
+                    model = y_delta(model, site)
+                except GraphError:
+                    continue
+                moves += 1
+                break
+            assert twin_faults(model.graph) == []
+        assert moves > 6
 
 
 class TestZigzags:
@@ -453,6 +531,17 @@ class TestHomology:
         g, _ = dimer_fixture
         with pytest.raises(GraphError):
             g.cycle_displacement(["e1+"])
+
+    @pytest.mark.parametrize("make", LATTICES + [fixture_graph], ids=LATTICE_IDS + ["dimer"])
+    def test_basis_cycles_found_once(self, make):
+        # closed walks of classes (1, 0) and (0, 1), one cache kept by a
+        # colour swap and not by an edit's new graph
+        g = make()
+        cycles = g.homology_basis_cycles()
+        assert [g.cycle_displacement(c) for c in cycles] == [(1, 0), (0, 1)]
+        assert g.homology_basis_cycles() is cycles
+        assert g.color_swapped().homology_basis_cycles() is cycles
+        assert g.edit().homology_basis_cycles() is not cycles
 
     def test_zigzag_class_sum_is_zero(self, dimer_fixture):
         g, _ = dimer_fixture
