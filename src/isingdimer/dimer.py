@@ -22,8 +22,14 @@ def x_of_cycle(g, wt, cycle):
     Fraction when the cycle's own weights all are.
     """
     g.cycle_displacement(cycle)  # raises unless it is a cycle
+    return _walk_x(g, wt, cycle)
+
+
+def _walk_x(g, wt, walk):
+    """x_of_cycle without its check that `walk` is a cycle: for a walk that
+    is one by construction, such as a face orbit of a validated graph."""
     darts, colors, up, down = g.darts, g.colors, [], []
-    for d in cycle:
+    for d in walk:
         dart = darts[d]
         (up if colors[dart.vertex] == "b" else down).append(wt[dart.edge])
     if all(isinstance(x, Fraction) for x in up + down):   # one Fraction from ints
@@ -71,9 +77,12 @@ class XBasis:
         return XBasis(roots, keys, {k: rec.reroute(c) for k, c in self.cycles.items()})
 
     def x(self, g, wt, key):
-        """X on g of face `key` of the first graph, or of cycle "a" or "b"."""
-        cycle = self.cycles[key] if key in self.cycles else g.orbit(self.roots[key])
-        return x_of_cycle(g, wt, cycle)
+        """X on g of face `key` of the first graph, or of cycle "a" or "b".
+        A face orbit is a closed walk of g by construction; a carried cycle
+        is checked (x_of_cycle)."""
+        if key in self.cycles:
+            return x_of_cycle(g, wt, self.cycles[key])
+        return _walk_x(g, wt, g.orbit(self.roots[key]))
 
     def values(self, g, wt, faces):
         """X on g of the given faces of the first graph, then of a and b."""

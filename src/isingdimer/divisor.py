@@ -111,6 +111,32 @@ def _grid(polys):
 TERMS_BLOCK = 1024
 
 
+def _blocks(grid, z, w):
+    """The passes of the term kernels over the points z, w of `_grid`'s
+    polys: TERMS_BLOCK // len(polys) points at a time, each block as
+    (its slice, its number of points m, power tables Z, W of its z and w).
+    A lone point goes as two copies of it: einsum would sum it along
+    another inner loop, which can change its last bits."""
+    import numpy as np
+    _, _, (ilo, ihi), (jlo, jhi) = grid
+    step = max(1, TERMS_BLOCK // grid[0].shape[1])
+    for k in range(0, len(z), step):
+        b = slice(k, k + step)
+        zb, wb = z[b], w[b]
+        m = len(zb)
+        if m == 1:
+            zb, wb = np.repeat(zb, 2), np.repeat(wb, 2)
+        yield b, m, _powers(zb, ilo, ihi), _powers(wb, jlo, jhi)
+
+
+def _sizes(grid, Z, W):
+    """The sums of |term| and of |monomial| of one block of _blocks."""
+    import numpy as np
+    t = np.einsum("lkij,jn->lkin", grid[1], abs(W))
+    t *= abs(Z)
+    return t.sum(2)
+
+
 def _terms(grid, z, w):
     """Value, logarithmic partial derivatives (z dp/dz and w dp/dw), the sum
     of |term| and the sum of |monomial| over the support of each polynomial
@@ -119,11 +145,11 @@ def _terms(grid, z, w):
 
     The batched term kernel: the dense coefficient grids meet power tables
     of z and w in small matrix products, TERMS_BLOCK // len(polys) points
-    at a time, whatever the number of terms. The products are einsum, not
-    matmul, whose first BLAS call alone raises the peak resident memory of
-    a numeric run by about 0.5 MB."""
+    at a time (_blocks), whatever the number of terms. The products are
+    einsum, not matmul, whose first BLAS call alone raises the peak
+    resident memory of a numeric run by about 0.5 MB."""
     import numpy as np
-    G, A, (ilo, ihi), (jlo, jhi) = grid
+    G, _, (ilo, ihi), _ = grid
     n = G.shape[1]
     shape = (n,) + np.shape(z)
     z = np.asarray(z, dtype=complex).ravel()
@@ -131,24 +157,32 @@ def _terms(grid, z, w):
     i = np.arange(ilo, ihi + 1)
     val, zdz, wdw = (np.empty((n, len(z)), dtype=complex) for _ in range(3))
     size, spread = np.empty((n, len(z))), np.empty((n, len(z)))
-    step = max(1, TERMS_BLOCK // n)
-    for k in range(0, len(z), step):
-        b = slice(k, k + step)
-        zb, wb = z[b], w[b]
-        m = len(zb)
-        if m == 1:
-            # a lone point goes as two copies of it: einsum would sum it
-            # along another inner loop, which can change its last bits
-            zb, wb = np.repeat(zb, 2), np.repeat(wb, 2)
-        Z, W = _powers(zb, ilo, ihi), _powers(wb, jlo, jhi)
+    for b, m, Z, W in _blocks(grid, z, w):
         t = np.einsum("lkij,jn->lkin", G, W)
         t *= Z
         val[:, b], wdw[:, b] = t.sum(2)[..., :m]
         zdz[:, b] = np.einsum("i,kin->kn", i, t[0])[:, :m]
-        t = np.einsum("lkij,jn->lkin", A, abs(W))
-        t *= abs(Z)
-        size[:, b], spread[:, b] = t.sum(2)[..., :m]
+        size[:, b], spread[:, b] = _sizes(grid, Z, W)[..., :m]
     return tuple(a.reshape(shape) for a in (val, zdz, wdw, size, spread))
+
+
+def _values(grid, z, w):
+    """The value, the sum of |term| and the sum of |monomial| of _terms, bit
+    for bit, without the derivatives: half the value products and no
+    z dp/dz."""
+    import numpy as np
+    C = grid[0][0]
+    shape = (len(C),) + np.shape(z)
+    z = np.asarray(z, dtype=complex).ravel()
+    w = np.asarray(w, dtype=complex).ravel()
+    val = np.empty((len(C), len(z)), dtype=complex)
+    size, spread = np.empty((len(C), len(z))), np.empty((len(C), len(z)))
+    for b, m, Z, W in _blocks(grid, z, w):
+        t = np.einsum("kij,jn->kin", C, W)
+        t *= Z
+        val[:, b] = t.sum(1)[:, :m]
+        size[:, b], spread[:, b] = _sizes(grid, Z, W)[..., :m]
+    return tuple(a.reshape(shape) for a in (val, size, spread))
 
 
 def _polish(polys, z, w, steps=4, move_z=True, stop=None, grid=None):
@@ -425,10 +459,11 @@ def _vanishes(polys, z, w, tol, grid=None):
     plus the spread of COEFF_EPS-sized coefficient errors over the support,
     for each p of polys at arrays z, w: one row per p. Far out on a
     tentacle the terms with the smallest coefficients dominate, and their
-    relative error is far above tol. grid is _grid(polys) if given."""
+    relative error is far above tol. grid is _grid(polys) if given. The
+    values come from the value pass _values, which leaves out the
+    derivatives of _terms."""
     grid = grid or _grid(polys)
-    val, _, _, size, spread = _terms(grid, z, w)
-    return _vanish_rule(grid, (val, size, spread), tol)
+    return _vanish_rule(grid, _values(grid, z, w), tol)
 
 
 def _vanish_rule(grid, values, tol):
@@ -442,8 +477,8 @@ def _vanish_rule(grid, values, tol):
 
 def _divisor_numeric(P, entries, e1, e2, genus, tol):
     import numpy as np
-    Pn = P.to_numeric()
-    res = resultant_eliminate(e1.to_numeric(), e2.to_numeric())
+    Pn, e1n = P.to_numeric(), e1.to_numeric()
+    res = resultant_eliminate(e1n, e2.to_numeric())
     if len(res) < 2:
         raise SpectralError("resultant is constant; no isolated roots")
     polys = [Pn] + entries
@@ -469,7 +504,7 @@ def _divisor_numeric(P, entries, e1, e2, genus, tol):
     # points; the second polishes every candidate on all entries, and runs
     # only when the first falls short of the genus
     found = []
-    z1, w1, _ = _polish([Pn, e1.to_numeric()], *_fibre_roots(Pn, res, 1e-12), steps=40,
+    z1, w1, _ = _polish([Pn, e1n], *_fibre_roots(Pn, res, 1e-12), steps=40,
                         stop=lambda z, w: len(accept(found, z, w)) >= genus)
     points = accept([], z1, w1)
     if len(points) < genus:

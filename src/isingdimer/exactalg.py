@@ -7,6 +7,7 @@ mixing modes in a binary operation raises `ModeError`.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -246,19 +247,20 @@ class LaurentPoly2:
 class LaurentMatrix:
     """A rectangular matrix of Laurent polynomials with labeled rows/columns.
 
-    Never changed after construction: `samples` and `elimination` keep what
-    they build on their first call, which a change to rows, cols or entries
-    would leave stale."""
+    Never changed after construction: `nonzero`, `samples` and
+    `elimination` keep what they build on their first call, which a change
+    to rows, cols or entries would leave stale."""
 
     def __init__(self, rows, cols, entries):
         self.rows = list(rows)
         self.cols = list(cols)
-        self.entries = {}
-        self._samples = self._elimination = None
+        self._nonzero = self._samples = self._elimination = None
         zero = LaurentPoly2.zero()          # one for all cells: nothing mutates terms
-        for r in self.rows:
-            for c in self.cols:
-                self.entries[(r, c)] = entries.get((r, c), zero)
+        # row-major, an order that setting a cell keeps
+        self.entries = dict.fromkeys(itertools.product(self.rows, self.cols), zero)
+        for rc, e in entries.items():
+            if rc in self.entries:
+                self.entries[rc] = e
 
     def __getitem__(self, rc):
         return self.entries[rc]
@@ -266,13 +268,24 @@ class LaurentMatrix:
     def is_square(self):
         return len(self.rows) == len(self.cols)
 
+    def nonzero(self):
+        """Per row index, the (column index, entry) pairs of the row's
+        nonzero cells, by column, built on the first call and kept: the
+        numeric kernels walk these, not all n^2 cells. Only numeric
+        matrices ask for them."""
+        if self._nonzero is None:
+            n, self._nonzero = len(self.cols), [[] for _ in self.rows]
+            for k, e in enumerate(self.entries.values()):
+                if e.terms:
+                    self._nonzero[k // n].append((k % n, e))
+        return self._nonzero
+
     def samples(self):
         """(grid, lows, real) of _sample_grid for this square matrix, built
         on the first call and kept, the grid read-only: lm_determinant and
         every lm_adjugate_lines call on the matrix share one grid."""
         if self._samples is None:
-            grid, lows, real = _sample_grid([[self.entries[(r, c)] for c in self.cols]
-                                             for r in self.rows])
+            grid, lows, real = _sample_grid(self.nonzero())
             grid.flags.writeable = False
             self._samples = grid, lows, real
         return self._samples
@@ -478,8 +491,9 @@ class _Elimination:
 
 
 def _sample_grid(a):
-    """a on the grid of pairs of roots of unity that covers the exponent box
-    of det a, each row shifted to nonnegative exponents first (a zero row
+    """The matrix a, given by its nonzero cells (LaurentMatrix.nonzero()), on
+    the grid of pairs of roots of unity that covers the exponent box of
+    det a, each row shifted to nonnegative exponents first (a zero row
     counts as constant). Returns the (nz, nw, n, n) samples, the shift
     (low z and w exponent) of each row and whether every coefficient is a
     float. Every term's samples coef * roots_z^(i - lo) * roots_w^(j - lo)
@@ -489,7 +503,7 @@ def _sample_grid(a):
     n = len(a)
     lows, spans = [], []
     for row in a:
-        support = [ij for e in row for ij in e.terms] or [(0, 0)]
+        support = [ij for _, e in row for ij in e.terms] or [(0, 0)]
         lo = [min(ij[k] for ij in support) for k in (0, 1)]
         lows.append(lo)
         spans.append([max(ij[k] for ij in support) - lo[k] for k in (0, 1)])
@@ -498,14 +512,14 @@ def _sample_grid(a):
     roots_w = np.exp(2j * np.pi * np.arange(nw) / nw)
     grid = np.zeros((nz, nw, n, n), dtype=complex)
     terms = [(r, c, i - zlo, j - wlo, complex(coef))
-             for r, (row, (zlo, wlo)) in enumerate(zip(a, lows)) for c, e in enumerate(row)
+             for r, (row, (zlo, wlo)) in enumerate(zip(a, lows)) for c, e in row
              for (i, j), coef in e.terms.items()]
     if terms:
         r, c, i, j, coef = map(np.array, zip(*terms))
         samples = (coef[:, None, None] * roots_z[np.outer(i, np.arange(nz)) % nz][:, :, None]
                    * roots_w[np.outer(j, np.arange(nw)) % nw][:, None, :])
         np.add.at(grid, (slice(None), slice(None), r, c), samples.transpose(1, 2, 0))
-    real = all(isinstance(c, float) for row in a for e in row for c in e.terms.values())
+    real = all(isinstance(c, float) for row in a for _, e in row for c in e.terms.values())
     return grid, lows, real
 
 
@@ -514,32 +528,44 @@ def _interpolate(values, shifts, real):
     samples on the grid of _sample_grid times z^-shifts[t][0] w^-shifts[t][1],
     read out by one batched 2-D FFT. Terms at or below NUMERIC_ZERO_TOL
     times the polynomial's largest coefficient are dropped; coefficients
-    are floats when `real`. The kept terms of all polynomials are found
-    and gathered in one pass, each polynomial's in the order of its (x, y)."""
+    are floats when `real`, and a float real part of 0 is dropped too. The
+    kept terms of all polynomials are found and gathered in one pass, each
+    polynomial's in the order of its (x, y), and make its LaurentPoly2
+    without a second check: int exponents, float or complex coefficients,
+    none of them 0, so the polynomial is exact only when it is empty."""
     import numpy as np
     nz, nw, k = values.shape
     coeffs = np.fft.fft2(values, axes=(0, 1)) / (nz * nw)
     mags = np.abs(coeffs)
     keep = mags > NUMERIC_ZERO_TOL * mags.max(axis=(0, 1))
     t, x, y = np.nonzero(keep.transpose(2, 0, 1))
-    kept = coeffs[x, y, t]
+    kept = coeffs[x, y, t].real if real else coeffs[x, y, t]
+    held = kept != 0
+    t, x, y, kept = t[held], x[held], y[held], kept[held]
     dz, dw = np.array(shifts, dtype=int).reshape(-1, 2)[t].T
-    terms = list(zip(zip((x + dz).tolist(), (y + dw).tolist()),
-                     (kept.real if real else kept).tolist()))
+    terms = list(zip(zip((x + dz).tolist(), (y + dw).tolist()), kept.tolist()))
     ends = np.cumsum(np.bincount(t, minlength=k)).tolist()
-    return [LaurentPoly2(dict(terms[a:b])) for a, b in zip([0] + ends, ends)]
+    out = []
+    for a, b in zip([0] + ends, ends):
+        p = LaurentPoly2.__new__(LaurentPoly2)
+        p.terms, p.exact = dict(terms[a:b]), a == b
+        out.append(p)
+    return out
 
 
 def _adjugate_qr(a, samples, cols, rows):
     """Columns `cols` and rows `rows` (indices) of adj(a), numeric entries,
+    for the matrix a given by its nonzero cells (LaurentMatrix.nonzero()),
     from `samples`, the sample grid of a (_sample_grid, the grid of det a),
     which is only read. Each sample is factored A = QR by Householder
     reflectors, Q = H_0 ... H_(n-1) with H_i = I - tau_i v_i v_i^H and
     det(H_i) = 1 - tau_i |v_i|^2, and adj(A) = det(Q) adj(R) Q^H: column
-    i is det(Q) adj(R) Q^H e_i, row j is det(Q) conj(Q) (row j of adj(R)).
-    The lines of adj(R) come from _adjugate_triangular, which divides by
-    nothing, so singular samples need no care (Stewart, "On the adjugate
-    matrix", LAA 1998). Row r of a
+    i is det(Q) adj(R) Q^H e_i, row j is det(Q) conj(Q) (row j of adj(R)),
+    and row j of adj(R) is column n-1-j of adj(R') read backwards, R' =
+    R^T with both indices reversed. The lines of adj(R) and adj(R') come
+    from one _adjugate_triangular pass over both stacks of factors, which
+    divides by nothing, so singular samples need no care (Stewart, "On the
+    adjugate matrix", LAA 1998). Row r of a
     is sampled times the monomial z^-lo_r (lo_r its low exponents in z and
     w), so entry (c, r) of adj, a minor without row r, is sampled times
     z^-(sum of lo - lo_r), a polynomial inside the grid's box; each entry
@@ -548,31 +574,44 @@ def _adjugate_qr(a, samples, cols, rows):
     import numpy as np
     n = len(a)
     grid, lows, real = samples
+    nz, nw = grid.shape[:2]
     total = [sum(lo[k] for lo in lows) for k in (0, 1)]
-    factors = np.empty(grid.shape, dtype=complex)
-    tau = np.empty(grid.shape[:3], dtype=complex)
-    det_q = np.empty(grid.shape[:2], dtype=complex)
+    # one z-slice at a time, each sample's factors (R on and above the
+    # diagonal, v_i below it, whose entry i is 1) in the grid's shape; the
+    # buffer's second half holds their conjugates while Q is applied, and
+    # for the triangular pass the factors transposed with both indices
+    # reversed, whose upper triangles are the R'
+    factors = np.empty((2, nz, nw, n, n), dtype=complex)
+    tau = np.empty((nz, nw, n), dtype=complex)
+    det_q = np.empty((nz, nw), dtype=complex)
     for t, z_slice in enumerate(grid):
-        # one z-slice at a time, each sample's factors (R on and above the
-        # diagonal, v_i below it, whose entry i is 1) in the grid's shape
         h, tau[t] = np.linalg.qr(z_slice, mode="raw")
-        factors[t] = h.swapaxes(1, 2)
-        norms = 1 + (abs(np.tril(factors[t], -1)) ** 2).sum(axis=1)
+        factors[0, t] = h.swapaxes(1, 2)
+        norms = 1 + (abs(np.tril(factors[0, t], -1)) ** 2).sum(axis=1)
         det_q[t] = (1 - tau[t] * norms).prod(axis=1)
-    h, tau, det_q = factors.reshape((-1, n, n)), tau.reshape((-1, n)), det_q.reshape((-1, 1, 1))
+    h, spare = factors.reshape((2, -1, n, n))
+    tau, det_q = tau.reshape((-1, n)), det_q.reshape((-1, 1, 1))
+    # the right-hand sides stacked as the factors: Q^H e_i for column i,
+    # e_(n-1-j) for row j, padded with zero lines to the longer list
     eye = np.eye(n, dtype=complex)
-    lines = np.empty((len(h), len(cols) + len(rows), n), dtype=complex)
+    y = np.zeros((2, len(h), max(len(cols), len(rows)), n), dtype=complex)
+    y[0, :, :len(cols)] = eye[cols]
+    y[1, :, :len(rows)] = eye[[n - 1 - j for j in rows]]
     if cols:
-        y = _apply_q(h, tau, np.repeat(eye[None, cols], len(h), axis=0), adjoint=True)
-        lines[:, :len(cols)] = det_q * _adjugate_triangular(h, y)
+        _apply_q(h, np.conjugate(h, out=spare), tau, y[0, :, :len(cols)], adjoint=True)
     if rows:
-        # row j of adj(R) is column n-1-j of adj(R') read backwards, R' =
-        # R^T with both indices reversed
-        back = _adjugate_triangular(h.swapaxes(1, 2)[:, ::-1, ::-1], eye[[n - 1 - j for j in rows]])
-        lines[:, len(cols):] = det_q * _apply_q(h, tau, back[..., ::-1].conj()).conj()
-    del factors, h      # as large as the grid: gone before the read-out
+        spare[...] = h.swapaxes(1, 2)[:, ::-1, ::-1]
+    halves = slice(1 if rows and not cols else 0, 2 if rows else 1)    # those asked for
+    stack = factors[halves].reshape((-1, n, n))
+    x = _adjugate_triangular(stack, y[halves].reshape((len(stack),) + y.shape[2:]))
+    lines = np.empty((len(h), len(cols) + len(rows), n), dtype=complex)
+    lines[:, :len(cols)] = det_q * x[:len(h), :len(cols)]
+    if rows:
+        back = x[-len(h):, :len(rows), ::-1].conj()
+        lines[:, len(cols):] = det_q * _apply_q(h, np.conjugate(h, out=spare), tau, back).conj()
+    del factors, h, spare, stack    # twice as large as the grid: gone before the read-out
     cells = [(i, c) for i in cols for c in range(n)] + [(r, j) for j in rows for r in range(n)]
-    out = _interpolate(lines.reshape(grid.shape[:2] + (-1,)),
+    out = _interpolate(lines.reshape((nz, nw, -1)),
                        [(total[0] - lows[r][0], total[1] - lows[r][1]) for r, _ in cells], real)
     zero = _zero_minors(a)
     out = [LaurentPoly2.zero() if zero(r, c) else e for (r, c), e in zip(cells, out)]
@@ -580,15 +619,16 @@ def _adjugate_qr(a, samples, cols, rows):
     return lines[:len(cols)], lines[len(cols):]
 
 
-def _apply_q(h, tau, x, adjoint=False):
+def _apply_q(h, hc, tau, x, adjoint=False):
     """Q x, or Q^H x when `adjoint`, in place, for each sample's Q = H_0 ...
     H_(n-1) in the factored form of _adjugate_qr (h, tau) and each of its
-    lines x[s, l]: H_i x = x - tau_i v_i (v_i^H x), H_i^H with conj(tau_i)."""
+    lines x[s, l]: H_i x = x - tau_i v_i (v_i^H x), H_i^H with conj(tau_i).
+    hc is conj(h), the reflectors conjugated once for all of them."""
     n = h.shape[-1]
     order, tau = (range(n), tau.conj()) if adjoint else (range(n - 1, -1, -1), tau)
     for i in order:
         v = h[:, None, i + 1:, i]
-        f = tau[:, i, None] * (x[..., i] + (v.conj() * x[..., i + 1:]).sum(axis=-1))
+        f = tau[:, i, None] * (x[..., i] + (hc[:, None, i + 1:, i] * x[..., i + 1:]).sum(axis=-1))
         x[..., i] -= f
         x[..., i + 1:] -= f[..., None] * v
     return x
@@ -597,7 +637,7 @@ def _apply_q(h, tau, x, adjoint=False):
 def _adjugate_triangular(r, y):
     """adj(R) y for each upper triangular R of the stack r (s, n, n), read
     on and above the diagonal only, and each vector y of the lines y
-    (s, m, n) or (m, n), as (s, m, n), by back substitution on scaled
+    (s, m, n), as (s, m, n), by back substitution on scaled
     unknowns: with S_k the product of r_ii over i >= k, the
     u_k = S_(k+1) y_k - sum over j > k of r_kj (product of r_ii over
     k < i < j) u_j give x_k = (product of r_ii over i < k) u_k, the
@@ -606,7 +646,7 @@ def _adjugate_triangular(r, y):
     import numpy as np
     n = r.shape[-1]
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    x = np.zeros(r.shape[:-2] + y.shape[-2:], dtype=complex)
+    x = np.zeros(y.shape, dtype=complex)
     s = np.ones((len(r), 1), dtype=complex)
     for k in range(n - 1, -1, -1):
         u = s * y[..., k] - (r[:, None, k, k + 1:] * x[..., k + 1:]).sum(axis=-1)
@@ -617,14 +657,17 @@ def _adjugate_triangular(r, y):
 
 
 def _zero_minors(a):
-    """A test (r, c) -> whether the minor of a without row r and column c
-    has a zero row or a zero column: a row other than r meets no column
-    but c, or a column other than c no row but r."""
-    n = len(a)
-    lone_rows = [(k, [c for c in range(n) if a[k][c].terms]) for k in range(n)]
-    lone_rows = [(k, hit) for k, hit in lone_rows if len(hit) <= 1]
-    lone_cols = [(k, [r for r in range(n) if a[r][k].terms]) for k in range(n)]
-    lone_cols = [(k, hit) for k, hit in lone_cols if len(hit) <= 1]
+    """A test (r, c) -> whether the minor without row r and column c of
+    the matrix a, given by its nonzero cells (LaurentMatrix.nonzero()), has a
+    zero row or a zero column: a row other than r meets no column but c,
+    or a column other than c no row but r."""
+    hits = [[c for c, _ in row] for row in a]
+    col_hits = [[] for _ in a]
+    for r, row in enumerate(hits):
+        for c in row:
+            col_hits[c].append(r)
+    lone_rows = [(k, hit) for k, hit in enumerate(hits) if len(hit) <= 1]
+    lone_cols = [(k, hit) for k, hit in enumerate(col_hits) if len(hit) <= 1]
 
     def zero(r, c):
         return (any(k != r and hit in ([], [c]) for k, hit in lone_rows)
@@ -659,8 +702,7 @@ def lm_adjugate_lines(m, columns=(), rows=()):
                  [[_from_int(e, scale // s)
                    for e, s in zip(elim.adjugate(j, transpose=True), scales)] for j in rj])
     else:
-        a = [[m.entries[(r, c)] for c in m.cols] for r in m.rows]
-        lines = _adjugate_qr(a, m.samples(), ci, rj)
+        lines = _adjugate_qr(m.nonzero(), m.samples(), ci, rj)
     return ([dict(zip(m.cols, col)) for col in lines[0]],
             [dict(zip(m.rows, row)) for row in lines[1]])
 

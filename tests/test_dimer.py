@@ -31,6 +31,7 @@ from conftest import (
     gauge_transform,
     half_cross_sign,
     intersection_pairing,
+    named_lattice,
     one_like,
     pythagorean_couplings,
     reparsed,
@@ -685,6 +686,77 @@ class TestColorChange:
         gb, _ = color_change(g, wt)
         assert sorted((-p, -q) for p, q in (z["class"] for z in gb.zigzag_paths())) == classes
         assert gb.zigzag_paths() == parse_torus_graph(serialize_torus_graph(gb))[0].zigzag_paths()
+
+
+def assert_face_orbits_closed(g, wt=None):
+    """Every face orbit of g is a cycle of class (0, 0). With weights wt,
+    XBasis.x on every face, which skips that check, equals x_of_cycle on
+    the face's orbit, of the same type and bit for bit; x_of_cycle still
+    raises on the longest orbit without its last dart."""
+    for _, orbit in g.faces():
+        assert g.cycle_displacement(orbit) == (0, 0)
+    if wt is None:
+        return
+    basis = XBasis.of(g)
+    for key, root in basis.roots.items():
+        got, want = basis.x(g, wt, key), x_of_cycle(g, wt, g.orbit(root))
+        assert type(got) is type(want) and got == want
+    longest = max((orbit for _, orbit in g.faces()), key=len)
+    with pytest.raises(GraphError, match="not a cycle"):
+        x_of_cycle(g, wt, longest[:-1])
+
+
+SIZES = ["1x1", "2x1", "2x2", "3x3"]
+
+
+class TestFaceOrbitX:
+    """XBasis.x takes a face's X from its orbit without x_of_cycle's cycle
+    check: a face orbit of a validated graph is a closed walk by
+    construction."""
+
+    def test_fixtures(self, fixture):
+        assert_face_orbits_closed(parse_torus_graph(ISING_FIXTURE)[0])
+        assert_face_orbits_closed(*fixture)
+        with pytest.raises(GraphError):
+            x_of_cycle(*fixture, FIXTURE_CYCLE_A[:-1])
+
+    @pytest.mark.parametrize("kind", ["square", "honeycomb"])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_lattices_and_gadget_graphs(self, kind, size):
+        g = named_lattice(f"{kind} {size}")
+        assert_face_orbits_closed(g)
+        gd, wt, _ = to_dimer(IsingModel(g, pythagorean_couplings(g, 7, swap=True)))
+        assert_face_orbits_closed(gd, wt)
+        assert_face_orbits_closed(gd, {e: float(v) for e, v in wt.items()})
+
+    @pytest.mark.parametrize("make,seed", [(square, 1), (honeycomb, 2), (square, 3)],
+                             ids=["square 2x2", "honeycomb 2x2", "square 2x2 b"])
+    def test_after_move_chains(self, make, seed):
+        # square moves, colour swaps and uncontraction-contraction pairs, in
+        # a random order, on exact and on float weights
+        gi = make(2, 2)
+        g, wt, _ = to_dimer(IsingModel(gi, pythagorean_couplings(gi, seed)))
+        rng, kinds = random.Random(seed), []
+        for _ in range(30):
+            kind = rng.choice(["square", "color", "contract"])
+            if kind == "color":
+                g, wt = color_change(g, wt)
+            elif kind == "contract":
+                v = rng.choice(g.vertex_ids())
+                g, wt, rec = uncontraction_move(g, wt, v, rng.randrange(g.degree(v)),
+                                                rng.randrange(1, g.degree(v)))
+                assert_face_orbits_closed(g, wt)
+                g, wt, _ = contraction_move(g, wt, rec.data["parts"][2])
+            else:
+                quads = [f for f, orbit in g.faces() if len(orbit) == 4]
+                try:
+                    g, wt, _ = square_move(g, wt, rng.choice(quads))
+                except MoveError:
+                    continue
+            kinds.append(kind)
+            assert_face_orbits_closed(g, wt)
+            assert_face_orbits_closed(g, {e: float(v) for e, v in wt.items()})
+        assert set(kinds) == {"square", "color", "contract"}
 
 
 class TestIsingLocus:

@@ -904,8 +904,11 @@ def reference_interpolate(values, shifts, real):
 
 def assert_same_grid(m):
     """m.samples() against reference_sample_grid on the rows of m: equal
-    arrays, bit for bit, and equal row shifts and float flags."""
+    arrays, bit for bit, and equal row shifts and float flags; and the
+    nonzero cells the grid was built from, the entries themselves."""
     grid, lows, real = m.samples()
+    assert [[(k, id(e)) for k, e in row] for row in m.nonzero()] == \
+        [[(k, id(m[(r, c)])) for k, c in enumerate(m.cols) if m[(r, c)].terms] for r in m.rows]
     want, want_lows, want_real = reference_sample_grid(
         [[m[(r, c)] for c in m.cols] for r in m.rows])
     assert np.array_equal(grid, want) and grid.tobytes() == want.tobytes()
@@ -995,6 +998,21 @@ class TestSampleKernels:
                 lm_adjugate_lines(m, m.rows, m.cols)
             assert calls == [1, 2 * len(m.rows) ** 2]
 
+    def test_nonzero_cells_whatever_the_order_given(self):
+        # cells given column by column, with a zero cell and a cell outside
+        # the labels: the entries stay row-major, and nonzero() lists each
+        # row's nonzero cells by column, built once
+        given = {(r, c): LaurentPoly2.const(1.0 + k) for k, (c, r) in
+                 enumerate([(c, r) for c in "xyz" for r in "ab"])}
+        given[("a", "y")], given[("q", "x")] = LaurentPoly2.zero(), LaurentPoly2.const(1.0)
+        m = LaurentMatrix("ab", "xyz", given)
+        assert list(m.entries) == [(r, c) for r in "ab" for c in "xyz"]
+        assert all(m[rc] is given[rc] for rc in m.entries)
+        assert m.nonzero() is m.nonzero()
+        assert [[(k, e.terms) for k, e in row] for row in m.nonzero()] == \
+            [[(0, {(0, 0): 1.0}), (2, {(0, 0): 5.0})],
+             [(0, {(0, 0): 2.0}), (1, {(0, 0): 4.0}), (2, {(0, 0): 6.0})]]
+
     def test_sample_with_an_unflagged_zero_pivot(self):
         # a zero row: on the sample at w = -1 the LU leaves an exact zero
         # pivot unflagged, and numpy's det gave nan there, with warnings
@@ -1018,6 +1036,148 @@ class TestSampleKernels:
         got = _interpolate(values, shifts, real)
         want = reference_interpolate(values, shifts, real)
         assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
+        assert [p.exact for p in got] == [p.exact for p in want]
+
+    def test_read_out_drops_zero_coefficients(self):
+        # on a 1 x 1 grid each polynomial's one coefficient is its sample: a
+        # zero real part (of either sign) is no term in real mode, and a
+        # polynomial is exact only when it is empty, as the checked
+        # constructor makes them
+        values = np.array([[[2.5, 1j, 0, complex(-0.0, 3), 1 + 1j]]])
+        shifts = [(0, 0), (1, 2), (0, 0), (0, 0), (-1, 0)]
+        for real, terms in ((True, [{(0, 0): 2.5}, {}, {}, {}, {(-1, 0): 1.0}]),
+                            (False, [{(0, 0): 2.5}, {(1, 2): 1j}, {}, {(0, 0): 3j},
+                                     {(-1, 0): 1 + 1j}])):
+            got = _interpolate(values, shifts, real)
+            assert [p.terms for p in got] == terms
+            assert [p.exact for p in got] == [not t for t in terms]
+            assert all(type(c) is (float if real else complex)
+                       for p in got for c in p.terms.values())
+            assert [(p.terms, p.exact) for p in got] == \
+                [(q.terms, q.exact) for q in (LaurentPoly2(p.terms) for p in got)]
+
+
+def reference_adjugate_qr(a, samples, cols, rows):
+    """The numeric adjugate lines of _adjugate_qr as they were made before
+    its factors and triangular passes were stacked: the dense matrix a, one
+    Householder QR per z-slice, the columns' and the rows' back
+    substitutions as two calls, each reflector conjugated where it is
+    applied, and the per-polynomial read-out."""
+    n = len(a)
+    grid, lows, real = samples
+    total = [sum(lo[k] for lo in lows) for k in (0, 1)]
+    factors = np.empty(grid.shape, dtype=complex)
+    tau = np.empty(grid.shape[:3], dtype=complex)
+    det_q = np.empty(grid.shape[:2], dtype=complex)
+    for t, z_slice in enumerate(grid):
+        h, tau[t] = np.linalg.qr(z_slice, mode="raw")
+        factors[t] = h.swapaxes(1, 2)
+        norms = 1 + (abs(np.tril(factors[t], -1)) ** 2).sum(axis=1)
+        det_q[t] = (1 - tau[t] * norms).prod(axis=1)
+    h, tau, det_q = factors.reshape((-1, n, n)), tau.reshape((-1, n)), det_q.reshape((-1, 1, 1))
+    eye = np.eye(n, dtype=complex)
+    lines = np.empty((len(h), len(cols) + len(rows), n), dtype=complex)
+    if cols:
+        y = reference_apply_q(h, tau, np.repeat(eye[None, cols], len(h), axis=0), adjoint=True)
+        lines[:, :len(cols)] = det_q * reference_adjugate_triangular(h, y)
+    if rows:
+        back = reference_adjugate_triangular(h.swapaxes(1, 2)[:, ::-1, ::-1],
+                                             eye[[n - 1 - j for j in rows]])
+        lines[:, len(cols):] = det_q * reference_apply_q(h, tau, back[..., ::-1].conj()).conj()
+    cells = [(i, c) for i in cols for c in range(n)] + [(r, j) for j in rows for r in range(n)]
+    out = reference_interpolate(lines.reshape(grid.shape[:2] + (-1,)),
+                                [(total[0] - lows[r][0], total[1] - lows[r][1])
+                                 for r, _ in cells], real)
+    lone_rows = [(k, [c for c in range(n) if a[k][c].terms]) for k in range(n)]
+    lone_cols = [(k, [r for r in range(n) if a[r][k].terms]) for k in range(n)]
+    out = [LaurentPoly2.zero()
+           if any(k != r and hit in ([], [c]) for k, hit in lone_rows)
+           or any(k != c and hit in ([], [r]) for k, hit in lone_cols) else e
+           for (r, c), e in zip(cells, out)]
+    lines = [out[k:k + n] for k in range(0, len(out), n)]
+    return lines[:len(cols)], lines[len(cols):]
+
+
+def reference_apply_q(h, tau, x, adjoint=False):
+    n = h.shape[-1]
+    order, tau = (range(n), tau.conj()) if adjoint else (range(n - 1, -1, -1), tau)
+    for i in order:
+        v = h[:, None, i + 1:, i]
+        f = tau[:, i, None] * (x[..., i] + (v.conj() * x[..., i + 1:]).sum(axis=-1))
+        x[..., i] -= f
+        x[..., i + 1:] -= f[..., None] * v
+    return x
+
+
+def reference_adjugate_triangular(r, y):
+    n = r.shape[-1]
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    x = np.zeros(r.shape[:-2] + y.shape[-2:], dtype=complex)
+    s = np.ones((len(r), 1), dtype=complex)
+    for k in range(n - 1, -1, -1):
+        u = s * y[..., k] - (r[:, None, k, k + 1:] * x[..., k + 1:]).sum(axis=-1)
+        x[..., k + 1:] *= diag[:, k, None, None]
+        x[..., k] = u
+        s = s * diag[:, k, None]
+    return x
+
+
+def assert_same_adjugate_lines(m, cols, rows):
+    """_adjugate_qr against reference_adjugate_qr on the numeric matrix m
+    and the labels given: the same polynomials, the same keys in the same
+    order, every coefficient equal as a float, and the same mode."""
+    import isingdimer.exactalg as exactalg
+    ci, rj = [m.rows.index(r) for r in cols], [m.cols.index(c) for c in rows]
+    got = exactalg._adjugate_qr(m.nonzero(), m.samples(), ci, rj)
+    want = reference_adjugate_qr([[m[(r, c)] for c in m.cols] for r in m.rows],
+                                 m.samples(), ci, rj)
+    assert [len(side) for side in got] == [len(cols), len(rows)]
+    for g_side, w_side in zip(got, want):
+        for g_line, w_line in zip(g_side, w_side):
+            assert [list(e.terms.items()) for e in g_line] == \
+                [list(e.terms.items()) for e in w_line]
+            assert [e.exact for e in g_line] == [e.exact for e in w_line]
+
+
+class TestStackedAdjugate:
+    """_adjugate_qr (one factor buffer, one triangular pass for columns and
+    rows, the reflectors conjugated once per pass) against the per-slice,
+    two-pass reference it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("lattice", ["honeycomb 1x1", "square 2x1", "honeycomb 2x1",
+                                         "square 2x2", "honeycomb 2x2"])
+    def test_ladder_rungs(self, lattice):
+        from test_spectral import ladder_dimer
+        g, wt, gm, kappa, white = ladder_dimer(lattice, 3)
+        m = kasteleyn_matrix(g, wt, kappa)
+        black = gm.partners[white]
+        assert_same_adjugate_lines(m, [white], [black])
+        assert_same_adjugate_lines(m, m.rows[:3], [])
+        assert_same_adjugate_lines(m, [], m.cols[-3:])
+        assert_same_adjugate_lines(m, m.rows[-3:], [black])
+
+    @pytest.mark.parametrize("make", [square22_critical_float, honeycomb22_float],
+                             ids=["square 2x2 critical", "honeycomb 2x2"])
+    def test_float_gadget_matrices(self, make):
+        m = make()
+        assert_same_adjugate_lines(m, m.rows[:1], m.cols[:1])
+        assert_same_adjugate_lines(m, m.rows, m.cols[5:7])
+
+    def test_unflagged_zero_pivot(self):
+        # a zero row, and an exact zero pivot left unflagged by LU at w = -1
+        m = _matrix(range(4), range(4), [[0.0, 0.0, 0.0, 0.0], [1e-300, 0.0, 0.0, 1.0],
+                                         [1.0, 1.0, LaurentPoly2({(0, -1): 4.0}), 0.0],
+                                         [1.0, 0.0, 0.0, 0.0]])
+        assert_same_adjugate_lines(m, m.rows, m.cols)
+        assert_same_adjugate_lines(m, [1], [0, 2, 3])
+
+    @settings(max_examples=50, deadline=None)
+    @given(numeric_matrices(), st.data())
+    def test_random_matrices(self, m, data):
+        if all(e.exact for e in m.entries.values()):
+            m = LaurentMatrix(m.rows, m.cols, {rc: e.to_numeric() for rc, e in m.entries.items()})
+        lines = st.lists(st.sampled_from(m.rows), max_size=len(m.rows) + 1)
+        assert_same_adjugate_lines(m, data.draw(lines), data.draw(lines))
 
 
 class TestNewtonPolygon:

@@ -10,7 +10,8 @@ benchmark or is named in KEEP_PARAMETERS, every string key of a dict the
 package builds is read somewhere, the benchmark's calls into the package
 bind to its signatures and unpack as many names as the function returns,
 its traced targets exist, a graph's data is written only while the graph
-is built, only `TorusGraph.add_edge` makes a `Dart`, every option of a CLI verb is read by that verb,
+is built, only `TorusGraph.add_edge` makes a `Dart`, only `exactalg._interpolate`
+makes a `LaurentPoly2` without its checks, every option of a CLI verb is read by that verb,
 every exception class of the package has an exit code, every module stays
 below TOKEN_LIMIT parser tokens, and the modules of the package import
 each other one way, with no cycle.
@@ -674,6 +675,16 @@ def test_graphs_are_written_only_while_built():
 DART_MAKER = "TorusGraph.add_edge"
 
 
+def scope_owners(tree):
+    """{id(node): Class.method or function} for the nodes of the module
+    tree inside a top-level class's method or a top-level function (nested
+    functions count as their enclosing one)."""
+    scopes = [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
+              for f in c.body if isinstance(f, ast.FunctionDef)]
+    scopes += [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+    return {id(n): name for name, f in scopes for n in ast.walk(f)}
+
+
 def dart_makers(source):
     """`where:line` of each reference to the name Dart in source outside
     DART_MAKER: a call, an alias, an attribute `.Dart` or an import of it.
@@ -681,10 +692,7 @@ def dart_makers(source):
     function (nested functions count as their enclosing one), else
     <module>."""
     tree = ast.parse(source)
-    scopes = [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
-              for f in c.body if isinstance(f, ast.FunctionDef)]
-    scopes += [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
-    owner = {id(n): name for name, f in scopes for n in ast.walk(f)}
+    owner = scope_owners(tree)
     out = []
     for n in ast.walk(tree):
         named = (getattr(n, "id", None) == "Dart" if isinstance(n, ast.Name) else
@@ -718,6 +726,49 @@ def test_finds_a_dart_maker():
 
 def test_only_add_edge_makes_darts():
     assert {p.name: dart_makers(p.read_text()) for p in MODULES} == {p.name: [] for p in MODULES}
+
+
+# The one maker of a LaurentPoly2 that skips its constructor's checks: the
+# numeric read-out, whose terms are int exponents with nonzero float or
+# complex coefficients by construction.
+UNCHECKED_MAKER = "exactalg._interpolate"
+
+
+def unchecked_makers(module, source):
+    """`module.where:line` of each `__new__` attribute in source outside
+    UNCHECKED_MAKER, such as `LaurentPoly2.__new__(LaurentPoly2)`, which
+    makes an object without running its __init__; where as in
+    dart_makers."""
+    tree = ast.parse(source)
+    owner = scope_owners(tree)
+    return [f"{module}.{owner.get(id(n), '<module>')}:{n.lineno}" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "__new__"
+            and f"{module}.{owner.get(id(n))}" != UNCHECKED_MAKER]
+
+
+def test_finds_an_unchecked_maker():
+    source = ("make = LaurentPoly2.__new__\n"
+              "class LaurentPoly2:\n"
+              "    def sigma(self):\n"
+              "        return object.__new__(LaurentPoly2)\n"
+              "def _interpolate(values):\n"
+              "    def one():\n"
+              "        return LaurentPoly2.__new__(LaurentPoly2)\n"
+              "    return one()\n"
+              "def _sample_grid(a):\n"
+              "    return LaurentPoly2.__new__(LaurentPoly2)\n")
+    assert sorted(unchecked_makers("exactalg", source)) == [
+        "exactalg.<module>:1", "exactalg.LaurentPoly2.sigma:4", "exactalg._sample_grid:10"]
+    assert sorted(unchecked_makers("divisor", source)) == [
+        "divisor.<module>:1", "divisor.LaurentPoly2.sigma:4", "divisor._interpolate:7",
+        "divisor._sample_grid:10"]
+
+
+def test_polys_skip_their_checks_only_in_the_read_out():
+    found = {p.stem: unchecked_makers(p.stem, p.read_text()) for p in MODULES}
+    assert found == {p.stem: [] for p in MODULES}
+    assert "LaurentPoly2.__new__(LaurentPoly2)" in inspect.getsource(
+        importlib.import_module("isingdimer.exactalg")._interpolate)
 
 
 # Errors that only a bug in the package can raise, so a traceback is the

@@ -725,6 +725,42 @@ class TestTermKernel:
                              for a, b in zip(batch, _terms(grid, z[k:k + 1], w[k:k + 1])))]
             assert differ == []
 
+    @pytest.mark.parametrize("count", ["one", "two", "block - 1", "block", "block + 1", "300"])
+    def test_value_pass_has_the_bits_of_the_term_kernel(self, count):
+        # the value pass of the vanishing test against the value, size and
+        # spread of _terms, word by word: P with the white's adjugate column
+        # at 24 whites, |z| and |w| from e^-12 to e^12
+        import numpy as np
+        from isingdimer.exactalg import lm_adjugate_lines
+        from isingdimer.divisor import TERMS_BLOCK, _grid, _terms, _values
+        g, wt, _, kappa, white = ladder_dimer("honeycomb 2x2", 5)
+        K = kasteleyn_matrix(g, wt, kappa)
+        (col,), _ = lm_adjugate_lines(K, [white])
+        polys = [lm_determinant(K)] + [e for e in col.values() if not e.is_zero()]
+        block = TERMS_BLOCK // len(polys)
+        n = {"one": 1, "two": 2, "block - 1": block - 1, "block": block,
+             "block + 1": block + 1, "300": 300}[count]
+        rng = np.random.default_rng(n)
+        z, w = (np.exp(rng.uniform(-12, 12, n) + 1j * rng.uniform(0, 2 * np.pi, n))
+                for _ in range(2))
+        grid = _grid(polys)
+        val, _, _, size, spread = _terms(grid, z, w)
+        got = _values(grid, z, w)
+        assert [a.shape for a in got] == [(len(polys), n)] * 3
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in (val, size, spread)]
+
+    def test_vanishing_test_runs_the_value_pass_only(self, monkeypatch):
+        # z - 2w and 1 + zw at (2, 1) and (i, i): the verdicts need no
+        # derivative, so _vanishes never runs the full term kernel
+        import numpy as np
+        from isingdimer import divisor
+        polys = [LaurentPoly2({(1, 0): 1.0, (0, 1): -2.0}), LaurentPoly2({(0, 0): 1.0, (1, 1): 1.0})]
+        z, w = np.array([2, 1j]), np.array([1, 1j])
+        want = divisor._vanishes(polys, z, w, 1e-8)
+        monkeypatch.setattr(divisor, "_terms", None)
+        got = divisor._vanishes(polys, z, w, 1e-8)
+        assert got.tolist() == want.tolist() == [[True, False], [False, True]]
+
     @pytest.mark.parametrize("lattice", ["honeycomb 1x1", "square 2x1", "honeycomb 2x1",
                                          "square 2x2", "honeycomb 2x2"])
     def test_batched_vanishes_matches_scalar_verdict(self, lattice, monkeypatch):
@@ -752,17 +788,19 @@ def divisor_search(monkeypatch, lattice, seed, with_stop):
     """Both numeric divisors of verify-ising on a ladder rung, or the
     SpectralError message, with the stop test of the first Newton pass
     (the _polish call given `stop`) on or off. Also, per first pass, the
-    number of polynomials of each _terms call made inside it: 2 for a
-    Newton step on P and e1, more for a stop test on P and every entry;
-    and the number of other _polish calls."""
+    number of polynomials of each term-kernel call made inside it (_terms,
+    or its value pass _values): 2 for a Newton step on P and e1, more for a
+    stop test on P and every entry; and the number of other _polish calls."""
     from isingdimer import divisor
     g, wt, gm, kappa, white = ladder_dimer(lattice, seed)
-    polish, terms, passes, others, inside = divisor._polish, divisor._terms, [], [], []
+    polish, passes, others, inside = divisor._polish, [], [], []
 
-    def counted_terms(grid, z, w):
-        if inside:
-            passes[-1].append(grid[0].shape[1])
-        return terms(grid, z, w)
+    def counted(kernel):
+        def counted_kernel(grid, z, w):
+            if inside:
+                passes[-1].append(grid[0].shape[1])
+            return kernel(grid, z, w)
+        return counted_kernel
 
     def first_pass(*args, stop=None, **kw):
         if stop is None:
@@ -776,7 +814,8 @@ def divisor_search(monkeypatch, lattice, seed, with_stop):
             inside.pop()
 
     with monkeypatch.context() as m:
-        m.setattr(divisor, "_terms", counted_terms)
+        m.setattr(divisor, "_terms", counted(divisor._terms))
+        m.setattr(divisor, "_values", counted(divisor._values))
         m.setattr(divisor, "_polish", first_pass)
         try:
             _, rep = verify_ising_spectral(g, wt, kappa, gm, white, mode="numeric")
@@ -1377,7 +1416,8 @@ class TestAmoebaArrays:
     @pytest.mark.parametrize("name", CURVES)
     def test_one_root_kernel_call_and_term_passes_only_in_newton_steps(self, name, monkeypatch):
         # the roots are kept by the values of the last Newton step, so every
-        # pass of the term kernel is one of the steps + 1 = 4 evaluations
+        # pass of the term kernel is one of the steps + 1 = 4 evaluations,
+        # and its value pass (a vanishing test on fresh points) never runs
         import isingdimer.spectral as spectral
         from isingdimer import divisor
         roots, terms, polish = spectral._roots, divisor._terms, spectral._polish
@@ -1386,7 +1426,7 @@ class TestAmoebaArrays:
         def counted(name, fn):
             def call(*args, **kwargs):
                 calls[name] += 1
-                calls["outside _polish"] += name == "_terms" and not inside
+                calls["outside _polish"] += name in ("_terms", "_values") and not inside
                 return fn(*args, **kwargs)
             return call
 
@@ -1399,12 +1439,13 @@ class TestAmoebaArrays:
 
         monkeypatch.setattr(spectral, "_roots", counted("_roots", roots))
         monkeypatch.setattr(divisor, "_terms", counted("_terms", terms))
+        monkeypatch.setattr(divisor, "_values", counted("_values", divisor._values))
         monkeypatch.setattr(spectral, "_polish", in_polish)
         for r in (2.5, 40):
-            calls.update({"_roots": 0, "_terms": 0, "outside _polish": 0})
+            calls.update({"_roots": 0, "_terms": 0, "_values": 0, "outside _polish": 0})
             assert amoeba_sample(curve(name), grid=40, region=(-r, r, -r, r))
             assert calls["_roots"] == 1 and calls["outside _polish"] == 0
-            assert 1 <= calls["_terms"] <= 4
+            assert 1 <= calls["_terms"] <= 4 and calls["_values"] == 0
 
     def test_no_hit_rows(self):
         # the one fibre, z = 1, of (z - 1) w + 1 has its root at infinity
