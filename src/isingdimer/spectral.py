@@ -133,8 +133,14 @@ class SpectralCurveData:
 def characteristic_polynomial(g, wt, kappa):
     """P = det K with its Newton polygon, genus (interior lattice points)
     and the Kasteleyn matrix K it came from: the one place that builds
-    them, checking that K is square, P is not zero and P's polygon is the
-    graph's."""
+    them, checking that K is square, P is not zero, P's polygon is the
+    graph's, and last that the graph has F = 2 Area(N) faces.
+
+    The face count is the cheap part of the minimality test of
+    `TorusGraph.check_minimal` (Goncharov-Kenyon): a minimal graph passes
+    it, but a pass does not prove the graph minimal. A failure is a
+    GraphError, an input error: the genus and degrees that the divisors
+    assume hold only on minimal graphs."""
     K = kasteleyn_matrix(g, wt, kappa)
     if len(K.rows) != len(K.cols):
         raise SpectralError(f"#white={len(K.rows)} != #black={len(K.cols)}")
@@ -144,6 +150,10 @@ def characteristic_polynomial(g, wt, kappa):
     poly = newton_polygon(P)
     if poly.normalized().vertices != g.newton_polygon().normalized().vertices:
         raise SpectralError("Newton polygon of P differs from the graph polygon")
+    faces = len(g.face_ids())
+    if faces != poly.twice_area:
+        raise GraphError(f"graph is not minimal (face-count: {faces} faces, "
+                         f"twice the polygon area {poly.twice_area})")
     return SpectralCurveData(P, poly, poly.genus, K)
 
 

@@ -4,9 +4,11 @@ import io
 import math
 import os
 import random
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,11 +16,12 @@ from hypothesis import given, settings, strategies as st
 from fractions import Fraction
 
 import isingdimer
+from isingdimer import cli
 from isingdimer.cli import build_parser, main
 from isingdimer.dimer import XBasis
 from isingdimer.ising import IsingModel, make_coupling, to_dimer, y_delta
 from isingdimer.lattices import honeycomb, square
-from isingdimer.torusgraph import serialize_torus_graph
+from isingdimer.torusgraph import TorusGraph, parse_torus_graph, serialize_torus_graph
 
 from conftest import DIMER_FIXTURE, ISING_FIXTURE, gauge_transform, uncontraction_move
 from test_torusgraph import doubled
@@ -524,7 +527,8 @@ class TestCurveChecks:
     """divisor and amoeba take K and P from characteristic_polynomial, so
     they fail its checks as charpoly does: exit 1 with one `error:` line and
     nothing on stdout, not a traceback or the divisor or amoeba of a
-    truncated P."""
+    truncated P; exit 2, an input error, on a graph that fails its face
+    count, verify-ising too."""
 
     @pytest.mark.parametrize("graph,vertex,message", [
         (lambda: _UNBALANCED, "w0", "#white=1 != #black=3"),
@@ -539,6 +543,66 @@ class TestCurveChecks:
         assert main([argv[0], str(gp)] + [a.format(vertex=vertex) for a in argv[1:]]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
+
+    # Without the face-count test all three pass charpoly and amoeba and exit
+    # 1 from divisor and verify-ising with "numeric divisor found 6 points,
+    # genus is 5" (8 points, genus 7 for the second): a misleading error.
+    @pytest.mark.parametrize("cells,faces,twice_area", [
+        ([(0, 0, True), (0, 1, False)], 20, 16),
+        ([(0, 0, False), (1, 0, False), (1, 1, True), (0, 1, False)], 24, 22),
+        ([(1, 1, True)], 18, 16),
+    ], ids=["crossed", "three-one", "one"])
+    @pytest.mark.parametrize("argv", [["charpoly"], ["divisor", "--vertex", "{white}"],
+                                      ["verify-ising", "--vertex", "{white}", "--gadget-map", "{gm}"],
+                                      ["amoeba", "--grid", "4"]],
+                             ids=["charpoly", "divisor", "verify-ising", "amoeba"])
+    def test_non_minimal_graph_exits_2(self, tmp_path, argv, cells, faces, twice_area, capsys):
+        gp, gm, white = _gadget(tmp_path, _square22_with_diagonals(cells), _X_SEQUENCE)
+        assert not parse_torus_graph(open(gp).read())[0].check_minimal()[0]
+        argv = [a.format(white=white, gm=gm) for a in argv]
+        assert main([argv[0], gp, "--mode", "numeric"] + argv[1:]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: graph is not minimal (face-count: {faces} faces, "
+                                     f"twice the polygon area {twice_area})\n")
+
+    def test_minimal_graph_with_diagonals_passes(self, tmp_path, capsys):
+        # parallel diagonals make a triangular lattice, which is minimal
+        gp, gm, white = _gadget(tmp_path, _square22_with_diagonals([(0, 0, True), (0, 1, True)]),
+                                _X_SEQUENCE)
+        assert parse_torus_graph(open(gp).read())[0].check_minimal()[0]
+        assert main(["verify-ising", gp, "--vertex", white, "--gadget-map", gm,
+                     "--mode", "numeric"]) == 0
+        assert "condition weight-mutation pass" in capsys.readouterr().out
+
+
+_X_SEQUENCE = [Fraction(k, 2 * k + 1) for k in range(1, 13)]
+
+
+def _square22_with_diagonals(cells):
+    """The square 2x2 Ising graph plus one diagonal across each face of
+    `cells`, (i, j, up): p{i}{j} to p{i+1}{j+1} when up, else p{i+1}{j} to
+    p{i}{j+1}. Diagonals of both directions make the gadget graph
+    non-minimal."""
+    g = square(2, 2)
+    rot = {v: list(g.rotation[v]) for v in g.vertex_ids()}
+    h = TorusGraph()
+    for v in g.vertex_ids():
+        h.add_vertex(v, "n")
+    for e in g.edges():
+        h.add_edge(e, *g.edge_ends[e])
+    for k, (i, j, up) in enumerate(cells):
+        i1, j1, wx, wy, e = (i + 1) % 2, (j + 1) % 2, int(i == 1), int(j == 1), f"d{k}"
+        # each dart goes in ccw order just after the lattice dart before it
+        ends = ([(f"p{i}{j}", f"h{i}{j}+"), (f"p{i1}{j1}", f"h{i}{j1}-")] if up else
+                [(f"p{i1}{j}", f"v{i1}{j}+"), (f"p{i}{j1}", f"v{i}{j}-")])
+        h.add_edge(e, ends[0][0], ends[1][0], wx if up else -wx, wy)
+        for (v, before), dart in zip(ends, (e + "+", e + "-")):
+            rot[v].insert(rot[v].index(before) + 1, dart)
+    for v in g.vertex_ids():
+        h.set_rotation(v, rot[v])
+    h.freeze()
+    h.validate()
+    return h
 
 
 _FUZZ_SCRIPT = "move square f=f2\nmove color\n"
@@ -650,6 +714,144 @@ class TestDeterminism:
         out = capsys.readouterr().out
         assert out == "divisor w2 (0.65,2.08)x1\n"
         assert "j" not in out
+
+
+def reference_emit(text, path):
+    """The CLI's writer before it overwrote in place: open(path, "w"), which
+    truncates an existing file first. Kept to compare what each does with a
+    destination it cannot write."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise cli.CliError(f"cannot write {path}: {exc}")
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestOutputFiles:
+    """cli._emit, the one writer of --out, --gadget-map and --svg: an
+    existing file is overwritten in place and cut to the written length;
+    otherwise it behaves as open(path, "w") did."""
+
+    @pytest.fixture
+    def text(self, files, capsys):
+        """The inspect report of the dimer fixture, as written to stdout."""
+        assert main(["inspect", files[1]]) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("umask,mode", [(0o027, 0o640), (0o002, 0o664)], ids=["027", "002"])
+    def test_new_file_mode_follows_the_umask(self, files, tmp_path, text, umask, mode):
+        out = tmp_path / "new.txt"
+        old = os.umask(umask)
+        try:
+            assert main(["inspect", files[1], "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert out.read_text() == text
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+
+    @pytest.mark.parametrize("extra", [100, -5, 0], ids=["longer", "shorter", "equal"])
+    def test_existing_file_holds_the_text_alone(self, files, tmp_path, text, extra):
+        out = tmp_path / "out.txt"
+        out.write_text("#" * (len(text) + extra))
+        out.chmod(0o600)
+        before, fds = out.stat(), open_fds()
+        assert main(["inspect", files[1], "--out", str(out)]) == 0
+        assert out.read_text() == text
+        # overwritten in place: the same inode and mode, and no descriptor left open
+        assert (out.stat().st_ino, stat.S_IMODE(out.stat().st_mode)) == (before.st_ino, 0o600)
+        assert open_fds() == fds
+
+    def test_symlink_rewrites_its_target(self, files, tmp_path, text):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("#" * 1000)
+        link.symlink_to(target)
+        assert main(["inspect", files[1], "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == text
+
+    def test_hard_links_stay_shared(self, files, tmp_path, text):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("#" * 1000)
+        os.link(a, b)
+        assert main(["inspect", files[1], "--out", str(a)]) == 0
+        assert b.read_text() == text and a.stat().st_nlink == 2
+
+    def test_dev_null(self, files, capsys):
+        assert main(["inspect", files[1], "--out", "/dev/null"]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_pipe(self, files, text):
+        # the text is far below a pipe's buffer, so the write does not block
+        r, w = os.pipe()
+        try:
+            assert main(["inspect", files[1], "--out", f"/dev/fd/{w}"]) == 0
+        finally:
+            os.close(w)
+        with open(r) as fh:
+            assert fh.read() == text
+
+    def test_fifo(self, files, tmp_path, text):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        try:
+            assert main(["inspect", files[1], "--out", str(fifo)]) == 0
+        finally:
+            reader.join(timeout=30)
+        assert got == [text]
+
+    @pytest.mark.parametrize("dest", ["read-only", "directory", "missing directory", "/dev/full"])
+    def test_unwritable_destination_as_before(self, files, tmp_path, monkeypatch, capsys, dest):
+        def make(root):
+            root.mkdir()
+            if dest == "read-only":
+                (root / "ro.txt").write_text("old\n")
+                (root / "ro.txt").chmod(0o444)
+                return str(root / "ro.txt")
+            return {"directory": str(root), "missing directory": str(root / "no" / "out.txt"),
+                    "/dev/full": dest}[dest]
+        seen = []
+        for name, emit in (("now", cli._emit), ("before", reference_emit)):
+            monkeypatch.setattr(cli, "_emit", emit)
+            path, fds = make(tmp_path / name), open_fds()
+            code = main(["inspect", files[1], "--out", path])
+            out, err = capsys.readouterr()
+            assert open_fds() == fds
+            written = open(path).read() if dest == "read-only" else None
+            seen.append((code, out, err.replace(str(tmp_path / name), "<root>"), written))
+        assert seen[0] == seen[1]
+        # the superuser may write a read-only file
+        if dest != "read-only" or os.geteuid() != 0:
+            assert seen[0][0] == 2 and seen[0][2].startswith("error: cannot write ")
+
+    def test_gadget_map_wins_over_out_on_one_path(self, files, tmp_path):
+        _, _, ip, _ = files
+        dim, gm, both = tmp_path / "d.tg", tmp_path / "d.gm", tmp_path / "both"
+        assert main(["todimer", ip, "--out", str(dim), "--gadget-map", str(gm)]) == 0
+        assert main(["todimer", ip, "--out", str(both), "--gadget-map", str(both)]) == 0
+        # the gadget map is the shorter, so its write cut the graph's
+        assert len(gm.read_text()) < len(dim.read_text())
+        assert both.read_text() == gm.read_text()
+
+    def test_no_output_is_truncated_before_it_is_written(self, files, tmp_path, monkeypatch):
+        # on ext4 a rewrite through a truncate to 0 costs about 100 us at
+        # close (auto_da_alloc): the writer must open without O_TRUNC
+        _, gp, ip, _ = files
+        calls, real = [], os.open
+        monkeypatch.setattr(os, "open", lambda path, flags, *a: calls.append((path, flags))
+                            or real(path, flags, *a))
+        paths = [str(tmp_path / name) for name in ("d.tg", "d.gm", "a.csv", "a.svg")]
+        for _ in range(2):      # new files, then existing ones
+            assert main(["todimer", ip, "--out", paths[0], "--gadget-map", paths[1]]) == 0
+            assert main(["amoeba", gp, "--grid", "3", "--out", paths[2], "--svg", paths[3]]) == 0
+        assert [p for p, _ in calls] == paths * 2
+        assert not any(flags & os.O_TRUNC for _, flags in calls)
 
 
 class TestPipelines:

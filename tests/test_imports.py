@@ -11,7 +11,8 @@ package builds is read somewhere, the benchmark's calls into the package
 bind to its signatures and unpack as many names as the function returns,
 its traced targets exist, a graph's data is written only while the graph
 is built, only `TorusGraph.add_edge` makes a `Dart`, only `exactalg._interpolate`
-makes a `LaurentPoly2` without its checks, every option of a CLI verb is read by that verb,
+makes a `LaurentPoly2` without its checks, only `cli._emit` opens a path
+for writing, every option of a CLI verb is read by that verb,
 every exception class of the package has an exit code, every module stays
 below TOKEN_LIMIT parser tokens, and the modules of the package import
 each other one way, with no cycle.
@@ -769,6 +770,73 @@ def test_polys_skip_their_checks_only_in_the_read_out():
     assert found == {p.stem: [] for p in MODULES}
     assert "LaurentPoly2.__new__(LaurentPoly2)" in inspect.getsource(
         importlib.import_module("isingdimer.exactalg")._interpolate)
+
+
+# The one opener of a path for writing: the CLI's output writer, which
+# overwrites an existing file in place instead of truncating it first
+# (README, command line). A second writer would bring the truncate back.
+PATH_WRITER = "cli._emit"
+
+
+def path_writers(module, source):
+    """`module.where:line` of each call in source outside PATH_WRITER that
+    opens a path for writing; where as in dart_makers. That is the builtin
+    `open` with a mode holding w, a, x or + or a mode that is not a string
+    literal, any `os.open`, an `.open` method with such a literal mode
+    (`Path.open`, `io.open`), and `.write_text` or `.write_bytes`."""
+    def writes(mode):
+        return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and set(mode.value).isdisjoint("wax+"))
+
+    tree = ast.parse(source)
+    owner = scope_owners(tree)
+    out = []
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        f, kw = n.func, [k.value for k in n.keywords if k.arg == "mode"]
+        if isinstance(f, ast.Name):
+            found = f.id == "open" and any(writes(m) for m in n.args[1:2] + kw)
+        elif isinstance(f, ast.Attribute):
+            found = (f.attr in ("write_text", "write_bytes")
+                     or f.attr == "open" and (getattr(f.value, "id", None) == "os" or any(
+                         isinstance(m, ast.Constant) and writes(m) for m in n.args[:2] + kw)))
+        else:
+            found = False
+        where = f"{module}.{owner.get(id(n), '<module>')}"
+        if found and where != PATH_WRITER:
+            out.append(f"{where}:{n.lineno}")
+    return out
+
+
+def test_finds_a_path_writer():
+    source = ("import os\n"
+              "def read(p):\n"
+              "    with open(p) as fh, open(p, 'rb') as fb, p.open() as fp:\n"
+              "        return fh.read(), fb.read(), fp.read(), open(p, mode='r')\n"
+              "def write(p, t, m):\n"
+              "    open(p, 'w').write(t)\n"
+              "    open(p, mode='a+')\n"
+              "    open(p, m)\n"
+              "    os.open(p, os.O_RDONLY)\n"
+              "    p.write_text(t)\n"
+              "    p.open('xb')\n"
+              "def _emit(text, p):\n"
+              "    return open(os.open(p, os.O_WRONLY), 'w')\n"
+              "class C:\n"
+              "    def m(self, p):\n"
+              "        p.write_bytes(b'')\n")
+    assert sorted(path_writers("cli", source), key=lambda w: int(w.rpartition(":")[2])) == [
+        "cli.write:6", "cli.write:7", "cli.write:8", "cli.write:9", "cli.write:10",
+        "cli.write:11", "cli.C.m:16"]
+    # elsewhere _emit may not: its os.open and its open(fd, 'w') count
+    found = path_writers("spectral", source)
+    assert len(found) == 9 and found.count("spectral._emit:13") == 2
+
+
+def test_only_emit_opens_paths_for_writing():
+    found = {p.stem: path_writers(p.stem, p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert found == {p.stem: [] for p in PACKAGE.glob("*.py")}
 
 
 # Errors that only a bug in the package can raise, so a traceback is the

@@ -22,7 +22,7 @@ from isingdimer.ising import (
 )
 from isingdimer.abel import abel_tree
 from isingdimer.cli import main
-from isingdimer.spectral import SpectralError
+from isingdimer.spectral import SpectralError, characteristic_polynomial, solve_kasteleyn_signs
 from isingdimer.torusgraph import GraphError, TorusGraph, parse_torus_graph, serialize_torus_graph
 from isingdimer.dimer import ising_locus_check
 from isingdimer.lattices import honeycomb, square
@@ -458,6 +458,54 @@ class TestYDeltaEdit:
         assert sorted(v for v in model.graph.colors if v.startswith("dy")) == \
             ["dy_f0", "dy_f3", "dy_f4", "dy_f4_1"]
         IsingModel(model.graph.freeze(), model.couplings)
+
+    @staticmethod
+    def star_triangle_rounds(model, rounds):
+        """The models after each round: Y -> triangle at every vertex of the
+        older colour class of the honeycomb (the u vertices first), then
+        triangle -> Y at the triangles where the hexagons were, those whose
+        three edges come from three different Y -> triangle moves."""
+        older = [v for v in model.graph.colors if v.startswith("u")]
+        for _ in range(rounds):
+            for v in older:
+                model = y_delta(model, "v:" + v)
+            g = model.graph
+            kept = sorted(g.colors)
+            triangles = [sorted(g.darts[d].edge for d in g.face_darts(f)) for f in g.face_ids()]
+            for edges in triangles:
+                if len({e.rsplit("_", 1)[0] for e in edges}) == 3:
+                    # face ids change with every edit: find the triangle by its edges
+                    g = model.graph
+                    fid = next(f for f in g.face_ids()
+                               if sorted(g.darts[d].edge for d in g.face_darts(f)) == edges)
+                    model = y_delta(model, "f:" + fid)
+            older = kept
+            yield model
+
+    @pytest.mark.parametrize("kx,ky", [(2, 2), (3, 2)])
+    def test_star_triangle_rounds_keep_the_curve(self, kx, ky):
+        # Z-invariance: star-triangle moves keep P up to a monomial factor, a
+        # unimodular change of (z, w) and a sign twist, which only permute
+        # the points (+-1, +-1), and a factor common to all four values. The
+        # later rounds' centres need the free names of the mended clash.
+        def invariants(model):
+            gd, wt, _ = to_dimer(model)
+            curve = characteristic_polynomial(gd, wt, dict(solve_kasteleyn_signs(gd))[(1, 1)])
+            shape = (curve.genus, curve.polygon.twice_area, sum(n for _, n in curve.polygon.sides))
+            return shape, sorted(abs(curve.poly.eval(z, w)) for z in (1, -1) for w in (1, -1))
+
+        rng = random.Random(7)
+        g = honeycomb(kx, ky)
+        model = IsingModel(g, {e: make_coupling(J=rng.uniform(0.2, 0.8)) for e in g.edges()})
+        shape, values = invariants(model)
+        moved = list(self.star_triangle_rounds(model, 3))
+        assert any(v.startswith("dy_") and v.count("_") == 2 for v in moved[-1].graph.colors)
+        for m in moved:
+            assert len(m.graph.colors) == 2 * kx * ky
+            got_shape, got = invariants(m)
+            assert got_shape == shape
+            c = sum(got) / sum(values)
+            assert got == pytest.approx([c * v for v in values], rel=1e-9)
 
     def test_moved_model_is_not_validated_again(self, monkeypatch):
         # the edit checked what it changed; IsingModel keeps that verdict,
