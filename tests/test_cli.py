@@ -146,7 +146,6 @@ class TestExitCodes:
     def test_abel_of_reflected_marking_exits_1(self, tmp_path, capsys):
         # the swap of x and y reverses the orientation of the marking; the
         # check sees it whatever the window
-        from isingdimer.torusgraph import parse_torus_graph
         from test_ising import reference_apply_lattice_map
         g, wt, _ = parse_torus_graph(DIMER_FIXTURE)
         bad = tmp_path / "swapped.tg"
@@ -397,7 +396,6 @@ def _line_of(text, prefix):
 def _doubled_e1():
     """The dimer fixture with a parallel copy of e1: a digon face, so a
     zig-zag of zero homology."""
-    from isingdimer.torusgraph import parse_torus_graph
     g, wt, _ = parse_torus_graph(DIMER_FIXTURE)
     return serialize_torus_graph(doubled(g, "e1"), weights={**wt, "e1d": wt["e1"]})
 
@@ -950,7 +948,6 @@ class TestPipelines:
         # split b1 so that a new degree-2 white sits on both basis cycles,
         # gauge its edges away from 1, and contract it again by script
         from isingdimer.dimer import contraction_move
-        from isingdimer.torusgraph import parse_torus_graph
         g0, wt0, _ = parse_torus_graph(DIMER_FIXTURE)
         g, wt, rec = uncontraction_move(g0, wt0, "b1", 1, 1)
         mid = rec.data["parts"][2]
@@ -1024,7 +1021,6 @@ class TestPipelines:
         # the files of the per-row references on P of the ++ class, the SVG
         # ringing the divisor point (13/20, 52/25) of w2
         from isingdimer.spectral import characteristic_polynomial, solve_kasteleyn_signs
-        from isingdimer.torusgraph import parse_torus_graph
         from test_spectral import reference_amoeba_csv, reference_amoeba_sample, reference_amoeba_svg
         _, gp, _, _ = files
         csv = tmp_path / "am.csv"
@@ -1120,7 +1116,6 @@ class TestPipelines:
         assert out.startswith("torus-graph v1")
 
     def test_inspect_validates_once(self, files, capsys, monkeypatch):
-        from isingdimer.torusgraph import TorusGraph
         _, gp, ip, _ = files
         calls = []
         validate = TorusGraph.validate
@@ -1139,7 +1134,6 @@ class TestTolerance:
         # 2.2e-16; the residuals line names the sides above tol, each side
         # (p, q) as a primitive zig-zag class
         from isingdimer.dimer import x_of_cycle
-        from isingdimer.torusgraph import parse_torus_graph
         gp, gm, white = _square21_gadget(tmp_path)
         g, wt, _ = parse_torus_graph(open(gp).read())
         wt = {e: float(v) for e, v in wt.items()}
@@ -1290,7 +1284,6 @@ def _square21_gadget(tmp):
 
 def _gadget(tmp, g, x):
     """todimer of the Ising model on g with x the couplings in edge order."""
-    from isingdimer.torusgraph import parse_torus_graph
     model = IsingModel(g, {e: make_coupling(x=v) for e, v in zip(g.edges(), x)})
     ip = tmp / "sq.tg"
     ip.write_text(serialize_torus_graph(model.graph, couplings={
@@ -1321,7 +1314,6 @@ class TestDifferentialOracle:
         from isingdimer.exactalg import lm_adjugate_lines
         from isingdimer.ising import parse_gadget_map
         from isingdimer.spectral import kasteleyn_matrix, solve_kasteleyn_signs
-        from isingdimer.torusgraph import parse_torus_graph
         tmp, gp, _, gm = files
         white = "w2"
         if which == "square 2x1":
