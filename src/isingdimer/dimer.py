@@ -109,90 +109,116 @@ class MoveRecord:
 
 
 def square_move(g, wt, fid):
-    """Spider move at the quadrilateral face `fid`.
+    """Spider move at the quadrilateral face `fid`: square_moves at one
+    face, whose record also names the face and the new square as
+    data["face"] and data["new_face"]."""
+    gn, new_wt, rec = square_moves(g, wt, (fid,))
+    rec.data["face"], rec.data["new_face"] = fid, rec.data["new_faces"][0]
+    return gn, new_wt, rec
 
-    The face must be bounded by four edges with distinct trivalent black
-    corners carrying pendant (third) edges; to_dimer output always qualifies.
-    Returns (new graph, new weights, MoveRecord).
+
+def square_moves(g, wt, fids):
+    """Spider moves at the quadrilateral faces `fids`, made as one edit of g.
+
+    The faces must share no corner, so that the moves commute, and each
+    must be bounded by four edges with distinct trivalent black corners
+    carrying pendant (third) edges; to_dimer output always qualifies. A face
+    that keeps none of its darts (every face of the graph when the squares
+    hold every black) goes to the face of the first dart of its rerouted
+    boundary, and each square to its new square. Returns (new graph, new
+    weights, MoveRecord).
     """
-    g.ensure_valid()
-    orbit = g.face_darts(fid)
-    if len(orbit) != 4:
-        raise MoveError(f"face {fid} has {len(orbit)} sides, need 4")
-    if g.colors[g.tail(orbit[0])] == "w":
-        orbit = orbit[1:] + orbit[:1]
-    d0, d1, d2, d3 = orbit
-    k0, k1, k2, k3 = (g.darts[d] for d in orbit)
-    B1, m3, B2, m1 = k0.vertex, k1.vertex, k2.vertex, k3.vertex
-    if len({B1, m3, B2, m1}) != 4:
-        raise MoveError(f"face {fid} has repeated corners")
-    if g.degree(B1) != 3 or g.degree(B2) != 3:
-        raise MoveError("square corners must be trivalent blacks")
-    p1 = next(d for d in g.rotation[B1] if d != d0 and d != k3.twin)
-    p2 = next(d for d in g.rotation[B2] if d != d2 and d != k1.twin)
-    kp1, kp2 = g.darts[p1], g.darts[p2]
-    m2, m4 = kp1.head, kp2.head
-
-    # gauge the pendant weights to 1 at the two blacks, whose three edges
-    # each are the six edges the move removes
-    e0, e1, e2, e3, q1, q2 = (k.edge for k in (k0, k1, k2, k3, kp1, kp2))
-    w0, w1, w2, w3, lam1, lam2 = (wt[e] for e in (e0, e1, e2, e3, q1, q2))
-    if all(isinstance(x, Fraction) for x in (w0, w1, w2, w3, lam1, lam2)):
-        # the same values in ints: with w_i = n_i/t_i and D = t0 t1 t2 t3,
-        # d/delta = w1 l1 / (w0 w2 + w1 w3) = n1 l1 (D/t1) / T, and so on
-        (n0, t0), (n1, t1), (n2, t2), (n3, t3) = (x.as_integer_ratio() for x in (w0, w1, w2, w3))
-        D, T = t0 * t1 * t2 * t3, n0 * n2 * t1 * t3 + n1 * n3 * t0 * t2
-        one, (wA2, wA4, wB2, wB4) = Fraction(1), (
-            Fraction(n * lam.numerator * (D // t), lam.denominator * T)
-            for n, t, lam in ((n1, t1, lam1), (n0, t0, lam2), (n2, t2, lam1), (n3, t3, lam2)))
-    else:
-        a, dd, c, b = w0 / lam1, w1 / lam2, w2 / lam2, w3 / lam1
-        delta = a * c + b * dd
-        if isinstance(delta, float) and not (delta and all(0 < x / delta < math.inf
-                                                           for x in (a, b, c, dd))):
-            raise MoveError(f"square move at {fid} takes weights out of the float range")
-        one, wA2, wA4, wB2, wB4 = lam1 / lam1, dd / delta, a / delta, c / delta, b / delta
-
     def fresh(base):
+        # distinct faces give distinct bases, so only the names of g can clash
         name, k = base, 0
         while name in g.edge_ends:
             k += 1
             name = f"{base}.{k}"
         return name
 
-    # the blacks keep their names and vertex records; their edges change
-    pA1 = fresh(f"{fid}_pA")   # B_A' - m1 pendant
-    pB3 = fresh(f"{fid}_pB")   # B_B' - m3 pendant
-    eA2 = fresh(f"{fid}_a2")   # B_A' - m2, weight d/delta
-    eA4 = fresh(f"{fid}_a4")   # B_A' - m4, weight a/delta
-    eB2 = fresh(f"{fid}_b2")   # B_B' - m2, weight c/delta
-    eB4 = fresh(f"{fid}_b4")   # B_B' - m4, weight b/delta
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = k0.disp, k1.disp, k2.disp, k3.disp
-    (u1, v1), (u2, v2) = kp1.disp, kp2.disp
-    edges = [(pA1, B1, m1, -x3, -y3), (eA2, B1, m2, u1, v1),
-             (eA4, B1, m4, u2 - x3 - x2, v2 - y3 - y2), (pB3, B2, m3, -x1, -y1),
-             (eB2, B2, m2, u1 - x1 - x0, v1 - y1 - y0), (eB4, B2, m4, u2, v2)]
-    removed_edges = {e0, e1, e2, e3, q1, q2}
-    new_wt = wt.copy()
-    for e in removed_edges:
-        del new_wt[e]
-    new_wt.update({pA1: one, eA2: wA2, eA4: wA4, pB3: one, eB2: wB2, eB4: wB4})
+    g.ensure_valid()
+    new_wt, drop, edges, rotations, legs, corner_of = wt.copy(), [], [], {}, {}, {}
+    squares, removed, blacks, corners = {}, set(), [], []
+    for fid in fids:
+        orbit = g.face_darts(fid)
+        if len(orbit) != 4:
+            raise MoveError(f"face {fid} has {len(orbit)} sides, need 4")
+        root = orbit[0]
+        if g.colors[g.tail(root)] == "w":
+            orbit = orbit[1:] + orbit[:1]
+        d0, d1, d2, d3 = orbit
+        k0, k1, k2, k3 = map(g.darts.__getitem__, orbit)
+        B1, m3, B2, m1 = k0.vertex, k1.vertex, k2.vertex, k3.vertex
+        if len({B1, m3, B2, m1}) != 4:
+            raise MoveError(f"face {fid} has repeated corners")
+        if g.degree(B1) != 3 or g.degree(B2) != 3:
+            raise MoveError("square corners must be trivalent blacks")
+        for v in (B1, m3, B2, m1):
+            if v in corner_of:
+                raise MoveError(f"square faces {corner_of[v]} and {fid} share the corner {v}")
+            corner_of[v] = fid
+        p1 = next(d for d in g.rotation[B1] if d != d0 and d != k3.twin)
+        p2 = next(d for d in g.rotation[B2] if d != d2 and d != k1.twin)
+        kp1, kp2 = g.darts[p1], g.darts[p2]
+        m2, m4 = kp1.head, kp2.head
 
-    # at the corners the square's darts give way to the new pendants and
-    # the pendant darts to the pairs of new diagonals
-    swap = {d1: [pB3 + "-"], k0.twin: [], d3: [pA1 + "-"], k2.twin: [],
-            kp1.twin: [eB2 + "-", eA2 + "-"], kp2.twin: [eA4 + "-", eB4 + "-"]}
-    rotations = {B1: [pA1 + "+", eA2 + "+", eA4 + "+"],
-                 B2: [pB3 + "+", eB4 + "+", eB2 + "+"]}
-    for v in (m1, m2, m3, m4):
-        rotations[v] = [x for d in g.rotation[v] for x in swap.get(d, (d,))]
-    gn = g.edit(drop_edges=(e0, e1, e2, e3, q1, q2), edges=edges, rotations=rotations)
-    roots = {**gn.moved_roots, min(orbit): gn.root_of(eA2 + "+")}
+        # gauge the pendant weights to 1 at the two blacks, whose three edges
+        # each are the six edges the move removes
+        e0, e1, e2, e3, q1, q2 = k0.edge, k1.edge, k2.edge, k3.edge, kp1.edge, kp2.edge
+        w0, w1, w2, w3, lam1, lam2 = map(wt.__getitem__, (e0, e1, e2, e3, q1, q2))
+        if all(isinstance(x, Fraction) for x in (w0, w1, w2, w3, lam1, lam2)):
+            # the same values in ints: with w_i = n_i/t_i and D = t0 t1 t2 t3,
+            # d/delta = w1 l1 / (w0 w2 + w1 w3) = n1 l1 (D/t1) / T, and so on
+            (n0, t0), (n1, t1), (n2, t2), (n3, t3) = map(Fraction.as_integer_ratio, (w0, w1, w2, w3))
+            D, T = t0 * t1 * t2 * t3, n0 * n2 * t1 * t3 + n1 * n3 * t0 * t2
+            one, (wA2, wA4, wB2, wB4) = Fraction(1), (
+                Fraction(n * lam.numerator * (D // t), lam.denominator * T)
+                for n, t, lam in ((n1, t1, lam1), (n0, t0, lam2), (n2, t2, lam1), (n3, t3, lam2)))
+        else:
+            a, dd, c, b = w0 / lam1, w1 / lam2, w2 / lam2, w3 / lam1
+            delta = a * c + b * dd
+            if isinstance(delta, float) and not (delta and all(0 < x / delta < math.inf
+                                                               for x in (a, b, c, dd))):
+                raise MoveError(f"square move at {fid} takes weights out of the float range")
+            one, wA2, wA4, wB2, wB4 = lam1 / lam1, dd / delta, a / delta, c / delta, b / delta
 
-    # the new legs from each black's pendant corner to its side
-    # corners m1 and m3, as (edge at the pendant corner, edge at the side)
-    legs = {B1: (m2, {m3: (eB2, pB3), m1: (eA2, pA1)}),
-            B2: (m4, {m3: (eB4, pB3), m1: (eA4, pA1)})}
+        # the blacks keep their names and vertex records; their edges change
+        pA1 = fresh(f"{fid}_pA")   # B_A' - m1 pendant
+        pB3 = fresh(f"{fid}_pB")   # B_B' - m3 pendant
+        eA2 = fresh(f"{fid}_a2")   # B_A' - m2, weight d/delta
+        eA4 = fresh(f"{fid}_a4")   # B_A' - m4, weight a/delta
+        eB2 = fresh(f"{fid}_b2")   # B_B' - m2, weight c/delta
+        eB4 = fresh(f"{fid}_b4")   # B_B' - m4, weight b/delta
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = k0.disp, k1.disp, k2.disp, k3.disp
+        (u1, v1), (u2, v2) = kp1.disp, kp2.disp
+        edges += [(pA1, B1, m1, -x3, -y3), (eA2, B1, m2, u1, v1),
+                  (eA4, B1, m4, u2 - x3 - x2, v2 - y3 - y2), (pB3, B2, m3, -x1, -y1),
+                  (eB2, B2, m2, u1 - x1 - x0, v1 - y1 - y0), (eB4, B2, m4, u2, v2)]
+        drop += e0, e1, e2, e3, q1, q2
+        removed.update((d0, d1, d2, d3, p1, p2, k0.twin, k1.twin, k2.twin, k3.twin,
+                        kp1.twin, kp2.twin))
+        for e in (e0, e1, e2, e3, q1, q2):
+            del new_wt[e]
+        new_wt.update({pA1: one, eA2: wA2, eA4: wA4, pB3: one, eB2: wB2, eB4: wB4})
+
+        # at the corners the square's darts give way to the new pendants and
+        # the pendant darts to the pairs of new diagonals; a corner of one
+        # square may be a pendant corner of another, whose darts it keeps
+        swap = {d1: [pB3 + "-"], k0.twin: [], d3: [pA1 + "-"], k2.twin: [],
+                kp1.twin: [eB2 + "-", eA2 + "-"], kp2.twin: [eA4 + "-", eB4 + "-"]}
+        rotations[B1] = [pA1 + "+", eA2 + "+", eA4 + "+"]
+        rotations[B2] = [pB3 + "+", eB4 + "+", eB2 + "+"]
+        for v in (m1, m2, m3, m4):
+            rotations[v] = [x for d in rotations.get(v, g.rotation[v]) for x in swap.get(d, (d,))]
+
+        # the new legs from each black's pendant corner to its side
+        # corners m1 and m3, as (edge at the pendant corner, edge at the side)
+        legs[B1] = (m2, {m3: (eB2, pB3), m1: (eA2, pA1)})
+        legs[B2] = (m4, {m3: (eB4, pB3), m1: (eA4, pA1)})
+        squares[root] = eA2 + "+"
+        blacks += B1, B2
+        corners += m1, m2, m3, m4
+    gn = g.edit(drop_edges=drop, edges=edges, rotations=rotations)
 
     def hop(x, B, y):
         """The new walk of an old hop x -> B -> y: the reversed twin of B's
@@ -208,8 +234,6 @@ def square_move(g, wt, fid):
                 ([to_y[0] + "-", to_y[1] + "+"] if to_y else [])
         raise MoveError(f"cannot transport hop {(x, B, y)}")
 
-    removed = {d0, d1, d2, d3, p1, p2, *(k.twin for k in (k0, k1, k2, k3, kp1, kp2))}
-
     def reroute(cycle):
         """Rewrite a dart walk of the old graph in the new graph."""
         if removed.isdisjoint(cycle):
@@ -224,29 +248,32 @@ def square_move(g, wt, fid):
                 segs.append(d)
         while len(segs) > 1 and segs[0] == g.darts[segs[-1]].twin:
             segs = segs[1:-1]
-        inside = [d in removed for d in segs]
-        if all(inside):
-            raise MoveError("cycle lies entirely inside the moved gadget")
-        # rotate so the walk starts on a surviving dart
-        k = inside.index(False)
-        segs, inside = segs[k:] + segs[:k], inside[k:] + inside[:k]
+        # rotate so the walk starts off the moved blacks: each of them is
+        # then passed by a dart in and the dart out after it, a hop
+        k = next((i for i, d in enumerate(segs) if g.tail(d) not in legs), 0)
+        segs = segs[k:] + segs[:k]
         out, i, n = [], 0, len(segs)
         while i < n:
             d = segs[i]
-            if not inside[i]:
+            if d not in removed:
                 out.append(d)
                 i += 1
                 continue
-            if i + 1 >= n or not inside[i + 1]:
+            if i + 1 >= n or segs[i + 1] not in removed:
                 raise MoveError("walk stops on a removed black vertex")
             out.extend(hop(g.tail(d), g.head(d), g.head(segs[i + 1])))
             i += 2
         return out
 
+    # the faces that keep a dart are the edit's moved_roots; the others
+    # keep none, and their rerouted boundaries are the new faces' boundaries
+    roots = {**gn.moved_roots}
+    for orbit in gn.lost_orbits:
+        r = orbit[0]
+        roots[r] = gn.root_of(squares[r] if r in squares else reroute(orbit)[0])
     record = MoveRecord("square", g, gn, {
-        "face": fid, "new_face": gn.face_of_dart(eA2 + "+"), "roots": roots,
-        "reroute": reroute, "new_blacks": (B1, B2),
-        "corners": (m1, m2, m3, m4),
+        "faces": list(fids), "new_faces": [gn.face_of_dart(d) for d in squares.values()],
+        "roots": roots, "reroute": reroute, "new_blacks": blacks, "corners": corners,
     })
     return gn, new_wt, record
 
@@ -313,30 +340,28 @@ def color_change(g, wt):
 
 
 def ising_locus_check(g, wt, gadget_map, tol=None):
-    """Apply the square move at every gadget square and compare the X basis
-    with the color change. Returns (passes, report).
+    """Make mu, the square moves at all gadget squares, as one move and
+    compare the X basis with the color change. Returns (passes, report).
+    Gadget squares that share a corner raise MoveError.
 
     The report carries per-basis-element residuals (mu-route value divided by
     color-change value, minus one), the structural isomorphism check and the
     graph the square moves reach.
     """
-    squares = sorted(set(gadget_map.squares.values()))
-    cur_g, cur_wt = g, dict(wt)
-    start = basis = XBasis.of(g)
-    for fid in squares:
-        cur_g, cur_wt, rec = square_move(cur_g, cur_wt, cur_g.face_of_dart(basis.roots[fid]))
-        basis = basis.follow(rec)
+    start = XBasis.of(g)
+    mu_g, mu_wt, rec = square_moves(g, wt, sorted(set(gadget_map.squares.values())))
+    basis = start.follow(rec)
     cc_g, cc_wt = color_change(g, wt)
-    iso = cur_g.isomorphic(cc_g)
+    iso = mu_g.isomorphic(cc_g)
 
     residuals = {}
     ok = True
     for key in [*start.roots, *start.cycles]:
         target = start.x(cc_g, cc_wt, key)
-        got = basis.x(cur_g, cur_wt, key)
+        got = basis.x(mu_g, mu_wt, key)
         residuals[key] = _residual(got, target)
         ok = ok and _is_zero(residuals[key], tol)
-    report = {"residuals": residuals, "isomorphic": iso, "mu_graph": cur_g}
+    report = {"residuals": residuals, "isomorphic": iso, "mu_graph": mu_g}
     return ok and iso, report
 
 

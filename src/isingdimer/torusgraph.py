@@ -42,13 +42,13 @@ class ParseError(ValueError):
 class Dart:
     __slots__ = ("id", "edge", "vertex", "head", "disp", "twin")
 
-    def __init__(self, dart_id, edge, vertex, head, disp):
+    def __init__(self, dart_id, edge, vertex, head, disp, twin):
         self.id = dart_id
         self.edge = edge
         self.vertex = vertex          # tail
         self.head = head
         self.disp = disp              # (dx, dy), ints
-        self.twin = dart_id[:-1] + ("-" if dart_id[-1] == "+" else "+")
+        self.twin = twin
 
     def __repr__(self):
         return f"Dart({self.id}: {self.vertex}->{self.head} {self.disp})"
@@ -104,14 +104,14 @@ class TorusGraph:
     def add_edge(self, e, v1, v2, dx=0, dy=0):
         if e in self.edge_ends:
             raise GraphError(f"duplicate edge {e}")
-        for v in (v1, v2):
-            if v not in self.colors:
-                raise GraphError(f"edge {e} references unknown vertex {v}")
+        if v1 not in self.colors or v2 not in self.colors:
+            raise GraphError(f"edge {e} references unknown vertex {v1 if v1 not in self.colors else v2}")
         # the one maker of darts: an edge's two are twins by construction,
         # with swapped ends and negated displacements
         self.edge_ends[e] = ends = (v1, v2, int(dx), int(dy))
-        self.darts[e + "+"] = Dart(e + "+", e, v1, v2, ends[2:])
-        self.darts[e + "-"] = Dart(e + "-", e, v2, v1, (-ends[2], -ends[3]))
+        plus, minus = e + "+", e + "-"
+        self.darts[plus] = Dart(plus, e, v1, v2, ends[2:], minus)
+        self.darts[minus] = Dart(minus, e, v2, v1, (-ends[2], -ends[3]), plus)
 
     def set_rotation(self, v, dart_ids):
         if v not in self.colors:
@@ -335,8 +335,9 @@ class TorusGraph:
         in self leave the sorted face ranks and the new ones go in, so face
         ids follow the rule of `faces()`. The new graph's `moved_roots` maps
         each of those old smallest darts to the smallest dart of the face of
-        its orbit's first dart that the new graph keeps (a face that keeps no
-        dart is left out). The invariants of `validate()` are checked on what
+        its orbit's first dart that the new graph keeps, and `lost_orbits`
+        lists the old orbits, each from its smallest dart, of the faces that
+        keep no dart. The invariants of `validate()` are checked on what
         changed, and the rest inherits them from self, which is validated
         first unless it already was. Raises GraphError.
         """
@@ -406,17 +407,20 @@ class TorusGraph:
         # and dropped darts lose their roots here: every kept dart of those
         # faces lies on a new face through a changed dart, so the traces from
         # the changed darts give it its new root
-        root_of, ranks, orbits, kept = g._root, g._ranks, g._orbit, {}
+        root_of, ranks, orbits, kept, lost = g._root, g._ranks, g._orbit, {}, []
         for r in {root_of.pop(d) for d in changed.union(gone) if d in root_of}:
             del ranks[bisect_left(ranks, r)]
-            for d in orbits.pop(r):
+            orbit = orbits.pop(r)
+            for d in orbit:
                 if d in darts:
                     kept[r] = d
                     break
+            else:
+                lost.append(orbit)
         roots = sorted(g._trace(changed))
         for r in roots:
             insort(ranks, r)
-        g.moved_roots = {r: root_of[d] for r, d in kept.items()}
+        g.moved_roots, g.lost_orbits = {r: root_of[d] for r, d in kept.items()}, lost
         g._uncolored = uncolored
         # old edges were checked for color only if self was colored
         g._check_faces(roots, ends if self._uncolored else added)

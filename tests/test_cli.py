@@ -70,6 +70,21 @@ class TestExitCodes:
         code = main(["verify-ising", str(bp), "--vertex", "w2", "--gadget-map", gm])
         assert code == 1
 
+    def test_gadget_squares_sharing_a_corner_exit_2(self, files, tmp_path, capsys):
+        # the worked example after one square move at its first quad, with
+        # a gadget map naming f1 and f2, which then share a corner: mu is
+        # not one move there, and the batch move names the faces
+        _, _, ip, _ = files
+        dp, gm, mp = (str(tmp_path / n) for n in ("dimer.tg", "gm.txt", "moved.tg"))
+        assert main(["todimer", ip, "--out", dp, "--gadget-map", gm]) == 0
+        (tmp_path / "s.txt").write_text("move square f=f1\n")
+        assert main(["move", dp, "--script", str(tmp_path / "s.txt"), "--out", mp]) == 0
+        lines = [x for x in open(gm).read().splitlines() if not x.startswith("square")]
+        (tmp_path / "gm.txt").write_text("\n".join(lines + ["square 1 f1", "square 2 f2"]) + "\n")
+        capsys.readouterr()
+        assert main(["verify-ising", mp, "--vertex", "W_n_0", "--gadget-map", gm]) == 2
+        assert capsys.readouterr() == ("", "error: square faces f1 and f2 share the corner W_n_1\n")
+
     def test_malformed_rot_exits_2(self, files, tmp_path, capsys):
         bad = DIMER_FIXTURE.replace("rot b1 e9 e8 e7", "rot b1 e9 e8 nosuch")
         bp = tmp_path / "bad.tg"

@@ -14,11 +14,13 @@ from isingdimer.dimer import (
     contraction_move,
     ising_locus_check,
     square_move,
+    square_moves,
     x_of_cycle,
 )
 from isingdimer.ising import (GadgetMap, IsingModel, _fraction_sqrt, couplings_from_file_data,
                               make_coupling, to_dimer, y_delta)
 from isingdimer.lattices import honeycomb, square
+from isingdimer.spectral import characteristic_polynomial, solve_kasteleyn_signs
 from isingdimer.torusgraph import GraphError, TorusGraph, parse_torus_graph, serialize_torus_graph
 
 from conftest import (
@@ -502,6 +504,132 @@ class TestSquareMove:
         assert seen[0][:3] == seen[1][:3] == seen[2][:3]
         assert seen[0][0]["darts"] > 0 and seen[0][0]["face_of_dart"] > 0 and seen[0][2] > 0
         assert [faces for *_, faces in seen] == [16, 64, 144]
+
+
+def mu_by_chain(g, wt, fids):
+    """The square moves at the faces `fids` of g one at a time, each at the
+    face the moves before it made of it: (graph, weights, the XBasis of g
+    carried through them)."""
+    basis = XBasis.of(g)
+    for fid in fids:
+        g, wt, rec = square_move(g, wt, g.face_of_dart(basis.roots[fid]))
+        basis = basis.follow(rec)
+    return g, wt, basis
+
+
+def ydelta_round(gi, couplings):
+    """The gadget graph of the Ising model after a star-triangle move at
+    every u vertex of a honeycomb lattice gi."""
+    model = IsingModel(gi, couplings)
+    for u in [v for v in gi.vertex_ids() if v.startswith("u")]:
+        model = y_delta(model, "v:" + u)
+    return to_dimer(model)
+
+
+class TestSquareMoves:
+    """square_moves at a set of corner-disjoint faces is the chain of
+    single square_move calls made as one edit."""
+
+    @staticmethod
+    def assert_matches_chain(g, wt, fids):
+        gn, wtn, rec = square_moves(g, wt, fids)
+        gc, wtc, chain = mu_by_chain(g, wt, fids)
+        assert gn.isomorphic(gc)
+        assert len(gn.face_ids()) == len(gc.face_ids()) == len(g.face_ids())
+        got = XBasis.of(g).follow(rec).values(gn, wtn, g.face_ids())
+        want = chain.values(gc, wtc, g.face_ids())
+        assert got.keys() == want.keys() == {*g.face_ids(), "a", "b"}
+        if all(type(x) is Fraction for x in wt.values()):
+            assert got == want and all(type(x) is Fraction for x in got.values())
+        else:
+            assert all(abs(got[k] / want[k] - 1) <= 1e-12 for k in got)
+        return gn, wtn, gc, wtc
+
+    @given(st.integers(0, 10 ** 6), st.booleans(), st.data())
+    @settings(max_examples=4, deadline=None)
+    @pytest.mark.parametrize("make", [square, honeycomb])
+    @pytest.mark.parametrize("size", [(1, 1), (2, 1), (2, 2), (3, 3)], ids="{0[0]}x{0[1]}".format)
+    def test_matches_the_chain_of_single_moves(self, make, size, seed, exact, data):
+        # all gadget squares (mu) or a drawn part of them, with exact or
+        # float weights
+        gi = make(*size)
+        rng = random.Random(seed)
+        couplings = (pythagorean_couplings(gi, seed, swap=True) if exact else
+                     {e: make_coupling(J=rng.uniform(0.2, 0.8)) for e in gi.edges()})
+        g, wt, gm = to_dimer(IsingModel(gi, couplings))
+        squares = sorted(set(gm.squares.values()))
+        fids = data.draw(st.lists(st.sampled_from(squares), min_size=1, unique=True))
+        self.assert_matches_chain(g, wt, fids)
+
+    @pytest.mark.parametrize("size", [(1, 1), (2, 2), (3, 3)], ids="{0[0]}x{0[1]}".format)
+    def test_matches_the_chain_after_a_ydelta_round(self, size):
+        gi = honeycomb(*size)
+        g, wt, gm = ydelta_round(gi, pythagorean_couplings(gi, 7))
+        assert all(g.degree(v) == 3 for v in g.blacks())
+        self.assert_matches_chain(g, wt, sorted(set(gm.squares.values())))
+
+    @pytest.mark.parametrize("make,size", [(square, (1, 1)), (square, (2, 1)),
+                                           (honeycomb, (1, 1))], ids=str)
+    def test_same_curve_in_every_sign_class(self, make, size):
+        # mu made both ways gives, class by class, the same curve lines
+        # (P up to its overall sign, polygon, genus)
+        gi = make(*size)
+        g, wt, gm = to_dimer(IsingModel(gi, pythagorean_couplings(gi, 2, swap=True)))
+        gn, wtn, gc, wtc = self.assert_matches_chain(g, wt, sorted(set(gm.squares.values())))
+        curves = [{label: characteristic_polynomial(h, w, kappa).format_lines()
+                   for label, kappa in solve_kasteleyn_signs(h)} for h, w in ((gn, wtn), (gc, wtc))]
+        assert len(curves[0]) == 4 and curves[0] == curves[1]
+
+    def test_a_face_keeping_no_dart_is_carried(self):
+        # mu on the square 1x1 gadget graph replaces every edge: no face
+        # keeps a dart, each square goes to its new square and every other
+        # face to the face whose boundary is its rerouted old boundary
+        g, wt, gm = to_dimer(IsingModel(square(1, 1), pythagorean_couplings(square(1, 1), 0)))
+        squares = sorted(set(gm.squares.values()))
+        gn, _, rec = square_moves(g, wt, squares)
+        assert gn.moved_roots == {} and not set(gn.darts) & set(g.darts)
+        lost = {orbit[0]: orbit for orbit in gn.lost_orbits}
+        assert sorted(lost) == [orbit[0] for _, orbit in g.faces()]
+        assert rec.data["faces"] == squares and len(rec.data["new_faces"]) == len(squares)
+        for fid, orbit in g.faces():
+            new = gn.orbit(rec.data["roots"][orbit[0]])
+            if fid in squares:
+                assert rec.map_face(fid) == rec.data["new_faces"][squares.index(fid)]
+                continue
+            walk = rec.reroute(orbit)
+            k = walk.index(new[0])
+            assert walk[k:] + walk[:k] == new
+
+    def test_corner_sharing_squares_raise(self):
+        # after one square move at f1 of the worked example's gadget graph,
+        # its quads f1 and f2 share a corner: the moves do not commute, and
+        # the chain of single moves passes in an order of its own
+        gi, _, raw = parse_torus_graph(ISING_FIXTURE)
+        g, wt, gm = to_dimer(IsingModel(gi, couplings_from_file_data(raw)))
+        assert sorted(gm.squares.values()) == ["f1", "f2"]
+        g, wt, _ = square_move(g, wt, "f1")
+        with pytest.raises(MoveError, match="^square faces f1 and f2 share the corner W_n_1$"):
+            square_moves(g, wt, ["f1", "f2"])
+        mu_by_chain(g, wt, ["f1", "f2"])
+
+    def test_locus_check_is_one_edit_and_one_follow(self, monkeypatch):
+        calls = {"edit": 0, "follow": 0}
+        edit, follow = TorusGraph.edit, XBasis.follow
+
+        def counted(name, fn):
+            def run(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+            return run
+
+        monkeypatch.setattr(TorusGraph, "edit", counted("edit", edit))
+        monkeypatch.setattr(XBasis, "follow", counted("follow", follow))
+        gi = honeycomb(2, 2)
+        g, wt, gm = to_dimer(IsingModel(gi, pythagorean_couplings(gi, 1)))
+        calls.update(edit=0, follow=0)
+        ok, report = ising_locus_check(g, wt, gm)
+        assert ok and calls == {"edit": 1, "follow": 1}
+        assert len(set(gm.squares.values())) == 12
 
 
 class TestContraction:

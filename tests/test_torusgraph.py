@@ -420,8 +420,8 @@ class TestTwins:
         g = fixture_graph()
         g.darts = dict(g.darts)
         assert twin_faults(g) == []
-        g.darts["e9-"] = Dart("e9-", "e9", "w2", "b1", (1, 0))
-        g.darts["e5-"] = Dart("e5-", "e5", "w3", "b1", (0, -1))
+        g.darts["e9-"] = Dart("e9-", "e9", "w2", "b1", (1, 0), "e9+")
+        g.darts["e5-"] = Dart("e5-", "e5", "w3", "b1", (0, -1), "e5+")
         del g.darts["e1-"]
         assert sorted(twin_faults(g)) == ["e1+", "e5+", "e5-", "e9+", "e9-"]
 
