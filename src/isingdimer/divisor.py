@@ -455,24 +455,27 @@ COEFF_EPS = 1e-13
 
 
 def _vanishes(polys, z, w, tol, grid=None):
-    """Where |p(z, w)| is within tol times the sum of |term| (at least tol),
-    plus the spread of COEFF_EPS-sized coefficient errors over the support,
-    for each p of polys at arrays z, w: one row per p. Far out on a
-    tentacle the terms with the smallest coefficients dominate, and their
-    relative error is far above tol. grid is _grid(polys) if given. The
-    values come from the value pass _values, which leaves out the
+    """Where |p(z, w)| is within tol times the sum of |term| (at least tol
+    times the largest |coefficient| of p, so that scaling p changes
+    nothing), plus the spread of COEFF_EPS-sized coefficient errors over
+    the support, for each p of polys at arrays z, w: one row per p. Far out
+    on a tentacle the terms with the smallest coefficients dominate, and
+    their relative error is far above tol. grid is _grid(polys) if given.
+    The values come from the value pass _values, which leaves out the
     derivatives of _terms."""
     grid = grid or _grid(polys)
-    return _vanish_rule(grid, _values(grid, z, w), tol)
+    return _vanish_rule(grid, _values(grid, z, w), tol, True)
 
 
-def _vanish_rule(grid, values, tol):
+def _vanish_rule(grid, values, tol, relative=False):
     """_vanishes from the values (value, size of terms, spread) of _terms
-    at the points, such as those _polish hands back."""
+    at the points, such as those _polish hands back; without `relative`
+    the least bound is tol itself, as the amoeba has it."""
     import numpy as np
     val, size, spread = values
     cmax = grid[1][0].max((1, 2)).reshape((-1,) + (1,) * (val.ndim - 1))
-    return abs(val) <= tol * np.maximum(1.0, size) + COEFF_EPS * cmax * spread
+    floor = cmax if relative else 1.0
+    return abs(val) <= tol * np.maximum(floor, size) + COEFF_EPS * cmax * spread
 
 
 def _divisor_numeric(P, entries, e1, e2, genus, tol):
@@ -494,7 +497,7 @@ def _divisor_numeric(P, entries, e1, e2, genus, tol):
         far = ((abs(z[:, None] - held[0]) >= 1e-6) | (abs(w[:, None] - held[1]) >= 1e-6)).all(1)
         z, w = z[far], w[far]
         ok = (_vanishes(polys, z, w, tol, grid) if values is None else
-              _vanish_rule(grid, [v[:, far] for v in values], tol)).all(0)
+              _vanish_rule(grid, [v[:, far] for v in values], tol, True)).all(0)
         for a, b in zip(z[ok].tolist(), w[ok].tolist()):
             if not any(abs(a - zs) < 1e-6 and abs(b - ws) < 1e-6 for zs, ws, _ in points):
                 points.append((a, b, 1))

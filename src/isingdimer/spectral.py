@@ -211,14 +211,18 @@ def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-
     """Check (1) sigma-invariance of P, (2') D_white = sigma(D_partner_black),
     (3) X_alphabar * X_alpha = 1 for every zig-zag. Returns (ok, report),
     the report holding the curve as "curve".
-    In numeric mode tol bounds the coefficients of P - sigma(P), the
-    distance of matched divisor points and each residual of (3); the
+    In numeric mode tol bounds the coefficients of P - sigma(P) relative
+    to the largest of P, the distance of matched divisor points and each
+    residual of (3); the
     divisors themselves are found within min(tol, 1e-10). Both divisors use
     the one curve and one lm_adjugate_lines call for the white's column and
     the partner black's row of adj K (in numeric mode, one sample grid)."""
     curve = characteristic_polynomial(g, wt, kappa)
     P = curve.poly
-    cond1 = P.sigma() == P if P.exact else P.sigma().isclose(P, tol)
+    # numeric (1) is relative, like P itself: scaling every weight by t
+    # scales P by t^n and leaves the curve as it is
+    cond1 = P.sigma() == P if P.exact else P.sigma().isclose(
+        P, tol * max(map(abs, P.terms.values())))
     black = gadget_map.partners[white]
     (col,), (row,) = lm_adjugate_lines(curve.matrix, [white], [black])
     Dw = divisor_of_vertex(g, wt, kappa, white, mode=mode, tol=tol, curve=curve, line=col)

@@ -1319,6 +1319,43 @@ def _printed_divisors(text):
     return out
 
 
+class TestScaledWeights:
+    """Every weight times t multiplies P by t^n and leaves the curve, its
+    divisors and the Ising conditions as they are. On the honeycomb 2x2
+    rung (24 whites) the numeric sigma-invariance test was absolute and
+    failed at t = 10, and the divisor's vanishing floor was absolute, so at
+    t = 0.1 (max |coefficient| of P about 1e-23) every candidate vanished."""
+
+    @pytest.mark.parametrize("scale", [10.0, 0.1])
+    def test_verify_and_divisor_ignore_the_scale(self, tmp_path, scale, capsys):
+        rng, gi = random.Random(7), honeycomb(2, 2)
+        g, wt, gadgets = to_dimer(IsingModel(gi, {e: make_coupling(J=rng.uniform(0.2, 0.8))
+                                                  for e in gi.edges()}))
+        gp, sp, gm = (str(tmp_path / n) for n in ("plain.dimer", "scaled.dimer", "gm.txt"))
+        open(gp, "w").write(serialize_torus_graph(g, weights=wt))
+        open(sp, "w").write(serialize_torus_graph(g, weights={e: x * scale for e, x in wt.items()}))
+        open(gm, "w").write(gadgets.serialize())
+        white = g.whites()[0]
+        for verb, extra in (("verify-ising", ["--gadget-map", gm]), ("divisor", [])):
+            texts = []
+            for path in (gp, sp):
+                out = str(tmp_path / "out.txt")
+                assert main([verb, path, "--vertex", white, "--mode", "numeric",
+                             "--out", out] + extra) == 0
+                texts.append(open(out).read())
+            kept = [[x for x in t.splitlines() if not x.startswith(("polynomial", "divisor"))]
+                    for t in texts]
+            assert kept[0] == kept[1]
+            # the 12th digit of a point can move with the rounding of t
+            plain, scaled = map(_printed_divisors, texts)
+            assert plain.keys() == scaled.keys() and len(plain) == (2 if extra else 1)
+            for name, points in plain.items():
+                assert len(points) == 7 and all(
+                    abs(a - b) <= 1e-9 * abs(a) for p, q in zip(points, scaled[name])
+                    for a, b in zip(p, q))
+        assert capsys.readouterr().err == ""
+
+
 class TestDifferentialOracle:
     @pytest.mark.parametrize("which", ["fixture", "square 2x1"])
     def test_numeric_divisors_against_mpmath(self, which, files, capsys):

@@ -368,7 +368,7 @@ class TestDivisors:
         # an absolute 1e-5 miss is rounding at a point of size 1e6
         assert _vanishes([p], 1e6 + 1e-5, 1.0, 1e-10)[0]
         assert not _vanishes([p], 1e6 + 1.0, 1.0, 1e-10)[0]
-        # below size 1 the test is absolute
+        # below size max|c| (here 1) the bound is tol max|c|
         assert not _vanishes([LaurentPoly2({(1, 0): 1.0})], 1e-9, 1.0, 1e-10)[0]
         # root w = 1e6 of -1e4 + 1e-8 w^2, with a 1e-14 * max|c| error in the
         # small coefficient: it dominates the residual there, not far off
@@ -658,7 +658,7 @@ def reference_vanishes(p, z, w, tol):
         size += abs(c) * m
         spread += m
     cmax = max(abs(c) for c in p.terms.values())
-    return abs(p.eval(z, w)) <= tol * max(1.0, size) + COEFF_EPS * cmax * spread
+    return abs(p.eval(z, w)) <= tol * max(cmax, size) + COEFF_EPS * cmax * spread
 
 
 def ladder_dimer(lattice, seed):
