@@ -213,10 +213,10 @@ def verify_ising_spectral(g, wt, kappa, gadget_map, white, mode="exact", tol=1e-
     the report holding the curve as "curve".
     In numeric mode tol bounds the coefficients of P - sigma(P) relative
     to the largest of P, the distance of matched divisor points and each
-    residual of (3); the
-    divisors themselves are found within min(tol, 1e-10). Both divisors use
-    the one curve and one lm_adjugate_lines call for the white's column and
-    the partner black's row of adj K (in numeric mode, one sample grid)."""
+    residual of (3); the divisors themselves are found within min(tol,
+    1e-10). Both divisors use the one curve and one lm_adjugate_lines call
+    for the white's column and the partner black's row of adj K (in
+    numeric mode, one sample grid)."""
     curve = characteristic_polynomial(g, wt, kappa)
     P = curve.poly
     # numeric (1) is relative, like P itself: scaling every weight by t

@@ -105,7 +105,8 @@ class TorusGraph:
         if e in self.edge_ends:
             raise GraphError(f"duplicate edge {e}")
         if v1 not in self.colors or v2 not in self.colors:
-            raise GraphError(f"edge {e} references unknown vertex {v1 if v1 not in self.colors else v2}")
+            v = v1 if v1 not in self.colors else v2
+            raise GraphError(f"edge {e} references unknown vertex {v}")
         # the one maker of darts: an edge's two are twins by construction,
         # with swapped ends and negated displacements
         self.edge_ends[e] = ends = (v1, v2, int(dx), int(dy))
