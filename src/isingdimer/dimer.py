@@ -272,8 +272,8 @@ def square_moves(g, wt, fids):
         r = orbit[0]
         roots[r] = gn.root_of(squares[r] if r in squares else reroute(orbit)[0])
     record = MoveRecord("square", g, gn, {
-        "faces": list(fids), "new_faces": [gn.face_of_dart(d) for d in squares.values()],
-        "roots": roots, "reroute": reroute, "new_blacks": blacks, "corners": corners,
+        "new_faces": [gn.face_of_dart(d) for d in squares.values()], "roots": roots,
+        "reroute": reroute, "new_blacks": blacks, "corners": corners,
     })
     return gn, new_wt, record
 
