@@ -1346,7 +1346,8 @@ class TestScaledWeights:
             kept = [[x for x in t.splitlines() if not x.startswith(("polynomial", "divisor"))]
                     for t in texts]
             assert kept[0] == kept[1]
-            # the 12th digit of a point can move with the rounding of t
+            # the weights are written to 12 significant digits, so the
+            # scaled input differs there and so can a point's 12th digit
             plain, scaled = map(_printed_divisors, texts)
             assert plain.keys() == scaled.keys() and len(plain) == (2 if extra else 1)
             for name, points in plain.items():
