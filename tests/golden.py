@@ -138,6 +138,8 @@ def move_script(dim, pairs=12, colour_pairs=2):
                 continue
             lines += [f"move square f={f}", f"move square f={rec.data['new_face']}"]
             break
+        else:
+            raise MoveError("no face admits a square-move pair")
     return "\n".join(lines) + "\n"
 
 
