@@ -464,18 +464,16 @@ def _vanishes(polys, z, w, tol, grid=None):
     The values come from the value pass _values, which leaves out the
     derivatives of _terms."""
     grid = grid or _grid(polys)
-    return _vanish_rule(grid, _values(grid, z, w), tol, True)
+    return _vanish_rule(grid, _values(grid, z, w), tol)
 
 
-def _vanish_rule(grid, values, tol, relative=False):
+def _vanish_rule(grid, values, tol):
     """_vanishes from the values (value, size of terms, spread) of _terms
-    at the points, such as those _polish hands back; without `relative`
-    the least bound is tol itself, as the amoeba has it."""
+    at the points, such as those _polish hands back."""
     import numpy as np
     val, size, spread = values
     cmax = grid[1][0].max((1, 2)).reshape((-1,) + (1,) * (val.ndim - 1))
-    floor = cmax if relative else 1.0
-    return abs(val) <= tol * np.maximum(floor, size) + COEFF_EPS * cmax * spread
+    return abs(val) <= tol * np.maximum(cmax, size) + COEFF_EPS * cmax * spread
 
 
 def _divisor_numeric(P, entries, e1, e2, genus, tol):
@@ -497,7 +495,7 @@ def _divisor_numeric(P, entries, e1, e2, genus, tol):
         far = ((abs(z[:, None] - held[0]) >= 1e-6) | (abs(w[:, None] - held[1]) >= 1e-6)).all(1)
         z, w = z[far], w[far]
         ok = (_vanishes(polys, z, w, tol, grid) if values is None else
-              _vanish_rule(grid, [v[:, far] for v in values], tol, True)).all(0)
+              _vanish_rule(grid, [v[:, far] for v in values], tol)).all(0)
         for a, b in zip(z[ok].tolist(), w[ok].tolist()):
             if not any(abs(a - zs) < 1e-6 and abs(b - ws) < 1e-6 for zs, ws, _ in points):
                 points.append((a, b, 1))

@@ -291,8 +291,8 @@ def amoeba_sample(P, grid=100, region=(-3.0, 3.0, -3.0, 3.0), tol=1e-8):
     """Sample the amoeba: for z on a log-modulus x phase grid, solve
     P(z, .) = 0 for the whole grid in one batched root-kernel call, polish
     every root by Newton steps in w with the exact derivative (vectorised
-    over the batch), keep the roots at which P vanishes by the relative
-    rule of _vanishes, applied to the values of the last Newton step.
+    over the batch), keep the roots at which P vanishes by the rule of
+    _vanishes, applied to the values of the last Newton step.
 
     Returns an AmoebaSample, one row per root kept. x = log|z| (taken once
     per fibre) and y = log|w| are taken by math.log and abs of Python

@@ -370,6 +370,8 @@ class TestDivisors:
         assert not _vanishes([p], 1e6 + 1.0, 1.0, 1e-10)[0]
         # below size max|c| (here 1) the bound is tol max|c|
         assert not _vanishes([LaurentPoly2({(1, 0): 1.0})], 1e-9, 1.0, 1e-10)[0]
+        # and so scaling the polynomial changes nothing, however small max|c|
+        assert not _vanishes([LaurentPoly2({(1, 0): 1e-12})], 1e-9, 1.0, 1e-10)[0]
         # root w = 1e6 of -1e4 + 1e-8 w^2, with a 1e-14 * max|c| error in the
         # small coefficient: it dominates the residual there, not far off
         q = LaurentPoly2({(0, 0): -1e4, (0, 2): 1e-8 + 1e-10})
